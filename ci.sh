@@ -8,9 +8,10 @@
 #   ./ci.sh          the full gate: fast tier + release build/tests, then
 #                    the smoke gates (detlint --dynamic, obs_smoke,
 #                    chaos_smoke, mc_smoke, trace_smoke, mega_smoke,
-#                    par_smoke, perf_gate) run *concurrently* against the
-#                    release binaries, with per-gate logs replayed in a
-#                    fixed order once all of them finish
+#                    par_smoke, bench_selfcheck, perf_gate) run
+#                    *concurrently* against the release binaries, with
+#                    per-gate logs replayed in a fixed order once all of
+#                    them finish
 #
 # The 10⁵/10⁶-clients-per-site scale points stay out of CI; run them with
 # `cargo run --release -p gdur-bench --bin perf_gate -- --mega`. The
@@ -87,7 +88,17 @@ spawn_gate() {
     ) &
 }
 
-GATES="detlint obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke par_smoke"
+# bench_selfcheck: the benchmark of BENCHMARK.json (a crate of its own
+# under benchmark/) must still build against the workspace, pass its own
+# arithmetic tests, and reproduce its determinism / zero-perturbation /
+# golden checks — only virtual numbers are compared, so sharing the host
+# with the other gates is fine.
+bench_selfcheck() {
+    benchmark/run.sh --selfcheck &&
+        (cd benchmark && cargo test --release --offline)
+}
+
+GATES="detlint obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke par_smoke bench_selfcheck"
 spawn_gate detlint ./target/release/detlint --dynamic
 spawn_gate obs_smoke ./target/release/obs_smoke
 spawn_gate chaos_smoke ./target/release/chaos_smoke
@@ -95,6 +106,7 @@ spawn_gate mc_smoke ./target/release/mc_smoke
 spawn_gate trace_smoke ./target/release/trace_smoke
 spawn_gate mega_smoke ./target/release/mega_smoke
 spawn_gate par_smoke ./target/release/par_smoke
+spawn_gate bench_selfcheck bench_selfcheck
 
 # Wall-clock regression gate against the blessed reference in
 # BENCH_sim.json. Skippable because wall-clock is only meaningful on an

@@ -20,6 +20,7 @@
 //! The protocol library mirroring the paper's Algorithms 5–10 lives in
 //! `gdur-protocols`; deployments are assembled by `gdur-harness`.
 
+mod certifier;
 mod client;
 mod cluster;
 mod lint;

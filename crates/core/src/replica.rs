@@ -8,7 +8,7 @@
 //! contains no protocol-specific code paths beyond dispatching on those
 //! plug-in values, which is the paper's architectural claim.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use gdur_gc::{GcEvent, GroupComm, XcastKind};
 use gdur_net::SiteId;
@@ -17,6 +17,7 @@ use gdur_sim::{Context, ProcessId, SimDuration, SimTime};
 use gdur_store::{Key, MultiVersionStore, Placement, TxId, Value};
 use gdur_versioning::{Mechanism, Stamp, VersionVec};
 
+use crate::certifier::{Certifier, Ticket};
 use crate::messages::{CatchupInstall, ClientOp, ClientReply, Msg, TermPayload};
 use crate::spec::{
     CertifyRule, CertifyingObjRule, CommitmentKind, CommuteRule, CostModel, ProtocolSpec, VoteRule,
@@ -172,10 +173,8 @@ struct PartTxn {
     /// decision (2PC/Paxos) or from the votes themselves (GC mode).
     decided_clocks: Vec<(u32, u64)>,
     outcome: Option<bool>,
-    applied: bool,
-    /// Number of conflicting predecessors still in `Q` (GC mode vote
-    /// deferral — the convoy effect).
-    blocked_by: usize,
+    /// This participation's handle in the [`Certifier`].
+    ticket: Ticket,
 }
 
 /// Votes observed for a transaction (participants and coordinators share
@@ -227,14 +226,9 @@ pub struct Replica {
     coord: BTreeMap<TxId, CoordTxn>,
     part: BTreeMap<TxId, PartTxn>,
     votes: BTreeMap<TxId, VoteState>,
-    /// Delivery queue `Q` of Algorithm 2.
-    q: VecDeque<TxId>,
-    /// Conflict index over queued transactions: key → (tx, read, wrote).
-    /// Makes commute checks O(footprint) instead of O(|Q|).
-    key_index: BTreeMap<Key, Vec<(TxId, bool, bool)>>,
-    /// Reverse wait edges: when the keyed transaction leaves `Q`, each
-    /// waiter's `blocked_by` drops by one.
-    waiters: BTreeMap<TxId, Vec<TxId>>,
+    /// Delivery queue `Q` of Algorithm 2 with its `commute` conflict index
+    /// and deferred-vote wait graph.
+    certifier: Certifier,
     /// Decisions that raced ahead of the ordered delivery of their
     /// transaction (a coordinator can abort on the first negative vote
     /// before slower replicas deliver the payload).
@@ -368,6 +362,17 @@ impl Replica {
             store.seed(k, v, stamp);
         }
         let gc = GroupComm::new(me, cfg.replica_pids.clone());
+        let gc_mode = matches!(
+            cfg.spec.commitment,
+            CommitmentKind::GroupCommunication { .. }
+        );
+        // Serrano's vote-free decision never waits on a predecessor, so its
+        // queue keeps the delivery order only.
+        let commute = if gc_mode && cfg.spec.votes == VoteRule::LocalDecide {
+            CommuteRule::Always
+        } else {
+            cfg.spec.commute
+        };
         Replica {
             knowledge: VersionVec::zero(dim.max(partitions)),
             reserved: VersionVec::zero(dim.max(partitions)),
@@ -378,9 +383,7 @@ impl Replica {
             coord: BTreeMap::new(),
             part: BTreeMap::new(),
             votes: BTreeMap::new(),
-            q: VecDeque::new(),
-            key_index: BTreeMap::new(),
-            waiters: BTreeMap::new(),
+            certifier: Certifier::new(commute, gc_mode),
             early_decide: BTreeMap::new(),
             done: TerminatedSet::default(),
             read_timers: BTreeMap::new(),
@@ -429,7 +432,7 @@ impl Replica {
 
     /// Current length of the termination queue `Q`.
     pub fn queue_len(&self) -> usize {
-        self.q.len()
+        self.certifier.len()
     }
 
     /// Debug view of coordinator state: (tx, certifying, yes-sites, any_no, decided).
@@ -454,12 +457,12 @@ impl Replica {
 
     /// Debug view of the termination queue: (tx, voted, outcome) per entry.
     pub fn queue_debug(&self) -> Vec<(TxId, bool, Option<bool>)> {
-        self.q
-            .iter()
+        self.certifier
+            .queued()
             .map(|tx| {
-                let p = self.part.get(tx);
+                let p = self.part.get(&tx);
                 (
-                    *tx,
+                    tx,
                     p.map(|p| p.voted).unwrap_or(false),
                     p.and_then(|p| p.outcome),
                 )
@@ -1120,35 +1123,25 @@ impl Replica {
             CommitmentKind::GroupCommunication { .. }
         );
         let local_decide = gc_mode && self.cfg.spec.votes == VoteRule::LocalDecide;
-        // Conflicting predecessors, before self-registration.
-        let blockers = if local_decide {
-            Vec::new()
-        } else {
-            self.conflicting_queued(&payload)
-        };
+        let enqueued = self.certifier.enqueue(&payload);
         self.part.insert(
             tx,
             PartTxn {
-                payload: payload.clone(),
+                payload,
                 voted: false,
                 my_vote: None,
                 reserved: Vec::new(),
                 decided_clocks: Vec::new(),
                 outcome: None,
-                applied: false,
-                blocked_by: if gc_mode { blockers.len() } else { 0 },
+                ticket: enqueued.ticket,
             },
         );
         if gc_mode {
-            self.q.push_back(tx);
             ctx.trace(
                 labels::CERT_ENQUEUE,
                 tx_code(tx.coord, tx.seq),
-                self.q.len() as u64,
+                self.certifier.len() as u64,
             );
-        }
-        if !local_decide {
-            self.index_insert(&payload);
         }
         if let Some((commit, clocks)) = self.early_decide.remove(&tx) {
             // The coordinator decided before our ordered delivery arrived.
@@ -1160,107 +1153,28 @@ impl Replica {
                 if local_decide {
                     self.local_decide(ctx, tx);
                 } else {
-                    if blockers.is_empty() {
+                    // Convoy: a conflicting predecessor in Q defers the
+                    // vote until it leaves (Algorithm 3, line 3).
+                    if !enqueued.conflict {
                         self.cast_gc_vote(ctx, tx);
-                    } else {
-                        // Convoy: defer the vote until every conflicting
-                        // predecessor leaves Q (Algorithm 3, line 3).
-                        for b in blockers {
-                            self.waiters.entry(b).or_default().push(tx);
-                        }
                     }
                     // Votes may have raced ahead of the ordered delivery.
                     self.check_part_outcome(ctx, tx);
                 }
             }
             CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
-                self.vote_2pc(ctx, tx, !blockers.is_empty())
+                self.vote_2pc(ctx, tx, enqueued.conflict)
             }
         }
     }
 
-    /// Per-key access flags of a payload: (key, read, wrote).
-    fn accesses(payload: &TermPayload) -> Vec<(Key, bool, bool)> {
-        let mut out: Vec<(Key, bool, bool)> =
-            Vec::with_capacity(payload.rs.len() + payload.ws.len());
-        for r in payload.rs.iter() {
-            out.push((r.key, true, false));
-        }
-        for w in payload.ws.iter() {
-            if let Some(e) = out.iter_mut().find(|(k, _, _)| *k == w.key) {
-                e.2 = true;
-            } else {
-                out.push((w.key, false, true));
-            }
-        }
-        out
-    }
-
-    fn conflicts(&self, mine: (bool, bool), other: (bool, bool)) -> bool {
-        match self.cfg.spec.commute {
-            CommuteRule::Always => false,
-            CommuteRule::WriteWriteDisjoint => mine.1 && other.1,
-            CommuteRule::ReadWriteDisjoint => (mine.0 && other.1) || (mine.1 && other.0),
-        }
-    }
-
-    /// Queued transactions conflicting with `payload` (each at most once,
-    /// in delivery order).
-    fn conflicting_queued(&self, payload: &TermPayload) -> Vec<TxId> {
-        let mut seen: Vec<TxId> = Vec::new();
-        for (key, read, wrote) in Self::accesses(payload) {
-            if let Some(bucket) = self.key_index.get(&key) {
-                for (other, oread, owrote) in bucket {
-                    if *other != payload.tx
-                        && self.conflicts((read, wrote), (*oread, *owrote))
-                        && !seen.contains(other)
-                    {
-                        seen.push(*other);
-                    }
-                }
-            }
-        }
-        seen
-    }
-
-    fn index_insert(&mut self, payload: &TermPayload) {
-        for (key, read, wrote) in Self::accesses(payload) {
-            self.key_index
-                .entry(key)
-                .or_default()
-                .push((payload.tx, read, wrote));
-        }
-    }
-
-    /// Removes a terminated transaction from the conflict index and wakes
-    /// its waiters; newly unblocked transactions cast their deferred votes.
-    fn index_remove(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, payload: &TermPayload) {
-        // Keys straight off the payload: a key in both sets scrubs its
-        // bucket twice, which is idempotent, so the deduplicated
-        // `accesses` Vec is not worth building here.
-        let keys = payload
-            .rs
-            .iter()
-            .map(|e| e.key)
-            .chain(payload.ws.iter().map(|w| w.key));
-        for key in keys {
-            if let Some(bucket) = self.key_index.get_mut(&key) {
-                bucket.retain(|(t, _, _)| *t != tx);
-                if bucket.is_empty() {
-                    self.key_index.remove(&key);
-                }
-            }
-        }
-        let Some(ws) = self.waiters.remove(&tx) else {
-            return;
-        };
-        for w in ws {
-            let Some(p) = self.part.get_mut(&w) else {
-                continue;
-            };
-            p.blocked_by = p.blocked_by.saturating_sub(1);
-            if p.blocked_by == 0 && !p.voted && p.outcome.is_none() {
-                self.cast_gc_vote(ctx, w);
+    /// `tx` left the certifier: its waiters lose a blocker each, in
+    /// delivery order, and one whose last blocker this was casts its
+    /// deferred vote before the next is looked at.
+    fn wake(&mut self, ctx: &mut Context<'_, Msg>, waiters: Vec<Ticket>) {
+        for w in waiters {
+            if let Some(tx) = self.certifier.unblock(w) {
+                self.cast_gc_vote(ctx, tx);
             }
         }
     }
@@ -1397,24 +1311,25 @@ impl Replica {
                 xcast: XcastKind::AbCast
             }
         );
-        let mut targets: BTreeSet<ProcessId> = if broadcast_delivery {
+        let mut targets: Vec<ProcessId> = if broadcast_delivery {
             // AB-Cast delivers to every replica; all of them sit in Q and
             // need the votes to terminate ("all replicas must receive the
             // certification votes", §5.1).
-            self.cfg.replica_pids.iter().copied().collect()
+            self.cfg.replica_pids.clone()
         } else {
-            // Duplicate keys are fine here: the site set dedups them.
             let keys = payload
                 .rs
                 .iter()
-                .map(|e| &e.key)
-                .chain(payload.ws.iter().map(|w| &w.key));
-            self.sites_of_keys(keys)
-                .into_iter()
-                .map(|s| self.pid_of_site(s))
+                .map(|e| e.key)
+                .chain(payload.ws.iter().map(|w| w.key));
+            keys.flat_map(|k| self.cfg.placement.replicas_of_key(k))
+                .map(|s| self.pid_of_site(*s))
                 .collect()
         };
-        targets.insert(payload.coord);
+        targets.push(payload.coord);
+        // Votes leave in ascending pid order, one per process.
+        targets.sort_unstable();
+        targets.dedup();
         for t in targets {
             if t == self.me {
                 self.record_vote(ctx, tx, self.cfg.site, yes, clocks.clone());
@@ -1799,22 +1714,17 @@ impl Replica {
     /// Terminates a decided 2PC/Paxos participation: apply the commit (or
     /// resolve the aborted reservations) and drop the entry.
     fn terminate_2pc(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
-        let p = self.part.get_mut(&tx).expect("present");
+        let p = self.part.remove(&tx).expect("present");
         let commit = p.outcome.expect("decided");
-        let payload = p.payload.clone();
-        let decided_clocks = p.decided_clocks.clone();
-        let reserved = p.reserved.clone();
-        let applied = p.applied;
-        if commit && !applied {
-            p.applied = true;
-            self.apply(ctx, &payload, &decided_clocks, &reserved);
-        } else if !commit {
+        if commit {
+            self.apply(ctx, &p.payload, &p.decided_clocks, &p.reserved);
+        } else {
             // Aborted reservations resolve too, or the frontier
             // would stall on their slots forever.
-            self.resolve_reservations(&reserved);
+            self.resolve_reservations(&p.reserved);
         }
-        self.index_remove(ctx, tx, &payload);
-        self.part.remove(&tx);
+        // Nobody waits on a 2PC/Paxos participation.
+        self.certifier.leave(p.ticket, &p.payload);
         self.votes.remove(&tx);
         self.done.insert(tx);
     }
@@ -1838,18 +1748,13 @@ impl Replica {
         if self.recovering() {
             return;
         }
-        while let Some(&head) = self.q.front() {
-            let Some(p) = self.part.get(&head) else {
-                self.q.pop_front();
-                continue;
-            };
+        while let Some(head) = self.certifier.front() {
+            let p = self.part.get(&head).expect("queued");
             let mut outcome = p.outcome;
-            let mut orphaned = false;
             if outcome.is_none() && p.payload.read_only {
                 if let Some(site) = self.try_site_of_pid(p.payload.coord) {
                     if self.suspected.contains(&site) {
                         outcome = Some(false);
-                        orphaned = true;
                         // An orphan discard, not a coordinated abort: kept
                         // out of the coordinator-side cause partition.
                         ctx.trace(
@@ -1863,35 +1768,23 @@ impl Replica {
             let Some(commit) = outcome else {
                 break;
             };
-            // One mutable lookup covers the orphan write-back, the payload
-            // grab, and the applied flag; the clock vectors are taken, not
-            // cloned — the entry is removed at the end of this iteration
-            // and nothing reads them from the map in between.
-            let p = self.part.get_mut(&head).expect("present");
-            if orphaned {
-                p.outcome = Some(commit);
-            }
-            let payload = p.payload.clone();
-            let decided_clocks = std::mem::take(&mut p.decided_clocks);
-            let reserved = std::mem::take(&mut p.reserved);
-            let applied = p.applied;
-            if commit && !applied {
-                p.applied = true;
-                self.apply(ctx, &payload, &decided_clocks, &reserved);
-            } else if !commit {
+            // The entry comes out of the map here: nothing below, nor the
+            // votes and nested pops the wake-up triggers, looks at a
+            // transaction that has left Q.
+            let p = self.part.remove(&head).expect("present");
+            if commit {
+                self.apply(ctx, &p.payload, &p.decided_clocks, &p.reserved);
+            } else {
                 // Aborted reservations must resolve, or the frontier stalls.
-                self.resolve_reservations(&reserved);
+                self.resolve_reservations(&p.reserved);
             }
-            self.q.pop_front();
+            let waiters = self.certifier.leave(p.ticket, &p.payload);
             ctx.trace(
                 labels::CERT_DEQUEUE,
                 tx_code(head.coord, head.seq),
-                self.q.len() as u64,
+                self.certifier.len() as u64,
             );
-            if self.cfg.spec.votes == VoteRule::Distributed {
-                self.index_remove(ctx, head, &payload);
-            }
-            self.part.remove(&head);
+            self.wake(ctx, waiters);
             self.votes.remove(&head);
             self.done.insert(head);
         }
@@ -2216,9 +2109,7 @@ impl Replica {
         self.coord.clear();
         self.part.clear();
         self.votes.clear();
-        self.q.clear();
-        self.key_index.clear();
-        self.waiters.clear();
+        self.certifier.clear();
         self.early_decide.clear();
         self.deferred_reads.clear();
         self.read_timers.clear();
@@ -2774,7 +2665,9 @@ impl Replica {
         let unvoted: Vec<TxId> = self
             .part
             .iter()
-            .filter(|(_, p)| !p.voted && p.outcome.is_none() && p.blocked_by == 0)
+            .filter(|(_, p)| {
+                !p.voted && p.outcome.is_none() && !self.certifier.is_blocked(p.ticket)
+            })
             .map(|(tx, _)| *tx)
             .collect();
         let gc_mode = matches!(
@@ -2785,10 +2678,8 @@ impl Replica {
             if gc_mode {
                 self.cast_gc_vote(ctx, tx);
             } else {
-                let conflict = {
-                    let p = self.part.get(&tx).expect("present");
-                    !self.conflicting_queued(&p.payload).is_empty()
-                };
+                let p = self.part.get(&tx).expect("present");
+                let conflict = self.certifier.has_conflict(p.ticket, &p.payload);
                 self.vote_2pc(ctx, tx, conflict);
             }
         }
