@@ -7,13 +7,11 @@
 //! Usage: `cargo run --release -p gdur-bench --bin chaos_smoke [--bless]`
 //! (`--bless` regenerates `crates/bench/golden/chaos_smoke.txt`).
 
-use std::path::Path;
 use std::process::exit;
 
 use gdur_harness::{chaos_library, run_chaos};
 
 fn main() {
-    let bless = std::env::args().any(|a| a == "--bless");
     let mut lines = Vec::new();
 
     for cfg in chaos_library() {
@@ -71,34 +69,5 @@ fn main() {
     }
 
     let table = format!("{}\n", lines.join("\n"));
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/chaos_smoke.txt");
-    if bless {
-        std::fs::create_dir_all(golden_path.parent().expect("has parent"))
-            .expect("create golden dir");
-        std::fs::write(&golden_path, &table).expect("write golden");
-        println!("blessed {}", golden_path.display());
-        return;
-    }
-    let golden = match std::fs::read_to_string(&golden_path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!(
-                "chaos_smoke: cannot read golden file {}: {e}\n\
-                 run with --bless to create it",
-                golden_path.display()
-            );
-            exit(1);
-        }
-    };
-    if table != golden {
-        eprintln!("chaos_smoke: recovery counts diverged from the golden file:");
-        for (i, (got, want)) in table.lines().zip(golden.lines()).enumerate() {
-            if got != want {
-                eprintln!("  line {}:\n    golden: {want}\n    got:    {got}", i + 1);
-            }
-        }
-        eprintln!("(re-run with --bless after an intentional change)");
-        exit(1);
-    }
-    println!("chaos_smoke: recovery counts match the golden file");
+    gdur_bench::golden::check("chaos_smoke", "recovery counts", &table);
 }

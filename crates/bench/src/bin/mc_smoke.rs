@@ -14,7 +14,6 @@
 //! Usage: `cargo run --release -p gdur-bench --bin mc_smoke [--bless]`
 //! (`--bless` regenerates `crates/bench/golden/mc_smoke.txt`).
 
-use std::path::Path;
 use std::process::exit;
 
 use gdur_analysis::mc::{explore, mc_library, replay, walter_psi_bug_config};
@@ -27,7 +26,6 @@ const BUDGET: u64 = 1200;
 const BUG_BUDGET: u64 = 50;
 
 fn main() {
-    let bless = std::env::args().any(|a| a == "--bless");
     let mut lines = Vec::new();
     let (mut naive_total, mut explored_total) = (0u64, 0u64);
 
@@ -148,34 +146,5 @@ fn main() {
     ));
 
     let table = format!("{}\n", lines.join("\n"));
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/mc_smoke.txt");
-    if bless {
-        std::fs::create_dir_all(golden_path.parent().expect("has parent"))
-            .expect("create golden dir");
-        std::fs::write(&golden_path, &table).expect("write golden");
-        println!("blessed {}", golden_path.display());
-        return;
-    }
-    let golden = match std::fs::read_to_string(&golden_path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!(
-                "mc_smoke: cannot read golden file {}: {e}\n\
-                 run with --bless to create it",
-                golden_path.display()
-            );
-            exit(1);
-        }
-    };
-    if table != golden {
-        eprintln!("mc_smoke: exploration counts diverged from the golden file:");
-        for (i, (got, want)) in table.lines().zip(golden.lines()).enumerate() {
-            if got != want {
-                eprintln!("  line {}:\n    golden: {want}\n    got:    {got}", i + 1);
-            }
-        }
-        eprintln!("(re-run with --bless after an intentional change)");
-        exit(1);
-    }
-    println!("mc_smoke: exploration counts match the golden file");
+    gdur_bench::golden::check("mc_smoke", "exploration counts", &table);
 }

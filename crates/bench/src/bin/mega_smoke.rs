@@ -7,13 +7,9 @@
 //! Usage: `cargo run --release -p gdur-bench --bin mega_smoke [--bless]`
 //! (`--bless` regenerates `crates/bench/golden/mega_smoke.txt`).
 
-use std::path::Path;
-use std::process::exit;
-
 use gdur_harness::{run_mega_point, Experiment, MegaConfig, PlacementKind, WorkloadKind};
 
 fn main() {
-    let bless = std::env::args().any(|a| a == "--bless");
     let mut out = String::new();
 
     for spec in [gdur_protocols::p_store(), gdur_protocols::s_dur()] {
@@ -36,34 +32,5 @@ fn main() {
     }
     print!("{out}");
 
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/mega_smoke.txt");
-    if bless {
-        std::fs::create_dir_all(golden_path.parent().expect("has parent"))
-            .expect("create golden dir");
-        std::fs::write(&golden_path, &out).expect("write golden");
-        println!("blessed {}", golden_path.display());
-        return;
-    }
-    let golden = match std::fs::read_to_string(&golden_path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!(
-                "mega_smoke: cannot read golden file {}: {e}\n\
-                 run with --bless to create it",
-                golden_path.display()
-            );
-            exit(1);
-        }
-    };
-    if out != golden {
-        eprintln!("mega_smoke: pooled counters diverged from the golden file:");
-        for (i, (got, want)) in out.lines().zip(golden.lines()).enumerate() {
-            if got != want {
-                eprintln!("  line {}:\n    golden: {want}\n    got:    {got}", i + 1);
-            }
-        }
-        eprintln!("(re-run with --bless after an intentional change)");
-        exit(1);
-    }
-    println!("mega_smoke: pooled counters match the golden file");
+    gdur_bench::golden::check("mega_smoke", "pooled counters", &out);
 }

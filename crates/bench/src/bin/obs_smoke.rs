@@ -6,7 +6,6 @@
 //! Usage: `cargo run --release -p gdur-bench --bin obs_smoke [--bless]`
 //! (`--bless` regenerates `crates/bench/golden/obs_smoke.txt`).
 
-use std::path::Path;
 use std::process::exit;
 
 use gdur_harness::{
@@ -34,7 +33,6 @@ fn smoke_scale() -> Scale {
 }
 
 fn main() {
-    let bless = std::env::args().any(|a| a == "--bless");
     let scale = smoke_scale();
     let mut rows: Vec<BreakdownRow> = Vec::new();
 
@@ -87,41 +85,5 @@ fn main() {
         println!("(csv written to bench_results/obs_smoke.csv)");
     }
 
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/obs_smoke.txt");
-    if bless {
-        std::fs::create_dir_all(golden_path.parent().expect("has parent"))
-            .expect("create golden dir");
-        std::fs::write(&golden_path, &table).expect("write golden");
-        println!("blessed {}", golden_path.display());
-        return;
-    }
-    let golden = match std::fs::read_to_string(&golden_path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!(
-                "obs_smoke: cannot read golden file {}: {e}\n\
-                 run with --bless to create it",
-                golden_path.display()
-            );
-            exit(1);
-        }
-    };
-    if table != golden {
-        eprintln!("obs_smoke: breakdown table diverged from the golden file:");
-        for (i, (got, want)) in table.lines().zip(golden.lines()).enumerate() {
-            if got != want {
-                eprintln!("  line {}:\n    golden: {want}\n    got:    {got}", i + 1);
-            }
-        }
-        if table.lines().count() != golden.lines().count() {
-            eprintln!(
-                "  line counts differ: got {} vs golden {}",
-                table.lines().count(),
-                golden.lines().count()
-            );
-        }
-        eprintln!("(re-run with --bless after an intentional change)");
-        exit(1);
-    }
-    println!("obs_smoke: breakdown table matches the golden file");
+    gdur_bench::golden::check("obs_smoke", "breakdown table", &table);
 }

@@ -19,7 +19,6 @@
 //! Usage: `cargo run --release -p gdur-bench --bin par_smoke [--bless]`
 //! (`--bless` regenerates `crates/bench/golden/par_smoke.txt`).
 
-use std::path::Path;
 use std::process::exit;
 
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
@@ -80,7 +79,6 @@ fn chaos_cfg(threads: usize) -> ChaosConfig {
 }
 
 fn main() {
-    let bless = std::env::args().any(|a| a == "--bless");
     let threads = threads_from_env();
     let mut out = String::new();
 
@@ -166,34 +164,5 @@ fn main() {
     print!("{out}");
     println!("par_smoke: {threads}-thread kernel byte-identical to sequential");
 
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/par_smoke.txt");
-    if bless {
-        std::fs::create_dir_all(golden_path.parent().expect("has parent"))
-            .expect("create golden dir");
-        std::fs::write(&golden_path, &out).expect("write golden");
-        println!("blessed {}", golden_path.display());
-        return;
-    }
-    let golden = match std::fs::read_to_string(&golden_path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!(
-                "par_smoke: cannot read golden file {}: {e}\n\
-                 run with --bless to create it",
-                golden_path.display()
-            );
-            exit(1);
-        }
-    };
-    if out != golden {
-        eprintln!("par_smoke: counters diverged from the golden file:");
-        for (i, (got, want)) in out.lines().zip(golden.lines()).enumerate() {
-            if got != want {
-                eprintln!("  line {}:\n    golden: {want}\n    got:    {got}", i + 1);
-            }
-        }
-        eprintln!("(re-run with --bless after an intentional change)");
-        exit(1);
-    }
-    println!("par_smoke: counters match the golden file");
+    gdur_bench::golden::check("par_smoke", "counters", &out);
 }

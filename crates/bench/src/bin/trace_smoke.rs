@@ -21,7 +21,6 @@
 //! (`--bless` regenerates `crates/bench/golden/trace_smoke.txt`).
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::process::exit;
 
 use gdur_harness::{run_point, run_point_causal, Experiment, PlacementKind, Scale, WorkloadKind};
@@ -49,7 +48,6 @@ fn smoke_scale() -> Scale {
 }
 
 fn main() {
-    let bless = std::env::args().any(|a| a == "--bless");
     let scale = smoke_scale();
     let cps = scale.client_sweep[0];
     let mut rows: Vec<(String, Attribution)> = Vec::new();
@@ -184,41 +182,5 @@ fn main() {
         println!("(csv written to bench_results/trace_smoke.csv)");
     }
 
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/trace_smoke.txt");
-    if bless {
-        std::fs::create_dir_all(golden_path.parent().expect("has parent"))
-            .expect("create golden dir");
-        std::fs::write(&golden_path, &table).expect("write golden");
-        println!("blessed {}", golden_path.display());
-        return;
-    }
-    let golden = match std::fs::read_to_string(&golden_path) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!(
-                "trace_smoke: cannot read golden file {}: {e}\n\
-                 run with --bless to create it",
-                golden_path.display()
-            );
-            exit(1);
-        }
-    };
-    if table != golden {
-        eprintln!("trace_smoke: attribution table diverged from the golden file:");
-        for (i, (got, want)) in table.lines().zip(golden.lines()).enumerate() {
-            if got != want {
-                eprintln!("  line {}:\n    golden: {want}\n    got:    {got}", i + 1);
-            }
-        }
-        if table.lines().count() != golden.lines().count() {
-            eprintln!(
-                "  line counts differ: got {} vs golden {}",
-                table.lines().count(),
-                golden.lines().count()
-            );
-        }
-        eprintln!("(re-run with --bless after an intentional change)");
-        exit(1);
-    }
-    println!("trace_smoke: attribution table matches the golden file");
+    gdur_bench::golden::check("trace_smoke", "attribution table", &table);
 }

@@ -1,25 +1,28 @@
 //! # gdur-bench — table/figure regeneration and benchmarks
 //!
-//! One binary per table and figure of the paper's evaluation (§8):
+//! The tables and figures of the paper's evaluation (§8):
 //!
 //! | target | regenerates |
 //! |---|---|
 //! | `table2_loc` | Table 2 — protocol realization size |
 //! | `table3_workloads` | Table 3 — workload definitions |
-//! | `fig3a` / `fig3b` | Figure 3 — protocol comparison (DP / DT) |
-//! | `fig4` | Figure 4 — GMU bottleneck ablation |
-//! | `fig5` | Figure 5 — locality-aware P-Store |
-//! | `fig6a` / `fig6b` | Figure 6 — 2PC vs AM-Cast dependability |
-//! | `all_figures` | everything above, sequentially |
+//! | `all_figures --only fig3a,fig3b` | Figure 3 — protocol comparison (DP / DT) |
+//! | `all_figures --only fig4` | Figure 4 — GMU bottleneck ablation |
+//! | `all_figures --only fig5` | Figure 5 — locality-aware P-Store |
+//! | `all_figures --only fig6a,fig6b` | Figure 6 — 2PC vs AM-Cast dependability |
+//! | `all_figures` | every figure, then Table 2 |
 //!
-//! Each binary accepts `--quick` for a reduced-scale run and writes a CSV
-//! under `bench_results/`. The Criterion benches (`microbench`,
-//! `figures`) exercise the same code paths at a size suitable for
-//! `cargo bench`.
+//! `all_figures` accepts `--quick` for a reduced-scale run and writes one
+//! CSV per figure under `bench_results/`. The Criterion benches
+//! (`microbench`, `figures`) exercise the same code paths at a size
+//! suitable for `cargo bench`. The `*_smoke` CI gates share the
+//! golden-file check in [`golden`].
+
+pub mod golden;
 
 use gdur_harness::Scale;
 
-/// Parses the common CLI of the figure binaries: `--quick` selects the
+/// Parses the scale flags of the figure binaries: `--quick` selects the
 /// reduced scale; `--seed N` overrides the RNG seed.
 pub fn scale_from_args() -> Scale {
     let args: Vec<String> = std::env::args().collect();

@@ -1,19 +1,17 @@
-//! Closed-loop client actor: plays transaction plans against its
-//! coordinator replica and records per-transaction latency metrics.
+//! Closed-loop client state: one [`ClientSlot`] plays transaction plans
+//! against its coordinator replica and closes each into a [`TxnRecord`].
 //!
-//! The per-client state machine lives in [`ClientSlot`] so it can be
-//! driven two ways: one [`Client`] actor per client (the reference
-//! configuration, one mailbox and kernel timer set per client), or many
-//! slots packed into one aggregated [`crate::ClientPool`] actor (the
-//! scale configuration, state arrays and a shared timer wheel).
+//! A slot is per-client *state* only; the actor that sends its messages
+//! and arms its deadlines is always a [`crate::ClientPool`] (of one slot
+//! or of a whole site's).
 
-use gdur_obs::AbortCause;
-use gdur_sim::{Context, ProcessId, SimDuration, SimTime};
+use gdur_obs::{pool_seq, AbortCause};
+use gdur_sim::{SimDuration, SimTime};
 use gdur_store::{TxId, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::messages::{ClientOp, ClientReply, Msg};
+use crate::messages::ClientOp;
 use crate::txn::{PlanOp, TxSource, TxnPlan};
 
 /// Metrics of one finished transaction.
@@ -56,19 +54,14 @@ pub(crate) struct InFlight {
     pub(crate) started_at: SimTime,
     pub(crate) submitted_at: SimTime,
     pub(crate) read_only: bool,
-    /// Outstanding per-operation timeout: (tag, kernel timer id) — used
-    /// by the one-actor [`Client`] only.
-    pub(crate) timer: Option<(u64, u64)>,
-    /// Armed op-timeout deadline in the owning pool's timer wheel — used
-    /// by [`crate::ClientPool`] only (the wheel needs the exact instant
-    /// back for O(log n) cancellation).
+    /// Armed op-timeout deadline in the owning pool's timer wheel (the
+    /// wheel needs the exact instant back for O(log n) cancellation).
     pub(crate) wheel_deadline: Option<SimTime>,
 }
 
 /// One logical closed-loop client: its workload source, private RNG, and
-/// in-flight transaction. Everything here is per-client *state*; who sends
-/// the messages and arms the timers (a dedicated actor or a pool) is the
-/// owner's concern.
+/// in-flight transaction. Everything here is per-client *state*; sending
+/// the messages and arming the timers is the owning pool's concern.
 pub(crate) struct ClientSlot {
     pub(crate) source: Box<dyn TxSource + Send>,
     pub(crate) rng: SmallRng,
@@ -93,15 +86,14 @@ impl ClientSlot {
         matches!(max_txns, Some(max) if self.issued >= max)
     }
 
-    /// Opens the next transaction: bumps the sequence, maps it to a
-    /// [`TxId`] via `mk_tx` (per-client actors use their own pid, pools
-    /// encode the client index), draws the plan, and installs it as the
-    /// in-flight transaction. Returns the new id so the owner can send
-    /// `Begin`.
-    pub(crate) fn open(&mut self, now: SimTime, mk_tx: impl FnOnce(u64) -> TxId) -> TxId {
+    /// Opens the next transaction of client `idx` of the pool `coord`:
+    /// bumps the sequence, packs it into the [`TxId`], draws the plan, and
+    /// installs it as the in-flight transaction. Returns the new id so the
+    /// owner can send `Begin`.
+    pub(crate) fn open(&mut self, now: SimTime, coord: u32, idx: u32) -> TxId {
         self.issued += 1;
         self.next_seq += 1;
-        let tx = mk_tx(self.next_seq);
+        let tx = TxId::new(coord, pool_seq(idx, self.next_seq));
         let plan = self.source.next_plan(&mut self.rng);
         let read_only = plan.read_only();
         self.current = Some(InFlight {
@@ -111,7 +103,6 @@ impl ClientSlot {
             started_at: now,
             submitted_at: now,
             read_only,
-            timer: None,
             wheel_deadline: None,
         });
         tx
@@ -152,184 +143,6 @@ impl ClientSlot {
             committed,
             read_only: r.read_only,
             cause,
-        }
-    }
-}
-
-impl std::fmt::Debug for ClientSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientSlot")
-            .field("issued", &self.issued)
-            .field("in_flight", &self.current.is_some())
-            .finish()
-    }
-}
-
-/// A closed-loop client bound to one coordinator replica.
-///
-/// The client emulates one of the paper's client threads: it runs
-/// transactions back-to-back (no think time), reading plans from a
-/// [`TxSource`]. Updated values are fixed-size payloads, cloned from one
-/// shared buffer so allocation cost stays out of the measurement.
-pub struct Client {
-    coordinator: ProcessId,
-    value_proto: Value,
-    /// Stop issuing new transactions after this many (None = run forever,
-    /// bounded by the simulation horizon).
-    max_txns: Option<u64>,
-    /// Abandon an operation unanswered for this long and move on to the
-    /// next transaction (`None` = wait forever, the fault-free default).
-    /// Keeps the closed loop alive when the coordinator crashes.
-    op_timeout: Option<SimDuration>,
-    next_timer_tag: u64,
-    me: Option<ProcessId>,
-    slot: ClientSlot,
-    records: Vec<TxnRecord>,
-}
-
-impl std::fmt::Debug for Client {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client")
-            .field("coordinator", &self.coordinator)
-            .field("issued", &self.slot.issued)
-            .field("records", &self.records.len())
-            .finish()
-    }
-}
-
-impl Client {
-    /// Creates a client that sends its transactions to `coordinator`,
-    /// writing `value_size`-byte payloads, seeded with `seed`.
-    pub fn new(
-        coordinator: ProcessId,
-        source: Box<dyn TxSource + Send>,
-        value_size: usize,
-        seed: u64,
-    ) -> Self {
-        Client {
-            coordinator,
-            value_proto: Value::of_size(value_size),
-            max_txns: None,
-            op_timeout: None,
-            next_timer_tag: 0,
-            me: None,
-            slot: ClientSlot::new(source, seed),
-            records: Vec::new(),
-        }
-    }
-
-    /// Bounds the number of transactions this client issues.
-    pub fn with_max_txns(mut self, max: u64) -> Self {
-        self.max_txns = Some(max);
-        self
-    }
-
-    /// Abandon operations unanswered for `t` (recorded as a crash abort)
-    /// instead of blocking the closed loop forever.
-    pub fn with_op_timeout(mut self, t: SimDuration) -> Self {
-        self.op_timeout = Some(t);
-        self
-    }
-
-    /// True if a transaction is currently mid-flight.
-    pub fn in_flight(&self) -> bool {
-        self.slot.current.is_some()
-    }
-
-    /// Finished-transaction records collected so far.
-    pub fn records(&self) -> &[TxnRecord] {
-        &self.records
-    }
-
-    /// Number of transactions issued.
-    pub fn issued(&self) -> u64 {
-        self.slot.issued
-    }
-
-    fn begin_next(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.slot.exhausted(self.max_txns) {
-            return;
-        }
-        let me = self.me.expect("client started");
-        let tx = self.slot.open(ctx.now(), |seq| TxId::new(me.0, seq));
-        ctx.send(
-            self.coordinator,
-            Msg::Client {
-                tx,
-                op: ClientOp::Begin,
-            },
-        );
-        self.arm_op_timer(ctx);
-    }
-
-    fn arm_op_timer(&mut self, ctx: &mut Context<'_, Msg>) {
-        let Some(t) = self.op_timeout else {
-            return;
-        };
-        let tag = self.next_timer_tag;
-        self.next_timer_tag += 1;
-        let id = ctx.set_timer(t, tag);
-        if let Some(r) = self.slot.current.as_mut() {
-            r.timer = Some((tag, id));
-        }
-    }
-
-    fn send_next_op(&mut self, ctx: &mut Context<'_, Msg>) {
-        let tx = self.slot.current.as_ref().expect("running").tx;
-        let op = self.slot.next_wire_op(ctx.now(), &self.value_proto);
-        ctx.send(self.coordinator, Msg::Client { tx, op });
-        self.arm_op_timer(ctx);
-    }
-
-    /// Per-operation timeout: the coordinator went silent (crashed or
-    /// partitioned away). Record the transaction as crash-aborted and move
-    /// on, keeping the closed loop alive.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
-        let armed = self
-            .slot
-            .current
-            .as_ref()
-            .and_then(|r| r.timer)
-            .map(|(t, _)| t);
-        if armed != Some(tag) {
-            return;
-        }
-        let rec = self.slot.finish(ctx.now(), false, Some(AbortCause::Crash));
-        self.records.push(rec);
-        self.begin_next(ctx);
-    }
-}
-
-impl gdur_sim::Actor for Client {
-    type Msg = Msg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.me = Some(ctx.self_id());
-        self.begin_next(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: ProcessId, msg: Msg) {
-        let Msg::Reply { tx, reply } = msg else {
-            return; // clients only understand replies
-        };
-        let Some(r) = self.slot.current.as_ref() else {
-            return;
-        };
-        if r.tx != tx {
-            return; // stale reply from a past transaction
-        }
-        if let Some((_, id)) = self.slot.current.as_mut().and_then(|r| r.timer.take()) {
-            ctx.cancel_timer(id);
-        }
-        match reply {
-            ClientReply::Began | ClientReply::ReadDone { .. } | ClientReply::UpdateDone { .. } => {
-                self.send_next_op(ctx);
-            }
-            ClientReply::Outcome { committed, cause } => {
-                let rec = self.slot.finish(ctx.now(), committed, cause);
-                self.records.push(rec);
-                self.begin_next(ctx);
-            }
         }
     }
 }

@@ -10,7 +10,7 @@ use gdur_net::{GeoLatency, SiteId, Topology};
 use gdur_sim::{Cores, ProcessId, SimDuration, SimTime, Simulation};
 use gdur_store::{Key, Placement, Value};
 
-use crate::client::{Client, TxnRecord};
+use crate::client::TxnRecord;
 use crate::node::Node;
 use crate::pool::{ClientPool, PoolCounts};
 use crate::replica::{Replica, ReplicaConfig, ReplicaStats};
@@ -50,18 +50,20 @@ pub struct ClusterConfig {
     /// wait forever). Keeps closed-loop clients alive across coordinator
     /// crashes in fault-injection runs.
     pub client_op_timeout: Option<SimDuration>,
-    /// Aggregate each site's clients into one [`crate::ClientPool`] actor
-    /// instead of one actor per client. Off by default: per-client actors
-    /// remain the reference configuration (and the one all goldens are
-    /// blessed against); pools are the opt-in scale axis for sweeps beyond
-    /// ~10³ clients per site.
+    /// Client-actor granularity: `true` runs each site's clients as one
+    /// [`crate::ClientPool`] actor, `false` as one single-client pool per
+    /// client. Records are identical either way (same seeds, same
+    /// transaction ids, same instants); one actor per site is what keeps
+    /// sweeps beyond ~10³ clients per site cheap. Every client is bounded
+    /// at [`gdur_obs::MAX_POOL_LOCAL_SEQ`] (2²⁰) transactions — an explicit
+    /// panic, not a wrap; the paper's scale issues < 10⁴ per client.
     pub client_pooling: bool,
-    /// Closed-loop think time between transactions (pooled clients only;
-    /// also staggers initial begins across one interval). `None` =
-    /// back-to-back, matching per-client actors.
+    /// Closed-loop think time between an outcome and the next begin; also
+    /// staggers a pool's initial begins across one interval. `None` =
+    /// back-to-back, the paper's load model.
     pub client_think_time: Option<SimDuration>,
     /// Collect per-transaction [`TxnRecord`]s (on by default). Mega-scale
-    /// pooled sweeps turn this off and read aggregate pool counts instead,
+    /// sweeps turn this off and read aggregate pool counts instead,
     /// so memory stays bounded by client state, not by transaction count.
     pub record_txn_metrics: bool,
     /// RNG seed for the whole deployment.
@@ -121,6 +123,8 @@ pub struct Cluster {
     replica_pids: Vec<ProcessId>,
     client_pids: Vec<ProcessId>,
     placement: Placement,
+    /// Built with `client_pooling`: `client_pids[site]` is that site's pool.
+    pooled: bool,
 }
 
 impl Cluster {
@@ -136,15 +140,20 @@ impl Cluster {
             sites <= u16::MAX as usize,
             "{sites} sites overflow the u16 SiteId space"
         );
-        if cfg.client_pooling {
-            assert!(
-                cfg.clients_per_site <= gdur_obs::MAX_POOL_CLIENTS as usize,
-                "clients_per_site={} exceeds the per-pool maximum of {} \
-                 (20-bit pooled client-index space)",
-                cfg.clients_per_site,
-                gdur_obs::MAX_POOL_CLIENTS
-            );
-        }
+        // Client actors per site × clients per actor: one pool for the
+        // whole site, or one single-client pool per client.
+        let (actors_per_site, clients_per_actor) = if cfg.client_pooling {
+            (1, cfg.clients_per_site)
+        } else {
+            (cfg.clients_per_site, 1)
+        };
+        assert!(
+            clients_per_actor <= gdur_obs::MAX_POOL_CLIENTS as usize,
+            "clients_per_site={} exceeds the per-pool maximum of {} \
+             (20-bit pooled client-index space)",
+            cfg.clients_per_site,
+            gdur_obs::MAX_POOL_CLIENTS
+        );
         // Fail fast on a misassembled protocol: every deployment, whether
         // built by the harness, a test, or an example, passes the static
         // spec linter before a single message is simulated.
@@ -164,19 +173,13 @@ impl Cluster {
                 "kernel_threads > 1 requires at least two sites to shard by"
             );
         }
-        // Replicas first (pids 0..sites), then clients — one topology slot
-        // per client actor, or one per site when pooling (the pool is the
-        // site's single client process).
+        // Replicas first (pids 0..sites), then the client actors site by
+        // site — one topology slot each.
         for s in 0..sites {
             topo.place(SiteId(s as u16));
         }
         for s in 0..sites {
-            let slots = if cfg.client_pooling {
-                1
-            } else {
-                cfg.clients_per_site
-            };
-            for _ in 0..slots {
+            for _ in 0..actors_per_site {
                 topo.place(SiteId(s as u16));
             }
         }
@@ -232,10 +235,7 @@ impl Cluster {
         let mut client_idx = 0usize;
         for (s, &coordinator) in replica_pids.iter().enumerate() {
             let site = SiteId(s as u16);
-            if cfg.client_pooling {
-                // One aggregated actor per site; each slot keeps the exact
-                // per-client seed formula so pooled and per-client runs
-                // draw identical workload streams.
+            for _ in 0..actors_per_site {
                 let mut pool = ClientPool::new(coordinator, cfg.value_size)
                     .with_txn_records(cfg.record_txn_metrics);
                 if let Some(max) = cfg.max_txns_per_client {
@@ -247,30 +247,15 @@ impl Cluster {
                 if let Some(t) = cfg.client_think_time {
                     pool = pool.with_think_time(t);
                 }
-                for _ in 0..cfg.clients_per_site {
+                // The seed depends on the global client index only, so a
+                // client draws the same workload stream at either
+                // granularity.
+                for _ in 0..clients_per_actor {
                     let source = make_source(client_idx, site);
                     pool.add_client(source, cfg.seed ^ (0x9e37_79b9 + client_idx as u64));
                     client_idx += 1;
                 }
                 client_pids.push(sim.spawn(Node::Pool(pool), Cores::Unlimited));
-            } else {
-                for _ in 0..cfg.clients_per_site {
-                    let source = make_source(client_idx, site);
-                    let mut client = Client::new(
-                        coordinator,
-                        source,
-                        cfg.value_size,
-                        cfg.seed ^ (0x9e37_79b9 + client_idx as u64),
-                    );
-                    if let Some(max) = cfg.max_txns_per_client {
-                        client = client.with_max_txns(max);
-                    }
-                    if let Some(t) = cfg.client_op_timeout {
-                        client = client.with_op_timeout(t);
-                    }
-                    client_pids.push(sim.spawn(Node::Client(client), Cores::Unlimited));
-                    client_idx += 1;
-                }
             }
         }
 
@@ -289,6 +274,7 @@ impl Cluster {
             replica_pids,
             client_pids,
             placement: cfg.placement,
+            pooled: cfg.client_pooling,
         }
     }
 
@@ -358,18 +344,18 @@ impl Cluster {
             .expect("replica pid")
     }
 
-    /// All finished-transaction records across clients — per-client actors
-    /// and pooled clients alike (empty for pools built with
-    /// `record_txn_metrics: false`).
+    fn pools(&self) -> impl Iterator<Item = &ClientPool> + '_ {
+        self.client_pids
+            .iter()
+            .map(|pid| self.sim.actor(*pid).as_pool().expect("client pid"))
+    }
+
+    /// All finished-transaction records across clients (empty when built
+    /// with `record_txn_metrics: false`).
     pub fn records(&self) -> Vec<TxnRecord> {
         let mut out = Vec::new();
-        for pid in &self.client_pids {
-            let node = self.sim.actor(*pid);
-            if let Some(c) = node.as_client() {
-                out.extend_from_slice(c.records());
-            } else if let Some(p) = node.as_pool() {
-                out.extend_from_slice(p.records());
-            }
+        for p in self.pools() {
+            out.extend_from_slice(p.records());
         }
         out
     }
@@ -377,28 +363,37 @@ impl Cluster {
     /// The client pool at `site`, if the deployment was built with
     /// `client_pooling`.
     pub fn pool(&self, site: SiteId) -> Option<&ClientPool> {
+        if !self.pooled {
+            return None;
+        }
         self.client_pids
             .get(site.index())
             .and_then(|pid| self.sim.actor(*pid).as_pool())
     }
 
-    /// Summed aggregate pool counters across sites (all zeros when the
-    /// deployment uses per-client actors).
+    /// The client actors colocated with `site`'s replica.
+    pub fn client_pids_at(&self, site: SiteId) -> impl Iterator<Item = ProcessId> + '_ {
+        let topo = self.topology();
+        self.client_pids
+            .iter()
+            .copied()
+            .filter(move |pid| topo.site_of(*pid) == site)
+    }
+
+    /// Aggregate client counters summed across every client actor.
     pub fn pool_counts(&self) -> PoolCounts {
         let mut total = PoolCounts::default();
-        for pid in &self.client_pids {
-            if let Some(p) = self.sim.actor(*pid).as_pool() {
-                let c = p.counts();
-                total.issued += c.issued;
-                total.committed += c.committed;
-                total.aborted += c.aborted;
-                for (t, v) in total.aborted_by_cause.iter_mut().zip(c.aborted_by_cause) {
-                    *t += v;
-                }
-                total.total_latency_nanos = total
-                    .total_latency_nanos
-                    .saturating_add(c.total_latency_nanos);
+        for p in self.pools() {
+            let c = p.counts();
+            total.issued += c.issued;
+            total.committed += c.committed;
+            total.aborted += c.aborted;
+            for (t, v) in total.aborted_by_cause.iter_mut().zip(c.aborted_by_cause) {
+                *t += v;
             }
+            total.total_latency_nanos = total
+                .total_latency_nanos
+                .saturating_add(c.total_latency_nanos);
         }
         total
     }

@@ -31,7 +31,7 @@ mod replica;
 mod spec;
 mod txn;
 
-pub use client::{Client, TxnRecord};
+pub use client::TxnRecord;
 pub use cluster::{Cluster, ClusterConfig};
 pub use gdur_obs::AbortCause;
 pub use lint::{Diagnostic, Severity};

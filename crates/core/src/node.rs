@@ -3,13 +3,12 @@
 
 use gdur_sim::{Actor, Context, ProcessId};
 
-use crate::client::Client;
 use crate::messages::Msg;
 use crate::pool::ClientPool;
 use crate::replica::Replica;
 
-/// One process of the deployment: a G-DUR replica, a load-driving client,
-/// or an aggregated pool of clients.
+/// One process of the deployment: a G-DUR replica or a pool of
+/// load-driving clients.
 // A deployment holds one Node per process (a handful), so the replica
 // variant's size is irrelevant and boxing would only cost indirection.
 #[allow(clippy::large_enum_variant)]
@@ -17,9 +16,7 @@ use crate::replica::Replica;
 pub enum Node {
     /// A middleware instance.
     Replica(Replica),
-    /// A closed-loop client.
-    Client(Client),
-    /// A whole site's client population in one actor.
+    /// One or more closed-loop clients of a site in one actor.
     Pool(ClientPool),
 }
 
@@ -28,15 +25,7 @@ impl Node {
     pub fn as_replica(&self) -> Option<&Replica> {
         match self {
             Node::Replica(r) => Some(r),
-            Node::Client(_) | Node::Pool(_) => None,
-        }
-    }
-
-    /// The client inside, if this node is one.
-    pub fn as_client(&self) -> Option<&Client> {
-        match self {
-            Node::Client(c) => Some(c),
-            Node::Replica(_) | Node::Pool(_) => None,
+            Node::Pool(_) => None,
         }
     }
 
@@ -44,7 +33,7 @@ impl Node {
     pub fn as_pool(&self) -> Option<&ClientPool> {
         match self {
             Node::Pool(p) => Some(p),
-            Node::Replica(_) | Node::Client(_) => None,
+            Node::Replica(_) => None,
         }
     }
 }
@@ -55,7 +44,6 @@ impl Actor for Node {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
         match self {
             Node::Replica(_) => {}
-            Node::Client(c) => c.on_start(ctx),
             Node::Pool(p) => p.on_start(ctx),
         }
     }
@@ -63,7 +51,6 @@ impl Actor for Node {
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: ProcessId, msg: Msg) {
         match self {
             Node::Replica(r) => r.handle(ctx, from, msg),
-            Node::Client(c) => c.on_message(ctx, from, msg),
             Node::Pool(p) => p.on_message(ctx, from, msg),
         }
     }
@@ -71,7 +58,6 @@ impl Actor for Node {
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
         match self {
             Node::Replica(r) => r.on_timer(ctx, tag),
-            Node::Client(c) => c.on_timer(ctx, tag),
             Node::Pool(p) => p.on_timer(ctx, tag),
         }
     }
@@ -79,9 +65,6 @@ impl Actor for Node {
     fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
         match self {
             Node::Replica(r) => r.on_restart(ctx),
-            // A restarted client has nothing durable: it simply resumes
-            // issuing fresh transactions from its next sequence number.
-            Node::Client(c) => c.on_start(ctx),
             Node::Pool(p) => p.on_restart(ctx),
         }
     }

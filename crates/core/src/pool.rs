@@ -1,48 +1,49 @@
-//! Aggregated closed-loop client pool: one actor modeling N clients.
+//! The closed-loop client driver: one actor running N clients.
 //!
-//! The reference deployment spawns one [`crate::Client`] actor per client
-//! thread, which is faithful but costs a mailbox, a scheduler slot, and a
-//! kernel timer set *per client* — the single-threaded kernel tops out
-//! long before the "millions of users" scale the roadmap asks for.
-//! [`ClientPool`] collapses a whole site's client population into one
-//! actor:
+//! The paper's load model is closed-loop client threads colocated with
+//! each site's replica (§8.1). [`ClientPool`] is the only implementation
+//! of it; a deployment chooses how many clients share an actor (one, or a
+//! whole site's — `ClusterConfig::client_pooling`), never *which* driver:
 //!
 //! * per-client state lives in a flat `Vec<ClientSlot>` (workload source,
 //!   private RNG, in-flight transaction) — state arrays, not actors;
 //! * per-client deadlines (operation timeouts, think-time wake-ups) live
-//!   in one site-local [`TimerWheel`] keyed by virtual time; the pool arms
+//!   in one actor-local [`TimerWheel`] keyed by virtual time; the pool arms
 //!   at most **one** kernel timer, for the earliest wheel deadline;
-//! * submissions multiplex through the exact coordinator/`Replica`
-//!   message paths the per-client actors use — no protocol code changes.
+//! * submissions go through the coordinator/`Replica` message paths — the
+//!   replica cannot tell how its clients are grouped.
 //!
 //! ## Transaction identity
 //!
-//! A pooled transaction id carries the *pool's* pid as its coordinator
-//! field (replicas reply to `tx.coord`'s sender either way) and encodes
-//! the client inside the sequence: `seq = (client_idx << 20) | local_seq`
-//! (see [`gdur_obs::pool_seq`]). The split fits the 40-bit sequence budget
-//! of [`gdur_obs::tx_code`], so replica-side lifecycle trace events stamp
-//! pooled transactions collision-free, and it puts the client index in the
-//! high bits so transaction ids order client-major — the same relative
-//! order per-client actors produce pid-major. Both bounds are checked with
-//! explicit panics ([`gdur_obs::MAX_POOL_CLIENTS`] clients per pool,
+//! A transaction id carries the *pool's* pid as its coordinator field
+//! (replicas reply to the sender either way) and encodes the client inside
+//! the sequence: `seq = (client_idx << 20) | local_seq` (see
+//! [`gdur_obs::pool_seq`]); a pool of one therefore numbers its
+//! transactions 1, 2, 3, …. The split fits the 40-bit sequence budget of
+//! [`gdur_obs::tx_code`], so replica-side lifecycle trace events stamp
+//! transactions collision-free, and it puts the client index in the high
+//! bits so ids order client-major — the same relative order one actor per
+//! client produces pid-major. Both bounds are checked with explicit panics
+//! ([`gdur_obs::MAX_POOL_CLIENTS`] clients per pool,
 //! [`gdur_obs::MAX_POOL_LOCAL_SEQ`] transactions per client); nothing
 //! truncates silently.
 //!
-//! ## Determinism & equivalence
+//! ## Determinism & granularity
 //!
-//! A pooled deployment is outcome-equivalent to the per-client one under
-//! the same seed (fault-free, no timers): each slot's RNG and workload
-//! source are seeded with the per-client formula, the pool issues begins
-//! in client-index order — the same global send order as per-client
-//! `on_start` dispatch — and the latency model draws its per-message
+//! Grouping does not change outcomes: each slot's RNG and workload source
+//! are seeded from the global client index, a pool issues begins in
+//! client-index order — the same global send order as one start dispatch
+//! per single-client actor — and the latency model draws its per-message
 //! jitter in send order, so every message leaves and arrives at the same
-//! virtual instant in both modes. `tests/tests/pool.rs` asserts record-
-//! level equivalence across the protocol library.
+//! virtual instant at either granularity. Deadlines are wheel entries, and
+//! a stale kernel fire pops nothing and draws no randomness, so op
+//! timeouts land at the same instants too. `tests/tests/pool.rs` asserts
+//! record-level equality across the protocol library, under late-Decide
+//! races and across a client restart.
 
-use gdur_obs::{pool_seq, pool_seq_parts, AbortCause, MAX_POOL_CLIENTS};
+use gdur_obs::{pool_seq_parts, AbortCause, MAX_POOL_CLIENTS};
 use gdur_sim::{Context, ProcessId, SimDuration, SimTime, TimerWheel};
-use gdur_store::{TxId, Value};
+use gdur_store::Value;
 
 use crate::client::{ClientSlot, TxnRecord};
 use crate::messages::{ClientOp, ClientReply, Msg};
@@ -82,19 +83,22 @@ impl PoolCounts {
     }
 }
 
-/// One actor modeling a site's whole closed-loop client population.
+/// One actor driving the closed loops of one or more colocated clients.
 ///
-/// Built empty and populated with [`ClientPool::add_client`]; behaves like
-/// the equivalent set of [`crate::Client`] actors against the coordinator.
+/// Built empty and populated with [`ClientPool::add_client`]. Each client
+/// emulates one of the paper's client threads: it runs transactions
+/// back-to-back (or paced by a think time), reading plans from its
+/// [`TxSource`]. Updated values are fixed-size payloads cloned from one
+/// shared buffer so allocation cost stays out of the measurement.
 pub struct ClientPool {
     coordinator: ProcessId,
     value_proto: Value,
     max_txns: Option<u64>,
     op_timeout: Option<SimDuration>,
     /// Closed-loop think time between an outcome and the next begin
-    /// (`None` = back-to-back, matching the per-client actors). When set,
-    /// initial begins are also staggered across one think interval so a
-    /// million clients don't stampede the coordinator at t=0.
+    /// (`None` = back-to-back). When set, initial begins are also
+    /// staggered across one think interval so a million clients don't
+    /// stampede the coordinator at t=0.
     think_time: Option<SimDuration>,
     record_txns: bool,
     me: Option<ProcessId>,
@@ -212,22 +216,6 @@ impl ClientPool {
         &self.records
     }
 
-    /// Transactions issued across all pooled clients.
-    pub fn issued(&self) -> u64 {
-        self.counts.issued
-    }
-
-    /// The pooled client index a transaction id belongs to, if `tx` was
-    /// issued by this pool.
-    pub fn client_of(&self, tx: TxId) -> Option<u32> {
-        let me = self.me?;
-        if tx.coord != me.0 {
-            return None;
-        }
-        let (idx, _) = pool_seq_parts(tx.seq);
-        ((idx as usize) < self.slots.len()).then_some(idx)
-    }
-
     fn finish(&mut self, idx: u32, at: SimTime, committed: bool, cause: Option<AbortCause>) {
         let rec = self.slots[idx as usize].finish(at, committed, cause);
         self.counts.record(&rec);
@@ -243,7 +231,7 @@ impl ClientPool {
             return;
         }
         let me = self.me.expect("pool started");
-        let tx = slot.open(ctx.now(), |seq| TxId::new(me.0, pool_seq(idx, seq)));
+        let tx = slot.open(ctx.now(), me.0, idx);
         self.counts.issued += 1;
         ctx.send(
             self.coordinator,
@@ -332,7 +320,7 @@ impl ClientPool {
         for idx in 0..n {
             match self.think_time {
                 // Back-to-back mode: begin everything now, in client-index
-                // order — the same global send order per-client actors
+                // order — the global send order single-client actors
                 // produce during start dispatch.
                 None => self.begin(ctx, idx),
                 // Paced mode: stagger initial begins across one think
@@ -351,7 +339,7 @@ impl ClientPool {
         self.ensure_armed(ctx);
     }
 
-    /// A pool restart models the whole client machine rebooting: volatile
+    /// A restart models the client machine rebooting: volatile
     /// deadlines are gone (the kernel discarded its timers), every
     /// in-flight transaction is abandoned as a crash abort, and each
     /// client's closed loop resumes from its next sequence number.

@@ -109,9 +109,8 @@ pub struct Scale {
     pub cores: u16,
     /// Base RNG seed.
     pub seed: u64,
-    /// Aggregate each site's clients into one pool actor (the opt-in
-    /// scale axis; see `ClusterConfig::client_pooling`). Off by default —
-    /// per-client actors remain the blessed reference configuration.
+    /// One client actor per site instead of one per client (see
+    /// `ClusterConfig::client_pooling`).
     pub client_pooling: bool,
     /// Kernel worker threads (see `ClusterConfig::kernel_threads`).
     /// More than 1 requires `jitter = Some(0.0)`.
@@ -388,9 +387,10 @@ fn run_point_full(
     }
     for &p in cluster.client_pids() {
         let site = topology.site_of(p);
-        actor_names[p.index()] = match cluster.pool(site) {
-            Some(pool) => format!("pool p{} @ s{} ({} clients)", p.0, site.0, pool.clients()),
-            None => format!("client p{} @ s{}", p.0, site.0),
+        let pool = cluster.sim().actor(p).as_pool().expect("client pid");
+        actor_names[p.index()] = match pool.clients() {
+            1 => format!("client p{} @ s{}", p.0, site.0),
+            n => format!("pool p{} @ s{} ({n} clients)", p.0, site.0),
         };
     }
     FullRun {

@@ -196,8 +196,7 @@ pub struct ChaosConfig {
     pub keys_per_partition: u64,
     /// Deployment seed.
     pub seed: u64,
-    /// Drive the load through one aggregated pool actor per site instead
-    /// of per-client actors (the scale configuration; see
+    /// One client actor per site instead of one per client (see
     /// `ClusterConfig::client_pooling`).
     pub client_pooling: bool,
     /// Kernel worker threads (see `ClusterConfig::kernel_threads`).
@@ -416,29 +415,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
     let committed = records.iter().filter(|r| r.committed).count() as u64;
     let aborted = records.len() as u64 - committed;
     // Transaction ids carry the *client-side* pid as their coordinator
-    // field. With per-client actors, the clients driving a restarted
-    // site's replica are a contiguous pid block (clients are spawned site
-    // by site after the replicas); with pooling, the site's single pool
-    // pid covers them all.
-    let client_pids = cluster.client_pids().to_vec();
-    let restarted: Vec<u32> = if cfg.client_pooling {
-        cfg.schedule
-            .restarted_sites()
-            .iter()
-            .map(|s| client_pids[s.index()].0)
-            .collect()
-    } else {
-        cfg.schedule
-            .restarted_sites()
-            .iter()
-            .flat_map(|s| {
-                let base = s.index() * cfg.clients_per_site;
-                client_pids[base..base + cfg.clients_per_site]
-                    .iter()
-                    .map(|p| p.0)
-            })
-            .collect()
-    };
+    // field: the clients of a restarted site are its colocated actors.
+    let restarted: Vec<u32> = cfg
+        .schedule
+        .restarted_sites()
+        .iter()
+        .flat_map(|s| cluster.client_pids_at(*s))
+        .map(|p| p.0)
+        .collect();
     let post_restart_commits = match cfg.schedule.last_restart() {
         Some(at) => records
             .iter()

@@ -12,8 +12,8 @@
 //! * Table 2 via `gdur_protocols::table2`; Table 3 via
 //!   [`experiment::WorkloadKind`].
 //!
-//! Run a figure at paper scale with the `gdur-bench` binaries, e.g.
-//! `cargo run --release -p gdur-bench --bin fig3a`.
+//! Run a figure at paper scale with the `gdur-bench` binary, e.g.
+//! `cargo run --release -p gdur-bench --bin all_figures -- --only fig3a`.
 
 pub mod experiment;
 pub mod fault;

@@ -139,8 +139,8 @@ impl CriticalPath {
 /// Walks transaction `tx`'s critical path from decide back to begin.
 ///
 /// Returns `None` when the transaction did not both begin and decide inside
-/// the trace, or when the trace carries no causal events (a plain v1 trace
-/// has no handler brackets to follow).
+/// the trace, or when the trace carries no causal events (a non-causal
+/// trace has no handler brackets to follow).
 ///
 /// `clients` names the client actors: service time on them is blamed
 /// [`Blame::Think`] instead of [`Blame::Service`].

@@ -5,7 +5,7 @@
 //! writer and the validator are hand-rolled (the workspace builds offline,
 //! with no serde).
 //!
-//! Schema `v2` (current writer output):
+//! Schema `v2`:
 //!
 //! ```text
 //! {"at":<u64>,"kind":"point","actor":<u32>,"label":"<s>","tx":<u64>,"value":<u64>}
@@ -14,11 +14,6 @@
 //! {"at":<u64>,"kind":"handle_start","actor":<u32>,"mid":<u64>,"trigger":"<s>"}
 //! {"at":<u64>,"kind":"handle_end","actor":<u32>,"mid":<u64>}
 //! ```
-//!
-//! Schema `v1` differs only in the `send` line, which carried no `mid`
-//! field and no causal kinds. [`validate`] accepts both versions (a v1
-//! trace is any stream of v1 points/sends), so tooling written against v1
-//! archives keeps working.
 
 use std::fmt::Write as _;
 
@@ -98,9 +93,8 @@ pub fn export(events: &[ObsEvent]) -> String {
     out
 }
 
-/// Validates a JSONL trace against the schemas above — v1 and v2 lines are
-/// both accepted. Returns the number of event lines on success, or a
-/// description of the first offending line.
+/// Validates a JSONL trace against the schema above. Returns the number of
+/// event lines on success, or a description of the first offending line.
 pub fn validate(text: &str) -> Result<usize, String> {
     let mut n = 0;
     for (i, line) in text.lines().enumerate() {
@@ -125,10 +119,8 @@ fn validate_line(line: &str) -> Result<(), String> {
         expect(&mut rest, ",\"value\":")?;
         number(&mut rest)?;
     } else if eat(&mut rest, "send\"") {
-        // v2 sends carry a mid right after the kind; v1 sends do not.
-        if eat(&mut rest, ",\"mid\":") {
-            number(&mut rest)?;
-        }
+        expect(&mut rest, ",\"mid\":")?;
+        number(&mut rest)?;
         expect(&mut rest, ",\"from\":")?;
         number(&mut rest)?;
         expect(&mut rest, ",\"to\":")?;
@@ -261,13 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_sends_without_mid_still_validate() {
-        let v1 =
-            "{\"at\":20,\"kind\":\"send\",\"from\":3,\"to\":4,\"label\":\"vote\",\"bytes\":128}";
-        assert_eq!(validate(v1), Ok(1));
-    }
-
-    #[test]
     fn validation_rejects_malformed_lines() {
         assert!(validate("{\"at\":1,\"kind\":\"frob\"}").is_err());
         assert!(validate("{\"at\":x,\"kind\":\"point\"}").is_err());
@@ -285,5 +270,11 @@ mod tests {
         let mut ok = export(&sample());
         ok.push_str("junk\n");
         assert!(validate(&ok).is_err());
+        let mut ok = export(&sample());
+        ok.push_str(
+            "{\"at\":20,\"kind\":\"send\",\"from\":3,\"to\":4,\"label\":\"vote\",\"bytes\":128}\n",
+        );
+        let err = validate(&ok).expect_err("a send must carry its mid");
+        assert!(err.starts_with("line 6: "), "{err}");
     }
 }

@@ -31,7 +31,7 @@
 //!   service, client-think}; [`Attribution`] aggregates the walks into
 //!   byte-stable per-protocol tables.
 //! * **Export** — [`jsonl`] renders and validates the on-disk trace format
-//!   (schema v2, v1-compatible validation); [`export_chrome`] renders a
+//!   (schema v2); [`export_chrome`] renders a
 //!   Chrome/Perfetto `trace.json` with one track per actor and flow arrows
 //!   along message edges.
 //!

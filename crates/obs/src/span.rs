@@ -85,7 +85,7 @@ pub struct CausalIndex {
 impl CausalIndex {
     /// Builds the index in one linear scan over a causal event stream.
     ///
-    /// Works on a non-causal (v1) stream too — it just yields no handlers,
+    /// Works on a non-causal stream too — it just yields no handlers,
     /// and the span/attribution layers will report nothing rather than
     /// guess.
     pub fn build(events: &[ObsEvent]) -> Self {

@@ -113,7 +113,7 @@ fn crashed_coordinator_only_stalls_its_own_clients() {
             cluster
                 .sim()
                 .actor(*pid)
-                .as_client()
+                .as_pool()
                 .expect("client")
                 .records()
                 .len()

@@ -1,11 +1,12 @@
-//! Aggregated client pools vs per-client actors.
+//! Client-pool granularity: one actor per site vs one actor per client.
 //!
-//! The pool is a pure aggregation: N closed-loop clients multiplexed
+//! Grouping is a pure aggregation: N closed-loop clients multiplexed
 //! through one actor per site must produce the *same outcomes* as N
-//! individual client actors — same per-client transaction streams, same
+//! single-client pools — same per-client transaction streams, same
 //! commit/abort decisions, same consistency verdicts. These tests pin that
-//! equivalence across the protocol library, and exercise the scale-path
-//! races (late decision after a client-side op timeout) in both modes.
+//! across the protocol library, and exercise the races (late decision
+//! after a client-side op timeout, client restart mid-transaction) at
+//! both granularities.
 
 use gdur_consistency::{CriterionCheck, History};
 use gdur_core::{
@@ -32,10 +33,10 @@ fn contended_config(spec: ProtocolSpec, pooled: bool, seed: u64) -> ClusterConfi
     cfg
 }
 
-fn run_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
+fn build_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
     let cfg = contended_config(spec, pooled, seed);
     let total_keys = cfg.keys_per_partition * SITES as u64;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
+    Cluster::build(cfg, move |_, site| {
         Box::new(YcsbSource::new(
             WorkloadSpec::a(),
             total_keys,
@@ -43,7 +44,11 @@ fn run_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
             site.0 as u64 % SITES as u64,
             0.5,
         ))
-    });
+    })
+}
+
+fn run_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
+    let mut cluster = build_contended(spec, pooled, seed);
     cluster.run_until_idle();
     cluster
 }
@@ -120,6 +125,46 @@ fn pools_match_individual_clients_across_the_library() {
                 panic!("{name} ({mode}) violated {criterion:?}: {v}");
             }
         }
+    }
+}
+
+/// A restarted client machine has nothing durable: whatever it had in
+/// flight is accounted as a crash abort at the restart instant, and the
+/// closed loop resumes from the next sequence number — so a bounded run
+/// still decides every transaction it issued, at either granularity.
+#[test]
+fn restarted_client_accounts_for_its_in_flight_transaction() {
+    for pooled in [false, true] {
+        let mut cluster = build_contended(gdur_protocols::p_store(), pooled, 5);
+        let victim = cluster.client_pids()[0];
+        let restart_at = SimTime::from_nanos(4_000_000);
+        let sim = cluster.sim_mut();
+        sim.schedule_crash(victim, SimTime::from_nanos(3_000_000));
+        sim.schedule_restart(victim, restart_at);
+        cluster.run_until_idle();
+
+        let records = cluster.records();
+        assert_eq!(
+            records.len(),
+            SITES * CPS * TXNS as usize,
+            "pooled={pooled}: decided {} of {}",
+            records.len(),
+            SITES * CPS * TXNS as usize
+        );
+        let first = records
+            .iter()
+            .find(|r| r.tx.coord == victim.0)
+            .expect("the victim decided something");
+        assert_eq!(
+            (
+                pool_seq_parts(first.tx.seq),
+                first.committed,
+                first.cause,
+                first.decided_at
+            ),
+            ((0, 1), false, Some(AbortCause::Crash), restart_at),
+            "pooled={pooled}: the in-flight transaction must be crash-aborted at restart"
+        );
     }
 }
 
