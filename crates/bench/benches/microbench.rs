@@ -13,8 +13,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use gdur_gc::{AbCastEngine, GcEvent, SkeenEngine};
+use gdur_net::SiteId;
 use gdur_sim::ProcessId;
-use gdur_store::{Key, MultiVersionStore, TxId, Value};
+use gdur_store::{Key, MultiVersionStore, Placement, SeedImage, TxId, Value};
 use gdur_versioning::{Stamp, VersionVec};
 use gdur_workload::{Zipfian, DEFAULT_THETA};
 
@@ -98,6 +99,32 @@ fn bench_store() {
     }
     bench("store/latest_visible", || {
         black_box(vec_store.latest_visible(black_box(Key(1)), black_box(&snap)));
+    });
+
+    // The path deployments use: site 0's copy-on-write image of the
+    // paper's keyspace (4 sites DT, 10⁵ keys of 1 KB per partition, vector
+    // stamps). Key 0 is written once; key 4 answers from the image.
+    let placement = Placement::disaster_tolerant(4);
+    let value = Value::of_size(1024);
+    let image = SeedImage::new(&placement, SiteId(0), 400_000, &value, |p| Stamp::Vec {
+        origin: p.0,
+        vec: VersionVec::zero(4),
+    });
+    let mut image_store = MultiVersionStore::from_image(image);
+    let stamp = image_store.latest(Key(0)).expect("hosted").stamp.clone();
+    image_store.install(Key(0), value.clone(), stamp.clone(), TxId::new(0, 1));
+    bench("store/image_latest_unwritten", || {
+        black_box(image_store.latest(black_box(Key(4))));
+    });
+    bench("store/image_latest_written", || {
+        black_box(image_store.latest(black_box(Key(0))));
+    });
+    let mut n = 0u64;
+    bench("store/image_install", || {
+        // Partition 0's keys in turn: first writes, then overwrites.
+        let key = Key(n % 100_000 * 4);
+        n += 1;
+        black_box(image_store.install(key, value.clone(), stamp.clone(), TxId::new(0, n)));
     });
 }
 

@@ -17,6 +17,13 @@
 //! bit-identity check: a mismatch against `blessed` means behaviour
 //! changed, not just speed.
 //!
+//! Before the sweep, while the process is still fresh, it builds one
+//! deployment at the paper's keyspace and records `paper_build`: the build
+//! time and the resident set right after it. `--check` fails when that
+//! resident set exceeds [`BUILD_RSS_BUDGET_MIB`] — the initial load must
+//! stay O(partitions). Memory is not wall-clock noise, so this leg holds on
+//! a loaded host too.
+//!
 //! `--mega` runs the aggregated-pool scale sweep instead (10⁴/10⁵/10⁶
 //! clients per site, one pool actor per site) and writes `BENCH_mega.json`.
 //! It is informational — no regression gate — and deliberately not part of
@@ -39,12 +46,18 @@ use std::process::exit;
 use std::time::Instant;
 
 use gdur_harness::{
-    run_mega_point, run_point_events, Experiment, MegaConfig, PlacementKind, Scale, WorkloadKind,
+    build_point, run_mega_point, run_point_events, Experiment, MegaConfig, PlacementKind, Scale,
+    WorkloadKind,
 };
 use gdur_sim::SimDuration;
 
 /// Allowed wall-clock regression against the blessed reference.
 const REGRESSION_TOLERANCE: f64 = 1.20;
+
+/// Resident-set budget right after building a paper-keyspace deployment.
+/// The copy-on-write seed image leaves ~5 MiB resident; seeding the 8 × 10⁵
+/// hosted keys record by record left 361.
+const BUILD_RSS_BUDGET_MIB: f64 = 32.0;
 
 /// The standard sweep: P-Store (genuine atomic multicast — the fan-out
 /// path under optimisation) over the zipfian workload C, three sites,
@@ -196,22 +209,49 @@ fn bench_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json")
 }
 
-/// Peak resident set size of this process in MiB, from Linux's
-/// `/proc/self/status` `VmHWM` line; 0 where unavailable. Monotone over the
-/// process lifetime, so per-point readings report the high-water mark *so
-/// far* — the sweep runs smallest point first, making the last reading the
-/// figure that matters.
-fn vm_hwm_mib() -> u64 {
+/// A `kB` field of Linux's `/proc/self/status`; 0 where unavailable.
+fn proc_status_kib(field: &str) -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
     };
     status
         .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|kb| kb.parse::<u64>().ok())
-        .map(|kb| kb / 1024)
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|kb| kb.parse().ok())
         .unwrap_or(0)
+}
+
+/// Peak resident set size of this process in MiB (`VmHWM`). Monotone over
+/// the process lifetime, so per-point readings report the high-water mark
+/// *so far* — the sweep runs smallest point first, making the last reading
+/// the figure that matters.
+fn vm_hwm_mib() -> u64 {
+    proc_status_kib("VmHWM") / 1024
+}
+
+/// The `paper_build` datum: a fig3b deployment at the paper's scale —
+/// Walter, 4 sites disaster tolerant, 10⁵ keys of 1 KB per partition, 192
+/// clients/site — built and dropped. Returns (build seconds, resident MiB
+/// right after the build). Must run before anything else grows the heap.
+fn paper_build() -> (f64, f64) {
+    let exp = Experiment::new(
+        gdur_protocols::walter(),
+        WorkloadKind::B,
+        0.7,
+        4,
+        PlacementKind::Dt,
+    );
+    let start = Instant::now();
+    let cluster = build_point(&exp, &Scale::paper(), 192);
+    let build_s = start.elapsed().as_secs_f64();
+    let rss_mib = proc_status_kib("VmRSS") as f64 / 1024.0;
+    drop(cluster);
+    println!(
+        "perf_gate: paper-keyspace build: {build_s:.4}s, {rss_mib:.1} MiB resident \
+         (budget {BUILD_RSS_BUDGET_MIB} MiB)"
+    );
+    (build_s, rss_mib)
 }
 
 /// The `--mega` mode: the ROADMAP "millions of users" axis. One pooled
@@ -392,6 +432,7 @@ fn main() {
         return;
     }
 
+    let (build_s, build_rss_mib) = paper_build();
     let current = run_sweep_timed("current");
     let path = bench_path();
     let previous = std::fs::read_to_string(&path).unwrap_or_default();
@@ -417,7 +458,7 @@ fn main() {
         .unwrap_or(1.0);
 
     let file = format!(
-        "{{\n  \"schema\": \"gdur-perf-gate-v1\",\n  \"bench\": \"p_store / workload C / 3 sites DP / sweep 16,64,192 clients-per-site\",\n  \"baseline\": {baseline_text},\n  \"blessed\": {blessed_text},\n  \"current\": {current_text},\n  \"speedup_vs_baseline\": {speedup:.3}\n}}\n"
+        "{{\n  \"schema\": \"gdur-perf-gate-v1\",\n  \"bench\": \"p_store / workload C / 3 sites DP / sweep 16,64,192 clients-per-site\",\n  \"baseline\": {baseline_text},\n  \"blessed\": {blessed_text},\n  \"current\": {current_text},\n  \"paper_build\": {{\"bench\": \"walter / workload B / 4 sites DT / 100000 keys-per-partition of 1 KB / 192 clients-per-site\", \"build_s\": {build_s:.6}, \"rss_after_build_mib\": {build_rss_mib:.1}, \"budget_mib\": {BUILD_RSS_BUDGET_MIB}}},\n  \"speedup_vs_baseline\": {speedup:.3}\n}}\n"
     );
     std::fs::write(&path, &file).expect("write BENCH_sim.json");
     println!(
@@ -429,6 +470,14 @@ fn main() {
     );
 
     if check {
+        if build_rss_mib > BUILD_RSS_BUDGET_MIB {
+            eprintln!(
+                "perf_gate: FAIL: {build_rss_mib:.1} MiB resident after the paper-keyspace \
+                 build, over the {BUILD_RSS_BUDGET_MIB} MiB budget — the initial load is \
+                 being materialized per key again"
+            );
+            exit(1);
+        }
         let blessed_wall = field_f64(&blessed_text, "total_wall_s").expect("blessed total_wall_s");
         let blessed_events = field_f64(&blessed_text, "total_events").expect("blessed events");
         if (current.total_events as f64 - blessed_events).abs() > 0.5 {

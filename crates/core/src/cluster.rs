@@ -8,7 +8,7 @@
 
 use gdur_net::{GeoLatency, SiteId, Topology};
 use gdur_sim::{Cores, ProcessId, SimDuration, SimTime, Simulation};
-use gdur_store::{Key, Placement, Value};
+use gdur_store::{Placement, Value};
 
 use crate::client::TxnRecord;
 use crate::node::Node;
@@ -219,13 +219,13 @@ impl Cluster {
                 record_history: cfg.record_history,
                 bug_unreserved_commit_clocks: cfg.bug_unreserved_commit_clocks,
             };
-            let seed_keys: Vec<(Key, Value)> = (0..total_keys)
-                .map(Key)
-                .filter(|k| cfg.placement.is_local(site, *k))
-                .map(|k| (k, proto_value.clone()))
-                .collect();
             let pid = sim.spawn(
-                Node::Replica(Replica::new(ProcessId(s as u32), rcfg, seed_keys)),
+                Node::Replica(Replica::new(
+                    ProcessId(s as u32),
+                    rcfg,
+                    total_keys,
+                    &proto_value,
+                )),
                 Cores::Fixed(cfg.cores_per_replica),
             );
             debug_assert_eq!(pid, replica_pids[s]);
@@ -419,6 +419,7 @@ impl Cluster {
             total.recoveries += s.recoveries;
             total.resubmissions += s.resubmissions;
             total.catchup_installs += s.catchup_installs;
+            total.deferred_read_retries += s.deferred_read_retries;
         }
         total
     }

@@ -14,7 +14,7 @@ use gdur_gc::{GcEvent, GroupComm, XcastKind};
 use gdur_net::SiteId;
 use gdur_obs::{labels, tx_code, vote_value, AbortCause};
 use gdur_sim::{Context, ProcessId, SimDuration, SimTime};
-use gdur_store::{Key, MultiVersionStore, Placement, TxId, Value};
+use gdur_store::{Key, MultiVersionStore, Placement, SeedImage, TxId, Value};
 use gdur_versioning::{Mechanism, Stamp, VersionVec};
 
 use crate::certifier::{Certifier, Ticket};
@@ -132,6 +132,9 @@ pub struct ReplicaStats {
     pub resubmissions: u64,
     /// Install records adopted from peers during catch-up state transfer.
     pub catchup_installs: u64,
+    /// Times a read was parked, or parked again, on the 500 µs poll timer:
+    /// behind the visibility frontier, or for the length of a recovery.
+    pub deferred_read_retries: u64,
 }
 
 /// Execution-phase state of a transaction at its coordinator.
@@ -255,10 +258,6 @@ pub struct Replica {
     outcomes: Vec<TxnOutcomeRecord>,
     /// Durable log, when the persistence layer is attached.
     wal: Option<gdur_persist::Wal>,
-    /// Initial key set, retained under persistence so a restart can rebuild
-    /// the store from seeds + logged installs. Empty when persistence is
-    /// off: a crashed replica without a durable log never restarts.
-    seeds: std::sync::Arc<Vec<(Key, Value)>>,
     /// Durably decided outcomes, mirroring the log's `Decision` records, so
     /// a retransmitting coordinator can be answered after this replica
     /// already terminated its participation. Maintained only under
@@ -337,30 +336,25 @@ impl TerminatedSet {
 
 impl Replica {
     /// Creates a replica; `me` must match the process id it will be spawned
-    /// at, and `seed_keys` lists the keys of locally hosted partitions with
-    /// their initial values.
-    pub fn new(me: ProcessId, cfg: ReplicaConfig, seed_keys: Vec<(Key, Value)>) -> Self {
+    /// at. The initial load is keys `0..total_keys`, each holding
+    /// `seed_value`; the replica stores the ones of locally hosted
+    /// partitions.
+    pub fn new(me: ProcessId, cfg: ReplicaConfig, total_keys: u64, seed_value: &Value) -> Self {
         let partitions = cfg.placement.partitions();
         let dim = cfg.spec.versioning.dim(cfg.replica_pids.len(), partitions);
-        // The seed set is the durable "initial load" a restart rebuilds
-        // from; without persistence a crashed replica never restarts, so
-        // the copy is skipped.
-        let seeds: std::sync::Arc<Vec<(Key, Value)>> = if cfg.persistence {
-            std::sync::Arc::new(seed_keys.clone())
-        } else {
-            std::sync::Arc::new(Vec::new())
-        };
-        let mut store = MultiVersionStore::new();
-        for (k, v) in seed_keys {
-            let stamp = match cfg.spec.versioning {
+        let image = SeedImage::new(
+            &cfg.placement,
+            cfg.site,
+            total_keys,
+            seed_value,
+            |p| match cfg.spec.versioning {
                 Mechanism::Ts => Stamp::Ts(0),
                 _ => Stamp::Vec {
-                    origin: cfg.placement.partition_of(k).0,
+                    origin: p.0,
                     vec: VersionVec::zero(dim),
                 },
-            };
-            store.seed(k, v, stamp);
-        }
+            },
+        );
         let gc = GroupComm::new(me, cfg.replica_pids.clone());
         let gc_mode = matches!(
             cfg.spec.commitment,
@@ -395,11 +389,10 @@ impl Replica {
             installs: Vec::new(),
             outcomes: Vec::new(),
             wal: cfg.persistence.then(gdur_persist::Wal::new),
-            seeds,
             decided_outcomes: BTreeMap::new(),
             catchup: None,
             catchup_timers: BTreeMap::new(),
-            store,
+            store: MultiVersionStore::from_image(image),
             me,
             cfg,
         }
@@ -636,11 +629,7 @@ impl Replica {
             if self.recovering()
                 || (self.vote_clocked() && t.snapshot.wait_bound(p) > self.knowledge.get(p))
             {
-                let tag = self.next_timer_tag;
-                self.next_timer_tag += 1;
-                self.deferred_reads
-                    .insert(tag, DeferredRead::Local(tx, key, update));
-                ctx.set_timer(SimDuration::from_micros(500), tag);
+                self.park_read(ctx, DeferredRead::Local(tx, key, update));
                 return;
             }
             let mut snap = std::mem::replace(
@@ -832,6 +821,16 @@ impl Replica {
         self.serve_remote_read(ctx, from, tx, key, snap);
     }
 
+    /// Parks `read` on the 500 µs poll timer; the fire re-serves it, which
+    /// parks it again while the replica is still behind.
+    fn park_read(&mut self, ctx: &mut Context<'_, Msg>, read: DeferredRead) {
+        let tag = self.next_timer_tag;
+        self.next_timer_tag += 1;
+        self.deferred_reads.insert(tag, read);
+        self.stats.deferred_read_retries += 1;
+        ctx.set_timer(SimDuration::from_micros(500), tag);
+    }
+
     /// Serves (or defers) a remote read. Under vote-time commit clocks a
     /// replica whose visibility frontier lags the snapshot's wait bound may
     /// still be missing installs the snapshot already admits — serving now
@@ -848,11 +847,7 @@ impl Replica {
         let p = self.cfg.placement.partition_of(key).index();
         if self.recovering() || (self.vote_clocked() && snap.wait_bound(p) > self.knowledge.get(p))
         {
-            let tag = self.next_timer_tag;
-            self.next_timer_tag += 1;
-            self.deferred_reads
-                .insert(tag, DeferredRead::Remote(from, tx, key, snap));
-            ctx.set_timer(SimDuration::from_micros(500), tag);
+            self.park_read(ctx, DeferredRead::Remote(from, tx, key, snap));
             return;
         }
         let (value, seq, stamp) = self.choose_version(key, &mut snap);
@@ -2133,17 +2128,8 @@ impl Replica {
             .spec
             .versioning
             .dim(self.cfg.replica_pids.len(), partitions);
-        let mut store = MultiVersionStore::new();
-        for (k, v) in self.seeds.iter() {
-            let stamp = match self.cfg.spec.versioning {
-                Mechanism::Ts => Stamp::Ts(0),
-                _ => Stamp::Vec {
-                    origin: self.cfg.placement.partition_of(*k).0,
-                    vec: VersionVec::zero(dim),
-                },
-            };
-            store.seed(*k, v.clone(), stamp);
-        }
+        // The durable initial load: the seed image, every write forgotten.
+        let mut store = self.store.pristine();
         let mut knowledge = VersionVec::zero(dim.max(partitions));
         // Scalar-timestamp mechanisms carry no vector in their stamps; the
         // frontier there counts one bump per (partition, writer), mirroring

@@ -302,12 +302,9 @@ struct FullRun {
     topology: Topology,
 }
 
-fn run_point_full(
-    exp: &Experiment,
-    scale: &Scale,
-    clients_per_site: usize,
-    trace: Option<TraceHandle>,
-) -> FullRun {
+/// Builds the deployment of one sweep point without running it: the
+/// cluster [`run_point`] drives, at `clients_per_site`.
+pub fn build_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> Cluster {
     let placement = exp.placement.placement(exp.sites);
     let partitions = placement.partitions() as u64;
     let total_keys = scale.keys_per_partition * partitions;
@@ -322,7 +319,7 @@ fn run_point_full(
         costs: CostModel::default(),
         cores_per_replica: scale.cores,
         // Always on: every experiment's history is fed to the consistency
-        // oracle below, so no reported number can come from a corrupt run.
+        // oracle, so no reported number can come from a corrupt run.
         record_history: true,
         persistence: false,
         vote_timeout: None,
@@ -338,7 +335,7 @@ fn run_point_full(
     };
     let ro = exp.read_only_ratio;
     let lq = exp.local_query_ratio;
-    let mut cluster = Cluster::build(cfg, |_idx, site| {
+    Cluster::build(cfg, |_idx, site| {
         let src = YcsbSource::new(
             wspec.clone(),
             total_keys,
@@ -348,7 +345,16 @@ fn run_point_full(
         )
         .with_local_query_ratio(lq);
         Box::new(src)
-    });
+    })
+}
+
+fn run_point_full(
+    exp: &Experiment,
+    scale: &Scale,
+    clients_per_site: usize,
+    trace: Option<TraceHandle>,
+) -> FullRun {
+    let mut cluster = build_point(exp, scale, clients_per_site);
     if let Some(t) = &trace {
         cluster.attach_obs(t.sink());
     }

@@ -250,6 +250,9 @@ pub struct ChaosReport {
     pub catchup_installs: u64,
     /// Completed catch-up transfers (`recovery.complete` trace events).
     pub recovery_completes: u64,
+    /// Reads parked (or re-parked) on the 500 µs poll timer, summed over
+    /// replicas.
+    pub deferred_read_retries: u64,
     /// True if every partition's replicas ended with identical stores.
     pub converged: bool,
     /// First history violation, if the criterion check failed.
@@ -443,6 +446,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
         resubmissions: stats.resubmissions,
         catchup_installs: stats.catchup_installs,
         recovery_completes: count_label(&events, labels::RECOVERY_COMPLETE),
+        deferred_read_retries: stats.deferred_read_retries,
         converged,
         violation,
     };

@@ -28,7 +28,7 @@ pub use fault::{
 pub use invariants::check_invariants;
 
 pub use experiment::{
-    max_throughput, run_mega_point, run_point, run_point_causal, run_point_events,
+    build_point, max_throughput, run_mega_point, run_point, run_point_causal, run_point_events,
     run_point_traced, run_sweep, CausalRun, Experiment, MegaConfig, MegaPointResult, PlacementKind,
     PointResult, Scale, WorkloadKind,
 };

@@ -7,7 +7,9 @@
 //!   paper's disaster-prone (1 replica) and disaster-tolerant (2 replicas)
 //!   configurations;
 //! * [`MultiVersionStore`] — the per-replica version store with the three
-//!   read paths used by `choose_last` / `choose_cons` (§4.2).
+//!   read paths used by `choose_last` / `choose_cons` (§4.2);
+//! * [`SeedImage`] — a replica's initial load by rule, O(partitions): the
+//!   store copies a key out of it on the key's first write.
 //!
 //! ```
 //! use gdur_store::{Key, MultiVersionStore, Placement, Value};
@@ -25,6 +27,6 @@ mod mvstore;
 mod placement;
 mod types;
 
-pub use mvstore::{MultiVersionStore, VersionRecord, SEED_TX};
+pub use mvstore::{MultiVersionStore, SeedImage, VersionRecord, SEED_TX};
 pub use placement::{PartitionId, Placement};
 pub use types::{Key, TxId, Value};

@@ -9,18 +9,30 @@
 //!   VTS snapshot;
 //! * [`MultiVersionStore::latest_compatible`] — `choose_cons` under greedy
 //!   GMV/PDV snapshot assembly.
+//!
+//! The initial load is copy-on-write. A deployment's partitions start as
+//! 10⁵ objects that all carry the *same* seed version (§8.1) and a run
+//! overwrites a few percent of them, so the load is held as a
+//! [`SeedImage`] — one seed [`VersionRecord`] per hosted partition,
+//! O(partitions) memory — and a key gets a version list of its own only on
+//! its first write. Every read path answers an unwritten key from the image
+//! exactly as if it had been seeded record by record.
 
+use gdur_net::SiteId;
 use gdur_versioning::{Stamp, VersionVec};
 
+use crate::placement::{partition_index, PartitionId, Placement};
 use crate::types::{Key, TxId, Value};
 
 /// Interned key handle: an index into the store's dense slot table.
 ///
-/// Keys are interned on first [`MultiVersionStore::seed`]; every read path
-/// then resolves `Key → Symbol` with one multiply-shift hash and an
-/// integer-compare probe — no SipHash, no per-lookup hasher state — and
-/// indexes a dense `Vec`. `u32` bounds the store at ~4 billion distinct
-/// keys, far beyond the paper's workloads.
+/// A key is interned when it first needs a version list of its own — its
+/// first [`MultiVersionStore::install`], or an explicit
+/// [`MultiVersionStore::seed`]. Every lookup resolves `Key → Symbol` with
+/// one multiply-shift hash and an integer-compare probe — no SipHash, no
+/// per-lookup hasher state — and a miss falls through to the
+/// [`SeedImage`]. `u32` bounds the store at ~4 billion written keys, far
+/// beyond the paper's workloads.
 type Symbol = u32;
 
 /// Fibonacci multiplier (golden-ratio fraction of 2⁶⁴) — spreads the
@@ -90,7 +102,7 @@ impl KeyIndex {
 }
 
 /// One committed version of an object.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VersionRecord {
     /// The payload.
     pub value: Value,
@@ -109,20 +121,106 @@ pub const SEED_TX: TxId = TxId {
     seq: 0,
 };
 
+impl VersionRecord {
+    /// The initial-load version: sequence 0, written by [`SEED_TX`].
+    fn seed(value: Value, stamp: Stamp) -> Self {
+        VersionRecord {
+            value,
+            stamp,
+            seq: 0,
+            writer: SEED_TX,
+        }
+    }
+}
+
+/// A replica's initial load, described by rule instead of record by record.
+///
+/// Keys `0..total_keys` spread round-robin over the partitions (the
+/// [`Placement`] rule), and every key of a hosted partition starts at that
+/// partition's one seed version. The image is O(partitions) whatever the
+/// keyspace, and immutable: a restart rebuilds the pre-crash initial load
+/// by cloning it.
+#[derive(Debug, Clone, Default)]
+pub struct SeedImage {
+    total_keys: u64,
+    /// Per partition, the seed version of each of its keys; `None` where
+    /// the replica does not host the partition.
+    seeds: Vec<Option<VersionRecord>>,
+    /// Number of keys below `total_keys` in hosted partitions.
+    hosted: usize,
+}
+
+impl SeedImage {
+    /// The initial load of the replica at `site`: every key below
+    /// `total_keys` whose partition `placement` puts at `site` holds
+    /// `value`, stamped `stamp(partition)`.
+    pub fn new(
+        placement: &Placement,
+        site: SiteId,
+        total_keys: u64,
+        value: &Value,
+        stamp: impl Fn(PartitionId) -> Stamp,
+    ) -> Self {
+        let partitions = placement.partitions() as u64;
+        let seeds: Vec<Option<VersionRecord>> = (0..partitions)
+            .map(|p| {
+                let part = PartitionId(p as u32);
+                placement
+                    .replicas(part)
+                    .contains(&site)
+                    .then(|| VersionRecord::seed(value.clone(), stamp(part)))
+            })
+            .collect();
+        // Partition p owns keys p, p + partitions, ... below total_keys.
+        let hosted = (0..partitions)
+            .filter(|p| seeds[*p as usize].is_some())
+            .map(|p| (total_keys + partitions - 1 - p) / partitions)
+            .sum::<u64>() as usize;
+        SeedImage {
+            total_keys,
+            seeds,
+            hosted,
+        }
+    }
+
+    /// The seed version of `key`, if the image hosts it.
+    #[inline]
+    fn record(&self, key: Key) -> Option<&VersionRecord> {
+        if key.0 >= self.total_keys {
+            return None;
+        }
+        self.seeds[partition_index(key, self.seeds.len())].as_ref()
+    }
+
+    /// Hosted keys in ascending order.
+    fn keys(&self) -> impl Iterator<Item = Key> + '_ {
+        (0..self.total_keys)
+            .map(Key)
+            .filter(|k| self.record(*k).is_some())
+    }
+}
+
 /// A replica-local multi-version store over the keys of the partitions the
 /// replica hosts.
 ///
-/// Keys are interned to dense [`Symbol`]s at seed time, so every lookup on
-/// the hot read/certify/install paths is one integer hash-probe plus a
-/// dense-`Vec` index. Key iteration follows seed (insertion) order —
-/// deterministic, unlike the `HashMap` this replaced.
+/// The store is a [`SeedImage`] plus the version lists of the keys written
+/// since. A key is interned to a dense [`Symbol`] at its first write (or
+/// explicit [`seed`](Self::seed)), its list starting from the image's seed
+/// version; until then every read answers from the image. A lookup on the
+/// hot read/certify/install paths is one integer hash-probe into a table
+/// sized by the *written* keys, plus a dense-`Vec` index or the image's
+/// per-partition record. Key iteration is deterministic: the image's keys
+/// ascending, then explicitly seeded keys in seed order.
 #[derive(Debug, Clone)]
 pub struct MultiVersionStore {
-    /// Symbol → key (the interner's reverse map, also the iteration order).
+    image: SeedImage,
+    /// Symbol → key (the interner's reverse map).
     keys: Vec<Key>,
     /// Symbol → committed versions in install order.
     slots: Vec<Vec<VersionRecord>>,
     index: KeyIndex,
+    /// Interned keys outside the image (explicitly seeded ones).
+    extra: usize,
     /// Cap on retained versions per key (garbage collection); the paper's
     /// `post_commit` hook is where real systems trigger this.
     max_versions: usize,
@@ -138,20 +236,27 @@ impl MultiVersionStore {
     /// Default number of versions retained per key.
     pub const DEFAULT_MAX_VERSIONS: usize = 8;
 
-    /// An empty store.
+    /// An empty store; keys enter through [`seed`](Self::seed).
     pub fn new() -> Self {
+        Self::from_image(SeedImage::default())
+    }
+
+    /// A store holding exactly the initial load `image` describes.
+    pub fn from_image(image: SeedImage) -> Self {
         MultiVersionStore {
+            image,
             keys: Vec::new(),
             slots: Vec::new(),
             index: KeyIndex::new(),
+            extra: 0,
             max_versions: Self::DEFAULT_MAX_VERSIONS,
         }
     }
 
-    /// Resolves a key to its interned symbol, if seeded.
-    #[inline]
-    fn sym(&self, key: Key) -> Option<usize> {
-        self.index.get(key, &self.keys).map(|s| s as usize)
+    /// This store as of its initial load: same image and retention cap,
+    /// every write forgotten. O(partitions).
+    pub fn pristine(&self) -> Self {
+        Self::from_image(self.image.clone()).with_max_versions(self.max_versions)
     }
 
     /// Sets the per-key version-retention cap.
@@ -165,45 +270,56 @@ impl MultiVersionStore {
         self
     }
 
-    /// Loads the initial version of `key` (seq 0, seed writer), interning
-    /// the key on first sight.
+    /// Resolves a key to its interned symbol, if it has been written.
+    #[inline]
+    fn sym(&self, key: Key) -> Option<usize> {
+        self.index.get(key, &self.keys).map(|s| s as usize)
+    }
+
+    /// Gives `key` a version list of its own, starting from the image's
+    /// seed version when the image hosts it and empty otherwise.
+    fn intern(&mut self, key: Key) -> usize {
+        let sym = self.keys.len();
+        self.index.insert(key, sym as Symbol, &self.keys);
+        self.keys.push(key);
+        let seed = self.image.record(key).cloned();
+        self.extra += usize::from(seed.is_none());
+        self.slots.push(seed.into_iter().collect());
+        sym
+    }
+
+    /// Loads an initial version of `key` (seq 0, seed writer) by hand —
+    /// for stores assembled without an image: log recovery, unit tests,
+    /// microbenchmarks.
     pub fn seed(&mut self, key: Key, value: Value, stamp: Stamp) {
-        let s = match self.index.get(key, &self.keys) {
-            Some(s) => s as usize,
-            None => {
-                let sym = self.keys.len() as Symbol;
-                self.index.insert(key, sym, &self.keys);
-                self.keys.push(key);
-                self.slots.push(Vec::new());
-                sym as usize
-            }
-        };
-        self.slots[s].push(VersionRecord {
-            value,
-            stamp,
-            seq: 0,
-            writer: SEED_TX,
-        });
+        let s = self.sym(key).unwrap_or_else(|| self.intern(key));
+        self.slots[s].push(VersionRecord::seed(value, stamp));
     }
 
     /// True if the replica holds a copy of `key`.
     pub fn contains_key(&self, key: Key) -> bool {
-        self.sym(key).is_some()
+        self.versions(key).is_some()
     }
 
     /// Number of keys stored here.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.image.hosted + self.extra
     }
 
     /// True if the store holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of keys holding a version list of their own — written or
+    /// explicitly seeded — rather than answering from the image.
+    pub fn materialized(&self) -> usize {
+        self.keys.len()
     }
 
     /// The most recent committed version of `key` (`choose_last`).
     pub fn latest(&self, key: Key) -> Option<&VersionRecord> {
-        self.slots[self.sym(key)?].last()
+        self.versions(key)?.last()
     }
 
     /// Per-key sequence of the latest version, or `None` if absent.
@@ -215,7 +331,7 @@ impl MultiVersionStore {
     /// vector `snap` (VTS semantics: version visible iff its origin entry
     /// is covered by the snapshot).
     pub fn latest_visible(&self, key: Key, snap: &VersionVec) -> Option<&VersionRecord> {
-        self.slots[self.sym(key)?]
+        self.versions(key)?
             .iter()
             .rev()
             .find(|r| r.stamp.visible_in(snap))
@@ -228,21 +344,26 @@ impl MultiVersionStore {
         key: Key,
         priors: &[Stamp],
     ) -> Option<&'a VersionRecord> {
-        self.slots[self.sym(key)?]
+        self.versions(key)?
             .iter()
             .rev()
             .find(|r| priors.iter().all(|p| r.stamp.compatible(p)))
     }
 
     /// All retained versions of `key` in install order (oldest first), for
-    /// callers that apply their own snapshot predicate.
+    /// callers that apply their own snapshot predicate. An unwritten key's
+    /// list is the image's one seed version.
+    #[inline]
     pub fn versions(&self, key: Key) -> Option<&[VersionRecord]> {
-        Some(self.slots[self.sym(key)?].as_slice())
+        match self.sym(key) {
+            Some(s) => Some(&self.slots[s]),
+            None => self.image.record(key).map(std::slice::from_ref),
+        }
     }
 
     /// A specific historical version by per-key sequence.
     pub fn version_at(&self, key: Key, seq: u64) -> Option<&VersionRecord> {
-        self.slots[self.sym(key)?].iter().find(|r| r.seq == seq)
+        self.versions(key)?.iter().find(|r| r.seq == seq)
     }
 
     /// Installs a new committed version of `key`, returning its per-key
@@ -251,12 +372,14 @@ impl MultiVersionStore {
     ///
     /// # Panics
     ///
-    /// Panics if `key` was never seeded: replicas only apply after-values
-    /// for keys of partitions they host.
+    /// Panics if the store does not hold `key`: replicas only apply
+    /// after-values for keys of partitions they host.
     pub fn install(&mut self, key: Key, value: Value, stamp: Stamp, writer: TxId) -> u64 {
-        let s = self
-            .sym(key)
-            .unwrap_or_else(|| panic!("install on unknown key {key}"));
+        let s = match self.sym(key) {
+            Some(s) => s,
+            None if self.image.record(key).is_some() => self.intern(key),
+            None => panic!("install on unknown key {key}"),
+        };
         let versions = &mut self.slots[s];
         let seq = versions.last().map(|r| r.seq + 1).unwrap_or(0);
         versions.push(VersionRecord {
@@ -272,20 +395,25 @@ impl MultiVersionStore {
         seq
     }
 
-    /// Iterates over keys held by this replica, in seed (insertion) order.
+    /// Iterates over keys held by this replica: the image's keys in
+    /// ascending order, then explicitly seeded ones in seed order.
     pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.keys.iter().copied()
+        let seeded = self.keys.iter().copied();
+        self.image
+            .keys()
+            .chain(seeded.filter(|k| self.image.record(*k).is_none()))
     }
 
     /// Number of retained versions of `key`.
     pub fn version_count(&self, key: Key) -> usize {
-        self.sym(key).map(|s| self.slots[s].len()).unwrap_or(0)
+        self.versions(key).map_or(0, <[_]>::len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn ts(n: u64) -> Stamp {
         Stamp::Ts(n)
@@ -329,6 +457,146 @@ mod tests {
     fn install_unknown_key_panics() {
         let mut s = MultiVersionStore::new();
         s.install(Key(9), Value::empty(), ts(1), tx(1));
+    }
+
+    /// The image of site 0 in a 3-site DT deployment of 30 keys: partitions
+    /// 0 and 2, keys 0, 2, 3, 5, ... — with either stamp family.
+    fn image(vector: bool) -> (SeedImage, Placement) {
+        let placement = Placement::disaster_tolerant(3);
+        let image = SeedImage::new(&placement, SiteId(0), 30, &Value::from_u64(7), |p| {
+            if vector {
+                vstamp(p.0, &[0, 0, 0])
+            } else {
+                ts(0)
+            }
+        });
+        (image, placement)
+    }
+
+    #[test]
+    fn image_hosts_by_rule() {
+        let (image, _) = image(true);
+        let s = MultiVersionStore::from_image(image);
+        assert_eq!(s.len(), 20);
+        assert_eq!(s.materialized(), 0);
+        assert!(s.contains_key(Key(0)) && s.contains_key(Key(29)));
+        assert!(!s.contains_key(Key(1)), "partition 1 lives at sites 1, 2");
+        assert!(!s.contains_key(Key(30)), "beyond the keyspace");
+        let seed = s.latest(Key(5)).unwrap();
+        assert_eq!((seed.seq, seed.writer), (0, SEED_TX));
+        assert_eq!(seed.stamp, vstamp(2, &[0, 0, 0]));
+        assert_eq!(s.versions(Key(5)).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn first_install_copies_the_seed_version() {
+        let (image, _) = image(false);
+        let mut s = MultiVersionStore::from_image(image);
+        assert_eq!(s.install(Key(3), Value::from_u64(1), ts(1), tx(1)), 1);
+        assert_eq!(s.materialized(), 1);
+        assert_eq!(s.len(), 20, "a written key is still one key");
+        let seqs: Vec<u64> = s.versions(Key(3)).unwrap().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [0, 1]);
+        assert_eq!(s.version_at(Key(3), 0).unwrap().value.as_u64(), Some(7));
+        let fresh = s.pristine();
+        assert_eq!((fresh.materialized(), fresh.len()), (0, 20));
+        assert_eq!(fresh.latest_seq(Key(3)), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown key")]
+    fn install_on_unhosted_image_key_panics() {
+        let (image, _) = image(false);
+        let mut s = MultiVersionStore::from_image(image);
+        s.install(Key(1), Value::empty(), ts(1), tx(1));
+    }
+
+    /// An image-backed store and one seeded record by record answer every
+    /// operation identically — under either stamp family, on hosted,
+    /// unhosted and out-of-range keys, with the seed version GC'd on the way.
+    #[test]
+    fn image_store_equals_eagerly_seeded_store() {
+        for vector in [false, true] {
+            let (image, placement) = image(vector);
+            let mut eager = MultiVersionStore::new().with_max_versions(2);
+            for k in (0..30).map(Key) {
+                if placement.is_local(SiteId(0), k) {
+                    let seed = image.record(k).unwrap();
+                    eager.seed(k, seed.value.clone(), seed.stamp.clone());
+                }
+            }
+            let mut lazy = MultiVersionStore::from_image(image).with_max_versions(2);
+            let mut installed = BTreeSet::new();
+            let mut clock = [0u64; 3];
+            // xorshift64: a fixed pseudo-random operation sequence.
+            let mut x = 0x2545_F491_4F6C_DD1Du64;
+            let mut next = |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            };
+            for step in 0..4000u64 {
+                let key = Key(next(34));
+                let hosted = key.0 < 30 && placement.is_local(SiteId(0), key);
+                assert_eq!(lazy.contains_key(key), hosted, "{key}");
+                assert_eq!(eager.contains_key(key), hosted, "{key}");
+                match next(7) {
+                    0 | 1 if hosted => {
+                        let p = placement.partition_of(key).index();
+                        clock[p] += 1;
+                        let stamp = if vector {
+                            vstamp(p as u32, &clock)
+                        } else {
+                            ts(step)
+                        };
+                        let v = Value::from_u64(step);
+                        let a = eager.install(key, v.clone(), stamp.clone(), tx(step));
+                        let b = lazy.install(key, v, stamp, tx(step));
+                        assert_eq!(a, b, "install seq of {key}");
+                        installed.insert(key);
+                    }
+                    2 => assert_eq!(eager.latest(key), lazy.latest(key)),
+                    3 => {
+                        let seq = next(4);
+                        assert_eq!(eager.version_at(key, seq), lazy.version_at(key, seq));
+                    }
+                    4 => {
+                        let snap =
+                            VersionVec::from_entries((0..3).map(|p| next(clock[p] + 2)).collect());
+                        assert_eq!(
+                            eager.latest_visible(key, &snap),
+                            lazy.latest_visible(key, &snap)
+                        );
+                    }
+                    5 => {
+                        let prior = if vector {
+                            let at: Vec<u64> = (0..3).map(|p| next(clock[p] + 1)).collect();
+                            vstamp(next(3) as u32, &at)
+                        } else {
+                            ts(next(step + 1))
+                        };
+                        let priors = [prior];
+                        assert_eq!(
+                            eager.latest_compatible(key, &priors),
+                            lazy.latest_compatible(key, &priors)
+                        );
+                    }
+                    _ => {
+                        assert_eq!(eager.versions(key), lazy.versions(key));
+                        assert_eq!(eager.version_count(key), lazy.version_count(key));
+                    }
+                }
+            }
+            assert_eq!(eager.len(), lazy.len());
+            assert!(eager.keys().eq(lazy.keys()), "key iteration order");
+            assert_eq!(lazy.materialized(), installed.len());
+            assert!(installed.len() > 10, "the sequence wrote most hosted keys");
+            assert!(
+                installed.iter().any(|k| lazy.version_at(*k, 0).is_none()),
+                "some seed version was garbage collected"
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,12 @@ impl std::fmt::Display for PartitionId {
     }
 }
 
+/// The key → partition rule: keys spread round-robin over `partitions`.
+#[inline]
+pub(crate) fn partition_index(key: Key, partitions: usize) -> usize {
+    (key.0 % partitions as u64) as usize
+}
+
 /// Maps keys to partitions and partitions to replica sites.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
@@ -91,7 +97,7 @@ impl Placement {
 
     /// Partition owning `key` (keys are spread round-robin).
     pub fn partition_of(&self, key: Key) -> PartitionId {
-        PartitionId((key.0 % self.partitions() as u64) as u32)
+        PartitionId(partition_index(key, self.partitions()) as u32)
     }
 
     /// Sites replicating partition `p`.
