@@ -15,7 +15,11 @@
 //! regresses more than 20% against `blessed`. Virtual-time results are a
 //! pure function of the seed, so the kernel event counts double as a
 //! bit-identity check: a mismatch against `blessed` means behaviour
-//! changed, not just speed.
+//! changed, not just speed. The same holds for the per-class traffic of the
+//! kernel's event queue (`Simulation::queue_stats`: pushed / popped / peak
+//! length of the dispatch, message and timer heaps), printed and stored per
+//! point: `--check` fails unless they equal the `blessed` ones exactly — a
+//! deterministic leg, good on a loaded host.
 //!
 //! Before the sweep, while the process is still fresh, it builds one
 //! deployment at the paper's keyspace and records `paper_build`: the build
@@ -49,7 +53,7 @@ use gdur_harness::{
     build_point, run_mega_point, run_point_events, Experiment, MegaConfig, PlacementKind, Scale,
     WorkloadKind,
 };
-use gdur_sim::SimDuration;
+use gdur_sim::{QueueClassStats, QueueStats, SimDuration};
 
 /// Allowed wall-clock regression against the blessed reference.
 const REGRESSION_TOLERANCE: f64 = 1.20;
@@ -93,6 +97,36 @@ struct PerfPoint {
     wall_s: f64,
     events_per_sec: f64,
     throughput_tps: f64,
+    queue: QueueStats,
+}
+
+fn queue_classes(q: &QueueStats) -> [(&'static str, QueueClassStats); 3] {
+    [
+        ("dispatch", q.dispatch),
+        ("message", q.message),
+        ("timer", q.timer),
+    ]
+}
+
+/// The queue counters of one point as stored in `BENCH_sim.json`.
+fn render_queue(q: &QueueStats) -> String {
+    let classes = queue_classes(q).map(|(name, c)| {
+        format!(
+            "\"{name}\": {{\"pushed\": {}, \"popped\": {}, \"peak_len\": {}}}",
+            c.pushed, c.popped, c.peak_len
+        )
+    });
+    format!("{{{}}}", classes.join(", "))
+}
+
+/// The stored queue counters of every point of a section, in sweep order
+/// (one point per line, as [`render_section`] writes them).
+fn queue_counters(section: &str) -> Vec<&str> {
+    section
+        .lines()
+        .filter_map(|l| l.split_once("\"queue\": "))
+        .map(|(_, q)| q.trim_end_matches(','))
+        .collect()
 }
 
 struct RunSummary {
@@ -112,16 +146,14 @@ fn run_sweep_timed(label: &str) -> RunSummary {
         // across repetitions (pure function of the seed), so the min
         // simply discards host-side scheduling noise.
         let mut wall_s = f64::MAX;
-        let mut point = None;
-        let mut stats = None;
+        let mut run = None;
         for _ in 0..2 {
             let start = Instant::now();
-            let (p, s) = run_point_events(&exp, &scale, cps);
+            let r = run_point_events(&exp, &scale, cps);
             wall_s = wall_s.min(start.elapsed().as_secs_f64());
-            point = Some(p);
-            stats = Some(s);
+            run = Some(r);
         }
-        let (point, stats) = (point.expect("ran"), stats.expect("ran"));
+        let (point, stats, queue) = run.expect("ran");
         let events = stats.events_processed;
         let events_per_sec = events as f64 / wall_s;
         println!(
@@ -129,12 +161,19 @@ fn run_sweep_timed(label: &str) -> RunSummary {
              ({events_per_sec:>10.0} events/s, {:.0} tps virtual)",
             point.throughput_tps
         );
+        for (name, c) in queue_classes(&queue) {
+            println!(
+                "perf_gate:      queue {name:<8}: {:>7} pushed, {:>7} popped, peak {:>5}",
+                c.pushed, c.popped, c.peak_len
+            );
+        }
         points.push(PerfPoint {
             clients_per_site: cps,
             events,
             wall_s,
             events_per_sec,
             throughput_tps: point.throughput_tps,
+            queue,
         });
     }
     let total_events: u64 = points.iter().map(|p| p.events).sum();
@@ -157,8 +196,13 @@ fn render_section(s: &RunSummary) -> String {
         let sep = if i + 1 == s.points.len() { "" } else { "," };
         out.push_str(&format!(
             "      {{\"clients_per_site\": {}, \"events\": {}, \"wall_s\": {:.6}, \
-             \"events_per_sec\": {:.1}, \"throughput_tps\": {:.1}}}{sep}\n",
-            p.clients_per_site, p.events, p.wall_s, p.events_per_sec, p.throughput_tps
+             \"events_per_sec\": {:.1}, \"throughput_tps\": {:.1}, \"queue\": {}}}{sep}\n",
+            p.clients_per_site,
+            p.events,
+            p.wall_s,
+            p.events_per_sec,
+            p.throughput_tps,
+            render_queue(&p.queue)
         ));
     }
     out.push_str("    ],\n");
@@ -327,7 +371,7 @@ fn run_par_sweep() {
         scale.kernel_threads = threads;
         scale.jitter = Some(0.0);
         let start = Instant::now();
-        let (_, stats) = run_point_events(&exp, &scale, STD_CLIENTS);
+        let (_, stats, _) = run_point_events(&exp, &scale, STD_CLIENTS);
         let std_wall_s = start.elapsed().as_secs_f64();
         let std_events = stats.events_processed;
 
@@ -487,6 +531,17 @@ fn main() {
                  differs from the blessed run; re-bless after an intentional change",
                 current.total_events
             );
+        }
+        let (blessed_queue, current_queue) =
+            (queue_counters(&blessed_text), queue_counters(&current_text));
+        if blessed_queue != current_queue {
+            eprintln!(
+                "perf_gate: FAIL: the kernel's per-class queue counters differ from the \
+                 blessed ones — the event schedule or the queue's bookkeeping changed\n  \
+                 blessed: {blessed_queue:?}\n  current: {current_queue:?}"
+            );
+            eprintln!("(re-run with --bless after an intentional change)");
+            exit(1);
         }
         if current.total_wall_s > blessed_wall * REGRESSION_TOLERANCE {
             eprintln!(

@@ -419,6 +419,7 @@ impl Cluster {
             total.recoveries += s.recoveries;
             total.resubmissions += s.resubmissions;
             total.catchup_installs += s.catchup_installs;
+            total.catchup_records_decoded += s.catchup_records_decoded;
             total.deferred_read_retries += s.deferred_read_retries;
         }
         total

@@ -132,6 +132,9 @@ pub struct ReplicaStats {
     pub resubmissions: u64,
     /// Install records adopted from peers during catch-up state transfer.
     pub catchup_installs: u64,
+    /// Log records this replica decoded to serve catch-up pages to peers:
+    /// the host cost of state transfer, linear in the records shipped.
+    pub catchup_records_decoded: u64,
     /// Times a read was parked, or parked again, on the 500 µs poll timer:
     /// behind the visibility frontier, or for the length of a recovery.
     pub deferred_read_retries: u64,
@@ -2402,7 +2405,8 @@ impl Replica {
     /// Serves one page of catch-up state from this replica's own log:
     /// install records of the requested partitions plus every decision
     /// (decisions are cheap and close the requester's parked
-    /// terminations).
+    /// terminations). Reads the log from `start` and stops when the page
+    /// is full, so a page costs its own records, not the log's.
     fn on_catchup_req(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -2412,32 +2416,31 @@ impl Replica {
         max: u32,
     ) {
         ctx.consume(self.cfg.costs.per_message);
-        let records = match self.wal.as_ref() {
-            Some(wal) => wal.scan(),
-            None => Vec::new(),
-        };
         let mut installs = Vec::new();
         let mut decisions = Vec::new();
-        let mut idx = start as usize;
-        while idx < records.len() && installs.len() + decisions.len() < max as usize {
-            match &records[idx] {
+        let mut idx = start;
+        let mut records = self.wal.iter().flat_map(|wal| wal.scan_from(start));
+        while installs.len() + decisions.len() < max as usize {
+            let Some(rec) = records.next() else { break };
+            self.stats.catchup_records_decoded += 1;
+            match rec {
                 gdur_persist::LogRecord::Install {
                     key,
                     seq,
                     stamp,
                     writer,
                     value,
-                } if partitions.contains(&self.cfg.placement.partition_of(*key).0) => {
+                } if partitions.contains(&self.cfg.placement.partition_of(key).0) => {
                     installs.push(CatchupInstall {
-                        key: *key,
-                        seq: *seq,
-                        stamp: stamp.clone(),
-                        writer: *writer,
-                        value: value.clone(),
+                        key,
+                        seq,
+                        stamp,
+                        writer,
+                        value,
                     });
                 }
                 gdur_persist::LogRecord::Decision { tx, commit } => {
-                    decisions.push((*tx, *commit));
+                    decisions.push((tx, commit));
                 }
                 _ => {}
             }
@@ -2449,7 +2452,9 @@ impl Replica {
                 .per_log_append
                 .saturating_mul((installs.len() + decisions.len()) as u64),
         );
-        let next = (idx < records.len()).then_some(idx as u64);
+        // A live log holds only intact frames, so a record remains after
+        // the page iff the page stopped short of the log's length.
+        let next = (idx < self.wal.as_ref().map_or(0, |wal| wal.len())).then_some(idx);
         let frontier = if next.is_none() {
             partitions
                 .iter()

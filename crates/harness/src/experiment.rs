@@ -227,17 +227,18 @@ pub fn run_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> Po
 }
 
 /// Like [`run_point`], but also returns the kernel's [`gdur_sim::SimStats`]
-/// for the whole run (warm-up included). The perf gate divides
-/// `events_processed` by host wall-clock to report events/sec; because the
-/// stats are a pure function of the seed, they double as a cheap
+/// and per-class [`gdur_sim::QueueStats`] for the whole run (warm-up
+/// included). The perf gate divides `events_processed` by host wall-clock
+/// to report events/sec; because both are a pure function of the seed (the
+/// queue counters at one kernel thread), they double as a cheap
 /// bit-identity check across optimisation work.
 pub fn run_point_events(
     exp: &Experiment,
     scale: &Scale,
     clients_per_site: usize,
-) -> (PointResult, gdur_sim::SimStats) {
+) -> (PointResult, gdur_sim::SimStats, gdur_sim::QueueStats) {
     let run = run_point_full(exp, scale, clients_per_site, None);
-    (run.point, run.stats)
+    (run.point, run.stats, run.queue)
 }
 
 /// Like [`run_point`], but with an observability sink attached for the whole
@@ -295,6 +296,7 @@ pub fn run_point_causal(exp: &Experiment, scale: &Scale, clients_per_site: usize
 struct FullRun {
     point: PointResult,
     stats: gdur_sim::SimStats,
+    queue: gdur_sim::QueueStats,
     warm_end: SimTime,
     extra: Option<(PhaseBreakdown, Vec<ObsEvent>)>,
     clients: BTreeSet<ProcessId>,
@@ -379,6 +381,7 @@ fn run_point_full(
     let clients_total = clients_per_site * exp.sites;
     let point = summarize(&records, cluster.now() - warm_end, clients_total);
     let stats = cluster.sim().stats();
+    let queue = cluster.sim().queue_stats();
     let extra = trace.map(|t| {
         let events = t.take();
         let breakdown = PhaseBreakdown::from_events(&events, cluster.topology(), warm_end);
@@ -402,6 +405,7 @@ fn run_point_full(
     FullRun {
         point,
         stats,
+        queue,
         warm_end,
         extra,
         clients,

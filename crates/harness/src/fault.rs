@@ -248,6 +248,10 @@ pub struct ChaosReport {
     pub resubmissions: u64,
     /// Install records adopted via catch-up, summed over replicas.
     pub catchup_installs: u64,
+    /// Log records decoded to serve catch-up pages, summed over replicas.
+    pub catchup_records_decoded: u64,
+    /// Length of each site's replica log at the end of the run.
+    pub wal_records: Vec<u64>,
     /// Completed catch-up transfers (`recovery.complete` trace events).
     pub recovery_completes: u64,
     /// Reads parked (or re-parked) on the 500 µs poll timer, summed over
@@ -445,6 +449,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
         replays: count_label(&events, labels::RECOVERY_REPLAY),
         resubmissions: stats.resubmissions,
         catchup_installs: stats.catchup_installs,
+        catchup_records_decoded: stats.catchup_records_decoded,
+        wal_records: (0..cfg.sites)
+            .map(|s| {
+                cluster
+                    .replica(SiteId(s as u16))
+                    .wal()
+                    .map_or(0, |w| w.len())
+            })
+            .collect(),
         recovery_completes: count_label(&events, labels::RECOVERY_COMPLETE),
         deferred_read_retries: stats.deferred_read_retries,
         converged,

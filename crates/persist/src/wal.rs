@@ -235,7 +235,9 @@ impl LogRecord {
 #[derive(Debug, Clone, Default)]
 pub struct Wal {
     data: BytesMut,
-    records: u64,
+    /// Byte offset in `data` at which each record's frame starts, indexed
+    /// by log sequence number.
+    offsets: Vec<usize>,
 }
 
 impl Wal {
@@ -248,19 +250,19 @@ impl Wal {
     pub fn append(&mut self, rec: &LogRecord) -> u64 {
         let body = rec.encode();
         let framed = codec::frame(&body);
+        self.offsets.push(self.data.len());
         self.data.extend_from_slice(&framed);
-        self.records += 1;
-        self.records - 1
+        self.len() - 1
     }
 
     /// Number of appended records.
     pub fn len(&self) -> u64 {
-        self.records
+        self.offsets.len() as u64
     }
 
     /// True if nothing was appended.
     pub fn is_empty(&self) -> bool {
-        self.records == 0
+        self.offsets.is_empty()
     }
 
     /// Size of the encoded log in bytes.
@@ -287,13 +289,25 @@ impl Wal {
         wal
     }
 
-    /// Decodes every intact record, stopping silently at the first torn
-    /// frame (crash-during-append semantics).
+    /// Decodes every record, in log order.
     pub fn scan(&self) -> Vec<LogRecord> {
-        Self::scan_bytes(self.as_bytes())
+        self.scan_from(0).collect()
     }
 
-    /// Like [`Wal::scan`] over an arbitrary byte image.
+    /// Decodes the records from log sequence number `lsn` on, one frame at
+    /// a time: a reader that stops after `n` records has paid for `n`
+    /// frames, wherever in the log it started. Empty at and past the end.
+    pub fn scan_from(&self, lsn: u64) -> impl Iterator<Item = LogRecord> + '_ {
+        let first = lsn.min(self.len()) as usize;
+        (first..self.offsets.len()).map_while(move |i| {
+            let end = self.offsets.get(i + 1).copied().unwrap_or(self.data.len());
+            let mut frame = Bytes::copy_from_slice(&self.data[self.offsets[i]..end]);
+            LogRecord::decode(codec::unframe(&mut frame).ok()?).ok()
+        })
+    }
+
+    /// Like [`Wal::scan`] over an arbitrary byte image, stopping silently
+    /// at the first torn or corrupt frame (crash-during-append semantics).
     pub fn scan_bytes(mut data: Bytes) -> Vec<LogRecord> {
         let mut out = Vec::new();
         while data.has_remaining() {
@@ -320,7 +334,7 @@ impl Wal {
         for r in keep {
             fresh.append(r);
         }
-        let dropped = self.records - keep.len() as u64;
+        let dropped = self.len() - keep.len() as u64;
         *self = fresh;
         dropped
     }
@@ -541,6 +555,44 @@ mod tests {
             let recovered = Wal::from_image(img.slice(..cut));
             assert_eq!(recovered.len(), intact as u64, "cut at byte {cut}");
             let (_store, _decisions) = recover(&recovered);
+        }
+    }
+
+    /// `scan_from(k)` must be the `k`-suffix of the log for every `k`,
+    /// the end and past it included.
+    fn assert_scan_from_is_every_suffix(wal: &Wal, want: &[LogRecord], what: &str) {
+        assert_eq!(wal.scan(), want, "{what}");
+        for k in 0..=want.len() + 2 {
+            let suffix: Vec<LogRecord> = wal.scan_from(k as u64).collect();
+            assert_eq!(suffix, want[k.min(want.len())..], "{what}, from {k}");
+        }
+        assert_eq!(wal.scan_from(u64::MAX).count(), 0, "{what}");
+    }
+
+    #[test]
+    fn scan_from_is_the_suffix_on_every_torn_image() {
+        // The offset index is rebuilt by `from_image` and by truncation;
+        // whatever byte the image was torn at, it must address exactly the
+        // surviving frames.
+        let (wal, recs, boundaries) = fuzz_log();
+        let img = wal.as_bytes();
+        for cut in 0..=img.len() {
+            let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+            let mut recovered = Wal::from_image(img.slice(..cut));
+            let what = format!("cut at byte {cut}");
+            assert_scan_from_is_every_suffix(&recovered, &recs[..intact], &what);
+            // The checkpoint is frame 3: once it survives the cut,
+            // truncation drops the three records before it.
+            let dropped = if intact > 3 { 3 } else { 0 };
+            assert_eq!(recovered.truncate_to_last_checkpoint(), dropped as u64);
+            let what = format!("truncated after a cut at byte {cut}");
+            assert_scan_from_is_every_suffix(&recovered, &recs[dropped..intact], &what);
+            // Appends after a rebuild keep extending the index.
+            recovered.append(&LogRecord::Checkpoint);
+            assert_eq!(
+                recovered.scan_from(recovered.len() - 1).collect::<Vec<_>>(),
+                vec![LogRecord::Checkpoint]
+            );
         }
     }
 

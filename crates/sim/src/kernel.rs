@@ -18,10 +18,22 @@
 //!
 //! # Determinism
 //!
-//! The event queue orders by `(time, sequence-number)` where sequence numbers
+//! Events run in `(time, sequence-number)` order, where sequence numbers
 //! are assigned at scheduling time, and all randomness flows through one
 //! seeded [`SmallRng`]. Two runs with the same seed produce identical
 //! histories.
+//!
+//! The queue behind that order is three binary heaps, one per event class
+//! — `Dispatch` wake-ups (scheduled a service time ahead: µs), message,
+//! start, restart and fault arrivals (a network delay ahead: ms) and timer
+//! arrivals (a timeout ahead: 250 ms – 1 s) — and one total order: `peek`
+//! and `pop` take the `(time, seq)`-least of the three heads, and every
+//! event draws its sequence number from the one counter whatever its
+//! class. The split changes what a pop costs, not what it returns: the
+//! few short-lived dispatches and the ~1 k in-flight messages no longer
+//! sift through ~10 k armed and cancelled timers that almost never fire
+//! (DESIGN.md §3.6). [`Simulation::queue_stats`] counts the traffic of
+//! each class.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -307,6 +319,89 @@ impl<M> Ord for QueuedEvent<M> {
     }
 }
 
+/// Traffic of one class of the kernel's event queue (see
+/// [`Simulation::queue_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueClassStats {
+    /// Events pushed.
+    pub pushed: u64,
+    /// Events popped.
+    pub popped: u64,
+    /// Most events of this class queued at once.
+    pub peak_len: u64,
+}
+
+/// Per-class traffic of the kernel's event queue.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// `Dispatch` wake-ups: a busy actor's next core-free instant.
+    pub dispatch: QueueClassStats,
+    /// Message, start and restart arrivals and scheduled faults.
+    pub message: QueueClassStats,
+    /// Timer arrivals, whether they fire or drain cancelled.
+    pub timer: QueueClassStats,
+}
+
+const CLASS_DISPATCH: usize = 0;
+const CLASS_MESSAGE: usize = 1;
+const CLASS_TIMER: usize = 2;
+
+/// The kernel's event queue: one heap per event class, popped in the one
+/// `(time, seq)` order. The classes differ in how far ahead they are
+/// scheduled and in how many entries they hold, so keeping them apart
+/// keeps each pop's sift as shallow as its own class.
+struct EventQueue<M> {
+    heaps: [BinaryHeap<Reverse<QueuedEvent<M>>>; 3],
+    stats: [QueueClassStats; 3],
+}
+
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        EventQueue {
+            heaps: [BinaryHeap::new(), BinaryHeap::new(), BinaryHeap::new()],
+            stats: [QueueClassStats::default(); 3],
+        }
+    }
+
+    fn class_of(kind: &EventKind<M>) -> usize {
+        match kind {
+            EventKind::Dispatch(_) => CLASS_DISPATCH,
+            EventKind::Arrival(_, Job::Timer { .. }) => CLASS_TIMER,
+            EventKind::Arrival(..) | EventKind::Crash(_) | EventKind::Restart(_) => CLASS_MESSAGE,
+        }
+    }
+
+    fn push(&mut self, ev: QueuedEvent<M>) {
+        let class = Self::class_of(&ev.kind);
+        let heap = &mut self.heaps[class];
+        heap.push(Reverse(ev));
+        let stats = &mut self.stats[class];
+        stats.pushed += 1;
+        stats.peak_len = stats.peak_len.max(heap.len() as u64);
+    }
+
+    /// The class whose head is `(time, seq)`-least, if any event is queued.
+    fn head_class(&self) -> Option<usize> {
+        self.heaps
+            .iter()
+            .enumerate()
+            .filter_map(|(class, heap)| heap.peek().map(|Reverse(ev)| (ev, class)))
+            .min()
+            .map(|(_, class)| class)
+    }
+
+    fn peek(&self) -> Option<&QueuedEvent<M>> {
+        let class = self.head_class()?;
+        self.heaps[class].peek().map(|Reverse(ev)| ev)
+    }
+
+    fn pop(&mut self) -> Option<QueuedEvent<M>> {
+        let class = self.head_class()?;
+        self.stats[class].popped += 1;
+        self.heaps[class].pop().map(|Reverse(ev)| ev)
+    }
+}
+
 struct ActorSlot<A: Actor> {
     actor: A,
     /// Free instants of each core (empty when `Cores::Unlimited`).
@@ -317,11 +412,9 @@ struct ActorSlot<A: Actor> {
     dispatch_at: Option<SimTime>,
     crashed: bool,
     next_timer: u64,
-    canceled_timers: BTreeSet<u64>,
-    /// Timer ids set but not yet arrived. Gates cancel-marker insertion:
-    /// canceling a timer that already fired (or was dropped by a crash)
-    /// must not strand a marker in `canceled_timers` forever.
-    outstanding_timers: BTreeSet<u64>,
+    /// Timer ids set and neither cancelled, fired nor retired by a crash:
+    /// a timer arrival fires iff its id is still here.
+    armed: BTreeSet<u64>,
 }
 
 /// Aggregate statistics about a finished (or in-flight) simulation run.
@@ -339,7 +432,7 @@ pub struct SimStats {
 pub struct Simulation<A: Actor, L: LatencyModel> {
     time: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<QueuedEvent<A::Msg>>>,
+    queue: EventQueue<A::Msg>,
     actors: Vec<ActorSlot<A>>,
     latency: L,
     rng: SmallRng,
@@ -374,7 +467,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         Simulation {
             time: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             actors: Vec::new(),
             latency,
             rng: SmallRng::seed_from_u64(seed),
@@ -463,8 +556,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             dispatch_at: None,
             crashed: false,
             next_timer: 0,
-            canceled_timers: BTreeSet::new(),
-            outstanding_timers: BTreeSet::new(),
+            armed: BTreeSet::new(),
         });
         id
     }
@@ -487,6 +579,25 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// Run statistics so far.
     pub fn stats(&self) -> SimStats {
         self.stats
+    }
+
+    /// Per-class traffic of the event queue so far: how many events of
+    /// each class were pushed and popped, and the most queued at once.
+    ///
+    /// Deterministic for a seed on the sequential kernel, but kept out of
+    /// [`SimStats`] on purpose: with more than one kernel thread the events
+    /// that stay inside a window run on worker-local heaps and never reach
+    /// this queue, so the counts depend on the thread count, and
+    /// [`SimStats`] is byte-compared across thread counts. A [`Scheduler`]
+    /// re-queues the arrivals it passes over, and each re-queue counts as
+    /// a push.
+    pub fn queue_stats(&self) -> QueueStats {
+        let [dispatch, message, timer] = self.queue.stats;
+        QueueStats {
+            dispatch,
+            message,
+            timer,
+        }
     }
 
     /// The network model in use (e.g. for partition injection handles).
@@ -517,9 +628,9 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// Marks `id` crashed: its pending jobs are discarded and subsequent
     /// message and timer arrivals are dropped until [`Simulation::restart`].
     ///
-    /// Timer bookkeeping survives the crash intact: cancel markers for
-    /// in-flight timers stay armed (a canceled timer must not fire after a
-    /// restart), and every marker is retired when its timer arrives even
+    /// Timer bookkeeping survives the crash intact: a cancelled timer stays
+    /// cancelled (it must not fire after a restart), an uncancelled one
+    /// stays armed, and every id is retired when its timer arrives even
     /// while crashed, so no stale state accumulates across crash/restart
     /// cycles.
     pub fn crash(&mut self, id: ProcessId) {
@@ -581,9 +692,9 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         slot.pending.clear();
         // Retire every in-flight timer: a process that lost its memory must
         // not observe timers armed by its previous incarnation. The arrival
-        // events still drain through `canceled_timers` without firing.
-        let armed: Vec<u64> = slot.outstanding_timers.iter().copied().collect();
-        slot.canceled_timers.extend(armed);
+        // events still drain through the queue, find their id gone from
+        // `armed`, and do not fire.
+        slot.armed.clear();
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.record(ObsEvent::Point {
                 at: self.time,
@@ -637,7 +748,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     fn push(&mut self, time: SimTime, kind: EventKind<A::Msg>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent { time, seq, kind }));
+        self.queue.push(QueuedEvent { time, seq, kind });
     }
 
     fn ensure_started(&mut self) {
@@ -681,7 +792,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     fn run_until_seq(&mut self, until: SimTime) -> SimTime {
         self.ensure_started();
         while !self.halted {
-            let Some(Reverse(ev)) = self.queue.peek() else {
+            let Some(ev) = self.queue.peek() else {
                 // Queue drained before the horizon: advance to it anyway,
                 // mirroring the horizon-hit path below.
                 if until != SimTime::MAX && until > self.time {
@@ -697,7 +808,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 self.step_scheduled(until);
                 continue;
             }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+            let ev = self.queue.pop().expect("peeked");
             debug_assert!(ev.time >= self.time, "time went backwards");
             self.time = ev.time;
             match ev.kind {
@@ -726,15 +837,15 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// [`Simulation::run_until`] is preserved.
     fn step_scheduled(&mut self, until: SimTime) {
         let window = self.sched.as_ref().expect("scheduler attached").window();
-        let head = self.queue.peek().expect("caller peeked").0.time;
+        let head = self.queue.peek().expect("caller peeked").time;
         let hi = std::cmp::min(head + window, until);
         let mut events = std::mem::take(&mut self.cand_events);
         let mut meta = std::mem::take(&mut self.cand_meta);
-        while let Some(Reverse(ev)) = self.queue.peek() {
+        while let Some(ev) = self.queue.peek() {
             if ev.time > hi || !matches!(ev.kind, EventKind::Arrival(..)) {
                 break;
             }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+            let ev = self.queue.pop().expect("peeked");
             let EventKind::Arrival(to, job) = &ev.kind else {
                 unreachable!("peek checked Arrival");
             };
@@ -743,8 +854,8 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             // actor) commutes with every other event; flag it so explorers
             // don't branch on its order.
             let slot = &self.actors[to.index()];
-            let inert = slot.crashed
-                || matches!(job, Job::Timer { id, .. } if slot.canceled_timers.contains(id));
+            let inert =
+                slot.crashed || matches!(job, Job::Timer { id, .. } if !slot.armed.contains(id));
             meta.push(Candidate {
                 time: ev.time,
                 seq: ev.seq,
@@ -779,7 +890,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             if ev.time < self.time {
                 ev.time = self.time;
             }
-            self.queue.push(Reverse(ev));
+            self.queue.push(ev);
         }
         meta.clear();
         self.cand_events = events;
@@ -798,11 +909,10 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     fn arrive(&mut self, to: ProcessId, seq: u64, job: Job<A::Msg>) {
         let slot = &mut self.actors[to.index()];
         // Timer bookkeeping runs whether or not the actor is crashed: the
-        // arrival is the only event that retires a timer id, so skipping
-        // it while crashed would strand cancel markers forever.
+        // arrival retires the id, so a timer that arrives while its actor
+        // is down cannot linger in `armed` across the restart.
         if let Job::Timer { id, .. } = &job {
-            slot.outstanding_timers.remove(id);
-            if slot.canceled_timers.remove(id) {
+            if !slot.armed.remove(id) {
                 return;
             }
         }
@@ -948,20 +1058,16 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                     tag,
                     after,
                 } => {
-                    self.actors[id.index()].outstanding_timers.insert(tid);
+                    self.actors[id.index()].armed.insert(tid);
                     self.push(
                         end + after,
                         EventKind::Arrival(id, Job::Timer { id: tid, tag }),
                     );
                 }
                 Output::CancelTimer(tid) => {
-                    // Mark only timers still in flight; a cancel that
-                    // races the firing (or a crash-time drop) is a no-op
-                    // rather than a leaked marker.
-                    let slot = &mut self.actors[id.index()];
-                    if slot.outstanding_timers.contains(&tid) {
-                        slot.canceled_timers.insert(tid);
-                    }
+                    // A cancel that races the firing (or a crash-time
+                    // drop) finds nothing to remove: a no-op.
+                    self.actors[id.index()].armed.remove(&tid);
                 }
             }
         }
@@ -1402,9 +1508,9 @@ mod tests {
     fn crash_cancel_restart_retires_markers() {
         // An actor arms two timers and cancels the first; it then crashes
         // before either arrives. Both arrivals happen while crashed: the
-        // canceled one must still retire its marker (the old code returned
-        // on `crashed` before the cancel check, stranding the marker
-        // forever), and after a restart the actor works normally.
+        // uncancelled one must still retire its id (the arrival checks
+        // `armed` before `crashed`), and after a restart the actor works
+        // normally.
         struct T {
             fired: Vec<u64>,
         }
@@ -1427,27 +1533,56 @@ mod tests {
         sim.run_until(SimTime::from_nanos(500_000));
         sim.crash(t);
         sim.run_until(SimTime::from_nanos(2_500_000));
-        // Both timers arrived while crashed: neither fired, and no cancel
-        // marker (or outstanding-timer entry) is left behind.
+        // Both timers arrived while crashed: neither fired, and no timer
+        // id is left behind.
         assert!(sim.actor(t).fired.is_empty());
         assert!(
-            sim.actors[t.index()].canceled_timers.is_empty(),
-            "cancel marker stranded across the crash"
+            sim.actors[t.index()].armed.is_empty(),
+            "timer id stranded across the crash"
         );
-        assert!(sim.actors[t.index()].outstanding_timers.is_empty());
         // Restart and drive one more timer through: normal service resumes.
         sim.restart(t);
         sim.inject(ProcessId(99), t, Ping(0), SimTime::from_nanos(3_000_000));
         sim.run_until_idle();
         assert_eq!(sim.actor(t).fired, vec![9]);
-        assert!(sim.actors[t.index()].canceled_timers.is_empty());
-        assert!(sim.actors[t.index()].outstanding_timers.is_empty());
+        assert!(sim.actors[t.index()].armed.is_empty());
+    }
+
+    #[test]
+    fn timers_armed_before_an_immediate_crash_survive_the_restart() {
+        // The legacy immediate `crash()` leaves timers alone: one armed
+        // before the crash and arriving after `restart()` fires; one
+        // cancelled before the crash does not.
+        struct T {
+            fired: Vec<u64>,
+        }
+        impl Actor for T {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+                let cancelled = ctx.set_timer(SimDuration::from_millis(2), 7);
+                ctx.cancel_timer(cancelled);
+                ctx.set_timer(SimDuration::from_millis(2), 8);
+            }
+            fn on_message(&mut self, _: &mut Context<'_, Ping>, _: ProcessId, _: Ping) {}
+            fn on_timer(&mut self, _: &mut Context<'_, Ping>, tag: u64) {
+                self.fired.push(tag);
+            }
+        }
+        let mut sim = Simulation::new(ZeroLatency, 1);
+        let t = sim.spawn(T { fired: vec![] }, Cores::Fixed(1));
+        sim.run_until(SimTime::from_nanos(500_000));
+        sim.crash(t);
+        sim.run_until(SimTime::from_nanos(1_000_000));
+        sim.restart(t);
+        sim.run_until_idle();
+        assert_eq!(sim.actor(t).fired, vec![8]);
+        assert!(sim.actors[t.index()].armed.is_empty());
     }
 
     #[test]
     fn cancel_after_fire_leaves_no_marker() {
-        // Canceling a timer that already fired must be a no-op, not a
-        // forever-stranded marker in `canceled_timers`.
+        // Canceling a timer that already fired finds its id retired and
+        // changes nothing.
         struct T {
             timer: Option<u64>,
             fired: Vec<u64>,
@@ -1476,10 +1611,7 @@ mod tests {
         sim.inject(ProcessId(99), t, Ping(0), SimTime::from_nanos(2_000_000));
         sim.run_until_idle();
         assert_eq!(sim.actor(t).fired, vec![7]);
-        assert!(
-            sim.actors[t.index()].canceled_timers.is_empty(),
-            "cancel-after-fire stranded a marker"
-        );
+        assert!(sim.actors[t.index()].armed.is_empty());
     }
 
     #[test]
@@ -1560,8 +1692,7 @@ mod tests {
         // the timer re-armed by on_restart fires, at 30ms.
         assert_eq!(a.timers, vec![SimTime::from_nanos(30_000_000)]);
         assert_eq!(sim.stats().messages_dropped, 1);
-        assert!(sim.actors[p.index()].canceled_timers.is_empty());
-        assert!(sim.actors[p.index()].outstanding_timers.is_empty());
+        assert!(sim.actors[p.index()].armed.is_empty());
     }
 
     #[test]
@@ -1726,5 +1857,107 @@ mod tests {
         sim.run_until_idle();
         // Ping(8) runs first at its own instant; Ping(7) was bumped to it.
         assert_eq!(sim.actor(a).log, vec![(later, env, 8), (later, env, 7)]);
+    }
+
+    /// The three-heap [`EventQueue`] against the single heap it replaced:
+    /// a seeded interleaving of pushes of every event kind and pops, over
+    /// so few distinct instants that most heads tie on time *across*
+    /// classes and only `seq` separates them. Same `peek` before every
+    /// pop, same pop sequence, and counters that add up.
+    #[test]
+    fn event_queue_pops_in_the_single_heap_order() {
+        use rand::Rng;
+
+        fn kind(rng: &mut SmallRng) -> EventKind<Ping> {
+            let to = ProcessId(rng.gen_range(0..4u32));
+            match rng.gen_range(0..7u32) {
+                0 => EventKind::Dispatch(to),
+                1 => EventKind::Crash(to),
+                2 => EventKind::Restart(to),
+                3 => EventKind::Arrival(to, Job::Start),
+                4 => EventKind::Arrival(to, Job::Restart),
+                5 => EventKind::Arrival(to, Job::Timer { id: 0, tag: 0 }),
+                _ => EventKind::Arrival(
+                    to,
+                    Job::Message {
+                        from: to,
+                        msg: Box::new(Ping(0)),
+                    },
+                ),
+            }
+        }
+
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mut queue: EventQueue<Ping> = EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut seen = [false; 3];
+        let (mut pushes, mut pops) = (0u64, 0u64);
+        for seq in 0..20_000u64 {
+            // Push-heavy first, pop-heavy later, so the queue both grows
+            // deep and drains empty within the run.
+            let push = rng.gen_bool(if seq < 10_000 { 0.6 } else { 0.4 });
+            if push {
+                let time = SimTime::from_nanos(rng.gen_range(0..8u64));
+                let kind = kind(&mut rng);
+                seen[EventQueue::class_of(&kind)] = true;
+                queue.push(QueuedEvent { time, seq, kind });
+                reference.push(Reverse((time, seq)));
+                pushes += 1;
+            } else {
+                let want = reference.peek().map(|Reverse(k)| *k);
+                assert_eq!(queue.peek().map(|ev| (ev.time, ev.seq)), want);
+                assert_eq!(queue.pop().map(|ev| (ev.time, ev.seq)), want);
+                reference.pop();
+                pops += u64::from(want.is_some());
+            }
+        }
+        assert_eq!(seen, [true; 3], "every class was exercised");
+        let st = queue.stats;
+        assert_eq!(st.iter().map(|c| c.pushed).sum::<u64>(), pushes);
+        assert_eq!(st.iter().map(|c| c.popped).sum::<u64>(), pops);
+        for (class, heap) in queue.heaps.iter().enumerate() {
+            assert_eq!(
+                st[class].pushed - st[class].popped,
+                heap.len() as u64,
+                "class {class}"
+            );
+            assert!(st[class].peak_len >= heap.len() as u64);
+            assert!(st[class].peak_len <= st[class].pushed);
+        }
+        while let Some(Reverse(want)) = reference.pop() {
+            assert_eq!(queue.pop().map(|ev| (ev.time, ev.seq)), Some(want));
+        }
+        assert!(queue.peek().is_none() && queue.pop().is_none());
+    }
+
+    #[test]
+    fn queue_stats_count_each_class() {
+        // One timer armed at start; two simultaneous pings on one core,
+        // the second of which waits for a Dispatch.
+        struct Busy;
+        impl Actor for Busy {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+                ctx.set_timer(SimDuration::from_millis(20), 1);
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, Ping>, _: ProcessId, _: Ping) {
+                ctx.consume(SimDuration::from_millis(5));
+            }
+        }
+        let mut sim = Simulation::new(ZeroLatency, 1);
+        let b = sim.spawn(Busy, Cores::Fixed(1));
+        sim.inject(ProcessId(99), b, Ping(1), SimTime::from_nanos(1_000));
+        sim.inject(ProcessId(99), b, Ping(2), SimTime::from_nanos(1_000));
+        sim.run_until_idle();
+        let q = sim.queue_stats();
+        let class = |pushed, popped, peak_len| QueueClassStats {
+            pushed,
+            popped,
+            peak_len,
+        };
+        // The two injections, then the start arrival.
+        assert_eq!(q.message, class(3, 3, 3));
+        assert_eq!(q.timer, class(1, 1, 1));
+        assert_eq!(q.dispatch, class(1, 1, 1));
     }
 }

@@ -305,8 +305,7 @@ where
                 let li = self.local(to);
                 if let Job::Timer { id, .. } = &job {
                     let slot = &mut *self.slots[li].slot;
-                    slot.outstanding_timers.remove(id);
-                    if slot.canceled_timers.remove(id) {
+                    if !slot.armed.remove(id) {
                         return;
                     }
                 }
@@ -336,8 +335,7 @@ where
                 let discarded = slot.pending.len() as u64;
                 slot.crashed = true;
                 slot.pending.clear();
-                let armed: Vec<u64> = slot.outstanding_timers.iter().copied().collect();
-                slot.canceled_timers.extend(armed);
+                slot.armed.clear();
                 self.out.evs[rec].outcome = Outcome::Crash { discarded };
             }
             EventKind::Restart(who) => {
@@ -516,7 +514,7 @@ where
                     tag,
                     after,
                 } => {
-                    self.slots[li].slot.outstanding_timers.insert(tid);
+                    self.slots[li].slot.armed.insert(tid);
                     let arrival = end + after;
                     let disp = if arrival < self.bound {
                         let prov = self.new_prov();
@@ -532,10 +530,7 @@ where
                     self.out.outs.push(OutRec::Timer { arrival, disp });
                 }
                 Output::CancelTimer(tid) => {
-                    let slot = &mut *self.slots[li].slot;
-                    if slot.outstanding_timers.contains(&tid) {
-                        slot.canceled_timers.insert(tid);
-                    }
+                    self.slots[li].slot.armed.remove(&tid);
                 }
             }
         }
@@ -594,7 +589,7 @@ struct MergeState<M> {
 #[allow(clippy::too_many_arguments)]
 fn merge_window<M>(
     outs: Vec<WindowOut<M>>,
-    queue: &mut BinaryHeap<Reverse<QueuedEvent<M>>>,
+    queue: &mut EventQueue<M>,
     seq: &mut u64,
     time: &mut SimTime,
     stats: &mut SimStats,
@@ -716,14 +711,14 @@ fn merge_window<M>(
                                 }
                                 match disp {
                                     SendDisp::Local(p) => st.res[p as usize] = child,
-                                    SendDisp::Defer { msg } => queue.push(Reverse(QueuedEvent {
+                                    SendDisp::Defer { msg } => queue.push(QueuedEvent {
                                         time: arrival,
                                         seq: child,
                                         kind: EventKind::Arrival(
                                             to,
                                             Job::Message { from: e.pid, msg },
                                         ),
-                                    })),
+                                    }),
                                 }
                             }
                             OutRec::Timer { arrival, disp } => {
@@ -731,13 +726,11 @@ fn merge_window<M>(
                                 *seq += 1;
                                 match disp {
                                     TimerDisp::Local(p) => st.res[p as usize] = child,
-                                    TimerDisp::Defer { id, tag } => {
-                                        queue.push(Reverse(QueuedEvent {
-                                            time: arrival,
-                                            seq: child,
-                                            kind: EventKind::Arrival(e.pid, Job::Timer { id, tag }),
-                                        }))
-                                    }
+                                    TimerDisp::Defer { id, tag } => queue.push(QueuedEvent {
+                                        time: arrival,
+                                        seq: child,
+                                        kind: EventKind::Arrival(e.pid, Job::Timer { id, tag }),
+                                    }),
                                 }
                             }
                         }
@@ -757,11 +750,11 @@ fn merge_window<M>(
                     *seq += 1;
                     match disp {
                         Disp::Local(p) => st.res[p as usize] = child,
-                        Disp::Defer => queue.push(Reverse(QueuedEvent {
+                        Disp::Defer => queue.push(QueuedEvent {
                             time: at,
                             seq: child,
                             kind: EventKind::Dispatch(e.pid),
-                        })),
+                        }),
                     }
                 }
                 StepRec::RestartChild { prov } => {
@@ -936,7 +929,7 @@ where
             let mut batches: Vec<Vec<SeedEv<A::Msg>>> = (0..workers).map(|_| Vec::new()).collect();
             loop {
                 let head_time = match queue.peek() {
-                    Some(Reverse(head)) => head.time,
+                    Some(head) => head.time,
                     None => {
                         if until != SimTime::MAX && until > *time {
                             *time = until;
@@ -949,11 +942,11 @@ where
                     break;
                 }
                 let bound = window_bound(head_time, lookahead, until);
-                while let Some(Reverse(ev)) = queue.peek() {
+                while let Some(ev) = queue.peek() {
                     if ev.time >= bound {
                         break;
                     }
-                    let Reverse(ev) = queue.pop().expect("peeked");
+                    let ev = queue.pop().expect("peeked");
                     let target = event_target(&ev.kind);
                     batches[shard_of[target.index()] as usize].push(SeedEv {
                         time: ev.time,

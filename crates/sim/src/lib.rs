@@ -68,8 +68,8 @@ mod wheel;
 
 pub use actor::{Actor, ProcessId, WireSize};
 pub use kernel::{
-    Context, Cores, LatencyModel, SimStats, Simulation, UniformLatency, ZeroLatency, KERNEL_CRASH,
-    KERNEL_RESTART,
+    Context, Cores, LatencyModel, QueueClassStats, QueueStats, SimStats, Simulation,
+    UniformLatency, ZeroLatency, KERNEL_CRASH, KERNEL_RESTART,
 };
 pub use obs::{trigger, ObsEvent, ObsSink, KERNEL_DELIVER, KERNEL_HANDLE_END, KERNEL_HANDLE_START};
 pub use sched::{Candidate, CandidateKind, FifoScheduler, Scheduler};

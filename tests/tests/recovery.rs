@@ -139,3 +139,33 @@ fn p_store_ab_library_schedule_converges_at_32_clients_per_site() {
     let (report, _events) = run_chaos(&cfg);
     assert!(report.converged, "{}", report.golden_line());
 }
+
+/// Serving catch-up costs the host what it ships, not pages × log: a page
+/// reads the peer's log from its start record and stops when full. The
+/// library's crash → partition → heal → restart schedule, moved late enough
+/// that the peers' logs are many pages long when the transfer starts,
+/// decodes each peer record about once — 11 375 records against peer logs
+/// of 7 566 + 7 598. Before `Wal::scan_from` every one of the 32 pages
+/// decoded its peer's whole log: 181 191.
+#[test]
+fn catchup_decodes_a_linear_number_of_log_records() {
+    let schedule = FaultSchedule::new()
+        .crash(1, 5_000)
+        .partition(0, 2, 5_500)
+        .heal(0, 2, 6_000)
+        .restart(1, 8_000);
+    let mut cfg = ChaosConfig::new(p_store_paxos(), schedule);
+    cfg.clients_per_site = 16;
+    cfg.txns_per_client = 100;
+    let report = run_and_check(cfg);
+    assert_eq!(report.recovery_completes, 1);
+    assert!(report.converged, "stores diverged after recovery");
+    assert!(report.catchup_installs > 0);
+    // Site 1 crashed; sites 0 and 2 served it.
+    let peers: u64 = report.wal_records[0] + report.wal_records[2];
+    assert!(
+        report.catchup_records_decoded <= 2 * peers,
+        "catch-up decoded {} records to serve from logs of {peers}",
+        report.catchup_records_decoded
+    );
+}

@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Self and inclusive share of samples per physical function.
+
+usage: symbolize.py [--top N] hostprof.out...    (N defaults to 25)
+
+A sample counts as *self* time of the function holding its instruction
+pointer and as *inclusive* time of every distinct function on its frame
+chain. Functions are the symbols `nm` finds, so inlined code is charged to
+the function it was inlined into, which is where the CPU ran it; code in a
+stripped object (libc) is charged to the object, `[libc.so.6]`. Several
+files — repetitions of one run — are added up.
+"""
+import bisect, collections, functools, os, re, subprocess, sys
+
+args = sys.argv[1:]
+top = int(args.pop(args.index("--top") + 1)) if "--top" in args else 25
+paths = [a for a in args if a != "--top"]
+
+@functools.lru_cache(maxsize=None)
+def symbols(obj):
+    out = subprocess.run(["nm", "-C", "-n", obj], capture_output=True, text=True).stdout
+    syms = [l.split(None, 2) for l in out.splitlines()]
+    syms = [(int(s[0], 16), s[2]) for s in syms if len(s) == 3 and s[1] in "tTwW"]
+    return [a for a, _ in syms], [re.sub(r"::h[0-9a-f]{16}$", "", n) for _, n in syms]
+
+self_n, incl_n, total = collections.Counter(), collections.Counter(), 0
+for path in paths:
+    head, _, tail = open(path).read().partition("--samples--\n")
+    # Executable mappings, each with its file's load base: the lowest mapping
+    # of that file, ELF virtual address 0 of a position-independent object.
+    base, spans = {}, []
+    for line in head.splitlines():
+        f = line.split()
+        if len(f) < 6 or not f[5].startswith("/"):
+            continue
+        lo, hi = (int(x, 16) for x in f[0].split("-"))
+        base.setdefault(f[5], lo)
+        if "x" in f[1]:
+            spans.append((lo, hi, f[5]))
+
+    @functools.lru_cache(maxsize=None)
+    def function(pc):
+        for lo, hi, obj in spans:
+            if lo <= pc < hi:
+                addrs, names = symbols(obj)
+                i = bisect.bisect_right(addrs, pc - base[obj]) - 1
+                return names[i] if i >= 0 else f"[{os.path.basename(obj)}]"
+        return "[unmapped]"
+
+    for line in tail.splitlines():
+        pcs = [int(x, 16) for x in line.split()]
+        if not pcs:
+            continue
+        total += 1
+        # A return address points past its call; step back into the caller.
+        chain = [function(pcs[0])] + [function(pc - 1) for pc in pcs[1:]]
+        self_n[chain[0]] += 1
+        incl_n.update(set(chain))
+
+print(f"{total} samples from {len(paths)} file(s)")
+for title, counts in (("self", self_n), ("inclusive", incl_n)):
+    print(f"\n{title:>9}  samples  function")
+    for name, n in counts.most_common(top):
+        print(f"{100 * n / max(total, 1):8.1f}%  {n:7d}  {name}")
