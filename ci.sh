@@ -18,8 +18,8 @@
 # parallel-kernel thread sweep is likewise on demand:
 # `cargo run --release -p gdur-bench --bin perf_gate -- --par`.
 #
-# Each step reports its wall-clock seconds; SKIP_PERF_GATE=1 skips the
-# wall-clock regression gate (it only means something on an idle machine).
+# Each step reports its wall-clock seconds. SKIP_PERF_GATE=1 still skips
+# the perf_gate leg, which no longer needs it (see the leg's comment).
 # GDUR_KERNEL_THREADS sets the worker count the byte-identity gates
 # (par_smoke, detlint --dynamic) cross-check against sequential (default 4).
 set -eu
@@ -108,10 +108,12 @@ spawn_gate mega_smoke ./target/release/mega_smoke
 spawn_gate par_smoke ./target/release/par_smoke
 spawn_gate bench_selfcheck bench_selfcheck
 
-# Wall-clock regression gate against the blessed reference in
-# BENCH_sim.json. Skippable because wall-clock is only meaningful on an
-# otherwise idle machine (virtual-time correctness is covered above) —
-# and doubly noisy here, where it shares the host with the other gates.
+# Perf gate against the blessed reference in BENCH_sim.json: the kernel
+# event count, the per-class queue counters and the paper-keyspace RSS
+# budget must hold exactly (deterministic, so sharing the host with the
+# other gates is fine); wall-clock is reported and at worst warned about.
+# SKIP_PERF_GATE is no longer needed to keep this leg green on a loaded
+# host; it is kept for `perf_gate --par`, whose meaning it still has.
 if [ "${SKIP_PERF_GATE:-0}" = "1" ]; then
     echo "==> perf_gate: skipped (SKIP_PERF_GATE=1)"
 else

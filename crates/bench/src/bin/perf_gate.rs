@@ -11,15 +11,18 @@
 //!   (refreshed with `--bless` after an intentional perf change);
 //! * `current` — the latest run (always rewritten).
 //!
-//! `--check` (the ci.sh mode) fails when the current total wall-clock
-//! regresses more than 20% against `blessed`. Virtual-time results are a
-//! pure function of the seed, so the kernel event counts double as a
-//! bit-identity check: a mismatch against `blessed` means behaviour
-//! changed, not just speed. The same holds for the per-class traffic of the
-//! kernel's event queue (`Simulation::queue_stats`: pushed / popped / peak
-//! length of the dispatch, message and timer heaps), printed and stored per
-//! point: `--check` fails unless they equal the `blessed` ones exactly — a
-//! deterministic leg, good on a loaded host.
+//! `--check` (the ci.sh mode) gates on integers and reports seconds.
+//! Virtual-time results are a pure function of the seed, so the kernel
+//! event count and the per-class traffic of the kernel's event queue
+//! (`Simulation::queue_stats`: pushed / popped / peak length of the
+//! dispatch, message and timer heaps, printed and stored per point) are a
+//! bit-identity check: `--check` fails unless they equal the `blessed` ones
+//! exactly — a mismatch means behaviour changed, not just speed, and the
+//! verdict is the same on a loaded host. The total wall-clock is compared
+//! against `blessed` too, but a slowdown of more than 20% only prints a
+//! `WARNING`: on a shared host that comparison fails on parent and change
+//! alike, so it informs and never decides (wall-clock claims are settled by
+//! `benchmark/`'s alternating pairs).
 //!
 //! Before the sweep, while the process is still fresh, it builds one
 //! deployment at the paper's keyspace and records `paper_build`: the build
@@ -55,7 +58,8 @@ use gdur_harness::{
 };
 use gdur_sim::{QueueClassStats, QueueStats, SimDuration};
 
-/// Allowed wall-clock regression against the blessed reference.
+/// Wall-clock slowdown against the blessed reference that `--check` warns
+/// about (it never fails on seconds).
 const REGRESSION_TOLERANCE: f64 = 1.20;
 
 /// Resident-set budget right after building a paper-keyspace deployment.
@@ -526,11 +530,13 @@ fn main() {
         let blessed_events = field_f64(&blessed_text, "total_events").expect("blessed events");
         if (current.total_events as f64 - blessed_events).abs() > 0.5 {
             eprintln!(
-                "perf_gate: WARNING: kernel event count changed \
+                "perf_gate: FAIL: kernel event count changed \
                  ({} now vs {blessed_events:.0} blessed) — virtual-time behaviour \
-                 differs from the blessed run; re-bless after an intentional change",
+                 differs from the blessed run",
                 current.total_events
             );
+            eprintln!("(re-run with --bless after an intentional change)");
+            exit(1);
         }
         let (blessed_queue, current_queue) =
             (queue_counters(&blessed_text), queue_counters(&current_text));
@@ -543,20 +549,24 @@ fn main() {
             eprintln!("(re-run with --bless after an intentional change)");
             exit(1);
         }
+        println!(
+            "perf_gate: {} kernel events and the per-class queue counters equal the blessed ones",
+            current.total_events
+        );
         if current.total_wall_s > blessed_wall * REGRESSION_TOLERANCE {
             eprintln!(
-                "perf_gate: FAIL: wall-clock regressed {:.1}% over the blessed reference \
-                 ({:.3}s now vs {blessed_wall:.3}s blessed, tolerance {:.0}%)",
+                "perf_gate: WARNING: wall-clock regressed {:.1}% over the blessed reference \
+                 ({:.3}s now vs {blessed_wall:.3}s blessed, tolerance {:.0}%) — not a \
+                 failure: seconds are noise on a shared host, measure with benchmark/",
                 (current.total_wall_s / blessed_wall - 1.0) * 100.0,
                 current.total_wall_s,
                 (REGRESSION_TOLERANCE - 1.0) * 100.0
             );
-            eprintln!("(re-run with --bless after an intentional change, or set SKIP_PERF_GATE=1)");
-            exit(1);
+        } else {
+            println!(
+                "perf_gate: wall-clock within tolerance ({:.3}s vs blessed {blessed_wall:.3}s)",
+                current.total_wall_s
+            );
         }
-        println!(
-            "perf_gate: within tolerance ({:.3}s vs blessed {blessed_wall:.3}s)",
-            current.total_wall_s
-        );
     }
 }

@@ -420,8 +420,15 @@ impl Cluster {
             total.resubmissions += s.resubmissions;
             total.catchup_installs += s.catchup_installs;
             total.catchup_records_decoded += s.catchup_records_decoded;
-            total.deferred_read_retries += s.deferred_read_retries;
+            total.reads_parked += s.reads_parked;
+            total.parked_read_checks += s.parked_read_checks;
         }
         total
+    }
+
+    /// Reads still parked at some replica (0 once a run has gone idle).
+    pub fn parked_reads(&self) -> usize {
+        let sites = self.placement().all_sites();
+        sites.map(|s| self.replica(s).parked_reads()).sum()
     }
 }

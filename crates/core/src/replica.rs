@@ -135,9 +135,11 @@ pub struct ReplicaStats {
     /// Log records this replica decoded to serve catch-up pages to peers:
     /// the host cost of state transfer, linear in the records shipped.
     pub catchup_records_decoded: u64,
-    /// Times a read was parked, or parked again, on the 500 µs poll timer:
-    /// behind the visibility frontier, or for the length of a recovery.
-    pub deferred_read_retries: u64,
+    /// Reads that could not be served on arrival (behind the visibility
+    /// frontier, or during a recovery), each counted once however long.
+    pub reads_parked: u64,
+    /// Times a parked read was taken up again, woken by what it waited for.
+    pub parked_read_checks: u64,
 }
 
 /// Execution-phase state of a transaction at its coordinator.
@@ -197,13 +199,27 @@ struct VoteState {
 }
 
 /// A read parked until the local visibility frontier catches up with the
-/// snapshot that requested it.
+/// snapshot that requested it, or until a recovery completes.
 #[derive(Debug)]
 enum DeferredRead {
     /// A remote `ReadReq` (requester, transaction, key, snapshot).
     Remote(ProcessId, TxId, Key, Snapshot),
     /// A local read at the coordinator (transaction, key, update value).
     Local(TxId, Key, Option<Value>),
+}
+
+/// Reads that could not be served on arrival, held by the event each one
+/// waits for (Algorithm 1, lines 13–14: the read *waits*; nothing polls).
+#[derive(Debug, Default)]
+struct ParkedReads {
+    /// Refused while `recovering()`, in arrival order; `finish_catchup`
+    /// wakes them all.
+    recovery: Vec<DeferredRead>,
+    /// Refused behind the visibility frontier: (partition, wait bound) →
+    /// the reads woken when `knowledge[partition]` reaches the bound.
+    frontier: BTreeMap<(usize, u64), Vec<DeferredRead>>,
+    /// Woken by the running handler, which serves them before it returns.
+    woken: Vec<DeferredRead>,
 }
 
 /// The replica actor.
@@ -239,9 +255,8 @@ pub struct Replica {
     /// transaction (a coordinator can abort on the first negative vote
     /// before slower replicas deliver the payload).
     early_decide: BTreeMap<TxId, (bool, Vec<(u32, u64)>)>,
-    /// Reads deferred until the local frontier reaches the snapshot's
-    /// wait bound: timer tag → the read to re-serve.
-    deferred_reads: BTreeMap<u64, DeferredRead>,
+    /// Reads waiting for a frontier advance or for `recovery.complete`.
+    parked: ParkedReads,
     /// Participations already terminated here; late votes and duplicate
     /// decisions for them are dropped.
     done: TerminatedSet,
@@ -374,7 +389,7 @@ impl Replica {
             knowledge: VersionVec::zero(dim.max(partitions)),
             reserved: VersionVec::zero(dim.max(partitions)),
             resolved_ahead: BTreeMap::new(),
-            deferred_reads: BTreeMap::new(),
+            parked: ParkedReads::default(),
             meta: BTreeMap::new(),
             gc,
             coord: BTreeMap::new(),
@@ -632,7 +647,8 @@ impl Replica {
             if self.recovering()
                 || (self.vote_clocked() && t.snapshot.wait_bound(p) > self.knowledge.get(p))
             {
-                self.park_read(ctx, DeferredRead::Local(tx, key, update));
+                let bound = t.snapshot.wait_bound(p);
+                self.park_read(p, bound, DeferredRead::Local(tx, key, update));
                 return;
             }
             let mut snap = std::mem::replace(
@@ -714,18 +730,16 @@ impl Replica {
         }
     }
 
-    /// Read-failover timer: if the read is still pending, suspect the
-    /// unresponsive replica and re-iterate the request to another one.
+    /// Timer entry point wired into the actor.
     pub fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
-        if let Some(d) = self.deferred_reads.remove(&tag) {
-            match d {
-                DeferredRead::Remote(from, tx, key, snap) => {
-                    self.serve_remote_read(ctx, from, tx, key, snap);
-                }
-                DeferredRead::Local(tx, key, update) => self.start_read(ctx, tx, key, update),
-            }
-            return;
-        }
+        self.fire_timer(ctx, tag);
+        self.serve_woken_reads(ctx);
+    }
+
+    /// Catch-up, termination-retry and vote-timeout timers; otherwise the
+    /// read-failover timer: if the read is still pending, suspect the
+    /// unresponsive replica and re-iterate the request to another one.
+    fn fire_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
         if let Some(peer) = self.catchup_timers.remove(&tag) {
             self.retry_catchup(ctx, peer);
             return;
@@ -824,20 +838,51 @@ impl Replica {
         self.serve_remote_read(ctx, from, tx, key, snap);
     }
 
-    /// Parks `read` on the 500 µs poll timer; the fire re-serves it, which
-    /// parks it again while the replica is still behind.
-    fn park_read(&mut self, ctx: &mut Context<'_, Msg>, read: DeferredRead) {
-        let tag = self.next_timer_tag;
-        self.next_timer_tag += 1;
-        self.deferred_reads.insert(tag, read);
-        self.stats.deferred_read_retries += 1;
-        ctx.set_timer(SimDuration::from_micros(500), tag);
+    /// Parks `read` of partition `p` on what it waits for: the end of the
+    /// recovery, or `knowledge[p]` reaching the snapshot's wait `bound`.
+    fn park_read(&mut self, p: usize, bound: u64, read: DeferredRead) {
+        self.stats.reads_parked += 1;
+        if self.recovering() {
+            return self.parked.recovery.push(read);
+        }
+        let waiters = self.parked.frontier.entry((p, bound)).or_default();
+        waiters.push(read);
     }
 
-    /// Serves (or defers) a remote read. Under vote-time commit clocks a
+    /// Reads still parked (0 at idle once every recovery has completed and
+    /// every admitted install has landed).
+    pub fn parked_reads(&self) -> usize {
+        let behind: usize = self.parked.frontier.values().map(Vec::len).sum();
+        self.parked.recovery.len() + behind + self.parked.woken.len()
+    }
+
+    /// Serves the reads the running handler woke, so each reply leaves at
+    /// the service end of the handler that made it servable. A read still
+    /// held back by a second condition parks anew.
+    fn serve_woken_reads(&mut self, ctx: &mut Context<'_, Msg>) {
+        if self.parked.woken.is_empty() {
+            return;
+        }
+        let parked = self.stats.reads_parked;
+        for read in std::mem::take(&mut self.parked.woken) {
+            self.stats.parked_read_checks += 1;
+            match read {
+                DeferredRead::Remote(from, tx, key, snap) => {
+                    self.serve_remote_read(ctx, from, tx, key, snap);
+                }
+                DeferredRead::Local(tx, key, update) => self.start_read(ctx, tx, key, update),
+            }
+        }
+        // Only woken reads parked in the loop, and each was counted at its
+        // arrival already.
+        self.stats.reads_parked = parked;
+        debug_assert!(self.parked.woken.is_empty(), "serving a read woke one");
+    }
+
+    /// Serves (or parks) a remote read. Under vote-time commit clocks a
     /// replica whose visibility frontier lags the snapshot's wait bound may
     /// still be missing installs the snapshot already admits — serving now
-    /// would fracture atomic visibility, so the read polls until the
+    /// would fracture atomic visibility, so the read waits until the
     /// frontier catches up.
     fn serve_remote_read(
         &mut self,
@@ -850,7 +895,8 @@ impl Replica {
         let p = self.cfg.placement.partition_of(key).index();
         if self.recovering() || (self.vote_clocked() && snap.wait_bound(p) > self.knowledge.get(p))
         {
-            self.park_read(ctx, DeferredRead::Remote(from, tx, key, snap));
+            let bound = snap.wait_bound(p);
+            self.park_read(p, bound, DeferredRead::Remote(from, tx, key, snap));
             return;
         }
         let (value, seq, stamp) = self.choose_version(key, &mut snap);
@@ -1838,7 +1884,25 @@ impl Replica {
         if ahead.is_empty() {
             self.resolved_ahead.remove(&p);
         }
-        self.knowledge.set(p, frontier);
+        self.advance_frontier(p, frontier);
+    }
+
+    /// Moves partition `p`'s entry of the visibility frontier to `s` and
+    /// wakes the parked reads whose wait bound it reaches. Every write to
+    /// `knowledge` goes through here, except `on_restart`'s rebuild from
+    /// the log (which drops every waiter with the rest of the volatile
+    /// state): the frontier never moves backwards.
+    fn advance_frontier(&mut self, p: usize, s: u64) {
+        debug_assert!(
+            s >= self.knowledge.get(p),
+            "visibility frontier of partition {p} moved backwards"
+        );
+        self.knowledge.set(p, s);
+        let parked = &mut self.parked;
+        if !parked.frontier.is_empty() {
+            let reached = parked.frontier.extract_if((p, 0)..=(p, s), |_, _| true);
+            parked.woken.extend(reached.flat_map(|(_, reads)| reads));
+        }
     }
 
     fn resolve_reservations(&mut self, reserved: &[(u32, u64)]) {
@@ -1875,7 +1939,11 @@ impl Replica {
             }
             let s = match decided_clocks.iter().find(|(q, _)| *q as usize == p) {
                 Some((_, s)) if vote_clocked => *s,
-                _ => self.knowledge.bump(p),
+                _ => {
+                    let s = self.knowledge.get(p) + 1;
+                    self.advance_frontier(p, s);
+                    s
+                }
             };
             bumped.push((p, s));
         }
@@ -2051,7 +2119,7 @@ impl Replica {
                 ctx.consume(self.cfg.costs.per_message);
                 let p = partition as usize;
                 if self.knowledge.get(p) < seq {
-                    self.knowledge.set(p, seq);
+                    self.advance_frontier(p, seq);
                 }
             }
             Msg::CatchupReq {
@@ -2066,6 +2134,7 @@ impl Replica {
                 frontier,
             } => self.on_catchup_rep(ctx, from, installs, decisions, next, frontier),
         }
+        self.serve_woken_reads(ctx);
     }
 
     // ------------------------------------------------------------------
@@ -2095,6 +2164,9 @@ impl Replica {
     /// rebuilt terminations waits for `finish_catchup`, so the self-
     /// delivered vote certifies against a current store.
     pub fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
+        // A parked read is a request in progress: like the mailbox, it
+        // died with the crash, with or without a log.
+        self.parked = ParkedReads::default();
         let Some(wal) = self.wal.take() else {
             // No persistence attached: the legacy state-retained restart
             // (tests/failures.rs) keeps the pre-crash in-memory state.
@@ -2109,7 +2181,6 @@ impl Replica {
         self.votes.clear();
         self.certifier.clear();
         self.early_decide.clear();
-        self.deferred_reads.clear();
         self.read_timers.clear();
         self.term_timers.clear();
         self.vote_timers.clear();
@@ -2244,6 +2315,7 @@ impl Replica {
             );
         }
         self.start_catchup(ctx);
+        self.serve_woken_reads(ctx);
     }
 
     /// Starts the peer state transfer: one request stream per peer, each
@@ -2583,7 +2655,7 @@ impl Replica {
                 for (p, s) in frontier {
                     let p = p as usize;
                     if p < self.knowledge.dim() && self.knowledge.get(p) < s {
-                        self.knowledge.set(p, s);
+                        self.advance_frontier(p, s);
                     }
                     if p < self.reserved.dim() && self.reserved.get(p) < s {
                         self.reserved.set(p, s);
@@ -2598,7 +2670,8 @@ impl Replica {
 
     /// Catch-up complete: resume §5.3 retransmission for the rebuilt
     /// mid-commit transactions, cast the votes parked during the transfer,
-    /// and drain the termination queue.
+    /// drain the termination queue, and wake the reads that arrived
+    /// meanwhile, in arrival order.
     fn finish_catchup(&mut self, ctx: &mut Context<'_, Msg>) {
         let Some(cu) = self.catchup.take() else {
             return;
@@ -2648,6 +2721,7 @@ impl Replica {
         }
         self.cast_deferred_votes(ctx);
         self.process_queue(ctx);
+        self.parked.woken.append(&mut self.parked.recovery);
     }
 
     /// Votes parked while recovering, cast now against the caught-up
@@ -2697,3 +2771,6 @@ impl Replica {
         SiteId(idx as u16)
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -254,9 +254,14 @@ pub struct ChaosReport {
     pub wal_records: Vec<u64>,
     /// Completed catch-up transfers (`recovery.complete` trace events).
     pub recovery_completes: u64,
-    /// Reads parked (or re-parked) on the 500 µs poll timer, summed over
+    /// Reads that could not be served on arrival (behind the visibility
+    /// frontier, or during a recovery), each counted once, summed over
     /// replicas.
-    pub deferred_read_retries: u64,
+    pub reads_parked: u64,
+    /// Times a parked read was taken up again, summed over replicas.
+    pub parked_read_checks: u64,
+    /// Reads still parked when the run went idle, summed over replicas.
+    pub parked_at_idle: u64,
     /// True if every partition's replicas ended with identical stores.
     pub converged: bool,
     /// First history violation, if the criterion check failed.
@@ -459,7 +464,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
             })
             .collect(),
         recovery_completes: count_label(&events, labels::RECOVERY_COMPLETE),
-        deferred_read_retries: stats.deferred_read_retries,
+        reads_parked: stats.reads_parked,
+        parked_read_checks: stats.parked_read_checks,
+        parked_at_idle: cluster.parked_reads() as u64,
         converged,
         violation,
     };

@@ -114,35 +114,3 @@ fn si_family_prevents_lost_updates_under_heavy_contention() {
         );
     }
 }
-
-/// Known failing configuration (benchmark/README.md (a)): S-DUR past its
-/// knee on the paper keyspace — the SER check fails with "serialization
-/// cycle through 6 txns"; 16, 64 and 128 clients/site pass.
-#[test]
-#[ignore = "known failure: S-DUR, zipfian, 256 clients/site, seed 11 violates SER"]
-fn s_dur_zipfian_256_clients_per_site_is_serializable() {
-    let sites = 4;
-    let clients_per_site = 256;
-    let mut cfg = ClusterConfig::small(gdur_protocols::s_dur(), sites);
-    cfg.keys_per_partition = 100_000;
-    cfg.value_size = 1024;
-    cfg.clients_per_site = clients_per_site;
-    cfg.max_txns_per_client = None;
-    // The benchmark's (and the harness's) per-point seed formula.
-    cfg.seed = 11 ^ (clients_per_site as u64) << 32;
-    let total_keys = cfg.keys_per_partition * sites as u64;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::c(total_keys),
-            total_keys,
-            sites as u64,
-            site.0 as u64 % sites as u64,
-            0.9,
-        ))
-    });
-    cluster.run_for(gdur_sim::SimDuration::from_secs(5));
-    let history = History::from_cluster(&cluster);
-    if let Err(v) = Criterion::Ser.check(&history) {
-        panic!("S-DUR violated SER: {v}");
-    }
-}

@@ -1,0 +1,108 @@
+//! Parked reads wake on the event they wait for (Algorithm 1, lines 13–14).
+//! A read that cannot be served on arrival — the replica is catching up
+//! after a restart, or its visibility frontier lags the snapshot — waits
+//! on that condition and is taken up again when it changes, not on a
+//! timer: `ReplicaStats::reads_parked` counts the reads,
+//! `parked_read_checks` the times one was looked at again, and at idle
+//! nothing is left parked.
+
+use gdur_consistency::{CriterionCheck, History};
+use gdur_core::{Cluster, ClusterConfig};
+use gdur_harness::{
+    build_point, run_chaos, ChaosConfig, Experiment, FaultSchedule, PlacementKind, Scale,
+    WorkloadKind,
+};
+use gdur_sim::SimDuration;
+use gdur_store::Placement;
+use gdur_workload::YcsbSource;
+
+/// Reads that reach site 1 during its catch-up wait for
+/// `recovery.complete` and are each looked at exactly once more, however
+/// long the transfer takes.
+#[test]
+fn a_recovery_wakes_its_parked_reads_once() {
+    for (crash_ms, restart_ms) in [(350, 900), (1000, 4000)] {
+        let schedule = FaultSchedule::new()
+            .crash(1, crash_ms)
+            .restart(1, restart_ms);
+        // Enough closed-loop load that reads reach site 1 during its
+        // catch-up (at the CI default of 2 clients the transfer ends
+        // before one does).
+        let mut cfg = ChaosConfig::new(gdur_protocols::p_store_2pc(), schedule);
+        cfg.clients_per_site = 32;
+        cfg.txns_per_client = 200;
+        let (report, _events) = run_chaos(&cfg);
+        assert!(report.ok(), "{}", report.golden_line());
+        assert_eq!(report.recovery_completes, 1);
+        assert!(
+            report.reads_parked > 0,
+            "no read was parked while site 1 caught up"
+        );
+        assert_eq!(
+            report.parked_read_checks, report.reads_parked,
+            "a parked read was looked at more (or less) than once"
+        );
+        assert_eq!(report.parked_at_idle, 0);
+    }
+}
+
+#[test]
+fn a_fault_free_p_store_run_never_parks_a_read() {
+    let exp = Experiment::new(
+        gdur_protocols::p_store(),
+        WorkloadKind::A,
+        0.5,
+        3,
+        PlacementKind::Dp,
+    );
+    let mut cluster = build_point(&exp, &Scale::quick(), 4);
+    cluster.run_for(SimDuration::from_millis(500));
+    let stats = cluster.replica_stats();
+    assert!(stats.committed > 0);
+    assert_eq!(stats.reads_parked, 0);
+}
+
+/// The frontier-lag path: under vote-time commit clocks a GMU replica can
+/// be asked for a partition whose frontier is still below what the
+/// snapshot already admits (the sibling install is in flight). The read
+/// waits for that frontier advance and is served in the handler that makes
+/// it. The load is the `Scale::quick()` point of GMU / workload B / 70 %
+/// read-only / 4 sites DT at 128 clients per site, bounded so it drains.
+#[test]
+fn a_read_behind_the_frontier_waits_for_the_advance() {
+    let sites = 4;
+    let clients_per_site = 128;
+    let spec = gdur_protocols::gmu();
+    let criterion = spec.criterion;
+    let mut cfg = ClusterConfig::small(spec, sites);
+    cfg.placement = Placement::disaster_tolerant(sites);
+    cfg.keys_per_partition = 2_000;
+    cfg.value_size = 128;
+    cfg.clients_per_site = clients_per_site;
+    cfg.max_txns_per_client = Some(20);
+    cfg.seed = 1 ^ (clients_per_site as u64) << 32;
+    let partitions = cfg.placement.partitions() as u64;
+    let total_keys = cfg.keys_per_partition * partitions;
+    let mut cluster = Cluster::build(cfg, move |_, site| {
+        Box::new(YcsbSource::new(
+            WorkloadKind::B.spec(total_keys),
+            total_keys,
+            partitions,
+            site.0 as u64 % partitions,
+            0.7,
+        ))
+    });
+    cluster.run_until_idle();
+    assert_eq!(cluster.records().len(), sites * clients_per_site * 20);
+    let stats = cluster.replica_stats();
+    assert!(
+        stats.reads_parked >= 1,
+        "no read arrived behind the frontier"
+    );
+    assert!(stats.parked_read_checks >= stats.reads_parked);
+    assert_eq!(cluster.parked_reads(), 0);
+    let history = History::from_cluster(&cluster);
+    if let Err(v) = criterion.check(&history) {
+        panic!("GMU violated {criterion:?}: {v}");
+    }
+}

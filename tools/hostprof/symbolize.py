@@ -6,9 +6,12 @@ usage: symbolize.py [--top N] hostprof.out...    (N defaults to 25)
 A sample counts as *self* time of the function holding its instruction
 pointer and as *inclusive* time of every distinct function on its frame
 chain. Functions are the symbols `nm` finds, so inlined code is charged to
-the function it was inlined into, which is where the CPU ran it; code in a
-stripped object (libc) is charged to the object, `[libc.so.6]`. Several
-files — repetitions of one run — are added up.
+the function it was inlined into, which is where the CPU ran it. An object
+stripped of its static symbol table (libc) still exports a dynamic one
+(`nm -D`): its code is charged to the nearest exported symbol below the
+address, printed `[libc.so.6]~malloc` — a region, not a function, since the
+static functions in between carry no name. Several files — repetitions of
+one run — are added up.
 """
 import bisect, collections, functools, os, re, subprocess, sys
 
@@ -18,10 +21,16 @@ paths = [a for a in args if a != "--top"]
 
 @functools.lru_cache(maxsize=None)
 def symbols(obj):
-    out = subprocess.run(["nm", "-C", "-n", obj], capture_output=True, text=True).stdout
-    syms = [l.split(None, 2) for l in out.splitlines()]
-    syms = [(int(s[0], 16), s[2]) for s in syms if len(s) == 3 and s[1] in "tTwW"]
-    return [a for a, _ in syms], [re.sub(r"::h[0-9a-f]{16}$", "", n) for _, n in syms]
+    # The static table; for a stripped object the dynamic one, whose names
+    # carry a version suffix and whose `i` entries are ifunc resolvers.
+    for table, label in (([], "{}"), (["-D"], f"[{os.path.basename(obj)}]~{{}}")):
+        out = subprocess.run(["nm", "-C", "-n", *table, obj], capture_output=True, text=True).stdout
+        syms = [l.split(None, 2) for l in out.splitlines()]
+        syms = [(int(s[0], 16), s[2]) for s in syms if len(s) == 3 and s[1] in "tTwWi"]
+        if syms:
+            break
+    names = [re.sub(r"::h[0-9a-f]{16}$|@.*$", "", n) for _, n in syms]
+    return [a for a, _ in syms], [label.format(n) for n in names]
 
 self_n, incl_n, total = collections.Counter(), collections.Counter(), 0
 for path in paths:
