@@ -8,20 +8,15 @@
 #   ./ci.sh          the full gate: fast tier + release build/tests, then
 #                    the smoke gates (detlint --dynamic, obs_smoke,
 #                    chaos_smoke, mc_smoke, trace_smoke, mega_smoke,
-#                    par_smoke, bench_selfcheck, perf_gate) run
+#                    bench_selfcheck, perf_gate) run
 #                    *concurrently* against the release binaries, with
 #                    per-gate logs replayed in a fixed order once all of
 #                    them finish
 #
 # The 10⁵/10⁶-clients-per-site scale points stay out of CI; run them with
-# `cargo run --release -p gdur-bench --bin perf_gate -- --mega`. The
-# parallel-kernel thread sweep is likewise on demand:
-# `cargo run --release -p gdur-bench --bin perf_gate -- --par`.
+# `cargo run --release -p gdur-bench --bin perf_gate -- --mega`.
 #
-# Each step reports its wall-clock seconds. SKIP_PERF_GATE=1 still skips
-# the perf_gate leg, which no longer needs it (see the leg's comment).
-# GDUR_KERNEL_THREADS sets the worker count the byte-identity gates
-# (par_smoke, detlint --dynamic) cross-check against sequential (default 4).
+# Each step reports its wall-clock seconds.
 set -eu
 
 cd "$(dirname "$0")"
@@ -98,28 +93,20 @@ bench_selfcheck() {
         (cd benchmark && cargo test --release --offline)
 }
 
-GATES="detlint obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke par_smoke bench_selfcheck"
+GATES="detlint obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke bench_selfcheck perf_gate"
 spawn_gate detlint ./target/release/detlint --dynamic
 spawn_gate obs_smoke ./target/release/obs_smoke
 spawn_gate chaos_smoke ./target/release/chaos_smoke
 spawn_gate mc_smoke ./target/release/mc_smoke
 spawn_gate trace_smoke ./target/release/trace_smoke
 spawn_gate mega_smoke ./target/release/mega_smoke
-spawn_gate par_smoke ./target/release/par_smoke
 spawn_gate bench_selfcheck bench_selfcheck
 
 # Perf gate against the blessed reference in BENCH_sim.json: the kernel
 # event count, the per-class queue counters and the paper-keyspace RSS
 # budget must hold exactly (deterministic, so sharing the host with the
 # other gates is fine); wall-clock is reported and at worst warned about.
-# SKIP_PERF_GATE is no longer needed to keep this leg green on a loaded
-# host; it is kept for `perf_gate --par`, whose meaning it still has.
-if [ "${SKIP_PERF_GATE:-0}" = "1" ]; then
-    echo "==> perf_gate: skipped (SKIP_PERF_GATE=1)"
-else
-    GATES="$GATES perf_gate"
-    spawn_gate perf_gate ./target/release/perf_gate --check
-fi
+spawn_gate perf_gate ./target/release/perf_gate --check
 
 echo "==> smoke gates (running ${GATES} concurrently) …"
 wait

@@ -57,19 +57,6 @@ fn main() {
                 failed = true;
             }
         }
-        let threads: usize = std::env::var("GDUR_KERNEL_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 1)
-            .unwrap_or(4);
-        println!("detlint: cross-checking the sequential vs {threads}-thread kernel …");
-        match gdur_analysis::par_same_seed_check(threads, 7) {
-            Ok(()) => println!("detlint: {threads}-thread kernel byte-identical to sequential"),
-            Err(e) => {
-                println!("detlint: DETERMINISM VIOLATION: {e}");
-                failed = true;
-            }
-        }
     }
 
     std::process::exit(if failed { 1 } else { 0 });

@@ -17,10 +17,9 @@
 //! * **`WALL-CLOCK`** — `SystemTime::now()` / `Instant::now()` read the
 //!   host clock; simulated code must use the virtual clock (`SimTime`).
 //! * **`THREAD`** — `thread::spawn` / `thread::scope` introduce host
-//!   scheduling into the run. The only sanctioned uses are the kernel's
-//!   own lookahead-sharded workers (whose merge step restores the exact
-//!   sequential order) and harness code that runs *whole simulations* in
-//!   parallel; anything else must justify itself in `detlint.allow`.
+//!   scheduling into the run. The only sanctioned use is harness code
+//!   that runs *whole simulations* in parallel; anything else must
+//!   justify itself in `detlint.allow`.
 //!
 //! The scan is line-based and deliberately simple: false positives are
 //! silenced through the `detlint.allow` file at the workspace root, never

@@ -30,7 +30,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use gdur_core::{Cluster, ClusterConfig, CostModel, ProtocolSpec};
+use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
 use gdur_harness::check_invariants;
 use gdur_obs::TraceHandle;
 use gdur_sim::{Candidate, CandidateKind, ObsEvent, Scheduler, SimDuration, SimTime};
@@ -119,28 +119,13 @@ fn build_cluster(cfg: &McConfig) -> Cluster {
     let partitions = placement.partitions() as u64;
     let total_keys = cfg.keys_per_partition * partitions;
     let ccfg = ClusterConfig {
-        spec: cfg.spec.clone(),
-        placement,
         keys_per_partition: cfg.keys_per_partition,
         value_size: 64,
         clients_per_site: cfg.clients_per_site,
         max_txns_per_client: Some(cfg.txns_per_client),
-        costs: CostModel::default(),
-        cores_per_replica: 4,
-        record_history: true,
-        persistence: false,
-        vote_timeout: None,
-        max_read_attempts: None,
-        client_op_timeout: None,
-        client_pooling: false,
-        client_think_time: None,
-        record_txn_metrics: true,
         seed: cfg.seed,
-        // Model checking explores one arrival reordering at a time; the
-        // scheduler hook forces the sequential kernel regardless.
-        kernel_threads: 1,
-        jitter: None,
         bug_unreserved_commit_clocks: cfg.reintroduce_psi_bug,
+        ..ClusterConfig::new(cfg.spec.clone(), placement)
     };
     Cluster::build(ccfg, move |_idx, site| {
         Box::new(YcsbSource::new(

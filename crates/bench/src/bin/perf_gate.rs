@@ -36,17 +36,8 @@
 //! It is informational — no regression gate — and deliberately not part of
 //! ci.sh: the bounded 10⁴ rung runs there as `mega_smoke`.
 //!
-//! `--par` sweeps the lookahead-sharded kernel over 1/2/4/8 worker threads
-//! on jitter-free variants of the standard and mega workloads, demands the
-//! kernel event counts stay identical across thread counts (the sharding
-//! must be invisible), and writes `BENCH_par.json` with the host's CPU
-//! count. The ≥1.5x speedup expectation at 4 threads on the mega workload
-//! is enforced only on hosts with ≥4 CPUs (and `SKIP_PERF_GATE` unset):
-//! wall-clock parallel speedup is a property of the host, not the code,
-//! and a 1-core runner can only verify the identity half of the contract.
-//!
 //! Usage: `cargo run --release -p gdur-bench --bin perf_gate
-//! [--check] [--bless] [--capture-baseline] [--mega] [--par]`
+//! [--check] [--bless] [--capture-baseline] [--mega]`
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -80,8 +71,6 @@ fn perf_scale() -> Scale {
         cores: 4,
         seed: 11,
         client_pooling: false,
-        kernel_threads: 1,
-        jitter: None,
     }
 }
 
@@ -347,124 +336,6 @@ fn run_mega_sweep() {
     println!("perf_gate --mega: written to {}", path.display());
 }
 
-/// One `--par` measurement row: both workloads at one thread count.
-struct ParRow {
-    threads: usize,
-    std_wall_s: f64,
-    std_events: u64,
-    mega_wall_s: f64,
-    mega_events: u64,
-}
-
-/// The `--par` mode: the parallel-kernel sweep. Jitter is pinned to 0 so
-/// delays are a pure function of `(from, to, bytes)` and the conservative
-/// lookahead horizon (the minimum inter-site latency) exists; the client
-/// sweep collapses to its largest rung to keep the matrix bounded.
-fn run_par_sweep() {
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    const STD_CLIENTS: usize = 192;
-    const MEGA_CLIENTS: usize = 10_000;
-    let exp = perf_experiment();
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut rows: Vec<ParRow> = Vec::new();
-    for &threads in &THREADS {
-        let mut scale = perf_scale();
-        scale.client_sweep = vec![STD_CLIENTS];
-        scale.kernel_threads = threads;
-        scale.jitter = Some(0.0);
-        let start = Instant::now();
-        let (_, stats, _) = run_point_events(&exp, &scale, STD_CLIENTS);
-        let std_wall_s = start.elapsed().as_secs_f64();
-        let std_events = stats.events_processed;
-
-        let mut cfg = MegaConfig::standard(MEGA_CLIENTS, 11);
-        cfg.kernel_threads = threads;
-        cfg.jitter = Some(0.0);
-        let start = Instant::now();
-        let r = run_mega_point(&exp, &cfg);
-        let mega_wall_s = start.elapsed().as_secs_f64();
-
-        println!(
-            "perf_gate --par: {threads} thread(s): standard {std_events} events in {std_wall_s:.3}s | mega {} events in {mega_wall_s:.3}s",
-            r.events
-        );
-        rows.push(ParRow {
-            threads,
-            std_wall_s,
-            std_events,
-            mega_wall_s,
-            mega_events: r.events,
-        });
-    }
-
-    // The identity half of the contract: sharding must not change what the
-    // kernel *does*, only how fast the host gets through it.
-    let base = &rows[0];
-    for row in &rows[1..] {
-        assert_eq!(
-            row.std_events, base.std_events,
-            "standard workload event count changed at {} threads",
-            row.threads
-        );
-        assert_eq!(
-            row.mega_events, base.mega_events,
-            "mega workload event count changed at {} threads",
-            row.threads
-        );
-    }
-
-    let speedup_at = |threads: usize, f: fn(&ParRow) -> f64| {
-        rows.iter()
-            .find(|r| r.threads == threads)
-            .map(|r| f(base) / f(r))
-            .unwrap_or(1.0)
-    };
-    let std_speedup_4 = speedup_at(4, |r| r.std_wall_s);
-    let mega_speedup_4 = speedup_at(4, |r| r.mega_wall_s);
-
-    let mut sections = Vec::new();
-    for r in &rows {
-        sections.push(format!(
-            "    {{\"threads\": {}, \"standard\": {{\"events\": {}, \"wall_s\": {:.6}, \"events_per_sec\": {:.1}}}, \"mega\": {{\"events\": {}, \"wall_s\": {:.6}, \"events_per_sec\": {:.1}}}}}",
-            r.threads,
-            r.std_events,
-            r.std_wall_s,
-            r.std_events as f64 / r.std_wall_s,
-            r.mega_events,
-            r.mega_wall_s,
-            r.mega_events as f64 / r.mega_wall_s,
-        ));
-    }
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_par.json");
-    let file = format!(
-        "{{\n  \"schema\": \"gdur-par-sweep-v1\",\n  \"bench\": \"p_store / workload C / 3 sites DP / jitter 0 / standard {STD_CLIENTS} clients-per-site + mega {MEGA_CLIENTS} pooled clients-per-site\",\n  \"host_cpus\": {host_cpus},\n  \"points\": [\n{}\n  ],\n  \"standard_speedup_4_threads\": {std_speedup_4:.3},\n  \"mega_speedup_4_threads\": {mega_speedup_4:.3}\n}}\n",
-        sections.join(",\n")
-    );
-    std::fs::write(&path, &file).expect("write BENCH_par.json");
-    println!(
-        "perf_gate --par: event counts identical across 1/2/4/8 threads; 4-thread speedup {std_speedup_4:.2}x standard, {mega_speedup_4:.2}x mega on a {host_cpus}-CPU host (written to {})",
-        path.display()
-    );
-
-    let skip = std::env::var_os("SKIP_PERF_GATE").is_some();
-    if host_cpus < 4 {
-        println!(
-            "perf_gate --par: host has {host_cpus} CPU(s) — the ≥1.5x speedup expectation needs ≥4; identity checks passed, speedup not enforced"
-        );
-    } else if skip {
-        println!("perf_gate --par: SKIP_PERF_GATE set — speedup expectation not enforced");
-    } else if mega_speedup_4 < 1.5 {
-        eprintln!(
-            "perf_gate --par: FAIL: 4-thread mega speedup {mega_speedup_4:.2}x              below the 1.5x expectation on a {host_cpus}-CPU host"
-        );
-        exit(1);
-    } else {
-        println!("perf_gate --par: 4-thread mega speedup {mega_speedup_4:.2}x ≥ 1.5x");
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
@@ -473,10 +344,6 @@ fn main() {
 
     if args.iter().any(|a| a == "--mega") {
         run_mega_sweep();
-        return;
-    }
-    if args.iter().any(|a| a == "--par") {
-        run_par_sweep();
         return;
     }
 

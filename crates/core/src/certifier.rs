@@ -92,6 +92,7 @@ impl Certifier {
     }
 
     /// The queued transactions, in delivery order.
+    #[cfg(test)]
     pub(crate) fn queued(&self) -> impl Iterator<Item = TxId> + '_ {
         self.slots.iter().map(|s| s.tx)
     }

@@ -68,17 +68,13 @@ pub struct ClusterConfig {
     pub record_txn_metrics: bool,
     /// RNG seed for the whole deployment.
     pub seed: u64,
-    /// Worker-thread budget for the simulation kernel. 1 (the default)
-    /// keeps the historical sequential dispatch loop; `n > 1` opts into
-    /// the sharded conservative-PDES driver (one shard per site, modulo
-    /// the budget), which requires a jitter-free network
-    /// ([`ClusterConfig::jitter`]` = Some(0.0)`) and at least two sites.
-    /// Same-seed runs are byte-identical at any thread count.
+    /// Vestigial: must be 1. It selected the parallel kernel, which PR 19
+    /// removed (DESIGN.md §3.11); the field outlives it only because
+    /// `benchmark/` spells it in a full literal, and goes with that line.
     pub kernel_threads: usize,
     /// Override for the topology's multiplicative latency jitter. `None`
     /// keeps the Grid'5000 default (5%); `Some(0.0)` makes every delay a
-    /// pure function of endpoints and size, as the parallel kernel
-    /// requires.
+    /// pure function of endpoints and size.
     pub jitter: Option<f64>,
     /// **Model-checker regression knob — never set in real runs.** Plumbed
     /// to [`ReplicaConfig::bug_unreserved_commit_clocks`]: re-introduces
@@ -89,16 +85,18 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A small, fast configuration for tests and examples: `sites` sites in
-    /// disaster-prone placement, 1000 keys per partition, 64-byte values.
-    pub fn small(spec: ProtocolSpec, sites: usize) -> Self {
+    /// The base every configuration is written over: the paper's set-up
+    /// (§8.1: 10⁵ 1 KB objects per partition, 4-core replicas, unbounded
+    /// back-to-back clients, one per site) with history and per-transaction
+    /// records on and every fault-tolerance knob off.
+    pub fn new(spec: ProtocolSpec, placement: Placement) -> Self {
         ClusterConfig {
             spec,
-            placement: Placement::disaster_prone(sites),
-            keys_per_partition: 1000,
-            value_size: 64,
+            placement,
+            keys_per_partition: 100_000,
+            value_size: 1024,
             clients_per_site: 1,
-            max_txns_per_client: Some(20),
+            max_txns_per_client: None,
             costs: CostModel::default(),
             cores_per_replica: 4,
             record_history: true,
@@ -113,6 +111,18 @@ impl ClusterConfig {
             kernel_threads: 1,
             jitter: None,
             bug_unreserved_commit_clocks: false,
+        }
+    }
+
+    /// A small, fast configuration for tests and examples: `sites` sites in
+    /// disaster-prone placement, 1000 keys per partition, 64-byte values,
+    /// 20 transactions per client.
+    pub fn small(spec: ProtocolSpec, sites: usize) -> Self {
+        ClusterConfig {
+            keys_per_partition: 1000,
+            value_size: 64,
+            max_txns_per_client: Some(20),
+            ..Self::new(spec, Placement::disaster_prone(sites))
         }
     }
 }
@@ -134,6 +144,10 @@ impl Cluster {
         cfg: ClusterConfig,
         mut make_source: impl FnMut(usize, SiteId) -> Box<dyn TxSource + Send>,
     ) -> Cluster {
+        assert_eq!(
+            cfg.kernel_threads, 1,
+            "the parallel kernel was removed in PR 19 (DESIGN.md §3.11): kernel_threads must be 1"
+        );
         let sites = cfg.placement.sites();
         assert!(sites >= 1, "need at least one site");
         assert!(
@@ -161,17 +175,6 @@ impl Cluster {
         let mut topo = Topology::grid5000(sites);
         if let Some(j) = cfg.jitter {
             topo = topo.with_jitter(j);
-        }
-        if cfg.kernel_threads > 1 {
-            assert!(
-                topo.jitter() == 0.0,
-                "kernel_threads > 1 requires a jitter-free network: \
-                 set ClusterConfig::jitter = Some(0.0)"
-            );
-            assert!(
-                sites >= 2,
-                "kernel_threads > 1 requires at least two sites to shard by"
-            );
         }
         // Replicas first (pids 0..sites), then the client actors site by
         // site — one topology slot each.
@@ -257,16 +260,6 @@ impl Cluster {
                 }
                 client_pids.push(sim.spawn(Node::Pool(pool), Cores::Unlimited));
             }
-        }
-
-        if cfg.kernel_threads > 1 {
-            let lookahead = topo
-                .min_inter_site_latency()
-                .expect("at least two sites checked above");
-            let site_of: Vec<u16> = (0..sim.len())
-                .map(|i| topo.site_of(ProcessId(i as u32)).0)
-                .collect();
-            sim.enable_parallel(cfg.kernel_threads, site_of, lookahead);
         }
 
         Cluster {
@@ -430,5 +423,22 @@ impl Cluster {
     pub fn parked_reads(&self) -> usize {
         let sites = self.placement().all_sites();
         sites.map(|s| self.replica(s).parked_reads()).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replica::tests::walter_like;
+    use crate::ScriptSource;
+
+    #[test]
+    #[should_panic(expected = "the parallel kernel was removed")]
+    fn build_refuses_more_than_one_kernel_thread() {
+        let cfg = ClusterConfig {
+            kernel_threads: 2,
+            ..ClusterConfig::small(walter_like(), 2)
+        };
+        Cluster::build(cfg, |_, _| Box::new(ScriptSource::new(Vec::new())));
     }
 }

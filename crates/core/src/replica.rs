@@ -446,41 +446,6 @@ impl Replica {
         self.certifier.len()
     }
 
-    /// Debug view of coordinator state: (tx, certifying, yes-sites, any_no, decided).
-    pub fn coord_debug(&self) -> Vec<String> {
-        self.coord
-            .iter()
-            .map(|(tx, t)| {
-                let v = self.votes.get(tx);
-                format!(
-                    "{tx}: certifying={:?} yes={:?} no={:?} decided={:?} pending_read={:?} rs={:?} ws={:?}",
-                    t.certifying,
-                    v.map(|v| v.yes_sites.iter().map(|s| s.0).collect::<Vec<_>>()),
-                    v.map(|v| v.any_no),
-                    t.decided,
-                    t.pending_read.as_ref().map(|(k, _, _)| *k),
-                    t.rs.iter().map(|e| e.key).collect::<Vec<_>>(),
-                    t.ws.iter().map(|e| e.key).collect::<Vec<_>>(),
-                )
-            })
-            .collect()
-    }
-
-    /// Debug view of the termination queue: (tx, voted, outcome) per entry.
-    pub fn queue_debug(&self) -> Vec<(TxId, bool, Option<bool>)> {
-        self.certifier
-            .queued()
-            .map(|tx| {
-                let p = self.part.get(&tx);
-                (
-                    tx,
-                    p.map(|p| p.voted).unwrap_or(false),
-                    p.and_then(|p| p.outcome),
-                )
-            })
-            .collect()
-    }
-
     fn pid_of_site(&self, s: SiteId) -> ProcessId {
         self.cfg.replica_pids[s.index()]
     }
@@ -2773,4 +2738,4 @@ impl Replica {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

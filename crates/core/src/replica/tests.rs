@@ -5,7 +5,7 @@ use super::*;
 use crate::spec::{ChooseRule, PostCommitRule};
 use crate::{Cluster, ClusterConfig, Criterion, ScriptSource};
 
-fn walter_like() -> ProtocolSpec {
+pub(crate) fn walter_like() -> ProtocolSpec {
     ProtocolSpec {
         name: "walter-like",
         criterion: Criterion::Psi,

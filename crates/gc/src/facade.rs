@@ -142,11 +142,6 @@ impl<P: Clone> GroupComm<P> {
             }
         }
     }
-
-    /// Messages buffered by the multicast engine, not yet delivered.
-    pub fn skeen_pending(&self) -> usize {
-        self.skeen.pending_len()
-    }
 }
 
 /// Re-exported so protocol code can name in-flight multicast ids.

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use gdur_consistency::{CriterionCheck, History};
-use gdur_core::{Cluster, ClusterConfig, CostModel, ProtocolSpec, TxnRecord};
+use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
 use gdur_net::Topology;
 use gdur_obs::{Histogram, ObsEvent, PhaseBreakdown, TraceHandle};
 use gdur_sim::{ProcessId, SimDuration, SimTime};
@@ -112,11 +112,6 @@ pub struct Scale {
     /// One client actor per site instead of one per client (see
     /// `ClusterConfig::client_pooling`).
     pub client_pooling: bool,
-    /// Kernel worker threads (see `ClusterConfig::kernel_threads`).
-    /// More than 1 requires `jitter = Some(0.0)`.
-    pub kernel_threads: usize,
-    /// Topology jitter override (see `ClusterConfig::jitter`).
-    pub jitter: Option<f64>,
 }
 
 impl Scale {
@@ -131,8 +126,6 @@ impl Scale {
             cores: 4,
             seed: 1,
             client_pooling: false,
-            kernel_threads: 1,
-            jitter: None,
         }
     }
 
@@ -147,8 +140,6 @@ impl Scale {
             cores: 4,
             seed: 1,
             client_pooling: false,
-            kernel_threads: 1,
-            jitter: None,
         }
     }
 }
@@ -311,29 +302,17 @@ pub fn build_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> 
     let partitions = placement.partitions() as u64;
     let total_keys = scale.keys_per_partition * partitions;
     let wspec = exp.workload.spec(total_keys);
+    // History recording stays at the base's "on": every experiment's
+    // history is fed to the consistency oracle, so no reported number can
+    // come from a corrupt run.
     let cfg = ClusterConfig {
-        spec: exp.spec.clone(),
-        placement,
         keys_per_partition: scale.keys_per_partition,
         value_size: scale.value_size,
         clients_per_site,
-        max_txns_per_client: None,
-        costs: CostModel::default(),
         cores_per_replica: scale.cores,
-        // Always on: every experiment's history is fed to the consistency
-        // oracle, so no reported number can come from a corrupt run.
-        record_history: true,
-        persistence: false,
-        vote_timeout: None,
-        max_read_attempts: None,
-        client_op_timeout: None,
         client_pooling: scale.client_pooling,
-        client_think_time: None,
-        record_txn_metrics: true,
         seed: scale.seed ^ (clients_per_site as u64) << 32,
-        kernel_threads: scale.kernel_threads,
-        jitter: scale.jitter,
-        bug_unreserved_commit_clocks: false,
+        ..ClusterConfig::new(exp.spec.clone(), placement)
     };
     let ro = exp.read_only_ratio;
     let lq = exp.local_query_ratio;
@@ -442,11 +421,6 @@ pub struct MegaConfig {
     pub op_timeout: SimDuration,
     /// Deployment seed.
     pub seed: u64,
-    /// Kernel worker threads (see `ClusterConfig::kernel_threads`).
-    /// More than 1 requires `jitter = Some(0.0)`.
-    pub kernel_threads: usize,
-    /// Topology jitter override (see `ClusterConfig::jitter`).
-    pub jitter: Option<f64>,
 }
 
 impl MegaConfig {
@@ -470,8 +444,6 @@ impl MegaConfig {
             horizon: SimDuration::from_secs(4),
             op_timeout: SimDuration::from_secs(2),
             seed,
-            kernel_threads: 1,
-            jitter: None,
         }
     }
 }
@@ -509,30 +481,20 @@ pub fn run_mega_point(exp: &Experiment, cfg: &MegaConfig) -> MegaPointResult {
     let total_keys = cfg.keys_per_partition * partitions;
     let wspec = exp.workload.spec(total_keys);
     let ccfg = ClusterConfig {
-        spec: exp.spec.clone(),
-        placement,
         keys_per_partition: cfg.keys_per_partition,
         value_size: cfg.value_size,
         clients_per_site: cfg.clients_per_site,
-        max_txns_per_client: None,
-        costs: CostModel::default(),
-        cores_per_replica: 4,
         // The scale path trades the consistency oracle for bounded
         // memory: history grows with the transaction count, which at 10⁶
         // clients is exactly what must not be materialized. Correctness
         // is covered by the pool-equivalence tests at small scale.
         record_history: false,
-        persistence: false,
-        vote_timeout: None,
-        max_read_attempts: None,
         client_op_timeout: Some(cfg.op_timeout),
         client_pooling: true,
         client_think_time: Some(cfg.think_time),
         record_txn_metrics: false,
         seed: cfg.seed ^ (cfg.clients_per_site as u64) << 32,
-        kernel_threads: cfg.kernel_threads,
-        jitter: cfg.jitter,
-        bug_unreserved_commit_clocks: false,
+        ..ClusterConfig::new(exp.spec.clone(), placement)
     };
     let ro = exp.read_only_ratio;
     let lq = exp.local_query_ratio;
@@ -584,9 +546,4 @@ pub fn run_sweep(exp: &Experiment, scale: &Scale) -> Vec<PointResult> {
 /// Maximum committed throughput over a sweep (Figure 5's metric).
 pub fn max_throughput(points: &[PointResult]) -> f64 {
     points.iter().map(|p| p.throughput_tps).fold(0.0, f64::max)
-}
-
-/// Re-exported so binaries can build custom windows.
-pub fn window_of(cluster: &Cluster, warm_end: SimTime) -> SimDuration {
-    cluster.now() - warm_end
 }

@@ -13,7 +13,7 @@
 //! and `chaos_smoke` both rely on this).
 
 use gdur_consistency::{CriterionCheck, History};
-use gdur_core::{Cluster, ClusterConfig, CostModel, ProtocolSpec};
+use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
 use gdur_net::SiteId;
 use gdur_obs::{labels, ObsEvent, TraceHandle};
 use gdur_sim::{SimDuration, SimTime};
@@ -199,11 +199,6 @@ pub struct ChaosConfig {
     /// One client actor per site instead of one per client (see
     /// `ClusterConfig::client_pooling`).
     pub client_pooling: bool,
-    /// Kernel worker threads (see `ClusterConfig::kernel_threads`).
-    /// More than 1 requires `jitter = Some(0.0)`.
-    pub kernel_threads: usize,
-    /// Topology jitter override (see `ClusterConfig::jitter`).
-    pub jitter: Option<f64>,
 }
 
 impl ChaosConfig {
@@ -219,8 +214,6 @@ impl ChaosConfig {
             keys_per_partition: 200,
             seed: 7,
             client_pooling: false,
-            kernel_threads: 1,
-            jitter: None,
         }
     }
 }
@@ -344,26 +337,17 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
     let partitions = placement.partitions() as u64;
     let total_keys = cfg.keys_per_partition * partitions;
     let ccfg = ClusterConfig {
-        spec: cfg.spec.clone(),
-        placement,
         keys_per_partition: cfg.keys_per_partition,
         value_size: 64,
         clients_per_site: cfg.clients_per_site,
         max_txns_per_client: Some(cfg.txns_per_client),
-        costs: CostModel::default(),
-        cores_per_replica: 4,
-        record_history: true,
         persistence: true,
         vote_timeout: Some(SimDuration::from_millis(500)),
         max_read_attempts: Some(6),
         client_op_timeout: Some(SimDuration::from_secs(2)),
         client_pooling: cfg.client_pooling,
-        client_think_time: None,
-        record_txn_metrics: true,
         seed: cfg.seed,
-        kernel_threads: cfg.kernel_threads,
-        jitter: cfg.jitter,
-        bug_unreserved_commit_clocks: false,
+        ..ClusterConfig::new(cfg.spec.clone(), placement)
     };
     let mut cluster = Cluster::build(ccfg, |_idx, site| {
         Box::new(YcsbSource::new(

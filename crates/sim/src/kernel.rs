@@ -21,7 +21,10 @@
 //! Events run in `(time, sequence-number)` order, where sequence numbers
 //! are assigned at scheduling time, and all randomness flows through one
 //! seeded [`SmallRng`]. Two runs with the same seed produce identical
-//! histories.
+//! histories. [`Simulation::run_until`] is the only dispatch loop and it is
+//! single-threaded: the global sequence number is serial, and sharding
+//! around it measured at best ≈ 2× (DESIGN.md §3.11). Host cores are used
+//! by running whole simulations side by side.
 //!
 //! The queue behind that order is three binary heaps, one per event class
 //! — `Dispatch` wake-ups (scheduled a service time ahead: µs), message,
@@ -46,10 +49,6 @@ use crate::obs::{trigger, ObsEvent, ObsSink};
 use crate::sched::{Candidate, CandidateKind, Scheduler};
 use crate::time::{SimDuration, SimTime};
 
-mod par;
-
-pub(crate) use par::ParShards;
-
 /// Computes point-to-point message delay.
 ///
 /// Implementations live in `gdur-net` (geo-replicated latency matrices); the
@@ -63,25 +62,6 @@ pub trait LatencyModel {
         bytes: usize,
         rng: &mut SmallRng,
     ) -> SimDuration;
-
-    /// The delay for a `bytes`-sized message from `from` to `to` when the
-    /// model draws no randomness, or `None` when the model is jittered.
-    ///
-    /// The parallel kernel (see [`Simulation::enable_parallel`]) computes
-    /// arrival times on worker threads that have no access to the shared
-    /// seeded RNG, so it requires every send's delay through this method.
-    /// An implementation returning `Some(d)` **must** return the same `d`
-    /// from [`LatencyModel::delay`] without touching the RNG — otherwise
-    /// parallel and sequential runs of the same seed diverge.
-    fn deterministic_delay(
-        &self,
-        from: ProcessId,
-        to: ProcessId,
-        bytes: usize,
-    ) -> Option<SimDuration> {
-        let _ = (from, to, bytes);
-        None
-    }
 }
 
 /// A zero-delay network, useful for unit tests of protocol logic.
@@ -91,10 +71,6 @@ pub struct ZeroLatency;
 impl LatencyModel for ZeroLatency {
     fn delay(&self, _: ProcessId, _: ProcessId, _: usize, _: &mut SmallRng) -> SimDuration {
         SimDuration::ZERO
-    }
-
-    fn deterministic_delay(&self, _: ProcessId, _: ProcessId, _: usize) -> Option<SimDuration> {
-        Some(SimDuration::ZERO)
     }
 }
 
@@ -109,14 +85,6 @@ impl LatencyModel for UniformLatency {
         } else {
             self.0
         }
-    }
-
-    fn deterministic_delay(&self, from: ProcessId, to: ProcessId, _: usize) -> Option<SimDuration> {
-        Some(if from == to {
-            SimDuration::ZERO
-        } else {
-            self.0
-        })
     }
 }
 
@@ -136,9 +104,7 @@ pub struct Context<'a, M> {
     now: SimTime,
     self_id: ProcessId,
     consumed: SimDuration,
-    /// `None` only inside parallel-kernel workers (see `kernel::par`), which
-    /// have no access to the shared seeded generator.
-    rng: Option<&'a mut SmallRng>,
+    rng: &'a mut SmallRng,
     outputs: &'a mut Vec<Output<M>>,
     next_timer: &'a mut u64,
     halted: &'a mut bool,
@@ -151,7 +117,6 @@ enum Output<M> {
         /// arrival job the kernel schedules for it.
         to: ProcessId,
         msg: Box<M>,
-        extra: SimDuration,
     },
     Timer {
         id: u64,
@@ -191,17 +156,6 @@ impl<'a, M> Context<'a, M> {
         self.outputs.push(Output::Send {
             to,
             msg: Box::new(msg),
-            extra: SimDuration::ZERO,
-        });
-    }
-
-    /// Like [`Context::send`] but adds `extra` artificial delay, e.g. to
-    /// model batching or deliberate backoff.
-    pub fn send_delayed(&mut self, to: ProcessId, msg: M, extra: SimDuration) {
-        self.outputs.push(Output::Send {
-            to,
-            msg: Box::new(msg),
-            extra,
         });
     }
 
@@ -222,30 +176,13 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Deterministic random-number generator shared by the whole simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the simulation runs with a parallel kernel
-    /// ([`Simulation::enable_parallel`]): worker shards cannot share one
-    /// sequential generator without breaking same-seed byte-identity. Give
-    /// actors that need randomness their own per-actor seeded generator
-    /// instead (as the workload clients already do).
     pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng.as_deref_mut().expect(
-            "Context::rng is unavailable under the parallel kernel (threads > 1); \
-             use a per-actor seeded RNG instead of the shared kernel RNG",
-        )
+        self.rng
     }
 
     /// Stops the simulation after the current handler completes.
     pub fn halt(&mut self) {
         *self.halted = true;
-    }
-
-    /// True if an observability sink is attached; lets callers skip building
-    /// expensive trace payloads when nobody is listening.
-    pub fn obs_on(&self) -> bool {
-        self.obs.is_some()
     }
 
     /// Records a [`ObsEvent::Point`] trace event stamped at this handler's
@@ -449,16 +386,6 @@ pub struct Simulation<A: Actor, L: LatencyModel> {
     /// payload-free summaries), reused across choice points.
     cand_events: Vec<QueuedEvent<A::Msg>>,
     cand_meta: Vec<Candidate>,
-    /// Worker-thread budget for the parallel driver; 1 = sequential kernel.
-    threads: usize,
-    /// Site-shard map + lookahead, set by [`Simulation::enable_parallel`].
-    par: Option<ParShards>,
-    /// Monomorphized entry point of the parallel driver. Stored as a fn
-    /// pointer so the unbounded `run_until` can dispatch to it: the driver
-    /// needs `A: Send, A::Msg: Send, L: Sync`, bounds this impl block does
-    /// not carry, and they are discharged where the pointer is created
-    /// (`enable_parallel`).
-    par_driver: Option<fn(&mut Self, SimTime) -> SimTime>,
 }
 
 impl<A: Actor, L: LatencyModel> Simulation<A, L> {
@@ -480,16 +407,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             sched: None,
             cand_events: Vec::new(),
             cand_meta: Vec::new(),
-            threads: 1,
-            par: None,
-            par_driver: None,
         }
-    }
-
-    /// The worker-thread budget set by [`Simulation::enable_parallel`]
-    /// (1 = sequential kernel).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Attaches an observability sink receiving [`ObsEvent`]s: every
@@ -503,22 +421,11 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         self.obs = Some(sink);
     }
 
-    /// Detaches and returns the observability sink, if any.
-    pub fn detach_obs(&mut self) -> Option<Box<dyn ObsSink>> {
-        self.obs_causal = false;
-        self.obs.take()
-    }
-
     /// Attaches a [`Scheduler`] that reorders co-enabled arrivals (see the
     /// [`sched`](crate::sched) module). Without one, the dispatch loop runs
     /// the historical strict `(time, seq)` path untouched.
     pub fn attach_scheduler(&mut self, sched: Box<dyn Scheduler>) {
         self.sched = Some(sched);
-    }
-
-    /// Detaches and returns the scheduler, if any.
-    pub fn detach_scheduler(&mut self) -> Option<Box<dyn Scheduler>> {
-        self.sched.take()
     }
 
     /// Adds an actor with the given CPU model; returns its process id.
@@ -584,13 +491,8 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// Per-class traffic of the event queue so far: how many events of
     /// each class were pushed and popped, and the most queued at once.
     ///
-    /// Deterministic for a seed on the sequential kernel, but kept out of
-    /// [`SimStats`] on purpose: with more than one kernel thread the events
-    /// that stay inside a window run on worker-local heaps and never reach
-    /// this queue, so the counts depend on the thread count, and
-    /// [`SimStats`] is byte-compared across thread counts. A [`Scheduler`]
-    /// re-queues the arrivals it passes over, and each re-queue counts as
-    /// a push.
+    /// Deterministic for a seed. A [`Scheduler`] re-queues the arrivals it
+    /// passes over, and each re-queue counts as a push.
     pub fn queue_stats(&self) -> QueueStats {
         let [dispatch, message, timer] = self.queue.stats;
         QueueStats {
@@ -773,23 +675,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// across runs. The exceptions keep the clock at the last event time:
     /// [`Simulation::run_until_idle`] (there is no meaningful horizon) and
     /// a [`Context::halt`] (the stop is deliberate and mid-run).
-    ///
-    /// With [`Simulation::enable_parallel`] configured and no [`Scheduler`]
-    /// attached, this dispatches to the sharded conservative-PDES driver,
-    /// which produces the byte-identical event order (see `kernel::par`).
-    /// A scheduler always forces the sequential path: schedule exploration
-    /// reorders co-enabled arrivals one at a time, which is meaningless
-    /// across concurrently-advancing shards.
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
-        if self.threads > 1 && self.par.is_some() && self.sched.is_none() {
-            let driver = self.par_driver.expect("enable_parallel set the driver");
-            return driver(self, until);
-        }
-        self.run_until_seq(until)
-    }
-
-    /// The historical single-threaded dispatch loop.
-    fn run_until_seq(&mut self, until: SimTime) -> SimTime {
         self.ensure_started();
         while !self.halted {
             let Some(ev) = self.queue.peek() else {
@@ -1010,7 +896,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 now: start,
                 self_id: id,
                 consumed: SimDuration::ZERO,
-                rng: Some(&mut self.rng),
+                rng: &mut self.rng,
                 outputs: &mut outputs,
                 next_timer: &mut slot.next_timer,
                 halted: &mut self.halted,
@@ -1030,7 +916,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         }
         for out in outputs.drain(..) {
             match out {
-                Output::Send { to, msg, extra } => {
+                Output::Send { to, msg } => {
                     let bytes = msg.wire_size();
                     let delay = self.latency.delay(id, to, bytes, &mut self.rng);
                     // The arrival pushed below is assigned the current
@@ -1040,7 +926,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                     let mid = self.seq;
                     if let Some(obs) = self.obs.as_deref_mut() {
                         obs.record(ObsEvent::Send {
-                            at: end + extra,
+                            at: end,
                             mid,
                             from: id,
                             to,
@@ -1049,7 +935,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                         });
                     }
                     self.push(
-                        end + extra + delay,
+                        end + delay,
                         EventKind::Arrival(to, Job::Message { from: id, msg }),
                     );
                 }

@@ -3,8 +3,11 @@
 //! random topologies and traffic patterns. Inputs are driven by a
 //! fixed-seed generator so every run exercises the identical case set.
 
+use std::sync::{Arc, Mutex};
+
 use gdur_sim::{
-    Actor, Context, Cores, ProcessId, SimDuration, SimTime, Simulation, UniformLatency, WireSize,
+    Actor, Context, Cores, ObsEvent, ObsSink, ProcessId, SimDuration, SimTime, Simulation,
+    UniformLatency, WireSize,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -149,5 +152,168 @@ fn more_cores_never_hurt() {
                 .unwrap_or(SimTime::ZERO)
         };
         assert!(finish(4) <= finish(1));
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Ping(u32);
+
+impl WireSize for Ping {
+    fn wire_size(&self) -> usize {
+        64
+    }
+}
+
+/// Obs sink shared with the test body; optionally causal.
+#[derive(Clone)]
+struct Tap {
+    events: Arc<Mutex<Vec<ObsEvent>>>,
+    causal: bool,
+}
+
+impl ObsSink for Tap {
+    fn record(&mut self, ev: ObsEvent) {
+        self.events.lock().unwrap().push(ev);
+    }
+
+    fn wants_causal(&self) -> bool {
+        self.causal
+    }
+}
+
+/// Stress actor: pings peers, self-sends at zero latency, sets and cancels
+/// timers, and consumes pseudo-random service time drawn from its own
+/// counter.
+struct Worker {
+    peers: Vec<ProcessId>,
+    /// Per-actor deterministic counter standing in for an RNG.
+    salt: u64,
+    log: Vec<(SimTime, &'static str, u64)>,
+    pending_timer: Option<u64>,
+}
+
+impl Worker {
+    fn next(&mut self) -> u64 {
+        self.salt = self
+            .salt
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.salt >> 33
+    }
+}
+
+impl Actor for Worker {
+    type Msg = Ping;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+        ctx.send(self.peers[0], Ping(6));
+        ctx.trace("test.start", 0, self.salt);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Ping>, _from: ProcessId, msg: Ping) {
+        let r = self.next();
+        ctx.consume(SimDuration::from_micros(r % 900));
+        self.log.push((ctx.now(), "msg", msg.0 as u64));
+        ctx.trace("test.msg", msg.0 as u64, r % 7);
+        if msg.0 == 0 {
+            return;
+        }
+        if r.is_multiple_of(3) {
+            // Zero-latency self-send: arrives at service end.
+            ctx.send(ctx.self_id(), Ping(0));
+        }
+        if r % 4 == 1 {
+            if let Some(id) = self.pending_timer.take() {
+                ctx.cancel_timer(id);
+            }
+        }
+        if r.is_multiple_of(2) {
+            let after = SimDuration::from_micros(r % 2500);
+            self.pending_timer = Some(ctx.set_timer(after, msg.0 as u64));
+        }
+        let peer = self.peers[(r as usize) % self.peers.len()];
+        ctx.send(peer, Ping(msg.0 - 1));
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Ping>, tag: u64) {
+        self.pending_timer = None;
+        self.log.push((ctx.now(), "timer", tag));
+        ctx.trace("test.timer", tag, 0);
+        if tag > 2 {
+            let peer = self.peers[(tag as usize) % self.peers.len()];
+            ctx.send(peer, Ping(1));
+        }
+    }
+
+    fn on_restart(&mut self, ctx: &mut Context<'_, Ping>) {
+        self.log.push((ctx.now(), "restart", 0));
+        ctx.trace("test.restart", 0, 0);
+        ctx.send(self.peers[0], Ping(2));
+    }
+}
+
+/// Six [`Worker`]s on mixed core models, 10 ms apart, one of them crashed
+/// at 13 ms and restarted at 41 ms; runs to idle through `slices_ms` and
+/// returns everything observable: actor logs, stats, clock, obs stream.
+fn stress_run(causal: bool, slices_ms: &[u64]) -> String {
+    let n = 6u32;
+    let mut sim = Simulation::new(UniformLatency(SimDuration::from_millis(10)), 42);
+    for i in 0..n {
+        sim.spawn(
+            Worker {
+                peers: (0..n).filter(|p| *p != i).map(ProcessId).collect(),
+                salt: 0x9e3779b97f4a7c15 ^ u64::from(i),
+                log: Vec::new(),
+                pending_timer: None,
+            },
+            if i % 3 == 0 {
+                Cores::Unlimited
+            } else {
+                Cores::Fixed(1 + (i as u16 % 2))
+            },
+        );
+    }
+    let tap = Tap {
+        events: Arc::new(Mutex::new(Vec::new())),
+        causal,
+    };
+    sim.attach_obs(Box::new(tap.clone()));
+    let victim = ProcessId(1);
+    sim.schedule_crash(victim, SimTime::ZERO + SimDuration::from_millis(13));
+    sim.schedule_restart(victim, SimTime::ZERO + SimDuration::from_millis(41));
+    for &ms in slices_ms {
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
+    }
+    sim.run_until_idle();
+
+    let mut s = String::new();
+    for (pid, a) in sim.actors() {
+        s.push_str(&format!("{pid:?}: {:?}\n", a.log));
+    }
+    s.push_str(&format!("stats: {:?}\n", sim.stats()));
+    s.push_str(&format!("now: {:?}\n", sim.now()));
+    for ev in tap.events.lock().unwrap().iter() {
+        s.push_str(&format!("{ev:?}\n"));
+    }
+    s
+}
+
+/// Stopping at a horizon and resuming is invisible: five `run_until`
+/// slices — before the first arrival, exactly on it, across the crash,
+/// across the restart, mid-run — then a run to idle leave the same actor
+/// logs, stats, final clock and obs stream as one run to idle. (The run
+/// goes idle at 73.5 ms; a slice past that would leave the clock at its
+/// horizon, as `run_until` documents.) The harness slices every
+/// fault-schedule run at each link change.
+#[test]
+fn sliced_run_equals_one_run() {
+    for causal in [false, true] {
+        let whole = stress_run(causal, &[]);
+        assert!(whole.contains("restart"), "the restart hook must have run");
+        assert_eq!(
+            whole,
+            stress_run(causal, &[7, 10, 40, 55, 70]),
+            "sliced run diverged from the whole one (causal={causal})"
+        );
     }
 }

@@ -23,8 +23,6 @@ fn scale() -> Scale {
         cores: 4,
         seed: 11,
         client_pooling: false,
-        kernel_threads: 1,
-        jitter: None,
     }
 }
 
