@@ -205,10 +205,6 @@ pub enum Msg {
         tx: TxId,
         /// True = commit.
         commit: bool,
-        /// Payload for appliers that never delivered it (2PC replicas of
-        /// `ws` outside the certifying set never occur in our rules, so
-        /// this stays `None`; kept for protocol extensions).
-        payload: Option<TermPayload>,
         /// The merged vote-clock reservations of every participant — the
         /// commit-vector entries all installs of this transaction carry.
         clocks: Vec<(u32, u64)>,
@@ -286,11 +282,7 @@ impl WireSize for Msg {
             } => HDR + 24 + value.len() + stamp.wire_size() + snap.wire_size(),
             Msg::Gc(m) => HDR + m.wire_size(),
             Msg::Vote { clocks, .. } => HDR + 16 + 12 * clocks.len(),
-            Msg::Decide {
-                payload, clocks, ..
-            } => {
-                HDR + 16 + 12 * clocks.len() + payload.as_ref().map(|p| p.wire_size()).unwrap_or(0)
-            }
+            Msg::Decide { clocks, .. } => HDR + 16 + 12 * clocks.len(),
             Msg::PaxosAccept { .. } | Msg::PaxosAccepted { .. } => HDR + 16,
             Msg::Propagate { .. } => HDR + 16,
             Msg::CatchupReq { partitions, .. } => HDR + 12 + 4 * partitions.len(),

@@ -163,14 +163,55 @@ struct CoordTxn {
     certifying: Vec<Key>,
     /// The termination payload, kept for crash-recovery retransmission.
     submitted_payload: Option<TermPayload>,
-    decided: Option<bool>,
+}
+
+impl CoordTxn {
+    /// A transaction that has executed nothing yet.
+    fn new(client: ProcessId, snapshot: Snapshot) -> Self {
+        CoordTxn {
+            client,
+            snapshot,
+            rs: Vec::new(),
+            ws: Vec::new(),
+            pending_read: None,
+            read_timer: None,
+            submitted_at: SimTime::ZERO,
+            paxos_acks: 0,
+            paxos_decision: None,
+            certifying: Vec::new(),
+            submitted_payload: None,
+        }
+    }
+
+    /// Records a completed read of version `seq` of `key` — and, for the
+    /// read half of a read-modify-write, buffers the `update` — and returns
+    /// the reply owed to the client.
+    fn read_done(
+        &mut self,
+        key: Key,
+        seq: u64,
+        value: Value,
+        update: Option<Value>,
+    ) -> ClientReply {
+        self.rs.push(ReadEntry { key, seq });
+        match update {
+            Some(value) => {
+                self.ws.push(WriteEntry {
+                    key,
+                    value,
+                    base_seq: seq,
+                });
+                ClientReply::UpdateDone { key }
+            }
+            None => ClientReply::ReadDone { key, value },
+        }
+    }
 }
 
 /// Termination-phase state of a transaction at a participant.
 #[derive(Debug)]
 struct PartTxn {
     payload: TermPayload,
-    voted: bool,
     /// The vote this replica cast, for idempotent re-sends on retried
     /// termination (crash-recovery retransmission).
     my_vote: Option<bool>,
@@ -260,12 +301,9 @@ pub struct Replica {
     /// Participations already terminated here; late votes and duplicate
     /// decisions for them are dropped.
     done: TerminatedSet,
-    /// Outstanding remote-read timers: timer tag → transaction.
-    read_timers: BTreeMap<u64, TxId>,
-    /// Termination-retry timers (2PC/Paxos crash-recovery retransmission).
-    term_timers: BTreeMap<u64, TxId>,
-    /// Vote-timeout timers armed at submit (when `cfg.vote_timeout` is on).
-    vote_timers: BTreeMap<u64, TxId>,
+    /// Armed timers by tag; a tag absent when it fires was cancelled or
+    /// died with a crash, and firing it does nothing.
+    timers: BTreeMap<u64, Timer>,
     next_timer_tag: u64,
     /// Sites suspected crashed (eventually-perfect failure detector
     /// heuristic: suspect after a read timeout, trust again on any
@@ -284,8 +322,19 @@ pub struct Replica {
     /// In-flight catch-up state transfer, present between a restart and the
     /// `recovery.complete` trace point.
     catchup: Option<CatchupState>,
-    /// Catch-up retry timers: timer tag → the peer a page was asked from.
-    catchup_timers: BTreeMap<u64, ProcessId>,
+}
+
+/// What an armed timer stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Timer {
+    /// Failover of the outstanding remote read of a transaction.
+    Read(TxId),
+    /// Termination retry (2PC/Paxos crash-recovery retransmission).
+    TermRetry(TxId),
+    /// Vote timeout, armed at submit when `cfg.vote_timeout` is on.
+    VoteTimeout(TxId),
+    /// Catch-up retry: the peer a page was asked from.
+    Catchup(ProcessId),
 }
 
 /// One peer's slice of an in-flight catch-up transfer.
@@ -398,9 +447,7 @@ impl Replica {
             certifier: Certifier::new(commute, gc_mode),
             early_decide: BTreeMap::new(),
             done: TerminatedSet::default(),
-            read_timers: BTreeMap::new(),
-            term_timers: BTreeMap::new(),
-            vote_timers: BTreeMap::new(),
+            timers: BTreeMap::new(),
             next_timer_tag: 0,
             suspected: std::collections::BTreeSet::new(),
             stats: ReplicaStats::default(),
@@ -409,7 +456,6 @@ impl Replica {
             wal: cfg.persistence.then(gdur_persist::Wal::new),
             decided_outcomes: BTreeMap::new(),
             catchup: None,
-            catchup_timers: BTreeMap::new(),
             store: MultiVersionStore::from_image(image),
             me,
             cfg,
@@ -458,6 +504,29 @@ impl Replica {
 
     fn is_local(&self, key: Key) -> bool {
         self.cfg.placement.is_local(self.cfg.site, key)
+    }
+
+    /// True under Algorithm 3 (commitment by group communication): ordered
+    /// delivery, votes to every participant, termination at the head of `Q`.
+    fn gc_mode(&self) -> bool {
+        matches!(
+            self.cfg.spec.commitment,
+            CommitmentKind::GroupCommunication { .. }
+        )
+    }
+
+    /// Arms `timer` to fire `after` from now; returns (tag, kernel id).
+    fn arm(&mut self, ctx: &mut Context<'_, Msg>, after: SimDuration, timer: Timer) -> (u64, u64) {
+        let tag = self.next_timer_tag;
+        self.next_timer_tag += 1;
+        self.timers.insert(tag, timer);
+        (tag, ctx.set_timer(after, tag))
+    }
+
+    /// Cancels a timer [`Replica::arm`] returned.
+    fn cancel(&mut self, ctx: &mut Context<'_, Msg>, (tag, id): (u64, u64)) {
+        ctx.cancel_timer(id);
+        self.timers.remove(&tag);
     }
 
     // ------------------------------------------------------------------
@@ -522,8 +591,6 @@ impl Replica {
         tx: TxId,
         op: ClientOp,
     ) {
-        let costs = self.cfg.costs;
-        ctx.consume(costs.per_message);
         if !matches!(op, ClientOp::Begin) && !self.coord.contains_key(&tx) {
             // The volatile execution state of this transaction is gone —
             // the coordinator crashed since `Begin` — so answer the client
@@ -544,23 +611,7 @@ impl Replica {
             ClientOp::Begin => {
                 ctx.trace(labels::TXN_BEGIN, tx_code(tx.coord, tx.seq), 0);
                 let snapshot = self.fresh_snapshot();
-                self.coord.insert(
-                    tx,
-                    CoordTxn {
-                        client: from,
-                        snapshot,
-                        rs: Vec::new(),
-                        ws: Vec::new(),
-                        pending_read: None,
-                        read_timer: None,
-                        submitted_at: SimTime::ZERO,
-                        paxos_acks: 0,
-                        paxos_decision: None,
-                        certifying: Vec::new(),
-                        submitted_payload: None,
-                        decided: None,
-                    },
-                );
+                self.coord.insert(tx, CoordTxn::new(from, snapshot));
                 ctx.send(
                     from,
                     Msg::Reply {
@@ -605,14 +656,11 @@ impl Replica {
             return;
         }
         if self.is_local(key) {
-            // Under vote-time commit clocks the local frontier may lag a
-            // snapshot the transaction already holds (the sibling install of
-            // an admitted write is still in flight): defer until it lands.
+            // The local frontier, too, may lag a snapshot the transaction
+            // already holds (the sibling install of an admitted write is
+            // still in flight): defer until it lands.
             let p = self.cfg.placement.partition_of(key).index();
-            if self.recovering()
-                || (self.vote_clocked() && t.snapshot.wait_bound(p) > self.knowledge.get(p))
-            {
-                let bound = t.snapshot.wait_bound(p);
+            if let Some(bound) = self.read_blocked(p, &t.snapshot) {
                 self.park_read(p, bound, DeferredRead::Local(tx, key, update));
                 return;
             }
@@ -624,20 +672,8 @@ impl Replica {
             let (value, seq, _stamp) = self.choose_version(key, &mut snap);
             let t = self.coord.get_mut(&tx).expect("present");
             t.snapshot = snap;
-            t.rs.push(ReadEntry { key, seq });
-            let client = t.client;
-            let reply = match update {
-                Some(v) => {
-                    t.ws.push(WriteEntry {
-                        key,
-                        value: v,
-                        base_seq: seq,
-                    });
-                    ClientReply::UpdateDone { key }
-                }
-                None => ClientReply::ReadDone { key, value },
-            };
-            ctx.send(client, Msg::Reply { tx, reply });
+            let reply = t.read_done(key, seq, value, update);
+            ctx.send(t.client, Msg::Reply { tx, reply });
         } else {
             // Remote read (Algorithm 1, line 13): ask the nearest replica.
             let t = self.coord.get_mut(&tx).expect("present");
@@ -679,76 +715,45 @@ impl Replica {
         let target = self.pid_of_site(target_site);
         let Some(t) = self.coord.get(&tx) else { return };
         let snap = t.snapshot.clone();
-        ctx.consume(
-            self.cfg
-                .costs
-                .per_stamp_entry
-                .saturating_mul(snap.meta_entries() as u64),
-        );
+        ctx.consume(self.stamp_cost(snap.meta_entries()));
         ctx.send(target, Msg::ReadReq { tx, key, snap });
-        let tag = self.next_timer_tag;
-        self.next_timer_tag += 1;
-        self.read_timers.insert(tag, tx);
-        let id = ctx.set_timer(self.cfg.read_timeout, tag);
+        let timer = self.arm(ctx, self.cfg.read_timeout, Timer::Read(tx));
         if let Some(t) = self.coord.get_mut(&tx) {
-            t.read_timer = Some((tag, id));
+            t.read_timer = Some(timer);
         }
     }
 
-    /// Timer entry point wired into the actor.
+    /// Timer entry point wired into the actor: runs what the timer armed
+    /// under `tag` stands for. A retry or a timeout of a transaction the
+    /// coordinator has decided meanwhile finds no `coord` entry and does
+    /// nothing.
     pub fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
-        self.fire_timer(ctx, tag);
-        self.serve_woken_reads(ctx);
-    }
-
-    /// Catch-up, termination-retry and vote-timeout timers; otherwise the
-    /// read-failover timer: if the read is still pending, suspect the
-    /// unresponsive replica and re-iterate the request to another one.
-    fn fire_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
-        if let Some(peer) = self.catchup_timers.remove(&tag) {
-            self.retry_catchup(ctx, peer);
-            return;
-        }
-        if let Some(tx) = self.term_timers.remove(&tag) {
-            let undecided = self
-                .coord
-                .get(&tx)
-                .map(|t| t.decided.is_none())
-                .unwrap_or(false);
-            if undecided {
+        match self.timers.remove(&tag) {
+            Some(Timer::Catchup(peer)) => self.retry_catchup(ctx, peer),
+            Some(Timer::TermRetry(tx)) => {
                 let payload = self
                     .coord
                     .get(&tx)
                     .and_then(|t| t.submitted_payload.clone());
                 if let Some(payload) = payload {
-                    let certifying = self.coord.get(&tx).expect("present").certifying.clone();
-                    let dests: std::sync::Arc<[ProcessId]> = self
-                        .sites_of_keys(certifying.iter())
-                        .into_iter()
-                        .map(|s| self.pid_of_site(s))
-                        .collect();
-                    let mut out = Vec::new();
-                    self.gc.multicast(dests, payload, &mut out);
-                    self.flush_gc(ctx, out);
-                    self.arm_term_retry(ctx, tx);
+                    self.transmit(ctx, tx, payload);
                 }
             }
-            return;
-        }
-        if let Some(tx) = self.vote_timers.remove(&tag) {
-            let undecided = self
-                .coord
-                .get(&tx)
-                .map(|t| t.decided.is_none())
-                .unwrap_or(false);
-            if undecided {
+            Some(Timer::VoteTimeout(tx)) if self.coord.contains_key(&tx) => {
                 self.decide_and_announce(ctx, tx, false, Some(AbortCause::VoteTimeout));
             }
-            return;
+            Some(Timer::Read(tx)) => self.fail_over_read(ctx, tx),
+            // Cancelled, died with a crash, or the timeout of a decision
+            // already taken.
+            None | Some(Timer::VoteTimeout(_)) => {}
         }
-        let Some(tx) = self.read_timers.remove(&tag) else {
-            return;
-        };
+        self.serve_woken_reads(ctx);
+    }
+
+    /// The read-failover timer of `tx` fired: if the read is still pending,
+    /// suspect the unresponsive replica and re-iterate the request to
+    /// another one.
+    fn fail_over_read(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
         let Some(t) = self.coord.get_mut(&tx) else {
             return;
         };
@@ -792,13 +797,7 @@ impl Replica {
         key: Key,
         snap: Snapshot,
     ) {
-        ctx.consume(self.cfg.costs.per_message + self.cfg.costs.per_read);
-        ctx.consume(
-            self.cfg
-                .costs
-                .per_stamp_entry
-                .saturating_mul(snap.meta_entries() as u64),
-        );
+        ctx.consume(self.cfg.costs.per_read + self.stamp_cost(snap.meta_entries()));
         self.stats.remote_reads_served += 1;
         self.serve_remote_read(ctx, from, tx, key, snap);
     }
@@ -844,11 +843,19 @@ impl Replica {
         debug_assert!(self.parked.woken.is_empty(), "serving a read woke one");
     }
 
-    /// Serves (or parks) a remote read. Under vote-time commit clocks a
-    /// replica whose visibility frontier lags the snapshot's wait bound may
-    /// still be missing installs the snapshot already admits — serving now
-    /// would fracture atomic visibility, so the read waits until the
-    /// frontier catches up.
+    /// Why a read of partition `p` under `snap` cannot be served now, as the
+    /// wait bound to park it on: a recovery is rebuilding the store, or —
+    /// under vote-time commit clocks — the visibility frontier lags the
+    /// snapshot's wait bound, so this replica may still be missing installs
+    /// the snapshot already admits and serving now would fracture atomic
+    /// visibility.
+    fn read_blocked(&self, p: usize, snap: &Snapshot) -> Option<u64> {
+        let blocked = self.recovering()
+            || (self.vote_clocked() && snap.wait_bound(p) > self.knowledge.get(p));
+        blocked.then(|| snap.wait_bound(p))
+    }
+
+    /// Serves a remote read, or parks it until it can be served.
     fn serve_remote_read(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -858,9 +865,7 @@ impl Replica {
         mut snap: Snapshot,
     ) {
         let p = self.cfg.placement.partition_of(key).index();
-        if self.recovering() || (self.vote_clocked() && snap.wait_bound(p) > self.knowledge.get(p))
-        {
-            let bound = snap.wait_bound(p);
+        if let Some(bound) = self.read_blocked(p, &snap) {
             self.park_read(p, bound, DeferredRead::Remote(from, tx, key, snap));
             return;
         }
@@ -887,7 +892,6 @@ impl Replica {
         seq: u64,
         snap: Snapshot,
     ) {
-        ctx.consume(self.cfg.costs.per_message);
         let Some(t) = self.coord.get_mut(&tx) else {
             return;
         };
@@ -899,24 +903,13 @@ impl Replica {
             t.pending_read = Some((pending_key, update, _attempt));
             return;
         }
-        if let Some((tag, id)) = t.read_timer.take() {
-            ctx.cancel_timer(id);
-            self.read_timers.remove(&tag);
-        }
+        let timer = t.read_timer.take();
         t.snapshot = snap;
-        t.rs.push(ReadEntry { key, seq });
+        let reply = t.read_done(key, seq, value, update);
         let client = t.client;
-        let reply = match update {
-            Some(v) => {
-                t.ws.push(WriteEntry {
-                    key,
-                    value: v,
-                    base_seq: seq,
-                });
-                ClientReply::UpdateDone { key }
-            }
-            None => ClientReply::ReadDone { key, value },
-        };
+        if let Some(timer) = timer {
+            self.cancel(ctx, timer);
+        }
         ctx.send(client, Msg::Reply { tx, reply });
     }
 
@@ -927,54 +920,30 @@ impl Replica {
     /// `certifying_obj(T)` (Algorithm 2, line 11).
     fn certifying_keys(&self, t: &CoordTxn) -> Vec<Key> {
         use CertifyingObjRule::*;
+        let rule = self.cfg.spec.certifying_obj;
         let read_only = t.ws.is_empty();
-        let rs_keys = || t.rs.iter().map(|e| e.key);
-        let ws_keys = || t.ws.iter().map(|e| e.key);
-        let rw: fn(&CoordTxn) -> Vec<Key> = |t| {
-            let mut keys: Vec<Key> = t.rs.iter().map(|e| e.key).collect();
-            for w in &t.ws {
-                if !keys.contains(&w.key) {
-                    keys.push(w.key);
-                }
-            }
-            keys
+        // Who commits without synchronization.
+        let exempt = match rule {
+            Nothing => true,
+            WriteSet | ReadWriteSet => false,
+            WriteSetIfUpdate | ReadWriteSetIfUpdate | AllObjects => read_only,
+            ReadWriteSetUnlessLocalQuery => read_only && t.rs.iter().all(|e| self.is_local(e.key)),
         };
-        match self.cfg.spec.certifying_obj {
-            Nothing => Vec::new(),
-            WriteSet => ws_keys().collect(),
-            ReadWriteSet => rw(t),
-            WriteSetIfUpdate => {
-                if read_only {
-                    Vec::new()
-                } else {
-                    ws_keys().collect()
-                }
-            }
-            ReadWriteSetIfUpdate => {
-                if read_only {
-                    Vec::new()
-                } else {
-                    rw(t)
-                }
-            }
-            AllObjects => {
-                if read_only {
-                    Vec::new()
-                } else {
-                    // Every replica participates; the key list still names
-                    // the accessed objects for certification.
-                    rw(t)
-                }
-            }
-            ReadWriteSetUnlessLocalQuery => {
-                let local_query = read_only && rs_keys().all(|k| self.is_local(k));
-                if local_query {
-                    Vec::new()
-                } else {
-                    rw(t)
-                }
+        if exempt {
+            return Vec::new();
+        }
+        let mut keys: Vec<Key> = match rule {
+            WriteSet | WriteSetIfUpdate => Vec::new(),
+            // Under `AllObjects` every replica participates; the key list
+            // still names the accessed objects for certification.
+            _ => t.rs.iter().map(|e| e.key).collect(),
+        };
+        for w in &t.ws {
+            if !keys.contains(&w.key) {
+                keys.push(w.key);
             }
         }
+        keys
     }
 
     /// `submit(T)` (Algorithm 2, line 7): moves the transaction from
@@ -999,13 +968,10 @@ impl Replica {
             return;
         }
         if let Some(vt) = self.cfg.vote_timeout {
-            let tag = self.next_timer_tag;
-            self.next_timer_tag += 1;
-            self.vote_timers.insert(tag, tx);
-            ctx.set_timer(vt, tag);
+            self.arm(ctx, vt, Timer::VoteTimeout(tx));
         }
         let t = self.coord.get_mut(&tx).expect("present");
-        t.certifying = certifying.clone();
+        t.certifying = certifying;
         let payload = TermPayload::new(
             tx,
             self.me,
@@ -1014,12 +980,7 @@ impl Replica {
             std::sync::Arc::new(t.ws.clone()),
             std::sync::Arc::new(t.snapshot.dependency_vec()),
         );
-        ctx.consume(
-            self.cfg
-                .costs
-                .per_stamp_entry
-                .saturating_mul(payload.dep.dim() as u64),
-        );
+        ctx.consume(self.stamp_cost(payload.dep.dim()));
         if let Some(wal) = self.wal.as_mut() {
             // §5.3 durable logging: the submitted transaction — sets,
             // after-values, and dependency vector — hits the log before any
@@ -1037,39 +998,39 @@ impl Replica {
                 dep: payload.dep.iter().collect(),
             });
         }
-        let dest_sites: Vec<SiteId> =
-            if matches!(self.cfg.spec.certifying_obj, CertifyingObjRule::AllObjects) {
-                self.cfg.placement.all_sites().collect()
-            } else {
-                self.sites_of_keys(certifying.iter()).into_iter().collect()
-            };
-        // Built as an `Arc` once: every fan-out copy below shares it.
-        let dests: std::sync::Arc<[ProcessId]> =
-            dest_sites.iter().map(|s| self.pid_of_site(*s)).collect();
+        if !self.gc_mode() {
+            // Kept for the retry `transmit` arms.
+            self.coord.get_mut(&tx).expect("present").submitted_payload = Some(payload.clone());
+        }
+        self.transmit(ctx, tx, payload);
+    }
+
+    /// Propagates `payload` to the replicas of `certifying_obj(T)`
+    /// (Algorithm 2, line 15) — the first time, on every retry and when a
+    /// restarted coordinator resumes. Group communication relies on its
+    /// ordered `xcast`; 2PC and Paxos Commit multicast and retry until the
+    /// decision (Algorithm 4 in the crash-recovery model waits for crashed
+    /// participants to come back online).
+    fn transmit(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, payload: TermPayload) {
         let xcast = match self.cfg.spec.commitment {
             CommitmentKind::GroupCommunication { xcast } => xcast,
-            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => XcastKind::Multicast,
+            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
+                let after = self.cfg.read_timeout.saturating_mul(4);
+                self.arm(ctx, after, Timer::TermRetry(tx));
+                XcastKind::Multicast
+            }
         };
-        if !matches!(
-            self.cfg.spec.commitment,
-            CommitmentKind::GroupCommunication { .. }
-        ) {
-            // Crash-recovery retransmission: retry termination until every
-            // vote arrives (Algorithm 4 in the crash-recovery model waits
-            // for crashed participants to come back online).
-            self.coord.get_mut(&tx).expect("present").submitted_payload = Some(payload.clone());
-            self.arm_term_retry(ctx, tx);
-        }
+        let sites = if self.cfg.spec.certifying_obj == CertifyingObjRule::AllObjects {
+            self.cfg.placement.all_sites().collect()
+        } else {
+            self.sites_of_keys(&self.coord[&tx].certifying)
+        };
+        // Built as an `Arc` once: every fan-out copy below shares it.
+        let dests: std::sync::Arc<[ProcessId]> =
+            sites.into_iter().map(|s| self.pid_of_site(s)).collect();
         let mut out = Vec::new();
         self.gc.xcast(xcast, dests, payload, &mut out);
         self.flush_gc(ctx, out);
-    }
-
-    fn arm_term_retry(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
-        let tag = self.next_timer_tag;
-        self.next_timer_tag += 1;
-        self.term_timers.insert(tag, tx);
-        ctx.set_timer(self.cfg.read_timeout.saturating_mul(4), tag);
     }
 
     fn flush_gc(&mut self, ctx: &mut Context<'_, Msg>, events: Vec<GcEvent<TermPayload>>) {
@@ -1103,15 +1064,8 @@ impl Replica {
             // the retransmission loop terminates (§5.3).
             if payload.coord != self.me {
                 if let Some(&commit) = self.decided_outcomes.get(&tx) {
-                    ctx.send(
-                        payload.coord,
-                        Msg::Decide {
-                            tx,
-                            commit,
-                            payload: None,
-                            clocks: Vec::new(),
-                        },
-                    );
+                    let clocks = Vec::new();
+                    ctx.send(payload.coord, Msg::Decide { tx, commit, clocks });
                 }
             }
             return;
@@ -1127,17 +1081,12 @@ impl Replica {
             }
             return;
         }
-        let gc_mode = matches!(
-            self.cfg.spec.commitment,
-            CommitmentKind::GroupCommunication { .. }
-        );
-        let local_decide = gc_mode && self.cfg.spec.votes == VoteRule::LocalDecide;
+        let gc_mode = self.gc_mode();
         let enqueued = self.certifier.enqueue(&payload);
         self.part.insert(
             tx,
             PartTxn {
                 payload,
-                voted: false,
                 my_vote: None,
                 reserved: Vec::new(),
                 decided_clocks: Vec::new(),
@@ -1157,23 +1106,20 @@ impl Replica {
             self.on_decide(ctx, tx, commit, clocks);
             return;
         }
-        match self.cfg.spec.commitment {
-            CommitmentKind::GroupCommunication { .. } => {
-                if local_decide {
-                    self.local_decide(ctx, tx);
-                } else {
-                    // Convoy: a conflicting predecessor in Q defers the
-                    // vote until it leaves (Algorithm 3, line 3).
-                    if !enqueued.conflict {
-                        self.cast_gc_vote(ctx, tx);
-                    }
-                    // Votes may have raced ahead of the ordered delivery.
-                    self.check_part_outcome(ctx, tx);
-                }
+        if !gc_mode {
+            // A queued transaction that does not commute turns the vote
+            // negative (Algorithm 4, line 3).
+            self.cast_vote(ctx, tx, enqueued.conflict);
+        } else if self.cfg.spec.votes == VoteRule::LocalDecide {
+            self.local_decide(ctx, tx);
+        } else {
+            // Convoy: a conflicting predecessor in Q defers the vote until
+            // it leaves (Algorithm 3, line 3).
+            if !enqueued.conflict {
+                self.cast_vote(ctx, tx, false);
             }
-            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
-                self.vote_2pc(ctx, tx, enqueued.conflict)
-            }
+            // Votes may have raced ahead of the ordered delivery.
+            self.check_part_outcome(ctx, tx);
         }
     }
 
@@ -1183,51 +1129,48 @@ impl Replica {
     fn wake(&mut self, ctx: &mut Context<'_, Msg>, waiters: Vec<Ticket>) {
         for w in waiters {
             if let Some(tx) = self.certifier.unblock(w) {
-                self.cast_gc_vote(ctx, tx);
+                self.cast_vote(ctx, tx, false);
             }
         }
     }
 
-    /// `certify(T)` against this replica's local state.
-    fn certify(&mut self, payload: &TermPayload) -> bool {
+    /// `certify(T)` against this replica's local state, at its CPU cost.
+    fn certify(&mut self, ctx: &mut Context<'_, Msg>, payload: &TermPayload) -> bool {
+        let items = (payload.rs.len() + payload.ws.len()) as u64;
+        let costs = &self.cfg.costs;
+        ctx.consume(costs.per_certify + costs.per_certify_item.saturating_mul(items));
         self.stats.certifications += 1;
+        // Version `seq` of a key hosted here is still its latest.
+        let current =
+            |key, seq| !self.is_local(key) || self.store.latest_seq(key).unwrap_or(0) <= seq;
         match self.cfg.spec.certify {
             CertifyRule::AlwaysPass => true,
-            CertifyRule::ReadSetCurrent => payload.rs.iter().all(|e| {
-                !self.is_local(e.key) || self.store.latest_seq(e.key).unwrap_or(0) <= e.seq
-            }),
-            CertifyRule::WriteSetCurrent => {
-                if self.cfg.spec.votes == VoteRule::LocalDecide {
-                    // Serrano: certify against the replicated version table
-                    // covering all objects.
-                    payload
-                        .ws
-                        .iter()
-                        .all(|w| *self.meta.get(&w.key).unwrap_or(&0) <= w.base_seq)
-                } else {
-                    payload.ws.iter().all(|w| {
-                        !self.is_local(w.key)
-                            || self.store.latest_seq(w.key).unwrap_or(0) <= w.base_seq
-                    })
-                }
-            }
+            CertifyRule::ReadSetCurrent => payload.rs.iter().all(|e| current(e.key, e.seq)),
+            // Serrano: certify against the replicated version table
+            // covering all objects.
+            CertifyRule::WriteSetCurrent if self.cfg.spec.votes == VoteRule::LocalDecide => payload
+                .ws
+                .iter()
+                .all(|w| *self.meta.get(&w.key).unwrap_or(&0) <= w.base_seq),
+            CertifyRule::WriteSetCurrent => payload.ws.iter().all(|w| current(w.key, w.base_seq)),
         }
     }
 
-    fn certify_cost(&self, payload: &TermPayload) -> SimDuration {
-        self.cfg.costs.per_certify
-            + self
-                .cfg
-                .costs
-                .per_certify_item
-                .saturating_mul((payload.rs.len() + payload.ws.len()) as u64)
+    /// CPU cost of marshaling `entries` entries of versioning metadata.
+    fn stamp_cost(&self, entries: usize) -> SimDuration {
+        self.cfg
+            .costs
+            .per_stamp_entry
+            .saturating_mul(entries as u64)
     }
 
-    /// Algorithm 3, action `vote`: certify and vote for one queued
-    /// transaction whose conflicting predecessors have all left `Q`.
-    fn cast_gc_vote(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
+    /// Action `vote` of Algorithms 3 and 4: certify `tx` — or, with
+    /// `preempt`, vote *no* uncertified because a queued transaction does
+    /// not commute with it (Algorithm 4, line 3) — reserve the commit
+    /// clocks of a *yes*, and send the vote.
+    fn cast_vote(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, preempt: bool) {
         let Some(p) = self.part.get(&tx) else { return };
-        if p.voted || p.outcome.is_some() {
+        if p.my_vote.is_some() || p.outcome.is_some() {
             return;
         }
         if self.recovering() {
@@ -1237,8 +1180,12 @@ impl Replica {
             return;
         }
         let payload = p.payload.clone();
-        ctx.consume(self.certify_cost(&payload));
-        let yes = self.certify(&payload);
+        let yes = if preempt {
+            self.stats.preemptive_aborts += 1;
+            false
+        } else {
+            self.certify(ctx, &payload)
+        };
         let clocks = if yes {
             self.reserve_clocks(&payload)
         } else {
@@ -1246,7 +1193,6 @@ impl Replica {
         };
         {
             let p = self.part.get_mut(&tx).expect("present");
-            p.voted = true;
             p.my_vote = Some(yes);
             p.reserved = clocks.clone();
         }
@@ -1259,98 +1205,57 @@ impl Replica {
         self.send_vote(ctx, &payload, yes, clocks);
     }
 
-    /// Algorithm 4, action `vote`: certify immediately, but vote *no* if a
-    /// queued transaction conflicts (preemptive abort).
-    fn vote_2pc(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, conflict: bool) {
-        if self.recovering() {
-            // Park the vote until the store is caught up; the
-            // `finish_catchup` sweep re-runs it.
-            return;
-        }
-        let payload = self.part.get(&tx).expect("just delivered").payload.clone();
-        let yes = if conflict {
-            self.stats.preemptive_aborts += 1;
-            false
-        } else {
-            ctx.consume(self.certify_cost(&payload));
-            self.certify(&payload)
-        };
-        let clocks = if yes {
-            self.reserve_clocks(&payload)
-        } else {
-            Vec::new()
-        };
-        {
-            let p = self.part.get_mut(&tx).expect("present");
-            p.voted = true;
-            p.my_vote = Some(yes);
-            p.reserved = clocks.clone();
-        }
-        self.stats.votes_cast += 1;
-        ctx.trace(
-            labels::TXN_VOTE,
-            tx_code(tx.coord, tx.seq),
-            vote_value(self.me, yes),
-        );
-        // 2PC votes go to the coordinator only.
-        if payload.coord == self.me {
-            self.record_vote(ctx, tx, self.cfg.site, yes, clocks);
-        } else {
-            ctx.send(payload.coord, Msg::Vote { tx, yes, clocks });
-        }
-    }
-
-    /// Sends a GC-mode vote to `replicas(vote_recv_obj) ∪ {coord}`.
+    /// Sends a vote to the coordinator and, in GC mode, to
+    /// `replicas(vote_recv_obj)` as well.
     ///
-    /// `vote_recv_obj` here is the full certifying set (the paper's "might
+    /// `vote_recv_obj` there is the full certifying set (the paper's "might
     /// be larger in certain cases", Figure 2-a): every participant receives
     /// every vote and decides locally, which also lets participants
-    /// terminate transactions whose coordinator crashed.
+    /// terminate transactions whose coordinator crashed. 2PC and Paxos
+    /// Commit participants wait for the coordinator's decision instead.
     fn send_vote(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         payload: &TermPayload,
         yes: bool,
-        clocks: Vec<(u32, u64)>,
+        mut clocks: Vec<(u32, u64)>,
     ) {
         let tx = payload.tx;
-        let broadcast_delivery = matches!(
-            self.cfg.spec.commitment,
-            CommitmentKind::GroupCommunication {
-                xcast: XcastKind::AbCast
-            }
-        );
-        let mut targets: Vec<ProcessId> = if broadcast_delivery {
+        let mut targets: Vec<ProcessId> = match self.cfg.spec.commitment {
             // AB-Cast delivers to every replica; all of them sit in Q and
             // need the votes to terminate ("all replicas must receive the
             // certification votes", §5.1).
-            self.cfg.replica_pids.clone()
-        } else {
-            let keys = payload
-                .rs
-                .iter()
-                .map(|e| e.key)
-                .chain(payload.ws.iter().map(|w| w.key));
-            keys.flat_map(|k| self.cfg.placement.replicas_of_key(k))
-                .map(|s| self.pid_of_site(*s))
-                .collect()
+            CommitmentKind::GroupCommunication {
+                xcast: XcastKind::AbCast,
+            } => self.cfg.replica_pids.clone(),
+            CommitmentKind::GroupCommunication { .. } => {
+                let keys = payload
+                    .rs
+                    .iter()
+                    .map(|e| e.key)
+                    .chain(payload.ws.iter().map(|w| w.key));
+                keys.flat_map(|k| self.cfg.placement.replicas_of_key(k))
+                    .map(|s| self.pid_of_site(*s))
+                    .collect()
+            }
+            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => Vec::new(),
         };
         targets.push(payload.coord);
         // Votes leave in ascending pid order, one per process.
         targets.sort_unstable();
         targets.dedup();
-        for t in targets {
-            if t == self.me {
-                self.record_vote(ctx, tx, self.cfg.site, yes, clocks.clone());
+        let last = targets.len() - 1;
+        for (i, t) in targets.into_iter().enumerate() {
+            // The last recipient takes the reservations themselves.
+            let clocks = if i == last {
+                std::mem::take(&mut clocks)
             } else {
-                ctx.send(
-                    t,
-                    Msg::Vote {
-                        tx,
-                        yes,
-                        clocks: clocks.clone(),
-                    },
-                );
+                clocks.clone()
+            };
+            if t == self.me {
+                self.record_vote(ctx, tx, self.cfg.site, yes, clocks);
+            } else {
+                ctx.send(t, Msg::Vote { tx, yes, clocks });
             }
         }
     }
@@ -1360,27 +1265,17 @@ impl Replica {
     /// verdict.
     fn local_decide(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
         let payload = self.part.get(&tx).expect("just delivered").payload.clone();
-        ctx.consume(self.certify_cost(&payload));
-        let commit = self.certify(&payload);
+        let commit = self.certify(ctx, &payload);
         if commit {
             for w in payload.ws.iter() {
                 let e = self.meta.entry(w.key).or_insert(0);
                 *e = (*e).max(w.base_seq + 1);
             }
         }
-        {
-            let p = self.part.get_mut(&tx).expect("present");
-            p.voted = true;
-            p.outcome = Some(commit);
-        }
+        self.part.get_mut(&tx).expect("present").outcome = Some(commit);
         self.process_queue(ctx);
         if payload.coord == self.me {
-            self.finish_coord(
-                ctx,
-                tx,
-                commit,
-                (!commit).then_some(AbortCause::CertificationConflict),
-            );
+            self.finish_coord(ctx, tx, commit, None);
         }
     }
 
@@ -1417,48 +1312,42 @@ impl Replica {
         self.check_part_outcome(ctx, tx);
     }
 
-    /// The `outcome(T)` predicate at the coordinator.
+    /// The `outcome(T)` predicate over the votes `v` received so far for a
+    /// transaction with the given certifying keys: abort on any *no*; commit
+    /// once every key is covered by *yes* votes — of one of its replicas in
+    /// GC mode (the voting quorum of Algorithm 3), of all of them under 2PC
+    /// and Paxos Commit; undecided until then.
+    fn outcome(&self, v: &VoteState, mut certifying: impl Iterator<Item = Key>) -> Option<bool> {
+        if v.any_no {
+            return Some(false);
+        }
+        let gc_mode = self.gc_mode();
+        let covered = certifying.all(|k| {
+            let mut replicas = self.cfg.placement.replicas_of_key(k).iter();
+            if gc_mode {
+                replicas.any(|s| v.yes_sites.contains(s))
+            } else {
+                replicas.all(|s| v.yes_sites.contains(s))
+            }
+        });
+        covered.then_some(true)
+    }
+
+    /// Coordinator side of `outcome(T)`: decide — through a Paxos round
+    /// under Paxos Commit — as soon as the votes allow.
     fn check_coord_outcome(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
         let Some(t) = self.coord.get(&tx) else { return };
-        if t.decided.is_some() || t.certifying.is_empty() {
+        if t.certifying.is_empty() {
             return;
         }
         let Some(v) = self.votes.get(&tx) else { return };
-        let decision = if v.any_no {
-            Some(false)
-        } else {
-            let covered = match self.cfg.spec.commitment {
-                // GC voting quorum: one affirmative replica per object.
-                CommitmentKind::GroupCommunication { .. } => t.certifying.iter().all(|k| {
-                    self.cfg
-                        .placement
-                        .replicas_of_key(*k)
-                        .iter()
-                        .any(|s| v.yes_sites.contains(s))
-                }),
-                // 2PC/Paxos: every replica of every object must vote yes.
-                CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
-                    t.certifying.iter().all(|k| {
-                        self.cfg
-                            .placement
-                            .replicas_of_key(*k)
-                            .iter()
-                            .all(|s| v.yes_sites.contains(s))
-                    })
-                }
-            };
-            covered.then_some(true)
+        let Some(commit) = self.outcome(v, t.certifying.iter().copied()) else {
+            return;
         };
-        let Some(commit) = decision else { return };
         if self.cfg.spec.commitment == CommitmentKind::PaxosCommit {
             self.start_paxos_round(ctx, tx, commit);
         } else {
-            self.decide_and_announce(
-                ctx,
-                tx,
-                commit,
-                (!commit).then_some(AbortCause::CertificationConflict),
-            );
+            self.decide_and_announce(ctx, tx, commit, None);
         }
     }
 
@@ -1486,13 +1375,8 @@ impl Replica {
         let Some(commit) = t.paxos_decision else {
             return;
         };
-        if t.decided.is_none() && t.paxos_acks > n / 2 {
-            self.decide_and_announce(
-                ctx,
-                tx,
-                commit,
-                (!commit).then_some(AbortCause::CertificationConflict),
-            );
+        if t.paxos_acks > n / 2 {
+            self.decide_and_announce(ctx, tx, commit, None);
         }
     }
 
@@ -1506,7 +1390,6 @@ impl Replica {
         cause: Option<AbortCause>,
     ) {
         let t = self.coord.get(&tx).expect("deciding an unknown txn");
-        let certifying = t.certifying.clone();
         // The merged vote-clock reservations: complete commit-vector
         // entries for every written partition, shipped with the decision.
         let clocks = self
@@ -1514,35 +1397,22 @@ impl Replica {
             .get(&tx)
             .map(|v| v.clocks.clone())
             .unwrap_or_default();
-        let announce_sites: BTreeSet<SiteId> = match self.cfg.spec.commitment {
-            // Every GC participant receives every vote and decides locally
-            // (Figure 2-a); no explicit decision fan-out is needed — except
-            // for a vote-timeout abort, which by definition has no votes to
-            // learn the outcome from, so it must be fanned out or the
-            // participants' queues stay wedged on the undecided entry.
-            CommitmentKind::GroupCommunication { .. } => {
-                if cause == Some(AbortCause::VoteTimeout) {
-                    self.sites_of_keys(certifying.iter())
-                } else {
-                    BTreeSet::new()
-                }
-            }
-            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
-                self.sites_of_keys(certifying.iter())
-            }
+        // 2PC and Paxos Commit participants wait for the decision. Every GC
+        // participant receives every vote and decides locally (Figure 2-a);
+        // no explicit decision fan-out is needed — except for a vote-timeout
+        // abort, which by definition has no votes to learn the outcome from,
+        // so it must be fanned out or the participants' queues stay wedged
+        // on the undecided entry.
+        let announce_sites = if !self.gc_mode() || cause == Some(AbortCause::VoteTimeout) {
+            self.sites_of_keys(&t.certifying)
+        } else {
+            BTreeSet::new()
         };
         for s in announce_sites {
             let pid = self.pid_of_site(s);
             if pid != self.me {
-                ctx.send(
-                    pid,
-                    Msg::Decide {
-                        tx,
-                        commit,
-                        payload: None,
-                        clocks: clocks.clone(),
-                    },
-                );
+                let clocks = clocks.clone();
+                ctx.send(pid, Msg::Decide { tx, commit, clocks });
             }
         }
         // Apply the local participant's copy, if any.
@@ -1560,13 +1430,12 @@ impl Replica {
         commit: bool,
         cause: Option<AbortCause>,
     ) {
-        let Some(t) = self.coord.get_mut(&tx) else {
+        // Leaving `coord` is what marks the transaction decided: retries,
+        // timeouts and late decisions look it up and find nothing.
+        let Some(t) = self.coord.remove(&tx) else {
             return;
         };
-        if t.decided.is_some() {
-            return;
-        }
-        t.decided = Some(commit);
+        self.votes.remove(&tx);
         self.stats.coordinated += 1;
         let cause = (!commit).then_some(cause.unwrap_or(AbortCause::CertificationConflict));
         if commit {
@@ -1600,7 +1469,7 @@ impl Replica {
                 tx,
                 committed: commit,
                 read_only: t.ws.is_empty(),
-                rs: t.rs.clone(),
+                rs: t.rs,
                 ws: t.ws.iter().map(|w| (w.key, w.base_seq)).collect(),
                 submitted_at: if t.submitted_at == SimTime::ZERO {
                     ctx.now()
@@ -1611,20 +1480,13 @@ impl Replica {
             };
             self.outcomes.push(rec);
         }
-        self.coord.remove(&tx);
-        self.votes.remove(&tx);
     }
 
-    /// Participant-side outcome from received votes (GC mode: every
-    /// `vote_recv` replica decides locally, Figure 2-a).
+    /// Participant side of `outcome(T)`: in GC mode every `vote_recv`
+    /// replica decides locally from the votes (Figure 2-a); 2PC and Paxos
+    /// Commit participants, and Serrano's vote-free ones, never do.
     fn check_part_outcome(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
-        if !matches!(
-            self.cfg.spec.commitment,
-            CommitmentKind::GroupCommunication { .. }
-        ) {
-            return;
-        }
-        if self.cfg.spec.votes == VoteRule::LocalDecide {
+        if !self.gc_mode() || self.cfg.spec.votes == VoteRule::LocalDecide {
             return;
         }
         let Some(p) = self.part.get(&tx) else { return };
@@ -1632,52 +1494,32 @@ impl Replica {
             return;
         }
         let Some(v) = self.votes.get(&tx) else { return };
-        let outcome = if v.any_no {
-            Some(false)
-        } else {
-            let payload = &p.payload;
-            let covered = |k: &Key| {
-                self.cfg
-                    .placement
-                    .replicas_of_key(*k)
-                    .iter()
-                    .any(|s| v.yes_sites.contains(s))
-            };
-            // vote_snd_obj = certifying_obj: check coverage of the
-            // certifying set straight off the payload under this
-            // protocol's rule (duplicate keys re-check a pure predicate,
-            // so no dedup pass is needed).
-            let all = match self.cfg.spec.certifying_obj {
-                CertifyingObjRule::WriteSet | CertifyingObjRule::WriteSetIfUpdate => {
-                    payload.ws.iter().all(|w| covered(&w.key))
-                }
-                _ => {
-                    payload.rs.iter().all(|e| covered(&e.key))
-                        && payload.ws.iter().all(|w| covered(&w.key))
-                }
-            };
-            all.then_some(true)
+        // vote_snd_obj = certifying_obj: check coverage of the certifying
+        // set straight off the payload under this protocol's rule
+        // (duplicate keys re-check a pure predicate, so no dedup pass is
+        // needed).
+        let rs: &[ReadEntry] = match self.cfg.spec.certifying_obj {
+            CertifyingObjRule::WriteSet | CertifyingObjRule::WriteSetIfUpdate => &[],
+            _ => &p.payload.rs,
         };
-        if let Some(commit) = outcome {
-            let merged_clocks = v.clocks.clone();
-            let p = self.part.get_mut(&tx).expect("present");
-            p.outcome = Some(commit);
-            if p.decided_clocks.is_empty() {
-                p.decided_clocks = merged_clocks;
-            }
-            if let Some(wal) = self.wal.as_mut() {
-                // GC-mode participants terminate from votes without an
-                // explicit `Decide`; log the outcome here so recovery and
-                // catch-up see every decision, not just coordinated ones.
-                ctx.consume(self.cfg.costs.per_log_append);
-                wal.append(&gdur_persist::LogRecord::Decision { tx, commit });
-                self.decided_outcomes.insert(tx, commit);
-            }
-            self.process_queue(ctx);
-        }
+        let certifying = rs
+            .iter()
+            .map(|e| e.key)
+            .chain(p.payload.ws.iter().map(|w| w.key));
+        let Some(commit) = self.outcome(v, certifying) else {
+            return;
+        };
+        // GC-mode participants terminate from votes without an explicit
+        // `Decide`: the decision taken here is logged and applied like a
+        // received one, so recovery and catch-up see every decision, not
+        // just coordinated ones.
+        let merged_clocks = v.clocks.clone();
+        self.on_decide(ctx, tx, commit, merged_clocks);
     }
 
-    /// Decision received (or taken locally).
+    /// Decision received, or taken locally: logged, recorded on the
+    /// participation together with the merged vote clocks, and applied when
+    /// the commitment algorithm says so.
     fn on_decide(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -1696,46 +1538,39 @@ impl Replica {
             }
             return;
         };
-        if p.outcome.is_none() {
-            p.outcome = Some(commit);
-        }
+        let commit = *p.outcome.get_or_insert(commit);
         if p.decided_clocks.is_empty() {
             p.decided_clocks = clocks;
         }
-        match self.cfg.spec.commitment {
-            CommitmentKind::GroupCommunication { .. } => {
-                // Apply in delivery order (Algorithm 3, line 10).
-                self.process_queue(ctx);
-            }
-            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
-                // Spontaneous order: apply and terminate immediately —
-                // unless a catch-up transfer is rebuilding the store, in
-                // which case the entry parks (outcome recorded above) until
-                // the `finish_catchup` sweep.
-                if self.recovering() {
-                    return;
-                }
-                self.terminate_2pc(ctx, tx);
-            }
+        if self.gc_mode() {
+            // Apply in delivery order (Algorithm 3, line 10).
+            self.process_queue(ctx);
+        } else if !self.recovering() {
+            // Spontaneous order: apply and terminate immediately — unless a
+            // catch-up transfer is rebuilding the store, in which case the
+            // entry parks (outcome recorded above) until the
+            // `finish_catchup` sweep. Nobody waits on a 2PC/Paxos
+            // participation.
+            self.terminate(ctx, tx, commit);
         }
     }
 
-    /// Terminates a decided 2PC/Paxos participation: apply the commit (or
-    /// resolve the aborted reservations) and drop the entry.
-    fn terminate_2pc(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
+    /// Terminates this replica's participation in `tx`: applies the commit
+    /// (or resolves the reservations of an abort), takes the transaction
+    /// out of the certifier and forgets its votes. Returns the tickets whose
+    /// deferred vote waited for it.
+    fn terminate(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, commit: bool) -> Vec<Ticket> {
         let p = self.part.remove(&tx).expect("present");
-        let commit = p.outcome.expect("decided");
         if commit {
             self.apply(ctx, &p.payload, &p.decided_clocks, &p.reserved);
         } else {
-            // Aborted reservations resolve too, or the frontier
-            // would stall on their slots forever.
+            // Aborted reservations resolve too, or the frontier would stall
+            // on their slots forever.
             self.resolve_reservations(&p.reserved);
         }
-        // Nobody waits on a 2PC/Paxos participation.
-        self.certifier.leave(p.ticket, &p.payload);
         self.votes.remove(&tx);
         self.done.insert(tx);
+        self.certifier.leave(p.ticket, &p.payload)
     }
 
     /// Pops every decided transaction at the head of `Q`, applying commits
@@ -1777,25 +1612,16 @@ impl Replica {
             let Some(commit) = outcome else {
                 break;
             };
-            // The entry comes out of the map here: nothing below, nor the
-            // votes and nested pops the wake-up triggers, looks at a
+            // The entry is gone before anyone is woken: neither the votes
+            // nor the nested pops the wake-up triggers look at a
             // transaction that has left Q.
-            let p = self.part.remove(&head).expect("present");
-            if commit {
-                self.apply(ctx, &p.payload, &p.decided_clocks, &p.reserved);
-            } else {
-                // Aborted reservations must resolve, or the frontier stalls.
-                self.resolve_reservations(&p.reserved);
-            }
-            let waiters = self.certifier.leave(p.ticket, &p.payload);
+            let waiters = self.terminate(ctx, head, commit);
             ctx.trace(
                 labels::CERT_DEQUEUE,
                 tx_code(head.coord, head.seq),
                 self.certifier.len() as u64,
             );
             self.wake(ctx, waiters);
-            self.votes.remove(&head);
-            self.done.insert(head);
         }
     }
 
@@ -1946,7 +1772,6 @@ impl Replica {
                 // would mint a duplicate version with a fresh sequence.
                 continue;
             }
-            ctx.consume(self.cfg.costs.per_apply);
             let p = self.cfg.placement.partition_of(w.key);
             let stamp = match self.cfg.spec.versioning {
                 Mechanism::Ts => {
@@ -1957,28 +1782,8 @@ impl Replica {
                     vec: commit_vec.clone(),
                 },
             };
-            let seq = self
-                .store
-                .install(w.key, w.value.clone(), stamp.clone(), payload.tx);
+            self.install(ctx, w.key, &w.value, stamp, payload.tx);
             self.stats.applies += 1;
-            if let Some(wal) = self.wal.as_mut() {
-                ctx.consume(self.cfg.costs.per_log_append);
-                wal.append(&gdur_persist::LogRecord::Install {
-                    key: w.key,
-                    seq,
-                    stamp,
-                    writer: payload.tx,
-                    value: w.value.clone(),
-                });
-            }
-            if self.cfg.record_history {
-                self.installs.push(InstallEvent {
-                    key: w.key,
-                    seq,
-                    tx: payload.tx,
-                    at: ctx.now(),
-                });
-            }
         }
         ctx.trace(
             labels::TXN_INSTALL,
@@ -2015,6 +1820,41 @@ impl Replica {
         }
     }
 
+    /// Installs one version: into the store, the durable log when one is
+    /// attached, and the recorded history.
+    fn install(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        key: Key,
+        value: &Value,
+        stamp: Stamp,
+        writer: TxId,
+    ) {
+        ctx.consume(self.cfg.costs.per_apply);
+        let seq = self
+            .store
+            .install(key, value.clone(), stamp.clone(), writer);
+        if let Some(wal) = self.wal.as_mut() {
+            ctx.consume(self.cfg.costs.per_log_append);
+            wal.append(&gdur_persist::LogRecord::Install {
+                key,
+                seq,
+                stamp,
+                writer,
+                value: value.clone(),
+            });
+        }
+        if self.cfg.record_history {
+            let at = ctx.now();
+            self.installs.push(InstallEvent {
+                key,
+                seq,
+                tx: writer,
+                at,
+            });
+        }
+    }
+
     /// Handles every message kind; the entry point wired into the actor.
     pub fn handle(&mut self, ctx: &mut Context<'_, Msg>, from: ProcessId, msg: Msg) {
         // Any message from a suspected site restores trust in it.
@@ -2023,11 +1863,13 @@ impl Replica {
                 self.suspected.remove(&site);
             }
         }
-        // Size-dependent deserialization cost: after-values and vector
-        // metadata both consume CPU proportional to their wire size.
+        // The fixed cost of a message plus size-dependent deserialization:
+        // after-values and vector metadata both consume CPU proportional to
+        // their wire size.
         let kb = gdur_sim::WireSize::wire_size(&msg) as u64;
         ctx.consume(SimDuration::from_nanos(
-            self.cfg.costs.per_recv_kb.as_nanos() * kb / 1024,
+            self.cfg.costs.per_message.as_nanos()
+                + self.cfg.costs.per_recv_kb.as_nanos() * kb / 1024,
         ));
         match msg {
             Msg::Client { tx, op } => self.on_client_op(ctx, from, tx, op),
@@ -2042,46 +1884,34 @@ impl Replica {
                 snap,
             } => self.on_read_rep(ctx, tx, key, value, seq, snap),
             Msg::Gc(m) => {
-                ctx.consume(self.cfg.costs.per_message);
                 let mut out = Vec::new();
                 self.gc.on_message(from, m, &mut out);
                 self.flush_gc(ctx, out);
             }
             Msg::Vote { tx, yes, clocks } => {
-                ctx.consume(self.cfg.costs.per_message);
-                let site = self.site_of_pid(from);
+                let site = self
+                    .try_site_of_pid(from)
+                    .expect("vote from a non-replica process");
                 self.record_vote(ctx, tx, site, yes, clocks);
             }
-            Msg::Decide {
-                tx, commit, clocks, ..
-            } => {
-                ctx.consume(self.cfg.costs.per_message);
+            Msg::Decide { tx, commit, clocks } => {
                 // A peer answering a resubmitted termination with the
-                // already-fixed outcome: close the coordinator entry so the
-                // retransmission loop stops and the client hears back.
-                if self.coord.get(&tx).is_some_and(|t| t.decided.is_none()) {
-                    self.finish_coord(
-                        ctx,
-                        tx,
-                        commit,
-                        (!commit).then_some(AbortCause::CertificationConflict),
-                    );
-                }
+                // already-fixed outcome: close the coordinator entry, if it
+                // is still open, so the retransmission loop stops and the
+                // client hears back.
+                self.finish_coord(ctx, tx, commit, None);
                 self.on_decide(ctx, tx, commit, clocks);
             }
             Msg::PaxosAccept { tx, commit } => {
-                ctx.consume(self.cfg.costs.per_message);
                 ctx.send(from, Msg::PaxosAccepted { tx, commit });
             }
             Msg::PaxosAccepted { tx, .. } => {
-                ctx.consume(self.cfg.costs.per_message);
                 if let Some(t) = self.coord.get_mut(&tx) {
                     t.paxos_acks += 1;
                 }
                 self.check_paxos_majority(ctx, tx);
             }
             Msg::Propagate { partition, seq } => {
-                ctx.consume(self.cfg.costs.per_message);
                 let p = partition as usize;
                 if self.knowledge.get(p) < seq {
                     self.advance_frontier(p, seq);
@@ -2146,10 +1976,7 @@ impl Replica {
         self.votes.clear();
         self.certifier.clear();
         self.early_decide.clear();
-        self.read_timers.clear();
-        self.term_timers.clear();
-        self.vote_timers.clear();
-        self.catchup_timers.clear();
+        self.timers.clear();
         self.suspected.clear();
         self.done = TerminatedSet::default();
         self.decided_outcomes.clear();
@@ -2247,37 +2074,19 @@ impl Replica {
                     base_seq,
                 })
                 .collect();
-            let t = CoordTxn {
-                client: ProcessId(tx.coord),
-                snapshot: Snapshot::unconstrained(),
-                rs: rs.clone(),
-                ws: ws.clone(),
-                pending_read: None,
-                read_timer: None,
-                submitted_at: ctx.now(),
-                paxos_acks: 0,
-                paxos_decision: None,
-                certifying: Vec::new(),
-                submitted_payload: None,
-                decided: None,
-            };
-            let certifying = self.certifying_keys(&t);
-            let payload = TermPayload::new(
+            let mut t = CoordTxn::new(ProcessId(tx.coord), Snapshot::unconstrained());
+            t.submitted_at = ctx.now();
+            t.submitted_payload = Some(TermPayload::new(
                 tx,
                 self.me,
                 ws.is_empty(),
-                std::sync::Arc::new(rs),
-                std::sync::Arc::new(ws),
+                std::sync::Arc::new(rs.clone()),
+                std::sync::Arc::new(ws.clone()),
                 std::sync::Arc::new(VersionVec::from_entries(dep)),
-            );
-            self.coord.insert(
-                tx,
-                CoordTxn {
-                    certifying,
-                    submitted_payload: Some(payload),
-                    ..t
-                },
-            );
+            ));
+            (t.rs, t.ws) = (rs, ws);
+            t.certifying = self.certifying_keys(&t);
+            self.coord.insert(tx, t);
         }
         self.start_catchup(ctx);
         self.serve_woken_reads(ctx);
@@ -2337,16 +2146,14 @@ impl Replica {
         else {
             return;
         };
-        let tag = self.next_timer_tag;
-        self.next_timer_tag += 1;
-        self.catchup_timers.insert(tag, peer);
-        let id = ctx.set_timer(self.cfg.read_timeout.saturating_mul(4), tag);
+        let after = self.cfg.read_timeout.saturating_mul(4);
+        let timer = self.arm(ctx, after, Timer::Catchup(peer));
         if let Some(p) = self
             .catchup
             .as_mut()
             .and_then(|cu| cu.pending.get_mut(&peer))
         {
-            p.timer = Some((tag, id));
+            p.timer = Some(timer);
         }
         ctx.trace(labels::RECOVERY_CATCHUP_REQ, 0, partitions.len() as u64);
         ctx.send(
@@ -2452,7 +2259,6 @@ impl Replica {
         start: u64,
         max: u32,
     ) {
-        ctx.consume(self.cfg.costs.per_message);
         let mut installs = Vec::new();
         let mut decisions = Vec::new();
         let mut idx = start;
@@ -2524,7 +2330,6 @@ impl Replica {
         next: Option<u64>,
         frontier: Vec<(u32, u64)>,
     ) {
-        ctx.consume(self.cfg.costs.per_message);
         if !self
             .catchup
             .as_ref()
@@ -2543,48 +2348,19 @@ impl Replica {
             if inst.seq != expected {
                 continue;
             }
-            ctx.consume(self.cfg.costs.per_apply);
-            let seq = self.store.install(
-                inst.key,
-                inst.value.clone(),
-                inst.stamp.clone(),
-                inst.writer,
-            );
+            self.install(ctx, inst.key, &inst.value, inst.stamp, inst.writer);
             self.stats.catchup_installs += 1;
             applied += 1;
-            if let Some(wal) = self.wal.as_mut() {
-                ctx.consume(self.cfg.costs.per_log_append);
-                wal.append(&gdur_persist::LogRecord::Install {
-                    key: inst.key,
-                    seq,
-                    stamp: inst.stamp,
-                    writer: inst.writer,
-                    value: inst.value,
-                });
-            }
-            if self.cfg.record_history {
-                self.installs.push(InstallEvent {
-                    key: inst.key,
-                    seq,
-                    tx: inst.writer,
-                    at: ctx.now(),
-                });
-            }
         }
         for (tx, commit) in decisions {
             if self.wal.is_some() {
                 self.decided_outcomes.entry(tx).or_insert(commit);
             }
-            if self.coord.get(&tx).is_some_and(|t| t.decided.is_none()) {
+            if self.coord.contains_key(&tx) {
                 // One of our own mid-commit transactions already terminated
                 // cluster-wide before the crash: close it without
                 // retransmitting.
-                self.finish_coord(
-                    ctx,
-                    tx,
-                    commit,
-                    (!commit).then_some(AbortCause::CertificationConflict),
-                );
+                self.finish_coord(ctx, tx, commit, None);
             } else {
                 self.done.insert(tx);
             }
@@ -2592,11 +2368,8 @@ impl Replica {
         let cu = self.catchup.as_mut().expect("recovering");
         cu.applied += applied;
         ctx.trace(labels::RECOVERY_CATCHUP_APPLY, 0, applied);
-        if let Some(p) = cu.pending.get_mut(&from) {
-            if let Some((tag, id)) = p.timer.take() {
-                ctx.cancel_timer(id);
-                self.catchup_timers.remove(&tag);
-            }
+        if let Some(timer) = cu.pending.get_mut(&from).and_then(|p| p.timer.take()) {
+            self.cancel(ctx, timer);
         }
         match next {
             Some(nxt) => {
@@ -2642,47 +2415,22 @@ impl Replica {
             return;
         };
         ctx.trace(labels::RECOVERY_COMPLETE, 0, cu.applied);
-        let resume: Vec<TxId> = self
+        let resume: Vec<(TxId, TermPayload)> = self
             .coord
             .iter()
-            .filter(|(_, t)| t.decided.is_none() && t.submitted_payload.is_some())
-            .map(|(tx, _)| *tx)
+            .filter_map(|(tx, t)| Some((*tx, t.submitted_payload.clone()?)))
             .collect();
-        for tx in resume {
+        for (tx, payload) in resume {
             self.stats.resubmissions += 1;
-            let t = self.coord.get(&tx).expect("present");
-            let payload = t.submitted_payload.clone().expect("payload kept");
-            let certifying = t.certifying.clone();
             ctx.trace(
                 labels::RECOVERY_RESUBMIT,
                 tx_code(tx.coord, tx.seq),
-                certifying.len() as u64,
+                self.coord[&tx].certifying.len() as u64,
             );
             if let Some(vt) = self.cfg.vote_timeout {
-                let tag = self.next_timer_tag;
-                self.next_timer_tag += 1;
-                self.vote_timers.insert(tag, tx);
-                ctx.set_timer(vt, tag);
+                self.arm(ctx, vt, Timer::VoteTimeout(tx));
             }
-            let dests: std::sync::Arc<[ProcessId]> = self
-                .sites_of_keys(certifying.iter())
-                .into_iter()
-                .map(|s| self.pid_of_site(s))
-                .collect();
-            // Retransmit through the protocol's own propagation primitive:
-            // GC commitments rely on their ordered xcast, 2PC/Paxos use the
-            // plain multicast of the live retry path (and keep retrying).
-            let mut out = Vec::new();
-            match self.cfg.spec.commitment {
-                CommitmentKind::GroupCommunication { xcast } => {
-                    self.gc.xcast(xcast, dests, payload, &mut out);
-                }
-                CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
-                    self.gc.multicast(dests, payload, &mut out);
-                    self.arm_term_retry(ctx, tx);
-                }
-            }
-            self.flush_gc(ctx, out);
+            self.transmit(ctx, tx, payload);
         }
         self.cast_deferred_votes(ctx);
         self.process_queue(ctx);
@@ -2692,48 +2440,35 @@ impl Replica {
     /// Votes parked while recovering, cast now against the caught-up
     /// store; parked decided 2PC/Paxos terminations complete too.
     fn cast_deferred_votes(&mut self, ctx: &mut Context<'_, Msg>) {
+        let gc_mode = self.gc_mode();
         let unvoted: Vec<TxId> = self
             .part
             .iter()
             .filter(|(_, p)| {
-                !p.voted && p.outcome.is_none() && !self.certifier.is_blocked(p.ticket)
+                p.my_vote.is_none() && p.outcome.is_none() && !self.certifier.is_blocked(p.ticket)
             })
             .map(|(tx, _)| *tx)
             .collect();
-        let gc_mode = matches!(
-            self.cfg.spec.commitment,
-            CommitmentKind::GroupCommunication { .. }
-        );
         for tx in unvoted {
-            if gc_mode {
-                self.cast_gc_vote(ctx, tx);
-            } else {
-                let p = self.part.get(&tx).expect("present");
-                let conflict = self.certifier.has_conflict(p.ticket, &p.payload);
-                self.vote_2pc(ctx, tx, conflict);
-            }
+            // An earlier vote of this sweep may have emptied the head of `Q`
+            // past an orphaned query.
+            let Some(p) = self.part.get(&tx) else {
+                continue;
+            };
+            // In GC mode an unblocked entry has no conflicting predecessor.
+            let preempt = !gc_mode && self.certifier.has_conflict(p.ticket, &p.payload);
+            self.cast_vote(ctx, tx, preempt);
         }
         if !gc_mode {
-            let parked: Vec<TxId> = self
+            let parked: Vec<(TxId, bool)> = self
                 .part
                 .iter()
-                .filter(|(_, p)| p.outcome.is_some())
-                .map(|(tx, _)| *tx)
+                .filter_map(|(tx, p)| Some((*tx, p.outcome?)))
                 .collect();
-            for tx in parked {
-                self.terminate_2pc(ctx, tx);
+            for (tx, commit) in parked {
+                self.terminate(ctx, tx, commit);
             }
         }
-    }
-
-    fn site_of_pid(&self, pid: ProcessId) -> SiteId {
-        let idx = self
-            .cfg
-            .replica_pids
-            .iter()
-            .position(|p| *p == pid)
-            .expect("vote from a non-replica process");
-        SiteId(idx as u16)
     }
 }
 
