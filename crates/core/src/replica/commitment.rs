@@ -1,0 +1,421 @@
+//! Atomic commitment: the vote step, the vote ledger and `outcome(T)` shared
+//! by group communication with distributed voting (Algorithm 3), two-phase
+//! commit (Algorithm 4) and Paxos Commit (§5), Serrano's vote-free
+//! `LocalDecide`, and the decision at coordinator and participant.
+
+use super::*;
+
+impl Replica {
+    /// `certify(T)` against this replica's local state, at its CPU cost.
+    fn certify(&mut self, ctx: &mut Context<'_, Msg>, payload: &TermPayload) -> bool {
+        let items = (payload.rs.len() + payload.ws.len()) as u64;
+        let costs = &self.cfg.costs;
+        ctx.consume(costs.per_certify + costs.per_certify_item.saturating_mul(items));
+        self.stats.certifications += 1;
+        // Version `seq` of a key hosted here is still its latest.
+        let current =
+            |key, seq| !self.is_local(key) || self.store.latest_seq(key).unwrap_or(0) <= seq;
+        match self.cfg.spec.certify {
+            CertifyRule::AlwaysPass => true,
+            CertifyRule::ReadSetCurrent => payload.rs.iter().all(|e| current(e.key, e.seq)),
+            // Serrano: certify against the replicated version table
+            // covering all objects.
+            CertifyRule::WriteSetCurrent if self.cfg.spec.votes == VoteRule::LocalDecide => payload
+                .ws
+                .iter()
+                .all(|w| *self.meta.get(&w.key).unwrap_or(&0) <= w.base_seq),
+            CertifyRule::WriteSetCurrent => payload.ws.iter().all(|w| current(w.key, w.base_seq)),
+        }
+    }
+
+    /// Action `vote` of Algorithms 3 and 4: certify `tx` — or, with
+    /// `preempt`, vote *no* uncertified because a queued transaction does
+    /// not commute with it (Algorithm 4, line 3) — reserve the commit
+    /// clocks of a *yes*, and send the vote.
+    pub(super) fn cast_vote(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, preempt: bool) {
+        let Some(p) = self.part.get(&tx) else { return };
+        if p.my_vote.is_some() || p.outcome.is_some() {
+            return;
+        }
+        if self.recovering() {
+            // Certifying against a mid-rebuild store could contradict the
+            // votes of this partition's peers; the vote parks until
+            // catch-up completes (`finish_catchup` sweeps unvoted entries).
+            return;
+        }
+        let payload = p.payload.clone();
+        let yes = if preempt {
+            self.stats.preemptive_aborts += 1;
+            false
+        } else {
+            self.certify(ctx, &payload)
+        };
+        let clocks = if yes {
+            self.reserve_clocks(&payload)
+        } else {
+            Vec::new()
+        };
+        {
+            let p = self.part.get_mut(&tx).expect("present");
+            p.my_vote = Some(yes);
+            p.reserved = clocks.clone();
+        }
+        self.stats.votes_cast += 1;
+        ctx.trace(
+            labels::TXN_VOTE,
+            tx_code(tx.coord, tx.seq),
+            vote_value(self.me, yes),
+        );
+        self.send_vote(ctx, &payload, yes, clocks);
+    }
+
+    /// Sends a vote to the coordinator and, in GC mode, to
+    /// `replicas(vote_recv_obj)` as well.
+    ///
+    /// `vote_recv_obj` there is the full certifying set (the paper's "might
+    /// be larger in certain cases", Figure 2-a): every participant receives
+    /// every vote and decides locally, which also lets participants
+    /// terminate transactions whose coordinator crashed. 2PC and Paxos
+    /// Commit participants wait for the coordinator's decision instead.
+    fn send_vote(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        payload: &TermPayload,
+        yes: bool,
+        mut clocks: Vec<(u32, u64)>,
+    ) {
+        let tx = payload.tx;
+        let mut targets: Vec<ProcessId> = match self.cfg.spec.commitment {
+            // AB-Cast delivers to every replica; all of them sit in Q and
+            // need the votes to terminate ("all replicas must receive the
+            // certification votes", §5.1).
+            CommitmentKind::GroupCommunication {
+                xcast: XcastKind::AbCast,
+            } => self.cfg.replica_pids.clone(),
+            CommitmentKind::GroupCommunication { .. } => {
+                let keys = payload
+                    .rs
+                    .iter()
+                    .map(|e| e.key)
+                    .chain(payload.ws.iter().map(|w| w.key));
+                keys.flat_map(|k| self.cfg.placement.replicas_of_key(k))
+                    .map(|s| self.pid_of_site(*s))
+                    .collect()
+            }
+            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => Vec::new(),
+        };
+        targets.push(payload.coord);
+        // Votes leave in ascending pid order, one per process.
+        targets.sort_unstable();
+        targets.dedup();
+        let last = targets.len() - 1;
+        for (i, t) in targets.into_iter().enumerate() {
+            // The last recipient takes the reservations themselves.
+            let clocks = if i == last {
+                std::mem::take(&mut clocks)
+            } else {
+                clocks.clone()
+            };
+            if t == self.me {
+                self.record_vote(ctx, tx, self.cfg.site, yes, clocks);
+            } else {
+                ctx.send(t, Msg::Vote { tx, yes, clocks });
+            }
+        }
+    }
+
+    /// Serrano's vote-free decision: certify at delivery, in total order,
+    /// against the replicated version table; every replica reaches the same
+    /// verdict.
+    pub(super) fn local_decide(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
+        let payload = self.part.get(&tx).expect("just delivered").payload.clone();
+        let commit = self.certify(ctx, &payload);
+        if commit {
+            for w in payload.ws.iter() {
+                let e = self.meta.entry(w.key).or_insert(0);
+                *e = (*e).max(w.base_seq + 1);
+            }
+        }
+        self.part.get_mut(&tx).expect("present").outcome = Some(commit);
+        self.process_queue(ctx);
+        if payload.coord == self.me {
+            self.finish_coord(ctx, tx, commit, None);
+        }
+    }
+
+    /// Accumulates a vote; both coordinator-side and participant-side
+    /// decisions key off this shared state.
+    pub(super) fn record_vote(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        tx: TxId,
+        site: SiteId,
+        yes: bool,
+        clocks: Vec<(u32, u64)>,
+    ) {
+        if self.done.contains(&tx) && !self.coord.contains_key(&tx) {
+            return;
+        }
+        {
+            let v = self.votes.entry(tx).or_default();
+            if yes {
+                if let Err(i) = v.yes_sites.binary_search(&site) {
+                    v.yes_sites.insert(i, site);
+                }
+                for (p, s) in clocks {
+                    match v.clocks.iter_mut().find(|(q, _)| *q == p) {
+                        Some(e) => e.1 = e.1.max(s),
+                        None => v.clocks.push((p, s)),
+                    }
+                }
+            } else {
+                v.any_no = true;
+            }
+        }
+        self.check_coord_outcome(ctx, tx);
+        self.check_part_outcome(ctx, tx);
+    }
+
+    /// The `outcome(T)` predicate over the votes `v` received so far for a
+    /// transaction with the given certifying keys: abort on any *no*; commit
+    /// once every key is covered by *yes* votes — of one of its replicas in
+    /// GC mode (the voting quorum of Algorithm 3), of all of them under 2PC
+    /// and Paxos Commit; undecided until then.
+    fn outcome(&self, v: &VoteState, mut certifying: impl Iterator<Item = Key>) -> Option<bool> {
+        if v.any_no {
+            return Some(false);
+        }
+        let gc_mode = self.gc_mode();
+        let covered = certifying.all(|k| {
+            let mut replicas = self.cfg.placement.replicas_of_key(k).iter();
+            if gc_mode {
+                replicas.any(|s| v.yes_sites.contains(s))
+            } else {
+                replicas.all(|s| v.yes_sites.contains(s))
+            }
+        });
+        covered.then_some(true)
+    }
+
+    /// Coordinator side of `outcome(T)`: decide — through a Paxos round
+    /// under Paxos Commit — as soon as the votes allow.
+    fn check_coord_outcome(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
+        let Some(t) = self.coord.get(&tx) else { return };
+        if t.certifying.is_empty() {
+            return;
+        }
+        let Some(v) = self.votes.get(&tx) else { return };
+        let Some(commit) = self.outcome(v, t.certifying.iter().copied()) else {
+            return;
+        };
+        if self.cfg.spec.commitment == CommitmentKind::PaxosCommit {
+            self.start_paxos_round(ctx, tx, commit);
+        } else {
+            self.decide_and_announce(ctx, tx, commit, None);
+        }
+    }
+
+    /// Paxos Commit: replicate the decision on a majority of acceptors
+    /// before announcing it.
+    fn start_paxos_round(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, commit: bool) {
+        let t = self.coord.get_mut(&tx).expect("present");
+        if t.paxos_decision.is_some() {
+            return;
+        }
+        t.paxos_decision = Some(commit);
+        t.paxos_acks = 1; // the coordinator accepts its own decision
+        for s in self.cfg.placement.all_sites() {
+            let pid = self.pid_of_site(s);
+            if pid != self.me {
+                ctx.send(pid, Msg::PaxosAccept { tx, commit });
+            }
+        }
+        self.check_paxos_majority(ctx, tx);
+    }
+
+    pub(super) fn check_paxos_majority(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
+        let n = self.cfg.placement.sites();
+        let Some(t) = self.coord.get(&tx) else { return };
+        let Some(commit) = t.paxos_decision else {
+            return;
+        };
+        if t.paxos_acks > n / 2 {
+            self.decide_and_announce(ctx, tx, commit, None);
+        }
+    }
+
+    /// Coordinator decision: notify the client, announce to participants
+    /// that do not learn the outcome from votes.
+    pub(super) fn decide_and_announce(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        tx: TxId,
+        commit: bool,
+        cause: Option<AbortCause>,
+    ) {
+        let t = self.coord.get(&tx).expect("deciding an unknown txn");
+        // The merged vote-clock reservations: complete commit-vector
+        // entries for every written partition, shipped with the decision.
+        let clocks = self
+            .votes
+            .get(&tx)
+            .map(|v| v.clocks.clone())
+            .unwrap_or_default();
+        // 2PC and Paxos Commit participants wait for the decision. Every GC
+        // participant receives every vote and decides locally (Figure 2-a);
+        // no explicit decision fan-out is needed — except for a vote-timeout
+        // abort, which by definition has no votes to learn the outcome from,
+        // so it must be fanned out or the participants' queues stay wedged
+        // on the undecided entry.
+        let announce_sites = if !self.gc_mode() || cause == Some(AbortCause::VoteTimeout) {
+            self.sites_of_keys(&t.certifying)
+        } else {
+            BTreeSet::new()
+        };
+        for s in announce_sites {
+            let pid = self.pid_of_site(s);
+            if pid != self.me {
+                let clocks = clocks.clone();
+                ctx.send(pid, Msg::Decide { tx, commit, clocks });
+            }
+        }
+        // Apply the local participant's copy, if any.
+        self.on_decide(ctx, tx, commit, clocks);
+        self.finish_coord(ctx, tx, commit, cause);
+    }
+
+    /// Final coordinator bookkeeping: reply to the client, record history.
+    /// `cause` names why an abort happened (defaulting to certification
+    /// conflict); it partitions `stats.aborted` exactly.
+    pub(super) fn finish_coord(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        tx: TxId,
+        commit: bool,
+        cause: Option<AbortCause>,
+    ) {
+        // Leaving `coord` is what marks the transaction decided: retries,
+        // timeouts and late decisions look it up and find nothing.
+        let Some(t) = self.coord.remove(&tx) else {
+            return;
+        };
+        self.votes.remove(&tx);
+        self.stats.coordinated += 1;
+        let cause = (!commit).then_some(cause.unwrap_or(AbortCause::CertificationConflict));
+        if commit {
+            self.stats.committed += 1;
+        } else {
+            self.stats.aborted += 1;
+            match cause.expect("set on abort") {
+                AbortCause::CertificationConflict => self.stats.aborted_cert_conflict += 1,
+                AbortCause::VoteTimeout => self.stats.aborted_vote_timeout += 1,
+                AbortCause::ReadImpossible => self.stats.aborted_read_impossible += 1,
+                AbortCause::Crash => self.stats.aborted_crash += 1,
+            }
+        }
+        let code = tx_code(tx.coord, tx.seq);
+        ctx.trace(labels::TXN_DECIDE, code, commit as u64);
+        if let Some(c) = cause {
+            ctx.trace(labels::TXN_ABORT, code, c.code());
+        }
+        ctx.send(
+            t.client,
+            Msg::Reply {
+                tx,
+                reply: ClientReply::Outcome {
+                    committed: commit,
+                    cause,
+                },
+            },
+        );
+        if self.cfg.record_history {
+            let rec = TxnOutcomeRecord {
+                tx,
+                committed: commit,
+                read_only: t.ws.is_empty(),
+                rs: t.rs,
+                ws: t.ws.iter().map(|w| (w.key, w.base_seq)).collect(),
+                submitted_at: if t.submitted_at == SimTime::ZERO {
+                    ctx.now()
+                } else {
+                    t.submitted_at
+                },
+                decided_at: ctx.now(),
+            };
+            self.outcomes.push(rec);
+        }
+    }
+
+    /// Participant side of `outcome(T)`: in GC mode every `vote_recv`
+    /// replica decides locally from the votes (Figure 2-a); 2PC and Paxos
+    /// Commit participants, and Serrano's vote-free ones, never do.
+    pub(super) fn check_part_outcome(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
+        if !self.gc_mode() || self.cfg.spec.votes == VoteRule::LocalDecide {
+            return;
+        }
+        let Some(p) = self.part.get(&tx) else { return };
+        if p.outcome.is_some() {
+            return;
+        }
+        let Some(v) = self.votes.get(&tx) else { return };
+        // vote_snd_obj = certifying_obj: check coverage of the certifying
+        // set straight off the payload under this protocol's rule
+        // (duplicate keys re-check a pure predicate, so no dedup pass is
+        // needed).
+        let rs: &[ReadEntry] = match self.cfg.spec.certifying_obj {
+            CertifyingObjRule::WriteSet | CertifyingObjRule::WriteSetIfUpdate => &[],
+            _ => &p.payload.rs,
+        };
+        let certifying = rs
+            .iter()
+            .map(|e| e.key)
+            .chain(p.payload.ws.iter().map(|w| w.key));
+        let Some(commit) = self.outcome(v, certifying) else {
+            return;
+        };
+        // GC-mode participants terminate from votes without an explicit
+        // `Decide`: the decision taken here is logged and applied like a
+        // received one, so recovery and catch-up see every decision, not
+        // just coordinated ones.
+        let merged_clocks = v.clocks.clone();
+        self.on_decide(ctx, tx, commit, merged_clocks);
+    }
+
+    /// Decision received, or taken locally: logged, recorded on the
+    /// participation together with the merged vote clocks, and applied when
+    /// the commitment algorithm says so.
+    pub(super) fn on_decide(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        tx: TxId,
+        commit: bool,
+        clocks: Vec<(u32, u64)>,
+    ) {
+        if let Some(wal) = self.wal.as_mut() {
+            ctx.consume(self.cfg.costs.per_log_append);
+            wal.append(&gdur_persist::LogRecord::Decision { tx, commit });
+            self.decided_outcomes.insert(tx, commit);
+        }
+        let Some(p) = self.part.get_mut(&tx) else {
+            if !self.done.contains(&tx) {
+                self.early_decide.insert(tx, (commit, clocks));
+            }
+            return;
+        };
+        let commit = *p.outcome.get_or_insert(commit);
+        if p.decided_clocks.is_empty() {
+            p.decided_clocks = clocks;
+        }
+        if self.gc_mode() {
+            // Apply in delivery order (Algorithm 3, line 10).
+            self.process_queue(ctx);
+        } else if !self.recovering() {
+            // Spontaneous order: apply and terminate immediately — unless a
+            // catch-up transfer is rebuilding the store, in which case the
+            // entry parks (outcome recorded above) until the
+            // `finish_catchup` sweep. Nobody waits on a 2PC/Paxos
+            // participation.
+            self.terminate(ctx, tx, commit);
+        }
+    }
+}
