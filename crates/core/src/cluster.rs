@@ -393,30 +393,10 @@ impl Cluster {
 
     /// Summed replica statistics.
     pub fn replica_stats(&self) -> ReplicaStats {
-        let mut total = ReplicaStats::default();
-        for pid in &self.replica_pids {
-            let s = self.sim.actor(*pid).as_replica().expect("replica").stats();
-            total.coordinated += s.coordinated;
-            total.committed += s.committed;
-            total.aborted += s.aborted;
-            total.votes_cast += s.votes_cast;
-            total.preemptive_aborts += s.preemptive_aborts;
-            total.certifications += s.certifications;
-            total.remote_reads_served += s.remote_reads_served;
-            total.applies += s.applies;
-            total.propagates_sent += s.propagates_sent;
-            total.aborted_cert_conflict += s.aborted_cert_conflict;
-            total.aborted_vote_timeout += s.aborted_vote_timeout;
-            total.aborted_read_impossible += s.aborted_read_impossible;
-            total.aborted_crash += s.aborted_crash;
-            total.recoveries += s.recoveries;
-            total.resubmissions += s.resubmissions;
-            total.catchup_installs += s.catchup_installs;
-            total.catchup_records_decoded += s.catchup_records_decoded;
-            total.reads_parked += s.reads_parked;
-            total.parked_read_checks += s.parked_read_checks;
-        }
-        total
+        let sites = self.placement().all_sites();
+        sites
+            .map(|s| self.replica(s).stats())
+            .fold(ReplicaStats::default(), ReplicaStats::sum)
     }
 
     /// Reads still parked at some replica (0 once a run has gone idle).

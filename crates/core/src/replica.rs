@@ -142,6 +142,35 @@ pub struct ReplicaStats {
     pub parked_read_checks: u64,
 }
 
+impl ReplicaStats {
+    /// The counters of `self` and `other` added up. The literal names every
+    /// field, so a counter added to the struct and not summed here does not
+    /// compile.
+    pub fn sum(self, other: ReplicaStats) -> ReplicaStats {
+        ReplicaStats {
+            coordinated: self.coordinated + other.coordinated,
+            committed: self.committed + other.committed,
+            aborted: self.aborted + other.aborted,
+            votes_cast: self.votes_cast + other.votes_cast,
+            preemptive_aborts: self.preemptive_aborts + other.preemptive_aborts,
+            certifications: self.certifications + other.certifications,
+            remote_reads_served: self.remote_reads_served + other.remote_reads_served,
+            applies: self.applies + other.applies,
+            propagates_sent: self.propagates_sent + other.propagates_sent,
+            aborted_cert_conflict: self.aborted_cert_conflict + other.aborted_cert_conflict,
+            aborted_vote_timeout: self.aborted_vote_timeout + other.aborted_vote_timeout,
+            aborted_read_impossible: self.aborted_read_impossible + other.aborted_read_impossible,
+            aborted_crash: self.aborted_crash + other.aborted_crash,
+            recoveries: self.recoveries + other.recoveries,
+            resubmissions: self.resubmissions + other.resubmissions,
+            catchup_installs: self.catchup_installs + other.catchup_installs,
+            catchup_records_decoded: self.catchup_records_decoded + other.catchup_records_decoded,
+            reads_parked: self.reads_parked + other.reads_parked,
+            parked_read_checks: self.parked_read_checks + other.parked_read_checks,
+        }
+    }
+}
+
 /// Execution-phase state of a transaction at its coordinator.
 #[derive(Debug)]
 struct CoordTxn {
