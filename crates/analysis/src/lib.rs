@@ -32,7 +32,7 @@ pub use gdur_core::{Criterion, Diagnostic, Severity};
 
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
 use gdur_store::Placement;
-use gdur_workload::{WorkloadSpec, YcsbSource};
+use gdur_workload::WorkloadSpec;
 
 /// Renders the full lint verdict of a spec under a placement, one
 /// diagnostic per line, or `"ok"` when the assembly is clean.
@@ -52,22 +52,12 @@ pub fn verify_cluster(spec: &ProtocolSpec, cluster: &Cluster) -> Result<(), Viol
 }
 
 fn run_small(spec: ProtocolSpec, seed: u64) -> (Vec<TxnRecord>, String) {
-    let sites = 3;
-    let mut cfg = ClusterConfig::small(spec, sites);
+    let mut cfg = ClusterConfig::small(spec, 3);
     cfg.keys_per_partition = 50;
     cfg.clients_per_site = 2;
     cfg.max_txns_per_client = Some(12);
     cfg.seed = seed;
-    let total_keys = cfg.keys_per_partition * sites as u64;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            total_keys,
-            sites as u64,
-            site.0 as u64 % sites as u64,
-            0.5,
-        ))
-    });
+    let mut cluster = gdur_harness::build_ycsb(cfg, &WorkloadSpec::a(), 0.5, 0.0);
     let trace = gdur_obs::TraceHandle::new();
     cluster.attach_obs(trace.sink());
     cluster.run_until_idle();
@@ -175,16 +165,7 @@ mod tests {
         let spec = gdur_protocols::jessy_2pc();
         let mut cfg = ClusterConfig::small(spec.clone(), 2);
         cfg.max_txns_per_client = Some(5);
-        let total = cfg.keys_per_partition * 2;
-        let mut cluster = Cluster::build(cfg, move |_, site| {
-            Box::new(YcsbSource::new(
-                WorkloadSpec::a(),
-                total,
-                2,
-                site.0 as u64 % 2,
-                0.5,
-            ))
-        });
+        let mut cluster = gdur_harness::build_ycsb(cfg, &WorkloadSpec::a(), 0.5, 0.0);
         cluster.run_until_idle();
         verify_cluster(&spec, &cluster).expect("sound protocol, sound history");
     }

@@ -31,11 +31,11 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
-use gdur_harness::check_invariants;
+use gdur_harness::{build_ycsb, check_invariants};
 use gdur_obs::TraceHandle;
 use gdur_sim::{Candidate, CandidateKind, ObsEvent, Scheduler, SimDuration, SimTime};
 use gdur_store::Placement;
-use gdur_workload::{WorkloadSpec, YcsbSource};
+use gdur_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,8 +116,6 @@ pub fn walter_psi_bug_config() -> McConfig {
 
 fn build_cluster(cfg: &McConfig) -> Cluster {
     let placement = Placement::disaster_prone(cfg.sites);
-    let partitions = placement.partitions() as u64;
-    let total_keys = cfg.keys_per_partition * partitions;
     let ccfg = ClusterConfig {
         keys_per_partition: cfg.keys_per_partition,
         value_size: 64,
@@ -127,15 +125,7 @@ fn build_cluster(cfg: &McConfig) -> Cluster {
         bug_unreserved_commit_clocks: cfg.reintroduce_psi_bug,
         ..ClusterConfig::new(cfg.spec.clone(), placement)
     };
-    Cluster::build(ccfg, move |_idx, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::b(),
-            total_keys,
-            partitions,
-            site.0 as u64 % partitions,
-            0.5,
-        ))
-    })
+    build_ycsb(ccfg, &WorkloadSpec::b(), 0.5, 0.0)
 }
 
 /// What the scheduler records during one run, shared with the explorer

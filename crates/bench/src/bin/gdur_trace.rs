@@ -26,10 +26,10 @@
 
 use std::process::exit;
 
-use gdur_harness::{run_point_causal, CausalRun, Experiment, PlacementKind, Scale, WorkloadKind};
+use gdur_harness::{run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind};
 use gdur_obs::{
     critical_path, export_chrome, render_attribution_csv, render_attribution_text, tx_code,
-    tx_span_tree, validate_json, Attribution, CausalIndex,
+    tx_span_tree, validate_json, Attribution, CausalIndex, TraceHandle,
 };
 use gdur_sim::SimDuration;
 
@@ -46,7 +46,7 @@ fn scale(clients: usize) -> Scale {
     }
 }
 
-fn run(name: &str, clients: usize) -> CausalRun {
+fn run(name: &str, clients: usize) -> PointRun {
     let Some(spec) = gdur_protocols::by_name(name) else {
         eprintln!("gdur-trace: unknown protocol {name:?}; known protocols:");
         for p in gdur_protocols::all_protocols() {
@@ -55,7 +55,7 @@ fn run(name: &str, clients: usize) -> CausalRun {
         exit(1);
     };
     let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
-    run_point_causal(&exp, &scale(clients), clients)
+    run_point_with(&exp, &scale(clients), clients, Some(TraceHandle::causal()))
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {

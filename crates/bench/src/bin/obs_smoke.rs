@@ -9,10 +9,10 @@
 use std::process::exit;
 
 use gdur_harness::{
-    render_breakdown_csv, render_breakdown_text, run_point_traced, BreakdownRow, Experiment,
-    PlacementKind, Scale, WorkloadKind,
+    render_breakdown_csv, render_breakdown_text, run_point_with, BreakdownRow, Experiment,
+    PlacementKind, PointRun, Scale, WorkloadKind,
 };
-use gdur_obs::{jsonl, Phase};
+use gdur_obs::{jsonl, Phase, TraceHandle};
 use gdur_sim::SimDuration;
 
 /// A fixed scale, independent of `--quick`/`--seed`: the rendered table is
@@ -38,7 +38,12 @@ fn main() {
         let name = spec.name;
         let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
         for &cps in &scale.client_sweep {
-            let (point, breakdown, events) = run_point_traced(&exp, &scale, cps);
+            let PointRun {
+                point,
+                breakdown,
+                events,
+                ..
+            } = run_point_with(&exp, &scale, cps, Some(TraceHandle::new()));
             let trace = jsonl::export(&events);
             match jsonl::validate(&trace) {
                 Ok(n) => println!("{name} @ {cps} clients/site: {n} trace events, schema ok"),

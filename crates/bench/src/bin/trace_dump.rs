@@ -12,8 +12,8 @@
 
 use std::process::exit;
 
-use gdur_harness::{run_point_traced, Experiment, PlacementKind, Scale, WorkloadKind};
-use gdur_obs::{jsonl, tx_code, ObsEvent};
+use gdur_harness::{run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind};
+use gdur_obs::{jsonl, tx_code, ObsEvent, TraceHandle};
 use gdur_sim::SimDuration;
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -94,7 +94,12 @@ fn main() {
         client_pooling: false,
     };
     let exp = Experiment::new(spec, WorkloadKind::A, 0.9, 3, PlacementKind::Dp);
-    let (point, breakdown, mut events) = run_point_traced(&exp, &scale, clients);
+    let PointRun {
+        point,
+        breakdown,
+        mut events,
+        ..
+    } = run_point_with(&exp, &scale, clients, Some(TraceHandle::new()));
 
     if let Some(tx) = tx_filter {
         let seen = events

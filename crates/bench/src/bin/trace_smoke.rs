@@ -23,10 +23,10 @@
 use std::collections::BTreeMap;
 use std::process::exit;
 
-use gdur_harness::{run_point, run_point_causal, Experiment, PlacementKind, Scale, WorkloadKind};
+use gdur_harness::{run_point, run_point_with, Experiment, PlacementKind, Scale, WorkloadKind};
 use gdur_obs::{
     critical_path, export_chrome, jsonl, labels, render_attribution_csv, render_attribution_text,
-    tx_span_tree, validate_json, Attribution, CausalIndex, ObsEvent,
+    tx_span_tree, validate_json, Attribution, CausalIndex, ObsEvent, TraceHandle,
 };
 use gdur_sim::SimDuration;
 
@@ -61,7 +61,7 @@ fn main() {
         // (5) zero perturbation: causal tracing must not move a single bit
         // of the measured point.
         let untraced = run_point(&exp, &scale, cps);
-        let run = run_point_causal(&exp, &scale, cps);
+        let run = run_point_with(&exp, &scale, cps, Some(TraceHandle::causal()));
         assert_eq!(
             run.point, untraced,
             "{name}: causal tracing perturbed the run"

@@ -214,50 +214,31 @@ fn summarize(records: &[TxnRecord], window: SimDuration, clients_total: usize) -
 /// Runs one sweep point: a full deployment at `clients_per_site`, with a
 /// warm-up excluded from the reported window.
 pub fn run_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> PointResult {
-    run_point_full(exp, scale, clients_per_site, None).point
+    run_point_with(exp, scale, clients_per_site, None).point
 }
 
-/// Like [`run_point`], but also returns the kernel's [`gdur_sim::SimStats`]
-/// and per-class [`gdur_sim::QueueStats`] for the whole run (warm-up
-/// included). The perf gate divides `events_processed` by host wall-clock
-/// to report events/sec; because both are a pure function of the seed (the
-/// queue counters at one kernel thread), they double as a cheap
-/// bit-identity check across optimisation work.
-pub fn run_point_events(
-    exp: &Experiment,
-    scale: &Scale,
-    clients_per_site: usize,
-) -> (PointResult, gdur_sim::SimStats, gdur_sim::QueueStats) {
-    let run = run_point_full(exp, scale, clients_per_site, None);
-    (run.point, run.stats, run.queue)
-}
-
-/// Like [`run_point`], but with an observability sink attached for the whole
-/// run: returns the point result, its phase breakdown (measurement window
-/// only), and the full event trace. Tracing never consumes virtual time or
-/// randomness, so the [`PointResult`] is bit-identical to [`run_point`]'s.
-pub fn run_point_traced(
-    exp: &Experiment,
-    scale: &Scale,
-    clients_per_site: usize,
-) -> (PointResult, PhaseBreakdown, Vec<ObsEvent>) {
-    let run = run_point_full(exp, scale, clients_per_site, Some(TraceHandle::new()));
-    let (breakdown, events) = run.extra.expect("traced run records a breakdown");
-    (run.point, breakdown, events)
-}
-
-/// One causally-traced sweep point: everything the span-tree, critical-path
-/// and Chrome-export layers need, bundled.
+/// Everything one sweep point produced, for the callers that want more
+/// than the [`PointResult`].
 #[derive(Debug, Clone)]
-pub struct CausalRun {
-    /// The point measurements — bit-identical to an untraced [`run_point`].
+pub struct PointRun {
+    /// The point measurements — bit-identical with and without a trace:
+    /// tracing never consumes virtual time or randomness.
     pub point: PointResult,
-    /// Phase breakdown over the measurement window.
-    pub breakdown: PhaseBreakdown,
-    /// The full causal event trace (warm-up included).
-    pub events: Vec<ObsEvent>,
+    /// The kernel's counters for the whole run (warm-up included). With the
+    /// queue counters they are a pure function of the seed, which makes
+    /// them a cheap bit-identity check across optimisation work.
+    pub stats: gdur_sim::SimStats,
+    /// Per-class traffic of the kernel's event queue, whole run.
+    pub queue: gdur_sim::QueueStats,
     /// End of warm-up = start of the measurement window.
     pub warm_end: SimTime,
+    /// Phase breakdown of `events` over the measurement window.
+    pub breakdown: PhaseBreakdown,
+    /// The full event trace (warm-up included); empty without a trace. A
+    /// [`TraceHandle::causal`] trace also carries message ids, `Deliver`
+    /// records and handler service brackets, so it feeds
+    /// [`gdur_obs::CausalIndex`] directly.
+    pub events: Vec<ObsEvent>,
     /// The client actors (service time on them is client think time).
     pub clients: BTreeSet<ProcessId>,
     /// Display name per actor, indexed by process id.
@@ -266,42 +247,35 @@ pub struct CausalRun {
     pub topology: Topology,
 }
 
-/// Like [`run_point_traced`], but with a *causal* sink: the trace also
-/// carries message ids, `Deliver` records and handler service brackets, so
-/// it feeds [`gdur_obs::CausalIndex`] directly. Still zero-perturbation:
-/// the [`PointResult`] stays bit-identical to [`run_point`]'s.
-pub fn run_point_causal(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> CausalRun {
-    let run = run_point_full(exp, scale, clients_per_site, Some(TraceHandle::causal()));
-    let (breakdown, events) = run.extra.expect("traced run records a breakdown");
-    CausalRun {
-        point: run.point,
-        breakdown,
-        events,
-        warm_end: run.warm_end,
-        clients: run.clients,
-        actor_names: run.actor_names,
-        topology: run.topology,
-    }
+/// Builds the deployment of `cfg` with one YCSB source per client:
+/// `workload` over the whole keyspace, a site's clients homed on partition
+/// `site % partitions`, a fraction `read_only` of queries of which
+/// `local_queries` stay on the home partition.
+pub fn build_ycsb(
+    cfg: ClusterConfig,
+    workload: &WorkloadSpec,
+    read_only: f64,
+    local_queries: f64,
+) -> Cluster {
+    let partitions = cfg.placement.partitions() as u64;
+    let total_keys = cfg.keys_per_partition * partitions;
+    Cluster::build(cfg, |_idx, site| {
+        let home = site.0 as u64 % partitions;
+        let src = YcsbSource::new(workload.clone(), total_keys, partitions, home, read_only);
+        Box::new(src.with_local_query_ratio(local_queries))
+    })
 }
 
-struct FullRun {
-    point: PointResult,
-    stats: gdur_sim::SimStats,
-    queue: gdur_sim::QueueStats,
-    warm_end: SimTime,
-    extra: Option<(PhaseBreakdown, Vec<ObsEvent>)>,
-    clients: BTreeSet<ProcessId>,
-    actor_names: Vec<String>,
-    topology: Topology,
+/// An experiment's deployment under `cfg`.
+fn build_experiment(exp: &Experiment, cfg: ClusterConfig) -> Cluster {
+    let total_keys = cfg.keys_per_partition * cfg.placement.partitions() as u64;
+    let workload = exp.workload.spec(total_keys);
+    build_ycsb(cfg, &workload, exp.read_only_ratio, exp.local_query_ratio)
 }
 
 /// Builds the deployment of one sweep point without running it: the
 /// cluster [`run_point`] drives, at `clients_per_site`.
 pub fn build_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> Cluster {
-    let placement = exp.placement.placement(exp.sites);
-    let partitions = placement.partitions() as u64;
-    let total_keys = scale.keys_per_partition * partitions;
-    let wspec = exp.workload.spec(total_keys);
     // History recording stays at the base's "on": every experiment's
     // history is fed to the consistency oracle, so no reported number can
     // come from a corrupt run.
@@ -312,29 +286,19 @@ pub fn build_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> 
         cores_per_replica: scale.cores,
         client_pooling: scale.client_pooling,
         seed: scale.seed ^ (clients_per_site as u64) << 32,
-        ..ClusterConfig::new(exp.spec.clone(), placement)
+        ..ClusterConfig::new(exp.spec.clone(), exp.placement.placement(exp.sites))
     };
-    let ro = exp.read_only_ratio;
-    let lq = exp.local_query_ratio;
-    Cluster::build(cfg, |_idx, site| {
-        let src = YcsbSource::new(
-            wspec.clone(),
-            total_keys,
-            partitions,
-            site.0 as u64 % partitions,
-            ro,
-        )
-        .with_local_query_ratio(lq);
-        Box::new(src)
-    })
+    build_experiment(exp, cfg)
 }
 
-fn run_point_full(
+/// Like [`run_point`], with everything else the run produced and, given a
+/// `trace`, its sink attached for the whole run.
+pub fn run_point_with(
     exp: &Experiment,
     scale: &Scale,
     clients_per_site: usize,
     trace: Option<TraceHandle>,
-) -> FullRun {
+) -> PointRun {
     let mut cluster = build_point(exp, scale, clients_per_site);
     if let Some(t) = &trace {
         cluster.attach_obs(t.sink());
@@ -359,13 +323,7 @@ fn run_point_full(
         .collect();
     let clients_total = clients_per_site * exp.sites;
     let point = summarize(&records, cluster.now() - warm_end, clients_total);
-    let stats = cluster.sim().stats();
-    let queue = cluster.sim().queue_stats();
-    let extra = trace.map(|t| {
-        let events = t.take();
-        let breakdown = PhaseBreakdown::from_events(&events, cluster.topology(), warm_end);
-        (breakdown, events)
-    });
+    let events = trace.map(|t| t.take()).unwrap_or_default();
     let topology = cluster.topology().clone();
     let clients: BTreeSet<ProcessId> = cluster.client_pids().iter().copied().collect();
     let total_actors = cluster.replica_pids().len() + cluster.client_pids().len();
@@ -381,12 +339,13 @@ fn run_point_full(
             n => format!("pool p{} @ s{} ({n} clients)", p.0, site.0),
         };
     }
-    FullRun {
+    PointRun {
         point,
-        stats,
-        queue,
+        stats: cluster.sim().stats(),
+        queue: cluster.sim().queue_stats(),
         warm_end,
-        extra,
+        breakdown: PhaseBreakdown::from_events(&events, &topology, warm_end),
+        events,
         clients,
         actor_names,
         topology,
@@ -476,10 +435,6 @@ pub struct MegaPointResult {
 /// so this completes in memory bounded by the client state arrays even at
 /// 10⁶ clients per site.
 pub fn run_mega_point(exp: &Experiment, cfg: &MegaConfig) -> MegaPointResult {
-    let placement = exp.placement.placement(exp.sites);
-    let partitions = placement.partitions() as u64;
-    let total_keys = cfg.keys_per_partition * partitions;
-    let wspec = exp.workload.spec(total_keys);
     let ccfg = ClusterConfig {
         keys_per_partition: cfg.keys_per_partition,
         value_size: cfg.value_size,
@@ -494,21 +449,9 @@ pub fn run_mega_point(exp: &Experiment, cfg: &MegaConfig) -> MegaPointResult {
         client_think_time: Some(cfg.think_time),
         record_txn_metrics: false,
         seed: cfg.seed ^ (cfg.clients_per_site as u64) << 32,
-        ..ClusterConfig::new(exp.spec.clone(), placement)
+        ..ClusterConfig::new(exp.spec.clone(), exp.placement.placement(exp.sites))
     };
-    let ro = exp.read_only_ratio;
-    let lq = exp.local_query_ratio;
-    let mut cluster = Cluster::build(ccfg, |_idx, site| {
-        let src = YcsbSource::new(
-            wspec.clone(),
-            total_keys,
-            partitions,
-            site.0 as u64 % partitions,
-            ro,
-        )
-        .with_local_query_ratio(lq);
-        Box::new(src)
-    });
+    let mut cluster = build_experiment(exp, ccfg);
     cluster.run_for(cfg.horizon);
     let counts = cluster.pool_counts();
     let stats = cluster.sim().stats();

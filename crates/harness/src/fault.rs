@@ -18,7 +18,9 @@ use gdur_net::SiteId;
 use gdur_obs::{labels, ObsEvent, TraceHandle};
 use gdur_sim::{SimDuration, SimTime};
 use gdur_store::{PartitionId, Placement};
-use gdur_workload::{WorkloadSpec, YcsbSource};
+use gdur_workload::WorkloadSpec;
+
+use crate::experiment::build_ycsb;
 
 /// One scheduled fault of a chaos run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,8 +336,6 @@ pub fn stores_converged(cluster: &Cluster) -> bool {
 /// §5.3 crash–recovery model end to end.
 pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
     let placement = Placement::disaster_tolerant(cfg.sites);
-    let partitions = placement.partitions() as u64;
-    let total_keys = cfg.keys_per_partition * partitions;
     let ccfg = ClusterConfig {
         keys_per_partition: cfg.keys_per_partition,
         value_size: 64,
@@ -349,15 +349,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
         seed: cfg.seed,
         ..ClusterConfig::new(cfg.spec.clone(), placement)
     };
-    let mut cluster = Cluster::build(ccfg, |_idx, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            total_keys,
-            partitions,
-            site.0 as u64 % partitions,
-            0.5,
-        ))
-    });
+    let mut cluster = build_ycsb(ccfg, &WorkloadSpec::a(), 0.5, 0.0);
     let trace = TraceHandle::new();
     cluster.attach_obs(trace.sink());
     let pc = cluster.partition_control();

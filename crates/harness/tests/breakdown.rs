@@ -3,8 +3,8 @@
 //! §6 convoy effect that produces the saturation knee), and the abort-cause
 //! partition is exact in every traced window.
 
-use gdur_harness::{run_point_traced, Experiment, PlacementKind, Scale, WorkloadKind};
-use gdur_obs::Phase;
+use gdur_harness::{run_point_with, Experiment, PlacementKind, Scale, WorkloadKind};
+use gdur_obs::{Phase, TraceHandle};
 use gdur_sim::SimDuration;
 
 fn scale() -> Scale {
@@ -24,8 +24,9 @@ fn knee_check(spec: gdur_core::ProtocolSpec) {
     let name = spec.name;
     let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
     let scale = scale();
-    let (lo_point, lo, _) = run_point_traced(&exp, &scale, 2);
-    let (hi_point, hi, _) = run_point_traced(&exp, &scale, 24);
+    let lo = run_point_with(&exp, &scale, 2, Some(TraceHandle::new()));
+    let hi = run_point_with(&exp, &scale, 24, Some(TraceHandle::new()));
+    let (lo_point, lo, hi_point, hi) = (lo.point, lo.breakdown, hi.point, hi.breakdown);
 
     for (label, point, bd) in [("low", &lo_point, &lo), ("high", &hi_point, &hi)] {
         assert!(bd.committed > 0, "{name}/{label}: no commits in window");

@@ -5,8 +5,10 @@
 
 use std::collections::BTreeMap;
 
-use gdur_harness::{run_point, run_point_traced, Experiment, PlacementKind, Scale, WorkloadKind};
-use gdur_obs::{jsonl, ObsEvent};
+use gdur_harness::{
+    run_point, run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind,
+};
+use gdur_obs::{jsonl, ObsEvent, TraceHandle};
 use gdur_sim::SimDuration;
 
 fn tiny_scale() -> Scale {
@@ -32,19 +34,24 @@ fn exp() -> Experiment {
     )
 }
 
+fn traced(exp: &Experiment, scale: &Scale) -> PointRun {
+    run_point_with(exp, scale, 2, Some(TraceHandle::new()))
+}
+
 #[test]
 fn same_seed_traces_and_metrics_are_byte_identical() {
     let (exp, scale) = (exp(), tiny_scale());
-    let (p1, b1, e1) = run_point_traced(&exp, &scale, 2);
-    let (p2, b2, e2) = run_point_traced(&exp, &scale, 2);
-    assert_eq!(p1, p2, "same-seed point results must match");
+    let r1 = traced(&exp, &scale);
+    let r2 = traced(&exp, &scale);
+    assert_eq!(r1.point, r2.point, "same-seed point results must match");
 
-    let (t1, t2) = (jsonl::export(&e1), jsonl::export(&e2));
+    let (t1, t2) = (jsonl::export(&r1.events), jsonl::export(&r2.events));
     let n = jsonl::validate(&t1).expect("exported trace must satisfy its own schema");
     assert!(n > 0, "traced run produced no events");
     assert_eq!(t1, t2, "same-seed trace streams must be byte-identical");
 
-    let (s1, s2) = (b1.to_registry().snapshot(), b2.to_registry().snapshot());
+    let snapshot = |r: &PointRun| r.breakdown.to_registry().snapshot();
+    let (s1, s2) = (snapshot(&r1), snapshot(&r2));
     assert_eq!(s1, s2, "same-seed metrics snapshots must be byte-identical");
 }
 
@@ -52,18 +59,21 @@ fn same_seed_traces_and_metrics_are_byte_identical() {
 fn tracing_does_not_perturb_the_measurement() {
     let (exp, scale) = (exp(), tiny_scale());
     let plain = run_point(&exp, &scale, 2);
-    let (traced, breakdown, _) = run_point_traced(&exp, &scale, 2);
+    let traced = traced(&exp, &scale);
     assert_eq!(
-        plain, traced,
+        plain, traced.point,
         "attaching an obs sink must not change a single measured bit"
     );
-    assert!(breakdown.committed > 0, "traced window saw no commits");
+    assert!(
+        traced.breakdown.committed > 0,
+        "traced window saw no commits"
+    );
 }
 
 #[test]
 fn point_events_are_monotone_per_transaction_and_actor() {
     let (exp, scale) = (exp(), tiny_scale());
-    let (_, _, events) = run_point_traced(&exp, &scale, 2);
+    let events = traced(&exp, &scale).events;
     // The global stream interleaves transactions and actors arbitrarily,
     // but within one (tx, actor) pair, lifecycle points must appear in
     // nondecreasing SimTime order.

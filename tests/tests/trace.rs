@@ -5,11 +5,11 @@
 use std::collections::BTreeMap;
 
 use gdur_harness::{
-    run_point, run_point_causal, CausalRun, Experiment, PlacementKind, Scale, WorkloadKind,
+    run_point, run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind,
 };
 use gdur_obs::{
     critical_path, labels, render_attribution_text, tx_span_tree, Attribution, CausalIndex,
-    ObsEvent,
+    ObsEvent, TraceHandle,
 };
 use gdur_sim::SimDuration;
 
@@ -26,13 +26,13 @@ fn scale() -> Scale {
     }
 }
 
-fn causal(spec: gdur_core::ProtocolSpec) -> CausalRun {
+fn causal(spec: gdur_core::ProtocolSpec) -> PointRun {
     let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
-    run_point_causal(&exp, &scale(), 2)
+    run_point_with(&exp, &scale(), 2, Some(TraceHandle::causal()))
 }
 
 /// The committed-in-window transactions of a causal run.
-fn committed(run: &CausalRun, ix: &CausalIndex) -> Vec<u64> {
+fn committed(run: &PointRun, ix: &CausalIndex) -> Vec<u64> {
     ix.tx_points
         .iter()
         .filter(|(_, pts)| {
@@ -141,7 +141,7 @@ fn causal_tracing_does_not_perturb_the_measured_point() {
     let spec = gdur_protocols::walter();
     let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
     let untraced = run_point(&exp, &scale(), 2);
-    let traced = run_point_causal(&exp, &scale(), 2);
+    let traced = run_point_with(&exp, &scale(), 2, Some(TraceHandle::causal()));
     assert_eq!(traced.point, untraced);
     // The causal trace really is causal: handler brackets are present and
     // were recorded without drawing any virtual time.
