@@ -1,9 +1,18 @@
-//! Parked reads and the visibility frontier, driven through `handle` on a
-//! client-less two-site deployment (both sites host both partitions).
+//! Parked reads and the visibility frontier, the timer table, `transmit`
+//! and `outcome(T)`, driven through `handle` by injected messages. The one
+//! client per site is mute: it issues nothing and drops the replies to the
+//! operations a test injects in its name.
+
+use std::sync::Arc;
+
+use gdur_gc::GcMsg;
+use gdur_obs::{ObsEvent, TraceHandle};
+use gdur_sim::WireSize;
 
 use super::*;
+use crate::node::Node;
 use crate::spec::{ChooseRule, PostCommitRule};
-use crate::{Cluster, ClusterConfig, Criterion, ScriptSource};
+use crate::{Cluster, ClusterConfig, Criterion, ScriptSource, TxnPlan};
 
 pub(crate) fn walter_like() -> ProtocolSpec {
     ProtocolSpec {
@@ -20,21 +29,133 @@ pub(crate) fn walter_like() -> ProtocolSpec {
     }
 }
 
+/// P-Store's assembly: commitment by group communication (Algorithm 3).
+fn p_store_like() -> ProtocolSpec {
+    ProtocolSpec {
+        name: "p-store-like",
+        criterion: Criterion::Ser,
+        versioning: Mechanism::Ts,
+        choose: ChooseRule::Last,
+        commitment: CommitmentKind::GroupCommunication {
+            xcast: XcastKind::AmCast,
+        },
+        certifying_obj: CertifyingObjRule::ReadWriteSet,
+        commute: CommuteRule::ReadWriteDisjoint,
+        certify: CertifyRule::ReadSetCurrent,
+        votes: VoteRule::Distributed,
+        post_commit: PostCommitRule::Nothing,
+    }
+}
+
 struct Probe {
     cluster: Cluster,
     next_seq: u64,
+    trace: TraceHandle,
 }
 
 impl Probe {
     fn new() -> Self {
-        let mut cfg = ClusterConfig::small(walter_like(), 2);
-        cfg.placement = Placement::disaster_tolerant(2);
-        cfg.clients_per_site = 0;
-        let cluster = Cluster::build(cfg, |_, _| Box::new(ScriptSource::new(Vec::new())));
+        Self::with(walter_like(), Placement::disaster_tolerant(2), |_| {})
+    }
+
+    /// A traced deployment of `spec` over `placement`, `tweak`ed.
+    fn with(
+        spec: ProtocolSpec,
+        placement: Placement,
+        tweak: impl FnOnce(&mut ClusterConfig),
+    ) -> Self {
+        let mut cfg = ClusterConfig::small(spec, placement.sites());
+        cfg.placement = placement;
+        cfg.max_txns_per_client = Some(0);
+        tweak(&mut cfg);
+        let idle = TxnPlan { ops: Vec::new() };
+        let mut cluster =
+            Cluster::build(cfg, |_, _| Box::new(ScriptSource::new(vec![idle.clone()])));
+        let trace = TraceHandle::new();
+        cluster.attach_obs(trace.sink());
         Probe {
             cluster,
             next_seq: 1,
+            trace,
         }
+    }
+
+    fn pid(&self, site: usize) -> ProcessId {
+        self.cluster.replica_pids()[site]
+    }
+
+    /// Lets everything in flight land: longer than a WAN round trip,
+    /// shorter than the read timeout.
+    fn settle(&mut self) {
+        self.cluster.run_for(SimDuration::from_millis(100));
+    }
+
+    /// Delivers `msg` to site 0's replica as if `from` had sent it.
+    fn inject(&mut self, from: ProcessId, msg: Msg) {
+        let (to, at) = (self.pid(0), self.cluster.now());
+        self.cluster.sim_mut().inject(from, to, msg, at);
+        self.settle();
+    }
+
+    /// Begins a transaction at site 0 in the mute client's name.
+    fn begin(&mut self) -> TxId {
+        let tx = TxId {
+            coord: 99,
+            seq: self.next_seq,
+        };
+        self.next_seq += 1;
+        self.client(tx, ClientOp::Begin);
+        tx
+    }
+
+    fn client(&mut self, tx: TxId, op: ClientOp) {
+        let from = self.cluster.client_pids()[0];
+        self.inject(from, Msg::Client { tx, op });
+    }
+
+    fn update(&mut self, tx: TxId, key: u64) {
+        let (key, value) = (Key(key), Value::of_size(8));
+        self.client(tx, ClientOp::Update { key, value });
+    }
+
+    fn vote(&mut self, site: usize, tx: TxId, yes: bool) {
+        let clocks = Vec::new();
+        self.inject(self.pid(site), Msg::Vote { tx, yes, clocks });
+    }
+
+    fn crash(&mut self, site: usize) {
+        let (pid, now) = (self.pid(site), self.cluster.now());
+        self.cluster.sim_mut().schedule_crash(pid, now);
+        self.settle();
+    }
+
+    fn replica_mut(&mut self) -> &mut Replica {
+        let pid = self.pid(0);
+        match self.cluster.sim_mut().actor_mut(pid) {
+            Node::Replica(r) => r,
+            Node::Pool(_) => unreachable!("pid of a replica"),
+        }
+    }
+
+    fn armed(&self) -> Vec<Timer> {
+        self.replica().timers.values().copied().collect()
+    }
+
+    /// Destinations of the termination payloads site 0 sent from `since`
+    /// on, in sending order.
+    fn transmitted(&self, since: SimTime) -> Vec<ProcessId> {
+        let me = self.pid(0);
+        let sent = self.trace.events().into_iter().filter_map(|e| match e {
+            ObsEvent::Send {
+                at,
+                from,
+                to,
+                label: "gc.reliable",
+                ..
+            } if from == me && at >= since => Some(to),
+            _ => None,
+        });
+        sent.collect()
     }
 
     /// Delivers `msg` from site 1's replica to site 0's and runs to idle.
@@ -130,4 +251,203 @@ fn a_restart_drops_the_parked_reads() {
     // The frontier reaching the dead read's bound finds nobody to wake.
     probe.propagate(0, 3);
     assert_eq!(probe.parked(), (0, 1, 0));
+}
+
+/// What a pending remote read's failover timer finds when its tag fires.
+#[derive(Clone, Copy)]
+enum ReadTimer {
+    /// Still armed: the serving site is down.
+    Armed,
+    /// Its entry left the table (what `on_restart` does to every tag).
+    Removed,
+    /// Cancelled by the reply.
+    Cancelled,
+}
+
+/// (failover attempt of the pending read, suspected sites, tags armed ever).
+fn read_failover(case: ReadTimer) -> (Option<usize>, usize, u64) {
+    let mut probe = Probe::with(walter_like(), Placement::disaster_prone(2), |_| {});
+    if !matches!(case, ReadTimer::Cancelled) {
+        probe.crash(1);
+    }
+    let tx = probe.begin();
+    // Key 1 lives at site 1 only.
+    probe.client(tx, ClientOp::Read { key: Key(1) });
+    match case {
+        ReadTimer::Armed => assert_eq!(probe.armed(), [Timer::Read(tx)]),
+        ReadTimer::Removed => assert!(probe.replica_mut().timers.remove(&0).is_some()),
+        ReadTimer::Cancelled => assert_eq!(probe.armed(), []),
+    }
+    probe.cluster.run_for(SimDuration::from_millis(300));
+    let r = probe.replica();
+    let attempt = r.coord[&tx].pending_read.as_ref().map(|(_, _, n)| *n);
+    (attempt, r.suspected.len(), r.next_timer_tag)
+}
+
+#[test]
+fn a_tag_that_left_the_timer_table_fires_as_a_no_op() {
+    // The control: an armed tag suspects the silent site and asks again.
+    assert_eq!(read_failover(ReadTimer::Armed), (Some(1), 1, 2));
+    assert_eq!(read_failover(ReadTimer::Removed), (Some(0), 0, 1));
+    assert_eq!(read_failover(ReadTimer::Cancelled), (None, 0, 1));
+}
+
+#[test]
+fn a_vote_timeout_and_a_retry_that_fire_after_the_decision_do_nothing() {
+    let mut probe = Probe::with(walter_like(), Placement::disaster_prone(2), |cfg| {
+        cfg.vote_timeout = Some(SimDuration::from_millis(400));
+    });
+    let tx = probe.begin();
+    // Key 0 lives at site 0 only: the coordinator's own vote decides.
+    probe.update(tx, 0);
+    probe.client(tx, ClientOp::Commit);
+    assert!(probe.replica().coord.is_empty());
+    assert_eq!(
+        probe.armed(),
+        [Timer::VoteTimeout(tx), Timer::TermRetry(tx)]
+    );
+    let (decided, sent) = (probe.replica().stats, probe.trace.len());
+    assert_eq!((decided.committed, decided.aborted), (1, 0));
+    // Both fire (the retry after 4 read timeouts = 1 s): nothing is decided
+    // again, nothing is sent, nothing is armed.
+    probe.cluster.run_for(SimDuration::from_millis(1200));
+    assert_eq!(probe.armed(), []);
+    assert_eq!(probe.replica().next_timer_tag, 2);
+    assert_eq!(probe.replica().stats, decided);
+    assert_eq!(probe.trace.len(), sent);
+}
+
+#[test]
+fn a_restart_leaves_no_armed_tag() {
+    let mut probe = Probe::with(walter_like(), Placement::disaster_prone(2), |cfg| {
+        cfg.persistence = true;
+    });
+    probe.crash(1);
+    let tx = probe.begin();
+    probe.client(tx, ClientOp::Read { key: Key(1) });
+    assert_eq!(probe.armed(), [Timer::Read(tx)]);
+    let (pid, now) = (probe.pid(0), probe.cluster.now());
+    probe.cluster.sim_mut().schedule_crash(pid, now);
+    probe.cluster.sim_mut().schedule_restart(pid, now);
+    probe.settle();
+    assert_eq!(probe.replica().stats.recoveries, 1);
+    assert_eq!(probe.armed(), []);
+    // Tags are not reused after a restart.
+    assert_eq!(probe.replica().next_timer_tag, 1);
+}
+
+#[test]
+fn a_retried_2pc_termination_reaches_the_first_destinations_and_arms_one_retry() {
+    let mut probe = Probe::with(walter_like(), Placement::disaster_prone(4), |_| {});
+    let tx = probe.begin();
+    // Written keys at sites 0, 1 and 2; site 3 is not concerned.
+    for key in 0..3 {
+        probe.update(tx, key);
+    }
+    // Site 1 never votes, so the transaction stays undecided.
+    probe.crash(1);
+    let submitted = probe.cluster.now();
+    probe.client(tx, ClientOp::Commit);
+    let first = probe.transmitted(submitted);
+    assert_eq!(first, [probe.pid(1), probe.pid(2)]);
+    assert_eq!(probe.armed(), [Timer::TermRetry(tx)]);
+    for retry in 1..=2 {
+        let before = probe.cluster.now();
+        probe.cluster.run_for(SimDuration::from_secs(1));
+        assert_eq!(probe.transmitted(before), first, "retry {retry}");
+        assert_eq!(probe.armed(), [Timer::TermRetry(tx)], "retry {retry}");
+    }
+    assert!(probe.replica().coord.contains_key(&tx));
+}
+
+/// Three sites, disaster tolerant: partition `p` lives at sites `p` and
+/// `p + 1`, so site 0 hosts partitions 0 and 2. The peers are down; their
+/// votes are injected.
+fn outcome_probe(spec: ProtocolSpec) -> Probe {
+    let mut probe = Probe::with(spec, Placement::disaster_tolerant(3), |_| {});
+    probe.crash(1);
+    probe.crash(2);
+    probe
+}
+
+#[test]
+fn outcome_in_gc_mode_is_one_yes_per_object_or_any_no() {
+    let mut probe = outcome_probe(p_store_like());
+    // Site 0 participates in a transaction over keys `k` (partition 0, sites
+    // 0 and 1) and `k + 1` (partition 1, sites 1 and 2) that writes `k`.
+    let deliver = |probe: &mut Probe, k: u64| {
+        let tx = TxId { coord: 99, seq: k };
+        let rs = [k, k + 1].map(|key| ReadEntry {
+            key: Key(key),
+            seq: 0,
+        });
+        let ws = vec![WriteEntry {
+            key: Key(k),
+            value: Value::of_size(8),
+            base_seq: 0,
+        }];
+        let dep = Arc::new(VersionVec::zero(0));
+        let payload = TermPayload::new(
+            tx,
+            probe.pid(1),
+            false,
+            Arc::new(rs.to_vec()),
+            Arc::new(ws),
+            dep,
+        );
+        probe.inject(probe.pid(1), Msg::Gc(GcMsg::Reliable { payload }));
+        tx
+    };
+    let writer =
+        |probe: &Probe, k: u64| probe.replica().store.latest(Key(k)).expect("hosted").writer;
+
+    // Its own yes covers `k` only: nothing is decided while `k + 1` is not.
+    let tx = deliver(&mut probe, 0);
+    assert_eq!(probe.replica().part[&tx].my_vote, Some(true));
+    assert_eq!(probe.replica().part[&tx].outcome, None);
+    // One yes of one replica of `k + 1` commits; site 1 never voted.
+    probe.vote(2, tx, true);
+    assert!(probe.replica().done.contains(&tx) && probe.replica().part.is_empty());
+    assert_eq!(writer(&probe, 0), tx);
+
+    // Any no aborts, covered or not.
+    let tx = deliver(&mut probe, 3);
+    probe.vote(1, tx, false);
+    assert!(probe.replica().done.contains(&tx) && probe.replica().part.is_empty());
+    assert_ne!(writer(&probe, 3), tx);
+}
+
+#[test]
+fn outcome_under_2pc_waits_for_every_replica_of_every_object() {
+    let mut probe = outcome_probe(walter_like());
+    let submit = |probe: &mut Probe, key: u64| {
+        let tx = probe.begin();
+        probe.update(tx, key);
+        probe.client(tx, ClientOp::Commit);
+        tx
+    };
+    // Key 0 lives at sites 0 and 1. The coordinator's own yes — a commit in
+    // GC mode — decides nothing; the second replica's does.
+    let tx = submit(&mut probe, 0);
+    assert_eq!(probe.replica().part[&tx].my_vote, Some(true));
+    assert!(probe.replica().coord.contains_key(&tx));
+    probe.vote(1, tx, true);
+    assert!(!probe.replica().coord.contains_key(&tx));
+    assert_eq!(probe.replica().stats.committed, 1);
+
+    let tx = submit(&mut probe, 3);
+    probe.vote(1, tx, false);
+    assert!(!probe.replica().coord.contains_key(&tx));
+    assert_eq!(probe.replica().stats.aborted_cert_conflict, 1);
+}
+
+#[test]
+fn a_decision_costs_its_header_and_twelve_bytes_per_clock() {
+    let decide = |clocks: Vec<(u32, u64)>| Msg::Decide {
+        tx: TxId { coord: 0, seq: 1 },
+        commit: true,
+        clocks,
+    };
+    assert_eq!(decide(Vec::new()).wire_size(), 16 + 16);
+    assert_eq!(decide(vec![(0, 7), (2, 9)]).wire_size(), 16 + 16 + 12 * 2);
 }
