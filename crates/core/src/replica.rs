@@ -7,6 +7,15 @@
 //! All realization points are read from the [`ProtocolSpec`]; the replica
 //! contains no protocol-specific code paths beyond dispatching on those
 //! plug-in values, which is the paper's architectural claim.
+//!
+//! This file holds the state, its construction, the accessors, the message
+//! entry point [`Replica::handle`] and the timer table. The algorithms are
+//! `impl Replica` blocks in child modules, one per algorithm of the paper —
+//! `execution` (Algorithm 1), `termination` (Algorithm 2), `commitment`
+//! (Algorithms 3 and 4, Paxos Commit, `LocalDecide`), `recovery` (§5.3) —
+//! which share this module's names and private fields. Every commitment
+//! mechanism exists once; where Algorithms 3 and 4 differ, one function
+//! branches on `gc_mode()` (DESIGN.md §3.2 lists them).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -388,15 +397,21 @@ struct CatchupState {
     applied: u64,
 }
 
-/// The set of transactions that terminated at this replica, compressed per
-/// coordinator.
+/// The set of transactions that terminated at this replica, split by
+/// `TxId::coord` — the *client* that issued them.
 ///
 /// Every message about a transaction checks this set, and it only ever
 /// grows, so a flat `BTreeSet<TxId>` ends up as the deepest tree in the
-/// replica. Clients run one transaction at a time, which means each
-/// coordinator's sequence numbers (allocated from 1) terminate in order:
-/// the set is a dense prefix `1..=watermark` per coordinator plus an
-/// (almost always empty) out-of-order tail.
+/// replica. Per client it keeps a prefix `1..=watermark` of terminated
+/// sequence numbers (allocated from 1, one transaction at a time) and the
+/// terminated ones above it. Only the prefix compresses, and it stays
+/// short: a participant sees just the transactions that touch its
+/// partitions, so the gaps in a client's sequence never close here. Measured
+/// (P-Store, workload C, 90 % read-only, 3 sites DP, `Scale::quick()`, 64
+/// clients/site, 2 virtual s, seed 1), the tail holds 1 912 / 1 719 / 1 789
+/// of 2 445 / 2 048 / 2 112 entries per replica (78–85 %), and 99.6–99.9 %
+/// under `client_pooling`, whose sequence numbers are `client_idx << 20 |
+/// seq` and so never dense per coordinator (ROADMAP item 7).
 #[derive(Debug, Default)]
 struct TerminatedSet {
     per_coord: BTreeMap<u32, CoordDone>,

@@ -87,25 +87,26 @@ impl Replica {
                 dep: payload.dep.iter().collect(),
             });
         }
-        if !self.gc_mode() {
-            // Kept for the retry `transmit` arms.
-            self.coord.get_mut(&tx).expect("present").submitted_payload = Some(payload.clone());
-        }
         self.transmit(ctx, tx, payload);
     }
 
     /// Propagates `payload` to the replicas of `certifying_obj(T)`
     /// (Algorithm 2, line 15) — the first time, on every retry and when a
     /// restarted coordinator resumes. Group communication relies on its
-    /// ordered `xcast`; 2PC and Paxos Commit multicast and retry until the
-    /// decision (Algorithm 4 in the crash-recovery model waits for crashed
-    /// participants to come back online).
+    /// ordered `xcast`; 2PC and Paxos Commit multicast, keep the payload and
+    /// retry until the decision (Algorithm 4 in the crash-recovery model
+    /// waits for crashed participants to come back online).
     pub(super) fn transmit(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, payload: TermPayload) {
         let xcast = match self.cfg.spec.commitment {
             CommitmentKind::GroupCommunication { xcast } => xcast,
             CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
                 let after = self.cfg.read_timeout.saturating_mul(4);
                 self.arm(ctx, after, Timer::TermRetry(tx));
+                let t = self
+                    .coord
+                    .get_mut(&tx)
+                    .expect("transmitting an unknown txn");
+                t.submitted_payload.get_or_insert_with(|| payload.clone());
                 XcastKind::Multicast
             }
         };
