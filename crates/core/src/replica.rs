@@ -406,12 +406,10 @@ struct CatchupState {
 /// sequence numbers (allocated from 1, one transaction at a time) and the
 /// terminated ones above it. Only the prefix compresses, and it stays
 /// short: a participant sees just the transactions that touch its
-/// partitions, so the gaps in a client's sequence never close here. Measured
-/// (P-Store, workload C, 90 % read-only, 3 sites DP, `Scale::quick()`, 64
-/// clients/site, 2 virtual s, seed 1), the tail holds 1 912 / 1 719 / 1 789
-/// of 2 445 / 2 048 / 2 112 entries per replica (78–85 %), and 99.6–99.9 %
-/// under `client_pooling`, whose sequence numbers are `client_idx << 20 |
-/// seq` and so never dense per coordinator (ROADMAP item 7).
+/// partitions, so the gaps in a client's sequence never close here —
+/// measured, the tail holds 78–85 % of the entries, and 99.6–99.9 % under
+/// `client_pooling`, whose sequence numbers are `client_idx << 20 | seq`
+/// (ROADMAP item 7 has the experiment).
 #[derive(Debug, Default)]
 struct TerminatedSet {
     per_coord: BTreeMap<u32, CoordDone>,

@@ -437,41 +437,33 @@ impl Replica {
         let cu = self.catchup.as_mut().expect("recovering");
         cu.applied += applied;
         ctx.trace(labels::RECOVERY_CATCHUP_APPLY, 0, applied);
-        if let Some(timer) = cu.pending.get_mut(&from).and_then(|p| p.timer.take()) {
+        let stream = cu.pending.get_mut(&from).expect("checked on entry");
+        let timer = stream.timer.take();
+        if let Some(nxt) = next {
+            stream.from = nxt;
+        } else {
+            cu.pending.remove(&from);
+        }
+        let finished = cu.pending.is_empty();
+        if let Some(timer) = timer {
             self.cancel(ctx, timer);
         }
-        match next {
-            Some(nxt) => {
-                if let Some(p) = self
-                    .catchup
-                    .as_mut()
-                    .and_then(|cu| cu.pending.get_mut(&from))
-                {
-                    p.from = nxt;
-                }
-                self.send_catchup_req(ctx, from);
+        if next.is_some() {
+            return self.send_catchup_req(ctx, from);
+        }
+        // The last page: adopt the peer's visibility frontier — the
+        // transferred installs are now locally visible.
+        for (p, s) in frontier {
+            let p = p as usize;
+            if p < self.knowledge.dim() && self.knowledge.get(p) < s {
+                self.advance_frontier(p, s);
             }
-            None => {
-                let finished = {
-                    let cu = self.catchup.as_mut().expect("recovering");
-                    cu.pending.remove(&from);
-                    cu.pending.is_empty()
-                };
-                // Adopt the peer's visibility frontier: the transferred
-                // installs are now locally visible.
-                for (p, s) in frontier {
-                    let p = p as usize;
-                    if p < self.knowledge.dim() && self.knowledge.get(p) < s {
-                        self.advance_frontier(p, s);
-                    }
-                    if p < self.reserved.dim() && self.reserved.get(p) < s {
-                        self.reserved.set(p, s);
-                    }
-                }
-                if finished {
-                    self.finish_catchup(ctx);
-                }
+            if p < self.reserved.dim() && self.reserved.get(p) < s {
+                self.reserved.set(p, s);
             }
+        }
+        if finished {
+            self.finish_catchup(ctx);
         }
     }
 

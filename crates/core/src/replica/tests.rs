@@ -97,13 +97,18 @@ impl Probe {
         self.settle();
     }
 
+    /// A fresh transaction id of a coordinator nobody is.
+    fn next_tx(&mut self) -> TxId {
+        self.next_seq += 1;
+        TxId {
+            coord: 99,
+            seq: self.next_seq - 1,
+        }
+    }
+
     /// Begins a transaction at site 0 in the mute client's name.
     fn begin(&mut self) -> TxId {
-        let tx = TxId {
-            coord: 99,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
+        let tx = self.next_tx();
         self.client(tx, ClientOp::Begin);
         tx
     }
@@ -158,24 +163,14 @@ impl Probe {
         sent.collect()
     }
 
-    /// Delivers `msg` from site 1's replica to site 0's and runs to idle.
+    /// Delivers `msg` from site 1's replica to site 0's.
     fn deliver(&mut self, msg: Msg) {
-        let (to, from) = (
-            self.cluster.replica_pids()[0],
-            self.cluster.replica_pids()[1],
-        );
-        let at = self.cluster.now();
-        self.cluster.sim_mut().inject(from, to, msg, at);
-        self.cluster.run_until_idle();
+        self.inject(self.pid(1), msg);
     }
 
     /// A remote read of `key` under a snapshot pinned at `pins`.
     fn read(&mut self, key: u64, pins: [u64; 2]) {
-        let tx = TxId {
-            coord: 99,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
+        let tx = self.next_tx();
         let snap = Snapshot::fixed(&VersionVec::from_entries(pins.to_vec()));
         self.deliver(Msg::ReadReq {
             tx,
