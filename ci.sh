@@ -4,7 +4,8 @@
 # stand in for the registry crates (see README "Offline build").
 #
 # Tiers:
-#   ./ci.sh --fast   formatting, clippy, debug tests — the edit-loop tier
+#   ./ci.sh --fast   formatting, clippy, debug tests, doc references — the
+#                    edit-loop tier
 #   ./ci.sh          the full gate: fast tier + release build/tests, then
 #                    the smoke gates (detlint --dynamic, obs_smoke,
 #                    chaos_smoke, mc_smoke, trace_smoke, mega_smoke,
@@ -12,9 +13,6 @@
 #                    *concurrently* against the release binaries, with
 #                    per-gate logs replayed in a fixed order once all of
 #                    them finish
-#
-# The 10⁵/10⁶-clients-per-site scale points stay out of CI; run them with
-# `cargo run --release -p gdur-bench --bin perf_gate -- --mega`.
 #
 # Each step reports its wall-clock seconds.
 set -eu
@@ -40,6 +38,30 @@ step() {
     echo "    ($_label: $((_t1 - _t0))s)"
 }
 
+# docs_check: every crates/…, tests/…, examples/…, tools/… path and every
+# `--bin NAME` / `--bench NAME` written in README.md, DESIGN.md or
+# EXPERIMENTS.md exists; a miss is printed as `file:line:text`. A path is
+# read up to its first character outside [A-Za-z0-9_./-], so globs and
+# `:line` suffixes check their directory or file.
+docs_check() {
+    _missing=0
+    for _doc in README.md DESIGN.md EXPERIMENTS.md; do
+        for _path in $(grep -oE '\b(crates|tests|examples|tools)/[A-Za-z0-9_./-]+' "$_doc" |
+            sed 's/[.-]*$//' | sort -u); do
+            [ -e "$_path" ] && continue
+            grep -nF "$_path" "$_doc" | sed "s|^|$_doc:|"
+            _missing=1
+        done
+        for _name in $(grep -oE -- '--(bin|bench) [A-Za-z0-9_-]+' "$_doc" | cut -d' ' -f2 | sort -u); do
+            grep -qsFx "name = \"$_name\"" crates/*/Cargo.toml && continue
+            [ -e "examples/src/bin/$_name.rs" ] && continue
+            grep -nE -- "--(bin|bench) $_name([^A-Za-z0-9_-]|\$)" "$_doc" | sed "s|^|$_doc:|"
+            _missing=1
+        done
+    done
+    return $_missing
+}
+
 TOTAL0=$(date +%s)
 
 step "cargo fmt --check" cargo fmt --check
@@ -48,6 +70,8 @@ step "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
 step "cargo test (debug)" cargo test -q
+
+step "docs name only what exists" docs_check
 
 if [ "$FAST" = "1" ]; then
     echo "==> ci --fast: all checks passed ($(($(date +%s) - TOTAL0))s)"

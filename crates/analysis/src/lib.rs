@@ -6,9 +6,9 @@
 //!
 //! 1. **Spec linter** — [`gdur_core::ProtocolSpec::validate`] checks a
 //!    plug-in assembly against the paper's §4–§6 compatibility
-//!    constraints under the active [`Placement`]; `Cluster::build` runs
-//!    it strictly, so no misassembled protocol ever simulates.
-//!    [`lint_report`] renders the diagnostics.
+//!    constraints under the active [`gdur_store::Placement`];
+//!    `Cluster::build` runs it strictly, so no misassembled protocol ever
+//!    simulates.
 //! 2. **Determinism lint** — [`detlint`] scans the simulated crates for
 //!    constructs whose behavior varies across identically-seeded runs
 //!    (hash iteration, entropy, wall clocks), and
@@ -17,8 +17,8 @@
 //!    `cargo run -p gdur-analysis --bin detlint`.
 //! 3. **History verification** — `gdur_harness::run_point` feeds every
 //!    experiment's history to the `gdur-consistency` oracle against the
-//!    spec's claimed [`Criterion`] before reporting a number;
-//!    [`verify_cluster`] exposes the same check for ad-hoc runs.
+//!    spec's claimed [`Criterion`] before reporting a number, and so do
+//!    `gdur_harness::run_chaos` and the explorer.
 //! 4. **Schedule exploration** — [`mc`] drives the kernel through many
 //!    delay-bounded schedules (DPOR-lite pruning, replayable minimized
 //!    counterexamples) instead of the one schedule per seed the passes
@@ -27,29 +27,10 @@
 pub mod detlint;
 pub mod mc;
 
-pub use gdur_consistency::{CriterionCheck, History, Violation};
 pub use gdur_core::{Criterion, Diagnostic, Severity};
 
-use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
-use gdur_store::Placement;
+use gdur_core::{ClusterConfig, ProtocolSpec, TxnRecord};
 use gdur_workload::WorkloadSpec;
-
-/// Renders the full lint verdict of a spec under a placement, one
-/// diagnostic per line, or `"ok"` when the assembly is clean.
-pub fn lint_report(spec: &ProtocolSpec, placement: &Placement) -> String {
-    let diags = spec.validate(placement);
-    if diags.is_empty() {
-        return format!("{}: ok", spec.name);
-    }
-    let lines: Vec<String> = diags.iter().map(|d| format!("  {d}")).collect();
-    format!("{}:\n{}", spec.name, lines.join("\n"))
-}
-
-/// Checks a finished cluster's history against `spec`'s claimed criterion
-/// (the always-on pass the harness runs after every experiment).
-pub fn verify_cluster(spec: &ProtocolSpec, cluster: &Cluster) -> Result<(), Violation> {
-    spec.criterion.check(&History::from_cluster(cluster))
-}
 
 fn run_small(spec: ProtocolSpec, seed: u64) -> (Vec<TxnRecord>, String) {
     let mut cfg = ClusterConfig::small(spec, 3);
@@ -62,6 +43,15 @@ fn run_small(spec: ProtocolSpec, seed: u64) -> (Vec<TxnRecord>, String) {
     cluster.attach_obs(trace.sink());
     cluster.run_until_idle();
     (cluster.records(), gdur_obs::jsonl::export(&trace.take()))
+}
+
+/// Index of the first line at which two JSONL traces differ (the shorter
+/// one's length if it is a prefix of the other).
+fn first_differing_line(a: &str, b: &str) -> usize {
+    a.lines()
+        .zip(b.lines())
+        .position(|(x, y)| x != y)
+        .unwrap_or(a.lines().count().min(b.lines().count()))
 }
 
 /// The dynamic half of the determinism lint: runs every library protocol
@@ -90,11 +80,7 @@ pub fn same_seed_cross_check(seed: u64) -> Result<(), String> {
             }
         }
         if trace_a != trace_b {
-            let first = trace_a
-                .lines()
-                .zip(trace_b.lines())
-                .position(|(x, y)| x != y)
-                .unwrap_or(trace_a.lines().count().min(trace_b.lines().count()));
+            let first = first_differing_line(&trace_a, &trace_b);
             return Err(format!(
                 "{name}: trace streams of identically-seeded runs diverge at \
                  event #{first} (seed {seed})"
@@ -119,11 +105,7 @@ pub fn chaos_same_seed_check() -> Result<(), String> {
             gdur_obs::jsonl::export(&events_b),
         );
         if trace_a != trace_b {
-            let first = trace_a
-                .lines()
-                .zip(trace_b.lines())
-                .position(|(x, y)| x != y)
-                .unwrap_or(trace_a.lines().count().min(trace_b.lines().count()));
+            let first = first_differing_line(&trace_a, &trace_b);
             return Err(format!(
                 "{}: chaos traces of identically-seeded runs diverge at event \
                  #{first} (seed {})",
@@ -140,33 +122,4 @@ pub fn chaos_same_seed_check() -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lint_report_names_clean_specs_ok() {
-        let r = lint_report(&gdur_protocols::walter(), &Placement::disaster_prone(3));
-        assert!(r.contains("ok"), "{r}");
-    }
-
-    #[test]
-    fn lint_report_lists_diagnostics() {
-        let mut bad = gdur_protocols::walter();
-        bad.certify = gdur_core::CertifyRule::AlwaysPass;
-        let r = lint_report(&bad, &Placement::disaster_prone(3));
-        assert!(r.contains("SI-WRITE-CERT"), "{r}");
-    }
-
-    #[test]
-    fn verify_cluster_accepts_a_sound_run() {
-        let spec = gdur_protocols::jessy_2pc();
-        let mut cfg = ClusterConfig::small(spec.clone(), 2);
-        cfg.max_txns_per_client = Some(5);
-        let mut cluster = gdur_harness::build_ycsb(cfg, &WorkloadSpec::a(), 0.5, 0.0);
-        cluster.run_until_idle();
-        verify_cluster(&spec, &cluster).expect("sound protocol, sound history");
-    }
 }

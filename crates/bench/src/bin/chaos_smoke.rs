@@ -1,8 +1,9 @@
 //! CI chaos gate: runs one deterministic fault schedule per protocol
 //! family (crash → partition → heal → restart), checks that history
 //! verification passes, that restarted replicas converge with their peers
-//! and commit new transactions, that same-seed runs are trace-identical,
-//! and diffs the recovery-event counts against the checked-in golden file.
+//! and commit new transactions, and diffs the recovery-event counts
+//! against the checked-in golden file. That same-seed reruns of this
+//! library are trace-identical is `detlint --dynamic`'s check.
 //!
 //! Usage: `cargo run --release -p gdur-bench --bin chaos_smoke [--bless]`
 //! (`--bless` regenerates `crates/bench/golden/chaos_smoke.txt`).
@@ -50,18 +51,6 @@ fn main() {
                 "chaos_smoke: {}: the restarted replica committed nothing \
                  after its restart",
                 report.label
-            );
-            exit(1);
-        }
-        // Same seed, same schedule → byte-identical trace: the recovery
-        // and fault paths must stay inside the deterministic envelope.
-        let (_, events2) = run_chaos(&cfg);
-        if format!("{events:?}") != format!("{events2:?}") {
-            eprintln!(
-                "chaos_smoke: {}: same-seed rerun diverged ({} vs {} events)",
-                report.label,
-                events.len(),
-                events2.len()
             );
             exit(1);
         }

@@ -1,5 +1,5 @@
 //! `gdur-trace` — causal trace explorer: span trees, critical-path latency
-//! attribution, and Chrome/Perfetto export.
+//! attribution, Chrome/Perfetto export, and the raw JSONL dump.
 //!
 //! Usage:
 //!
@@ -7,6 +7,7 @@
 //! gdur-trace tree --tx COORD:SEQ [PROTOCOL] [--clients N]
 //! gdur-trace attribute [--csv] [PROTOCOL...] [--clients N]
 //! gdur-trace export --chrome PATH [PROTOCOL] [--clients N]
+//! gdur-trace dump [PROTOCOL] [--tx COORD:SEQ] [--actor PID] [--clients N]
 //! ```
 //!
 //! All subcommands run one causally-traced sweep point of the standard
@@ -23,13 +24,18 @@
 //! * `export` writes a Chrome trace-event JSON (`chrome://tracing` or
 //!   <https://ui.perfetto.dev>) with one track per actor, handler spans,
 //!   lifecycle instants, and flow arrows along message edges.
+//! * `dump` writes the whole trace as JSONL (schema in `gdur_obs::jsonl`)
+//!   to `bench_results/trace_<protocol>.jsonl`, for `jq`/`grep`. `--tx`
+//!   keeps only the lifecycle points of one transaction (non-zero exit if
+//!   it is not in the trace), `--actor` only the events involving one
+//!   process id; the filters compose.
 
 use std::process::exit;
 
 use gdur_harness::{run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind};
 use gdur_obs::{
-    critical_path, export_chrome, render_attribution_csv, render_attribution_text, tx_code,
-    tx_span_tree, validate_json, Attribution, CausalIndex, TraceHandle,
+    critical_path, export_chrome, jsonl, render_attribution_csv, render_attribution_text, tx_code,
+    tx_span_tree, validate_json, Attribution, CausalIndex, ObsEvent, TraceHandle,
 };
 use gdur_sim::SimDuration;
 
@@ -40,9 +46,8 @@ fn scale(clients: usize) -> Scale {
         warmup: SimDuration::from_millis(300),
         measure: SimDuration::from_secs(1),
         client_sweep: vec![clients],
-        cores: 4,
         seed: 7,
-        client_pooling: false,
+        ..Scale::quick()
     }
 }
 
@@ -70,6 +75,28 @@ fn parse_tx(s: &str) -> Option<u64> {
     Some(tx_code(c.parse().ok()?, q.parse().ok()?))
 }
 
+/// The `--tx COORD:SEQ` flag as a transaction code, with its spelling;
+/// exits 2 on a malformed value.
+fn tx_flag(args: &[String]) -> Option<(u64, &str)> {
+    let arg = flag_value(args, "--tx")?;
+    let Some(tx) = parse_tx(arg) else {
+        eprintln!("gdur-trace: --tx expects COORD:SEQ, got {arg:?}");
+        exit(2);
+    };
+    Some((tx, arg))
+}
+
+/// True when the event involves `pid` (as emitter, sender, or destination).
+fn involves(ev: &ObsEvent, pid: u32) -> bool {
+    match *ev {
+        ObsEvent::Point { actor, .. }
+        | ObsEvent::HandleStart { actor, .. }
+        | ObsEvent::HandleEnd { actor, .. } => actor.0 == pid,
+        ObsEvent::Send { from, to, .. } => from.0 == pid || to.0 == pid,
+        ObsEvent::Deliver { to, .. } => to.0 == pid,
+    }
+}
+
 /// Positional (non-flag) arguments, skipping the values of value-flags.
 fn positionals(args: &[String]) -> Vec<&str> {
     let mut out = Vec::new();
@@ -79,7 +106,7 @@ fn positionals(args: &[String]) -> Vec<&str> {
             skip = false;
             continue;
         }
-        if matches!(a.as_str(), "--tx" | "--clients" | "--chrome") {
+        if matches!(a.as_str(), "--tx" | "--clients" | "--chrome" | "--actor") {
             skip = true;
         } else if !a.starts_with("--") {
             out.push(a.as_str());
@@ -92,7 +119,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: gdur-trace tree --tx COORD:SEQ [PROTOCOL] [--clients N]\n\
          \x20      gdur-trace attribute [--csv] [PROTOCOL...] [--clients N]\n\
-         \x20      gdur-trace export --chrome PATH [PROTOCOL] [--clients N]"
+         \x20      gdur-trace export --chrome PATH [PROTOCOL] [--clients N]\n\
+         \x20      gdur-trace dump [PROTOCOL] [--tx COORD:SEQ] [--actor PID] [--clients N]"
     );
     exit(2);
 }
@@ -108,12 +136,8 @@ fn main() {
         .unwrap_or(4);
     match cmd {
         "tree" => {
-            let Some(tx_arg) = flag_value(args, "--tx") else {
+            let Some((tx, tx_arg)) = tx_flag(args) else {
                 usage();
-            };
-            let Some(tx) = parse_tx(tx_arg) else {
-                eprintln!("gdur-trace: --tx expects COORD:SEQ, got {tx_arg:?}");
-                exit(2);
             };
             let name = positionals(args).first().copied().unwrap_or("P-Store");
             let run = run(name, clients);
@@ -185,6 +209,52 @@ fn main() {
                  (load in chrome://tracing or https://ui.perfetto.dev)",
                 run.events.len(),
                 ix.handlers.len()
+            );
+        }
+        "dump" => {
+            let tx_filter = tx_flag(args);
+            let actor_filter: Option<u32> = flag_value(args, "--actor").map(|s| {
+                s.parse().unwrap_or_else(|_| {
+                    eprintln!("gdur-trace: --actor expects a process id, got {s:?}");
+                    exit(2);
+                })
+            });
+            let name = positionals(args).first().copied().unwrap_or("P-Store");
+            let PointRun {
+                point,
+                breakdown,
+                mut events,
+                ..
+            } = run(name, clients);
+            if let Some((tx, tx_arg)) = tx_filter {
+                events.retain(|e| matches!(*e, ObsEvent::Point { tx: t, .. } if t == tx));
+                if events.is_empty() {
+                    eprintln!("gdur-trace: transaction {tx_arg} not found in the {name} trace");
+                    exit(1);
+                }
+            }
+            if let Some(pid) = actor_filter {
+                events.retain(|e| involves(e, pid));
+            }
+            let trace = jsonl::export(&events);
+            if let Err(e) = jsonl::validate(&trace) {
+                eprintln!("gdur-trace: exported trace violates its schema: {e}");
+                exit(1);
+            }
+            let slug: String = name
+                .chars()
+                .map(|c| c.to_ascii_lowercase())
+                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+                .collect();
+            let path = format!("bench_results/trace_{slug}.jsonl");
+            std::fs::create_dir_all("bench_results").expect("create bench_results");
+            std::fs::write(&path, &trace).expect("write trace");
+            println!(
+                "{name}: {} events → {path} ({} committed, {} aborted in window, {:.0} tps)",
+                events.len(),
+                breakdown.committed,
+                breakdown.aborted,
+                point.throughput_tps
             );
         }
         _ => usage(),

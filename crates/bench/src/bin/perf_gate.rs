@@ -17,22 +17,13 @@
 //! O(partitions). Memory is not wall-clock noise, so this leg holds on a
 //! loaded host too.
 //!
-//! `--mega` runs the aggregated-pool scale sweep instead (10⁴/10⁵/10⁶
-//! clients per site, one pool actor per site) and writes `BENCH_mega.json`.
-//! It is informational — no regression gate — and deliberately not part of
-//! ci.sh: the bounded 10⁴ rung runs there as `mega_smoke`.
-//!
-//! Usage: `cargo run --release -p gdur-bench --bin perf_gate [--bless]
-//! [--mega]` (`--bless` regenerates the golden file).
+//! Usage: `cargo run --release -p gdur-bench --bin perf_gate [--bless]`
+//! (`--bless` regenerates the golden file).
 
-use std::path::Path;
 use std::process::exit;
 use std::time::Instant;
 
-use gdur_harness::{
-    build_point, run_mega_point, run_point_with, Experiment, MegaConfig, PlacementKind, Scale,
-    WorkloadKind,
-};
+use gdur_harness::{build_point, run_point_with, Experiment, PlacementKind, Scale, WorkloadKind};
 use gdur_sim::SimDuration;
 
 /// Resident-set budget right after building a paper-keyspace deployment.
@@ -46,30 +37,18 @@ const BUILD_RSS_BUDGET_MIB: f64 = 32.0;
 fn perf_scale() -> Scale {
     Scale {
         keys_per_partition: 10_000,
-        value_size: 128,
-        warmup: SimDuration::from_millis(500),
         measure: SimDuration::from_secs(8),
         client_sweep: vec![16, 64, 192],
-        cores: 4,
         seed: 11,
-        client_pooling: false,
+        ..Scale::quick()
     }
-}
-
-fn perf_experiment() -> Experiment {
-    Experiment::new(
-        gdur_protocols::p_store(),
-        WorkloadKind::C,
-        0.9,
-        3,
-        PlacementKind::Dp,
-    )
 }
 
 /// Runs the sweep and renders the golden table: one line of integers per
 /// point, then the total event count.
 fn run_sweep_counted() -> String {
-    let exp = perf_experiment();
+    let p_store = gdur_protocols::p_store();
+    let exp = Experiment::new(p_store, WorkloadKind::C, 0.9, 3, PlacementKind::Dp);
     let scale = perf_scale();
     let mut table = String::new();
     let mut total_events = 0;
@@ -114,14 +93,6 @@ fn proc_status_kib(field: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Peak resident set size of this process in MiB (`VmHWM`). Monotone over
-/// the process lifetime, so per-point readings report the high-water mark
-/// *so far* — the sweep runs smallest point first, making the last reading
-/// the figure that matters.
-fn vm_hwm_mib() -> u64 {
-    proc_status_kib("VmHWM") / 1024
-}
-
 /// The paper-keyspace build leg: a fig3b deployment at the paper's scale —
 /// Walter, 4 sites disaster tolerant, 10⁵ keys of 1 KB per partition, 192
 /// clients/site — built and dropped. Returns the resident MiB right after
@@ -146,57 +117,7 @@ fn paper_build() -> f64 {
     rss_mib
 }
 
-/// The `--mega` mode: the ROADMAP "millions of users" axis. One pooled
-/// point per rung of the client sweep, whole-run aggregates, peak-RSS
-/// tracking; writes `BENCH_mega.json` at the workspace root.
-fn run_mega_sweep() {
-    const RUNGS: [usize; 3] = [10_000, 100_000, 1_000_000];
-    let exp = perf_experiment();
-    let mut sections = Vec::new();
-    for &cps in &RUNGS {
-        let cfg = MegaConfig::standard(cps, 11);
-        let start = Instant::now();
-        let r = run_mega_point(&exp, &cfg);
-        let wall_s = start.elapsed().as_secs_f64();
-        let events_per_sec = r.events as f64 / wall_s;
-        let vm_hwm_mib = vm_hwm_mib();
-        println!(
-            "perf_gate --mega: {cps:>7} clients/site: {} issued, {} committed, \
-             {} aborted ({} timeout) | {} events in {wall_s:.1}s \
-             ({events_per_sec:.0} events/s) | peak RSS {vm_hwm_mib} MiB",
-            r.issued, r.committed, r.aborted, r.timeout_aborts, r.events
-        );
-        sections.push(format!(
-            "    {{\"clients_per_site\": {cps}, \"clients_total\": {}, \"issued\": {}, \
-             \"committed\": {}, \"aborted\": {}, \"timeout_aborts\": {}, \
-             \"throughput_tps\": {:.1}, \"avg_latency_ms\": {:.3}, \"events\": {}, \
-             \"wall_s\": {wall_s:.3}, \"events_per_sec\": {events_per_sec:.0}, \
-             \"vm_hwm_mib\": {vm_hwm_mib}}}",
-            r.clients_total,
-            r.issued,
-            r.committed,
-            r.aborted,
-            r.timeout_aborts,
-            r.throughput_tps,
-            r.avg_latency_ms,
-            r.events
-        ));
-    }
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_mega.json");
-    let file = format!(
-        "{{\n  \"schema\": \"gdur-mega-sweep-v1\",\n  \"bench\": \"p_store / workload C / 3 sites DP / pooled clients, 1s think, 4s horizon\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        sections.join(",\n")
-    );
-    std::fs::write(&path, &file).expect("write BENCH_mega.json");
-    println!("perf_gate --mega: written to {}", path.display());
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--mega") {
-        run_mega_sweep();
-        return;
-    }
-
     let build_rss_mib = paper_build();
     if build_rss_mib > BUILD_RSS_BUDGET_MIB {
         eprintln!(

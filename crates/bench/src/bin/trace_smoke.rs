@@ -39,9 +39,8 @@ fn smoke_scale() -> Scale {
         warmup: SimDuration::from_millis(300),
         measure: SimDuration::from_secs(1),
         client_sweep: vec![4],
-        cores: 4,
         seed: 7,
-        client_pooling: false,
+        ..Scale::quick()
     }
 }
 

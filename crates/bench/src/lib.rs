@@ -1,4 +1,4 @@
-//! # gdur-bench — table/figure regeneration and benchmarks
+//! # gdur-bench — table/figure regeneration and CI gates
 //!
 //! The tables and figures of the paper's evaluation (§8):
 //!
@@ -13,10 +13,10 @@
 //! | `all_figures` | every figure, then Table 2 |
 //!
 //! `all_figures` accepts `--quick` for a reduced-scale run and writes one
-//! CSV per figure under `bench_results/`. The Criterion benches
-//! (`microbench`, `figures`) exercise the same code paths at a size
-//! suitable for `cargo bench`. The `*_smoke` CI gates share the
-//! golden-file check in [`golden`].
+//! CSV per figure under `bench_results/`. The `*_smoke` CI gates and
+//! `perf_gate` share the golden-file check in [`golden`]; `gdur-trace`
+//! explores the causal trace of one point. Host time is measured by the
+//! standalone `benchmark/` crate, not here.
 
 pub mod golden;
 

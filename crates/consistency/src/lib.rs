@@ -38,6 +38,8 @@ pub struct HistoryTxn {
     pub committed: bool,
     /// True if the transaction wrote nothing.
     pub read_only: bool,
+    /// Site of the coordinator (the replica whose outcome log holds it).
+    pub site: SiteId,
     /// Reads: key → per-key sequence observed.
     pub reads: Vec<(Key, u64)>,
     /// Writes: key → per-key sequence *installed* (resolved from replica
@@ -50,10 +52,55 @@ pub struct HistoryTxn {
 pub struct History {
     /// All terminated transactions.
     pub txns: Vec<HistoryTxn>,
-    /// Version table: (key, seq) → writer.
+    /// Version table: (key, seq) → writer. Where replicas disagree, the
+    /// writer installed at the lowest site.
     pub versions: BTreeMap<(Key, u64), TxId>,
-    /// Latest installed sequence per key.
-    pub latest: BTreeMap<Key, u64>,
+    /// Every (key, seq) for which two replicas installed different writers.
+    pub divergent: Vec<Divergence>,
+}
+
+/// Two replicas that installed different writers as one version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divergence {
+    /// The key in question.
+    pub key: Key,
+    /// The conflicting sequence.
+    pub seq: u64,
+    /// The replica scanned first and the writer it installed.
+    pub first: (SiteId, TxId),
+    /// A later replica and the different writer it installed.
+    pub second: (SiteId, TxId),
+}
+
+/// The kind of a serialization-graph edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DepKind {
+    /// Write-write: the target overwrote the version the source installed.
+    Ww,
+    /// Write-read: the target read the version the source installed.
+    Wr,
+    /// Read-write (anti-dependency): the target overwrote the version the
+    /// source read.
+    Rw,
+}
+
+/// One edge of a serialization cycle, `from —kind key@seq→` the next hop's
+/// `from` (the last hop closes on the first).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CycleHop {
+    /// The source transaction.
+    pub from: TxId,
+    /// True if `from` is a query (wrote nothing).
+    pub query: bool,
+    /// `from`'s coordinator site.
+    pub site: SiteId,
+    /// The dependency that orders `from` before the next transaction.
+    pub kind: DepKind,
+    /// The key the dependency is on.
+    pub key: Key,
+    /// The version of `key` that `from` installed (`Ww`, `Wr`) or read
+    /// (`Rw`).
+    pub seq: u64,
 }
 
 /// A detected consistency violation.
@@ -88,17 +135,12 @@ pub enum Violation {
     },
     /// The serialization graph has a cycle.
     SerializationCycle {
-        /// Transactions on the detected cycle.
-        cycle: Vec<TxId>,
+        /// A simple cycle, one hop per transaction on it.
+        cycle: Vec<CycleHop>,
     },
     /// Two replicas of one partition installed different writers for the
     /// same (key, seq).
-    ReplicaDivergence {
-        /// The key in question.
-        key: Key,
-        /// The conflicting sequence.
-        seq: u64,
-    },
+    ReplicaDivergence(Divergence),
 }
 
 impl std::fmt::Display for Violation {
@@ -120,11 +162,30 @@ impl std::fmt::Display for Violation {
                 write!(f, "version {key}@{seq} doubly superseded or gapped")
             }
             Violation::SerializationCycle { cycle } => {
-                write!(f, "serialization cycle through {} txns", cycle.len())
+                write!(f, "serialization cycle through {} txns:", cycle.len())?;
+                for hop in cycle {
+                    let role = if hop.query { "query" } else { "update" };
+                    let kind = match hop.kind {
+                        DepKind::Ww => "ww",
+                        DepKind::Wr => "wr",
+                        DepKind::Rw => "rw",
+                    };
+                    write!(
+                        f,
+                        " {} ({role} @ {}) —{kind} {}@{}→",
+                        hop.from, hop.site, hop.key, hop.seq
+                    )?;
+                }
+                match cycle.first() {
+                    Some(first) => write!(f, " {}", first.from),
+                    None => Ok(()),
+                }
             }
-            Violation::ReplicaDivergence { key, seq } => {
-                write!(f, "replicas diverge on {key}@{seq}")
-            }
+            Violation::ReplicaDivergence(d) => write!(
+                f,
+                "replicas diverge on {}@{}: {} installed {}'s write, {} installed {}'s",
+                d.key, d.seq, d.first.0, d.first.1, d.second.0, d.second.1
+            ),
         }
     }
 }
@@ -134,22 +195,25 @@ impl History {
     /// have been built with `record_history = true`).
     pub fn from_cluster(cluster: &Cluster) -> History {
         let sites = cluster.placement().sites();
-        // (key, seq) → writer, with divergence detection deferred to the
-        // replica-agreement check.
+        let replica = |s: usize| cluster.replica(SiteId(s as u16));
         let mut versions: BTreeMap<(Key, u64), TxId> = BTreeMap::new();
-        let mut divergent: Vec<(Key, u64)> = Vec::new();
-        let mut latest: BTreeMap<Key, u64> = BTreeMap::new();
+        let mut divergent = Vec::new();
         for s in 0..sites {
-            let rep = cluster.replica(SiteId(s as u16));
-            for ev in rep.installs() {
-                if let Some(prev) = versions.insert((ev.key, ev.seq), ev.tx) {
-                    if prev != ev.tx {
-                        divergent.push((ev.key, ev.seq));
-                        versions.insert((ev.key, ev.seq), prev);
-                    }
+            for ev in replica(s).installs() {
+                let first = *versions.entry((ev.key, ev.seq)).or_insert(ev.tx);
+                if first != ev.tx {
+                    // Rare enough to look the first installer up again.
+                    let first_site = (0..=s).find(|p| {
+                        let mut installs = replica(*p).installs().iter();
+                        installs.any(|e| (e.key, e.seq, e.tx) == (ev.key, ev.seq, first))
+                    });
+                    divergent.push(Divergence {
+                        key: ev.key,
+                        seq: ev.seq,
+                        first: (SiteId(first_site.expect("installed earlier") as u16), first),
+                        second: (SiteId(s as u16), ev.tx),
+                    });
                 }
-                let e = latest.entry(ev.key).or_insert(0);
-                *e = (*e).max(ev.seq);
             }
         }
         // Map (tx → key → installed seq) for resolving writes.
@@ -159,8 +223,8 @@ impl History {
         }
         let mut txns = Vec::new();
         for s in 0..sites {
-            let rep = cluster.replica(SiteId(s as u16));
-            for rec in rep.outcomes() {
+            let site = SiteId(s as u16);
+            for rec in replica(s).outcomes() {
                 let installed = installs_by_tx.get(&rec.tx);
                 let writes = rec
                     .ws
@@ -176,24 +240,17 @@ impl History {
                     tx: rec.tx,
                     committed: rec.committed,
                     read_only: rec.read_only,
+                    site,
                     reads: rec.rs.iter().map(|e| (e.key, e.seq)).collect(),
                     writes,
                 });
             }
         }
-        let mut h = History {
+        History {
             txns,
             versions,
-            latest,
-        };
-        // Record divergences as synthetic marker versions so the
-        // replica-agreement check can report them.
-        for (key, seq) in divergent {
-            h.versions
-                .insert((key, u64::MAX - seq), h.versions[&(key, seq)]);
-            h.latest.insert(key, u64::MAX);
+            divergent,
         }
-        h
     }
 
     /// Committed transactions.
@@ -264,15 +321,10 @@ pub fn check_read_committed(h: &History) -> Result<(), Violation> {
 
 /// DT replicas must install identical writers per (key, seq).
 pub fn check_replica_agreement(h: &History) -> Result<(), Violation> {
-    for ((key, seq), _) in h.versions.iter() {
-        if *seq > u64::MAX / 2 {
-            return Err(Violation::ReplicaDivergence {
-                key: *key,
-                seq: u64::MAX - *seq,
-            });
-        }
+    match h.divergent.first() {
+        Some(d) => Err(Violation::ReplicaDivergence(*d)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// No transaction sees part of another committed transaction's write set.
@@ -338,9 +390,7 @@ pub fn check_no_fractured_reads(h: &History) -> Result<(), Violation> {
 pub fn check_first_committer_wins(h: &History) -> Result<(), Violation> {
     let mut per_key: BTreeMap<Key, BTreeSet<u64>> = BTreeMap::new();
     for (key, seq) in h.versions.keys() {
-        if *seq <= u64::MAX / 2 {
-            per_key.entry(*key).or_default().insert(*seq);
-        }
+        per_key.entry(*key).or_default().insert(*seq);
     }
     for (key, seqs) in per_key {
         for (s, expected) in seqs.into_iter().zip(1..) {
@@ -352,19 +402,37 @@ pub fn check_first_committer_wins(h: &History) -> Result<(), Violation> {
     Ok(())
 }
 
+/// A dependency that orders `a` before `b` in the serialization graph
+/// (the graph keeps bare edges; only a reported cycle needs the reasons).
+fn dependency(h: &History, a: &HistoryTxn, b: &HistoryTxn) -> (DepKind, Key, u64) {
+    let wrote = |t: &HistoryTxn, key: Key, seq: u64| h.versions.get(&(key, seq)) == Some(&t.tx);
+    let wr = (b.reads.iter().copied())
+        .filter(|(k, s)| *s > 0 && wrote(a, *k, *s))
+        .map(|(k, s)| (DepKind::Wr, k, s));
+    let rw = (a.reads.iter().copied())
+        .filter(|(k, s)| wrote(b, *k, *s + 1))
+        .map(|(k, s)| (DepKind::Rw, k, s));
+    let ww = (b.writes.iter())
+        .filter_map(|(k, s)| Some((*k, (*s)?.checked_sub(1)?)))
+        .filter(|(k, prev)| *prev > 0 && wrote(a, *k, *prev))
+        .map(|(k, prev)| (DepKind::Ww, k, prev));
+    wr.chain(rw).chain(ww).next().expect("an edge has a reason")
+}
+
 /// Builds the direct serialization graph and checks acyclicity.
 ///
 /// Nodes are committed transactions (updates only when `include_queries`
 /// is false — update serializability); edges are write-read, write-write
 /// and read-write (anti-) dependencies derived from per-key version
-/// sequences.
+/// sequences. A violation carries one simple cycle: the DFS stack from the
+/// node the back edge closes on, not from the DFS root.
 pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), Violation> {
-    let mut nodes: Vec<TxId> = Vec::new();
+    let mut nodes: Vec<&HistoryTxn> = Vec::new();
     let mut index: BTreeMap<TxId, usize> = BTreeMap::new();
     for t in h.committed() {
         if include_queries || !t.read_only {
             index.entry(t.tx).or_insert_with(|| {
-                nodes.push(t.tx);
+                nodes.push(t);
                 nodes.len() - 1
             });
         }
@@ -428,8 +496,26 @@ pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), V
                         stack.push((next, s));
                     }
                     Mark::Grey => {
-                        let mut cycle: Vec<TxId> = stack.iter().map(|(n, _)| nodes[*n]).collect();
-                        cycle.push(nodes[next]);
+                        let on_cycle: Vec<usize> = stack
+                            .iter()
+                            .map(|(n, _)| *n)
+                            .skip_while(|n| *n != next)
+                            .collect();
+                        let cycle = on_cycle
+                            .iter()
+                            .zip(on_cycle.iter().skip(1).chain([&next]))
+                            .map(|(&a, &b)| {
+                                let (kind, key, seq) = dependency(h, nodes[a], nodes[b]);
+                                CycleHop {
+                                    from: nodes[a].tx,
+                                    query: nodes[a].read_only,
+                                    site: nodes[a].site,
+                                    kind,
+                                    key,
+                                    seq,
+                                }
+                            })
+                            .collect();
                         return Err(Violation::SerializationCycle { cycle });
                     }
                     Mark::Black => {}
@@ -461,6 +547,7 @@ mod tests {
             tx: tx(id),
             committed,
             read_only: writes.is_empty(),
+            site: SiteId(0),
             reads: reads.into_iter().map(|(k, s)| (Key(k), s)).collect(),
             writes: writes.into_iter().map(|(k, s)| (Key(k), Some(s))).collect(),
         }
@@ -468,22 +555,18 @@ mod tests {
 
     fn history(txns: Vec<HistoryTxn>) -> History {
         let mut versions = BTreeMap::new();
-        let mut latest = BTreeMap::new();
         for t in &txns {
             if !t.committed {
                 continue;
             }
             for (k, s) in &t.writes {
-                let s = s.expect("test writes resolved");
-                versions.insert((*k, s), t.tx);
-                let e = latest.entry(*k).or_insert(0u64);
-                *e = (*e).max(s);
+                versions.insert((*k, s.expect("test writes resolved")), t.tx);
             }
         }
         History {
             txns,
             versions,
-            latest,
+            divergent: Vec::new(),
         }
     }
 
@@ -582,11 +665,20 @@ mod tests {
         ));
     }
 
+    /// Site 0 installed t1.1's write as k1@1, site 1 installed t1.2's.
+    fn divergence() -> Divergence {
+        Divergence {
+            key: Key(1),
+            seq: 1,
+            first: (SiteId(0), tx(1)),
+            second: (SiteId(1), tx(2)),
+        }
+    }
+
     #[test]
     fn rc_tolerates_replica_divergence_but_stronger_criteria_do_not() {
-        // Simulate a divergence marker as History::from_cluster records it.
         let mut h = history(vec![txn(1, vec![(1, 0)], vec![(1, 1)], true)]);
-        h.versions.insert((Key(1), u64::MAX - 1), tx(1));
+        h.divergent.push(divergence());
         assert_eq!(
             Criterion::Rc.check(&h),
             Ok(()),
@@ -594,8 +686,57 @@ mod tests {
         );
         assert!(matches!(
             Criterion::Psi.check(&h),
-            Err(Violation::ReplicaDivergence { .. })
+            Err(Violation::ReplicaDivergence(_))
         ));
+    }
+
+    #[test]
+    fn a_divergence_names_both_replicas_and_both_writers() {
+        let mut h = history(vec![
+            txn(1, vec![(1, 0)], vec![(1, 1)], true),
+            txn(3, vec![(2, 0)], vec![(2, 1)], true),
+        ]);
+        h.divergent.push(divergence());
+        let v = check_replica_agreement(&h).unwrap_err();
+        assert_eq!(v, Violation::ReplicaDivergence(divergence()));
+        assert_eq!(
+            v.to_string(),
+            "replicas diverge on k1@1: site0 installed t1.1's write, site1 installed t1.2's"
+        );
+        // The divergence is not a version: the per-key sequences, k2's
+        // included, are still contiguous.
+        assert_eq!(check_first_committer_wins(&h), Ok(()));
+    }
+
+    #[test]
+    fn a_cycle_is_reported_without_its_lead_in_path() {
+        // A —wr x@1→ B, B —rw y@0→ C, C —rw z@0→ B; the search starts at A.
+        let mut h = history(vec![
+            txn(1, vec![], vec![(1, 1)], true),
+            txn(2, vec![(1, 1), (2, 0)], vec![(3, 1)], true),
+            txn(3, vec![(3, 0)], vec![(2, 1)], true),
+        ]);
+        h.txns[2].site = SiteId(1);
+        let hop = |from: u64, site: u16, key: u64| CycleHop {
+            from: tx(from),
+            query: false,
+            site: SiteId(site),
+            kind: DepKind::Rw,
+            key: Key(key),
+            seq: 0,
+        };
+        let v = check_serializability(&h, true).unwrap_err();
+        assert_eq!(
+            v,
+            Violation::SerializationCycle {
+                cycle: vec![hop(2, 0, 2), hop(3, 1, 3)]
+            }
+        );
+        assert_eq!(
+            v.to_string(),
+            "serialization cycle through 2 txns: t1.2 (update @ site0) —rw k2@0→ \
+             t1.3 (update @ site1) —rw k3@0→ t1.2"
+        );
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl Snapshot {
         self.snap.len()
     }
 
-    /// True if this snapshot was pinned wholesale at begin.
-    pub fn is_fixed(&self) -> bool {
-        self.fixed
-    }
-
     /// Pins partition `p` (greedy mode) at the serving replica's current
     /// partition clock, lower-bounded by accumulated dependencies. No-op
     /// for fixed snapshots or already-pinned entries.
@@ -268,7 +263,7 @@ mod tests {
     #[test]
     fn fixed_snapshot_bounds_reads() {
         let snap = Snapshot::fixed(&VersionVec::from_entries(vec![2, 5]));
-        assert!(snap.is_fixed());
+        assert!(snap.fixed);
         assert!(snap.admits(&vstamp(0, &[2, 0])));
         assert!(!snap.admits(&vstamp(0, &[3, 0])), "beyond the pin");
         assert!(

@@ -76,11 +76,6 @@ impl<P: Clone> SkeenEngine<P> {
         }
     }
 
-    /// Number of messages buffered and not yet delivered here.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Atomically multicasts `payload` to `dests` (which may or may not
     /// include the sender). Returns the message id.
     ///
@@ -444,6 +439,6 @@ mod tests {
             })
             .collect();
         assert_eq!(delivered, vec![1, 2]);
-        assert_eq!(d.pending_len(), 0);
+        assert!(d.pending.is_empty());
     }
 }

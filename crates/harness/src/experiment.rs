@@ -92,7 +92,7 @@ impl Experiment {
 }
 
 /// Scale parameters of a run: the paper-faithful setting and a quick one
-/// for CI and Criterion benches.
+/// for CI.
 #[derive(Debug, Clone)]
 pub struct Scale {
     /// Objects per partition (paper: 10⁵ per replica).
@@ -129,7 +129,7 @@ impl Scale {
         }
     }
 
-    /// Reduced scale for tests and Criterion benches (seconds per figure).
+    /// Reduced scale for tests and CI gates (seconds per figure).
     pub fn quick() -> Self {
         Scale {
             keys_per_partition: 2_000,
@@ -266,13 +266,6 @@ pub fn build_ycsb(
     })
 }
 
-/// An experiment's deployment under `cfg`.
-fn build_experiment(exp: &Experiment, cfg: ClusterConfig) -> Cluster {
-    let total_keys = cfg.keys_per_partition * cfg.placement.partitions() as u64;
-    let workload = exp.workload.spec(total_keys);
-    build_ycsb(cfg, &workload, exp.read_only_ratio, exp.local_query_ratio)
-}
-
 /// Builds the deployment of one sweep point without running it: the
 /// cluster [`run_point`] drives, at `clients_per_site`.
 pub fn build_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> Cluster {
@@ -288,7 +281,9 @@ pub fn build_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> 
         seed: scale.seed ^ (clients_per_site as u64) << 32,
         ..ClusterConfig::new(exp.spec.clone(), exp.placement.placement(exp.sites))
     };
-    build_experiment(exp, cfg)
+    let total_keys = cfg.keys_per_partition * cfg.placement.partitions() as u64;
+    let workload = exp.workload.spec(total_keys);
+    build_ycsb(cfg, &workload, exp.read_only_ratio, exp.local_query_ratio)
 }
 
 /// Like [`run_point`], with everything else the run produced and, given a
@@ -349,125 +344,6 @@ pub fn run_point_with(
         clients,
         actor_names,
         topology,
-    }
-}
-
-/// Scale parameters of one aggregated-pool mega point (the `perf_gate
-/// --mega` sweep along ROADMAP's "millions of users" axis).
-///
-/// Unlike [`Scale`], this path is pool-only and metric-light by
-/// construction: one [`gdur_core::ClientPool`] actor per site, no
-/// per-client actors or mailboxes, `record_history` and per-transaction
-/// records both off. Memory is bounded by the per-client state arrays
-/// (a few hundred bytes per client), not by the transaction count.
-#[derive(Debug, Clone)]
-pub struct MegaConfig {
-    /// Closed-loop clients aggregated into each site's pool.
-    pub clients_per_site: usize,
-    /// Objects per partition.
-    pub keys_per_partition: u64,
-    /// Payload size.
-    pub value_size: usize,
-    /// Think time between a client's transactions; with `horizon`, this
-    /// bounds the event count at roughly `clients × horizon / think_time`
-    /// transactions regardless of client count.
-    pub think_time: SimDuration,
-    /// Virtual-time horizon of the run (no warm-up split: pool counters
-    /// are cumulative, and the mega sweep reports whole-run aggregates).
-    pub horizon: SimDuration,
-    /// Per-operation client timeout (exercises the pool's timer wheel
-    /// under saturation; timed-out transactions abort as `Crash`).
-    pub op_timeout: SimDuration,
-    /// Deployment seed.
-    pub seed: u64,
-}
-
-impl MegaConfig {
-    /// The standard mega point: YCSB-ish keyspace, 1 s think time, 4 s
-    /// horizon, 2 s op timeout.
-    ///
-    /// The horizon is deliberately short and *fixed across rungs*: beyond
-    /// ~10³ clients per 4-core site the offered load exceeds replica
-    /// capacity regardless of pacing, so a longer horizon only makes the
-    /// saturated replicas grind through proportionally more virtual work
-    /// (and hold proportionally more abandoned transaction state). Four
-    /// seconds covers two think intervals *and* the first op-timeout wave:
-    /// saturated rungs report timeout aborts routed through the pool's
-    /// timer wheel instead of a population parked forever.
-    pub fn standard(clients_per_site: usize, seed: u64) -> Self {
-        MegaConfig {
-            clients_per_site,
-            keys_per_partition: 10_000,
-            value_size: 64,
-            think_time: SimDuration::from_secs(1),
-            horizon: SimDuration::from_secs(4),
-            op_timeout: SimDuration::from_secs(2),
-            seed,
-        }
-    }
-}
-
-/// Whole-run aggregates of one mega point, read from the pools'
-/// [`gdur_core::PoolCounts`] and the kernel stats.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MegaPointResult {
-    /// Total clients across all sites.
-    pub clients_total: usize,
-    /// Transactions issued (whole run).
-    pub issued: u64,
-    /// Transactions committed.
-    pub committed: u64,
-    /// Transactions aborted (all causes).
-    pub aborted: u64,
-    /// Aborts attributed to the client op timeout (`AbortCause::Crash`).
-    pub timeout_aborts: u64,
-    /// Committed transactions per virtual second.
-    pub throughput_tps: f64,
-    /// Mean begin→decision latency of committed transactions, ms.
-    pub avg_latency_ms: f64,
-    /// Kernel events processed.
-    pub events: u64,
-}
-
-/// Runs one aggregated-pool mega point: `exp.sites` pools of
-/// `cfg.clients_per_site` clients each, think-time paced, until
-/// `cfg.horizon`. History recording and per-transaction records are off,
-/// so this completes in memory bounded by the client state arrays even at
-/// 10⁶ clients per site.
-pub fn run_mega_point(exp: &Experiment, cfg: &MegaConfig) -> MegaPointResult {
-    let ccfg = ClusterConfig {
-        keys_per_partition: cfg.keys_per_partition,
-        value_size: cfg.value_size,
-        clients_per_site: cfg.clients_per_site,
-        // The scale path trades the consistency oracle for bounded
-        // memory: history grows with the transaction count, which at 10⁶
-        // clients is exactly what must not be materialized. Correctness
-        // is covered by the pool-equivalence tests at small scale.
-        record_history: false,
-        client_op_timeout: Some(cfg.op_timeout),
-        client_pooling: true,
-        client_think_time: Some(cfg.think_time),
-        record_txn_metrics: false,
-        seed: cfg.seed ^ (cfg.clients_per_site as u64) << 32,
-        ..ClusterConfig::new(exp.spec.clone(), exp.placement.placement(exp.sites))
-    };
-    let mut cluster = build_experiment(exp, ccfg);
-    cluster.run_for(cfg.horizon);
-    let counts = cluster.pool_counts();
-    let stats = cluster.sim().stats();
-    MegaPointResult {
-        clients_total: cfg.clients_per_site * exp.sites,
-        issued: counts.issued,
-        committed: counts.committed,
-        aborted: counts.aborted,
-        timeout_aborts: counts.aborted_by_cause[gdur_obs::AbortCause::Crash.code() as usize],
-        throughput_tps: counts.committed as f64 / cfg.horizon.as_secs_f64(),
-        avg_latency_ms: if counts.committed == 0 {
-            0.0
-        } else {
-            counts.total_latency_nanos as f64 / counts.committed as f64 / 1e6
-        },
-        events: stats.events_processed,
     }
 }
 

@@ -28,9 +28,8 @@ pub use fault::{
 pub use invariants::check_invariants;
 
 pub use experiment::{
-    build_point, build_ycsb, max_throughput, run_mega_point, run_point, run_point_with, run_sweep,
-    Experiment, MegaConfig, MegaPointResult, PlacementKind, PointResult, PointRun, Scale,
-    WorkloadKind,
+    build_point, build_ycsb, max_throughput, run_point, run_point_with, run_sweep, Experiment,
+    PlacementKind, PointResult, PointRun, Scale, WorkloadKind,
 };
 pub use figures::{
     all_figures, fig3a, fig3b, fig4, fig5, fig6a, fig6b, Figure, FigurePanel, Metric,

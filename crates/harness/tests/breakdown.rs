@@ -14,9 +14,8 @@ fn scale() -> Scale {
         warmup: SimDuration::from_millis(300),
         measure: SimDuration::from_secs(1),
         client_sweep: vec![2, 24],
-        cores: 4,
         seed: 7,
-        client_pooling: false,
+        ..Scale::quick()
     }
 }
 

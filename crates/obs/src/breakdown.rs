@@ -15,7 +15,6 @@ use gdur_sim::{ObsEvent, SimTime};
 
 use crate::event::{labels, AbortCause};
 use crate::hist::Histogram;
-use crate::metrics::MetricsRegistry;
 
 /// A latency phase of the transaction lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,30 +231,6 @@ impl PhaseBreakdown {
     pub fn wan_bytes(&self) -> u64 {
         self.msgs.values().map(|f| f.wan_bytes).sum()
     }
-
-    /// Flattens the breakdown into a [`MetricsRegistry`], whose
-    /// [`snapshot`](MetricsRegistry::snapshot) is byte-stable — the unit the
-    /// same-seed determinism tests compare.
-    pub fn to_registry(&self) -> MetricsRegistry {
-        let mut r = MetricsRegistry::new();
-        r.inc("txn.committed", self.committed);
-        r.inc("txn.aborted", self.aborted);
-        r.inc("txn.orphan_aborts", self.orphan_aborts);
-        for cause in AbortCause::ALL {
-            r.inc(&format!("abort.{}", cause.label()), self.aborts_for(cause));
-        }
-        for phase in Phase::ALL {
-            r.merge_histogram(&format!("phase.{}_ns", phase.label()), self.phase(phase));
-        }
-        r.merge_histogram("cert.queue_depth", &self.queue_depth);
-        for (label, flow) in &self.msgs {
-            r.inc(&format!("net.{label}.count"), flow.count);
-            r.inc(&format!("net.{label}.bytes"), flow.bytes);
-            r.inc(&format!("net.{label}.wan_count"), flow.wan_count);
-            r.inc(&format!("net.{label}.wan_bytes"), flow.wan_bytes);
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -322,9 +297,6 @@ mod tests {
         assert_eq!(bd.queue_depth.max(), 3);
         let vote = bd.msgs["vote"];
         assert_eq!((vote.count, vote.wan_count, vote.wan_bytes), (1, 1, 64));
-        let snap = bd.to_registry().snapshot();
-        assert!(snap.contains("counter abort.vote_timeout 1"));
-        assert!(snap.contains("counter net.vote.wan_bytes 64"));
     }
 
     #[test]

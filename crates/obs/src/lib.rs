@@ -12,9 +12,9 @@
 //!   message ids on every send, `Deliver` records, and handler
 //!   service brackets. The [`TraceHandle`] here is the standard in-memory
 //!   sink; [`TraceHandle::causal`] builds the opted-in variant.
-//! * **Metrics** — [`MetricsRegistry`] and [`Histogram`] are BTree-backed
-//!   and fixed-bucket: snapshots are bit-identical across same-seed runs,
-//!   in line with the determinism lint of `gdur-analysis`.
+//! * **Metrics** — [`Histogram`] is BTree-backed and fixed-bucket: equal
+//!   across same-seed runs, in line with the determinism lint of
+//!   `gdur-analysis`.
 //! * **Abort taxonomy** — [`AbortCause`] partitions every coordinator-side
 //!   abort (the per-cause counters always sum to `aborted`).
 //! * **Phase breakdown** — [`PhaseBreakdown`] folds a trace into the
@@ -45,7 +45,6 @@ mod chrome;
 mod event;
 mod hist;
 pub mod jsonl;
-mod metrics;
 mod span;
 
 pub use attrib::{
@@ -60,5 +59,4 @@ pub use event::{
 };
 pub use gdur_sim::{ObsEvent, ObsSink};
 pub use hist::Histogram;
-pub use metrics::MetricsRegistry;
 pub use span::{tx_span_tree, CausalIndex, HandlerRec, SendRec, Span};

@@ -107,7 +107,6 @@ pub struct Context<'a, M> {
     rng: &'a mut SmallRng,
     outputs: &'a mut Vec<Output<M>>,
     next_timer: &'a mut u64,
-    halted: &'a mut bool,
     obs: Option<&'a mut (dyn ObsSink + 'static)>,
 }
 
@@ -178,11 +177,6 @@ impl<'a, M> Context<'a, M> {
     /// Deterministic random-number generator shared by the whole simulation.
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
-    }
-
-    /// Stops the simulation after the current handler completes.
-    pub fn halt(&mut self) {
-        *self.halted = true;
     }
 
     /// Records a [`ObsEvent::Point`] trace event stamped at this handler's
@@ -373,7 +367,6 @@ pub struct Simulation<A: Actor, L: LatencyModel> {
     actors: Vec<ActorSlot<A>>,
     latency: L,
     rng: SmallRng,
-    halted: bool,
     started: bool,
     stats: SimStats,
     scratch: Vec<Output<A::Msg>>,
@@ -398,7 +391,6 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             actors: Vec::new(),
             latency,
             rng: SmallRng::seed_from_u64(seed),
-            halted: false,
             started: false,
             stats: SimStats::default(),
             scratch: Vec::new(),
@@ -547,11 +539,6 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         self.actors[id.index()].crashed = false;
     }
 
-    /// True if `id` is currently crashed.
-    pub fn is_crashed(&self, id: ProcessId) -> bool {
-        self.actors[id.index()].crashed
-    }
-
     /// Schedules a fail-stop crash of `id` at virtual instant `at`.
     ///
     /// Unlike the immediate [`Simulation::crash`], the crash takes effect
@@ -667,17 +654,16 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         }
     }
 
-    /// Runs until the event queue drains, the horizon `until` is reached, or
-    /// an actor halts the simulation. Returns the final virtual time.
+    /// Runs until the event queue drains or the horizon `until` is reached.
+    /// Returns the final virtual time.
     ///
     /// The clock always ends at `until` whether the horizon was hit or the
     /// queue drained early, so final virtual times compare consistently
-    /// across runs. The exceptions keep the clock at the last event time:
-    /// [`Simulation::run_until_idle`] (there is no meaningful horizon) and
-    /// a [`Context::halt`] (the stop is deliberate and mid-run).
+    /// across runs. The exception keeps the clock at the last event time:
+    /// [`Simulation::run_until_idle`] (there is no meaningful horizon).
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
         self.ensure_started();
-        while !self.halted {
+        loop {
             let Some(ev) = self.queue.peek() else {
                 // Queue drained before the horizon: advance to it anyway,
                 // mirroring the horizon-hit path below.
@@ -787,7 +773,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         }
     }
 
-    /// Runs until the event queue is empty or an actor halts the simulation.
+    /// Runs until the event queue is empty.
     pub fn run_until_idle(&mut self) -> SimTime {
         self.run_until(SimTime::MAX)
     }
@@ -899,7 +885,6 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 rng: &mut self.rng,
                 outputs: &mut outputs,
                 next_timer: &mut slot.next_timer,
-                halted: &mut self.halted,
                 obs: self.obs.as_deref_mut(),
             };
             match job {
@@ -1639,7 +1624,6 @@ mod tests {
         sim.schedule_restart(p, SimTime::from_nanos(3_000_000));
         sim.run_until_idle();
         assert_eq!(sim.actor(p).restarts.len(), 1);
-        assert!(!sim.is_crashed(p));
     }
 
     #[test]

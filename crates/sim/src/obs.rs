@@ -3,8 +3,8 @@
 //! The kernel itself knows nothing about transactions or protocols: it only
 //! offers a sink to which actors (via [`Context::trace`](crate::Context))
 //! and the dispatch loop (message departures) append [`ObsEvent`]s. The
-//! interpretation of labels, the metrics registry, and the phase-breakdown
-//! aggregation all live in `gdur-obs`, outside the deterministic core.
+//! interpretation of labels and the phase-breakdown aggregation live in
+//! `gdur-obs`, outside the deterministic core.
 //!
 //! Recording is deliberately side-effect free with respect to the
 //! simulation: appending an event never consumes virtual time, never draws

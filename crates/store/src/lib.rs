@@ -6,8 +6,8 @@
 //! * [`Placement`] — key → partition → replica-sites mapping, with the
 //!   paper's disaster-prone (1 replica) and disaster-tolerant (2 replicas)
 //!   configurations;
-//! * [`MultiVersionStore`] — the per-replica version store with the three
-//!   read paths used by `choose_last` / `choose_cons` (§4.2);
+//! * [`MultiVersionStore`] — the per-replica version store: the latest
+//!   version for `choose_last`, the version list for `choose_cons` (§4.2);
 //! * [`SeedImage`] — a replica's initial load by rule, O(partitions): the
 //!   store copies a key out of it on the key's first write.
 //!

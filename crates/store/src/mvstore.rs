@@ -2,13 +2,12 @@
 //! Algorithms 1–2).
 //!
 //! Every key maps to a list of committed versions in install order. The
-//! three read paths of §4.2 are provided:
+//! two read paths of §4.2:
 //!
 //! * [`MultiVersionStore::latest`] — `choose_last`;
-//! * [`MultiVersionStore::latest_visible`] — `choose_cons` under a fixed
-//!   VTS snapshot;
-//! * [`MultiVersionStore::latest_compatible`] — `choose_cons` under greedy
-//!   GMV/PDV snapshot assembly.
+//! * [`MultiVersionStore::versions`] — `choose_cons`: the replica walks the
+//!   list newest first under its snapshot's admission predicate
+//!   (`gdur_core::Snapshot::admits`), fixed (VTS) or greedy (GMV/PDV).
 //!
 //! The initial load is copy-on-write. A deployment's partitions start as
 //! 10⁵ objects that all carry the *same* seed version (§8.1) and a run
@@ -19,7 +18,7 @@
 //! exactly as if it had been seeded record by record.
 
 use gdur_net::SiteId;
-use gdur_versioning::{Stamp, VersionVec};
+use gdur_versioning::Stamp;
 
 use crate::placement::{partition_index, PartitionId, Placement};
 use crate::types::{Key, TxId, Value};
@@ -289,8 +288,7 @@ impl MultiVersionStore {
     }
 
     /// Loads an initial version of `key` (seq 0, seed writer) by hand —
-    /// for stores assembled without an image: log recovery, unit tests,
-    /// microbenchmarks.
+    /// for stores assembled without an image: log recovery, unit tests.
     pub fn seed(&mut self, key: Key, value: Value, stamp: Stamp) {
         let s = self.sym(key).unwrap_or_else(|| self.intern(key));
         self.slots[s].push(VersionRecord::seed(value, stamp));
@@ -327,29 +325,6 @@ impl MultiVersionStore {
         self.latest(key).map(|r| r.seq)
     }
 
-    /// The most recent version of `key` visible in the fixed snapshot
-    /// vector `snap` (VTS semantics: version visible iff its origin entry
-    /// is covered by the snapshot).
-    pub fn latest_visible(&self, key: Key, snap: &VersionVec) -> Option<&VersionRecord> {
-        self.versions(key)?
-            .iter()
-            .rev()
-            .find(|r| r.stamp.visible_in(snap))
-    }
-
-    /// The most recent version of `key` whose stamp is pairwise compatible
-    /// (§4.2) with every stamp in `priors` — the GMV/PDV `choose_cons`.
-    pub fn latest_compatible<'a>(
-        &'a self,
-        key: Key,
-        priors: &[Stamp],
-    ) -> Option<&'a VersionRecord> {
-        self.versions(key)?
-            .iter()
-            .rev()
-            .find(|r| priors.iter().all(|p| r.stamp.compatible(p)))
-    }
-
     /// All retained versions of `key` in install order (oldest first), for
     /// callers that apply their own snapshot predicate. An unwritten key's
     /// list is the image's one seed version.
@@ -359,11 +334,6 @@ impl MultiVersionStore {
             Some(s) => Some(&self.slots[s]),
             None => self.image.record(key).map(std::slice::from_ref),
         }
-    }
-
-    /// A specific historical version by per-key sequence.
-    pub fn version_at(&self, key: Key, seq: u64) -> Option<&VersionRecord> {
-        self.versions(key)?.iter().find(|r| r.seq == seq)
     }
 
     /// Installs a new committed version of `key`, returning its per-key
@@ -413,6 +383,7 @@ impl MultiVersionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdur_versioning::VersionVec;
     use std::collections::BTreeSet;
 
     fn ts(n: u64) -> Stamp {
@@ -449,7 +420,7 @@ mod tests {
         assert_eq!(s.install(Key(1), Value::from_u64(2), ts(2), tx(2)), 2);
         assert_eq!(s.latest_seq(Key(1)), Some(2));
         assert_eq!(s.latest(Key(1)).unwrap().value.as_u64(), Some(2));
-        assert_eq!(s.version_at(Key(1), 1).unwrap().value.as_u64(), Some(1));
+        assert_eq!(s.versions(Key(1)).unwrap()[1].value.as_u64(), Some(1));
     }
 
     #[test]
@@ -497,7 +468,7 @@ mod tests {
         assert_eq!(s.len(), 20, "a written key is still one key");
         let seqs: Vec<u64> = s.versions(Key(3)).unwrap().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, [0, 1]);
-        assert_eq!(s.version_at(Key(3), 0).unwrap().value.as_u64(), Some(7));
+        assert_eq!(s.versions(Key(3)).unwrap()[0].value.as_u64(), Some(7));
         let fresh = s.pristine();
         assert_eq!((fresh.materialized(), fresh.len()), (0, 20));
         assert_eq!(fresh.latest_seq(Key(3)), Some(0));
@@ -541,7 +512,7 @@ mod tests {
                 let hosted = key.0 < 30 && placement.is_local(SiteId(0), key);
                 assert_eq!(lazy.contains_key(key), hosted, "{key}");
                 assert_eq!(eager.contains_key(key), hosted, "{key}");
-                match next(7) {
+                match next(4) {
                     0 | 1 if hosted => {
                         let p = placement.partition_of(key).index();
                         clock[p] += 1;
@@ -557,31 +528,6 @@ mod tests {
                         installed.insert(key);
                     }
                     2 => assert_eq!(eager.latest(key), lazy.latest(key)),
-                    3 => {
-                        let seq = next(4);
-                        assert_eq!(eager.version_at(key, seq), lazy.version_at(key, seq));
-                    }
-                    4 => {
-                        let snap =
-                            VersionVec::from_entries((0..3).map(|p| next(clock[p] + 2)).collect());
-                        assert_eq!(
-                            eager.latest_visible(key, &snap),
-                            lazy.latest_visible(key, &snap)
-                        );
-                    }
-                    5 => {
-                        let prior = if vector {
-                            let at: Vec<u64> = (0..3).map(|p| next(clock[p] + 1)).collect();
-                            vstamp(next(3) as u32, &at)
-                        } else {
-                            ts(next(step + 1))
-                        };
-                        let priors = [prior];
-                        assert_eq!(
-                            eager.latest_compatible(key, &priors),
-                            lazy.latest_compatible(key, &priors)
-                        );
-                    }
                     _ => {
                         assert_eq!(eager.versions(key), lazy.versions(key));
                         assert_eq!(eager.version_count(key), lazy.version_count(key));
@@ -593,7 +539,9 @@ mod tests {
             assert_eq!(lazy.materialized(), installed.len());
             assert!(installed.len() > 10, "the sequence wrote most hosted keys");
             assert!(
-                installed.iter().any(|k| lazy.version_at(*k, 0).is_none()),
+                installed
+                    .iter()
+                    .any(|k| lazy.versions(*k).unwrap()[0].seq > 0),
                 "some seed version was garbage collected"
             );
         }
@@ -606,7 +554,7 @@ mod tests {
         s.install(Key(1), Value::from_u64(1), ts(1), tx(1));
         s.install(Key(1), Value::from_u64(2), ts(2), tx(2));
         assert_eq!(s.version_count(Key(1)), 2);
-        assert!(s.version_at(Key(1), 0).is_none(), "seed GCed");
+        assert_eq!(s.versions(Key(1)).unwrap()[0].seq, 1, "seed GCed");
         assert_eq!(s.latest_seq(Key(1)), Some(2));
     }
 
@@ -629,45 +577,5 @@ mod tests {
         // Iteration order is the seed order, not hash order.
         let iterated: Vec<u64> = s.keys().map(|k| k.0).collect();
         assert_eq!(iterated, ids);
-    }
-
-    #[test]
-    fn visible_in_snapshot_picks_covered_version() {
-        let mut s = MultiVersionStore::new();
-        // Object in partition 0 with versions at partition-seq 1 and 2.
-        s.seed(Key(1), Value::from_u64(0), vstamp(0, &[0, 0]));
-        s.install(Key(1), Value::from_u64(1), vstamp(0, &[1, 0]), tx(1));
-        s.install(Key(1), Value::from_u64(2), vstamp(0, &[2, 0]), tx(2));
-        let snap = VersionVec::from_entries(vec![1, 5]);
-        let r = s.latest_visible(Key(1), &snap).unwrap();
-        assert_eq!(r.value.as_u64(), Some(1), "seq-2 version not yet visible");
-        let fresh = VersionVec::from_entries(vec![9, 9]);
-        assert_eq!(
-            s.latest_visible(Key(1), &fresh).unwrap().value.as_u64(),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn compatible_read_skips_conflicting_fresh_version() {
-        let mut s = MultiVersionStore::new();
-        // y lives in partition 1; its v1 was written with no deps, its v2 by
-        // a txn that observed version 2 of partition 0.
-        s.seed(Key(1), Value::from_u64(0), vstamp(1, &[0, 0]));
-        s.install(Key(1), Value::from_u64(1), vstamp(1, &[0, 1]), tx(1));
-        s.install(Key(1), Value::from_u64(2), vstamp(1, &[2, 2]), tx(2));
-        // The transaction already read version 1 of partition 0:
-        let prior = vstamp(0, &[1, 0]);
-        let r = s.latest_compatible(Key(1), &[prior]).unwrap();
-        assert_eq!(
-            r.value.as_u64(),
-            Some(1),
-            "v2 depends on partition-0 seq 2 > 1, must fall back to v1"
-        );
-        // With no priors, freshest version wins.
-        assert_eq!(
-            s.latest_compatible(Key(1), &[]).unwrap().value.as_u64(),
-            Some(2)
-        );
     }
 }

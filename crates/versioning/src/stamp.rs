@@ -91,14 +91,6 @@ pub enum Stamp {
 }
 
 impl Stamp {
-    /// The scalar sequence of this version within its own object/partition.
-    pub fn own_seq(&self) -> u64 {
-        match self {
-            Stamp::Ts(s) => *s,
-            Stamp::Vec { origin, vec } => vec.get(*origin as usize),
-        }
-    }
-
     /// The dependence vector, if this is a vector stamp.
     pub fn as_vec(&self) -> Option<&VersionVec> {
         match self {
@@ -194,12 +186,6 @@ mod tests {
             Mechanism::Pdv.stamp_wire_size(4, 8) > Mechanism::Pdv.stamp_wire_size(4, 4),
             "more partitions, more metadata"
         );
-    }
-
-    #[test]
-    fn own_seq_reads_origin_entry() {
-        assert_eq!(Stamp::Ts(7).own_seq(), 7);
-        assert_eq!(vstamp(1, &[9, 4, 2]).own_seq(), 4);
     }
 
     #[test]

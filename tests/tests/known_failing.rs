@@ -6,13 +6,15 @@
 
 use gdur_harness::{run_point, Experiment, PlacementKind, Scale, WorkloadKind};
 
-/// benchmark/README.md "Known failing configurations" (a), ROADMAP item 6:
+/// benchmark/README.md "Known failing configurations" (a), ROADMAP item 1:
 /// S-DUR under the zipfian workload C, 90 % read-only, 4 sites disaster
 /// prone, 256 clients/site at the paper's keyspace, seed 11. The harness's
-/// always-on oracle panics with "serialization cycle through 6 txns";
+/// always-on oracle panics with a four-hop serialization cycle — two
+/// single-key updates and two queries that observe them in opposite orders
+/// (`update —wr→ query —rw→ update —wr→ query —rw→`, a long fork);
 /// 16, 64 and 128 clients/site pass.
 #[test]
-#[ignore = "known failing: ROADMAP item 6"]
+#[ignore = "known failing: ROADMAP item 1"]
 fn sdur_256_clients_serialization_cycle() {
     let exp = Experiment::new(
         gdur_protocols::s_dur(),

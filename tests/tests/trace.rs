@@ -8,7 +8,7 @@ use gdur_harness::{
     run_point, run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind,
 };
 use gdur_obs::{
-    critical_path, labels, render_attribution_text, tx_span_tree, Attribution, CausalIndex,
+    critical_path, jsonl, labels, render_attribution_text, tx_span_tree, Attribution, CausalIndex,
     ObsEvent, TraceHandle,
 };
 use gdur_sim::SimDuration;
@@ -20,9 +20,8 @@ fn scale() -> Scale {
         warmup: SimDuration::from_millis(200),
         measure: SimDuration::from_millis(500),
         client_sweep: vec![2],
-        cores: 4,
         seed: 11,
-        client_pooling: false,
+        ..Scale::quick()
     }
 }
 
@@ -123,6 +122,41 @@ fn every_send_is_matched_by_exactly_one_deliver_when_no_actor_crashes() {
             );
         }
     }
+}
+
+/// What `gdur-trace dump --tx/--actor` relies on: the JSONL schema is
+/// per line, so a causal trace cut down to one transaction's points, or to
+/// one actor's events, is still a valid trace of exactly the kept events.
+#[test]
+fn a_causal_trace_filtered_to_one_tx_or_one_actor_still_validates() {
+    let run = causal(gdur_protocols::walter());
+    let ix = CausalIndex::build(&run.events);
+    let tx = committed(&run, &ix)[0];
+    let points: Vec<ObsEvent> = run
+        .events
+        .iter()
+        .filter(|e| matches!(**e, ObsEvent::Point { tx: t, .. } if t == tx))
+        .copied()
+        .collect();
+    assert_eq!(points.len(), ix.tx_points[&tx].len());
+    assert_eq!(jsonl::validate(&jsonl::export(&points)), Ok(points.len()));
+
+    let replica = gdur_sim::ProcessId(0);
+    let at_replica: Vec<ObsEvent> = run
+        .events
+        .iter()
+        .filter(|e| match **e {
+            ObsEvent::Point { actor, .. }
+            | ObsEvent::HandleStart { actor, .. }
+            | ObsEvent::HandleEnd { actor, .. } => actor == replica,
+            ObsEvent::Send { from, to, .. } => from == replica || to == replica,
+            ObsEvent::Deliver { to, .. } => to == replica,
+        })
+        .copied()
+        .collect();
+    assert!(!at_replica.is_empty() && at_replica.len() < run.events.len());
+    let trace = jsonl::export(&at_replica);
+    assert_eq!(jsonl::validate(&trace), Ok(at_replica.len()));
 }
 
 #[test]
