@@ -22,11 +22,12 @@ use gdur_workload::WorkloadSpec;
 fn pooled_point(label: &str, spec: ProtocolSpec, clients_per_site: usize) -> String {
     let placement = Placement::disaster_prone(3);
     let clients = clients_per_site * placement.sites();
-    let total_keys = 10_000 * placement.partitions() as u64;
+    let keys_per_partition = 10_000;
+    let total_keys = keys_per_partition * placement.partitions() as u64;
     // The one deployment without history or per-transaction records:
     // memory is bounded by client state, not by the transaction count.
     let cfg = ClusterConfig {
-        keys_per_partition: 10_000,
+        keys_per_partition,
         value_size: 64,
         clients_per_site,
         record_history: false,

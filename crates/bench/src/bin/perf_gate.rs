@@ -80,14 +80,14 @@ fn run_sweep_counted() -> String {
     table
 }
 
-/// A `kB` field of Linux's `/proc/self/status`; 0 where unavailable.
-fn proc_status_kib(field: &str) -> u64 {
+/// `VmRSS` of Linux's `/proc/self/status`, in kB; 0 where unavailable.
+fn resident_kib() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
     };
     status
         .lines()
-        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
+        .find_map(|l| l.strip_prefix("VmRSS:"))
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|kb| kb.parse().ok())
         .unwrap_or(0)
@@ -108,7 +108,7 @@ fn paper_build() -> f64 {
     let start = Instant::now();
     let cluster = build_point(&exp, &Scale::paper(), 192);
     let build_s = start.elapsed().as_secs_f64();
-    let rss_mib = proc_status_kib("VmRSS") as f64 / 1024.0;
+    let rss_mib = resident_kib() as f64 / 1024.0;
     drop(cluster);
     println!(
         "perf_gate: paper-keyspace build: {build_s:.4}s, {rss_mib:.1} MiB resident \
