@@ -1,15 +1,15 @@
 #!/usr/bin/env sh
-# Local CI gate: formatting, lints (rustc + clippy + detlint), build, tests,
-# smoke gates. Everything runs offline — the vendored shims under vendor/
-# stand in for the registry crates (see README "Offline build").
+# CI gate, local and hosted: formatting, lints (rustc + clippy, whose
+# clippy.toml holds the determinism rules), build, tests, smoke gates.
+# Everything runs offline — the vendored shims under vendor/ stand in for
+# the registry crates (see README "Offline build").
 #
 # Tiers:
 #   ./ci.sh --fast   formatting, clippy, debug tests, doc references — the
 #                    edit-loop tier
 #   ./ci.sh          the full gate: fast tier + release build/tests, then
-#                    the smoke gates (detlint --dynamic, obs_smoke,
-#                    chaos_smoke, mc_smoke, trace_smoke, mega_smoke,
-#                    bench_selfcheck, perf_gate) run
+#                    the smoke gates (obs_smoke, chaos_smoke, mc_smoke,
+#                    trace_smoke, mega_smoke, bench_selfcheck, perf_gate) run
 #                    *concurrently* against the release binaries, with
 #                    per-gate logs replayed in a fixed order once all of
 #                    them finish
@@ -42,7 +42,7 @@ step() {
 # `--bin NAME` / `--bench NAME` written in README.md, DESIGN.md or
 # EXPERIMENTS.md exists; a miss is printed as `file:line:text`. A path is
 # read up to its first character outside [A-Za-z0-9_./-], so globs and
-# `:line` suffixes check their directory or file.
+# `:line` suffixes check their directory or file. Then `refs_check`.
 docs_check() {
     _missing=0
     for _doc in README.md DESIGN.md EXPERIMENTS.md; do
@@ -59,7 +59,42 @@ docs_check() {
             _missing=1
         done
     done
+    refs_check || _missing=1
     return $_missing
+}
+
+# refs_check: in the three documents and in the `//` and `#[ignore = "…"]`
+# text under crates/ tests/ examples/, every `ROADMAP item N` names an item
+# of ROADMAP.md (a `### Item N` heading or an `Item N (…)` tombstone) and
+# every `DESIGN.md §x.y` a numbered heading of DESIGN.md. `ROADMAP 4(b)`-style
+# shorthand and `ISSUE N` name nothing that persists (items were renumbered,
+# issues are not kept) and fail; a miss is printed as `file:line: reference`.
+refs_check() {
+    {
+        grep -nH '' README.md DESIGN.md EXPERIMENTS.md
+        grep -rnE '//|#\[ignore' crates tests examples --include='*.rs'
+    } | awk \
+        -v items="$(grep -oE '(^### |\b)Item [0-9]+ [—(]' ROADMAP.md | grep -oE '[0-9]+' | tr '\n' ' ')" \
+        -v sections="$(grep -oE '^#+ [0-9]+(\.[0-9]+)?' DESIGN.md | cut -d' ' -f2 | tr '\n' ' ')" '
+        BEGIN {
+            n = split(items, a, " "); for (i = 1; i <= n; i++) item[a[i]] = 1
+            n = split(sections, a, " "); for (i = 1; i <= n; i++) section[a[i]] = 1
+        }
+        {
+            split($0, loc, ":")
+            rest = $0
+            while (match(rest, /ROADMAP (items? )?[0-9]+(\([a-z]\)|[a-z])?|ISSUE [0-9]+|DESIGN(\.md)? §[0-9]+(\.[0-9]+)?/)) {
+                ref = substr(rest, RSTART, RLENGTH)
+                rest = substr(rest, RSTART + RLENGTH)
+                id = ref
+                sub(/^[^0-9]*/, "", id)
+                sub(/[^0-9.].*/, "", id)
+                if ((ref ~ /^ROADMAP item/ && id in item) || (ref ~ /^DESIGN/ && id in section)) continue
+                print loc[1] ":" loc[2] ": " ref
+                bad = 1
+            }
+        }
+        END { exit bad }'
 }
 
 TOTAL0=$(date +%s)
@@ -124,8 +159,7 @@ bench_selfcheck() {
         (cd benchmark && cargo test --release --offline)
 }
 
-GATES="detlint obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke bench_selfcheck perf_gate"
-spawn_gate detlint ./target/release/detlint --dynamic
+GATES="obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke bench_selfcheck perf_gate"
 spawn_gate obs_smoke ./target/release/obs_smoke
 spawn_gate chaos_smoke ./target/release/chaos_smoke
 spawn_gate mc_smoke ./target/release/mc_smoke

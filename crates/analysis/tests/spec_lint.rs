@@ -2,9 +2,9 @@
 //! and flipping any single plug-in axis of P-Store or Walter into an
 //! unsound position must surface the documented diagnostic.
 
-use gdur_analysis::Severity;
 use gdur_core::{
-    CertifyRule, CertifyingObjRule, ChooseRule, CommitmentKind, Criterion, ProtocolSpec, VoteRule,
+    CertifyRule, CertifyingObjRule, ChooseRule, CommitmentKind, Criterion, ProtocolSpec, Severity,
+    VoteRule,
 };
 use gdur_gc::XcastKind;
 use gdur_store::Placement;

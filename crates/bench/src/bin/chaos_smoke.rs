@@ -3,7 +3,7 @@
 //! verification passes, that restarted replicas converge with their peers
 //! and commit new transactions, and diffs the recovery-event counts
 //! against the checked-in golden file. That same-seed reruns of this
-//! library are trace-identical is `detlint --dynamic`'s check.
+//! library are trace-identical is `tests/tests/determinism.rs`'s check.
 //!
 //! Usage: `cargo run --release -p gdur-bench --bin chaos_smoke [--bless]`
 //! (`--bless` regenerates `crates/bench/golden/chaos_smoke.txt`).

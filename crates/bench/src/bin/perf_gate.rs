@@ -53,6 +53,10 @@ fn run_sweep_counted() -> String {
     let mut table = String::new();
     let mut total_events = 0;
     for &cps in &scale.client_sweep {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host time of a whole run, printed and never compared; read outside the simulation"
+        )]
         let start = Instant::now();
         let run = run_point_with(&exp, &scale, cps, None);
         let wall_s = start.elapsed().as_secs_f64();
@@ -105,6 +109,10 @@ fn paper_build() -> f64 {
         4,
         PlacementKind::Dt,
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host time of one build, printed and never compared; read outside the simulation"
+    )]
     let start = Instant::now();
     let cluster = build_point(&exp, &Scale::paper(), 192);
     let build_s = start.elapsed().as_secs_f64();

@@ -350,6 +350,10 @@ pub fn run_point_with(
 /// Runs the whole client sweep of an experiment, one OS thread per point.
 pub fn run_sweep(exp: &Experiment, scale: &Scale) -> Vec<PointResult> {
     let mut results: Vec<Option<PointResult>> = vec![None; scale.client_sweep.len()];
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "each thread runs one whole single-threaded, seeded simulation; only the host-side sweep loop is parallel"
+    )]
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (i, &cps) in scale.client_sweep.iter().enumerate() {

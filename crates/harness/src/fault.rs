@@ -9,8 +9,8 @@
 //! store-convergence check across the replicas of each partition.
 //!
 //! Everything here is deterministic: the same protocol, schedule, and seed
-//! reproduce the same trace byte for byte (the dynamic determinism lint
-//! and `chaos_smoke` both rely on this).
+//! reproduce the same trace byte for byte (`tests/tests/determinism.rs`
+//! reruns the library to check it; `chaos_smoke`'s golden relies on it).
 
 use gdur_consistency::{CriterionCheck, History};
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};

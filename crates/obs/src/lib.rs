@@ -13,8 +13,8 @@
 //!   service brackets. The [`TraceHandle`] here is the standard in-memory
 //!   sink; [`TraceHandle::causal`] builds the opted-in variant.
 //! * **Metrics** — [`Histogram`] is BTree-backed and fixed-bucket: equal
-//!   across same-seed runs, in line with the determinism lint of
-//!   `gdur-analysis`.
+//!   across same-seed runs, in line with the determinism rules of the
+//!   workspace's `clippy.toml`.
 //! * **Abort taxonomy** — [`AbortCause`] partitions every coordinator-side
 //!   abort (the per-cause counters always sum to `aborted`).
 //! * **Phase breakdown** — [`PhaseBreakdown`] folds a trace into the

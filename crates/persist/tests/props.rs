@@ -116,7 +116,7 @@ fn recovery_matches_installs() {
             .map(|_| (rng.gen_range(0u64..8), rng.gen_range(0u64..1000)))
             .collect();
         let mut wal = Wal::new();
-        let mut latest: std::collections::HashMap<u64, (u64, u64)> = Default::default();
+        let mut latest: std::collections::BTreeMap<u64, (u64, u64)> = Default::default();
         for (k, v) in writes {
             let seq = latest.get(&k).map(|(s, _)| s + 1).unwrap_or(0);
             latest.insert(k, (seq, v));

@@ -1,6 +1,6 @@
-//! Same-seed determinism regression test: the detlint dynamic check and
-//! the analysis story both rest on the kernel replaying identical
-//! histories for identical seeds. This actor deliberately exercises every
+//! Same-seed determinism regression test: the library-wide same-seed
+//! reruns (`tests/tests/determinism.rs`) and the analysis story both rest
+//! on the kernel replaying identical histories for identical seeds. This actor deliberately exercises every
 //! kernel feature that could smuggle in nondeterminism at once — per-actor
 //! RNG draws, timers set *and* canceled, multi-core service contention,
 //! and message fan-out — and demands two runs agree event for event.

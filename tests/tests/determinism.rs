@@ -1,9 +1,17 @@
-//! Reproducibility: a deployment run is a pure function of its seed.
+//! Reproducibility: a deployment run is a pure function of its seed —
+//! every library assembly, fault-free and under the chaos schedules,
+//! replays its records and its trace byte for byte. `clippy.toml` keeps
+//! the constructs that would break this out of the sources; these tests
+//! check the property itself.
+
+use std::fmt::Debug;
 
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
+use gdur_obs::{jsonl, TraceHandle};
 use gdur_workload::{WorkloadSpec, YcsbSource};
 
-fn run(spec: ProtocolSpec, seed: u64) -> Vec<TxnRecord> {
+/// One small contended run: its records and its JSONL trace.
+fn run_traced(spec: ProtocolSpec, seed: u64) -> (Vec<TxnRecord>, String) {
     let mut cfg = ClusterConfig::small(spec, 3);
     cfg.keys_per_partition = 200;
     cfg.clients_per_site = 2;
@@ -18,29 +26,65 @@ fn run(spec: ProtocolSpec, seed: u64) -> Vec<TxnRecord> {
             0.8,
         ))
     });
+    let trace = TraceHandle::new();
+    cluster.attach_obs(trace.sink());
     cluster.run_until_idle();
     let mut records = cluster.records();
     records.sort_by_key(|r| (r.tx, r.decided_at));
-    records
+    (records, jsonl::export(&trace.take()))
+}
+
+/// Fails naming `what` and the first position at which two same-seed runs
+/// differ.
+fn assert_same<T: PartialEq + Debug>(what: &str, a: &[T], b: &[T]) {
+    if let Some(i) = a.iter().zip(b).position(|(x, y)| x != y) {
+        panic!(
+            "{what} #{i} differs between same-seed runs:\n  {:?}\n  {:?}",
+            a[i], b[i]
+        );
+    }
+    assert_eq!(a.len(), b.len(), "{what}: one run is a prefix of the other");
+}
+
+fn assert_same_trace(who: &str, a: &str, b: &str) {
+    let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+    assert_same(&format!("{who}: trace event"), &a, &b);
 }
 
 #[test]
 fn identical_seeds_identical_histories() {
-    for spec in [
-        gdur_protocols::jessy_2pc(),
-        gdur_protocols::p_store(),
-        gdur_protocols::serrano(),
-    ] {
-        let a = run(spec.clone(), 99);
-        let b = run(spec, 99);
-        assert_eq!(a, b);
+    for spec in gdur_protocols::all_protocols() {
+        for seed in [7, 1042] {
+            let who = format!("{} (seed {seed})", spec.name);
+            let (records_a, trace_a) = run_traced(spec.clone(), seed);
+            let (records_b, trace_b) = run_traced(spec.clone(), seed);
+            assert_same(&format!("{who}: record"), &records_a, &records_b);
+            assert_same_trace(&who, &trace_a, &trace_b);
+        }
+    }
+}
+
+/// The recovery paths — WAL replay, catch-up transfer, resubmission,
+/// AB-Cast rejoin — stay inside the same deterministic envelope.
+#[test]
+fn chaos_library_replays_identically() {
+    for cfg in gdur_harness::chaos_library() {
+        let who = format!("{} (seed {})", cfg.label, cfg.seed);
+        let (report_a, events_a) = gdur_harness::run_chaos(&cfg);
+        let (report_b, events_b) = gdur_harness::run_chaos(&cfg);
+        assert_same_trace(&who, &jsonl::export(&events_a), &jsonl::export(&events_b));
+        assert_eq!(
+            report_a.golden_line(),
+            report_b.golden_line(),
+            "{who}: recovery reports differ between same-seed runs"
+        );
     }
 }
 
 #[test]
 fn different_seeds_diverge() {
-    let a = run(gdur_protocols::jessy_2pc(), 1);
-    let b = run(gdur_protocols::jessy_2pc(), 2);
+    let a = run_traced(gdur_protocols::jessy_2pc(), 1).0;
+    let b = run_traced(gdur_protocols::jessy_2pc(), 2).0;
     // Same transaction counts (bounded clients), different timings.
     assert_eq!(a.len(), b.len());
     assert_ne!(a, b, "different seeds should explore different schedules");
