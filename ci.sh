@@ -42,7 +42,8 @@ step() {
 # `--bin NAME` / `--bench NAME` written in README.md, DESIGN.md or
 # EXPERIMENTS.md exists; a miss is printed as `file:line:text`. A path is
 # read up to its first character outside [A-Za-z0-9_./-], so globs and
-# `:line` suffixes check their directory or file. Then `refs_check`.
+# `:line` suffixes check their directory or file; a `path/to/file.rs::name`
+# reference also needs `fn name` in that file. Then `refs_check`.
 docs_check() {
     _missing=0
     for _doc in README.md DESIGN.md EXPERIMENTS.md; do
@@ -50,6 +51,12 @@ docs_check() {
             sed 's/[.-]*$//' | sort -u); do
             [ -e "$_path" ] && continue
             grep -nF "$_path" "$_doc" | sed "s|^|$_doc:|"
+            _missing=1
+        done
+        for _ref in $(grep -oE '\b(crates|tests|examples|tools)/[A-Za-z0-9_./-]+\.rs::[A-Za-z0-9_]+' "$_doc" |
+            sort -u); do
+            grep -qsE "fn ${_ref##*::}\b" "${_ref%%::*}" && continue
+            grep -nF "$_ref" "$_doc" | sed "s|^|$_doc:|"
             _missing=1
         done
         for _name in $(grep -oE -- '--(bin|bench) [A-Za-z0-9_-]+' "$_doc" | cut -d' ' -f2 | sort -u); do

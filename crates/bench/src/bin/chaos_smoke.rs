@@ -1,8 +1,10 @@
-//! CI chaos gate: runs one deterministic fault schedule per protocol
-//! family (crash → partition → heal → restart), checks that history
-//! verification passes, that restarted replicas converge with their peers
-//! and commit new transactions, and diffs the recovery-event counts
-//! against the checked-in golden file. That same-seed reruns of this
+//! CI chaos gate: runs the schedule library (crash → partition → heal →
+//! restart, one entry per recovery path) at 16 clients/site × 200
+//! transactions — the size at which recovery bugs show, where 2 × 30 hid
+//! them (ROADMAP item 10) — checks that history verification passes, that
+//! restarted replicas converge with their peers and commit new
+//! transactions, and diffs the recovery-event counts against the
+//! checked-in golden file. That same-seed reruns of this
 //! library are trace-identical is `tests/tests/determinism.rs`'s check.
 //!
 //! Usage: `cargo run --release -p gdur-bench --bin chaos_smoke [--bless]`
@@ -15,7 +17,8 @@ use gdur_harness::{chaos_library, run_chaos};
 fn main() {
     let mut lines = Vec::new();
 
-    for cfg in chaos_library() {
+    for mut cfg in chaos_library() {
+        (cfg.clients_per_site, cfg.txns_per_client) = (16, 200);
         let (report, events) = run_chaos(&cfg);
         println!(
             "{}: {} committed / {} aborted, {} post-restart commits, \

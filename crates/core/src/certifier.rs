@@ -214,6 +214,7 @@ impl Certifier {
 
     /// True while `ticket` is queued behind a transaction it does not
     /// commute with.
+    #[cfg(test)]
     pub(crate) fn is_blocked(&self, ticket: Ticket) -> bool {
         ticket
             .checked_sub(self.head)

@@ -172,6 +172,16 @@ impl Cluster {
         // built by the harness, a test, or an example, passes the static
         // spec linter before a single message is simulated.
         cfg.spec.validate_strict(&cfg.placement);
+        // Under Algorithm 3 every participant decides from the votes alone.
+        // A coordinator that also aborts on a timer races them: replicas of
+        // one partition terminate the same transaction differently.
+        assert!(
+            cfg.vote_timeout.is_none() || cfg.spec.group_communication().is_none(),
+            "error[E-TIMEOUT-GC]: '{}' commits by group communication, where the votes \
+             alone decide (§5, Algorithm 3): a coordinator's `vote_timeout` abort would \
+             race them — leave `ClusterConfig::vote_timeout` unset",
+            cfg.spec.name
+        );
         let mut topo = Topology::grid5000(sites);
         if let Some(j) = cfg.jitter {
             topo = topo.with_jitter(j);

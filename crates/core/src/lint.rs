@@ -18,9 +18,7 @@
 use gdur_store::{PartitionId, Placement};
 use gdur_versioning::Mechanism;
 
-use crate::spec::{
-    CertifyRule, CertifyingObjRule, ChooseRule, CommitmentKind, Criterion, ProtocolSpec, VoteRule,
-};
+use crate::spec::{CertifyRule, CertifyingObjRule, ChooseRule, Criterion, ProtocolSpec, VoteRule};
 use gdur_gc::XcastKind;
 
 /// How bad a diagnostic is.
@@ -94,10 +92,7 @@ impl ProtocolSpec {
             })
         };
 
-        let gc_xcast = match self.commitment {
-            CommitmentKind::GroupCommunication { xcast } => Some(xcast),
-            _ => None,
-        };
+        let gc_xcast = self.group_communication();
         let total_order_install = gc_xcast == Some(XcastKind::AbCast)
             && self.certifying_obj == CertifyingObjRule::AllObjects;
 
@@ -328,6 +323,34 @@ impl ProtocolSpec {
         out
     }
 
+    /// Whether a crashed replica of this assembly may restart: the
+    /// crash–recovery support matrix (DESIGN.md §3.7) as one predicate.
+    ///
+    /// §5.3 makes Algorithm 4's state durable by logging, so 2PC and Paxos
+    /// Commit replicas recover from their write-ahead log, a peer catch-up
+    /// and resubmission. Commitment by group communication leaves fault
+    /// tolerance to the ordering layer, and ours has none: a restarted
+    /// member cannot re-enter the delivery order. `Replica::on_restart` and
+    /// the chaos harness refuse with this diagnostic instead of diverging.
+    pub fn recovery_support(&self) -> Result<(), Diagnostic> {
+        let Some(xcast) = self.group_communication() else {
+            return Ok(());
+        };
+        Err(Diagnostic {
+            severity: Severity::Error,
+            code: "E-RECOVERY-GC",
+            message: format!(
+                "'{}' commits by group communication ({xcast}), which has no rejoin here: \
+                 fixed-sequencer AB-Cast does not retransmit the sequences a restarted \
+                 member missed and Skeen does not recover its proposals, so the replica \
+                 cannot re-enter the delivery order",
+                self.name
+            ),
+            citation: "§5.3: Algorithm 4 logs its state; Algorithm 3 relies on the fault \
+                       tolerance of its group-communication layer",
+        })
+    }
+
     /// Like [`validate`](ProtocolSpec::validate), but panics with a
     /// readable report when any [`Severity::Error`] diagnostic fires.
     /// Deployment entry points call this so a misassembled protocol fails
@@ -353,7 +376,7 @@ impl ProtocolSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CommuteRule, PostCommitRule};
+    use crate::spec::{CommitmentKind, CommuteRule, PostCommitRule};
 
     fn jessy_like() -> ProtocolSpec {
         ProtocolSpec {
@@ -403,6 +426,20 @@ mod tests {
                 d.code,
                 d.citation
             );
+        }
+    }
+
+    #[test]
+    fn only_logged_commitment_supports_a_restart() {
+        let mut s = jessy_like();
+        assert_eq!(s.recovery_support(), Ok(()));
+        s.commitment = CommitmentKind::PaxosCommit;
+        assert_eq!(s.recovery_support(), Ok(()));
+        for xcast in [XcastKind::AbCast, XcastKind::AmCast, XcastKind::AmPwCast] {
+            s.commitment = CommitmentKind::GroupCommunication { xcast };
+            let refusal = s.recovery_support().expect_err("no rejoin");
+            assert_eq!(refusal.code, "E-RECOVERY-GC");
+            assert!(refusal.citation.contains("§5.3"));
         }
     }
 

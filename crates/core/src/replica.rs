@@ -382,8 +382,6 @@ struct CatchupPeer {
     partitions: Vec<u32>,
     /// Resume index into the peer's log.
     from: u64,
-    /// Rotation counter over candidate serving sites.
-    attempt: usize,
     /// Outstanding retry timer (tag, kernel id).
     timer: Option<(u64, u64)>,
 }
@@ -465,10 +463,7 @@ impl Replica {
             },
         );
         let gc = GroupComm::new(me, cfg.replica_pids.clone());
-        let gc_mode = matches!(
-            cfg.spec.commitment,
-            CommitmentKind::GroupCommunication { .. }
-        );
+        let gc_mode = cfg.spec.group_communication().is_some();
         // Serrano's vote-free decision never waits on a predecessor, so its
         // queue keeps the delivery order only.
         let commute = if gc_mode && cfg.spec.votes == VoteRule::LocalDecide {
@@ -551,10 +546,7 @@ impl Replica {
     /// True under Algorithm 3 (commitment by group communication): ordered
     /// delivery, votes to every participant, termination at the head of `Q`.
     fn gc_mode(&self) -> bool {
-        matches!(
-            self.cfg.spec.commitment,
-            CommitmentKind::GroupCommunication { .. }
-        )
+        self.cfg.spec.group_communication().is_some()
     }
 
     /// Arms `timer` to fire `after` from now; returns (tag, kernel id).

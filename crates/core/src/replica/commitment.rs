@@ -278,14 +278,12 @@ impl Replica {
             .unwrap_or_default();
         // 2PC and Paxos Commit participants wait for the decision. Every GC
         // participant receives every vote and decides locally (Figure 2-a);
-        // no explicit decision fan-out is needed — except for a vote-timeout
-        // abort, which by definition has no votes to learn the outcome from,
-        // so it must be fanned out or the participants' queues stay wedged
-        // on the undecided entry.
-        let announce_sites = if !self.gc_mode() || cause == Some(AbortCause::VoteTimeout) {
-            self.sites_of_keys(&t.certifying)
-        } else {
+        // no decision fan-out is needed, and none may race the votes
+        // (`Cluster::build` refuses a vote timeout there).
+        let announce_sites = if self.gc_mode() {
             BTreeSet::new()
+        } else {
+            self.sites_of_keys(&t.certifying)
         };
         for s in announce_sites {
             let pid = self.pid_of_site(s);

@@ -29,8 +29,11 @@ impl Replica {
     }
 
     /// `choose` (Algorithm 1, lines 22–30): selects a version of `key` from
-    /// the local store under `snap`, updating the snapshot context.
-    fn choose_version(&mut self, key: Key, snap: &mut Snapshot) -> (Value, u64, Stamp) {
+    /// the local store under `snap`, updating the snapshot context. `None`
+    /// if the store no longer retains a version the snapshot admits: a read
+    /// held back long enough on a hot key (parked through a recovery, say)
+    /// outlives the bounded version history, and cannot be served.
+    fn choose_version(&mut self, key: Key, snap: &mut Snapshot) -> Option<(Value, u64, Stamp)> {
         use crate::spec::ChooseRule;
         let p = self.cfg.placement.partition_of(key).index();
         let rec = match self.cfg.spec.choose {
@@ -45,15 +48,14 @@ impl Replica {
                     .unwrap_or_else(|| panic!("read of unhosted key {key} at {}", self.me))
                     .iter()
                     .rev()
-                    .find(|r| snap.admits(&r.stamp))
-                    .expect("the seed version is admissible in every snapshot")
+                    .find(|r| snap.admits(&r.stamp))?
             }
         };
         let out = (rec.value.clone(), rec.seq, rec.stamp.clone());
         if self.cfg.spec.choose == ChooseRule::Consistent {
             snap.observe(&out.2);
         }
-        out
+        Some(out)
     }
 
     pub(super) fn on_client_op(
@@ -141,7 +143,9 @@ impl Replica {
                 Snapshot::unconstrained(),
             );
             ctx.consume(self.cfg.costs.per_read);
-            let (value, seq, _stamp) = self.choose_version(key, &mut snap);
+            let Some((value, seq, _stamp)) = self.choose_version(key, &mut snap) else {
+                return self.finish_coord(ctx, tx, false, Some(AbortCause::ReadImpossible));
+            };
             let t = self.coord.get_mut(&tx).expect("present");
             t.snapshot = snap;
             let reply = t.read_done(key, seq, value, update);
@@ -305,7 +309,12 @@ impl Replica {
             self.park_read(p, bound, DeferredRead::Remote(from, tx, key, snap));
             return;
         }
-        let (value, seq, stamp) = self.choose_version(key, &mut snap);
+        // An unservable read gets no reply: the requester's failover timer
+        // re-iterates it at another replica, and `max_read_attempts` aborts
+        // the transaction with `ReadImpossible` if none can serve it either.
+        let Some((value, seq, stamp)) = self.choose_version(key, &mut snap) else {
+            return;
+        };
         ctx.send(
             from,
             Msg::ReadRep {

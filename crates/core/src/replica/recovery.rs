@@ -16,7 +16,7 @@ impl Replica {
         self.catchup.is_some()
     }
 
-    /// Rebuilds the replica after a scheduled kernel restart (§5.3).
+    /// Rebuilds the replica after a kernel restart (§5.3), or refuses to.
     ///
     /// The durable state is the initial load plus the write-ahead log;
     /// everything else — mailbox, timers, in-memory protocol state — died
@@ -27,19 +27,28 @@ impl Replica {
     /// and then starts the peer catch-up transfer. Retransmission of the
     /// rebuilt terminations waits for `finish_catchup`, so the self-
     /// delivered vote certifies against a current store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assembly has no recovery
+    /// ([`ProtocolSpec::recovery_support`]) or no log was attached: there is
+    /// no restart that keeps the state the crash destroyed.
     pub fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
-        // A parked read is a request in progress: like the mailbox, it
-        // died with the crash, with or without a log.
-        self.parked = ParkedReads::default();
+        if let Err(refusal) = self.cfg.spec.recovery_support() {
+            panic!("replica {} cannot restart: {refusal}", self.me);
+        }
         let Some(wal) = self.wal.take() else {
-            // No persistence attached: the legacy state-retained restart
-            // (tests/failures.rs) keeps the pre-crash in-memory state.
-            return;
+            panic!(
+                "replica {} cannot restart without a write-ahead log: its state died \
+                 with the crash — set `ClusterConfig::persistence`",
+                self.me
+            );
         };
         self.stats.recoveries += 1;
         // Re-open the log from its durable byte image — recovery must not
         // depend on the in-memory `Wal` value that died with the process.
         let wal = gdur_persist::Wal::from_image(wal.as_bytes());
+        self.parked = ParkedReads::default();
         self.coord.clear();
         self.part.clear();
         self.votes.clear();
@@ -49,14 +58,8 @@ impl Replica {
         self.suspected.clear();
         self.done = TerminatedSet::default();
         self.decided_outcomes.clear();
-        self.meta.clear();
         self.resolved_ahead.clear();
         self.catchup = None;
-        self.gc = GroupComm::new(self.me, self.cfg.replica_pids.clone());
-        // The fresh AB-Cast engine would otherwise wait forever on the
-        // delivery gap that died with the crash; the skipped sequences are
-        // recovered through WAL replay and peer catch-up instead.
-        self.gc.rejoin();
         let partitions = self.cfg.placement.partitions();
         let dim = self
             .cfg
@@ -109,19 +112,6 @@ impl Replica {
         self.store = store;
         self.knowledge = knowledge;
         self.reserved = self.knowledge.clone();
-        if self.cfg.spec.votes == VoteRule::LocalDecide {
-            // Serrano's replicated version table covers *all* objects and
-            // advances on every certified commit; the local store (which
-            // holds only local partitions) is the best durable
-            // approximation.
-            for k in self.store.keys().collect::<Vec<_>>() {
-                if let Some(s) = self.store.latest_seq(k) {
-                    if s > 0 {
-                        self.meta.insert(k, s);
-                    }
-                }
-            }
-        }
         ctx.trace(labels::RECOVERY_REPLAY, 0, replayed);
         self.wal = Some(wal);
         // Mid-commit coordinated transactions: rebuild the coordinator
@@ -183,7 +173,6 @@ impl Replica {
                 .or_insert_with(|| CatchupPeer {
                     partitions: Vec::new(),
                     from: 0,
-                    attempt: 0,
                     timer: None,
                 })
                 .partitions
@@ -204,8 +193,7 @@ impl Replica {
     }
 
     /// Sends (or re-sends) the next catch-up page request to `peer` and
-    /// arms the retry timer that rotates to another replica if the peer
-    /// stays silent.
+    /// arms the retry timer that asks again if the peer stays silent.
     fn send_catchup_req(&mut self, ctx: &mut Context<'_, Msg>, peer: ProcessId) {
         let Some((partitions, from)) = self
             .catchup
@@ -236,83 +224,19 @@ impl Replica {
     }
 
     /// Catch-up retry: the peer did not answer within the timeout. Suspect
-    /// it and rotate its partitions to another replica, restarting that
-    /// stream from record zero (pages are idempotent, so overlap is safe).
+    /// it and ask it again for the same page. A partition has at most one
+    /// other replica under either `Placement` constructor, so the peer
+    /// asked is the only one that can serve its stream; pages are
+    /// idempotent, so a late answer overlapping the repeated one is safe.
     pub(super) fn retry_catchup(&mut self, ctx: &mut Context<'_, Msg>, peer: ProcessId) {
-        let Some(mut entry) = self
-            .catchup
-            .as_mut()
-            .and_then(|cu| cu.pending.remove(&peer))
-        else {
+        let asked = |cu: &CatchupState| cu.pending.contains_key(&peer);
+        if !self.catchup.as_ref().is_some_and(asked) {
             return;
-        };
+        }
         if let Some(site) = self.try_site_of_pid(peer) {
             self.suspected.insert(site);
         }
-        entry.attempt += 1;
-        entry.timer = None;
-        // Candidate replicas for this stream's partitions, preferring
-        // unsuspected ones; fall back to the full pool (the suspicion may
-        // be wrong) before giving up.
-        let mut pool: Vec<ProcessId> = Vec::new();
-        for p in &entry.partitions {
-            for s in self.cfg.placement.replicas(gdur_store::PartitionId(*p)) {
-                let pid = self.pid_of_site(*s);
-                if *s != self.cfg.site && !pool.contains(&pid) {
-                    pool.push(pid);
-                }
-            }
-        }
-        let unsuspected: Vec<ProcessId> = pool
-            .iter()
-            .copied()
-            .filter(|pid| {
-                self.try_site_of_pid(*pid)
-                    .is_none_or(|s| !self.suspected.contains(&s))
-            })
-            .collect();
-        let pool = if unsuspected.is_empty() {
-            pool
-        } else {
-            unsuspected
-        };
-        if pool.is_empty() {
-            if self
-                .catchup
-                .as_ref()
-                .is_some_and(|cu| cu.pending.is_empty())
-            {
-                self.finish_catchup(ctx);
-            }
-            return;
-        }
-        let target = pool[entry.attempt % pool.len()];
-        if target != peer {
-            entry.from = 0;
-        }
-        match self
-            .catchup
-            .as_mut()
-            .expect("recovering")
-            .pending
-            .entry(target)
-        {
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                // The target already serves another stream: merge the
-                // partitions in and restart the combined stream.
-                let merged = o.get_mut();
-                for p in entry.partitions {
-                    if !merged.partitions.contains(&p) {
-                        merged.partitions.push(p);
-                    }
-                }
-                merged.from = 0;
-            }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(entry);
-                self.send_catchup_req(ctx, target);
-            }
-        }
+        self.send_catchup_req(ctx, peer);
     }
 
     /// Serves one page of catch-up state from this replica's own log:
@@ -404,8 +328,7 @@ impl Replica {
             .as_ref()
             .is_some_and(|cu| cu.pending.contains_key(&from))
         {
-            // A stale page: the stream was rotated to another peer (or
-            // catch-up already finished).
+            // A stale page: this peer's stream already finished.
             return;
         }
         let mut applied: u64 = 0;
@@ -422,9 +345,7 @@ impl Replica {
             applied += 1;
         }
         for (tx, commit) in decisions {
-            if self.wal.is_some() {
-                self.decided_outcomes.entry(tx).or_insert(commit);
-            }
+            self.decided_outcomes.entry(tx).or_insert(commit);
             if self.coord.contains_key(&tx) {
                 // One of our own mid-commit transactions already terminated
                 // cluster-wide before the crash: close it without
@@ -468,9 +389,9 @@ impl Replica {
     }
 
     /// Catch-up complete: resume §5.3 retransmission for the rebuilt
-    /// mid-commit transactions, cast the votes parked during the transfer,
-    /// drain the termination queue, and wake the reads that arrived
-    /// meanwhile, in arrival order.
+    /// mid-commit transactions, cast the votes and complete the decided
+    /// terminations parked during the transfer, and wake the reads that
+    /// arrived meanwhile, in arrival order.
     fn finish_catchup(&mut self, ctx: &mut Context<'_, Msg>) {
         let Some(cu) = self.catchup.take() else {
             return;
@@ -494,41 +415,32 @@ impl Replica {
             self.transmit(ctx, tx, payload);
         }
         self.cast_deferred_votes(ctx);
-        self.process_queue(ctx);
         self.parked.woken.append(&mut self.parked.recovery);
     }
 
     /// Votes parked while recovering, cast now against the caught-up
-    /// store; parked decided 2PC/Paxos terminations complete too.
+    /// store; then the parked decided terminations complete.
     fn cast_deferred_votes(&mut self, ctx: &mut Context<'_, Msg>) {
-        let gc_mode = self.gc_mode();
         let unvoted: Vec<TxId> = self
             .part
             .iter()
-            .filter(|(_, p)| {
-                p.my_vote.is_none() && p.outcome.is_none() && !self.certifier.is_blocked(p.ticket)
-            })
+            .filter(|(_, p)| p.my_vote.is_none() && p.outcome.is_none())
             .map(|(tx, _)| *tx)
             .collect();
         for tx in unvoted {
-            // An earlier vote of this sweep may have emptied the head of `Q`
-            // past an orphaned query.
             let Some(p) = self.part.get(&tx) else {
                 continue;
             };
-            // In GC mode an unblocked entry has no conflicting predecessor.
-            let preempt = !gc_mode && self.certifier.has_conflict(p.ticket, &p.payload);
+            let preempt = self.certifier.has_conflict(p.ticket, &p.payload);
             self.cast_vote(ctx, tx, preempt);
         }
-        if !gc_mode {
-            let parked: Vec<(TxId, bool)> = self
-                .part
-                .iter()
-                .filter_map(|(tx, p)| Some((*tx, p.outcome?)))
-                .collect();
-            for (tx, commit) in parked {
-                self.terminate(ctx, tx, commit);
-            }
+        let parked: Vec<(TxId, bool)> = self
+            .part
+            .iter()
+            .filter_map(|(tx, p)| Some((*tx, p.outcome?)))
+            .collect();
+        for (tx, commit) in parked {
+            self.terminate(ctx, tx, commit);
         }
     }
 }

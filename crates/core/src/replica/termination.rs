@@ -259,17 +259,12 @@ impl Replica {
     /// install nothing, so a divergent outcome is harmless and unwedges the
     /// apply order. Orphaned *update* transactions at their write-set
     /// replicas terminate through the votes those replicas receive; crashed
-    /// replicas rebuild through [`Replica::on_restart`] and the catch-up
-    /// transfer instead.
+    /// replicas do not come back (a restart under group communication is
+    /// refused, [`ProtocolSpec::recovery_support`]).
     ///
-    /// While a catch-up transfer is in flight this is a no-op: installing
-    /// here would assign per-key sequence numbers against a stale store and
-    /// diverge from the peers. `finish_catchup` drains the queue once the
-    /// store is current.
+    /// Outside group communication `Q` is always empty and this does
+    /// nothing: 2PC and Paxos Commit terminate from `on_decide`.
     pub(super) fn process_queue(&mut self, ctx: &mut Context<'_, Msg>) {
-        if self.recovering() {
-            return;
-        }
         while let Some(head) = self.certifier.front() {
             let p = self.part.get(&head).expect("queued");
             let mut outcome = p.outcome;

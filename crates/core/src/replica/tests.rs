@@ -235,7 +235,9 @@ fn a_propagate_going_backwards_does_not_lower_the_frontier() {
 
 #[test]
 fn a_restart_drops_the_parked_reads() {
-    let mut probe = Probe::new();
+    let mut probe = Probe::with(walter_like(), Placement::disaster_tolerant(2), |cfg| {
+        cfg.persistence = true;
+    });
     probe.read(0, [3, 0]);
     assert_eq!(probe.parked().0, 1);
     let (pid, now) = (probe.cluster.replica_pids()[0], probe.cluster.now());
@@ -246,6 +248,50 @@ fn a_restart_drops_the_parked_reads() {
     // The frontier reaching the dead read's bound finds nobody to wake.
     probe.propagate(0, 3);
     assert_eq!(probe.parked(), (0, 1, 0));
+}
+
+/// A read held back until the bounded version history no longer retains a
+/// version its snapshot admits cannot be served: the coordinator aborts its
+/// own, a remote one gets no reply (its requester fails over, and gives up
+/// at `max_read_attempts`).
+#[test]
+fn a_read_that_outlived_its_snapshot_is_read_impossible() {
+    let mut probe = Probe::new();
+    // Key 0 lives at both sites; site 1 is down and its votes are injected.
+    probe.crash(1);
+    // A fixed snapshot taken now admits the seed version of key 0 only.
+    let reader = probe.begin();
+    for _ in 0..=MultiVersionStore::DEFAULT_MAX_VERSIONS {
+        let tx = probe.begin();
+        probe.update(tx, 0);
+        probe.client(tx, ClientOp::Commit);
+        probe.vote(1, tx, true);
+    }
+    assert_eq!(probe.replica().store.latest_seq(Key(0)), Some(9));
+    probe.client(reader, ClientOp::Read { key: Key(0) });
+    assert!(!probe.replica().coord.contains_key(&reader));
+    assert_eq!(probe.replica().stats.aborted_read_impossible, 1);
+
+    let replies = |probe: &Probe| {
+        let sent = probe.trace.events().into_iter();
+        let reps = sent.filter(|e| {
+            matches!(
+                e,
+                ObsEvent::Send {
+                    label: "read_rep",
+                    ..
+                }
+            )
+        });
+        reps.count()
+    };
+    let before = replies(&probe);
+    probe.read(0, [0, 0]);
+    assert_eq!(replies(&probe), before);
+    assert_eq!(probe.parked().0, 0);
+    // The same read under a current snapshot is answered.
+    probe.read(0, [9, 0]);
+    assert_eq!(replies(&probe), before + 1);
 }
 
 /// What a pending remote read's failover timer finds when its tag fires.
@@ -353,6 +399,16 @@ fn a_retried_2pc_termination_reaches_the_first_destinations_and_arms_one_retry()
         assert_eq!(probe.armed(), [Timer::TermRetry(tx)], "retry {retry}");
     }
     assert!(probe.replica().coord.contains_key(&tx));
+}
+
+/// Under Algorithm 3 the votes alone decide; a coordinator timer that could
+/// abort behind their back is refused when the deployment is built.
+#[test]
+#[should_panic(expected = "E-TIMEOUT-GC")]
+fn a_vote_timeout_under_group_communication_is_refused() {
+    Probe::with(p_store_like(), Placement::disaster_tolerant(2), |cfg| {
+        cfg.vote_timeout = Some(SimDuration::from_millis(500));
+    });
 }
 
 /// Three sites, disaster tolerant: partition `p` lives at sites `p` and

@@ -225,6 +225,26 @@ impl ProtocolSpec {
         !broadcast && self.post_commit == PostCommitRule::Nothing
     }
 
+    /// The `xcast` primitive, if commitment is by group communication
+    /// (Algorithm 3: the votes decide, at every participant); `None` under
+    /// 2PC and Paxos Commit, where the coordinator owns the decision.
+    pub fn group_communication(&self) -> Option<XcastKind> {
+        match self.commitment {
+            CommitmentKind::GroupCommunication { xcast } => Some(xcast),
+            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => None,
+        }
+    }
+
+    /// True when certification orders conflicting writes, so the replicas
+    /// of a partition install every object's versions in one order and end
+    /// a drained run with identical stores. Under a trivially passing
+    /// certification (RC, GMU**, ReadAtomic) concurrent writers of one
+    /// object all commit and each replica installs them in arrival order:
+    /// store convergence is not a property of such an assembly.
+    pub fn orders_write_conflicts(&self) -> bool {
+        self.certify != CertifyRule::AlwaysPass
+    }
+
     /// True when queries (read-only transactions) terminate without
     /// synchronization — the wait-free-queries property of §6.1.
     pub fn wait_free_queries(&self) -> bool {

@@ -12,6 +12,11 @@
 //!
 //! Serrano's SI protocol (§6.3) uses AB-Cast to order update transactions
 //! across *all* replicas.
+//!
+//! A member that loses its engine state cannot re-enter the order: the
+//! sequencer never retransmits, so the gap below the first sequence number
+//! the member observes afterwards never fills. There is no rejoin; a
+//! restart is refused one layer up (`ProtocolSpec::recovery_support`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,9 +43,6 @@ pub struct AbCastEngine<P> {
     buffered: BTreeMap<u64, (ProcessId, P)>,
     /// Uniformity acks per sequence (self-ack included).
     acks: BTreeMap<u64, usize>,
-    /// Set after a crash restart: the first `AbOrdered` observed
-    /// fast-forwards the delivery cursor to its sequence number.
-    rejoining: bool,
 }
 
 impl<P: Clone> AbCastEngine<P> {
@@ -62,27 +64,7 @@ impl<P: Clone> AbCastEngine<P> {
             next_deliver: 0,
             buffered: BTreeMap::new(),
             acks: BTreeMap::new(),
-            rejoining: false,
         }
-    }
-
-    /// Marks the engine as rejoining the group after a crash restart.
-    ///
-    /// A restarted process starts from a fresh engine whose delivery cursor
-    /// is zero, but the sequencer has kept assigning while it was down and
-    /// the `AbOrdered` messages covering the gap died with the crash — the
-    /// sequencer does not retransmit. Waiting for the gap would therefore
-    /// wedge delivery forever. In rejoin mode the first `AbOrdered`
-    /// observed fast-forwards `next_deliver` to its sequence number: the
-    /// skipped payloads are exactly the ones the replica recovers out of
-    /// band (WAL replay plus peer catch-up), and total order is preserved
-    /// for everything delivered from the adoption point on.
-    ///
-    /// A restarted *sequencer* is not supported: fixed-sequencer AB-Cast
-    /// has no failover, and its assignment cursor cannot be recovered from
-    /// the messages it receives.
-    pub fn rejoin(&mut self) {
-        self.rejoining = true;
     }
 
     /// The group this engine broadcasts within.
@@ -131,17 +113,6 @@ impl<P: Clone> AbCastEngine<P> {
                 payload,
             } => {
                 self.buffered.insert(seq, (origin, payload));
-                if self.rejoining {
-                    // Adopt the oldest sequence we can still observe as the
-                    // new delivery baseline; everything older was recovered
-                    // out of band while this process was down.
-                    let first = *self.buffered.keys().next().expect("just inserted");
-                    if first > self.next_deliver {
-                        self.next_deliver = first;
-                        self.acks = self.acks.split_off(&first);
-                    }
-                    self.rejoining = false;
-                }
                 // Acknowledge to every other member (the sequencer needs
                 // member acks for its own uniform delivery).
                 let group = self.group.clone();
@@ -317,37 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn rejoining_member_adopts_first_ordered_seq() {
-        let mut e: AbCastEngine<u32> = AbCastEngine::new(ProcessId(1), group3());
-        e.rejoin();
-        let mut out = Vec::new();
-        // The group is already at seq 5 when this member comes back; the
-        // pre-restart gap (0..5) will never be retransmitted.
-        e.on_message(
-            ProcessId(0),
-            GcMsg::AbOrdered {
-                seq: 5,
-                origin: ProcessId(0),
-                payload: 50,
-            },
-            &mut out,
-        );
-        assert_eq!(deliveries(&out), vec![50], "cursor adopted, gap skipped");
-        // Subsequent sequences deliver in order as usual.
-        let mut out2 = Vec::new();
-        e.on_message(
-            ProcessId(0),
-            GcMsg::AbOrdered {
-                seq: 6,
-                origin: ProcessId(2),
-                payload: 60,
-            },
-            &mut out2,
-        );
-        assert_eq!(deliveries(&out2), vec![60]);
-    }
-
-    #[test]
     fn fresh_engine_without_rejoin_still_waits_for_gap() {
         let mut e: AbCastEngine<u32> = AbCastEngine::new(ProcessId(1), group3());
         let mut out = Vec::new();
@@ -360,7 +300,10 @@ mod tests {
             },
             &mut out,
         );
-        assert!(deliveries(&out).is_empty(), "no rejoin: gap still blocks");
+        assert!(
+            deliveries(&out).is_empty(),
+            "a gap blocks delivery: nothing retransmits it"
+        );
     }
 
     #[test]

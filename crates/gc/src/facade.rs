@@ -68,13 +68,6 @@ impl<P: Clone> GroupComm<P> {
         self.me
     }
 
-    /// Puts the atomic-broadcast engine into rejoin mode after a crash
-    /// restart; see [`AbCastEngine::rejoin`]. Harmless for protocols that
-    /// never exercise AB-Cast.
-    pub fn rejoin(&mut self) {
-        self.abcast.rejoin();
-    }
-
     /// Issues `payload` through the selected primitive to `dests`.
     ///
     /// For [`XcastKind::AbCast`] the destination set is ignored: the payload

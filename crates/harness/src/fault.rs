@@ -3,10 +3,16 @@
 //! A [`FaultSchedule`] lists scheduled crashes, restarts, link partitions,
 //! and heals in virtual time. [`run_chaos`] drives one protocol under one
 //! schedule: it pre-registers the crash/restart events with the simulation
-//! kernel, slices the run at every partition boundary to flip the link
-//! state, lets the deployment drain to idle, and then subjects the run to
-//! the same always-on history verification as every experiment — plus a
-//! store-convergence check across the replicas of each partition.
+//! kernel — the one fault model there is — slices the run at every
+//! partition boundary to flip the link state, lets the deployment drain to
+//! idle, and then subjects the run to the same always-on history
+//! verification as every experiment, plus a store-convergence check across
+//! the replicas of each partition.
+//!
+//! A schedule that restarts a replica is a claim that the assembly
+//! recovers. [`run_chaos`] refuses it for an assembly that does not
+//! ([`ProtocolSpec::recovery_support`]): the support matrix of DESIGN.md
+//! §3.7 has no cell between "recovers, tested" and "refused".
 //!
 //! Everything here is deterministic: the same protocol, schedule, and seed
 //! reproduce the same trace byte for byte (`tests/tests/determinism.rs`
@@ -264,9 +270,11 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// True if the run passed both safety verdicts.
-    pub fn ok(&self) -> bool {
-        self.converged && self.violation.is_none()
+    /// True if the run of `spec` passed both safety verdicts: no criterion
+    /// violation, and converged stores where the assembly promises them
+    /// ([`ProtocolSpec::orders_write_conflicts`]).
+    pub fn ok(&self, spec: &ProtocolSpec) -> bool {
+        (self.converged || !spec.orders_write_conflicts()) && self.violation.is_none()
     }
 
     /// One stable line for golden-file diffs. Client-visible commit/abort
@@ -330,19 +338,31 @@ pub fn stores_converged(cluster: &Cluster) -> bool {
 /// full deterministic event trace.
 ///
 /// The run uses persistence (so crashed replicas recover from their WAL),
-/// a vote timeout (so terminations wedged by a crash abort instead of
-/// retrying forever), bounded read failover, and a client operation
-/// timeout (so closed-loop clients survive a crashed coordinator) — the
-/// §5.3 crash–recovery model end to end.
+/// a vote timeout under 2PC and Paxos Commit (so terminations wedged by a
+/// crash abort instead of retrying forever), bounded read failover, and a
+/// client operation timeout (so closed-loop clients survive a crashed
+/// coordinator) — the §5.3 crash–recovery model end to end.
+///
+/// # Panics
+///
+/// Panics with the diagnostic of [`ProtocolSpec::recovery_support`] if the
+/// schedule restarts a replica of an assembly that has no recovery.
 pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
+    if cfg.schedule.last_restart().is_some() {
+        if let Err(refusal) = cfg.spec.recovery_support() {
+            panic!("{}: the schedule restarts a replica: {refusal}", cfg.label);
+        }
+    }
     let placement = Placement::disaster_tolerant(cfg.sites);
+    // Only a coordinator that owns the decision may abort it on a timer.
+    let coordinated = cfg.spec.group_communication().is_none();
     let ccfg = ClusterConfig {
         keys_per_partition: cfg.keys_per_partition,
         value_size: 64,
         clients_per_site: cfg.clients_per_site,
         max_txns_per_client: Some(cfg.txns_per_client),
         persistence: true,
-        vote_timeout: Some(SimDuration::from_millis(500)),
+        vote_timeout: coordinated.then(|| SimDuration::from_millis(500)),
         max_read_attempts: Some(6),
         client_op_timeout: Some(SimDuration::from_secs(2)),
         client_pooling: cfg.client_pooling,
@@ -450,17 +470,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
 }
 
 /// The seeded schedule library of the chaos sweep: one deterministic
-/// crash → partition → heal → restart schedule per protocol family,
-/// plus the protocol under test.
-///
-/// Covered families: 2PC (`P-Store-2PC`), Paxos Commit (`P-Store-Paxos`),
-/// and GC distributed voting (`P-Store-AB`). Serrano's `LocalDecide` is
-/// excluded: a vote-free total-order protocol cannot re-join the delivery
-/// sequence after losing its engine state, so its recovery is documented
-/// as unsupported (DESIGN.md §3.7).
+/// crash → partition → heal → restart schedule per recovery path — 2PC
+/// (`P-Store-2PC`), Paxos Commit (`P-Store-Paxos`), and the vector-clock
+/// log replay (`Walter`). Assemblies that commit by group communication
+/// have no restart ([`ProtocolSpec::recovery_support`]) and no entry.
 pub fn chaos_library() -> Vec<ChaosConfig> {
-    // Site 1 is never the AB-Cast sequencer (the minimum process id,
-    // site 0, is), so one library serves all three families.
     let schedule = || {
         FaultSchedule::new()
             .crash(1, 400)
@@ -471,6 +485,6 @@ pub fn chaos_library() -> Vec<ChaosConfig> {
     vec![
         ChaosConfig::new(gdur_protocols::p_store_2pc(), schedule()),
         ChaosConfig::new(gdur_protocols::p_store_paxos(), schedule()),
-        ChaosConfig::new(gdur_protocols::p_store_ab(), schedule()),
+        ChaosConfig::new(gdur_protocols::walter(), schedule()),
     ]
 }

@@ -21,7 +21,8 @@ use crate::fault::stores_converged;
 /// 1. **History verification** — the committed history satisfies
 ///    `spec.criterion` (the paper's "analyzing" pillar);
 /// 2. **Convergence** — all replicas of each partition hold the same
-///    per-key latest version;
+///    per-key latest version, for assemblies whose certification orders
+///    conflicting writes ([`ProtocolSpec::orders_write_conflicts`]);
 /// 3. **Abort-cause partition** — summed across replicas, coordinated
 ///    aborts equal the sum of the per-cause counters (no abort is
 ///    unaccounted for or double-counted).
@@ -34,7 +35,7 @@ pub fn check_invariants(spec: &ProtocolSpec, cluster: &Cluster) -> Vec<String> {
     if let Err(v) = spec.criterion.check(&history) {
         out.push(format!("history: {v}"));
     }
-    if !stores_converged(cluster) {
+    if spec.orders_write_conflicts() && !stores_converged(cluster) {
         out.push("convergence: replica stores diverged".to_string());
     }
     let st = cluster.replica_stats();

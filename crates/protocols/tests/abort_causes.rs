@@ -5,7 +5,7 @@
 //! double-counted.
 
 use gdur_core::{AbortCause, Cluster, ClusterConfig, PlanOp, ProtocolSpec, ScriptSource, TxnPlan};
-use gdur_sim::SimDuration;
+use gdur_sim::{SimDuration, SimTime};
 use gdur_store::{Key, Placement};
 
 /// The partition identity: per-cause counters sum to `aborted`, and a
@@ -113,7 +113,7 @@ fn crashed_participant_surfaces_vote_timeout() {
         Box::new(ScriptSource::new(plans))
     });
     let dead = cluster.replica_pids()[1];
-    cluster.sim_mut().crash(dead);
+    cluster.sim_mut().schedule_crash(dead, SimTime::ZERO);
     cluster.run_until_idle();
 
     let s = cluster.replica_stats();
@@ -154,7 +154,7 @@ fn exhausted_read_failover_surfaces_read_impossible() {
         Box::new(ScriptSource::new(plans))
     });
     let dead = cluster.replica_pids()[1];
-    cluster.sim_mut().crash(dead);
+    cluster.sim_mut().schedule_crash(dead, SimTime::ZERO);
     cluster.run_until_idle();
 
     let s = cluster.replica_stats();

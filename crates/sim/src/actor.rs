@@ -78,16 +78,14 @@ pub trait Actor {
         let _ = (ctx, tag);
     }
 
-    /// Invoked when the kernel brings this actor back after a *scheduled*
-    /// crash ([`Simulation::schedule_restart`]). The process restarts with a
-    /// fresh mailbox and no armed timers; only state the actor itself
-    /// considers durable (e.g. a write-ahead log) should survive — volatile
-    /// state must be reset or reconstructed here. The default keeps all
-    /// in-memory state, which matches the legacy
-    /// [`Simulation::restart`] semantics used by tests.
+    /// Invoked when the kernel brings this actor back after a crash
+    /// ([`Simulation::schedule_restart`]). The process restarts with a fresh
+    /// mailbox and no armed timers; only state the actor itself considers
+    /// durable (e.g. a write-ahead log) should survive — volatile state must
+    /// be reset or reconstructed here, or the restart refused. The default
+    /// does nothing: an actor with no volatile state.
     ///
     /// [`Simulation::schedule_restart`]: crate::Simulation::schedule_restart
-    /// [`Simulation::restart`]: crate::Simulation::restart
     fn on_restart(&mut self, ctx: &mut crate::Context<'_, Self::Msg>) {
         let _ = ctx;
     }

@@ -519,35 +519,16 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             .map(|(i, s)| (ProcessId(i as u32), &s.actor))
     }
 
-    /// Marks `id` crashed: its pending jobs are discarded and subsequent
-    /// message and timer arrivals are dropped until [`Simulation::restart`].
-    ///
-    /// Timer bookkeeping survives the crash intact: a cancelled timer stays
-    /// cancelled (it must not fire after a restart), an uncancelled one
-    /// stays armed, and every id is retired when its timer arrives even
-    /// while crashed, so no stale state accumulates across crash/restart
-    /// cycles.
-    pub fn crash(&mut self, id: ProcessId) {
-        let slot = &mut self.actors[id.index()];
-        slot.crashed = true;
-        slot.pending.clear();
-    }
-
-    /// Brings a crashed actor back online; its in-memory actor state is
-    /// retained, modeling recovery from a durable log.
-    pub fn restart(&mut self, id: ProcessId) {
-        self.actors[id.index()].crashed = false;
-    }
-
     /// Schedules a fail-stop crash of `id` at virtual instant `at`.
     ///
-    /// Unlike the immediate [`Simulation::crash`], the crash takes effect
-    /// *inside* the run, ordered against message deliveries by the usual
-    /// `(time, seq)` rule: everything scheduled before the crash event is
-    /// still delivered (or dropped if it arrives after), everything after
-    /// is dropped until a restart. The crash models a full process loss —
-    /// the pending mailbox is discarded and every armed timer is retired,
-    /// so a restarted actor starts from a clean kernel slate.
+    /// The crash takes effect *inside* the run, ordered against message
+    /// deliveries by the usual `(time, seq)` rule: everything scheduled
+    /// before the crash event is still delivered (or dropped if it arrives
+    /// after), everything after is dropped until a restart. The crash
+    /// models a full process loss — the pending mailbox is discarded and
+    /// every armed timer is retired, so a restarted actor starts from a
+    /// clean kernel slate. `at == now()` crashes the actor before the next
+    /// event runs.
     ///
     /// # Panics
     ///
@@ -780,9 +761,9 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
 
     fn arrive(&mut self, to: ProcessId, seq: u64, job: Job<A::Msg>) {
         let slot = &mut self.actors[to.index()];
-        // Timer bookkeeping runs whether or not the actor is crashed: the
-        // arrival retires the id, so a timer that arrives while its actor
-        // is down cannot linger in `armed` across the restart.
+        // A timer fires iff its id is still armed: a cancel removed it, and
+        // so did a crash, which retires every id of the incarnation that
+        // armed it.
         if let Job::Timer { id, .. } = &job {
             if !slot.armed.remove(id) {
                 return;
@@ -1129,12 +1110,13 @@ mod tests {
     fn crash_drops_messages_and_restart_resumes() {
         let mut sim = Simulation::new(ZeroLatency, 1);
         let a = sim.spawn(Echo::new(), Cores::Fixed(1));
-        sim.crash(a);
+        // Down before anything runs, its own start included.
+        sim.schedule_crash(a, SimTime::ZERO);
         sim.inject(ProcessId(99), a, Ping(9), SimTime::ZERO);
         sim.run_until(SimTime::from_nanos(1));
         assert!(sim.actor(a).log.is_empty());
         assert_eq!(sim.stats().messages_dropped, 1);
-        sim.restart(a);
+        sim.schedule_restart(a, sim.now());
         sim.inject(ProcessId(99), a, Ping(9), SimTime::from_nanos(2));
         sim.run_until_idle();
         assert_eq!(sim.actor(a).log.len(), 1);
@@ -1363,7 +1345,7 @@ mod tests {
         let mut sim = Simulation::new(ZeroLatency, 1);
         let a = sim.spawn(Echo::new(), Cores::Fixed(1));
         sim.attach_obs(Box::new(events.clone()));
-        sim.crash(a);
+        sim.schedule_crash(a, SimTime::ZERO);
         sim.inject(ProcessId(99), a, Ping(9), SimTime::ZERO);
         sim.run_until_idle();
         assert_eq!(sim.stats().messages_dropped, 1);
@@ -1378,10 +1360,9 @@ mod tests {
     #[test]
     fn crash_cancel_restart_retires_markers() {
         // An actor arms two timers and cancels the first; it then crashes
-        // before either arrives. Both arrivals happen while crashed: the
-        // uncancelled one must still retire its id (the arrival checks
-        // `armed` before `crashed`), and after a restart the actor works
-        // normally.
+        // before either arrives. The crash retires the armed id, both
+        // arrivals drain while the actor is down without firing, and after
+        // a restart the actor works normally.
         struct T {
             fired: Vec<u64>,
         }
@@ -1401,8 +1382,7 @@ mod tests {
         }
         let mut sim = Simulation::new(ZeroLatency, 1);
         let t = sim.spawn(T { fired: vec![] }, Cores::Fixed(1));
-        sim.run_until(SimTime::from_nanos(500_000));
-        sim.crash(t);
+        sim.schedule_crash(t, SimTime::from_nanos(500_000));
         sim.run_until(SimTime::from_nanos(2_500_000));
         // Both timers arrived while crashed: neither fired, and no timer
         // id is left behind.
@@ -1412,41 +1392,10 @@ mod tests {
             "timer id stranded across the crash"
         );
         // Restart and drive one more timer through: normal service resumes.
-        sim.restart(t);
+        sim.schedule_restart(t, sim.now());
         sim.inject(ProcessId(99), t, Ping(0), SimTime::from_nanos(3_000_000));
         sim.run_until_idle();
         assert_eq!(sim.actor(t).fired, vec![9]);
-        assert!(sim.actors[t.index()].armed.is_empty());
-    }
-
-    #[test]
-    fn timers_armed_before_an_immediate_crash_survive_the_restart() {
-        // The legacy immediate `crash()` leaves timers alone: one armed
-        // before the crash and arriving after `restart()` fires; one
-        // cancelled before the crash does not.
-        struct T {
-            fired: Vec<u64>,
-        }
-        impl Actor for T {
-            type Msg = Ping;
-            fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
-                let cancelled = ctx.set_timer(SimDuration::from_millis(2), 7);
-                ctx.cancel_timer(cancelled);
-                ctx.set_timer(SimDuration::from_millis(2), 8);
-            }
-            fn on_message(&mut self, _: &mut Context<'_, Ping>, _: ProcessId, _: Ping) {}
-            fn on_timer(&mut self, _: &mut Context<'_, Ping>, tag: u64) {
-                self.fired.push(tag);
-            }
-        }
-        let mut sim = Simulation::new(ZeroLatency, 1);
-        let t = sim.spawn(T { fired: vec![] }, Cores::Fixed(1));
-        sim.run_until(SimTime::from_nanos(500_000));
-        sim.crash(t);
-        sim.run_until(SimTime::from_nanos(1_000_000));
-        sim.restart(t);
-        sim.run_until_idle();
-        assert_eq!(sim.actor(t).fired, vec![8]);
         assert!(sim.actors[t.index()].armed.is_empty());
     }
 

@@ -17,15 +17,14 @@
 //!    [`Context::consume`]. Offered load beyond capacity produces the
 //!    latency knees, convoy effects, and saturation plateaus that the G-DUR
 //!    paper's figures hinge on.
-//! 3. **Failure injection** — [`Simulation::crash`] / [`Simulation::restart`]
-//!    model fail-stop crashes with recovery from a durable log. Their
-//!    scheduled counterparts [`Simulation::schedule_crash`] /
-//!    [`Simulation::schedule_restart`] fire *inside* a run at a chosen
-//!    virtual instant: the crash discards the mailbox and retires every
-//!    armed timer (total loss of volatile state), and the restart runs the
-//!    actor's [`Actor::on_restart`] recovery hook through the normal
-//!    dispatch path, tracing both transitions through the observability
-//!    sink.
+//! 3. **Failure injection** — one fault model: [`Simulation::schedule_crash`]
+//!    / [`Simulation::schedule_restart`] are kernel events that fire *inside*
+//!    a run at a chosen virtual instant (`now()` included). The crash is
+//!    fail-stop with total loss of volatile state — it discards the mailbox
+//!    and retires every armed timer — and the restart runs the actor's
+//!    [`Actor::on_restart`] recovery hook through the normal dispatch path;
+//!    both transitions are traced through the observability sink. What
+//!    survives a crash is what the actor itself made durable.
 //!
 //! ## Example
 //!

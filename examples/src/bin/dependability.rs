@@ -14,10 +14,11 @@
 //! cargo run --release -p gdur-examples --bin dependability
 //! ```
 
-use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
+use gdur_core::{ClusterConfig, ProtocolSpec};
+use gdur_harness::build_ycsb;
 use gdur_sim::SimDuration;
 use gdur_store::Placement;
-use gdur_workload::{WorkloadSpec, YcsbSource};
+use gdur_workload::WorkloadSpec;
 
 fn run(spec: ProtocolSpec, crash: bool) -> (usize, usize) {
     let name = spec.name;
@@ -27,21 +28,13 @@ fn run(spec: ProtocolSpec, crash: bool) -> (usize, usize) {
     cfg.clients_per_site = 4;
     cfg.max_txns_per_client = None;
     cfg.record_history = false;
-    let total_keys = cfg.keys_per_partition * 3;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            total_keys,
-            3,
-            site.0 as u64 % 3,
-            0.5,
-        ))
-    });
+    let mut cluster = build_ycsb(cfg, &WorkloadSpec::a(), 0.5, 0.0);
     cluster.run_for(SimDuration::from_secs(2));
     let before = cluster.records().len();
     if crash {
         let victim = cluster.replica_pids()[2];
-        cluster.sim_mut().crash(victim);
+        let now = cluster.now();
+        cluster.sim_mut().schedule_crash(victim, now);
         println!("{name:<12}: crashed the site-2 replica at t=2s");
     }
     cluster.run_for(SimDuration::from_secs(4));

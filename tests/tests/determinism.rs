@@ -64,8 +64,8 @@ fn identical_seeds_identical_histories() {
     }
 }
 
-/// The recovery paths — WAL replay, catch-up transfer, resubmission,
-/// AB-Cast rejoin — stay inside the same deterministic envelope.
+/// The recovery paths — WAL replay, catch-up transfer, resubmission —
+/// stay inside the same deterministic envelope.
 #[test]
 fn chaos_library_replays_identically() {
     for cfg in gdur_harness::chaos_library() {

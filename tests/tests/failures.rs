@@ -3,37 +3,37 @@
 //! (§5.3).
 
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
+use gdur_harness::build_ycsb;
 use gdur_net::SiteId;
 use gdur_sim::SimDuration;
 use gdur_store::Placement;
-use gdur_workload::{WorkloadSpec, YcsbSource};
+use gdur_workload::WorkloadSpec;
 
-fn build(spec: ProtocolSpec, sites: usize) -> Cluster {
+fn config(spec: ProtocolSpec, sites: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::small(spec, sites);
     cfg.placement = Placement::disaster_tolerant(sites);
     cfg.keys_per_partition = 500;
     cfg.clients_per_site = 3;
     cfg.max_txns_per_client = None;
     cfg.record_history = false;
-    let total_keys = cfg.keys_per_partition * sites as u64;
-    let s = sites as u64;
-    Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            total_keys,
-            s,
-            site.0 as u64 % s,
-            0.5,
-        ))
-    })
+    cfg
+}
+
+fn build(spec: ProtocolSpec, sites: usize) -> Cluster {
+    build_ycsb(config(spec, sites), &WorkloadSpec::a(), 0.5, 0.0)
+}
+
+/// Crashes the replica of `site` before the next event runs.
+fn crash_now(cluster: &mut Cluster, site: usize) {
+    let (victim, now) = (cluster.replica_pids()[site], cluster.now());
+    cluster.sim_mut().schedule_crash(victim, now);
 }
 
 fn throughput_around_crash(spec: ProtocolSpec) -> (usize, usize) {
     let mut cluster = build(spec, 3);
     cluster.run_for(SimDuration::from_secs(2));
     let before = cluster.records().len();
-    let victim = cluster.replica_pids()[2];
-    cluster.sim_mut().crash(victim);
+    crash_now(&mut cluster, 2);
     cluster.run_for(SimDuration::from_secs(3));
     (before, cluster.records().len() - before)
 }
@@ -58,21 +58,37 @@ fn two_phase_commit_blocks_on_a_crash() {
 
 #[test]
 fn two_phase_commit_resumes_after_recovery() {
-    let mut cluster = build(gdur_protocols::p_store_2pc(), 3);
+    let mut cfg = config(gdur_protocols::p_store_2pc(), 3);
+    cfg.persistence = true;
+    let mut cluster = build_ycsb(cfg, &WorkloadSpec::a(), 0.5, 0.0);
     cluster.run_for(SimDuration::from_secs(2));
-    let victim = cluster.replica_pids()[2];
-    cluster.sim_mut().crash(victim);
+    crash_now(&mut cluster, 2);
     cluster.run_for(SimDuration::from_secs(2));
     let blocked = cluster.records().len();
-    // Crash-recovery model: the replica comes back with its state (durable
-    // log) and the system drains the backlog.
-    cluster.sim_mut().restart(victim);
+    // Crash-recovery model: the replica comes back from its durable log,
+    // catches up, and the system drains the backlog.
+    let (victim, now) = (cluster.replica_pids()[2], cluster.now());
+    cluster.sim_mut().schedule_restart(victim, now);
     cluster.run_for(SimDuration::from_secs(3));
     let resumed = cluster.records().len() - blocked;
     assert!(
         resumed > 50,
         "2PC must make progress again after recovery (got {resumed})"
     );
+}
+
+/// One fault model: no restart keeps the state the crash destroyed. Without
+/// a log there is nothing to recover from, and the replica says which field
+/// attaches one.
+#[test]
+#[should_panic(expected = "ClusterConfig::persistence")]
+fn restart_without_a_log_is_refused() {
+    let mut cluster = build(gdur_protocols::p_store_2pc(), 3);
+    cluster.run_for(SimDuration::from_secs(1));
+    crash_now(&mut cluster, 2);
+    let (victim, now) = (cluster.replica_pids()[2], cluster.now());
+    cluster.sim_mut().schedule_restart(victim, now);
+    cluster.run_for(SimDuration::from_secs(1));
 }
 
 #[test]
@@ -102,8 +118,7 @@ fn partition_blocks_cross_site_transactions_and_heals() {
 fn crashed_coordinator_only_stalls_its_own_clients() {
     let mut cluster = build(gdur_protocols::p_store_ab(), 3);
     cluster.run_for(SimDuration::from_secs(2));
-    let victim = cluster.replica_pids()[1];
-    cluster.sim_mut().crash(victim);
+    crash_now(&mut cluster, 1);
     cluster.run_for(SimDuration::from_secs(3));
     // Clients attached to sites 0 and 2 keep finishing transactions.
     let per_client: Vec<usize> = cluster

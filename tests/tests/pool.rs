@@ -300,7 +300,7 @@ fn pooled_chaos_run_stays_safe() {
     cfg.client_pooling = true;
     let (report, _events) = gdur_harness::run_chaos(&cfg);
     assert!(
-        report.ok(),
+        report.ok(&cfg.spec),
         "pooled chaos run failed: converged={}, violation={:?}",
         report.converged,
         report.violation

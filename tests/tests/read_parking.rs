@@ -32,7 +32,7 @@ fn a_recovery_wakes_its_parked_reads_once() {
         cfg.clients_per_site = 32;
         cfg.txns_per_client = 200;
         let (report, _events) = run_chaos(&cfg);
-        assert!(report.ok(), "{}", report.golden_line());
+        assert!(report.ok(&cfg.spec), "{}", report.golden_line());
         assert_eq!(report.recovery_completes, 1);
         assert!(
             report.reads_parked > 0,
