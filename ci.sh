@@ -8,11 +8,11 @@
 #   ./ci.sh --fast   formatting, clippy, debug tests, doc references — the
 #                    edit-loop tier
 #   ./ci.sh          the full gate: fast tier + release build/tests, then
-#                    the smoke gates (obs_smoke, chaos_smoke, mc_smoke,
-#                    trace_smoke, mega_smoke, bench_selfcheck, perf_gate) run
-#                    *concurrently* against the release binaries, with
-#                    per-gate logs replayed in a fixed order once all of
-#                    them finish
+#                    the gates (obs_smoke, chaos_smoke, mc_smoke,
+#                    trace_smoke, mega_smoke, bench_selfcheck, perf_gate,
+#                    all_figures --quick) run *concurrently* against the
+#                    release binaries, with per-gate logs replayed in a
+#                    fixed order once all of them finish
 #
 # Each step reports its wall-clock seconds.
 set -eu
@@ -166,7 +166,7 @@ bench_selfcheck() {
         (cd benchmark && cargo test --release --offline)
 }
 
-GATES="obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke bench_selfcheck perf_gate"
+GATES="obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke bench_selfcheck perf_gate all_figures"
 spawn_gate obs_smoke ./target/release/obs_smoke
 spawn_gate chaos_smoke ./target/release/chaos_smoke
 spawn_gate mc_smoke ./target/release/mc_smoke
@@ -179,6 +179,11 @@ spawn_gate bench_selfcheck bench_selfcheck
 # budget (deterministic, so sharing the host with the other gates is fine);
 # wall-clock is printed, never compared.
 spawn_gate perf_gate ./target/release/perf_gate
+
+# The paper's figures at quick scale against their golden file; the
+# paper-scale golden is verified on demand by the same command without
+# --quick (~3 min).
+spawn_gate all_figures ./target/release/all_figures --quick
 
 echo "==> smoke gates (running ${GATES} concurrently) …"
 wait

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! gdur-trace tree --tx COORD:SEQ [PROTOCOL] [--clients N]
-//! gdur-trace attribute [--csv] [PROTOCOL...] [--clients N]
+//! gdur-trace attribute [PROTOCOL...] [--clients N]
 //! gdur-trace export --chrome PATH [PROTOCOL] [--clients N]
 //! gdur-trace dump [PROTOCOL] [--tx COORD:SEQ] [--actor PID] [--clients N]
 //! ```
@@ -25,17 +25,18 @@
 //!   <https://ui.perfetto.dev>) with one track per actor, handler spans,
 //!   lifecycle instants, and flow arrows along message edges.
 //! * `dump` writes the whole trace as JSONL (schema in `gdur_obs::jsonl`)
-//!   to `bench_results/trace_<protocol>.jsonl`, for `jq`/`grep`. `--tx`
+//!   to stdout, for `jq`/`grep`, and a one-line summary to stderr. `--tx`
 //!   keeps only the lifecycle points of one transaction (non-zero exit if
 //!   it is not in the trace), `--actor` only the events involving one
 //!   process id; the filters compose.
 
+use std::io::Write as _;
 use std::process::exit;
 
 use gdur_harness::{run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind};
 use gdur_obs::{
-    critical_path, export_chrome, jsonl, render_attribution_csv, render_attribution_text, tx_code,
-    tx_span_tree, validate_json, Attribution, CausalIndex, ObsEvent, TraceHandle,
+    critical_path, export_chrome, jsonl, render_attribution_text, tx_code, tx_span_tree,
+    validate_json, Attribution, CausalIndex, ObsEvent, TraceHandle,
 };
 use gdur_sim::SimDuration;
 
@@ -68,6 +69,17 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// The numeric value of `flag`, if given; exits 2 naming the flag and the
+/// value when it does not parse (`what` says what was expected).
+fn number_flag<T: std::str::FromStr>(args: &[String], flag: &str, what: &str) -> Option<T> {
+    flag_value(args, flag).map(|s| {
+        s.parse().unwrap_or_else(|_| {
+            eprintln!("gdur-trace: {flag} expects {what}, got {s:?}");
+            exit(2);
+        })
+    })
 }
 
 fn parse_tx(s: &str) -> Option<u64> {
@@ -118,7 +130,7 @@ fn positionals(args: &[String]) -> Vec<&str> {
 fn usage() -> ! {
     eprintln!(
         "usage: gdur-trace tree --tx COORD:SEQ [PROTOCOL] [--clients N]\n\
-         \x20      gdur-trace attribute [--csv] [PROTOCOL...] [--clients N]\n\
+         \x20      gdur-trace attribute [PROTOCOL...] [--clients N]\n\
          \x20      gdur-trace export --chrome PATH [PROTOCOL] [--clients N]\n\
          \x20      gdur-trace dump [PROTOCOL] [--tx COORD:SEQ] [--actor PID] [--clients N]"
     );
@@ -131,9 +143,7 @@ fn main() {
         usage();
     };
     let args = &argv[1..];
-    let clients: usize = flag_value(args, "--clients")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    let clients: usize = number_flag(args, "--clients", "a client count per site").unwrap_or(4);
     match cmd {
         "tree" => {
             let Some((tx, tx_arg)) = tx_flag(args) else {
@@ -168,7 +178,6 @@ fn main() {
             }
         }
         "attribute" => {
-            let csv = args.iter().any(|a| a == "--csv");
             let mut names: Vec<&str> = positionals(args);
             if names.is_empty() {
                 names = vec!["P-Store", "S-DUR", "Walter"];
@@ -180,11 +189,7 @@ fn main() {
                 let a = Attribution::collect(&run.events, &ix, &run.clients, run.warm_end);
                 rows.push((name.to_string(), a));
             }
-            if csv {
-                print!("{}", render_attribution_csv(&rows));
-            } else {
-                print!("{}", render_attribution_text(&rows));
-            }
+            print!("{}", render_attribution_text(&rows));
         }
         "export" => {
             let Some(path) = flag_value(args, "--chrome") else {
@@ -213,12 +218,7 @@ fn main() {
         }
         "dump" => {
             let tx_filter = tx_flag(args);
-            let actor_filter: Option<u32> = flag_value(args, "--actor").map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("gdur-trace: --actor expects a process id, got {s:?}");
-                    exit(2);
-                })
-            });
+            let actor_filter: Option<u32> = number_flag(args, "--actor", "a process id");
             let name = positionals(args).first().copied().unwrap_or("P-Store");
             let PointRun {
                 point,
@@ -241,16 +241,15 @@ fn main() {
                 eprintln!("gdur-trace: exported trace violates its schema: {e}");
                 exit(1);
             }
-            let slug: String = name
-                .chars()
-                .map(|c| c.to_ascii_lowercase())
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            let path = format!("bench_results/trace_{slug}.jsonl");
-            std::fs::create_dir_all("bench_results").expect("create bench_results");
-            std::fs::write(&path, &trace).expect("write trace");
-            println!(
-                "{name}: {} events → {path} ({} committed, {} aborted in window, {:.0} tps)",
+            // A reader that stops early (`| head`) is not a failure.
+            if let Err(e) = std::io::stdout().write_all(trace.as_bytes()) {
+                if e.kind() != std::io::ErrorKind::BrokenPipe {
+                    eprintln!("gdur-trace: cannot write the trace to stdout: {e}");
+                    exit(1);
+                }
+            }
+            eprintln!(
+                "{name}: {} events ({} committed, {} aborted in window, {:.0} tps)",
                 events.len(),
                 breakdown.committed,
                 breakdown.aborted,

@@ -9,8 +9,8 @@
 use std::process::exit;
 
 use gdur_harness::{
-    render_breakdown_csv, render_breakdown_text, run_point_with, BreakdownRow, Experiment,
-    PlacementKind, PointRun, Scale, WorkloadKind,
+    render_breakdown_text, run_point_with, BreakdownRow, Experiment, PlacementKind, PointRun,
+    Scale, WorkloadKind,
 };
 use gdur_obs::{jsonl, Phase, TraceHandle};
 use gdur_sim::SimDuration;
@@ -38,10 +38,7 @@ fn main() {
         let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
         for &cps in &scale.client_sweep {
             let PointRun {
-                point,
-                breakdown,
-                events,
-                ..
+                breakdown, events, ..
             } = run_point_with(&exp, &scale, cps, Some(TraceHandle::new()));
             let trace = jsonl::export(&events);
             match jsonl::validate(&trace) {
@@ -59,7 +56,6 @@ fn main() {
             rows.push(BreakdownRow {
                 label: name.to_string(),
                 clients: cps * exp.sites,
-                point,
                 breakdown,
             });
         }
@@ -82,10 +78,5 @@ fn main() {
 
     let table = render_breakdown_text(&rows);
     println!("\n{table}");
-    if std::fs::create_dir_all("bench_results").is_ok() {
-        let _ = std::fs::write("bench_results/obs_smoke.csv", render_breakdown_csv(&rows));
-        println!("(csv written to bench_results/obs_smoke.csv)");
-    }
-
     gdur_bench::golden::check("obs_smoke", "breakdown table", &table);
 }

@@ -25,8 +25,8 @@ use std::process::exit;
 
 use gdur_harness::{run_point, run_point_with, Experiment, PlacementKind, Scale, WorkloadKind};
 use gdur_obs::{
-    critical_path, export_chrome, jsonl, labels, render_attribution_csv, render_attribution_text,
-    tx_span_tree, validate_json, Attribution, CausalIndex, ObsEvent, TraceHandle,
+    critical_path, export_chrome, jsonl, labels, render_attribution_text, tx_span_tree,
+    validate_json, Attribution, CausalIndex, ObsEvent, TraceHandle,
 };
 use gdur_sim::SimDuration;
 
@@ -171,13 +171,5 @@ fn main() {
 
     let table = render_attribution_text(&rows);
     println!("\n{table}");
-    if std::fs::create_dir_all("bench_results").is_ok() {
-        let _ = std::fs::write(
-            "bench_results/trace_smoke.csv",
-            render_attribution_csv(&rows),
-        );
-        println!("(csv written to bench_results/trace_smoke.csv)");
-    }
-
     gdur_bench::golden::check("trace_smoke", "attribution table", &table);
 }

@@ -12,31 +12,43 @@
 //! | `all_figures --only fig6a,fig6b` | Figure 6 — 2PC vs AM-Cast dependability |
 //! | `all_figures` | every figure, then Table 2 |
 //!
-//! `all_figures` accepts `--quick` for a reduced-scale run and writes one
-//! CSV per figure under `bench_results/`. The `*_smoke` CI gates and
-//! `perf_gate` share the golden-file check in [`golden`]; `gdur-trace`
+//! `all_figures` accepts `--quick` for a reduced-scale run. Run with neither
+//! `--only` nor `--seed` it is a gate: what it prints is diffed against
+//! `golden/figures_quick.txt` (`--quick`, in CI) or `golden/figures_paper.txt`
+//! (on demand; the record EXPERIMENTS.md cites). The `*_smoke` CI gates and
+//! `perf_gate` share that golden-file check in [`golden`]; `gdur-trace`
 //! explores the causal trace of one point. Host time is measured by the
-//! standalone `benchmark/` crate, not here.
+//! standalone `benchmark/` crate, not here. Nothing here writes a file
+//! except `--bless` and `gdur-trace export --chrome PATH`.
 
 pub mod golden;
 
 use gdur_harness::Scale;
 
 /// Parses the scale flags of the figure binaries: `--quick` selects the
-/// reduced scale; `--seed N` overrides the RNG seed.
+/// reduced scale; `--seed N` overrides the RNG seed. Exits 2 on a `--seed`
+/// that is not a number.
 pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_scale(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_scale(args: &[String]) -> Result<Scale, String> {
     let mut scale = if args.iter().any(|a| a == "--quick") {
         Scale::quick()
     } else {
         Scale::paper()
     };
     if let Some(i) = args.iter().position(|a| a == "--seed") {
-        if let Some(seed) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            scale.seed = seed;
-        }
+        let value = args.get(i + 1);
+        scale.seed = value
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| format!("--seed expects an unsigned integer, got {value:?}"))?;
     }
-    scale
+    Ok(scale)
 }
 
 #[cfg(test)]
@@ -48,5 +60,19 @@ mod tests {
         // Arguments of the test runner contain no --quick.
         let s = scale_from_args();
         assert_eq!(s.keys_per_partition, Scale::paper().keys_per_partition);
+    }
+
+    #[test]
+    fn seed_is_parsed_or_refused_by_name() {
+        let parse =
+            |args: &[&str]| parse_scale(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let s = parse(&["--quick", "--seed", "42"]).expect("valid");
+        assert_eq!(s.seed, 42);
+        assert_eq!(s.client_sweep, Scale::quick().client_sweep);
+        assert_eq!(parse(&[]).expect("valid").seed, Scale::paper().seed);
+        let e = parse(&["--seed", "abc"]).expect_err("not a number");
+        assert!(e.contains("--seed") && e.contains("\"abc\""), "{e}");
+        let e = parse(&["--quick", "--seed"]).expect_err("no value");
+        assert!(e.contains("--seed") && e.contains("None"), "{e}");
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use gdur_consistency::{CriterionCheck, History};
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
 use gdur_net::Topology;
-use gdur_obs::{Histogram, ObsEvent, PhaseBreakdown, TraceHandle};
+use gdur_obs::{ObsEvent, PhaseBreakdown, TraceHandle};
 use gdur_sim::{ProcessId, SimDuration, SimTime};
 use gdur_store::Placement;
 use gdur_workload::{WorkloadSpec, YcsbSource};
@@ -163,10 +163,6 @@ pub struct PointResult {
     pub committed: u64,
     /// Aborted transactions inside the window.
     pub aborted: u64,
-    /// Median total latency of committed transactions, ms.
-    pub p50_latency_ms: f64,
-    /// 99th-percentile total latency of committed transactions, ms.
-    pub p99_latency_ms: f64,
 }
 
 fn summarize(records: &[TxnRecord], window: SimDuration, clients_total: usize) -> PointResult {
@@ -185,15 +181,6 @@ fn summarize(records: &[TxnRecord], window: SimDuration, clients_total: usize) -
     });
     let all_refs: Vec<&&TxnRecord> = committed.iter().collect();
     let avg_latency_ms = mean_ms(&all_refs, &|r| r.total_latency().as_millis_f64());
-    // Nearest-rank percentiles over the shared log-bucket histogram: the
-    // old `lat[((len-1) as f64 * p) as usize]` truncated the rank downward
-    // and under-reported tail latency on small samples.
-    let mut lat = Histogram::new();
-    for r in &committed {
-        lat.record(r.total_latency().as_nanos());
-    }
-    let pct = |p: f64| -> f64 { lat.quantile(p) as f64 / 1e6 };
-    let (p50_latency_ms, p99_latency_ms) = (pct(0.5), pct(0.99));
     PointResult {
         clients_total,
         throughput_tps: committed.len() as f64 / window.as_secs_f64(),
@@ -206,8 +193,6 @@ fn summarize(records: &[TxnRecord], window: SimDuration, clients_total: usize) -
         },
         committed: committed.len() as u64,
         aborted,
-        p50_latency_ms,
-        p99_latency_ms,
     }
 }
 

@@ -19,7 +19,6 @@ pub mod experiment;
 pub mod fault;
 pub mod figures;
 pub mod invariants;
-pub mod plot;
 pub mod report;
 
 pub use fault::{
@@ -34,8 +33,4 @@ pub use experiment::{
 pub use figures::{
     all_figures, fig3a, fig3b, fig4, fig5, fig6a, fig6b, Figure, FigurePanel, Metric,
 };
-pub use plot::render_ascii;
-pub use report::{
-    render_breakdown_csv, render_breakdown_text, render_csv, render_text, run_and_report,
-    run_figure, BreakdownRow, FigureResult,
-};
+pub use report::{render_breakdown_text, render_text, run_figure, BreakdownRow, FigureResult};

@@ -1,7 +1,6 @@
-//! Running figures and rendering their results as text tables and CSV.
+//! Running figures and rendering their results as text tables.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 use gdur_obs::{AbortCause, Phase, PhaseBreakdown};
 
@@ -124,34 +123,6 @@ pub fn render_text(res: &FigureResult) -> String {
     out
 }
 
-/// Renders a figure result as CSV (one file's contents).
-pub fn render_csv(res: &FigureResult) -> String {
-    let mut out = String::from(
-        "figure,panel,series,clients,throughput_tps,metric,metric_value,committed,aborted,abort_ratio\n",
-    );
-    for panel in &res.panels {
-        for s in &panel.series {
-            for p in &s.points {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{:.1},{},{:.3},{},{},{:.4}",
-                    res.id,
-                    panel.title.replace(',', ";"),
-                    s.label,
-                    p.clients_total,
-                    p.throughput_tps,
-                    metric_name(panel.metric).replace(',', ";"),
-                    metric_value(panel.metric, p),
-                    p.committed,
-                    p.aborted,
-                    p.abort_ratio
-                );
-            }
-        }
-    }
-    out
-}
-
 /// One traced sweep point paired with its phase breakdown, ready for the
 /// paper-style breakdown report.
 #[derive(Debug, Clone)]
@@ -160,8 +131,6 @@ pub struct BreakdownRow {
     pub label: String,
     /// Total client threads at this point.
     pub clients: usize,
-    /// The point's standard measurements.
-    pub point: PointResult,
     /// The point's phase breakdown.
     pub breakdown: PhaseBreakdown,
 }
@@ -215,63 +184,6 @@ pub fn render_breakdown_text(rows: &[BreakdownRow]) -> String {
     out
 }
 
-/// Renders traced points as CSV: one row per (point, phase) with counts and
-/// nearest-rank quantiles in nanoseconds, plus the abort-cause partition.
-pub fn render_breakdown_csv(rows: &[BreakdownRow]) -> String {
-    let mut out = String::from(
-        "series,clients,committed,aborted,phase,count,p50_ns,p99_ns,qdepth_p99,\
-         cert_conflict,vote_timeout,read_impossible,crash,orphans,msgs,wan_bytes\n",
-    );
-    for r in rows {
-        for phase in Phase::ALL {
-            let h = r.breakdown.phase(phase);
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                r.label,
-                r.clients,
-                r.breakdown.committed,
-                r.breakdown.aborted,
-                phase.label(),
-                h.count(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-                r.breakdown.queue_depth.quantile(0.99),
-                r.breakdown.aborts_for(AbortCause::CertificationConflict),
-                r.breakdown.aborts_for(AbortCause::VoteTimeout),
-                r.breakdown.aborts_for(AbortCause::ReadImpossible),
-                r.breakdown.aborts_for(AbortCause::Crash),
-                r.breakdown.orphan_aborts,
-                r.breakdown.total_msgs(),
-                r.breakdown.wan_bytes(),
-            );
-        }
-    }
-    out
-}
-
-/// Runs a figure, prints the text table, and stores a CSV next to the
-/// repository under `bench_results/`.
-pub fn run_and_report(fig: &Figure, scale: &Scale) -> FigureResult {
-    let res = run_figure(fig, scale);
-    println!("{}", render_text(&res));
-    for panel in &res.panels {
-        if let Some(chart) = crate::plot::render_ascii(panel) {
-            println!("{chart}");
-        }
-    }
-    let dir = Path::new("bench_results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{}.csv", res.id));
-        if let Err(e) = std::fs::write(&path, render_csv(&res)) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("(csv written to {})", path.display());
-        }
-    }
-    res
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,8 +205,6 @@ mod tests {
                         abort_ratio: 0.01,
                         committed: 9876,
                         aborted: 99,
-                        p50_latency_ms: 28.0,
-                        p99_latency_ms: 120.0,
                     }],
                 }],
             }],
@@ -307,16 +217,5 @@ mod tests {
         assert!(s.contains("P-Store"));
         assert!(s.contains("1234"));
         assert!(s.contains("45.6"));
-    }
-
-    #[test]
-    fn csv_is_well_formed() {
-        let s = render_csv(&sample());
-        let mut lines = s.lines();
-        let header = lines.next().unwrap();
-        assert_eq!(header.split(',').count(), 10);
-        for l in lines {
-            assert_eq!(l.split(',').count(), 10, "bad row: {l}");
-        }
     }
 }

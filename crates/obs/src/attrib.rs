@@ -71,7 +71,7 @@ impl Blame {
         }
     }
 
-    /// Short stable label for tables and CSV.
+    /// Short stable label for tables.
     pub fn label(self) -> &'static str {
         match self {
             Blame::Network => "network",
@@ -467,22 +467,6 @@ pub fn render_attribution_text(rows: &[(String, Attribution)]) -> String {
     out
 }
 
-/// Renders the same tables as CSV (`protocol,blame,ns,share_bp`).
-pub fn render_attribution_csv(rows: &[(String, Attribution)]) -> String {
-    let mut out = String::from("protocol,blame,ns,share_bp\n");
-    for (name, a) in rows {
-        for b in Blame::ALL {
-            out.push_str(&format!(
-                "{name},{},{},{}\n",
-                b.label(),
-                a.blame_ns[b.index()],
-                a.share_bp(b)
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,9 +684,7 @@ mod tests {
         let text = render_attribution_text(&rows);
         assert!(text.contains("protocol test: txns=1 total_ns=330"));
         assert!(text.contains("last-voter  p1 x1"));
-        let csv = render_attribution_csv(&rows);
-        assert!(csv.starts_with("protocol,blame,ns,share_bp\n"));
-        assert!(csv.contains("test,network,200,6060\n"));
+        assert!(text.contains("200 ns   60.60%"), "network share: {text}");
         // Same events → byte-identical render.
         let ix2 = CausalIndex::build(&events);
         let a2 = Attribution::collect(&events, &ix2, &BTreeSet::new(), SimTime::ZERO);

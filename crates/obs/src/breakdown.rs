@@ -30,26 +30,6 @@ pub enum Phase {
     InstallLag,
 }
 
-impl Phase {
-    /// All phases, in lifecycle order.
-    pub const ALL: [Phase; 4] = [
-        Phase::Execute,
-        Phase::QueueWait,
-        Phase::Termination,
-        Phase::InstallLag,
-    ];
-
-    /// Stable label for reports and metric names.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Execute => "execute",
-            Phase::QueueWait => "queue_wait",
-            Phase::Termination => "termination",
-            Phase::InstallLag => "install_lag",
-        }
-    }
-}
-
 /// Traffic accounting for one message type.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MsgFlow {

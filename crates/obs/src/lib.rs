@@ -48,8 +48,7 @@ pub mod jsonl;
 mod span;
 
 pub use attrib::{
-    critical_path, render_attribution_csv, render_attribution_text, Attribution, Blame,
-    CriticalPath, Segment,
+    critical_path, render_attribution_text, Attribution, Blame, CriticalPath, Segment,
 };
 pub use breakdown::{MsgFlow, Phase, PhaseBreakdown};
 pub use chrome::{export_chrome, validate_json};

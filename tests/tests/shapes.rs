@@ -54,6 +54,62 @@ fn pstore_queries_cost_a_wan_round() {
     );
 }
 
+/// §8.2, Figure 3-a past the knee (70 % read-only): RC is the ceiling,
+/// Jessy2pc the fastest transactional protocol, and S-DUR's wait-free
+/// queries put it above Serrano although both order updates by multicast.
+#[test]
+fn fig3a_order_at_saturation() {
+    let tps = |spec| {
+        let exp = Experiment::new(spec, WorkloadKind::A, 0.7, 4, PlacementKind::Dp);
+        point(&exp, 384).throughput_tps
+    };
+    let rc = tps(gdur_protocols::read_committed());
+    let jessy = tps(gdur_protocols::jessy_2pc());
+    let s_dur = tps(gdur_protocols::s_dur());
+    let serrano = tps(gdur_protocols::serrano());
+    assert!(
+        rc > jessy,
+        "RC ({rc:.0} tps) is the ceiling, above Jessy2pc ({jessy:.0})"
+    );
+    let others = [
+        ("Walter", tps(gdur_protocols::walter())),
+        ("GMU", tps(gdur_protocols::gmu())),
+        ("S-DUR", s_dur),
+        ("Serrano", serrano),
+        ("P-Store", tps(gdur_protocols::p_store())),
+    ];
+    for (name, other) in others {
+        assert!(
+            jessy > other,
+            "Jessy2pc ({jessy:.0} tps) should be the fastest, {name} has {other:.0}"
+        );
+    }
+    assert!(
+        s_dur > serrano,
+        "S-DUR ({s_dur:.0} tps) should saturate above Serrano ({serrano:.0})"
+    );
+}
+
+/// §8.2, Figure 3-b: GMU certifies queries' snapshots against concurrent
+/// updates, so in DT it aborts far more than Walter and Jessy2pc.
+#[test]
+fn gmu_aborts_exceed_walter_and_jessy_in_dt() {
+    let aborts = |spec| {
+        let exp = Experiment::new(spec, WorkloadKind::B, 0.7, 4, PlacementKind::Dt);
+        point(&exp, 64).abort_ratio
+    };
+    let gmu = aborts(gdur_protocols::gmu());
+    for (name, other) in [
+        ("Walter", aborts(gdur_protocols::walter())),
+        ("Jessy2pc", aborts(gdur_protocols::jessy_2pc())),
+    ] {
+        assert!(
+            gmu > other * 1.5,
+            "GMU's abort ratio ({gmu:.4}) should be well above {name}'s ({other:.4})"
+        );
+    }
+}
+
 /// §8.3: GMU's consistent snapshots cost a few percent over GMU*; dropping
 /// certification too (GMU**) approaches RC within the metadata gap.
 #[test]
