@@ -11,6 +11,13 @@
 //! never compared: seconds are noise on a shared host, and wall-clock
 //! claims are settled by `benchmark/`'s alternating pairs.
 //!
+//! The binary's global allocator counts: per point, `allocs=` is the number
+//! of allocator calls that hand out memory (`alloc`, `alloc_zeroed`,
+//! `realloc`) and `alloc_bytes=` the bytes they asked for (a `realloc`
+//! counts its new size), from building the deployment to the end of its
+//! history check and summary. Allocation is as deterministic as the run,
+//! so these are golden integers too: a regression is a larger number.
+//!
 //! Before the sweep, while the process is still fresh, it builds one
 //! deployment at the paper's keyspace and fails when the resident set right
 //! after it exceeds [`BUILD_RSS_BUDGET_MIB`] — the initial load must stay
@@ -20,7 +27,9 @@
 //! Usage: `cargo run --release -p gdur-bench --bin perf_gate [--bless]`
 //! (`--bless` regenerates the golden file).
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::exit;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use gdur_harness::{build_point, run_point_with, Experiment, PlacementKind, Scale, WorkloadKind};
@@ -30,6 +39,49 @@ use gdur_sim::SimDuration;
 /// The copy-on-write seed image leaves ~5 MiB resident; seeding the 8 × 10⁵
 /// hosted keys record by record left 361.
 const BUILD_RSS_BUDGET_MIB: f64 = 32.0;
+
+/// `System`, counting what it hands out; frees are not counted.
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged, so
+// `System` upholds the `GlobalAlloc` contract under the caller's own
+// guarantees; the counters are atomics and never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// (allocations, bytes) counted so far.
+fn allocated() -> (u64, u64) {
+    (ALLOCS.load(Relaxed), ALLOC_BYTES.load(Relaxed))
+}
 
 /// The standard sweep: P-Store (genuine atomic multicast — the fan-out
 /// path under optimisation) over the zipfian workload C, three sites,
@@ -45,7 +97,7 @@ fn perf_scale() -> Scale {
 }
 
 /// Runs the sweep and renders the golden table: one line of integers per
-/// point, then the total event count.
+/// point, its allocation counts last, then the total event count.
 fn run_sweep_counted() -> String {
     let p_store = gdur_protocols::p_store();
     let exp = Experiment::new(p_store, WorkloadKind::C, 0.9, 3, PlacementKind::Dp);
@@ -58,7 +110,10 @@ fn run_sweep_counted() -> String {
             reason = "host time of a whole run, printed and never compared; read outside the simulation"
         )]
         let start = Instant::now();
+        let before = allocated();
         let run = run_point_with(&exp, &scale, cps, None);
+        let after = allocated();
+        let (allocs, alloc_bytes) = (after.0 - before.0, after.1 - before.1);
         let wall_s = start.elapsed().as_secs_f64();
         let events = run.stats.events_processed;
         total_events += events;
@@ -78,7 +133,7 @@ fn run_sweep_counted() -> String {
         ] {
             table.push_str(&format!(" {name}={}/{}/{}", c.pushed, c.popped, c.peak_len));
         }
-        table.push('\n');
+        table.push_str(&format!(" allocs={allocs} alloc_bytes={alloc_bytes}\n"));
     }
     table.push_str(&format!("total_events={total_events}\n"));
     table
@@ -137,5 +192,5 @@ fn main() {
     }
     let table = run_sweep_counted();
     print!("{table}");
-    gdur_bench::golden::check("perf_gate", "event and queue counters", &table);
+    gdur_bench::golden::check("perf_gate", "event, queue and allocation counters", &table);
 }

@@ -31,7 +31,7 @@ use gdur_store::{Key, TxId};
 
 /// A recorded, committed (or aborted) transaction with resolved versions.
 #[derive(Debug, Clone)]
-pub struct HistoryTxn {
+pub struct HistoryTxn<'a> {
     /// Transaction id.
     pub tx: TxId,
     /// True if committed.
@@ -40,18 +40,26 @@ pub struct HistoryTxn {
     pub read_only: bool,
     /// Site of the coordinator (the replica whose outcome log holds it).
     pub site: SiteId,
-    /// Reads: key → per-key sequence observed.
-    pub reads: Vec<(Key, u64)>,
+    /// Reads: key → per-key sequence observed, borrowed from the
+    /// coordinator's outcome log.
+    pub reads: &'a [(Key, u64)],
     /// Writes: key → per-key sequence *installed* (resolved from replica
-    /// install events; `None` if the install record is missing).
+    /// install events; `None` if the install record is missing). Empty,
+    /// and unallocated, for queries.
     pub writes: Vec<(Key, Option<u64>)>,
 }
 
-/// A full recorded execution.
+// One per decided transaction of the run: a field added here is paid
+// 10⁵ times on a benchmark workload.
+const _: () = assert!(std::mem::size_of::<HistoryTxn<'static>>() <= 64);
+
+/// A full recorded execution. It borrows the replicas' outcome logs
+/// ([`gdur_core::Replica::outcomes`]) for the read sets, so it lives no
+/// longer than the [`Cluster`] it was taken from.
 #[derive(Debug, Clone, Default)]
-pub struct History {
+pub struct History<'a> {
     /// All terminated transactions.
-    pub txns: Vec<HistoryTxn>,
+    pub txns: Vec<HistoryTxn<'a>>,
     /// Version table: (key, seq) → writer. Where replicas disagree, the
     /// writer installed at the lowest site.
     pub versions: BTreeMap<(Key, u64), TxId>,
@@ -190,10 +198,11 @@ impl std::fmt::Display for Violation {
     }
 }
 
-impl History {
+impl<'a> History<'a> {
     /// Extracts the history of a finished run (requires the cluster to
-    /// have been built with `record_history = true`).
-    pub fn from_cluster(cluster: &Cluster) -> History {
+    /// have been built with `record_history = true`). Read sets are
+    /// borrowed from the replicas' outcome logs, not copied.
+    pub fn from_cluster(cluster: &'a Cluster) -> History<'a> {
         let sites = cluster.placement().sites();
         let replica = |s: usize| cluster.replica(SiteId(s as u16));
         let mut versions: BTreeMap<(Key, u64), TxId> = BTreeMap::new();
@@ -216,33 +225,34 @@ impl History {
                 }
             }
         }
-        // Map (tx → key → installed seq) for resolving writes.
-        let mut installs_by_tx: BTreeMap<TxId, Vec<(Key, u64)>> = BTreeMap::new();
-        for ((key, seq), tx) in &versions {
-            installs_by_tx.entry(*tx).or_default().push((*key, *seq));
-        }
-        let mut txns = Vec::new();
+        // (writer, key, seq) for resolving writes, sorted: a writer's
+        // installs of one key are contiguous, the lowest sequence first.
+        let mut installed: Vec<(TxId, Key, u64)> = versions
+            .iter()
+            .map(|(&(key, seq), &tx)| (tx, key, seq))
+            .collect();
+        installed.sort_unstable();
+        let installed_seq = |tx: TxId, key: Key| {
+            let i = installed.partition_point(|&(t, k, _)| (t, k) < (tx, key));
+            installed
+                .get(i)
+                .filter(|&&(t, k, _)| (t, k) == (tx, key))
+                .map(|&(_, _, seq)| seq)
+        };
+        let logged = (0..sites).map(|s| replica(s).outcomes().len()).sum();
+        let mut txns = Vec::with_capacity(logged);
         for s in 0..sites {
             let site = SiteId(s as u16);
             for rec in replica(s).outcomes() {
-                let installed = installs_by_tx.get(&rec.tx);
-                let writes = rec
-                    .ws
-                    .iter()
-                    .map(|(k, _base)| {
-                        let seq = installed
-                            .and_then(|v| v.iter().find(|(ik, _)| ik == k))
-                            .map(|(_, s)| *s);
-                        (*k, seq)
-                    })
-                    .collect();
                 txns.push(HistoryTxn {
                     tx: rec.tx,
                     committed: rec.committed,
-                    read_only: rec.read_only,
+                    read_only: rec.writes.is_empty(),
                     site,
-                    reads: rec.rs.iter().map(|e| (e.key, e.seq)).collect(),
-                    writes,
+                    reads: rec.reads,
+                    writes: (rec.writes.iter())
+                        .map(|&k| (k, installed_seq(rec.tx, k)))
+                        .collect(),
                 });
             }
         }
@@ -254,7 +264,7 @@ impl History {
     }
 
     /// Committed transactions.
-    pub fn committed(&self) -> impl Iterator<Item = &HistoryTxn> {
+    pub fn committed(&self) -> impl Iterator<Item = &HistoryTxn<'a>> {
         self.txns.iter().filter(|t| t.committed)
     }
 }
@@ -306,7 +316,7 @@ impl CriterionCheck for Criterion {
 /// version.
 pub fn check_read_committed(h: &History) -> Result<(), Violation> {
     for t in h.committed() {
-        for (key, seq) in &t.reads {
+        for (key, seq) in t.reads {
             if *seq != 0 && !h.versions.contains_key(&(*key, *seq)) {
                 return Err(Violation::DirtyRead {
                     tx: t.tx,
@@ -450,7 +460,7 @@ pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), V
         if !include_queries && t.read_only {
             continue;
         }
-        for (key, seq) in &t.reads {
+        for (key, seq) in t.reads {
             // write-read: version writer → reader.
             if *seq > 0 {
                 if let Some(w) = h.versions.get(&(*key, *seq)) {
@@ -537,23 +547,26 @@ mod tests {
         TxId::new(1, n)
     }
 
+    /// A transaction whose read set, like one borrowed from an outcome log,
+    /// outlives the history (leaked: a test's few bytes).
     fn txn(
         id: u64,
         reads: Vec<(u64, u64)>,
         writes: Vec<(u64, u64)>,
         committed: bool,
-    ) -> HistoryTxn {
+    ) -> HistoryTxn<'static> {
+        let reads: Vec<(Key, u64)> = reads.into_iter().map(|(k, s)| (Key(k), s)).collect();
         HistoryTxn {
             tx: tx(id),
             committed,
             read_only: writes.is_empty(),
             site: SiteId(0),
-            reads: reads.into_iter().map(|(k, s)| (Key(k), s)).collect(),
+            reads: reads.leak(),
             writes: writes.into_iter().map(|(k, s)| (Key(k), Some(s))).collect(),
         }
     }
 
-    fn history(txns: Vec<HistoryTxn>) -> History {
+    fn history(txns: Vec<HistoryTxn<'static>>) -> History<'static> {
         let mut versions = BTreeMap::new();
         for t in &txns {
             if !t.committed {

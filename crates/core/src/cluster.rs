@@ -36,7 +36,9 @@ pub struct ClusterConfig {
     pub costs: CostModel,
     /// Cores per replica machine (the paper uses 4-core machines).
     pub cores_per_replica: u16,
-    /// Record history for consistency checking (costs memory).
+    /// Record history for consistency checking (costs memory): install
+    /// events and each coordinator's outcome log, which the oracle's
+    /// `History` borrows rather than copies.
     pub record_history: bool,
     /// Attach the durable write-ahead log to every replica.
     pub persistence: bool,

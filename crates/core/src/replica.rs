@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use gdur_gc::{GcEvent, GroupComm, XcastKind};
 use gdur_net::SiteId;
 use gdur_obs::{labels, tx_code, vote_value, AbortCause};
-use gdur_sim::{Context, ProcessId, SimDuration, SimTime};
+use gdur_sim::{Context, ProcessId, SimDuration};
 use gdur_store::{Key, MultiVersionStore, Placement, SeedImage, TxId, Value};
 use gdur_versioning::{Mechanism, Stamp, VersionVec};
 
@@ -62,7 +62,8 @@ pub struct ReplicaConfig {
     /// Attach the durable write-ahead log (§5.3 crash-recovery model);
     /// the paper's experiments, like our performance runs, leave it off.
     pub persistence: bool,
-    /// Record install/outcome events for consistency checking.
+    /// Record install events and the outcome log for consistency checking;
+    /// the oracle (`gdur-consistency`) borrows both, it copies neither.
     pub record_history: bool,
     /// **Model-checker regression knob — never set in real runs.** Forces
     /// the legacy bump-at-install commit clocks even for vote-clocked
@@ -83,27 +84,74 @@ pub struct InstallEvent {
     pub seq: u64,
     /// Writing transaction.
     pub tx: TxId,
-    /// Virtual instant of installation.
-    pub at: SimTime,
 }
 
-/// A terminated transaction, recorded at its coordinator.
-#[derive(Debug, Clone)]
-pub struct TxnOutcomeRecord {
+/// A terminated transaction as its coordinator's outcome log holds it: a
+/// view into the log, valid as long as the replica is borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TxnOutcome<'a> {
     /// The transaction.
     pub tx: TxId,
     /// True if it committed.
     pub committed: bool,
-    /// True if it wrote nothing.
-    pub read_only: bool,
-    /// Read set with observed versions.
-    pub rs: Vec<ReadEntry>,
-    /// Written keys with base versions.
-    pub ws: Vec<(Key, u64)>,
-    /// Instant the transaction was submitted for termination.
-    pub submitted_at: SimTime,
-    /// Instant the decision was taken at the coordinator.
-    pub decided_at: SimTime,
+    /// Read set: (key, per-key sequence of the version observed), in read
+    /// order.
+    pub reads: &'a [(Key, u64)],
+    /// Written keys, in write order; empty for a query.
+    pub writes: &'a [Key],
+}
+
+/// One decided transaction of an [`OutcomeLog`]: where its reads and
+/// writes end in the log's arenas (they start where the previous
+/// header's end).
+#[derive(Debug, Clone, Copy)]
+struct OutcomeHeader {
+    tx: TxId,
+    reads_end: u32,
+    writes_end: u32,
+    committed: bool,
+}
+
+// A field added to the header is paid once per decided transaction.
+const _: () = assert!(std::mem::size_of::<OutcomeHeader>() <= 32);
+
+/// The coordinator's record of every transaction it decided, flat: one
+/// fixed-size header per transaction and two arenas its read and write
+/// sets are appended to, so recording a transaction allocates nothing
+/// beyond the arenas' amortized growth.
+#[derive(Debug, Default)]
+struct OutcomeLog {
+    headers: Vec<OutcomeHeader>,
+    reads: Vec<(Key, u64)>,
+    writes: Vec<Key>,
+}
+
+impl OutcomeLog {
+    fn push(&mut self, tx: TxId, committed: bool, rs: &[ReadEntry], ws: &[WriteEntry]) {
+        self.reads.extend(rs.iter().map(|e| (e.key, e.seq)));
+        self.writes.extend(ws.iter().map(|w| w.key));
+        let end = |len: usize| u32::try_from(len).expect("outcome log arena past 2^32 entries");
+        self.headers.push(OutcomeHeader {
+            tx,
+            reads_end: end(self.reads.len()),
+            writes_end: end(self.writes.len()),
+            committed,
+        });
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = TxnOutcome<'_>> + '_ {
+        let mut start = (0, 0);
+        self.headers.iter().map(move |h| {
+            let end = (h.reads_end as usize, h.writes_end as usize);
+            let (r, w) = std::mem::replace(&mut start, end);
+            TxnOutcome {
+                tx: h.tx,
+                committed: h.committed,
+                reads: &self.reads[r..end.0],
+                writes: &self.writes[w..end.1],
+            }
+        })
+    }
 }
 
 /// Aggregate counters exposed by a replica after a run.
@@ -192,7 +240,6 @@ struct CoordTxn {
     pending_read: Option<(Key, Option<Value>, usize)>,
     /// Failover timer of the outstanding read: (tag, kernel timer id).
     read_timer: Option<(u64, u64)>,
-    submitted_at: SimTime,
     /// Paxos Commit acknowledgments received.
     paxos_acks: usize,
     /// The pending Paxos decision, if in the accept round.
@@ -213,7 +260,6 @@ impl CoordTxn {
             ws: Vec::new(),
             pending_read: None,
             read_timer: None,
-            submitted_at: SimTime::ZERO,
             paxos_acks: 0,
             paxos_decision: None,
             certifying: Vec::new(),
@@ -332,7 +378,8 @@ pub struct Replica {
     certifier: Certifier,
     /// Decisions that raced ahead of the ordered delivery of their
     /// transaction (a coordinator can abort on the first negative vote
-    /// before slower replicas deliver the payload).
+    /// before slower replicas deliver the payload). Only a destination of
+    /// the payload files one, so the delivery removes every entry.
     early_decide: BTreeMap<TxId, (bool, Vec<(u32, u64)>)>,
     /// Reads waiting for a frontier advance or for `recovery.complete`.
     parked: ParkedReads,
@@ -349,7 +396,7 @@ pub struct Replica {
     suspected: std::collections::BTreeSet<SiteId>,
     stats: ReplicaStats,
     installs: Vec<InstallEvent>,
-    outcomes: Vec<TxnOutcomeRecord>,
+    outcomes: OutcomeLog,
     /// Durable log, when the persistence layer is attached.
     wal: Option<gdur_persist::Wal>,
     /// Durably decided outcomes, mirroring the log's `Decision` records, so
@@ -489,7 +536,7 @@ impl Replica {
             suspected: std::collections::BTreeSet::new(),
             stats: ReplicaStats::default(),
             installs: Vec::new(),
-            outcomes: Vec::new(),
+            outcomes: OutcomeLog::default(),
             wal: cfg.persistence.then(gdur_persist::Wal::new),
             decided_outcomes: BTreeMap::new(),
             catchup: None,
@@ -514,9 +561,12 @@ impl Replica {
         &self.installs
     }
 
-    /// Coordinator-side outcome records (empty unless `record_history`).
-    pub fn outcomes(&self) -> &[TxnOutcomeRecord] {
-        &self.outcomes
+    /// The transactions this replica coordinated to a decision, in decision
+    /// order, as views into its outcome log (empty unless `record_history`).
+    /// The consistency oracle's `History` borrows these slices instead of
+    /// copying them.
+    pub fn outcomes(&self) -> impl ExactSizeIterator<Item = TxnOutcome<'_>> + '_ {
+        self.outcomes.iter()
     }
 
     /// Direct read access to the local store (used by tests and examples).
@@ -651,8 +701,13 @@ impl Replica {
                 // already-fixed outcome: close the coordinator entry, if it
                 // is still open, so the retransmission loop stops and the
                 // client hears back.
+                let due = self.payload_due(tx);
                 self.finish_coord(ctx, tx, commit, None);
-                self.on_decide(ctx, tx, commit, clocks);
+                if due {
+                    self.on_decide(ctx, tx, commit, clocks);
+                } else {
+                    self.log_decision(ctx, tx, commit);
+                }
             }
             Msg::PaxosAccept { tx, commit } => {
                 ctx.send(from, Msg::PaxosAccepted { tx, commit });

@@ -134,7 +134,6 @@ impl Replica {
                 })
                 .collect();
             let mut t = CoordTxn::new(ProcessId(tx.coord), Snapshot::unconstrained());
-            t.submitted_at = ctx.now();
             t.submitted_payload = Some(TermPayload::new(
                 tx,
                 self.me,

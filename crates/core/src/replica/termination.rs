@@ -38,14 +38,10 @@ impl Replica {
     /// `submit(T)` (Algorithm 2, line 7): moves the transaction from
     /// `executing` to `submitted` and propagates it via `xcast`.
     pub(super) fn submit(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
-        let Some(t) = self.coord.get_mut(&tx) else {
+        let Some(t) = self.coord.get(&tx) else {
             return;
         };
-        t.submitted_at = ctx.now();
-        let certifying = {
-            let t = self.coord.get(&tx).expect("present");
-            self.certifying_keys(t)
-        };
+        let certifying = self.certifying_keys(t);
         ctx.trace(
             labels::TXN_SUBMIT,
             tx_code(tx.coord, tx.seq),
@@ -518,12 +514,10 @@ impl Replica {
             });
         }
         if self.cfg.record_history {
-            let at = ctx.now();
             self.installs.push(InstallEvent {
                 key,
                 seq,
                 tx: writer,
-                at,
             });
         }
     }

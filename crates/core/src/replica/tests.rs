@@ -7,12 +7,12 @@ use std::sync::Arc;
 
 use gdur_gc::GcMsg;
 use gdur_obs::{ObsEvent, TraceHandle};
-use gdur_sim::WireSize;
+use gdur_sim::{SimTime, WireSize};
 
 use super::*;
 use crate::node::Node;
 use crate::spec::{ChooseRule, PostCommitRule};
-use crate::{Cluster, ClusterConfig, Criterion, ScriptSource, TxnPlan};
+use crate::{Cluster, ClusterConfig, Criterion, PlanOp, ScriptSource, TxnPlan};
 
 pub(crate) fn walter_like() -> ProtocolSpec {
     ProtocolSpec {
@@ -501,4 +501,85 @@ fn a_decision_costs_its_header_and_twelve_bytes_per_clock() {
     };
     assert_eq!(decide(Vec::new()).wire_size(), 16 + 16);
     assert_eq!(decide(vec![(0, 7), (2, 9)]).wire_size(), 16 + 16 + 12 * 2);
+}
+
+/// The outcome log gives back every decision in order, each with exactly
+/// the versions it read and the keys it wrote: a committed update, a
+/// query, and a write-write conflict's winner and loser.
+#[test]
+fn the_outcome_log_keeps_each_decision_with_its_reads_and_writes() {
+    // Disaster prone over two sites: keys 0, 2 and 4 live at site 0 only,
+    // so site 0's own vote decides.
+    let mut probe = Probe::with(walter_like(), Placement::disaster_prone(2), |_| {});
+    let update = probe.begin();
+    probe.update(update, 0);
+    probe.update(update, 2);
+    probe.client(update, ClientOp::Commit);
+    let query = probe.begin();
+    probe.client(query, ClientOp::Read { key: Key(0) });
+    probe.client(query, ClientOp::Read { key: Key(4) });
+    probe.client(query, ClientOp::Commit);
+    // Both read k4@0; the first to commit wins.
+    let (loser, winner) = (probe.begin(), probe.begin());
+    probe.update(loser, 4);
+    probe.update(winner, 4);
+    probe.client(winner, ClientOp::Commit);
+    probe.client(loser, ClientOp::Commit);
+
+    let outcome = |tx, committed, reads, writes| TxnOutcome {
+        tx,
+        committed,
+        reads,
+        writes,
+    };
+    let log: Vec<TxnOutcome<'_>> = probe.replica().outcomes().collect();
+    assert_eq!(
+        log,
+        [
+            outcome(update, true, &[(Key(0), 0), (Key(2), 0)], &[Key(0), Key(2)]),
+            outcome(query, true, &[(Key(0), 1), (Key(4), 0)], &[]),
+            outcome(winner, true, &[(Key(4), 0)], &[Key(4)]),
+            outcome(loser, false, &[(Key(4), 0)], &[Key(4)]),
+        ]
+    );
+    let stats = probe.replica().stats;
+    assert_eq!((stats.coordinated, stats.committed), (4, 3));
+}
+
+/// Every client updates keys of the next site's partition, so under 2PC
+/// (write set only) no coordinator is a destination of its own payload,
+/// and under AM-Cast (read and write set) only those of the plans that
+/// also read a local key are. A drained run leaves no decision waiting
+/// for a delivery.
+#[test]
+fn no_early_decision_outlives_a_drained_run() {
+    for spec in [walter_like(), p_store_like()] {
+        let name = spec.name;
+        let mut cfg = ClusterConfig::small(spec, 3);
+        cfg.clients_per_site = 4;
+        let mut cluster = Cluster::build(cfg, |client, site| {
+            let (here, next) = (site.0 as u64, (site.0 as u64 + 1) % 3);
+            // Two hot keys per partition: conflicts abort some commits.
+            let remote = |j: u64| Key(next + 3 * j);
+            let plans = vec![
+                TxnPlan {
+                    ops: vec![PlanOp::Update(remote(client as u64 % 2))],
+                },
+                TxnPlan {
+                    ops: vec![PlanOp::Read(Key(here)), PlanOp::Update(remote(1))],
+                },
+            ];
+            Box::new(ScriptSource::new(plans))
+        });
+        cluster.run_until_idle();
+        let stats = cluster.replica_stats();
+        assert!(
+            stats.committed > 0 && stats.aborted > 0,
+            "{name}: {stats:?}"
+        );
+        for site in cluster.placement().all_sites() {
+            let early = cluster.replica(site).early_decide.len();
+            assert_eq!(early, 0, "{name}: early decisions left at {site}");
+        }
+    }
 }

@@ -7,14 +7,15 @@ use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
 use gdur_store::Placement;
 use gdur_workload::{WorkloadSpec, YcsbSource};
 
-fn run_checked(spec: ProtocolSpec, criterion: Criterion, dt: bool, seed: u64) {
-    let name = spec.name;
+/// Three sites, three clients each, 30 transactions per client on a small
+/// keyspace — real contention, so aborts exercise certification — run to
+/// idle.
+fn run_contended(spec: ProtocolSpec, dt: bool, seed: u64) -> Cluster {
     let sites = 3;
     let mut cfg = ClusterConfig::small(spec, sites);
     if dt {
         cfg.placement = Placement::disaster_tolerant(sites);
     }
-    // Small keyspace → real contention → aborts exercise certification.
     cfg.keys_per_partition = 40;
     cfg.clients_per_site = 3;
     cfg.max_txns_per_client = Some(30);
@@ -31,10 +32,16 @@ fn run_checked(spec: ProtocolSpec, criterion: Criterion, dt: bool, seed: u64) {
         ))
     });
     cluster.run_until_idle();
+    cluster
+}
+
+fn run_checked(spec: ProtocolSpec, criterion: Criterion, dt: bool, seed: u64) {
+    let name = spec.name;
+    let cluster = run_contended(spec, dt, seed);
     let records = cluster.records();
     assert_eq!(
         records.len(),
-        sites * 3 * 30,
+        3 * 3 * 30,
         "{name}: liveness violated (dt={dt})"
     );
     let history = History::from_cluster(&cluster);
@@ -77,6 +84,23 @@ criterion_tests! {
     p_store_paxos_is_serializable: p_store_paxos => Ser,
     gmu_star_reads_committed: gmu_star => Rc,
     read_atomic_is_unfractured: read_atomic => Ra,
+}
+
+/// The history the oracle reads is every coordinator's outcome log, whole:
+/// one transaction per coordinated decision, the committed ones included
+/// exactly as often as the replicas counted them.
+#[test]
+fn the_history_holds_every_coordinated_transaction() {
+    for spec in gdur_protocols::all_protocols() {
+        let name = spec.name;
+        let cluster = run_contended(spec, false, 7);
+        let history = History::from_cluster(&cluster);
+        let stats = cluster.replica_stats();
+        let committed = history.committed().count() as u64;
+        assert_eq!(history.txns.len() as u64, stats.coordinated, "{name}");
+        assert_eq!(committed, stats.committed, "{name}");
+        assert_eq!(history.txns.len(), cluster.records().len(), "{name}");
+    }
 }
 
 /// The SI-family protocols must also prevent lost updates under heavy
