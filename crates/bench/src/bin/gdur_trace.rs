@@ -35,10 +35,11 @@ use std::process::exit;
 
 use gdur_harness::{run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind};
 use gdur_obs::{
-    critical_path, export_chrome, jsonl, render_attribution_text, tx_code, tx_span_tree,
-    validate_json, Attribution, CausalIndex, ObsEvent, TraceHandle,
+    critical_path, export_chrome, jsonl, render_attribution_text, tx_span_tree, validate_json,
+    Attribution, CausalIndex, ObsEvent, TraceHandle,
 };
 use gdur_sim::SimDuration;
+use gdur_store::TxId;
 
 fn scale(clients: usize) -> Scale {
     Scale {
@@ -84,7 +85,7 @@ fn number_flag<T: std::str::FromStr>(args: &[String], flag: &str, what: &str) ->
 
 fn parse_tx(s: &str) -> Option<u64> {
     let (c, q) = s.split_once(':')?;
-    Some(tx_code(c.parse().ok()?, q.parse().ok()?))
+    TxId::try_new(c.parse().ok()?, q.parse().ok()?).map(TxId::code)
 }
 
 /// The `--tx COORD:SEQ` flag as a transaction code, with its spelling;

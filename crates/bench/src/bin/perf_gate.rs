@@ -15,8 +15,12 @@
 //! of allocator calls that hand out memory (`alloc`, `alloc_zeroed`,
 //! `realloc`) and `alloc_bytes=` the bytes they asked for (a `realloc`
 //! counts its new size), from building the deployment to the end of its
-//! history check and summary. Allocation is as deterministic as the run,
-//! so these are golden integers too: a regression is a larger number.
+//! history check and summary. It counts frees too, and `peak_live_bytes=`
+//! is the point's high-water mark of live heap bytes above where the point
+//! started — what the run, its history and its check hold at once.
+//! Allocation is as deterministic as the run, so these are golden integers
+//! too: a regression is a larger number, and a field added to a
+//! per-transaction record moves `peak_live_bytes`.
 //!
 //! Before the sweep, while the process is still fresh, it builds one
 //! deployment at the paper's keyspace and fails when the resident set right
@@ -40,15 +44,28 @@ use gdur_sim::SimDuration;
 /// hosted keys record by record left 361.
 const BUILD_RSS_BUDGET_MIB: f64 = 32.0;
 
-/// `System`, counting what it hands out; frees are not counted.
+/// `System`, counting what it hands out and tracking the live bytes.
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 fn count(bytes: usize) {
     ALLOCS.fetch_add(1, Relaxed);
     ALLOC_BYTES.fetch_add(bytes as u64, Relaxed);
+}
+
+/// Moves the live-byte count by `grown - freed` once `System` succeeded;
+/// a `realloc` holds both blocks at its peak, as one that moves does.
+fn track(ptr: *mut u8, grown: usize, freed: usize) -> *mut u8 {
+    if !ptr.is_null() {
+        let live = LIVE_BYTES.fetch_add(grown as u64, Relaxed) + grown as u64;
+        PEAK_LIVE_BYTES.fetch_max(live, Relaxed);
+        LIVE_BYTES.fetch_sub(freed as u64, Relaxed);
+    }
+    ptr
 }
 
 // SAFETY: every method forwards its arguments to `System` unchanged, so
@@ -57,20 +74,25 @@ fn count(bytes: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        System.alloc(layout)
+        track(System.alloc(layout), layout.size(), 0)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
-        System.alloc_zeroed(layout)
+        track(System.alloc_zeroed(layout), layout.size(), 0)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
-        System.realloc(ptr, layout, new_size)
+        track(
+            System.realloc(ptr, layout, new_size),
+            new_size,
+            layout.size(),
+        )
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -81,6 +103,13 @@ static GLOBAL: Counting = Counting;
 /// (allocations, bytes) counted so far.
 fn allocated() -> (u64, u64) {
     (ALLOCS.load(Relaxed), ALLOC_BYTES.load(Relaxed))
+}
+
+/// Restarts the live-byte high-water mark here; returns the live bytes.
+fn reset_peak() -> u64 {
+    let live = LIVE_BYTES.load(Relaxed);
+    PEAK_LIVE_BYTES.store(live, Relaxed);
+    live
 }
 
 /// The standard sweep: P-Store (genuine atomic multicast — the fan-out
@@ -97,7 +126,8 @@ fn perf_scale() -> Scale {
 }
 
 /// Runs the sweep and renders the golden table: one line of integers per
-/// point, its allocation counts last, then the total event count.
+/// point, its allocation counts and live-heap peak last, then the total
+/// event count.
 fn run_sweep_counted() -> String {
     let p_store = gdur_protocols::p_store();
     let exp = Experiment::new(p_store, WorkloadKind::C, 0.9, 3, PlacementKind::Dp);
@@ -111,9 +141,11 @@ fn run_sweep_counted() -> String {
         )]
         let start = Instant::now();
         let before = allocated();
+        let live_before = reset_peak();
         let run = run_point_with(&exp, &scale, cps, None);
         let after = allocated();
         let (allocs, alloc_bytes) = (after.0 - before.0, after.1 - before.1);
+        let peak_live_bytes = PEAK_LIVE_BYTES.load(Relaxed) - live_before;
         let wall_s = start.elapsed().as_secs_f64();
         let events = run.stats.events_processed;
         total_events += events;
@@ -133,7 +165,9 @@ fn run_sweep_counted() -> String {
         ] {
             table.push_str(&format!(" {name}={}/{}/{}", c.pushed, c.popped, c.peak_len));
         }
-        table.push_str(&format!(" allocs={allocs} alloc_bytes={alloc_bytes}\n"));
+        table.push_str(&format!(
+            " allocs={allocs} alloc_bytes={alloc_bytes} peak_live_bytes={peak_live_bytes}\n"
+        ));
     }
     table.push_str(&format!("total_events={total_events}\n"));
     table

@@ -51,7 +51,7 @@ pub struct HistoryTxn<'a> {
 
 // One per decided transaction of the run: a field added here is paid
 // 10⁵ times on a benchmark workload.
-const _: () = assert!(std::mem::size_of::<HistoryTxn<'static>>() <= 64);
+const _: () = assert!(std::mem::size_of::<HistoryTxn<'static>>() <= 56);
 
 /// A full recorded execution. It borrows the replicas' outcome logs
 /// ([`gdur_core::Replica::outcomes`]) for the read sets, so it lives no

@@ -310,7 +310,7 @@ mod tests {
             base_seq: 0,
         });
         TermPayload::new(
-            TxId { coord: 0, seq },
+            TxId::new(0, seq),
             ProcessId(0),
             writes.is_empty(),
             Arc::new(rs.collect()),
@@ -452,7 +452,7 @@ mod tests {
     /// standing in for a vote that completes the quorum, which is what
     /// makes `process_queue` re-enter from inside the wake loop.
     fn decides_on_vote(tx: TxId) -> bool {
-        !tx.seq.is_multiple_of(3)
+        !tx.seq().is_multiple_of(3)
     }
 
     /// `process_queue` over the reference: pops decided heads, wakes

@@ -251,7 +251,7 @@ impl Cluster {
         for (s, &coordinator) in replica_pids.iter().enumerate() {
             let site = SiteId(s as u16);
             for _ in 0..actors_per_site {
-                let mut pool = ClientPool::new(coordinator, cfg.value_size)
+                let mut pool = ClientPool::new(coordinator, proto_value.clone())
                     .with_txn_records(cfg.record_txn_metrics);
                 if let Some(max) = cfg.max_txns_per_client {
                     pool = pool.with_max_txns(max);

@@ -132,11 +132,12 @@ impl std::fmt::Debug for ClientPool {
 
 impl ClientPool {
     /// Creates an empty pool whose clients send their transactions to
-    /// `coordinator`, writing `value_size`-byte payloads.
-    pub fn new(coordinator: ProcessId, value_size: usize) -> Self {
+    /// `coordinator`, writing `value` as every payload (a shared prototype:
+    /// each write clones a reference, not the bytes).
+    pub fn new(coordinator: ProcessId, value: Value) -> Self {
         ClientPool {
             coordinator,
-            value_proto: Value::of_size(value_size),
+            value_proto: value,
             max_txns: None,
             op_timeout: None,
             think_time: None,
@@ -360,10 +361,10 @@ impl ClientPool {
             return; // client pools only understand replies
         };
         let me = self.me.expect("pool started");
-        if tx.coord != me.0 {
+        if tx.coord() != me.0 {
             return; // not a transaction of this pool
         }
-        let (idx, _) = pool_seq_parts(tx.seq);
+        let (idx, _) = pool_seq_parts(tx.seq());
         let Some(slot) = self.slots.get(idx as usize) else {
             return; // unknown client index: treat like any stale reply
         };

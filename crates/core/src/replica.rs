@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use gdur_gc::{GcEvent, GroupComm, XcastKind};
 use gdur_net::SiteId;
-use gdur_obs::{labels, tx_code, vote_value, AbortCause};
+use gdur_obs::{labels, vote_value, AbortCause};
 use gdur_sim::{Context, ProcessId, SimDuration};
 use gdur_store::{Key, MultiVersionStore, Placement, SeedImage, TxId, Value};
 use gdur_versioning::{Mechanism, Stamp, VersionVec};
@@ -86,6 +86,9 @@ pub struct InstallEvent {
     pub tx: TxId,
 }
 
+// One per install at every replica of the written key.
+const _: () = assert!(std::mem::size_of::<InstallEvent>() <= 24);
+
 /// A terminated transaction as its coordinator's outcome log holds it: a
 /// view into the log, valid as long as the replica is borrowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +116,7 @@ struct OutcomeHeader {
 }
 
 // A field added to the header is paid once per decided transaction.
-const _: () = assert!(std::mem::size_of::<OutcomeHeader>() <= 32);
+const _: () = assert!(std::mem::size_of::<OutcomeHeader>() <= 24);
 
 /// The coordinator's record of every transaction it decided, flat: one
 /// fixed-size header per transaction and two arenas its read and write
@@ -471,17 +474,17 @@ struct CoordDone {
 
 impl TerminatedSet {
     fn contains(&self, tx: &TxId) -> bool {
-        self.per_coord
-            .get(&tx.coord)
-            .is_some_and(|d| (tx.seq != 0 && tx.seq <= d.watermark) || d.sparse.contains(&tx.seq))
+        self.per_coord.get(&tx.coord()).is_some_and(|d| {
+            (tx.seq() != 0 && tx.seq() <= d.watermark) || d.sparse.contains(&tx.seq())
+        })
     }
 
     fn insert(&mut self, tx: TxId) {
-        let d = self.per_coord.entry(tx.coord).or_default();
-        if tx.seq != 0 && tx.seq <= d.watermark {
+        let d = self.per_coord.entry(tx.coord()).or_default();
+        if tx.seq() != 0 && tx.seq() <= d.watermark {
             return;
         }
-        d.sparse.insert(tx.seq);
+        d.sparse.insert(tx.seq());
         while d.sparse.remove(&(d.watermark + 1)) {
             d.watermark += 1;
         }

@@ -61,11 +61,7 @@ impl Replica {
             p.reserved = clocks.clone();
         }
         self.stats.votes_cast += 1;
-        ctx.trace(
-            labels::TXN_VOTE,
-            tx_code(tx.coord, tx.seq),
-            vote_value(self.me, yes),
-        );
+        ctx.trace(labels::TXN_VOTE, tx.code(), vote_value(self.me, yes));
         self.send_vote(ctx, &payload, yes, clocks);
     }
 
@@ -345,7 +341,7 @@ impl Replica {
                 AbortCause::Crash => self.stats.aborted_crash += 1,
             }
         }
-        let code = tx_code(tx.coord, tx.seq);
+        let code = tx.code();
         ctx.trace(labels::TXN_DECIDE, code, commit as u64);
         if let Some(c) = cause {
             ctx.trace(labels::TXN_ABORT, code, c.code());

@@ -83,7 +83,7 @@ impl Replica {
         }
         match op {
             ClientOp::Begin => {
-                ctx.trace(labels::TXN_BEGIN, tx_code(tx.coord, tx.seq), 0);
+                ctx.trace(labels::TXN_BEGIN, tx.code(), 0);
                 let snapshot = self.fresh_snapshot();
                 self.coord.insert(tx, CoordTxn::new(from, snapshot));
                 ctx.send(
@@ -182,11 +182,7 @@ impl Replica {
     /// Issues (or re-issues) a remote read for `key`, picking the replica
     /// by attempt number with failure suspicion.
     fn send_remote_read(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, key: Key, attempt: usize) {
-        ctx.trace(
-            labels::TXN_READ_REMOTE,
-            tx_code(tx.coord, tx.seq),
-            attempt as u64,
-        );
+        ctx.trace(labels::TXN_READ_REMOTE, tx.code(), attempt as u64);
         let target_site = self.read_target_site(key, attempt);
         let target = self.pid_of_site(target_site);
         let Some(t) = self.coord.get(&tx) else { return };

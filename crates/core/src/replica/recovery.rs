@@ -133,7 +133,7 @@ impl Replica {
                     base_seq,
                 })
                 .collect();
-            let mut t = CoordTxn::new(ProcessId(tx.coord), Snapshot::unconstrained());
+            let mut t = CoordTxn::new(ProcessId(tx.coord()), Snapshot::unconstrained());
             t.submitted_payload = Some(TermPayload::new(
                 tx,
                 self.me,
@@ -405,7 +405,7 @@ impl Replica {
             self.stats.resubmissions += 1;
             ctx.trace(
                 labels::RECOVERY_RESUBMIT,
-                tx_code(tx.coord, tx.seq),
+                tx.code(),
                 self.coord[&tx].certifying.len() as u64,
             );
             if let Some(vt) = self.cfg.vote_timeout {

@@ -42,11 +42,7 @@ impl Replica {
             return;
         };
         let certifying = self.certifying_keys(t);
-        ctx.trace(
-            labels::TXN_SUBMIT,
-            tx_code(tx.coord, tx.seq),
-            certifying.len() as u64,
-        );
+        ctx.trace(labels::TXN_SUBMIT, tx.code(), certifying.len() as u64);
         if certifying.is_empty() {
             // Commit without synchronization (wait-free queries).
             self.finish_coord(ctx, tx, true, None);
@@ -185,11 +181,7 @@ impl Replica {
             },
         );
         if gc_mode {
-            ctx.trace(
-                labels::CERT_ENQUEUE,
-                tx_code(tx.coord, tx.seq),
-                self.certifier.len() as u64,
-            );
+            ctx.trace(labels::CERT_ENQUEUE, tx.code(), self.certifier.len() as u64);
         }
         if let Some((commit, clocks)) = self.early_decide.remove(&tx) {
             // The coordinator decided before our ordered delivery arrived.
@@ -270,11 +262,7 @@ impl Replica {
                         outcome = Some(false);
                         // An orphan discard, not a coordinated abort: kept
                         // out of the coordinator-side cause partition.
-                        ctx.trace(
-                            labels::CERT_ORPHAN,
-                            tx_code(head.coord, head.seq),
-                            AbortCause::Crash.code(),
-                        );
+                        ctx.trace(labels::CERT_ORPHAN, head.code(), AbortCause::Crash.code());
                     }
                 }
             }
@@ -287,7 +275,7 @@ impl Replica {
             let waiters = self.terminate(ctx, head, commit);
             ctx.trace(
                 labels::CERT_DEQUEUE,
-                tx_code(head.coord, head.seq),
+                head.code(),
                 self.certifier.len() as u64,
             );
             self.wake(ctx, waiters);
@@ -456,7 +444,7 @@ impl Replica {
         }
         ctx.trace(
             labels::TXN_INSTALL,
-            tx_code(payload.tx.coord, payload.tx.seq),
+            payload.tx.code(),
             payload.ws.len() as u64,
         );
         if self.cfg.spec.post_commit == PostCommitRule::PropagateStamps {

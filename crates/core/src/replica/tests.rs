@@ -100,10 +100,7 @@ impl Probe {
     /// A fresh transaction id of a coordinator nobody is.
     fn next_tx(&mut self) -> TxId {
         self.next_seq += 1;
-        TxId {
-            coord: 99,
-            seq: self.next_seq - 1,
-        }
+        TxId::new(99, self.next_seq - 1)
     }
 
     /// Begins a transaction at site 0 in the mute client's name.
@@ -427,7 +424,7 @@ fn outcome_in_gc_mode_is_one_yes_per_object_or_any_no() {
     // Site 0 participates in a transaction over keys `k` (partition 0, sites
     // 0 and 1) and `k + 1` (partition 1, sites 1 and 2) that writes `k`.
     let deliver = |probe: &mut Probe, k: u64| {
-        let tx = TxId { coord: 99, seq: k };
+        let tx = TxId::new(99, k);
         let rs = [k, k + 1].map(|key| ReadEntry {
             key: Key(key),
             seq: 0,
@@ -495,7 +492,7 @@ fn outcome_under_2pc_waits_for_every_replica_of_every_object() {
 #[test]
 fn a_decision_costs_its_header_and_twelve_bytes_per_clock() {
     let decide = |clocks: Vec<(u32, u64)>| Msg::Decide {
-        tx: TxId { coord: 0, seq: 1 },
+        tx: TxId::new(0, 1),
         commit: true,
         clocks,
     };

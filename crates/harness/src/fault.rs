@@ -434,7 +434,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
     let post_restart_commits = match cfg.schedule.last_restart() {
         Some(at) => records
             .iter()
-            .filter(|r| r.committed && r.decided_at >= at && restarted.contains(&r.tx.coord))
+            .filter(|r| r.committed && r.decided_at >= at && restarted.contains(&r.tx.coord()))
             .count() as u64,
         None => 0,
     };

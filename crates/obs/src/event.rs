@@ -119,10 +119,24 @@ impl AbortCause {
 }
 
 /// Packs a transaction id (coordinator id + per-coordinator sequence) into
-/// the `tx` field of trace events. Sequences are per-client counters, so 24
-/// bits of coordinator and 40 bits of sequence never collide in practice.
+/// the `tx` field of trace events: 24 bits of coordinator over 40 bits of
+/// sequence — the packing of `gdur_store::TxId` itself, whose `code()` is
+/// this word.
+///
+/// # Panics
+///
+/// Panics — an explicit bounds error, never a silent truncation — if
+/// `coord >= 2²⁴` or `seq >= 2⁴⁰`.
 pub fn tx_code(coord: u32, seq: u64) -> u64 {
-    ((coord as u64) << 40) | (seq & 0xff_ffff_ffff)
+    assert!(
+        coord < 1 << 24,
+        "transaction coordinator {coord} out of range (max 2^24 - 1)"
+    );
+    assert!(
+        seq < 1 << 40,
+        "transaction sequence {seq} out of range (max 2^40 - 1)"
+    );
+    ((coord as u64) << 40) | seq
 }
 
 /// Splits a [`tx_code`] back into `(coordinator, sequence)`.
@@ -277,6 +291,12 @@ mod tests {
         assert_ne!(tx_code(1, 5), tx_code(2, 5));
         assert_ne!(tx_code(1, 5), tx_code(1, 6));
         assert_eq!(tx_code(3, 9), tx_code(3, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn tx_code_rejects_wide_coordinator() {
+        let _ = tx_code(1 << 24, 0);
     }
 
     #[test]

@@ -18,6 +18,14 @@ pub enum DecodeError {
     },
     /// An unknown record tag.
     UnknownTag(u8),
+    /// A transaction id whose coordinator or sequence does not fit the
+    /// packed `TxId`.
+    TxIdOutOfRange {
+        /// Decoded coordinator.
+        coord: u64,
+        /// Decoded sequence.
+        seq: u64,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -31,6 +39,9 @@ impl std::fmt::Display for DecodeError {
                 )
             }
             DecodeError::UnknownTag(t) => write!(f, "unknown record tag {t}"),
+            DecodeError::TxIdOutOfRange { coord, seq } => {
+                write!(f, "transaction id t{coord}.{seq} out of range")
+            }
         }
     }
 }

@@ -110,6 +110,22 @@ fn get_stamp(buf: &mut Bytes) -> Result<Stamp, DecodeError> {
     }
 }
 
+fn put_tx(buf: &mut BytesMut, tx: TxId) {
+    codec::put_varint(buf, u64::from(tx.coord()));
+    codec::put_varint(buf, tx.seq());
+}
+
+/// Reads a transaction id; a coordinator or sequence wider than [`TxId`]
+/// packs is a decode error, never a truncation or a panic.
+fn get_tx(buf: &mut Bytes) -> Result<TxId, DecodeError> {
+    let coord = codec::get_varint(buf)?;
+    let seq = codec::get_varint(buf)?;
+    u32::try_from(coord)
+        .ok()
+        .and_then(|c| TxId::try_new(c, seq))
+        .ok_or(DecodeError::TxIdOutOfRange { coord, seq })
+}
+
 impl LogRecord {
     /// Serializes the record body (unframed).
     pub fn encode(&self) -> BytesMut {
@@ -126,21 +142,18 @@ impl LogRecord {
                 codec::put_varint(&mut buf, key.0);
                 codec::put_varint(&mut buf, *seq);
                 put_stamp(&mut buf, stamp);
-                codec::put_varint(&mut buf, u64::from(writer.coord));
-                codec::put_varint(&mut buf, writer.seq);
+                put_tx(&mut buf, *writer);
                 codec::put_bytes(&mut buf, value.as_bytes());
             }
             LogRecord::Decision { tx, commit } => {
                 buf.put_u8(TAG_DECISION);
-                codec::put_varint(&mut buf, u64::from(tx.coord));
-                codec::put_varint(&mut buf, tx.seq);
+                put_tx(&mut buf, *tx);
                 buf.put_u8(u8::from(*commit));
             }
             LogRecord::Checkpoint => buf.put_u8(TAG_CHECKPOINT),
             LogRecord::Submit { tx, rs, ws, dep } => {
                 buf.put_u8(TAG_SUBMIT);
-                codec::put_varint(&mut buf, u64::from(tx.coord));
-                codec::put_varint(&mut buf, tx.seq);
+                put_tx(&mut buf, *tx);
                 codec::put_varint(&mut buf, rs.len() as u64);
                 for (key, seq) in rs {
                     codec::put_varint(&mut buf, key.0);
@@ -171,33 +184,27 @@ impl LogRecord {
                 let key = Key(codec::get_varint(&mut body)?);
                 let seq = codec::get_varint(&mut body)?;
                 let stamp = get_stamp(&mut body)?;
-                let coord = codec::get_varint(&mut body)? as u32;
-                let tseq = codec::get_varint(&mut body)?;
+                let writer = get_tx(&mut body)?;
                 let value = Value::from_bytes(codec::get_bytes(&mut body)?);
                 Ok(LogRecord::Install {
                     key,
                     seq,
                     stamp,
-                    writer: TxId::new(coord, tseq),
+                    writer,
                     value,
                 })
             }
             TAG_DECISION => {
-                let coord = codec::get_varint(&mut body)? as u32;
-                let tseq = codec::get_varint(&mut body)?;
+                let tx = get_tx(&mut body)?;
                 if !body.has_remaining() {
                     return Err(DecodeError::Truncated);
                 }
                 let commit = body.get_u8() != 0;
-                Ok(LogRecord::Decision {
-                    tx: TxId::new(coord, tseq),
-                    commit,
-                })
+                Ok(LogRecord::Decision { tx, commit })
             }
             TAG_CHECKPOINT => Ok(LogRecord::Checkpoint),
             TAG_SUBMIT => {
-                let coord = codec::get_varint(&mut body)? as u32;
-                let tseq = codec::get_varint(&mut body)?;
+                let tx = get_tx(&mut body)?;
                 let nr = codec::get_varint(&mut body)? as usize;
                 let mut rs = Vec::with_capacity(nr);
                 for _ in 0..nr {
@@ -218,12 +225,7 @@ impl LogRecord {
                 for _ in 0..nd {
                     dep.push(codec::get_varint(&mut body)?);
                 }
-                Ok(LogRecord::Submit {
-                    tx: TxId::new(coord, tseq),
-                    rs,
-                    ws,
-                    dep,
-                })
+                Ok(LogRecord::Submit { tx, rs, ws, dep })
             }
             t => Err(DecodeError::UnknownTag(t)),
         }
@@ -629,6 +631,49 @@ mod tests {
             0,
             "a checkpoint that only exists past the corruption must not be honoured"
         );
+    }
+
+    /// A Decision record body carrying a raw `(coord, seq)`.
+    fn raw_decision(coord: u64, seq: u64) -> Bytes {
+        let mut body = BytesMut::new();
+        body.put_u8(TAG_DECISION);
+        codec::put_varint(&mut body, coord);
+        codec::put_varint(&mut body, seq);
+        body.put_u8(1);
+        body.freeze()
+    }
+
+    #[test]
+    fn out_of_range_id_is_a_decode_error_and_stops_recovery() {
+        let (max_coord, max_seq) = (u64::from(TxId::MAX_COORD), TxId::MAX_SEQ);
+        let tx = TxId::new(TxId::MAX_COORD, TxId::MAX_SEQ);
+        assert_eq!(
+            LogRecord::decode(raw_decision(max_coord, max_seq)),
+            Ok(LogRecord::Decision { tx, commit: true })
+        );
+        // A coordinator past 2²⁴, one past u32, and a sequence past 2⁴⁰.
+        for (coord, seq) in [
+            (max_coord + 1, 0),
+            (u64::from(u32::MAX) + 3, 5),
+            (0, max_seq + 1),
+        ] {
+            assert_eq!(
+                LogRecord::decode(raw_decision(coord, seq)),
+                Err(DecodeError::TxIdOutOfRange { coord, seq })
+            );
+            // Recovery keeps the intact prefix and stops at the bad frame,
+            // exactly as at a bad checksum: the install after it is lost.
+            let mut wal = Wal::new();
+            wal.append(&install(1, 0, 10));
+            let mut img = wal.as_bytes().to_vec();
+            img.extend_from_slice(&codec::frame(&raw_decision(coord, seq)));
+            img.extend_from_slice(&codec::frame(&install(1, 1, 11).encode()));
+            let img = Bytes::from(img);
+            assert_eq!(Wal::scan_bytes(img.clone()), vec![install(1, 0, 10)]);
+            let (store, decisions) = recover(&Wal::from_image(img));
+            assert_eq!(store.latest_seq(Key(1)), Some(0));
+            assert!(decisions.is_empty());
+        }
     }
 
     #[test]

@@ -114,10 +114,15 @@ pub struct VersionRecord {
     pub writer: TxId,
 }
 
-/// The transaction id used for seed (initial-load) versions.
-pub const SEED_TX: TxId = TxId {
-    coord: u32::MAX,
-    seq: 0,
+// One per retained version of every written key; a field added here is
+// paid ~10⁵ times per replica.
+const _: () = assert!(std::mem::size_of::<VersionRecord>() <= 80);
+
+/// The transaction id used for seed (initial-load) versions: the largest
+/// coordinator id, which no process gets, at sequence 0.
+pub const SEED_TX: TxId = match TxId::try_new(TxId::MAX_COORD, 0) {
+    Some(tx) => tx,
+    None => panic!("the seed writer id is in range"),
 };
 
 impl VersionRecord {
@@ -277,13 +282,19 @@ impl MultiVersionStore {
 
     /// Gives `key` a version list of its own, starting from the image's
     /// seed version when the image hosts it and empty otherwise.
+    ///
+    /// The list is sized for the seed plus the first install — what a
+    /// written key almost always keeps — not the 4 a first push would
+    /// reserve; a third install grows it.
     fn intern(&mut self, key: Key) -> usize {
         let sym = self.keys.len();
         self.index.insert(key, sym as Symbol, &self.keys);
         self.keys.push(key);
         let seed = self.image.record(key).cloned();
         self.extra += usize::from(seed.is_none());
-        self.slots.push(seed.into_iter().collect());
+        let mut versions = Vec::with_capacity(2);
+        versions.extend(seed);
+        self.slots.push(versions);
         sym
     }
 
@@ -556,6 +567,26 @@ mod tests {
         assert_eq!(s.version_count(Key(1)), 2);
         assert_eq!(s.versions(Key(1)).unwrap()[0].seq, 1, "seed GCed");
         assert_eq!(s.latest_seq(Key(1)), Some(2));
+    }
+
+    #[test]
+    fn written_key_holds_two_versions_and_gc_still_caps_growth() {
+        let (image, _) = image(false);
+        let mut s = MultiVersionStore::from_image(image).with_max_versions(2);
+        s.install(Key(3), Value::from_u64(1), ts(1), tx(1));
+        let slot = &s.slots[s.sym(Key(3)).unwrap()];
+        assert_eq!(
+            (slot.len(), slot.capacity()),
+            (2, 2),
+            "seed + first install"
+        );
+        s.install(Key(3), Value::from_u64(2), ts(2), tx(2));
+        let seqs: Vec<u64> = s.versions(Key(3)).unwrap().iter().map(|r| r.seq).collect();
+        assert_eq!(
+            seqs,
+            [1, 2],
+            "max_versions drops the seed on the third write"
+        );
     }
 
     #[test]

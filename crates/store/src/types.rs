@@ -70,27 +70,88 @@ impl From<Bytes> for Value {
 }
 
 /// Globally unique transaction identifier: coordinating process + local
-/// sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TxId {
-    /// Process id (dense index) of the coordinator.
-    pub coord: u32,
-    /// Coordinator-local transaction sequence number.
-    pub seq: u64,
-}
+/// sequence number, packed into one word as `coord << 40 | seq` — the
+/// same packing as the trace's `gdur_obs::tx_code`.
+///
+/// The coordinator is the high field, so the derived `Ord` on the word is
+/// `(coord, seq)` lexicographic order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TxId(u64);
 
 impl TxId {
+    /// Bits of the word holding the coordinator-local sequence number.
+    const SEQ_BITS: u32 = 40;
+    /// Largest coordinator id an id can carry (2²⁴ − 1).
+    pub const MAX_COORD: u32 = (1 << (64 - Self::SEQ_BITS)) - 1;
+    /// Largest sequence number an id can carry (2⁴⁰ − 1).
+    pub const MAX_SEQ: u64 = (1 << Self::SEQ_BITS) - 1;
+
     /// Creates a transaction id.
+    ///
+    /// # Panics
+    ///
+    /// Panics — an explicit bounds error, never a silent truncation — if
+    /// `coord` exceeds [`TxId::MAX_COORD`] or `seq` exceeds
+    /// [`TxId::MAX_SEQ`].
     pub fn new(coord: u32, seq: u64) -> Self {
-        TxId { coord, seq }
+        assert!(
+            coord <= Self::MAX_COORD,
+            "transaction coordinator {coord} out of range (max {})",
+            Self::MAX_COORD
+        );
+        assert!(
+            seq <= Self::MAX_SEQ,
+            "coordinator {coord} exhausted its transaction sequence space \
+             (seq={seq}, max {})",
+            Self::MAX_SEQ
+        );
+        TxId((u64::from(coord) << Self::SEQ_BITS) | seq)
+    }
+
+    /// The fallible twin of [`TxId::new`]: `None` where `new` panics.
+    pub const fn try_new(coord: u32, seq: u64) -> Option<Self> {
+        if coord <= Self::MAX_COORD && seq <= Self::MAX_SEQ {
+            Some(TxId(((coord as u64) << Self::SEQ_BITS) | seq))
+        } else {
+            None
+        }
+    }
+
+    /// Process id (dense index) of the coordinator.
+    #[inline]
+    pub const fn coord(self) -> u32 {
+        (self.0 >> Self::SEQ_BITS) as u32
+    }
+
+    /// Coordinator-local transaction sequence number.
+    #[inline]
+    pub const fn seq(self) -> u64 {
+        self.0 & Self::MAX_SEQ
+    }
+
+    /// The packed word: the `tx` field of this transaction's trace events.
+    #[inline]
+    pub const fn code(self) -> u64 {
+        self.0
     }
 }
 
 impl fmt::Display for TxId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}.{}", self.coord, self.seq)
+        write!(f, "t{}.{}", self.coord(), self.seq())
     }
 }
+
+impl fmt::Debug for TxId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TxId")
+            .field("coord", &self.coord())
+            .field("seq", &self.seq())
+            .finish()
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<TxId>() == 8);
 
 #[cfg(test)]
 mod tests {
@@ -118,5 +179,67 @@ mod tests {
     fn txid_orders_by_coord_then_seq() {
         assert!(TxId::new(1, 9) < TxId::new(2, 0));
         assert!(TxId::new(1, 1) < TxId::new(1, 2));
+    }
+
+    #[test]
+    fn txid_packed_order_is_lexicographic() {
+        // xorshift64: a fixed pseudo-random sample, with the field
+        // boundaries mixed in.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let edges = [(0, 0), (0, TxId::MAX_SEQ), (TxId::MAX_COORD, 0)];
+        let mut ids: Vec<(u32, u64)> = edges.to_vec();
+        ids.extend((0..500).map(|_| {
+            let r = next();
+            // Half the coordinators are < 4, so equal ones get compared.
+            let coord = if r & 1 == 0 {
+                (r >> 1) as u32 % 4
+            } else {
+                (r >> 40) as u32
+            };
+            (coord, next() & TxId::MAX_SEQ)
+        }));
+        for &a in &ids {
+            for &b in &ids {
+                let (ta, tb) = (TxId::new(a.0, a.1), TxId::new(b.0, b.1));
+                assert_eq!(ta.cmp(&tb), a.cmp(&b), "{a:?} vs {b:?}");
+                assert_eq!((ta.coord(), ta.seq()), a);
+            }
+        }
+    }
+
+    #[test]
+    fn txid_debug_names_its_fields() {
+        assert_eq!(
+            format!("{:?}", TxId::new(3, 7)),
+            "TxId { coord: 3, seq: 7 }"
+        );
+    }
+
+    #[test]
+    fn txid_try_new_rejects_what_new_panics_on() {
+        assert_eq!(
+            TxId::try_new(TxId::MAX_COORD, TxId::MAX_SEQ).map(TxId::code),
+            Some(u64::MAX)
+        );
+        assert_eq!(TxId::try_new(TxId::MAX_COORD + 1, 0), None);
+        assert_eq!(TxId::try_new(0, TxId::MAX_SEQ + 1), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn txid_rejects_wide_coordinator() {
+        let _ = TxId::new(TxId::MAX_COORD + 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted its transaction sequence space")]
+    fn txid_rejects_wide_sequence() {
+        let _ = TxId::new(0, TxId::MAX_SEQ + 1);
     }
 }

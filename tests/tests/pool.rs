@@ -70,13 +70,13 @@ fn keyed_records(cluster: &Cluster, pooled: bool) -> Vec<KeyedRecord> {
         .map(|r: TxnRecord| {
             let pos = pids
                 .iter()
-                .position(|p| p.0 == r.tx.coord)
+                .position(|p| p.0 == r.tx.coord())
                 .expect("record from a known client pid");
             let key = if pooled {
-                let (idx, local_seq) = pool_seq_parts(r.tx.seq);
+                let (idx, local_seq) = pool_seq_parts(r.tx.seq());
                 (pos, idx, local_seq)
             } else {
-                ((pos / CPS), (pos % CPS) as u32, r.tx.seq)
+                ((pos / CPS), (pos % CPS) as u32, r.tx.seq())
             };
             (
                 key,
@@ -153,11 +153,11 @@ fn restarted_client_accounts_for_its_in_flight_transaction() {
         );
         let first = records
             .iter()
-            .find(|r| r.tx.coord == victim.0)
+            .find(|r| r.tx.coord() == victim.0)
             .expect("the victim decided something");
         assert_eq!(
             (
-                pool_seq_parts(first.tx.seq),
+                pool_seq_parts(first.tx.seq()),
                 first.committed,
                 first.cause,
                 first.decided_at
