@@ -8,8 +8,8 @@
 #   ./ci.sh --fast   formatting, clippy, debug tests, doc references — the
 #                    edit-loop tier
 #   ./ci.sh          the full gate: fast tier + release build/tests, then
-#                    the gates (obs_smoke, chaos_smoke, mc_smoke,
-#                    trace_smoke, mega_smoke, bench_selfcheck, perf_gate,
+#                    the seven gates (obs_smoke, chaos_smoke, mc_smoke,
+#                    mega_smoke, bench_selfcheck, perf_gate,
 #                    all_figures --quick) run *concurrently* against the
 #                    release binaries, with per-gate logs replayed in a
 #                    fixed order once all of them finish
@@ -166,11 +166,12 @@ bench_selfcheck() {
         (cd benchmark && cargo test --release --offline)
 }
 
-GATES="obs_smoke chaos_smoke mc_smoke trace_smoke mega_smoke bench_selfcheck perf_gate all_figures"
+GATES="obs_smoke chaos_smoke mc_smoke mega_smoke bench_selfcheck perf_gate all_figures"
+# The breakdown and attribution tables; the invariants behind them are
+# tier-1 tests (tests/tests/trace.rs, crates/harness/tests/breakdown.rs).
 spawn_gate obs_smoke ./target/release/obs_smoke
 spawn_gate chaos_smoke ./target/release/chaos_smoke
 spawn_gate mc_smoke ./target/release/mc_smoke
-spawn_gate trace_smoke ./target/release/trace_smoke
 spawn_gate mega_smoke ./target/release/mega_smoke
 spawn_gate bench_selfcheck bench_selfcheck
 

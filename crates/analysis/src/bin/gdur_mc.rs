@@ -136,7 +136,6 @@ fn main() -> ExitCode {
                 let causal = replay_causal(&cx).expect("rebuild config");
                 let ix = gdur_obs::CausalIndex::build(&causal.trace);
                 let chrome = gdur_obs::export_chrome(&causal.trace, &ix, &causal.actor_names);
-                gdur_obs::validate_json(&chrome).expect("chrome export self-validates");
                 std::fs::write(&out, chrome).expect("write chrome trace");
                 println!(
                     "chrome trace written to {out} \

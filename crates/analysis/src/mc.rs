@@ -243,8 +243,8 @@ pub struct ScheduleOutcome {
     pub violations: Vec<String>,
     /// The observability trace (only when requested).
     pub trace: Vec<ObsEvent>,
-    /// Display name per actor, indexed by process id (`replica p0 @ s0`,
-    /// `client p3 @ s1`, ...), for trace tooling.
+    /// Display name per actor, indexed by process id
+    /// ([`gdur_core::Cluster::actor_names`]), for trace tooling.
     pub actor_names: Vec<String>,
 }
 
@@ -261,15 +261,6 @@ fn run_with_policy(cfg: &McConfig, policy: Policy, trace: Option<TraceHandle>) -
     }
     cluster.run_until_idle();
     let violations = check_invariants(&cfg.spec, &cluster);
-    let topology = cluster.topology();
-    let total_actors = cluster.replica_pids().len() + cluster.client_pids().len();
-    let mut actor_names = vec![String::new(); total_actors];
-    for &p in cluster.replica_pids() {
-        actor_names[p.index()] = format!("replica p{} @ s{}", p.0, topology.site_of(p).0);
-    }
-    for &p in cluster.client_pids() {
-        actor_names[p.index()] = format!("client p{} @ s{}", p.0, topology.site_of(p).0);
-    }
     let mut log = log.lock().expect("mc log poisoned");
     ScheduleOutcome {
         decisions: std::mem::take(&mut log.decisions),
@@ -278,7 +269,7 @@ fn run_with_policy(cfg: &McConfig, policy: Policy, trace: Option<TraceHandle>) -
         explored_branches: log.explored_branches,
         violations,
         trace: trace.map(|t| t.take()).unwrap_or_default(),
-        actor_names,
+        actor_names: cluster.actor_names(),
     }
 }
 

@@ -28,7 +28,7 @@ fn variant(name: &'static str, versioning: Mechanism, choose: ChooseRule) -> Pro
 }
 
 fn main() {
-    let mut scale = gdur_bench::scale_from_args();
+    let mut scale = gdur_bench::scale_from_args(&[]);
     scale.client_sweep = vec![256];
     let clients = 256;
 

@@ -11,7 +11,7 @@
 use std::process::exit;
 
 fn main() {
-    let scale = gdur_bench::scale_from_args();
+    let scale = gdur_bench::scale_from_args(&["--only", "--bless"]);
     let args: Vec<String> = std::env::args().collect();
     let only: Option<Vec<&str>> =
         args.iter()

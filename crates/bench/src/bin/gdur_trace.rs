@@ -29,14 +29,17 @@
 //!   keeps only the lifecycle points of one transaction (non-zero exit if
 //!   it is not in the trace), `--actor` only the events involving one
 //!   process id; the filters compose.
+//!
+//! A flag other than `--tx`, `--clients`, `--chrome` and `--actor` exits 2,
+//! naming it.
 
 use std::io::Write as _;
 use std::process::exit;
 
 use gdur_harness::{run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind};
 use gdur_obs::{
-    critical_path, export_chrome, jsonl, render_attribution_text, tx_span_tree, validate_json,
-    Attribution, CausalIndex, ObsEvent, TraceHandle,
+    critical_path, export_chrome, jsonl, render_attribution_text, tx_span_tree, Attribution,
+    CausalIndex, ObsEvent, TraceHandle,
 };
 use gdur_sim::SimDuration;
 use gdur_store::TxId;
@@ -110,22 +113,25 @@ fn involves(ev: &ObsEvent, pid: u32) -> bool {
     }
 }
 
-/// Positional (non-flag) arguments, skipping the values of value-flags.
-fn positionals(args: &[String]) -> Vec<&str> {
+/// Positional (non-flag) arguments, skipping the values of the flags (all
+/// of which take one); an unknown flag is an error naming it.
+fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
     let mut out = Vec::new();
     let mut skip = false;
     for a in args {
         if skip {
             skip = false;
-            continue;
-        }
-        if matches!(a.as_str(), "--tx" | "--clients" | "--chrome" | "--actor") {
+        } else if matches!(a.as_str(), "--tx" | "--clients" | "--chrome" | "--actor") {
             skip = true;
-        } else if !a.starts_with("--") {
+        } else if a.starts_with("--") {
+            return Err(format!(
+                "unknown flag {a} (supported: --tx, --clients, --chrome, --actor)"
+            ));
+        } else {
             out.push(a.as_str());
         }
     }
-    out
+    Ok(out)
 }
 
 fn usage() -> ! {
@@ -144,16 +150,20 @@ fn main() {
         usage();
     };
     let args = &argv[1..];
+    let positionals = positionals(args).unwrap_or_else(|e| {
+        eprintln!("gdur-trace: {e}");
+        exit(2);
+    });
+    let name = positionals.first().copied().unwrap_or("P-Store");
     let clients: usize = number_flag(args, "--clients", "a client count per site").unwrap_or(4);
     match cmd {
         "tree" => {
             let Some((tx, tx_arg)) = tx_flag(args) else {
                 usage();
             };
-            let name = positionals(args).first().copied().unwrap_or("P-Store");
             let run = run(name, clients);
             let ix = CausalIndex::build(&run.events);
-            let Some(tree) = tx_span_tree(&run.events, &ix, tx) else {
+            let Some(mut tree) = tx_span_tree(&run.events, &ix, tx) else {
                 eprintln!(
                     "gdur-trace: transaction {tx_arg} not found in the {name} trace \
                      ({} transactions traced)",
@@ -161,6 +171,8 @@ fn main() {
                 );
                 exit(1);
             };
+            let id = TxId::from_code(tx);
+            tree.label = format!("txn {}:{}", id.coord(), id.seq());
             print!("{}", tree.render(tree.start));
             if let Some(cp) = critical_path(&run.events, &ix, &run.clients, tx) {
                 println!("\ncritical path ({} ns total):", cp.latency_ns);
@@ -179,10 +191,11 @@ fn main() {
             }
         }
         "attribute" => {
-            let mut names: Vec<&str> = positionals(args);
-            if names.is_empty() {
-                names = vec!["P-Store", "S-DUR", "Walter"];
-            }
+            let names = if positionals.is_empty() {
+                vec!["P-Store", "S-DUR", "Walter"]
+            } else {
+                positionals
+            };
             let mut rows: Vec<(String, Attribution)> = Vec::new();
             for name in names {
                 let run = run(name, clients);
@@ -196,14 +209,9 @@ fn main() {
             let Some(path) = flag_value(args, "--chrome") else {
                 usage();
             };
-            let name = positionals(args).first().copied().unwrap_or("P-Store");
             let run = run(name, clients);
             let ix = CausalIndex::build(&run.events);
             let out = export_chrome(&run.events, &ix, &run.actor_names);
-            if let Err(e) = validate_json(&out) {
-                eprintln!("gdur-trace: chrome export failed self-validation: {e}");
-                exit(1);
-            }
             if let Some(dir) = std::path::Path::new(path).parent() {
                 if !dir.as_os_str().is_empty() {
                     std::fs::create_dir_all(dir).expect("create output dir");
@@ -220,7 +228,6 @@ fn main() {
         "dump" => {
             let tx_filter = tx_flag(args);
             let actor_filter: Option<u32> = number_flag(args, "--actor", "a process id");
-            let name = positionals(args).first().copied().unwrap_or("P-Store");
             let PointRun {
                 point,
                 breakdown,
@@ -238,10 +245,6 @@ fn main() {
                 events.retain(|e| involves(e, pid));
             }
             let trace = jsonl::export(&events);
-            if let Err(e) = jsonl::validate(&trace) {
-                eprintln!("gdur-trace: exported trace violates its schema: {e}");
-                exit(1);
-            }
             // A reader that stops early (`| head`) is not a failure.
             if let Err(e) = std::io::stdout().write_all(trace.as_bytes()) {
                 if e.kind() != std::io::ErrorKind::BrokenPipe {
@@ -258,5 +261,22 @@ fn main() {
             );
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn positionals_skip_flag_values_and_refuse_unknown_flags() {
+        let ok = args(&["S-DUR", "--clients", "8", "--tx", "3:2", "Walter"]);
+        assert_eq!(positionals(&ok), Ok(vec!["S-DUR", "Walter"]));
+        let e = positionals(&args(&["P-Store", "--csv"])).expect_err("unknown flag");
+        assert!(e.contains("--csv"), "{e}");
     }
 }

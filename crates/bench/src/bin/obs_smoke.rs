@@ -1,22 +1,29 @@
-//! CI observability gate: runs a small traced sweep for two Table-2 GC
-//! protocols, validates the exported JSONL trace against its schema, checks
-//! the convoy-effect and abort-partition invariants, and diffs the
-//! phase-breakdown table against the checked-in golden file.
+//! CI observability gate: renders the two tables the paper-style analysis
+//! rests on, for one deployment (workload C, 70 % queries, 3 sites DP,
+//! seed 7), and diffs them against `crates/bench/golden/obs_smoke.txt`:
+//!
+//! * the phase breakdown of P-Store and S-DUR at 2 and 24 clients/site;
+//! * the critical-path attribution of P-Store, S-DUR and Walter at 4
+//!   clients/site — the table `gdur-trace attribute` prints.
+//!
+//! The invariants behind the numbers are tier-1 tests, each asserted in one
+//! place: exact attribution, span trees, Send↔Deliver matching and zero
+//! perturbation in `tests/tests/trace.rs`; the abort partition and the
+//! convoy in `crates/harness/tests/breakdown.rs`; same-seed trace bytes in
+//! `crates/harness/tests/obs_determinism.rs` and `tests/tests/determinism.rs`.
 //!
 //! Usage: `cargo run --release -p gdur-bench --bin obs_smoke [--bless]`
-//! (`--bless` regenerates `crates/bench/golden/obs_smoke.txt`).
-
-use std::process::exit;
+//! (`--bless` regenerates the golden file).
 
 use gdur_harness::{
-    render_breakdown_text, run_point_with, BreakdownRow, Experiment, PlacementKind, PointRun,
-    Scale, WorkloadKind,
+    render_breakdown_text, run_point_with, BreakdownRow, Experiment, PlacementKind, Scale,
+    WorkloadKind,
 };
-use gdur_obs::{jsonl, Phase, TraceHandle};
+use gdur_obs::{render_attribution_text, Attribution, CausalIndex, TraceHandle};
 use gdur_sim::SimDuration;
 
-/// A fixed scale, independent of `--quick`/`--seed`: the rendered table is
-/// diffed byte-for-byte against the golden file.
+/// A fixed scale, independent of `--quick`/`--seed`: the rendered tables
+/// are diffed byte-for-byte against the golden file.
 fn smoke_scale() -> Scale {
     Scale {
         keys_per_partition: 1_000,
@@ -29,54 +36,52 @@ fn smoke_scale() -> Scale {
     }
 }
 
+/// Clients per site of the attribution table (`gdur-trace`'s default).
+const ATTRIBUTION_CLIENTS: usize = 4;
+
+fn experiment(spec: gdur_core::ProtocolSpec) -> Experiment {
+    Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp)
+}
+
 fn main() {
     let scale = smoke_scale();
-    let mut rows: Vec<BreakdownRow> = Vec::new();
 
+    let mut rows: Vec<BreakdownRow> = Vec::new();
     for spec in [gdur_protocols::p_store(), gdur_protocols::s_dur()] {
-        let name = spec.name;
-        let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
+        let exp = experiment(spec);
         for &cps in &scale.client_sweep {
-            let PointRun {
-                breakdown, events, ..
-            } = run_point_with(&exp, &scale, cps, Some(TraceHandle::new()));
-            let trace = jsonl::export(&events);
-            match jsonl::validate(&trace) {
-                Ok(n) => println!("{name} @ {cps} clients/site: {n} trace events, schema ok"),
-                Err(e) => {
-                    eprintln!("obs_smoke: {name} exported an invalid trace: {e}");
-                    exit(1);
-                }
-            }
-            assert_eq!(
-                breakdown.causes_sum(),
-                breakdown.aborted,
-                "{name} @ {cps}: abort causes must partition `aborted`"
-            );
+            let run = run_point_with(&exp, &scale, cps, Some(TraceHandle::new()));
             rows.push(BreakdownRow {
-                label: name.to_string(),
+                label: exp.spec.name.to_string(),
                 clients: cps * exp.sites,
-                breakdown,
+                breakdown: run.breakdown,
             });
-        }
-        // The convoy effect (§6): certification-queue residence grows with
-        // offered load toward the saturation knee.
-        let (lo, hi) = (&rows[rows.len() - 2], &rows[rows.len() - 1]);
-        let (lo_wait, hi_wait) = (
-            lo.breakdown.phase(Phase::QueueWait).mean(),
-            hi.breakdown.phase(Phase::QueueWait).mean(),
-        );
-        if hi_wait <= lo_wait {
-            eprintln!(
-                "obs_smoke: {name}: queue wait did not grow with load \
-                 ({lo_wait:.0} ns @ {} clients vs {hi_wait:.0} ns @ {} clients)",
-                lo.clients, hi.clients
-            );
-            exit(1);
         }
     }
 
-    let table = render_breakdown_text(&rows);
-    println!("\n{table}");
-    gdur_bench::golden::check("obs_smoke", "breakdown table", &table);
+    let mut attributions: Vec<(String, Attribution)> = Vec::new();
+    for spec in [
+        gdur_protocols::p_store(),
+        gdur_protocols::s_dur(),
+        gdur_protocols::walter(),
+    ] {
+        let exp = experiment(spec);
+        let run = run_point_with(
+            &exp,
+            &scale,
+            ATTRIBUTION_CLIENTS,
+            Some(TraceHandle::causal()),
+        );
+        let ix = CausalIndex::build(&run.events);
+        let a = Attribution::collect(&run.events, &ix, &run.clients, run.warm_end);
+        attributions.push((exp.spec.name.to_string(), a));
+    }
+
+    let tables = format!(
+        "{}\n{}",
+        render_breakdown_text(&rows),
+        render_attribution_text(&attributions)
+    );
+    print!("{tables}");
+    gdur_bench::golden::check("obs_smoke", "breakdown and attribution tables", &tables);
 }

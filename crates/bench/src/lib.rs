@@ -26,17 +26,25 @@ pub mod golden;
 use gdur_harness::Scale;
 
 /// Parses the scale flags of the figure binaries: `--quick` selects the
-/// reduced scale; `--seed N` overrides the RNG seed. Exits 2 on a `--seed`
-/// that is not a number.
-pub fn scale_from_args() -> Scale {
+/// reduced scale; `--seed N` overrides the RNG seed. `flags` names the
+/// binary's other flags. Exits 2 on a `--seed` that is not a number and on
+/// a flag that is none of these, naming it.
+pub fn scale_from_args(flags: &[&str]) -> Scale {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_scale(&args).unwrap_or_else(|e| {
+    parse_scale(&args, flags).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     })
 }
 
-fn parse_scale(args: &[String]) -> Result<Scale, String> {
+fn parse_scale(args: &[String], flags: &[&str]) -> Result<Scale, String> {
+    let known = |a: &str| matches!(a, "--quick" | "--seed") || flags.contains(&a);
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
+        return Err(format!(
+            "unknown flag {flag} (supported: --quick, --seed N{})",
+            flags.iter().map(|f| format!(", {f}")).collect::<String>()
+        ));
+    }
     let mut scale = if args.iter().any(|a| a == "--quick") {
         Scale::quick()
     } else {
@@ -55,17 +63,35 @@ fn parse_scale(args: &[String]) -> Result<Scale, String> {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str], flags: &[&str]) -> Result<Scale, String> {
+        parse_scale(
+            &args.iter().map(|a| a.to_string()).collect::<Vec<_>>(),
+            flags,
+        )
+    }
+
     #[test]
     fn default_scale_is_paper() {
-        // Arguments of the test runner contain no --quick.
-        let s = scale_from_args();
+        let s = parse(&[], &[]).expect("valid");
         assert_eq!(s.keys_per_partition, Scale::paper().keys_per_partition);
     }
 
     #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let s = parse(
+            &["--quick", "--only", "fig4", "--bless"],
+            &["--only", "--bless"],
+        );
+        assert_eq!(s.expect("known flags").seed, Scale::quick().seed);
+        let e = parse(&["--quick", "--csv"], &["--only"]).expect_err("unknown");
+        assert!(e.contains("--csv") && e.contains("--only"), "{e}");
+        let e = parse(&["--bless"], &[]).expect_err("not this binary's flag");
+        assert!(e.contains("--bless"), "{e}");
+    }
+
+    #[test]
     fn seed_is_parsed_or_refused_by_name() {
-        let parse =
-            |args: &[&str]| parse_scale(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let parse = |args: &[&str]| parse(args, &[]);
         let s = parse(&["--quick", "--seed", "42"]).expect("valid");
         assert_eq!(s.seed, 42);
         assert_eq!(s.client_sweep, Scale::quick().client_sweep);

@@ -149,22 +149,3 @@ impl ClientSlot {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gdur_obs::{tx_code, MAX_POOL_CLIENTS, MAX_POOL_LOCAL_SEQ};
-
-    /// A transaction id and its trace code are one packing, up to the
-    /// widest pooled sequence and the widest coordinator.
-    #[test]
-    fn txid_code_is_the_trace_tx_code() {
-        assert_eq!(TxId::MAX_COORD, (1 << 24) - 1);
-        let widest = pool_seq(MAX_POOL_CLIENTS - 1, MAX_POOL_LOCAL_SEQ);
-        for coord in [0, 1, TxId::MAX_COORD] {
-            for seq in [0, 1, widest, TxId::MAX_SEQ] {
-                assert_eq!(TxId::new(coord, seq).code(), tx_code(coord, seq));
-            }
-        }
-    }
-}

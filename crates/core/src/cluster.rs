@@ -355,6 +355,25 @@ impl Cluster {
             .map(|pid| self.sim.actor(*pid).as_pool().expect("client pid"))
     }
 
+    /// Display name per actor, indexed by process id — `replica p0 @ s0`,
+    /// `client p3 @ s1`, or `pool p3 @ s1 (N clients)` for a pool of more
+    /// than one — the track names of trace tooling.
+    pub fn actor_names(&self) -> Vec<String> {
+        let topology = self.topology();
+        let mut names = vec![String::new(); self.replica_pids.len() + self.client_pids.len()];
+        for &p in &self.replica_pids {
+            names[p.index()] = format!("replica p{} @ s{}", p.0, topology.site_of(p).0);
+        }
+        for (&p, pool) in self.client_pids.iter().zip(self.pools()) {
+            let site = topology.site_of(p).0;
+            names[p.index()] = match pool.clients() {
+                1 => format!("client p{} @ s{site}", p.0),
+                n => format!("pool p{} @ s{site} ({n} clients)", p.0),
+            };
+        }
+        names
+    }
+
     /// All finished-transaction records across clients (empty when built
     /// with `record_txn_metrics: false`).
     pub fn records(&self) -> Vec<TxnRecord> {

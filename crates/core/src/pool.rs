@@ -19,8 +19,8 @@
 //! (replicas reply to the sender either way) and encodes the client inside
 //! the sequence: `seq = (client_idx << 20) | local_seq` (see
 //! [`gdur_obs::pool_seq`]); a pool of one therefore numbers its
-//! transactions 1, 2, 3, …. The split fits the 40-bit sequence budget of
-//! [`gdur_obs::tx_code`], so replica-side lifecycle trace events stamp
+//! transactions 1, 2, 3, …. The split fits the 40-bit sequence of
+//! [`gdur_store::TxId`], so replica-side lifecycle trace events stamp
 //! transactions collision-free, and it puts the client index in the high
 //! bits so ids order client-major — the same relative order one actor per
 //! client produces pid-major. Both bounds are checked with explicit panics

@@ -306,19 +306,6 @@ pub fn run_point_with(
     let events = trace.map(|t| t.take()).unwrap_or_default();
     let topology = cluster.topology().clone();
     let clients: BTreeSet<ProcessId> = cluster.client_pids().iter().copied().collect();
-    let total_actors = cluster.replica_pids().len() + cluster.client_pids().len();
-    let mut actor_names = vec![String::new(); total_actors];
-    for &p in cluster.replica_pids() {
-        actor_names[p.index()] = format!("replica p{} @ s{}", p.0, topology.site_of(p).0);
-    }
-    for &p in cluster.client_pids() {
-        let site = topology.site_of(p);
-        let pool = cluster.sim().actor(p).as_pool().expect("client pid");
-        actor_names[p.index()] = match pool.clients() {
-            1 => format!("client p{} @ s{}", p.0, site.0),
-            n => format!("pool p{} @ s{} ({n} clients)", p.0, site.0),
-        };
-    }
     PointRun {
         point,
         stats: cluster.sim().stats(),
@@ -327,7 +314,7 @@ pub fn run_point_with(
         breakdown: PhaseBreakdown::from_events(&events, &topology, warm_end),
         events,
         clients,
-        actor_names,
+        actor_names: cluster.actor_names(),
         topology,
     }
 }

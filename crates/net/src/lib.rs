@@ -49,9 +49,11 @@ pub struct Topology {
     lan_delay: SimDuration,
     /// Multiplicative jitter amplitude: actual = base * (1 + U(-j, +j)).
     jitter: f64,
-    /// Link bandwidth in bytes per second (transmission time = size / bw).
-    bandwidth_bytes_per_sec: f64,
 }
+
+/// Link bandwidth in bytes per second (transmission time = size / bw):
+/// 1 GB/s, effectively LAN-class.
+const BANDWIDTH_BYTES_PER_SEC: f64 = 1e9;
 
 impl Topology {
     /// Creates a topology with an explicit inter-site latency matrix.
@@ -72,7 +74,6 @@ impl Topology {
             latency,
             lan_delay,
             jitter,
-            bandwidth_bytes_per_sec: 1e9, // 1 GB/s default, effectively LAN-class
         }
     }
 
@@ -101,17 +102,6 @@ impl Topology {
             }
         }
         Topology::new(latency, SimDuration::from_micros(100), 0.05)
-    }
-
-    /// Sets the modeled link bandwidth (bytes per second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_sec` is not positive.
-    pub fn with_bandwidth(mut self, bytes_per_sec: f64) -> Self {
-        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
-        self.bandwidth_bytes_per_sec = bytes_per_sec;
-        self
     }
 
     /// Overrides the jitter amplitude. `0.0` makes every delay a pure
@@ -278,8 +268,7 @@ impl LatencyModel for GeoLatency {
             1.0
         };
         let propagation = SimDuration::from_nanos((base.as_nanos() as f64 * jitter) as u64);
-        let transmission =
-            SimDuration::from_secs_f64(bytes as f64 / self.topology.bandwidth_bytes_per_sec);
+        let transmission = SimDuration::from_secs_f64(bytes as f64 / BANDWIDTH_BYTES_PER_SEC);
         propagation + transmission
     }
 }
@@ -355,18 +344,14 @@ mod tests {
 
     #[test]
     fn bandwidth_charges_transmission_time() {
-        let mut t = Topology::grid5000(2).with_bandwidth(1e6); // 1 MB/s
+        let mut t = Topology::grid5000(2).with_jitter(0.0);
         t.place(SiteId(0));
         t.place(SiteId(1));
         let geo = GeoLatency::new(t);
         let small = geo.delay(ProcessId(0), ProcessId(1), 0, &mut rng());
         let big = geo.delay(ProcessId(0), ProcessId(1), 1_000_000, &mut rng());
-        // 1 MB at 1 MB/s adds about one second.
-        let added = big.as_nanos().saturating_sub(small.as_nanos());
-        assert!(
-            (900_000_000..1_100_000_000).contains(&added),
-            "transmission time {added}ns not ~1s"
-        );
+        // 1 MB at the fixed 1 GB/s adds exactly one millisecond.
+        assert_eq!(big - small, SimDuration::from_millis(1));
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl Segment {
 /// The blame-assigned critical path of one committed transaction.
 #[derive(Debug, Clone)]
 pub struct CriticalPath {
-    /// The transaction's code ([`crate::tx_code`]).
+    /// The transaction's code (`gdur_store::TxId::code`).
     pub tx: u64,
     /// Measured begin → decide latency in nanoseconds.
     pub latency_ns: u64,

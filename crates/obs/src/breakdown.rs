@@ -217,8 +217,7 @@ impl PhaseBreakdown {
 mod tests {
     use super::*;
     use gdur_sim::ProcessId;
-
-    use crate::event::tx_code;
+    use gdur_store::TxId;
 
     fn point(at_ns: u64, actor: u32, label: &'static str, tx: u64, value: u64) -> ObsEvent {
         ObsEvent::Point {
@@ -240,8 +239,8 @@ mod tests {
 
     #[test]
     fn phases_and_causes_partition() {
-        let a = tx_code(9, 1);
-        let b = tx_code(9, 2);
+        let a = TxId::new(9, 1).code();
+        let b = TxId::new(9, 2).code();
         let events = vec![
             point(0, 9, labels::TXN_BEGIN, a, 0),
             point(100, 9, labels::TXN_SUBMIT, a, 1),
@@ -281,7 +280,7 @@ mod tests {
 
     #[test]
     fn window_excludes_warmup_decisions() {
-        let a = tx_code(9, 1);
+        let a = TxId::new(9, 1).code();
         let events = vec![
             point(0, 9, labels::TXN_BEGIN, a, 0),
             point(10, 9, labels::TXN_SUBMIT, a, 1),
@@ -294,7 +293,7 @@ mod tests {
 
     #[test]
     fn orphans_stay_out_of_the_partition() {
-        let a = tx_code(9, 1);
+        let a = TxId::new(9, 1).code();
         let events = vec![point(
             5,
             1,

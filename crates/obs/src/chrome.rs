@@ -13,9 +13,8 @@
 //!   UI draws the causal arrows between tracks.
 //!
 //! Timestamps are microseconds with nanosecond fractions, rendered with
-//! integer arithmetic so same-seed runs export byte-identical files.
-//! [`validate_json`] is a dependency-free JSON parser used by the CI smoke
-//! gate to prove the export is well-formed without serde.
+//! integer arithmetic so same-seed runs export byte-identical files. The
+//! format is pinned by an exact-bytes test of the writer.
 
 use std::fmt::Write as _;
 
@@ -154,167 +153,6 @@ pub fn export_chrome(events: &[ObsEvent], ix: &CausalIndex, names: &[String]) ->
     out
 }
 
-/// Validates that `text` is one well-formed JSON value — a dependency-free
-/// recursive-descent parser (the workspace builds offline, no serde). Used
-/// by the smoke gate to prove [`export_chrome`] output parses.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos:?}")),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos:?}"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos:?}")),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos:?}")),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos:?}"));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        for i in 1..=4 {
-                            if !b.get(*pos + i).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {pos:?}"));
-                            }
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos:?}")),
-                }
-            }
-            c if c < 0x20 => return Err(format!("raw control byte in string at {pos:?}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("expected digits at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("expected fraction digits at byte {pos:?}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("expected exponent digits at byte {pos:?}"));
-        }
-    }
-    Ok(())
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos:?}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,34 +195,39 @@ mod tests {
                 mid: 6,
                 to: ProcessId(1),
             },
+            ObsEvent::HandleStart {
+                at: t(2_500),
+                actor: ProcessId(1),
+                mid: 6,
+                trigger: trigger::MSG,
+            },
+            ObsEvent::HandleEnd {
+                at: t(2_750),
+                actor: ProcessId(1),
+                mid: 6,
+            },
         ]
     }
 
+    /// The whole document, byte for byte: every `ph` kind the writer emits,
+    /// a track name that needs escaping and an actor beyond `names` (named
+    /// `p<i>`).
     #[test]
     fn export_is_valid_json_with_tracks_spans_and_flows() {
         let events = sample();
         let ix = CausalIndex::build(&events);
-        let names = vec!["replica p0 @ s0".to_string(), "replica p1 @ s0".to_string()];
-        let out = export_chrome(&events, &ix, &names);
-        validate_json(&out).expect("chrome export parses");
-        assert!(out.contains("\"thread_name\""));
-        assert!(out.contains("\"name\":\"replica p0 @ s0\""));
-        assert!(out.contains("\"ph\":\"X\""));
-        assert!(out.contains("\"ts\":1.000,\"dur\":0.500"));
-        assert!(out.contains("\"ph\":\"s\""));
-        assert!(out.contains("\"ph\":\"f\",\"bp\":\"e\""));
-        // Determinism: two exports of the same trace are byte-identical.
-        assert_eq!(out, export_chrome(&events, &ix, &names));
-    }
-
-    #[test]
-    fn validator_accepts_json_and_rejects_garbage() {
-        validate_json("{\"a\":[1,2.5,-3,1e9,true,false,null,\"s\\n\"]}").expect("valid");
-        validate_json("  [ ]  ").expect("empty array");
-        assert!(validate_json("{\"a\":}").is_err());
-        assert!(validate_json("[1,]").is_err());
-        assert!(validate_json("{} extra").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("01abc").is_err());
+        let names = vec!["replica \"p0\" \\ s0\t".to_string()];
+        assert_eq!(
+            export_chrome(&events, &ix, &names),
+            "{\"traceEvents\":[\n\
+             {\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"replica \\\"p0\\\" \\\\ s0\\u0009\"}},\n\
+             {\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"p1\"}},\n\
+             {\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":1.000,\"dur\":0.500,\"cat\":\"handler\",\"name\":\"msg\",\"args\":{\"mid\":5}},\n\
+             {\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":2.500,\"dur\":0.250,\"cat\":\"handler\",\"name\":\"cert\",\"args\":{\"mid\":6}},\n\
+             {\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":1.000,\"s\":\"t\",\"cat\":\"point\",\"name\":\"txn.begin\",\"args\":{\"tx\":42,\"value\":0}},\n\
+             {\"ph\":\"s\",\"pid\":0,\"tid\":0,\"ts\":1.500,\"cat\":\"msg\",\"name\":\"cert\",\"id\":6},\n\
+             {\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":1,\"ts\":2.500,\"cat\":\"msg\",\"name\":\"cert\",\"id\":6}\n\
+             ]}\n"
+        );
     }
 }

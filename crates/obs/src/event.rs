@@ -1,5 +1,5 @@
-//! Trace vocabulary: event labels, the abort-cause taxonomy, transaction
-//! codes, and the shared in-memory trace sink.
+//! Trace vocabulary: event labels, the abort-cause taxonomy, pooled
+//! transaction sequences, and the shared in-memory trace sink.
 
 use std::sync::{Arc, Mutex};
 
@@ -102,11 +102,6 @@ impl AbortCause {
         }
     }
 
-    /// Inverse of [`AbortCause::code`]; unknown codes map to `None`.
-    pub fn from_code(code: u64) -> Option<AbortCause> {
-        AbortCause::ALL.get(code as usize).copied()
-    }
-
     /// Short stable label for reports and metric names.
     pub fn label(self) -> &'static str {
         match self {
@@ -118,42 +113,15 @@ impl AbortCause {
     }
 }
 
-/// Packs a transaction id (coordinator id + per-coordinator sequence) into
-/// the `tx` field of trace events: 24 bits of coordinator over 40 bits of
-/// sequence — the packing of `gdur_store::TxId` itself, whose `code()` is
-/// this word.
-///
-/// # Panics
-///
-/// Panics — an explicit bounds error, never a silent truncation — if
-/// `coord >= 2²⁴` or `seq >= 2⁴⁰`.
-pub fn tx_code(coord: u32, seq: u64) -> u64 {
-    assert!(
-        coord < 1 << 24,
-        "transaction coordinator {coord} out of range (max 2^24 - 1)"
-    );
-    assert!(
-        seq < 1 << 40,
-        "transaction sequence {seq} out of range (max 2^40 - 1)"
-    );
-    ((coord as u64) << 40) | seq
-}
-
-/// Splits a [`tx_code`] back into `(coordinator, sequence)`.
-pub fn tx_parts(code: u64) -> (u32, u64) {
-    ((code >> 40) as u32, code & 0xff_ffff_ffff)
-}
-
 /// Bits of a pooled transaction sequence spent on the per-client local
-/// counter; the remaining high bits of the 40-bit [`tx_code`] sequence
-/// budget carry the client's index inside its pool.
+/// counter; the remaining high bits of `gdur_store::TxId`'s 40-bit
+/// sequence carry the client's index inside its pool.
 pub const POOL_LOCAL_SEQ_BITS: u32 = 20;
 
 /// Maximum clients one aggregated pool actor can address: the pool's
-/// client index and each client's local sequence split the 40-bit
-/// [`tx_code`] sequence budget 20/20, so a pool spans up to 2^20
-/// (1,048,576) clients, each issuing up to 2^20 transactions, without any
-/// trace-event collision.
+/// client index and each client's local sequence split `gdur_store::TxId`'s
+/// 40-bit sequence 20/20, so a pool spans up to 2^20 (1,048,576) clients,
+/// each issuing up to 2^20 transactions, without any trace-event collision.
 pub const MAX_POOL_CLIENTS: u32 = 1 << POOL_LOCAL_SEQ_BITS;
 
 /// Maximum transactions one pooled client can issue (its local sequence
@@ -277,26 +245,14 @@ impl ObsSink for TraceHandle {
 mod tests {
     use super::*;
     use gdur_sim::ProcessId;
+    use gdur_store::TxId;
 
     #[test]
     fn cause_codes_roundtrip() {
+        // `ALL` is in `code()` order: a `txn.abort` value indexes it.
         for c in AbortCause::ALL {
-            assert_eq!(AbortCause::from_code(c.code()), Some(c));
+            assert_eq!(AbortCause::ALL[c.code() as usize], c);
         }
-        assert_eq!(AbortCause::from_code(99), None);
-    }
-
-    #[test]
-    fn tx_codes_are_disjoint_across_coordinators() {
-        assert_ne!(tx_code(1, 5), tx_code(2, 5));
-        assert_ne!(tx_code(1, 5), tx_code(1, 6));
-        assert_eq!(tx_code(3, 9), tx_code(3, 9));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn tx_code_rejects_wide_coordinator() {
-        let _ = tx_code(1 << 24, 0);
     }
 
     #[test]
@@ -310,10 +266,11 @@ mod tests {
 
     #[test]
     fn pool_seq_fits_the_tx_code_budget_without_collisions() {
-        // The widest pooled sequence still round-trips through tx_code:
-        // no pooled transaction can alias another coordinator's events.
+        // The widest pooled sequence still round-trips through the trace
+        // code: no pooled transaction can alias another coordinator's events.
         let widest = pool_seq(MAX_POOL_CLIENTS - 1, MAX_POOL_LOCAL_SEQ);
-        assert_eq!(tx_parts(tx_code(7, widest)), (7, widest));
+        let id = TxId::from_code(TxId::new(7, widest).code());
+        assert_eq!((id.coord(), id.seq()), (7, widest));
         // Client-major ordering: ids order like per-client actor pids do.
         assert!(pool_seq(1, MAX_POOL_LOCAL_SEQ) < pool_seq(2, 1));
     }
@@ -338,7 +295,7 @@ mod tests {
             at: gdur_sim::SimTime::ZERO,
             actor: ProcessId(1),
             label: labels::TXN_BEGIN,
-            tx: tx_code(1, 1),
+            tx: TxId::new(1, 1).code(),
             value: 0,
         });
         assert_eq!(h.len(), 1);

@@ -1,7 +1,7 @@
 //! Fixed-bucket log-linear histograms with nearest-rank quantiles.
 //!
 //! The bucket layout is static (a function of nothing but the recorded
-//! value), so merging, comparing, and snapshotting histograms is exact and
+//! value), so comparing and snapshotting histograms is exact and
 //! bit-identical across same-seed runs: no wall clock, no allocation-order
 //! dependence, no floating-point accumulation on the record path.
 
@@ -76,16 +76,6 @@ impl Histogram {
         self.count += 1;
         self.sum += v as u128;
         self.max = self.max.max(v);
-    }
-
-    /// Adds every sample of `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded samples.
@@ -237,18 +227,5 @@ mod tests {
         single.record(1000);
         assert_eq!(single.quantile(0.5), 1000);
         assert_eq!(single.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1);
-        b.record(100);
-        b.record(2);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 103);
-        assert_eq!(a.max(), 100);
     }
 }

@@ -30,10 +30,10 @@
 //!   its latency on exactly one of {network, straggler, cert-queue,
 //!   service, client-think}; [`Attribution`] aggregates the walks into
 //!   byte-stable per-protocol tables.
-//! * **Export** — [`jsonl`] renders and validates the on-disk trace format
-//!   (schema v2); [`export_chrome`] renders a
-//!   Chrome/Perfetto `trace.json` with one track per actor and flow arrows
-//!   along message edges.
+//! * **Export** — [`jsonl`] renders the on-disk trace format (schema v2);
+//!   [`export_chrome`] renders a Chrome/Perfetto `trace.json` with one
+//!   track per actor and flow arrows along message edges. Each writer is
+//!   pinned by an exact-bytes test.
 //!
 //! Everything here is observation-only: recording draws no virtual time and
 //! no randomness, so attaching a sink cannot perturb a run, and a disabled
@@ -51,10 +51,10 @@ pub use attrib::{
     critical_path, render_attribution_text, Attribution, Blame, CriticalPath, Segment,
 };
 pub use breakdown::{MsgFlow, Phase, PhaseBreakdown};
-pub use chrome::{export_chrome, validate_json};
+pub use chrome::export_chrome;
 pub use event::{
-    labels, pool_seq, pool_seq_parts, tx_code, tx_parts, vote_parts, vote_value, AbortCause,
-    TraceHandle, MAX_POOL_CLIENTS, MAX_POOL_LOCAL_SEQ, POOL_LOCAL_SEQ_BITS,
+    labels, pool_seq, pool_seq_parts, vote_parts, vote_value, AbortCause, TraceHandle,
+    MAX_POOL_CLIENTS, MAX_POOL_LOCAL_SEQ, POOL_LOCAL_SEQ_BITS,
 };
 pub use gdur_sim::{ObsEvent, ObsSink};
 pub use hist::Histogram;

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use gdur_sim::{ObsEvent, ProcessId, SimTime};
 
-use crate::event::{labels, tx_parts};
+use crate::event::labels;
 
 /// One handler invocation reconstructed from its
 /// `HandleStart`/`HandleEnd` bracket.
@@ -276,9 +276,10 @@ impl Span {
 /// Builds the span tree of transaction `tx` from a causal trace, or `None`
 /// if the transaction never began inside the trace.
 ///
-/// The root covers begin → max(decide, last install); its direct children
-/// are the `execute` and `termination` phase spans plus one `install` span
-/// per installing replica. Remote reads and certification votes are
+/// The root, labelled `txn` (`gdur-trace tree` names the transaction),
+/// covers begin → max(decide, last install); its direct children are the
+/// `execute` and `termination` phase spans plus one `install` span per
+/// installing replica. Remote reads and certification votes are
 /// resolved through the message chain (send → deliver → handler), so their
 /// sub-spans carry real network-hop and service intervals, not heuristics.
 pub fn tx_span_tree(events: &[ObsEvent], ix: &CausalIndex, tx: u64) -> Option<Span> {
@@ -313,13 +314,7 @@ pub fn tx_span_tree(events: &[ObsEvent], ix: &CausalIndex, tx: u64) -> Option<Sp
     }
     let (b_at, coord) = begin?;
     let d_at = decide.map(|(at, _)| at);
-    let (coord_seq_c, coord_seq_s) = tx_parts(tx);
-    let mut root = Span::new(
-        format!("txn {coord_seq_c}:{coord_seq_s}"),
-        coord,
-        b_at,
-        d_at.unwrap_or(b_at),
-    );
+    let mut root = Span::new("txn".into(), coord, b_at, d_at.unwrap_or(b_at));
 
     // execute: begin → submit (or decide for transactions that never
     // submitted, e.g. read-only fast paths).

@@ -55,7 +55,7 @@ pub enum ObsEvent {
         actor: ProcessId,
         /// Event kind (see `gdur_obs::labels` for the vocabulary).
         label: &'static str,
-        /// Transaction code (`gdur_obs::tx_code`), or 0 if not txn-scoped.
+        /// Transaction code (`gdur_store::TxId::code`), or 0 if not txn-scoped.
         tx: u64,
         /// Label-specific payload (queue depth, vote, abort-cause code...).
         value: u64,

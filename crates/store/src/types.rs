@@ -70,8 +70,9 @@ impl From<Bytes> for Value {
 }
 
 /// Globally unique transaction identifier: coordinating process + local
-/// sequence number, packed into one word as `coord << 40 | seq` — the
-/// same packing as the trace's `gdur_obs::tx_code`.
+/// sequence number, packed into one word as `coord << 40 | seq`. That word
+/// is also the `tx` field of the transaction's trace events ([`TxId::code`],
+/// [`TxId::from_code`]); no other packing exists.
 ///
 /// The coordinator is the high field, so the derived `Ord` on the word is
 /// `(coord, seq)` lexicographic order.
@@ -133,6 +134,13 @@ impl TxId {
     #[inline]
     pub const fn code(self) -> u64 {
         self.0
+    }
+
+    /// The id a trace event's `tx` field names: the inverse of
+    /// [`TxId::code`]. Every word is an id, so this cannot fail.
+    #[inline]
+    pub const fn from_code(code: u64) -> Self {
+        TxId(code)
     }
 }
 
@@ -209,6 +217,7 @@ mod tests {
                 let (ta, tb) = (TxId::new(a.0, a.1), TxId::new(b.0, b.1));
                 assert_eq!(ta.cmp(&tb), a.cmp(&b), "{a:?} vs {b:?}");
                 assert_eq!((ta.coord(), ta.seq()), a);
+                assert_eq!(TxId::from_code(ta.code()), ta);
             }
         }
     }

@@ -136,17 +136,6 @@ impl Stamp {
             _ => true,
         }
     }
-
-    /// Visibility in a fixed snapshot vector (VTS semantics): version
-    /// `⟨origin, seq⟩` is visible in snapshot `snap` iff
-    /// `seq <= snap[origin]`. Scalar stamps are always visible (TS
-    /// protocols use `choose_last`).
-    pub fn visible_in(&self, snap: &VersionVec) -> bool {
-        match self {
-            Stamp::Ts(_) => true,
-            Stamp::Vec { origin, vec } => vec.get(*origin as usize) <= snap.get(*origin as usize),
-        }
-    }
 }
 
 impl std::fmt::Display for Stamp {
@@ -217,17 +206,6 @@ mod tests {
     fn ts_stamps_vacuously_compatible() {
         assert!(Stamp::Ts(1).compatible(&Stamp::Ts(9)));
         assert!(Stamp::Ts(1).compatible(&vstamp(0, &[5])));
-    }
-
-    #[test]
-    fn vts_visibility() {
-        let snap = VersionVec::from_entries(vec![3, 1]);
-        assert!(vstamp(0, &[3, 0]).visible_in(&snap));
-        assert!(!vstamp(0, &[4, 0]).visible_in(&snap));
-        assert!(
-            vstamp(1, &[9, 1]).visible_in(&snap),
-            "only origin entry matters"
-        );
     }
 
     #[test]

@@ -139,15 +139,3 @@ fn causally_ordered_stamps_are_compatible() {
         assert!(x.compatible(&y) || same_origin);
     }
 }
-
-#[test]
-fn visibility_is_monotone_in_snapshot() {
-    let mut rng = SmallRng::seed_from_u64(11);
-    for _ in 0..CASES {
-        let x = arb_stamp(&mut rng);
-        let (s, t) = (arb_vec(&mut rng), arb_vec(&mut rng));
-        if s.leq(&t) && x.visible_in(&s) {
-            assert!(x.visible_in(&t));
-        }
-    }
-}

@@ -1,10 +1,12 @@
-//! End-to-end randomized (seeded, deterministic) tests: random small
-//! deployments of random protocols must terminate every transaction and
-//! uphold the protocol's claimed criterion.
+//! Randomized (seeded, deterministic) tests: random small deployments of
+//! random protocols must terminate every transaction and uphold the
+//! protocol's claimed criterion, and the read path's snapshot predicate is
+//! monotone.
 
 use gdur_consistency::{CriterionCheck, History};
-use gdur_core::{Cluster, ClusterConfig};
+use gdur_core::{Cluster, ClusterConfig, Snapshot};
 use gdur_store::Placement;
+use gdur_versioning::{Stamp, VersionVec};
 use gdur_workload::{WorkloadSpec, YcsbSource};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -57,4 +59,30 @@ fn any_protocol_any_small_world_is_live_and_correct() {
             panic!("{name} violated {criterion:?} (sites={sites}, dt={dt}, seed={seed}): {v}");
         }
     }
+}
+
+/// A fixed (VTS) snapshot pinned higher admits every version a lower one
+/// admits: `Snapshot::admits` is the predicate the read path filters
+/// versions by.
+#[test]
+fn visibility_is_monotone_in_snapshot() {
+    const DIM: usize = 4;
+    let mut rng = SmallRng::seed_from_u64(11);
+    let vec = |rng: &mut SmallRng| {
+        VersionVec::from_entries((0..DIM).map(|_| rng.gen_range(0u64..16)).collect())
+    };
+    let mut admitted = 0;
+    for _ in 0..256 {
+        let x = Stamp::Vec {
+            origin: rng.gen_range(0u32..DIM as u32),
+            vec: vec(&mut rng),
+        };
+        let s = vec(&mut rng);
+        let t = s.clone().joined(&vec(&mut rng));
+        if Snapshot::fixed(&s).admits(&x) {
+            assert!(Snapshot::fixed(&t).admits(&x), "{x} in {s} but not in {t}");
+            admitted += 1;
+        }
+    }
+    assert!(admitted > 0, "no case exercised the implication");
 }
