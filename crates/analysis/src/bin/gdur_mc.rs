@@ -12,6 +12,10 @@
 //! dumps the violating run's observability trace as jsonl (`--trace`)
 //! and/or as a Chrome/Perfetto trace with one track per actor and flow
 //! arrows along the message edges of the violating schedule (`--chrome`).
+//!
+//! A flag the subcommand does not take, a flag without a value, and a
+//! non-numeric `--seed`, `--budget` or `--random` exit 2, naming the flag
+//! and the value.
 
 use std::process::ExitCode;
 
@@ -52,13 +56,67 @@ fn report(r: &ExploreResult) {
     }
 }
 
+/// The `--flag value` pairs that follow a subcommand's positional
+/// argument; anything but a flag of `known` followed by its value is an
+/// error naming it.
+fn flags<'a>(args: &'a [String], known: &[&str]) -> Result<Vec<(&'a str, &'a str)>, String> {
+    let mut out = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(flag) = it.next() {
+        if !known.contains(&flag) {
+            let what = if flag.starts_with("--") {
+                "unknown flag"
+            } else {
+                "unexpected argument"
+            };
+            return Err(format!("{what} {flag} (supported: {})", known.join(", ")));
+        }
+        let value = it.next().ok_or_else(|| format!("{flag} expects a value"))?;
+        out.push((flag, value));
+    }
+    Ok(out)
+}
+
+/// What `explore` was asked for.
+#[derive(Debug, PartialEq)]
+struct Explore {
+    seed: Option<u64>,
+    budget: u64,
+    random: Option<u64>,
+    out: Option<String>,
+}
+
+fn explore_flags(args: &[String]) -> Result<Explore, String> {
+    let mut e = Explore {
+        seed: None,
+        budget: 500,
+        random: None,
+        out: None,
+    };
+    for (flag, value) in flags(args, &["--budget", "--random", "--seed", "--out"])? {
+        let number = || {
+            value
+                .parse()
+                .map_err(|_| format!("{flag} expects an unsigned integer, got {value:?}"))
+        };
+        match flag {
+            "--seed" => e.seed = Some(number()?),
+            "--budget" => e.budget = number()?,
+            "--random" => e.random = Some(number()?),
+            _ => e.out = Some(value.to_string()),
+        }
+    }
+    Ok(e)
+}
+
+/// A refused command line: exit 2 with the reason.
+fn refuse(e: String) -> ExitCode {
+    eprintln!("gdur-mc: {e}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     match args.first().map(String::as_str) {
         Some("list") => {
             for cfg in configs() {
@@ -81,26 +139,29 @@ fn main() -> ExitCode {
         }
         Some("explore") => {
             let Some(label) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                eprintln!("usage: gdur-mc explore <label> [--budget N] [--random N] [--out FILE]");
+                eprintln!(
+                    "usage: gdur-mc explore <label> [--budget N] [--random N] [--seed S] [--out FILE]"
+                );
                 return ExitCode::FAILURE;
+            };
+            let opts = match explore_flags(&args[2..]) {
+                Ok(opts) => opts,
+                Err(e) => return refuse(e),
             };
             let Some(mut cfg) = configs().into_iter().find(|c| &c.label == label) else {
                 eprintln!("unknown config {label:?}; try `gdur-mc list`");
                 return ExitCode::FAILURE;
             };
-            if let Some(seed) = flag("--seed") {
-                cfg.seed = seed.parse().expect("--seed takes a number");
+            if let Some(seed) = opts.seed {
+                cfg.seed = seed;
             }
-            let budget: u64 = flag("--budget")
-                .map(|v| v.parse().expect("--budget takes a number"))
-                .unwrap_or(500);
-            let result = match flag("--random") {
-                Some(n) => random_walks(&cfg, n.parse().expect("--random takes a number"), 1),
-                None => explore(&cfg, budget),
+            let result = match opts.random {
+                Some(n) => random_walks(&cfg, n, 1),
+                None => explore(&cfg, opts.budget),
             };
             report(&result);
             if let Some(cx) = &result.counterexample {
-                if let Some(path) = flag("--out") {
+                if let Some(path) = opts.out {
                     std::fs::write(&path, cx.to_text()).expect("write counterexample");
                     println!("  counterexample written to {path}");
                 } else {
@@ -111,10 +172,17 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("replay") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: gdur-mc replay <counterexample-file> [--trace FILE]");
+            let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
+                eprintln!(
+                    "usage: gdur-mc replay <counterexample-file> [--trace FILE] [--chrome FILE]"
+                );
                 return ExitCode::FAILURE;
             };
+            let opts = match flags(&args[2..], &["--trace", "--chrome"]) {
+                Ok(opts) => opts,
+                Err(e) => return refuse(e),
+            };
+            let flag = |name: &str| opts.iter().find(|(f, _)| *f == name).map(|(_, v)| *v);
             let text = std::fs::read_to_string(path).expect("read counterexample");
             let cx = Counterexample::parse(&text).expect("parse counterexample");
             let (violations, trace) = replay(&cx).expect("rebuild config");
@@ -126,7 +194,7 @@ fn main() -> ExitCode {
             );
             let jsonl = gdur_obs::jsonl::export(&trace);
             if let Some(out) = flag("--trace") {
-                std::fs::write(&out, jsonl).expect("write trace");
+                std::fs::write(out, jsonl).expect("write trace");
                 println!("trace written to {out}");
             }
             if let Some(out) = flag("--chrome") {
@@ -136,7 +204,7 @@ fn main() -> ExitCode {
                 let causal = replay_causal(&cx).expect("rebuild config");
                 let ix = gdur_obs::CausalIndex::build(&causal.trace);
                 let chrome = gdur_obs::export_chrome(&causal.trace, &ix, &causal.actor_names);
-                std::fs::write(&out, chrome).expect("write chrome trace");
+                std::fs::write(out, chrome).expect("write chrome trace");
                 println!(
                     "chrome trace written to {out} \
                      (load in chrome://tracing or https://ui.perfetto.dev)"
@@ -157,5 +225,41 @@ fn main() -> ExitCode {
             eprintln!("usage: gdur-mc <list|explore|replay> ...");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn bad_flags_are_refused_by_name() {
+        let ok = explore_flags(&args(&["--budget", "10", "--seed", "3", "--out", "cx.txt"]));
+        assert_eq!(
+            ok,
+            Ok(Explore {
+                seed: Some(3),
+                budget: 10,
+                random: None,
+                out: Some("cx.txt".into()),
+            })
+        );
+        assert_eq!(explore_flags(&[]).map(|e| e.budget), Ok(500));
+        let e = explore_flags(&args(&["--budgte", "10"])).expect_err("misspelt");
+        assert!(e.contains("--budgte") && e.contains("--budget"), "{e}");
+        for flag in ["--seed", "--budget", "--random"] {
+            let e = explore_flags(&args(&[flag, "ten"])).expect_err("not a number");
+            assert!(e.contains(flag) && e.contains("\"ten\""), "{e}");
+        }
+        let e = explore_flags(&args(&["--random"])).expect_err("no value");
+        assert!(e.contains("--random"), "{e}");
+        let e = flags(&args(&["--out", "x"]), &["--trace", "--chrome"]).expect_err("explore's");
+        assert!(e.contains("--out"), "{e}");
+        let e = flags(&args(&["stray"]), &["--trace"]).expect_err("positional");
+        assert!(e.contains("stray"), "{e}");
     }
 }

@@ -1,14 +1,19 @@
 //! The certification queue: Algorithm 2's `Q`, the `commute` conflict index
-//! over it, and — under group-communication commitment — the wait graph that
-//! defers a vote until every conflicting predecessor has left `Q`
+//! over it, and — under group-communication commitment — the wait counts
+//! that defer a vote until every conflicting predecessor has left `Q`
 //! (Algorithm 3, line 3: the convoy effect).
 //!
 //! Everything is addressed by dense **delivery tickets**: each delivered
 //! transaction takes the next `u64`. Queue entries live in one `VecDeque`
-//! indexed by `ticket - head`, each key bucket keeps its reader and writer
-//! tickets in ascending order, and a wait edge is one `Vec::push` on the
-//! blocker's slot. The cost per conflict edge is O(1) with no map lookup,
-//! which is what keeps host time flat when the queue is thousands deep.
+//! indexed by `ticket - head`, and each key bucket keeps its reader and
+//! writer tickets in ascending order. No wait edge is stored: a slot counts
+//! its distinct blockers, and a leaving head recomputes its waiters from
+//! the buckets of its keys, scanning the deques `enqueue` would have
+//! scanned from the other side. That is exact because `Q` is left in
+//! delivery order: every ticket still registered when the head leaves is
+//! later than it and was enqueued while it was queued, so it counted the
+//! head iff it appears there. Certifier memory grows with the queue, not
+//! with its conflict edges, and no conflict edge costs a map lookup.
 //!
 //! Two shapes share the index. With `fifo` (group communication)
 //! transactions leave in delivery order and waiters are woken; without it
@@ -31,13 +36,12 @@ struct Slot {
     tx: TxId,
     /// Conflicting predecessors still queued.
     blocked_by: usize,
-    /// Later tickets whose vote waits for this one to leave, in delivery
-    /// order.
-    waiters: Vec<Ticket>,
     /// Ticket of the last enqueue that counted this slot as a blocker:
     /// a slot reached through several keys is counted once.
     mark: Ticket,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
 
 /// Queued accessors of one key, ascending by ticket.
 #[derive(Debug, Default)]
@@ -150,7 +154,7 @@ impl Certifier {
 
     /// Delivers `payload`: takes the next ticket, finds the queued
     /// transactions it does not commute with, and registers it. With `fifo`
-    /// it is appended to `Q` and a wait edge is recorded on every blocker.
+    /// it is appended to `Q` with the number of distinct blockers.
     pub(crate) fn enqueue(&mut self, payload: &TermPayload) -> Enqueued {
         let ticket = self.next;
         self.next += 1;
@@ -174,7 +178,6 @@ impl Certifier {
                     let slot = &mut self.slots[(other - self.head) as usize];
                     if slot.mark != ticket {
                         slot.mark = ticket;
-                        slot.waiters.push(ticket);
                         blocked_by += 1;
                     }
                 }
@@ -190,7 +193,6 @@ impl Certifier {
             self.slots.push_back(Slot {
                 tx: payload.tx,
                 blocked_by,
-                waiters: Vec::new(),
                 mark: ticket,
             });
             conflict = blocked_by > 0;
@@ -223,13 +225,15 @@ impl Certifier {
     }
 
     /// `ticket` (whose payload this is) terminated: drops it from the index
-    /// and, with `fifo`, from the head of `Q`. Returns its waiters in
+    /// and, with `fifo`, from the head of `Q`. Returns its waiters — the
+    /// registered tickets it does not commute with, all later than it — in
     /// delivery order; the caller passes each to [`Certifier::unblock`] and
     /// casts the vote of a transaction that returns *before* unblocking the
     /// next, because that vote may terminate — and so remove — further
     /// queue entries.
     pub(crate) fn leave(&mut self, ticket: Ticket, payload: &TermPayload) -> Vec<Ticket> {
         self.load_footprint(payload);
+        let mut waiters = Vec::new();
         for &(key, read, wrote) in &self.footprint {
             let bucket = self
                 .buckets
@@ -241,6 +245,16 @@ impl Certifier {
             if wrote {
                 Self::remove(&mut bucket.writers, ticket);
             }
+            if self.fifo {
+                // The mirror image of `enqueue`'s scan.
+                let (scan_readers, scan_writers) = Self::scans(self.commute, read, wrote);
+                if scan_readers {
+                    waiters.extend(&bucket.readers);
+                }
+                if scan_writers {
+                    waiters.extend(&bucket.writers);
+                }
+            }
             if bucket.readers.is_empty() && bucket.writers.is_empty() {
                 self.buckets.remove(&key);
             }
@@ -249,9 +263,13 @@ impl Certifier {
             return Vec::new();
         }
         assert_eq!(ticket, self.head, "Q is left in delivery order");
-        let slot = self.slots.pop_front().expect("the head is queued");
+        self.slots.pop_front().expect("the head is queued");
         self.head += 1;
-        slot.waiters
+        // Ascending runs, one per scanned deque; a waiter met through
+        // several keys or both deques of one is woken once.
+        waiters.sort();
+        waiters.dedup();
+        waiters
     }
 
     /// Removes `ticket` from an ascending deque. In delivery-order leaving
@@ -482,10 +500,14 @@ mod tests {
     }
 
     /// The same over the certifier, shaped like `Replica::process_queue`.
+    /// Every `leave`, nested ones included, must return the reference's
+    /// wait edges of the leaving transaction (`waiters`, as they stood
+    /// before the reference drained) as tickets, in delivery order.
     fn drain_certifier(
         c: &mut Certifier,
         payloads: &BTreeMap<TxId, TermPayload>,
         tickets: &BTreeMap<TxId, Ticket>,
+        waiters: &BTreeMap<TxId, Vec<TxId>>,
         decided: &mut BTreeSet<TxId>,
         wakes: &mut Vec<TxId>,
     ) {
@@ -493,26 +515,21 @@ mod tests {
             if !decided.contains(&head) {
                 break;
             }
-            for w in c.leave(tickets[&head], &payloads[&head]) {
+            let left = c.leave(tickets[&head], &payloads[&head]);
+            let expected: Vec<Ticket> = waiters
+                .get(&head)
+                .map_or(Vec::new(), |ws| ws.iter().map(|w| tickets[w]).collect());
+            assert_eq!(left, expected, "waiters of {head}");
+            for w in left {
                 if let Some(tx) = c.unblock(w) {
                     wakes.push(tx);
                     if decides_on_vote(tx) {
                         decided.insert(tx);
-                        drain_certifier(c, payloads, tickets, decided, wakes);
+                        drain_certifier(c, payloads, tickets, waiters, decided, wakes);
                     }
                 }
             }
         }
-    }
-
-    /// The blockers `enqueue` just registered for `ticket`, read back from
-    /// the wait edges.
-    fn blockers_of(c: &Certifier, ticket: Ticket) -> BTreeSet<TxId> {
-        c.slots
-            .iter()
-            .filter(|s| s.waiters.contains(&ticket))
-            .map(|s| s.tx)
-            .collect()
     }
 
     #[test]
@@ -534,9 +551,8 @@ mod tests {
                     if next_seq < 150 && rng.gen_bool(if step < 150 { 0.7 } else { 0.3 }) {
                         let p = random_payload(&mut rng, next_seq);
                         next_seq += 1;
-                        let expected: BTreeSet<TxId> = reference.deliver(&p).into_iter().collect();
+                        let expected = reference.deliver(&p);
                         let got = certifier.enqueue(&p);
-                        assert_eq!(blockers_of(&certifier, got.ticket), expected);
                         assert_eq!(got.conflict, !expected.is_empty());
                         assert_eq!(certifier.is_blocked(got.ticket), !expected.is_empty());
                         tickets.insert(p.tx, got.ticket);
@@ -548,11 +564,13 @@ mod tests {
                         decided_r.insert(tx);
                         decided_c.insert(tx);
                     }
+                    let waiters = reference.waiters.clone();
                     drain_reference(&mut reference, &payloads, &mut decided_r, &mut wakes_r);
                     drain_certifier(
                         &mut certifier,
                         &payloads,
                         &tickets,
+                        &waiters,
                         &mut decided_c,
                         &mut wakes_c,
                     );
@@ -563,11 +581,13 @@ mod tests {
                     decided_r.insert(tx);
                     decided_c.insert(tx);
                 }
+                let waiters = reference.waiters.clone();
                 drain_reference(&mut reference, &payloads, &mut decided_r, &mut wakes_r);
                 drain_certifier(
                     &mut certifier,
                     &payloads,
                     &tickets,
+                    &waiters,
                     &mut decided_c,
                     &mut wakes_c,
                 );
@@ -687,9 +707,37 @@ mod tests {
         // Another read-modify-write of the key meets t0 in both deques.
         let other = payload(1, &[7], &[7]);
         let t1 = c.enqueue(&other).ticket;
-        assert_eq!(c.slots[0].waiters, [t1]);
         assert_eq!(c.slots[1].blocked_by, 1);
+        // Recomputed from both deques at leave, t1 is still listed once.
         assert_eq!(c.leave(t0, &rmw), vec![t1]);
         assert_eq!(c.unblock(t1), Some(other.tx));
+    }
+
+    /// One writer, then ten thousand readers of its key: each reader has
+    /// the writer as its only blocker, and the readers commute.
+    #[test]
+    fn a_hot_key_convoy_wakes_every_reader_once() {
+        let mut c = Certifier::new(CommuteRule::ReadWriteDisjoint, true);
+        let writer = payload(0, &[], &[5]);
+        let w = c.enqueue(&writer).ticket;
+        let readers: Vec<(Ticket, TermPayload)> = (1..=10_000)
+            .map(|seq| {
+                let p = payload(seq, &[5], &[]);
+                let got = c.enqueue(&p);
+                assert!(got.conflict);
+                (got.ticket, p)
+            })
+            .collect();
+        let waiters = c.leave(w, &writer);
+        assert!(waiters.iter().eq(readers.iter().map(|(t, _)| t)));
+        for (t, p) in &readers {
+            assert_eq!(c.unblock(*t), Some(p.tx));
+            assert!(!c.is_blocked(*t));
+        }
+        for (t, p) in &readers {
+            assert!(c.leave(*t, p).is_empty());
+        }
+        assert_eq!(c.len(), 0);
+        assert!(c.buckets.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self and inclusive share of samples per physical function.
 
-usage: symbolize.py [--top N] hostprof.out...    (N defaults to 25)
+usage: symbolize.py [--top N] [--under NAME] hostprof.out...    (N defaults to 25)
 
 A sample counts as *self* time of the function holding its instruction
 pointer and as *inclusive* time of every distinct function on its frame
@@ -11,13 +11,16 @@ stripped of its static symbol table (libc) still exports a dynamic one
 (`nm -D`): its code is charged to the nearest exported symbol below the
 address, printed `[libc.so.6]~malloc` — a region, not a function, since the
 static functions in between carry no name. Several files — repetitions of
-one run — are added up.
+one run — are added up. `--under NAME` keeps only the samples with a
+function whose name contains NAME on their chain, cut above it: the
+inclusive table then splits that function's samples by what it called.
 """
 import bisect, collections, functools, os, re, subprocess, sys
 
 args = sys.argv[1:]
 top = int(args.pop(args.index("--top") + 1)) if "--top" in args else 25
-paths = [a for a in args if a != "--top"]
+under = args.pop(args.index("--under") + 1) if "--under" in args else None
+paths = [a for a in args if a not in ("--top", "--under")]
 
 @functools.lru_cache(maxsize=None)
 def symbols(obj):
@@ -60,13 +63,18 @@ for path in paths:
         pcs = [int(x, 16) for x in line.split()]
         if not pcs:
             continue
-        total += 1
         # A return address points past its call; step back into the caller.
         chain = [function(pcs[0])] + [function(pc - 1) for pc in pcs[1:]]
+        if under:
+            cut = next((i for i, f in enumerate(chain) if under in f), None)
+            if cut is None:
+                continue
+            chain = chain[: cut + 1]
+        total += 1
         self_n[chain[0]] += 1
         incl_n.update(set(chain))
 
-print(f"{total} samples from {len(paths)} file(s)")
+print(f"{total} samples from {len(paths)} file(s)" + (f" under {under}" if under else ""))
 for title, counts in (("self", self_n), ("inclusive", incl_n)):
     print(f"\n{title:>9}  samples  function")
     for name, n in counts.most_common(top):
