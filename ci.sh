@@ -39,14 +39,16 @@ step() {
 }
 
 # docs_check: every crates/…, tests/…, examples/…, tools/… path and every
-# `--bin NAME` / `--bench NAME` written in README.md, DESIGN.md or
-# EXPERIMENTS.md exists; a miss is printed as `file:line:text`. A path is
-# read up to its first character outside [A-Za-z0-9_./-], so globs and
-# `:line` suffixes check their directory or file; a `path/to/file.rs::name`
-# reference also needs `fn name` in that file. Then `refs_check`.
+# `--bin NAME` / `--bench NAME` written in the documents of $DOCS exists;
+# a miss is printed as `file:line:text`. A path is read up to its first
+# character outside [A-Za-z0-9_./-], so globs and `:line` suffixes check
+# their directory or file; a `path/to/file.rs::name` reference also needs
+# `fn name` in that file. Then `refs_check`.
+DOCS="README.md DESIGN.md EXPERIMENTS.md tools/hostprof/README.md"
+
 docs_check() {
     _missing=0
-    for _doc in README.md DESIGN.md EXPERIMENTS.md; do
+    for _doc in $DOCS; do
         for _path in $(grep -oE '\b(crates|tests|examples|tools)/[A-Za-z0-9_./-]+' "$_doc" |
             sed 's/[.-]*$//' | sort -u); do
             [ -e "$_path" ] && continue
@@ -70,7 +72,7 @@ docs_check() {
     return $_missing
 }
 
-# refs_check: in the three documents and in the `//` and `#[ignore = "…"]`
+# refs_check: in the four documents and in the `//` and `#[ignore = "…"]`
 # text under crates/ tests/ examples/, every `ROADMAP item N` names an item
 # of ROADMAP.md (a `### Item N` heading or an `Item N (…)` tombstone) and
 # every `DESIGN.md §x.y` a numbered heading of DESIGN.md. `ROADMAP 4(b)`-style
@@ -78,7 +80,7 @@ docs_check() {
 # issues are not kept) and fail; a miss is printed as `file:line: reference`.
 refs_check() {
     {
-        grep -nH '' README.md DESIGN.md EXPERIMENTS.md
+        grep -nH '' $DOCS
         grep -rnE '//|#\[ignore' crates tests examples --include='*.rs'
     } | awk \
         -v items="$(grep -oE '(^### |\b)Item [0-9]+ [—(]' ROADMAP.md | grep -oE '[0-9]+' | tr '\n' ' ')" \

@@ -11,26 +11,35 @@
 //! * **no fractured reads** — no transaction observes half of another
 //!   transaction's writes (required by all criteria above RC);
 //! * **first-committer-wins** — per-key version sequences are contiguous
-//!   and every committed write supersedes exactly the version it read
-//!   (the write-write safety of the SI family);
+//!   and every committed write installs the version right after the last
+//!   one its transaction read of that key, so no version is superseded
+//!   twice (the write-write safety of the SI family);
 //! * **(update) serializability** — the direct serialization graph over
 //!   (update) transactions is acyclic;
 //! * **replica agreement** — in disaster-tolerant placements, both
 //!   replicas of a partition install the same version sequence.
+//!
+//! A [`History`] copies nothing per transaction: its transactions are a
+//! view over the coordinators' outcome logs, and its one index is a flat
+//! version table sorted by (key, seq), with a permutation by writer.
 //!
 //! The monotonicity distinctions between SI, PSI and NMSI (which of the
 //! paper's snapshot criteria admit non-monotonic snapshots) are not
 //! decidable from these records alone and are documented as out of scope
 //! in DESIGN.md.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use gdur_core::Cluster;
+use gdur_core::{Cluster, InstallEvent, OutcomeLog};
 use gdur_net::SiteId;
 use gdur_store::{Key, TxId};
 
-/// A recorded, committed (or aborted) transaction with resolved versions.
-#[derive(Debug, Clone)]
+#[cfg(test)]
+mod reference;
+#[cfg(test)]
+mod tests;
+
+/// A recorded, committed (or aborted) transaction: a view into its
+/// coordinator's outcome log.
+#[derive(Debug, Clone, Copy)]
 pub struct HistoryTxn<'a> {
     /// Transaction id.
     pub tx: TxId,
@@ -40,29 +49,67 @@ pub struct HistoryTxn<'a> {
     pub read_only: bool,
     /// Site of the coordinator (the replica whose outcome log holds it).
     pub site: SiteId,
-    /// Reads: key → per-key sequence observed, borrowed from the
-    /// coordinator's outcome log.
+    /// Reads: key → per-key sequence observed, in read order.
     pub reads: &'a [(Key, u64)],
-    /// Writes: key → per-key sequence *installed* (resolved from replica
-    /// install events; `None` if the install record is missing). Empty,
-    /// and unallocated, for queries.
-    pub writes: Vec<(Key, Option<u64>)>,
+    /// Written keys, in write order; empty for a query. The version each
+    /// one installed is [`History::installed`].
+    pub writes: &'a [Key],
 }
 
-// One per decided transaction of the run: a field added here is paid
-// 10⁵ times on a benchmark workload.
-const _: () = assert!(std::mem::size_of::<HistoryTxn<'static>>() <= 56);
+// Yielded by value for every decided transaction of the run.
+const _: () = assert!(std::mem::size_of::<HistoryTxn<'static>>() <= 48);
 
-/// A full recorded execution. It borrows the replicas' outcome logs
-/// ([`gdur_core::Replica::outcomes`]) for the read sets, so it lives no
-/// longer than the [`Cluster`] it was taken from.
+/// An installed version: key, per-key sequence, writer.
+type Version = (Key, u64, TxId);
+
+// One per version installed in the run.
+const _: () = assert!(std::mem::size_of::<Version>() <= 24);
+
+/// The terminated transactions of a [`History`]: the sites' outcome logs,
+/// borrowed, read in coordinator-site order, then in decision order.
+#[derive(Debug, Clone, Default)]
+pub struct Txns<'a> {
+    logs: Vec<&'a OutcomeLog>,
+}
+
+impl<'a> Txns<'a> {
+    /// Number of terminated transactions.
+    pub fn len(&self) -> usize {
+        self.logs.iter().map(|log| log.len()).sum()
+    }
+
+    /// True if no transaction terminated.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every terminated transaction.
+    pub fn iter(&self) -> impl Iterator<Item = HistoryTxn<'a>> + '_ {
+        self.logs.iter().zip(0..).flat_map(|(&log, s)| {
+            log.iter().map(move |o| HistoryTxn {
+                tx: o.tx,
+                committed: o.committed,
+                read_only: o.writes.is_empty(),
+                site: SiteId(s),
+                reads: o.reads,
+                writes: o.writes,
+            })
+        })
+    }
+}
+
+/// A full recorded execution. It borrows the outcome logs and install
+/// records it was built from, so it lives no longer than they do — for
+/// [`History::from_cluster`], no longer than the [`Cluster`].
 #[derive(Debug, Clone, Default)]
 pub struct History<'a> {
     /// All terminated transactions.
-    pub txns: Vec<HistoryTxn<'a>>,
-    /// Version table: (key, seq) → writer. Where replicas disagree, the
-    /// writer installed at the lowest site.
-    pub versions: BTreeMap<(Key, u64), TxId>,
+    pub txns: Txns<'a>,
+    /// Every installed version, sorted by (key, seq), one writer each:
+    /// where replicas disagree, the one installed first in site order.
+    versions: Vec<Version>,
+    /// Indices into `versions`, sorted by (writer, key, seq).
+    by_writer: Vec<u32>,
     /// Every (key, seq) for which two replicas installed different writers.
     pub divergent: Vec<Divergence>,
 }
@@ -199,74 +246,125 @@ impl std::fmt::Display for Violation {
 }
 
 impl<'a> History<'a> {
-    /// Extracts the history of a finished run (requires the cluster to
-    /// have been built with `record_history = true`). Read sets are
-    /// borrowed from the replicas' outcome logs, not copied.
-    pub fn from_cluster(cluster: &'a Cluster) -> History<'a> {
-        let sites = cluster.placement().sites();
-        let replica = |s: usize| cluster.replica(SiteId(s as u16));
-        let mut versions: BTreeMap<(Key, u64), TxId> = BTreeMap::new();
-        let mut divergent = Vec::new();
-        for s in 0..sites {
-            for ev in replica(s).installs() {
-                let first = *versions.entry((ev.key, ev.seq)).or_insert(ev.tx);
-                if first != ev.tx {
-                    // Rare enough to look the first installer up again.
-                    let first_site = (0..=s).find(|p| {
-                        let mut installs = replica(*p).installs().iter();
-                        installs.any(|e| (e.key, e.seq, e.tx) == (ev.key, ev.seq, first))
-                    });
-                    divergent.push(Divergence {
-                        key: ev.key,
-                        seq: ev.seq,
-                        first: (SiteId(first_site.expect("installed earlier") as u16), first),
-                        second: (SiteId(s as u16), ev.tx),
-                    });
-                }
-            }
+    /// The history of a run from each site's records, in site order: the
+    /// outcome log of the replica there and the installs it recorded.
+    pub fn new(
+        sites: impl IntoIterator<Item = (&'a OutcomeLog, &'a [InstallEvent])>,
+    ) -> History<'a> {
+        let (logs, installs): (Vec<&'a OutcomeLog>, Vec<&'a [InstallEvent]>) =
+            sites.into_iter().unzip();
+        let mut versions: Vec<Version> =
+            Vec::with_capacity(installs.iter().map(|site| site.len()).sum());
+        for e in installs.iter().flat_map(|site| site.iter()) {
+            versions.push((e.key, e.seq, e.tx));
         }
-        // (writer, key, seq) for resolving writes, sorted: a writer's
-        // installs of one key are contiguous, the lowest sequence first.
-        let mut installed: Vec<(TxId, Key, u64)> = versions
-            .iter()
-            .map(|(&(key, seq), &tx)| (tx, key, seq))
-            .collect();
-        installed.sort_unstable();
-        let installed_seq = |tx: TxId, key: Key| {
-            let i = installed.partition_point(|&(t, k, _)| (t, k) < (tx, key));
-            installed
-                .get(i)
-                .filter(|&&(t, k, _)| (t, k) == (tx, key))
-                .map(|&(_, _, seq)| seq)
-        };
-        let logged = (0..sites).map(|s| replica(s).outcomes().len()).sum();
-        let mut txns = Vec::with_capacity(logged);
-        for s in 0..sites {
-            let site = SiteId(s as u16);
-            for rec in replica(s).outcomes() {
-                txns.push(HistoryTxn {
-                    tx: rec.tx,
-                    committed: rec.committed,
-                    read_only: rec.writes.is_empty(),
-                    site,
-                    reads: rec.reads,
-                    writes: (rec.writes.iter())
-                        .map(|&k| (k, installed_seq(rec.tx, k)))
-                        .collect(),
-                });
-            }
-        }
+        versions.sort_unstable();
+        versions.dedup();
+        let divergent = keep_first_installers(&mut versions, &installs);
+        versions.shrink_to_fit();
+        let entries = u32::try_from(versions.len()).expect("version table past 2^32 entries");
+        let mut by_writer: Vec<u32> = (0..entries).collect();
+        by_writer.sort_unstable_by_key(|&v| {
+            let (key, seq, tx) = versions[v as usize];
+            (tx, key, seq)
+        });
         History {
-            txns,
+            txns: Txns { logs },
             versions,
+            by_writer,
             divergent,
         }
     }
 
+    /// Extracts the history of a finished run (requires the cluster to
+    /// have been built with `record_history = true`).
+    pub fn from_cluster(cluster: &'a Cluster) -> History<'a> {
+        History::new((0..cluster.placement().sites()).map(|s| {
+            let replica = cluster.replica(SiteId(s as u16));
+            (replica.outcomes(), replica.installs())
+        }))
+    }
+
     /// Committed transactions.
-    pub fn committed(&self) -> impl Iterator<Item = &HistoryTxn<'a>> {
+    pub fn committed(&self) -> impl Iterator<Item = HistoryTxn<'a>> + '_ {
         self.txns.iter().filter(|t| t.committed)
     }
+
+    /// The transaction that installed `key`@`seq`, if one did.
+    pub fn writer(&self, key: Key, seq: u64) -> Option<TxId> {
+        let i = self
+            .versions
+            .partition_point(|&(k, s, _)| (k, s) < (key, seq));
+        let &(k, s, tx) = self.versions.get(i)?;
+        ((k, s) == (key, seq)).then_some(tx)
+    }
+
+    /// The sequence `tx` installed `key` at — the lowest, if several.
+    pub fn installed(&self, tx: TxId, key: Key) -> Option<u64> {
+        let i = self.by_writer.partition_point(|&v| {
+            let (k, _, t) = self.versions[v as usize];
+            (t, k) < (tx, key)
+        });
+        let &(k, seq, t) = self.versions.get(*self.by_writer.get(i)? as usize)?;
+        ((t, k) == (tx, key)).then_some(seq)
+    }
+
+    /// `tx`'s installs, in (key, seq) order.
+    fn installs_of(&self, tx: TxId) -> impl Iterator<Item = Version> + '_ {
+        let from = self
+            .by_writer
+            .partition_point(|&v| self.versions[v as usize].2 < tx);
+        self.by_writer[from..]
+            .iter()
+            .map(|&v| self.versions[v as usize])
+            .take_while(move |v| v.2 == tx)
+    }
+}
+
+/// Leaves one writer per (key, seq) in the sorted, deduplicated `versions`:
+/// the one installed first in site order, then install order. Returns each
+/// later install of another writer as a divergence, in that order.
+fn keep_first_installers(
+    versions: &mut Vec<Version>,
+    installs: &[&[InstallEvent]],
+) -> Vec<Divergence> {
+    // Every (key, seq) with two writers or more. Rare, and so is the pass.
+    let mut contested: Vec<(Key, u64)> = versions
+        .windows(2)
+        .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        .map(|w| (w[0].0, w[0].1))
+        .collect();
+    if contested.is_empty() {
+        return Vec::new();
+    }
+    contested.dedup();
+    // Each contested version's first installer, once the pass has met it.
+    let mut first: Vec<Option<(SiteId, TxId)>> = vec![None; contested.len()];
+    let mut divergent = Vec::new();
+    for (site, site_installs) in (0..).map(SiteId).zip(installs) {
+        for e in site_installs.iter() {
+            let Ok(i) = contested.binary_search(&(e.key, e.seq)) else {
+                continue;
+            };
+            match first[i] {
+                None => first[i] = Some((site, e.tx)),
+                Some(f) if f.1 != e.tx => divergent.push(Divergence {
+                    key: e.key,
+                    seq: e.seq,
+                    first: f,
+                    second: (site, e.tx),
+                }),
+                Some(_) => {}
+            }
+        }
+    }
+    versions.retain(
+        |&(key, seq, tx)| match contested.binary_search(&(key, seq)) {
+            Ok(i) => first[i].is_some_and(|(_, writer)| writer == tx),
+            Err(_) => true,
+        },
+    );
+    divergent
 }
 
 pub use gdur_core::Criterion;
@@ -316,13 +414,9 @@ impl CriterionCheck for Criterion {
 /// version.
 pub fn check_read_committed(h: &History) -> Result<(), Violation> {
     for t in h.committed() {
-        for (key, seq) in t.reads {
-            if *seq != 0 && !h.versions.contains_key(&(*key, *seq)) {
-                return Err(Violation::DirtyRead {
-                    tx: t.tx,
-                    key: *key,
-                    seq: *seq,
-                });
+        for &(key, seq) in t.reads {
+            if seq != 0 && h.writer(key, seq).is_none() {
+                return Err(Violation::DirtyRead { tx: t.tx, key, seq });
             }
         }
     }
@@ -343,51 +437,74 @@ pub fn check_replica_agreement(h: &History) -> Result<(), Violation> {
 /// scale: instead of testing each reader against every writer (quadratic),
 /// only writers installing ≥ 2 keys can fracture a read, and only those
 /// sharing ≥ 2 keys with the reader's read set need the seen/missed test.
-/// A key → multi-key-writers index makes the candidate set per reader
-/// proportional to the contention on its read keys, not to the history.
+/// A sorted (key, multi-key writer) index makes the candidate set per
+/// reader proportional to the contention on its read keys, not to the
+/// history. A reader's last read of a key counts, and a writer's highest
+/// install of it.
 pub fn check_no_fractured_reads(h: &History) -> Result<(), Violation> {
-    // writer → its installed writes.
-    let mut writes_of: BTreeMap<TxId, BTreeMap<Key, u64>> = BTreeMap::new();
-    for ((key, seq), tx) in &h.versions {
-        writes_of.entry(*tx).or_default().insert(*key, *seq);
-    }
-    // key → writers that installed this key *and* at least one other.
-    let mut multi_writers: BTreeMap<Key, Vec<TxId>> = BTreeMap::new();
-    for (tx, ws) in &writes_of {
-        if ws.len() >= 2 {
-            for key in ws.keys() {
-                multi_writers.entry(*key).or_default().push(*tx);
+    // (key, writer) for every writer that installed this key *and* at
+    // least one other.
+    let mut multi_writers: Vec<(Key, TxId)> = Vec::new();
+    let writer_of = |v: u32| h.versions[v as usize].2;
+    for installs in h.by_writer.chunk_by(|&a, &b| writer_of(a) == writer_of(b)) {
+        let key_of = |v: u32| h.versions[v as usize].0;
+        if key_of(installs[0]) == key_of(installs[installs.len() - 1]) {
+            continue;
+        }
+        for &v in installs {
+            let (key, _, tx) = h.versions[v as usize];
+            if multi_writers.last() != Some(&(key, tx)) {
+                multi_writers.push((key, tx));
             }
         }
     }
+    multi_writers.sort_unstable();
+    // Per reader, reused: its last read of each key, by key, and the
+    // multi-key writers of those keys, once per key they share.
+    let mut read_map: Vec<(Key, u64)> = Vec::new();
+    let mut candidates: Vec<TxId> = Vec::new();
     for t in h.committed() {
-        let read_map: BTreeMap<Key, u64> = t.reads.iter().copied().collect();
-        // candidate writer → number of keys both read by t and written by it.
-        let mut overlap_count: BTreeMap<TxId, usize> = BTreeMap::new();
-        for key in read_map.keys() {
-            for w in multi_writers.get(key).map(|v| v.as_slice()).unwrap_or(&[]) {
-                *overlap_count.entry(*w).or_insert(0) += 1;
-            }
+        read_map.clear();
+        read_map.extend(t.reads.iter().rev());
+        // Stable, so each key's last read comes first and is the one kept.
+        read_map.sort_by_key(|&(key, _)| key);
+        read_map.dedup_by_key(|&mut (key, _)| key);
+        candidates.clear();
+        for &(key, _) in &read_map {
+            let from = multi_writers.partition_point(|&(k, _)| k < key);
+            let writers = multi_writers[from..].iter().take_while(|&&(k, _)| k == key);
+            candidates.extend(writers.map(|&(_, w)| w));
         }
-        for (writer, n) in overlap_count {
-            if writer == t.tx || n < 2 {
+        candidates.sort_unstable();
+        for shared in candidates.chunk_by(|a, b| a == b) {
+            let writer = shared[0];
+            if writer == t.tx || shared.len() < 2 {
                 continue;
             }
-            let ws = &writes_of[&writer];
-            // Keys both read by t and written by `writer`.
-            let overlap: Vec<(Key, u64, u64)> = ws
-                .iter()
-                .filter_map(|(k, wseq)| read_map.get(k).map(|rseq| (*k, *wseq, *rseq)))
-                .collect();
-            let saw: Vec<bool> = overlap.iter().map(|(_, w, r)| r >= w).collect();
-            if saw.iter().any(|s| *s) && !saw.iter().all(|s| *s) {
-                let seen = overlap[saw.iter().position(|s| *s).expect("any")].0;
-                let missed = overlap[saw.iter().position(|s| !*s).expect("not all")].0;
+            // Of the keys both read by t and written by `writer`, the first
+            // on which t saw the write and the first on which it missed it.
+            let (mut seen, mut missed) = (None, None);
+            let mut installs = h.installs_of(writer).peekable();
+            while let Some((key, wseq, _)) = installs.next() {
+                if installs.peek().is_some_and(|next| next.0 == key) {
+                    continue; // a higher install of the key follows
+                }
+                let Ok(i) = read_map.binary_search_by_key(&key, |&(k, _)| k) else {
+                    continue;
+                };
+                let first = if read_map[i].1 >= wseq {
+                    &mut seen
+                } else {
+                    &mut missed
+                };
+                first.get_or_insert(key);
+            }
+            if let (Some(seen_key), Some(missed_key)) = (seen, missed) {
                 return Err(Violation::FracturedRead {
                     reader: t.tx,
                     writer,
-                    seen_key: seen,
-                    missed_key: missed,
+                    seen_key,
+                    missed_key,
                 });
             }
         }
@@ -395,17 +512,34 @@ pub fn check_no_fractured_reads(h: &History) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Per-key version sequences are contiguous — no committed write ever
-/// superseded the same base twice (first-committer-wins).
+/// No committed write ever superseded a version another write superseded
+/// (first-committer-wins): per-key version sequences are contiguous, and
+/// every committed write installs `base + 1`, where `base` is the last
+/// version its transaction read of that key. A replica installs each
+/// version at its own latest sequence plus one, so a lost update shows as
+/// the second rule failing, not the first. A gap reports the missing
+/// sequence; a write on a stale base reports the base, the version
+/// superseded twice. A blind write (of a key its transaction did not read)
+/// and a write without an install record have no base to check.
 pub fn check_first_committer_wins(h: &History) -> Result<(), Violation> {
-    let mut per_key: BTreeMap<Key, BTreeSet<u64>> = BTreeMap::new();
-    for (key, seq) in h.versions.keys() {
-        per_key.entry(*key).or_default().insert(*seq);
+    let mut next: Option<(Key, u64)> = None;
+    for &(key, seq, _) in &h.versions {
+        let expected = match next {
+            Some((k, s)) if k == key => s,
+            _ => 1,
+        };
+        if seq != expected {
+            return Err(Violation::LostUpdate { key, seq: expected });
+        }
+        next = Some((key, seq + 1));
     }
-    for (key, seqs) in per_key {
-        for (s, expected) in seqs.into_iter().zip(1..) {
-            if s != expected {
-                return Err(Violation::LostUpdate { key, seq: expected });
+    for t in h.committed() {
+        for &key in t.writes {
+            let Some(&(_, base)) = t.reads.iter().rev().find(|&&(k, _)| k == key) else {
+                continue;
+            };
+            if h.installed(t.tx, key).is_some_and(|seq| seq != base + 1) {
+                return Err(Violation::LostUpdate { key, seq: base });
             }
         }
     }
@@ -415,7 +549,7 @@ pub fn check_first_committer_wins(h: &History) -> Result<(), Violation> {
 /// A dependency that orders `a` before `b` in the serialization graph
 /// (the graph keeps bare edges; only a reported cycle needs the reasons).
 fn dependency(h: &History, a: &HistoryTxn, b: &HistoryTxn) -> (DepKind, Key, u64) {
-    let wrote = |t: &HistoryTxn, key: Key, seq: u64| h.versions.get(&(key, seq)) == Some(&t.tx);
+    let wrote = |t: &HistoryTxn, key: Key, seq: u64| h.writer(key, seq) == Some(t.tx);
     let wr = (b.reads.iter().copied())
         .filter(|(k, s)| *s > 0 && wrote(a, *k, *s))
         .map(|(k, s)| (DepKind::Wr, k, s));
@@ -423,7 +557,7 @@ fn dependency(h: &History, a: &HistoryTxn, b: &HistoryTxn) -> (DepKind, Key, u64
         .filter(|(k, s)| wrote(b, *k, *s + 1))
         .map(|(k, s)| (DepKind::Rw, k, s));
     let ww = (b.writes.iter())
-        .filter_map(|(k, s)| Some((*k, (*s)?.checked_sub(1)?)))
+        .filter_map(|&k| Some((k, h.installed(b.tx, k)?.checked_sub(1)?)))
         .filter(|(k, prev)| *prev > 0 && wrote(a, *k, *prev))
         .map(|(k, prev)| (DepKind::Ww, k, prev));
     wr.chain(rw).chain(ww).next().expect("an edge has a reason")
@@ -437,51 +571,67 @@ fn dependency(h: &History, a: &HistoryTxn, b: &HistoryTxn) -> (DepKind, Key, u64
 /// sequences. A violation carries one simple cycle: the DFS stack from the
 /// node the back edge closes on, not from the DFS root.
 pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), Violation> {
-    let mut nodes: Vec<&HistoryTxn> = Vec::new();
-    let mut index: BTreeMap<TxId, usize> = BTreeMap::new();
-    for t in h.committed() {
-        if include_queries || !t.read_only {
-            index.entry(t.tx).or_insert_with(|| {
-                nodes.push(t);
-                nodes.len() - 1
-            });
-        }
+    let member = |t: &HistoryTxn| t.committed && (include_queries || !t.read_only);
+    // Nodes are numbered in first-occurrence order: each member with its
+    // position, sorted by transaction, keeps its first position, and the
+    // positions are then replaced by their rank.
+    let mut nodes: Vec<(TxId, u32)> = (h.txns.iter().filter(member))
+        .zip(0..)
+        .map(|(t, i)| (t.tx, i))
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup_by_key(|&mut (tx, _)| tx);
+    let mut firsts: Vec<u32> = nodes.iter().map(|&(_, i)| i).collect();
+    firsts.sort_unstable();
+    for (_, i) in &mut nodes {
+        *i = firsts.partition_point(|&f| f < *i) as u32;
     }
-    let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-    let add = |from: TxId, to: TxId, edges: &mut Vec<BTreeSet<usize>>| {
+    drop(firsts);
+    let node = |tx: TxId| {
+        let i = nodes.binary_search_by_key(&tx, |&(t, _)| t).ok()?;
+        Some(nodes[i].1)
+    };
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut add = |from: TxId, to: TxId| {
         if from == to {
             return;
         }
-        if let (Some(a), Some(b)) = (index.get(&from), index.get(&to)) {
-            edges[*a].insert(*b);
+        if let (Some(a), Some(b)) = (node(from), node(to)) {
+            edges.push((a, b));
         }
     };
-    for t in h.committed() {
-        if !include_queries && t.read_only {
-            continue;
-        }
-        for (key, seq) in t.reads {
+    for t in h.txns.iter().filter(member) {
+        for &(key, seq) in t.reads {
             // write-read: version writer → reader.
-            if *seq > 0 {
-                if let Some(w) = h.versions.get(&(*key, *seq)) {
-                    add(*w, t.tx, &mut edges);
+            if seq > 0 {
+                if let Some(w) = h.writer(key, seq) {
+                    add(w, t.tx);
                 }
             }
             // read-write: reader → writer of the next version.
-            if let Some(w_next) = h.versions.get(&(*key, *seq + 1)) {
-                add(t.tx, *w_next, &mut edges);
+            if let Some(w_next) = h.writer(key, seq + 1) {
+                add(t.tx, w_next);
             }
         }
-        for (key, seq) in &t.writes {
-            let Some(seq) = seq else { continue };
+        for &key in t.writes {
+            let Some(seq) = h.installed(t.tx, key) else {
+                continue;
+            };
             // write-write: previous version's writer → this writer.
-            if *seq > 1 {
-                if let Some(w_prev) = h.versions.get(&(*key, *seq - 1)) {
-                    add(*w_prev, t.tx, &mut edges);
+            if seq > 1 {
+                if let Some(w_prev) = h.writer(key, seq - 1) {
+                    add(w_prev, t.tx);
                 }
             }
         }
     }
+    edges.sort_unstable();
+    edges.dedup();
+    // Node n's successors are edges[offsets[n]..offsets[n + 1]], ascending.
+    let offsets: Vec<usize> = (0..=nodes.len() as u32)
+        .map(|n| edges.partition_point(|&(from, _)| from < n))
+        .collect();
+    let successors = |n: u32| &edges[offsets[n as usize]..offsets[n as usize + 1]];
     // Iterative DFS cycle detection.
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
@@ -490,274 +640,61 @@ pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), V
         Black,
     }
     let mut marks = vec![Mark::White; nodes.len()];
-    for start in 0..nodes.len() {
-        if marks[start] != Mark::White {
+    // A frame is a node and the number of its successors not yet taken;
+    // they are taken from the high end.
+    let mut stack: Vec<(u32, usize)> = Vec::new();
+    for start in 0..nodes.len() as u32 {
+        if marks[start as usize] != Mark::White {
             continue;
         }
-        let mut stack: Vec<(usize, Vec<usize>)> =
-            vec![(start, edges[start].iter().copied().collect())];
-        marks[start] = Mark::Grey;
-        while let Some((node, succs)) = stack.last_mut() {
-            if let Some(next) = succs.pop() {
-                match marks[next] {
-                    Mark::White => {
-                        marks[next] = Mark::Grey;
-                        let s = edges[next].iter().copied().collect();
-                        stack.push((next, s));
-                    }
-                    Mark::Grey => {
-                        let on_cycle: Vec<usize> = stack
-                            .iter()
-                            .map(|(n, _)| *n)
-                            .skip_while(|n| *n != next)
-                            .collect();
-                        let cycle = on_cycle
-                            .iter()
-                            .zip(on_cycle.iter().skip(1).chain([&next]))
-                            .map(|(&a, &b)| {
-                                let (kind, key, seq) = dependency(h, nodes[a], nodes[b]);
-                                CycleHop {
-                                    from: nodes[a].tx,
-                                    query: nodes[a].read_only,
-                                    site: nodes[a].site,
-                                    kind,
-                                    key,
-                                    seq,
-                                }
-                            })
-                            .collect();
-                        return Err(Violation::SerializationCycle { cycle });
-                    }
-                    Mark::Black => {}
-                }
-            } else {
-                marks[*node] = Mark::Black;
+        marks[start as usize] = Mark::Grey;
+        stack.push((start, successors(start).len()));
+        while let Some((node, left)) = stack.last_mut() {
+            if *left == 0 {
+                marks[*node as usize] = Mark::Black;
                 stack.pop();
+                continue;
+            }
+            *left -= 1;
+            let (_, next) = successors(*node)[*left];
+            match marks[next as usize] {
+                Mark::White => {
+                    marks[next as usize] = Mark::Grey;
+                    stack.push((next, successors(next).len()));
+                }
+                Mark::Grey => {
+                    let on_cycle: Vec<u32> = (stack.iter().map(|&(n, _)| n))
+                        .skip_while(|&n| n != next)
+                        .collect();
+                    // Rare: each hop's transaction is looked up again, at
+                    // its first occurrence.
+                    let txn = |n: u32| {
+                        let tx = nodes.iter().find(|&&(_, i)| i == n).expect("a node").0;
+                        (h.txns.iter().filter(member))
+                            .find(|t| t.tx == tx)
+                            .expect("a member")
+                    };
+                    let cycle = on_cycle
+                        .iter()
+                        .zip(on_cycle.iter().skip(1).chain([&next]))
+                        .map(|(&a, &b)| {
+                            let (a, b) = (txn(a), txn(b));
+                            let (kind, key, seq) = dependency(h, &a, &b);
+                            CycleHop {
+                                from: a.tx,
+                                query: a.read_only,
+                                site: a.site,
+                                kind,
+                                key,
+                                seq,
+                            }
+                        })
+                        .collect();
+                    return Err(Violation::SerializationCycle { cycle });
+                }
+                Mark::Black => {}
             }
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tx(n: u64) -> TxId {
-        TxId::new(1, n)
-    }
-
-    /// A transaction whose read set, like one borrowed from an outcome log,
-    /// outlives the history (leaked: a test's few bytes).
-    fn txn(
-        id: u64,
-        reads: Vec<(u64, u64)>,
-        writes: Vec<(u64, u64)>,
-        committed: bool,
-    ) -> HistoryTxn<'static> {
-        let reads: Vec<(Key, u64)> = reads.into_iter().map(|(k, s)| (Key(k), s)).collect();
-        HistoryTxn {
-            tx: tx(id),
-            committed,
-            read_only: writes.is_empty(),
-            site: SiteId(0),
-            reads: reads.leak(),
-            writes: writes.into_iter().map(|(k, s)| (Key(k), Some(s))).collect(),
-        }
-    }
-
-    fn history(txns: Vec<HistoryTxn<'static>>) -> History<'static> {
-        let mut versions = BTreeMap::new();
-        for t in &txns {
-            if !t.committed {
-                continue;
-            }
-            for (k, s) in &t.writes {
-                versions.insert((*k, s.expect("test writes resolved")), t.tx);
-            }
-        }
-        History {
-            txns,
-            versions,
-            divergent: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn serializable_history_passes_everything() {
-        // T1 writes x1; T2 reads x1 and writes y1; query reads both.
-        let h = history(vec![
-            txn(1, vec![(1, 0)], vec![(1, 1)], true),
-            txn(2, vec![(1, 1), (2, 0)], vec![(2, 1)], true),
-            txn(3, vec![(1, 1), (2, 1)], vec![], true),
-        ]);
-        for c in [
-            Criterion::Ser,
-            Criterion::Us,
-            Criterion::Si,
-            Criterion::Psi,
-            Criterion::Nmsi,
-            Criterion::Rc,
-        ] {
-            assert_eq!(c.check(&h), Ok(()), "criterion {c:?}");
-        }
-    }
-
-    #[test]
-    fn dirty_read_detected() {
-        let h = history(vec![txn(1, vec![(1, 7)], vec![], true)]);
-        assert!(matches!(
-            Criterion::Rc.check(&h),
-            Err(Violation::DirtyRead { .. })
-        ));
-    }
-
-    #[test]
-    fn write_skew_passes_si_family_but_fails_ser() {
-        // Classic write skew: T1 reads x0,y0 writes x1; T2 reads x0,y0
-        // writes y1.
-        let h = history(vec![
-            txn(1, vec![(1, 0), (2, 0)], vec![(1, 1)], true),
-            txn(2, vec![(1, 0), (2, 0)], vec![(2, 1)], true),
-        ]);
-        assert_eq!(Criterion::Si.check(&h), Ok(()));
-        assert_eq!(Criterion::Psi.check(&h), Ok(()));
-        assert_eq!(Criterion::Nmsi.check(&h), Ok(()));
-        assert!(matches!(
-            Criterion::Ser.check(&h),
-            Err(Violation::SerializationCycle { .. })
-        ));
-        assert!(matches!(
-            Criterion::Us.check(&h),
-            Err(Violation::SerializationCycle { .. })
-        ));
-    }
-
-    #[test]
-    fn lost_update_detected_by_si_family() {
-        // Both T1 and T2 supersede x0 — the installs collapse to x1 and a
-        // gap at 2... model: T1 installs x1, T2 installs x3 (gap at 2).
-        let h = history(vec![
-            txn(1, vec![(1, 0)], vec![(1, 1)], true),
-            txn(2, vec![(1, 0)], vec![(1, 3)], true),
-        ]);
-        assert!(matches!(
-            Criterion::Psi.check(&h),
-            Err(Violation::LostUpdate { .. })
-        ));
-    }
-
-    #[test]
-    fn fractured_read_detected() {
-        // T1 writes x1 and y1 atomically; the query sees x1 but y0.
-        let h = history(vec![
-            txn(1, vec![(1, 0), (2, 0)], vec![(1, 1), (2, 1)], true),
-            txn(2, vec![(1, 1), (2, 0)], vec![], true),
-        ]);
-        assert!(matches!(
-            Criterion::Si.check(&h),
-            Err(Violation::FracturedRead { .. })
-        ));
-        assert_eq!(Criterion::Rc.check(&h), Ok(()), "RC tolerates fractures");
-    }
-
-    #[test]
-    fn query_anomaly_passes_us_but_fails_ser() {
-        // Updates are serializable (T1 then T2), but the query observes T2
-        // without T1 — a non-monotonic snapshot: y2 read, x1 missed.
-        // T1 writes x1; T2 writes y1 (after reading x1); query reads x0, y1.
-        let h = history(vec![
-            txn(1, vec![(1, 0)], vec![(1, 1)], true),
-            txn(2, vec![(1, 1), (2, 0)], vec![(2, 1)], true),
-            txn(3, vec![(1, 0), (2, 1)], vec![], true),
-        ]);
-        assert_eq!(Criterion::Us.check(&h), Ok(()));
-        assert!(matches!(
-            Criterion::Ser.check(&h),
-            Err(Violation::SerializationCycle { .. })
-        ));
-    }
-
-    /// Site 0 installed t1.1's write as k1@1, site 1 installed t1.2's.
-    fn divergence() -> Divergence {
-        Divergence {
-            key: Key(1),
-            seq: 1,
-            first: (SiteId(0), tx(1)),
-            second: (SiteId(1), tx(2)),
-        }
-    }
-
-    #[test]
-    fn rc_tolerates_replica_divergence_but_stronger_criteria_do_not() {
-        let mut h = history(vec![txn(1, vec![(1, 0)], vec![(1, 1)], true)]);
-        h.divergent.push(divergence());
-        assert_eq!(
-            Criterion::Rc.check(&h),
-            Ok(()),
-            "RC promises no convergence"
-        );
-        assert!(matches!(
-            Criterion::Psi.check(&h),
-            Err(Violation::ReplicaDivergence(_))
-        ));
-    }
-
-    #[test]
-    fn a_divergence_names_both_replicas_and_both_writers() {
-        let mut h = history(vec![
-            txn(1, vec![(1, 0)], vec![(1, 1)], true),
-            txn(3, vec![(2, 0)], vec![(2, 1)], true),
-        ]);
-        h.divergent.push(divergence());
-        let v = check_replica_agreement(&h).unwrap_err();
-        assert_eq!(v, Violation::ReplicaDivergence(divergence()));
-        assert_eq!(
-            v.to_string(),
-            "replicas diverge on k1@1: site0 installed t1.1's write, site1 installed t1.2's"
-        );
-        // The divergence is not a version: the per-key sequences, k2's
-        // included, are still contiguous.
-        assert_eq!(check_first_committer_wins(&h), Ok(()));
-    }
-
-    #[test]
-    fn a_cycle_is_reported_without_its_lead_in_path() {
-        // A —wr x@1→ B, B —rw y@0→ C, C —rw z@0→ B; the search starts at A.
-        let mut h = history(vec![
-            txn(1, vec![], vec![(1, 1)], true),
-            txn(2, vec![(1, 1), (2, 0)], vec![(3, 1)], true),
-            txn(3, vec![(3, 0)], vec![(2, 1)], true),
-        ]);
-        h.txns[2].site = SiteId(1);
-        let hop = |from: u64, site: u16, key: u64| CycleHop {
-            from: tx(from),
-            query: false,
-            site: SiteId(site),
-            kind: DepKind::Rw,
-            key: Key(key),
-            seq: 0,
-        };
-        let v = check_serializability(&h, true).unwrap_err();
-        assert_eq!(
-            v,
-            Violation::SerializationCycle {
-                cycle: vec![hop(2, 0, 2), hop(3, 1, 3)]
-            }
-        );
-        assert_eq!(
-            v.to_string(),
-            "serialization cycle through 2 txns: t1.2 (update @ site0) —rw k2@0→ \
-             t1.3 (update @ site1) —rw k3@0→ t1.2"
-        );
-    }
-
-    #[test]
-    fn aborted_transactions_are_ignored() {
-        let h = history(vec![
-            txn(1, vec![(1, 0)], vec![(1, 1)], true),
-            txn(2, vec![(1, 9)], vec![(1, 9)], false),
-        ]);
-        assert_eq!(Criterion::Ser.check(&h), Ok(()));
-    }
 }

@@ -123,14 +123,16 @@ const _: () = assert!(std::mem::size_of::<OutcomeHeader>() <= 24);
 /// sets are appended to, so recording a transaction allocates nothing
 /// beyond the arenas' amortized growth.
 #[derive(Debug, Default)]
-struct OutcomeLog {
+pub struct OutcomeLog {
     headers: Vec<OutcomeHeader>,
     reads: Vec<(Key, u64)>,
     writes: Vec<Key>,
 }
 
 impl OutcomeLog {
-    fn push(&mut self, tx: TxId, committed: bool, rs: &[ReadEntry], ws: &[WriteEntry]) {
+    /// Appends a decided transaction with its read set and the keys of its
+    /// write buffer.
+    pub fn push(&mut self, tx: TxId, committed: bool, rs: &[ReadEntry], ws: &[WriteEntry]) {
         self.reads.extend(rs.iter().map(|e| (e.key, e.seq)));
         self.writes.extend(ws.iter().map(|w| w.key));
         let end = |len: usize| u32::try_from(len).expect("outcome log arena past 2^32 entries");
@@ -142,7 +144,18 @@ impl OutcomeLog {
         });
     }
 
-    fn iter(&self) -> impl ExactSizeIterator<Item = TxnOutcome<'_>> + '_ {
+    /// Number of decided transactions.
+    pub fn len(&self) -> usize {
+        self.headers.len()
+    }
+
+    /// True if nothing was decided.
+    pub fn is_empty(&self) -> bool {
+        self.headers.is_empty()
+    }
+
+    /// The decided transactions in decision order, as views into the log.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TxnOutcome<'_>> + '_ {
         let mut start = (0, 0);
         self.headers.iter().map(move |h| {
             let end = (h.reads_end as usize, h.writes_end as usize);
@@ -565,11 +578,10 @@ impl Replica {
     }
 
     /// The transactions this replica coordinated to a decision, in decision
-    /// order, as views into its outcome log (empty unless `record_history`).
-    /// The consistency oracle's `History` borrows these slices instead of
-    /// copying them.
-    pub fn outcomes(&self) -> impl ExactSizeIterator<Item = TxnOutcome<'_>> + '_ {
-        self.outcomes.iter()
+    /// order (empty unless `record_history`). The consistency oracle's
+    /// `History` borrows the log instead of copying it.
+    pub fn outcomes(&self) -> &OutcomeLog {
+        &self.outcomes
     }
 
     /// Direct read access to the local store (used by tests and examples).

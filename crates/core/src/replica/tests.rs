@@ -529,7 +529,7 @@ fn the_outcome_log_keeps_each_decision_with_its_reads_and_writes() {
         reads,
         writes,
     };
-    let log: Vec<TxnOutcome<'_>> = probe.replica().outcomes().collect();
+    let log: Vec<TxnOutcome<'_>> = probe.replica().outcomes().iter().collect();
     assert_eq!(
         log,
         [

@@ -2,7 +2,7 @@
 //! deployment, must uphold the consistency criterion the paper assigns it
 //! (§6) — in both the disaster-prone and disaster-tolerant placements.
 
-use gdur_consistency::{Criterion, CriterionCheck, History};
+use gdur_consistency::{check_first_committer_wins, Criterion, CriterionCheck, History, Violation};
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
 use gdur_store::Placement;
 use gdur_workload::{WorkloadSpec, YcsbSource};
@@ -103,6 +103,27 @@ fn the_history_holds_every_coordinated_transaction() {
     }
 }
 
+/// The brutal-contention scenario: 12 keys, 4 clients on each of 3 sites,
+/// 25 transactions each, run to idle.
+fn run_brutal(spec: ProtocolSpec) -> Cluster {
+    let mut cfg = ClusterConfig::small(spec, 3);
+    cfg.keys_per_partition = 4; // 12 keys total: brutal contention
+    cfg.clients_per_site = 4;
+    cfg.max_txns_per_client = Some(25);
+    cfg.record_history = true;
+    let mut cluster = Cluster::build(cfg, move |_, site| {
+        Box::new(YcsbSource::new(
+            WorkloadSpec::a(),
+            12,
+            3,
+            site.0 as u64 % 3,
+            0.2,
+        ))
+    });
+    cluster.run_until_idle();
+    cluster
+}
+
 /// The SI-family protocols must also prevent lost updates under heavy
 /// write-write contention on a handful of keys.
 #[test]
@@ -113,23 +134,9 @@ fn si_family_prevents_lost_updates_under_heavy_contention() {
         gdur_protocols::serrano(),
     ] {
         let name = spec.name;
-        let mut cfg = ClusterConfig::small(spec, 3);
-        cfg.keys_per_partition = 4; // 12 keys total: brutal contention
-        cfg.clients_per_site = 4;
-        cfg.max_txns_per_client = Some(25);
-        cfg.record_history = true;
-        let mut cluster = Cluster::build(cfg, move |_, site| {
-            Box::new(YcsbSource::new(
-                WorkloadSpec::a(),
-                12,
-                3,
-                site.0 as u64 % 3,
-                0.2,
-            ))
-        });
-        cluster.run_until_idle();
+        let cluster = run_brutal(spec);
         let history = History::from_cluster(&cluster);
-        gdur_consistency::check_first_committer_wins(&history)
+        check_first_committer_wins(&history)
             .unwrap_or_else(|v| panic!("{name} lost an update: {v}"));
         let aborted = cluster.records().iter().filter(|r| !r.committed).count();
         assert!(
@@ -137,4 +144,16 @@ fn si_family_prevents_lost_updates_under_heavy_contention() {
             "{name}: contention scenario produced no aborts"
         );
     }
+}
+
+/// The negative control: Read Committed certifies nothing, so in the same
+/// scenario two of its writers supersede one version, and the check says so.
+#[test]
+fn read_committed_loses_updates_under_heavy_contention() {
+    let cluster = run_brutal(gdur_protocols::read_committed());
+    let verdict = check_first_committer_wins(&History::from_cluster(&cluster));
+    assert!(
+        matches!(verdict, Err(Violation::LostUpdate { .. })),
+        "Read Committed kept first-committer-wins: {verdict:?}"
+    );
 }
