@@ -20,8 +20,9 @@
 //! (2PC, Paxos Commit) they leave in any order, nobody waits, and a
 //! conflict only turns the vote negative, so just the buckets are kept.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
+use gdur_sim::IdMap;
 use gdur_store::{Key, TxId};
 
 use crate::messages::TermPayload;
@@ -69,7 +70,7 @@ pub(crate) struct Certifier {
     head: Ticket,
     next: Ticket,
     slots: VecDeque<Slot>,
-    buckets: BTreeMap<Key, Bucket>,
+    buckets: IdMap<Key, Bucket>,
     /// Scratch for the footprint of the payload at hand: (key, read, wrote),
     /// one entry per key, only the accesses `commute` looks at.
     footprint: Vec<(Key, bool, bool)>,
@@ -85,7 +86,7 @@ impl Certifier {
             head: 0,
             next: 0,
             slots: VecDeque::new(),
-            buckets: BTreeMap::new(),
+            buckets: IdMap::new(),
             footprint: Vec::new(),
         }
     }
@@ -162,7 +163,7 @@ impl Certifier {
         let mut blocked_by = 0;
         let mut conflict = false;
         for &(key, read, wrote) in &self.footprint {
-            let bucket = self.buckets.entry(key).or_default();
+            let bucket = self.buckets.get_or_insert_with(key, Bucket::default);
             let (scan_readers, scan_writers) = Self::scans(self.commute, read, wrote);
             let scanned = [
                 scan_readers.then_some(&bucket.readers),
@@ -299,7 +300,7 @@ impl Certifier {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
     use gdur_sim::ProcessId;

@@ -235,12 +235,12 @@ impl Cluster {
                 bug_unreserved_commit_clocks: cfg.bug_unreserved_commit_clocks,
             };
             let pid = sim.spawn(
-                Node::Replica(Replica::new(
+                Node::Replica(Box::new(Replica::new(
                     ProcessId(s as u32),
                     rcfg,
                     total_keys,
                     &proto_value,
-                )),
+                ))),
                 Cores::Fixed(cfg.cores_per_replica),
             );
             debug_assert_eq!(pid, replica_pids[s]);

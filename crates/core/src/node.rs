@@ -9,16 +9,24 @@ use crate::replica::Replica;
 
 /// One process of the deployment: a G-DUR replica or a pool of
 /// load-driving clients.
-// A deployment holds one Node per process (a handful), so the replica
-// variant's size is irrelevant and boxing would only cost indirection.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the pool is the common variant, one per client actor: boxing it too would add a \
+              heap indirection per client and shrink nothing"
+)]
 #[derive(Debug)]
 pub enum Node {
-    /// A middleware instance.
-    Replica(Replica),
+    /// A middleware instance, boxed: a deployment has a few replicas and
+    /// up to thousands of client actors, each a `Node` slot.
+    Replica(Box<Replica>),
     /// One or more closed-loop clients of a site in one actor.
     Pool(ClientPool),
 }
+
+// Every client actor is one `Node`: the enum must not pad it to a replica.
+const _: () = assert!(
+    std::mem::size_of::<Node>() <= std::mem::size_of::<ClientPool>() + std::mem::size_of::<usize>()
+);
 
 impl Node {
     /// The replica inside, if this node is one.

@@ -168,7 +168,7 @@ impl Replica {
             return;
         }
         {
-            let v = self.votes.entry(tx).or_default();
+            let v = self.votes.get_or_insert_with(tx, VoteState::default);
             if yes {
                 if let Err(i) = v.yes_sites.binary_search(&site) {
                     v.yes_sites.insert(i, site);

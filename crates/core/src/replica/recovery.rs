@@ -398,8 +398,9 @@ impl Replica {
         ctx.trace(labels::RECOVERY_COMPLETE, 0, cu.applied);
         let resume: Vec<(TxId, TermPayload)> = self
             .coord
-            .iter()
-            .filter_map(|(tx, t)| Some((*tx, t.submitted_payload.clone()?)))
+            .sorted_keys()
+            .into_iter()
+            .filter_map(|tx| Some((tx, self.coord[&tx].submitted_payload.clone()?)))
             .collect();
         for (tx, payload) in resume {
             self.stats.resubmissions += 1;
@@ -420,12 +421,11 @@ impl Replica {
     /// Votes parked while recovering, cast now against the caught-up
     /// store; then the parked decided terminations complete.
     fn cast_deferred_votes(&mut self, ctx: &mut Context<'_, Msg>) {
-        let unvoted: Vec<TxId> = self
-            .part
-            .iter()
-            .filter(|(_, p)| p.my_vote.is_none() && p.outcome.is_none())
-            .map(|(tx, _)| *tx)
-            .collect();
+        let mut unvoted = self.part.sorted_keys();
+        unvoted.retain(|tx| {
+            let p = &self.part[tx];
+            p.my_vote.is_none() && p.outcome.is_none()
+        });
         for tx in unvoted {
             let Some(p) = self.part.get(&tx) else {
                 continue;
@@ -435,8 +435,9 @@ impl Replica {
         }
         let parked: Vec<(TxId, bool)> = self
             .part
-            .iter()
-            .filter_map(|(tx, p)| Some((*tx, p.outcome?)))
+            .sorted_keys()
+            .into_iter()
+            .filter_map(|tx| Some((tx, self.part[&tx].outcome?)))
             .collect();
         for (tx, commit) in parked {
             self.terminate(ctx, tx, commit);

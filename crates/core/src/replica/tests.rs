@@ -139,8 +139,10 @@ impl Probe {
         }
     }
 
+    /// The armed timers, in tag (arming) order.
     fn armed(&self) -> Vec<Timer> {
-        self.replica().timers.values().copied().collect()
+        let timers = &self.replica().timers;
+        timers.sorted_keys().iter().map(|tag| timers[tag]).collect()
     }
 
     /// Destinations of the termination payloads site 0 sent from `since`
@@ -579,4 +581,83 @@ fn no_early_decision_outlives_a_drained_run() {
             assert_eq!(early, 0, "{name}: early decisions left at {site}");
         }
     }
+}
+
+/// Inserts `ids` into a `TerminatedSet` in a seeded random order and, after
+/// every insert, checks membership of every id in `universe` against a
+/// `BTreeSet` reference.
+fn terminated_set_matches(ids: &[TxId], universe: &[TxId], seed: u64) -> TerminatedSet {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut order = ids.to_vec();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    let mut set = TerminatedSet::default();
+    let mut reference = BTreeSet::new();
+    for tx in order {
+        set.insert(tx);
+        reference.insert(tx);
+        // A duplicate insert changes nothing.
+        set.insert(tx);
+        for t in universe {
+            assert_eq!(set.contains(t), reference.contains(t), "{t:?}");
+        }
+    }
+    set
+}
+
+#[test]
+fn the_terminated_set_compresses_contiguous_client_sequences() {
+    let ids: Vec<TxId> = (0..4u32)
+        .flat_map(|c| (1..=40).map(move |s| TxId::new(c, s)))
+        .collect();
+    let universe: Vec<TxId> = (0..5u32)
+        .flat_map(|c| (0..=42).map(move |s| TxId::new(c, s)))
+        .collect();
+    let set = terminated_set_matches(&ids, &universe, 11);
+    // Every client's sequence closed: all prefix, no tail.
+    assert!(set.tail.is_empty());
+    assert!((0..4).all(|c| set.watermark(c) == 40));
+    assert_eq!(set.watermark(4), 0);
+}
+
+#[test]
+fn the_terminated_set_matches_a_btreeset_on_pooled_sequences_with_gaps() {
+    // `client_idx << 20 | seq` under `client_pooling`; a participant sees
+    // only some of each client's transactions.
+    let pooled = |idx: u64, seq: u64| (idx << 20) | seq;
+    let ids: Vec<TxId> = (0..3u32)
+        .flat_map(|c| {
+            (0..4u64).flat_map(move |idx| {
+                (1..=12u64)
+                    .filter(move |s| (s + idx + u64::from(c)) % 3 != 0)
+                    .map(move |s| TxId::new(c, pooled(idx, s)))
+            })
+        })
+        .collect();
+    let universe: Vec<TxId> = (0..3u32)
+        .flat_map(|c| {
+            (0..5u64).flat_map(move |idx| (0..=13).map(move |s| TxId::new(c, pooled(idx, s))))
+        })
+        .collect();
+    let set = terminated_set_matches(&ids, &universe, 23);
+    // Only pool slot 0 allocates from seq 1, and the first gap stops the
+    // prefix: seqs 1–2 of coordinator 0, seq 1 of coordinator 1, none of
+    // coordinator 2. Everything else stays in the tail.
+    assert_eq!([0, 1, 2].map(|c| set.watermark(c)), [2, 1, 0]);
+    assert_eq!(set.tail.len(), ids.len() - 3);
+}
+
+#[test]
+fn the_terminated_set_keeps_a_seq_0_id_out_of_the_prefix() {
+    let zero = TxId::new(7, 0);
+    let ids = [zero, TxId::new(7, 1), TxId::new(7, 2)];
+    let universe: Vec<TxId> = (0..=3).map(|s| TxId::new(7, s)).collect();
+    let set = terminated_set_matches(&ids, &universe, 5);
+    assert_eq!(set.watermark(7), 2);
+    assert_eq!(set.tail.sorted_keys(), vec![zero]);
 }

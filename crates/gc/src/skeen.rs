@@ -23,10 +23,10 @@
 //! comparison of §8.5 measures end to end (Skeen's three delays versus
 //! 2PC's two are what make 2PC faster in the disaster-prone setting).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use gdur_sim::ProcessId;
+use gdur_sim::{IdMap, ProcessId};
 
 use crate::msg::{GcEvent, GcMsg, MsgId, SkeenTs};
 
@@ -53,9 +53,9 @@ pub struct SkeenEngine<P> {
     clock: u64,
     next_seq: u64,
     /// Messages this process multicast and is collecting proposals for.
-    sending: BTreeMap<MsgId, SenderState>,
+    sending: IdMap<MsgId, SenderState>,
     /// Messages buffered here as a destination, awaiting final order.
-    pending: BTreeMap<MsgId, PendingMsg<P>>,
+    pending: IdMap<MsgId, PendingMsg<P>>,
     /// Delivery-order mirror of `pending`, keyed by `(timestamp, id)` —
     /// the proposed timestamp while a message awaits its final one. Lets
     /// `try_deliver` peek the head in `O(log n)` instead of scanning every
@@ -70,8 +70,8 @@ impl<P: Clone> SkeenEngine<P> {
             me,
             clock: 0,
             next_seq: 0,
-            sending: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            sending: IdMap::new(),
+            pending: IdMap::new(),
             order: BTreeSet::new(),
         }
     }

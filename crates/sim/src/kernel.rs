@@ -39,12 +39,13 @@
 //! each class.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::actor::{Actor, ProcessId, WireSize};
+use crate::idmap::IdMap;
 use crate::obs::{trigger, ObsEvent, ObsSink};
 use crate::sched::{Candidate, CandidateKind, Scheduler};
 use crate::time::{SimDuration, SimTime};
@@ -345,7 +346,7 @@ struct ActorSlot<A: Actor> {
     next_timer: u64,
     /// Timer ids set and neither cancelled, fired nor retired by a crash:
     /// a timer arrival fires iff its id is still here.
-    armed: BTreeSet<u64>,
+    armed: IdMap<u64, ()>,
 }
 
 /// Aggregate statistics about a finished (or in-flight) simulation run.
@@ -455,7 +456,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             dispatch_at: None,
             crashed: false,
             next_timer: 0,
-            armed: BTreeSet::new(),
+            armed: IdMap::new(),
         });
         id
     }
@@ -707,8 +708,8 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             // actor) commutes with every other event; flag it so explorers
             // don't branch on its order.
             let slot = &self.actors[to.index()];
-            let inert =
-                slot.crashed || matches!(job, Job::Timer { id, .. } if !slot.armed.contains(id));
+            let inert = slot.crashed
+                || matches!(job, Job::Timer { id, .. } if !slot.armed.contains_key(id));
             meta.push(Candidate {
                 time: ev.time,
                 seq: ev.seq,
@@ -765,7 +766,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         // so did a crash, which retires every id of the incarnation that
         // armed it.
         if let Job::Timer { id, .. } = &job {
-            if !slot.armed.remove(id) {
+            if slot.armed.remove(id).is_none() {
                 return;
             }
         }
@@ -910,7 +911,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                     tag,
                     after,
                 } => {
-                    self.actors[id.index()].armed.insert(tid);
+                    self.actors[id.index()].armed.insert(tid, ());
                     self.push(
                         end + after,
                         EventKind::Arrival(id, Job::Timer { id: tid, tag }),

@@ -59,6 +59,7 @@
 //! ```
 
 mod actor;
+mod idmap;
 mod kernel;
 mod obs;
 mod sched;
@@ -66,6 +67,7 @@ mod time;
 mod wheel;
 
 pub use actor::{Actor, ProcessId, WireSize};
+pub use idmap::IdMap;
 pub use kernel::{
     Context, Cores, LatencyModel, QueueClassStats, QueueStats, SimStats, Simulation,
     UniformLatency, ZeroLatency, KERNEL_CRASH, KERNEL_RESTART,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self and inclusive share of samples per physical function.
 
-usage: symbolize.py [--top N] [--under NAME] hostprof.out...    (N defaults to 25)
+usage: symbolize.py [--top N] [--under NAME] [--inlined] hostprof.out...    (N defaults to 25)
 
 A sample counts as *self* time of the function holding its instruction
 pointer and as *inclusive* time of every distinct function on its frame
@@ -14,13 +14,20 @@ static functions in between carry no name. Several files — repetitions of
 one run — are added up. `--under NAME` keeps only the samples with a
 function whose name contains NAME on their chain, cut above it: the
 inclusive table then splits that function's samples by what it called.
+`--inlined` splits the leaf function by the frames inlined into it
+(`addr2line -i`): *self* charges a sample to the source file of its
+innermost inlined frame, so inlined library code such as
+`alloc/src/collections/btree/search.rs` gets a row, and *inclusive* to
+every file on the leaf's inline chain; an address without line
+information keeps its function's name.
 """
 import bisect, collections, functools, os, re, subprocess, sys
 
 args = sys.argv[1:]
 top = int(args.pop(args.index("--top") + 1)) if "--top" in args else 25
 under = args.pop(args.index("--under") + 1) if "--under" in args else None
-paths = [a for a in args if a not in ("--top", "--under")]
+inlined = "--inlined" in args
+paths = [a for a in args if a not in ("--top", "--under", "--inlined")]
 
 @functools.lru_cache(maxsize=None)
 def symbols(obj):
@@ -35,7 +42,28 @@ def symbols(obj):
     names = [re.sub(r"::h[0-9a-f]{16}$|@.*$", "", n) for _, n in syms]
     return [a for a, _ in syms], [label.format(n) for n in names]
 
+def short(path):
+    # A standard-library file from its crate on; a workspace file from the
+    # repository root.
+    for mark in ("/library/", os.getcwd() + "/"):
+        if mark in path:
+            return path.split(mark, 1)[1]
+    return path
+
+def inline_chains(obj, offsets):
+    """Offset -> files of its inline chain, innermost first; one addr2line call."""
+    out = subprocess.run(["addr2line", "-a", "-i", "-e", obj, *(hex(o) for o in offsets)],
+                         capture_output=True, text=True).stdout
+    files, addr = {}, None
+    for line in out.splitlines():
+        if line.startswith("0x"):
+            addr = int(line, 16)
+        elif not line.startswith("??"):
+            files.setdefault(addr, []).append(short(line.rsplit(":", 1)[0]))
+    return files
+
 self_n, incl_n, total = collections.Counter(), collections.Counter(), 0
+leaves = collections.Counter()
 for path in paths:
     head, _, tail = open(path).read().partition("--samples--\n")
     # Executable mappings, each with its file's load base: the lowest mapping
@@ -49,6 +77,9 @@ for path in paths:
         base.setdefault(f[5], lo)
         if "x" in f[1]:
             spans.append((lo, hi, f[5]))
+
+    def locate(pc):
+        return next(((obj, pc - base[obj]) for lo, hi, obj in spans if lo <= pc < hi), None)
 
     @functools.lru_cache(maxsize=None)
     def function(pc):
@@ -73,9 +104,25 @@ for path in paths:
         total += 1
         self_n[chain[0]] += 1
         incl_n.update(set(chain))
+        if inlined:
+            leaves[(locate(pcs[0]), chain[0])] += 1
+
+if inlined:
+    by_obj = collections.defaultdict(set)
+    for (where, _), _ in leaves.items():
+        if where:
+            by_obj[where[0]].add(where[1])
+    chains = {(obj, o): c for obj, offs in by_obj.items()
+              for o, c in inline_chains(obj, sorted(offs)).items()}
+    self_n, incl_n = collections.Counter(), collections.Counter()
+    for (where, name), n in leaves.items():
+        chain = chains.get(where, [name])
+        self_n[chain[0]] += n
+        for f in set(chain):
+            incl_n[f] += n
 
 print(f"{total} samples from {len(paths)} file(s)" + (f" under {under}" if under else ""))
 for title, counts in (("self", self_n), ("inclusive", incl_n)):
-    print(f"\n{title:>9}  samples  function")
+    print(f"\n{title:>9}  samples  {'source file (inlined)' if inlined else 'function'}")
     for name, n in counts.most_common(top):
         print(f"{100 * n / max(total, 1):8.1f}%  {n:7d}  {name}")
