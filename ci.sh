@@ -75,19 +75,23 @@ docs_check() {
 # refs_check: in the four documents and in the `//` and `#[ignore = "…"]`
 # text under crates/ tests/ examples/, every `ROADMAP item N` names an item
 # of ROADMAP.md (a `### Item N` heading or an `Item N (…)` tombstone) and
-# every `DESIGN.md §x.y` a numbered heading of DESIGN.md. `ROADMAP 4(b)`-style
-# shorthand and `ISSUE N` name nothing that persists (items were renumbered,
-# issues are not kept) and fail; a miss is printed as `file:line: reference`.
+# every `DESIGN.md §x.y` a numbered heading of DESIGN.md, and every `PR N` —
+# each number of a `PRs N, M and K` list or an `N–M` range — a `- PR N:`
+# entry of CHANGES.md. `ROADMAP 4(b)`-style shorthand and `ISSUE N` name
+# nothing that persists (items were renumbered, issues are not kept) and
+# fail; a miss is printed as `file:line: reference`.
 refs_check() {
     {
         grep -nH '' $DOCS
         grep -rnE '//|#\[ignore' crates tests examples --include='*.rs'
     } | awk \
         -v items="$(grep -oE '(^### |\b)Item [0-9]+ [—(]' ROADMAP.md | grep -oE '[0-9]+' | tr '\n' ' ')" \
-        -v sections="$(grep -oE '^#+ [0-9]+(\.[0-9]+)?' DESIGN.md | cut -d' ' -f2 | tr '\n' ' ')" '
+        -v sections="$(grep -oE '^#+ [0-9]+(\.[0-9]+)?' DESIGN.md | cut -d' ' -f2 | tr '\n' ' ')" \
+        -v prs="$(grep -oE '^- PR [0-9]+:' CHANGES.md | grep -oE '[0-9]+' | tr '\n' ' ')" '
         BEGIN {
             n = split(items, a, " "); for (i = 1; i <= n; i++) item[a[i]] = 1
             n = split(sections, a, " "); for (i = 1; i <= n; i++) section[a[i]] = 1
+            n = split(prs, a, " "); for (i = 1; i <= n; i++) pr[a[i]] = 1
         }
         {
             split($0, loc, ":")
@@ -101,6 +105,20 @@ refs_check() {
                 if ((ref ~ /^ROADMAP item/ && id in item) || (ref ~ /^DESIGN/ && id in section)) continue
                 print loc[1] ":" loc[2] ": " ref
                 bad = 1
+            }
+            rest = $0
+            while (match(rest, /PRs? [0-9]+((, and |, | and |–|\/)[0-9]+)*/)) {
+                ref = substr(rest, RSTART, RLENGTH)
+                rest = substr(rest, RSTART + RLENGTH)
+                ids = ref
+                gsub(/[^0-9]+/, " ", ids)
+                n = split(ids, a, " ")
+                for (i = 1; i <= n; i++) {
+                    if (a[i] in pr) continue
+                    print loc[1] ":" loc[2] ": " ref
+                    bad = 1
+                    break
+                }
             }
         }
         END { exit bad }'

@@ -8,8 +8,11 @@
 //!   configurations;
 //! * [`MultiVersionStore`] — the per-replica version store: the latest
 //!   version for `choose_last`, the version list for `choose_cons` (§4.2);
-//! * [`SeedImage`] — a replica's initial load by rule, O(partitions): the
-//!   store copies a key out of it on the key's first write.
+//! * [`SeedImage`] — a replica's initial load by rule, O(partitions): a
+//!   key's seed version stays there, and the store keeps only what a
+//!   write adds;
+//! * [`Versions`] — the view of one key's retained versions that
+//!   `choose_cons` walks.
 //!
 //! ```
 //! use gdur_store::{Key, MultiVersionStore, Placement, Value};
@@ -27,6 +30,6 @@ mod mvstore;
 mod placement;
 mod types;
 
-pub use mvstore::{MultiVersionStore, SeedImage, VersionRecord, SEED_TX};
+pub use mvstore::{MultiVersionStore, SeedImage, VersionRecord, Versions, SEED_TX};
 pub use placement::{PartitionId, Placement};
 pub use types::{Key, TxId, Value};

@@ -1,8 +1,8 @@
 //! The multi-version object store held by each replica (`ds` in the paper's
 //! Algorithms 1–2).
 //!
-//! Every key maps to a list of committed versions in install order. The
-//! two read paths of §4.2:
+//! Every key maps to its committed versions in install order. The two read
+//! paths of §4.2:
 //!
 //! * [`MultiVersionStore::latest`] — `choose_last`;
 //! * [`MultiVersionStore::versions`] — `choose_cons`: the replica walks the
@@ -14,8 +14,10 @@
 //! overwrites a few percent of them, so the load is held as a
 //! [`SeedImage`] — one seed [`VersionRecord`] per hosted partition,
 //! O(partitions) memory — and a key gets a version list of its own only on
-//! its first write. Every read path answers an unwritten key from the image
-//! exactly as if it had been seeded record by record.
+//! its first write. The seed version stays in the image even then: a
+//! written key's list holds only its installs, and a per-key flag says
+//! whether the image's seed still precedes them. Every read path answers
+//! exactly as if the load had been seeded record by record.
 
 use gdur_net::SiteId;
 use gdur_versioning::Stamp;
@@ -207,10 +209,12 @@ impl SeedImage {
 /// A replica-local multi-version store over the keys of the partitions the
 /// replica hosts.
 ///
-/// The store is a [`SeedImage`] plus the version lists of the keys written
-/// since. A key is interned to a dense [`Symbol`] at its first write (or
-/// explicit [`seed`](Self::seed)), its list starting from the image's seed
-/// version; until then every read answers from the image. A lookup on the
+/// The store is a [`SeedImage`] plus the installs of the keys written since.
+/// A key is interned to a dense [`Symbol`] at its first write (or explicit
+/// [`seed`](Self::seed)); its list holds only what was written, each list
+/// sized exactly to what it keeps, and the image's seed version is not
+/// copied: `seeded` marks the keys whose versions still begin with it.
+/// Until its first write every read answers from the image. A lookup on the
 /// hot read/certify/install paths is one integer hash-probe into a table
 /// sized by the *written* keys, plus a dense-`Vec` index or the image's
 /// per-partition record. Key iteration is deterministic: the image's keys
@@ -220,8 +224,11 @@ pub struct MultiVersionStore {
     image: SeedImage,
     /// Symbol → key (the interner's reverse map).
     keys: Vec<Key>,
-    /// Symbol → committed versions in install order.
+    /// Symbol → installed (or explicitly seeded) versions in install order.
     slots: Vec<Vec<VersionRecord>>,
+    /// Symbol → the image's seed version still precedes `slots[symbol]`;
+    /// cleared when garbage collection drops it.
+    seeded: Vec<bool>,
     index: KeyIndex,
     /// Interned keys outside the image (explicitly seeded ones).
     extra: usize,
@@ -251,6 +258,7 @@ impl MultiVersionStore {
             image,
             keys: Vec::new(),
             slots: Vec::new(),
+            seeded: Vec::new(),
             index: KeyIndex::new(),
             extra: 0,
             max_versions: Self::DEFAULT_MAX_VERSIONS,
@@ -280,29 +288,36 @@ impl MultiVersionStore {
         self.index.get(key, &self.keys).map(|s| s as usize)
     }
 
-    /// Gives `key` a version list of its own, starting from the image's
-    /// seed version when the image hosts it and empty otherwise.
-    ///
-    /// The list is sized for the seed plus the first install — what a
-    /// written key almost always keeps — not the 4 a first push would
-    /// reserve; a third install grows it.
+    /// Gives `key` a version list of its own: empty, with room for the first
+    /// install, and marked `seeded` when the image hosts the key — the seed
+    /// version itself stays in the image.
     fn intern(&mut self, key: Key) -> usize {
         let sym = self.keys.len();
         self.index.insert(key, sym as Symbol, &self.keys);
         self.keys.push(key);
-        let seed = self.image.record(key).cloned();
-        self.extra += usize::from(seed.is_none());
-        let mut versions = Vec::with_capacity(2);
-        versions.extend(seed);
-        self.slots.push(versions);
+        let seeded = self.image.record(key).is_some();
+        self.extra += usize::from(!seeded);
+        self.seeded.push(seeded);
+        self.slots.push(Vec::with_capacity(1));
         sym
     }
 
     /// Loads an initial version of `key` (seq 0, seed writer) by hand —
     /// for stores assembled without an image: log recovery, unit tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image hosts `key`: its seed version is the image's,
+    /// and a second one would be a second seq-0 version.
     pub fn seed(&mut self, key: Key, value: Value, stamp: Stamp) {
+        assert!(
+            self.image.record(key).is_none(),
+            "seed of key {key}, which the image already seeds"
+        );
         let s = self.sym(key).unwrap_or_else(|| self.intern(key));
-        self.slots[s].push(VersionRecord::seed(value, stamp));
+        let versions = &mut self.slots[s];
+        versions.reserve_exact(1);
+        versions.push(VersionRecord::seed(value, stamp));
     }
 
     /// True if the replica holds a copy of `key`.
@@ -337,19 +352,26 @@ impl MultiVersionStore {
     }
 
     /// All retained versions of `key` in install order (oldest first), for
-    /// callers that apply their own snapshot predicate. An unwritten key's
-    /// list is the image's one seed version.
+    /// callers that apply their own snapshot predicate: one lookup, and a
+    /// view of the image's seed (while the key retains it) followed by the
+    /// installs. An unwritten key's versions are the image's one seed.
     #[inline]
-    pub fn versions(&self, key: Key) -> Option<&[VersionRecord]> {
+    pub fn versions(&self, key: Key) -> Option<Versions<'_>> {
         match self.sym(key) {
-            Some(s) => Some(&self.slots[s]),
-            None => self.image.record(key).map(std::slice::from_ref),
+            Some(s) => Some(Versions {
+                seed: self.image.record(key).filter(|_| self.seeded[s]),
+                rest: &self.slots[s],
+            }),
+            None => self.image.record(key).map(|seed| Versions {
+                seed: Some(seed),
+                rest: &[],
+            }),
         }
     }
 
     /// Installs a new committed version of `key`, returning its per-key
     /// sequence. Old versions beyond the retention cap are garbage
-    /// collected.
+    /// collected, the image's seed first.
     ///
     /// # Panics
     ///
@@ -361,18 +383,24 @@ impl MultiVersionStore {
             None if self.image.record(key).is_some() => self.intern(key),
             None => panic!("install on unknown key {key}"),
         };
+        let seeded = &mut self.seeded[s];
         let versions = &mut self.slots[s];
-        let seq = versions.last().map(|r| r.seq + 1).unwrap_or(0);
+        let seq = versions.last().map_or(u64::from(*seeded), |r| r.seq + 1);
+        // Collect before the push, so a list at the cap never outgrows it.
+        let kept = usize::from(*seeded) + versions.len() + 1;
+        let mut excess = kept.saturating_sub(self.max_versions);
+        if excess > 0 && *seeded {
+            *seeded = false;
+            excess -= 1;
+        }
+        versions.drain(..excess);
+        versions.reserve_exact(1);
         versions.push(VersionRecord {
             value,
             stamp,
             seq,
             writer,
         });
-        if versions.len() > self.max_versions {
-            let excess = versions.len() - self.max_versions;
-            versions.drain(..excess);
-        }
         seq
     }
 
@@ -387,9 +415,57 @@ impl MultiVersionStore {
 
     /// Number of retained versions of `key`.
     pub fn version_count(&self, key: Key) -> usize {
-        self.versions(key).map_or(0, <[_]>::len)
+        self.versions(key).map_or(0, |v| v.len())
     }
 }
+
+/// The retained versions of one key, oldest first: the image's seed version
+/// while the key retains it, then the key's installs. A borrowed, `Copy`
+/// view — what [`MultiVersionStore::versions`] returns.
+#[derive(Debug, Clone, Copy)]
+pub struct Versions<'a> {
+    seed: Option<&'a VersionRecord>,
+    rest: &'a [VersionRecord],
+}
+
+// Returned by value on every consistent read.
+const _: () = assert!(std::mem::size_of::<Versions<'_>>() <= 24);
+
+impl<'a> Versions<'a> {
+    /// The versions oldest first; `.rev()` walks them newest first.
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = &'a VersionRecord> + 'a {
+        self.seed.into_iter().chain(self.rest)
+    }
+
+    /// Number of retained versions.
+    pub fn len(self) -> usize {
+        usize::from(self.seed.is_some()) + self.rest.len()
+    }
+
+    /// True if no version is retained (never, for a key the store holds).
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th oldest retained version.
+    pub fn get(self, i: usize) -> Option<&'a VersionRecord> {
+        self.iter().nth(i)
+    }
+
+    /// The most recent version.
+    pub fn last(self) -> Option<&'a VersionRecord> {
+        self.rest.last().or(self.seed)
+    }
+}
+
+impl PartialEq for Versions<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -431,7 +507,10 @@ mod tests {
         assert_eq!(s.install(Key(1), Value::from_u64(2), ts(2), tx(2)), 2);
         assert_eq!(s.latest_seq(Key(1)), Some(2));
         assert_eq!(s.latest(Key(1)).unwrap().value.as_u64(), Some(2));
-        assert_eq!(s.versions(Key(1)).unwrap()[1].value.as_u64(), Some(1));
+        assert_eq!(
+            s.versions(Key(1)).unwrap().get(1).unwrap().value.as_u64(),
+            Some(1)
+        );
     }
 
     #[test]
@@ -479,7 +558,10 @@ mod tests {
         assert_eq!(s.len(), 20, "a written key is still one key");
         let seqs: Vec<u64> = s.versions(Key(3)).unwrap().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, [0, 1]);
-        assert_eq!(s.versions(Key(3)).unwrap()[0].value.as_u64(), Some(7));
+        assert_eq!(
+            s.versions(Key(3)).unwrap().get(0).unwrap().value.as_u64(),
+            Some(7)
+        );
         let fresh = s.pristine();
         assert_eq!((fresh.materialized(), fresh.len()), (0, 20));
         assert_eq!(fresh.latest_seq(Key(3)), Some(0));
@@ -552,10 +634,118 @@ mod tests {
             assert!(
                 installed
                     .iter()
-                    .any(|k| lazy.versions(*k).unwrap()[0].seq > 0),
+                    .any(|k| lazy.versions(*k).unwrap().get(0).unwrap().seq > 0),
                 "some seed version was garbage collected"
             );
         }
+    }
+
+    /// Every observation of `store` equals the reference layout's, on every
+    /// key in `0..universe`.
+    fn assert_same(store: &MultiVersionStore, model: &reference::ReferenceStore, universe: u64) {
+        for key in (0..universe).map(Key) {
+            let (got, want) = (store.versions(key), model.versions(key));
+            assert_eq!(got.map(|v| v.len()), want.map(<[_]>::len), "{key}");
+            if let (Some(got), Some(want)) = (got, want) {
+                assert!(got.iter().eq(want), "versions of {key}");
+                for (i, r) in want.iter().enumerate() {
+                    assert_eq!(got.get(i), Some(r), "version {i} of {key}");
+                }
+                assert_eq!(got.get(want.len()), None);
+            }
+            assert_eq!(store.latest(key), model.latest(key), "{key}");
+            assert_eq!(store.latest_seq(key), model.latest(key).map(|r| r.seq));
+            assert_eq!(store.version_count(key), want.map_or(0, <[_]>::len));
+            assert_eq!(store.contains_key(key), model.contains_key(key), "{key}");
+        }
+        assert_eq!(store.len(), model.len());
+        assert_eq!(store.materialized(), model.materialized());
+        assert!(store.keys().eq(model.keys()), "key iteration order");
+    }
+
+    /// The store against the previous layout (`reference`: a seed clone in
+    /// every written key's list): seeded random installs over image-hosted
+    /// keys and explicit seeds of image-less ones, under either stamp family
+    /// and four retention caps, compared after every step.
+    #[test]
+    fn matches_the_reference_layout_step_by_step() {
+        const UNIVERSE: u64 = 36;
+        for vector in [false, true] {
+            for max in [1, 2, 3, 8] {
+                let (image, placement) = image(vector);
+                let mut store = MultiVersionStore::from_image(image.clone()).with_max_versions(max);
+                let mut model = reference::ReferenceStore::from_image(image, max);
+                let mut clock = [0u64; 3];
+                // xorshift64, seeded per configuration.
+                let mut x = 0x2545_F491_4F6C_DD1Du64 ^ (max as u64) << 8 ^ u64::from(vector);
+                let mut next = |n: u64| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x % n
+                };
+                let (mut seeds, mut seed_dropped) = (0, false);
+                for step in 0..300u64 {
+                    let key = Key(next(UNIVERSE));
+                    let p = placement.partition_of(key).index();
+                    clock[p] += 1;
+                    let stamp = if vector {
+                        vstamp(p as u32, &clock)
+                    } else {
+                        ts(step)
+                    };
+                    let v = Value::from_u64(step);
+                    if model.contains_key(key) {
+                        let a = store.install(key, v.clone(), stamp.clone(), tx(step));
+                        let b = model.install(key, v, stamp, tx(step));
+                        assert_eq!(a, b, "install seq of {key} at step {step}");
+                    } else {
+                        store.seed(key, v.clone(), stamp.clone());
+                        model.seed(key, v, stamp);
+                        seeds += 1;
+                    }
+                    assert_same(&store, &model, UNIVERSE);
+                    assert_same(&store.pristine(), &model.pristine(), UNIVERSE);
+                    seed_dropped |= (0..30).map(Key).any(|k| {
+                        placement.is_local(SiteId(0), k)
+                            && store.versions(k).is_some_and(|v| v.seed.is_none())
+                    });
+                }
+                assert!(seeds > 0, "the sequence seeded image-less keys");
+                assert!(seed_dropped, "cap {max}: some seed version was collected");
+            }
+        }
+    }
+
+    #[test]
+    fn every_list_is_sized_exactly() {
+        for max in [1, 2, 3, 8] {
+            for installs in 1..=10u64 {
+                let (image, _) = image(true);
+                let mut s = MultiVersionStore::from_image(image).with_max_versions(max);
+                s.seed(Key(31), Value::from_u64(0), ts(0));
+                for i in 1..=installs {
+                    for key in [Key(3), Key(5), Key(31)] {
+                        s.install(key, Value::from_u64(i), vstamp(0, &[i, 0, 0]), tx(i));
+                    }
+                }
+                for slot in &s.slots {
+                    assert_eq!(
+                        slot.capacity(),
+                        slot.len(),
+                        "cap {max}, {installs} installs"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "seed of key k3")]
+    fn seed_of_an_image_hosted_key_panics() {
+        let (image, _) = image(false);
+        let mut s = MultiVersionStore::from_image(image);
+        s.seed(Key(3), Value::from_u64(1), ts(0));
     }
 
     #[test]
@@ -565,7 +755,11 @@ mod tests {
         s.install(Key(1), Value::from_u64(1), ts(1), tx(1));
         s.install(Key(1), Value::from_u64(2), ts(2), tx(2));
         assert_eq!(s.version_count(Key(1)), 2);
-        assert_eq!(s.versions(Key(1)).unwrap()[0].seq, 1, "seed GCed");
+        assert_eq!(
+            s.versions(Key(1)).unwrap().get(0).unwrap().seq,
+            1,
+            "seed GCed"
+        );
         assert_eq!(s.latest_seq(Key(1)), Some(2));
     }
 
@@ -577,8 +771,8 @@ mod tests {
         let slot = &s.slots[s.sym(Key(3)).unwrap()];
         assert_eq!(
             (slot.len(), slot.capacity()),
-            (2, 2),
-            "seed + first install"
+            (1, 1),
+            "the first install alone: the seed stays in the image"
         );
         s.install(Key(3), Value::from_u64(2), ts(2), tx(2));
         let seqs: Vec<u64> = s.versions(Key(3)).unwrap().iter().map(|r| r.seq).collect();

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Self and inclusive share of samples per physical function.
 
-usage: symbolize.py [--top N] [--under NAME] [--inlined] hostprof.out...    (N defaults to 25)
+usage: symbolize.py [--top N] [--under NAME] [--inlined | --frames K] hostprof.out...
+                                                                     (N defaults to 25)
 
 A sample counts as *self* time of the function holding its instruction
 pointer and as *inclusive* time of every distinct function on its frame
@@ -19,15 +20,22 @@ inclusive table then splits that function's samples by what it called.
 innermost inlined frame, so inlined library code such as
 `alloc/src/collections/btree/search.rs` gets a row, and *inclusive* to
 every file on the leaf's inline chain; an address without line
-information keeps its function's name.
+information keeps its function's name. `--frames K` replaces both tables
+with one that groups samples by their first K workspace frames, leaf
+first: frames of `alloc::`, `core::`, `std::`, the Rust allocator shims
+and libc are skipped, so a heap profile's samples are charged to the code
+that owns the memory rather than to the `finish_grow` that grew it.
 """
 import bisect, collections, functools, os, re, subprocess, sys
 
 args = sys.argv[1:]
 top = int(args.pop(args.index("--top") + 1)) if "--top" in args else 25
 under = args.pop(args.index("--under") + 1) if "--under" in args else None
+frames = int(args.pop(args.index("--frames") + 1)) if "--frames" in args else None
 inlined = "--inlined" in args
-paths = [a for a in args if a not in ("--top", "--under", "--inlined")]
+paths = [a for a in args if a not in ("--top", "--under", "--frames", "--inlined")]
+# Library and allocator frames, which --frames looks through.
+RUNTIME = re.compile(r"^<?(alloc|core|std)::|^__r(ust|dl|g)_|^__rustc::|^\[")
 
 @functools.lru_cache(maxsize=None)
 def symbols(obj):
@@ -63,7 +71,7 @@ def inline_chains(obj, offsets):
     return files
 
 self_n, incl_n, total = collections.Counter(), collections.Counter(), 0
-leaves = collections.Counter()
+leaves, groups = collections.Counter(), collections.Counter()
 for path in paths:
     head, _, tail = open(path).read().partition("--samples--\n")
     # Executable mappings, each with its file's load base: the lowest mapping
@@ -106,6 +114,9 @@ for path in paths:
         incl_n.update(set(chain))
         if inlined:
             leaves[(locate(pcs[0]), chain[0])] += 1
+        if frames:
+            own = [f for f in chain if not RUNTIME.search(f)]
+            groups[" < ".join(own[:frames]) or "[runtime only]"] += 1
 
 if inlined:
     by_obj = collections.defaultdict(set)
@@ -122,7 +133,10 @@ if inlined:
             incl_n[f] += n
 
 print(f"{total} samples from {len(paths)} file(s)" + (f" under {under}" if under else ""))
-for title, counts in (("self", self_n), ("inclusive", incl_n)):
-    print(f"\n{title:>9}  samples  {'source file (inlined)' if inlined else 'function'}")
+tables = ((f"first {frames}", groups),) if frames else (("self", self_n), ("inclusive", incl_n))
+column = "workspace frames, callee < caller" if frames else \
+    "source file (inlined)" if inlined else "function"
+for title, counts in tables:
+    print(f"\n{title:>9}  samples  {column}")
     for name, n in counts.most_common(top):
         print(f"{100 * n / max(total, 1):8.1f}%  {n:7d}  {name}")
