@@ -5,8 +5,8 @@
 # the registry crates (see README "Offline build").
 #
 # Tiers:
-#   ./ci.sh --fast   formatting, clippy, debug tests, doc references — the
-#                    edit-loop tier
+#   ./ci.sh --fast   formatting, clippy, debug tests, doc references, the
+#                    profilers compile — the edit-loop tier
 #   ./ci.sh          the full gate: fast tier + release build/tests, then
 #                    the seven gates (obs_smoke, chaos_smoke, mc_smoke,
 #                    mega_smoke, bench_selfcheck, perf_gate,
@@ -124,6 +124,21 @@ refs_check() {
         END { exit bad }'
 }
 
+# tools_check: the profilers under tools/hostprof (not run by CI) still
+# compile warning-free and symbolize.py still parses. `ast.parse` rather
+# than `py_compile`, which would leave a __pycache__ behind; without gcc
+# the C half is skipped with a note.
+tools_check() {
+    if command -v gcc >/dev/null 2>&1; then
+        for _src in tools/hostprof/hostprof.c tools/hostprof/heapprof.c; do
+            gcc -Wall -Wextra -Werror -fsyntax-only "$_src" || return 1
+        done
+    else
+        echo "    gcc not found: tools/hostprof/*.c not compiled (skipped)"
+    fi
+    python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/symbolize.py
+}
+
 TOTAL0=$(date +%s)
 
 step "cargo fmt --check" cargo fmt --check
@@ -134,6 +149,8 @@ step "cargo clippy --all-targets -- -D warnings" \
 step "cargo test (debug)" cargo test -q
 
 step "docs name only what exists" docs_check
+
+step "profilers compile" tools_check
 
 if [ "$FAST" = "1" ]; then
     echo "==> ci --fast: all checks passed ($(($(date +%s) - TOTAL0))s)"

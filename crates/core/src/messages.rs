@@ -179,8 +179,10 @@ pub enum Msg {
         value: Value,
         /// Per-key sequence of the chosen version.
         seq: u64,
-        /// Stamp of the chosen version.
-        stamp: Stamp,
+        /// Wire size of the chosen version's stamp, which travels with it;
+        /// the requester reads the stamp's effect from `snap`, never the
+        /// stamp itself.
+        stamp_bytes: u32,
         /// Updated snapshot context (greedy pins taken at the server).
         snap: Snapshot,
     },
@@ -259,6 +261,10 @@ pub enum Msg {
     },
 }
 
+// A message is boxed once at its send and moved whole into and out of the
+// box, so its size is a cost on every send.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 144);
+
 impl WireSize for Msg {
     fn wire_size(&self) -> usize {
         const HDR: usize = 16;
@@ -278,8 +284,11 @@ impl WireSize for Msg {
             }
             Msg::ReadReq { snap, .. } => HDR + 16 + snap.wire_size(),
             Msg::ReadRep {
-                value, stamp, snap, ..
-            } => HDR + 24 + value.len() + stamp.wire_size() + snap.wire_size(),
+                value,
+                stamp_bytes,
+                snap,
+                ..
+            } => HDR + 24 + value.len() + *stamp_bytes as usize + snap.wire_size(),
             Msg::Gc(m) => HDR + m.wire_size(),
             Msg::Vote { clocks, .. } => HDR + 16 + 12 * clocks.len(),
             Msg::Decide { clocks, .. } => HDR + 16 + 12 * clocks.len(),

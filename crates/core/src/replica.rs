@@ -700,7 +700,7 @@ impl Replica {
                 key,
                 value,
                 seq,
-                stamp: _,
+                stamp_bytes: _,
                 snap,
             } => self.on_read_rep(ctx, tx, key, value, seq, snap),
             Msg::Gc(m) => {

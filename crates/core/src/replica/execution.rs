@@ -29,11 +29,12 @@ impl Replica {
     }
 
     /// `choose` (Algorithm 1, lines 22–30): selects a version of `key` from
-    /// the local store under `snap`, updating the snapshot context. `None`
-    /// if the store no longer retains a version the snapshot admits: a read
+    /// the local store under `snap`, updating the snapshot context, and
+    /// returns its value, sequence number and stamp wire size. `None` if
+    /// the store no longer retains a version the snapshot admits: a read
     /// held back long enough on a hot key (parked through a recovery, say)
     /// outlives the bounded version history, and cannot be served.
-    fn choose_version(&mut self, key: Key, snap: &mut Snapshot) -> Option<(Value, u64, Stamp)> {
+    fn choose_version(&mut self, key: Key, snap: &mut Snapshot) -> Option<(Value, u64, u32)> {
         use crate::spec::ChooseRule;
         let p = self.cfg.placement.partition_of(key).index();
         let rec = match self.cfg.spec.choose {
@@ -43,19 +44,19 @@ impl Replica {
                 .unwrap_or_else(|| panic!("read of unhosted key {key} at {}", self.me)),
             ChooseRule::Consistent => {
                 snap.pin(p, self.knowledge.get(p));
-                self.store
+                let rec = self
+                    .store
                     .versions(key)
                     .unwrap_or_else(|| panic!("read of unhosted key {key} at {}", self.me))
                     .iter()
                     .rev()
-                    .find(|r| snap.admits(&r.stamp))?
+                    .find(|r| snap.admits(&r.stamp))?;
+                snap.observe(&rec.stamp);
+                rec
             }
         };
-        let out = (rec.value.clone(), rec.seq, rec.stamp.clone());
-        if self.cfg.spec.choose == ChooseRule::Consistent {
-            snap.observe(&out.2);
-        }
-        Some(out)
+        let stamp_bytes = u32::try_from(rec.stamp.wire_size()).expect("stamp size fits u32");
+        Some((rec.value.clone(), rec.seq, stamp_bytes))
     }
 
     pub(super) fn on_client_op(
@@ -143,7 +144,7 @@ impl Replica {
                 Snapshot::unconstrained(),
             );
             ctx.consume(self.cfg.costs.per_read);
-            let Some((value, seq, _stamp)) = self.choose_version(key, &mut snap) else {
+            let Some((value, seq, _)) = self.choose_version(key, &mut snap) else {
                 return self.finish_coord(ctx, tx, false, Some(AbortCause::ReadImpossible));
             };
             let t = self.coord.get_mut(&tx).expect("present");
@@ -165,12 +166,21 @@ impl Replica {
     fn read_target_site(&self, key: Key, attempt: usize) -> SiteId {
         let p = self.cfg.placement.partition_of(key);
         let replicas = self.cfg.placement.replicas(p);
-        let live: Vec<SiteId> = replicas
-            .iter()
-            .copied()
-            .filter(|s| !self.suspected.contains(s))
-            .collect();
-        let pool: &[SiteId] = if live.is_empty() { replicas } else { &live };
+        let live: Vec<SiteId>;
+        let pool: &[SiteId] = if replicas.iter().any(|s| self.suspected.contains(s)) {
+            live = replicas
+                .iter()
+                .copied()
+                .filter(|s| !self.suspected.contains(s))
+                .collect();
+            if live.is_empty() {
+                replicas
+            } else {
+                &live
+            }
+        } else {
+            replicas
+        };
         let nearest = self.cfg.read_target[p.index()];
         if attempt == 0 && pool.contains(&nearest) {
             nearest
@@ -308,7 +318,7 @@ impl Replica {
         // An unservable read gets no reply: the requester's failover timer
         // re-iterates it at another replica, and `max_read_attempts` aborts
         // the transaction with `ReadImpossible` if none can serve it either.
-        let Some((value, seq, stamp)) = self.choose_version(key, &mut snap) else {
+        let Some((value, seq, stamp_bytes)) = self.choose_version(key, &mut snap) else {
             return;
         };
         ctx.send(
@@ -318,7 +328,7 @@ impl Replica {
                 key,
                 value,
                 seq,
-                stamp,
+                stamp_bytes,
                 snap,
             },
         );

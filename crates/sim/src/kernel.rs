@@ -26,20 +26,16 @@
 //! around it measured at best ≈ 2× (DESIGN.md §3.11). Host cores are used
 //! by running whole simulations side by side.
 //!
-//! The queue behind that order is three binary heaps, one per event class
-//! — `Dispatch` wake-ups (scheduled a service time ahead: µs), message,
-//! start, restart and fault arrivals (a network delay ahead: ms) and timer
-//! arrivals (a timeout ahead: 250 ms – 1 s) — and one total order: `peek`
-//! and `pop` take the `(time, seq)`-least of the three heads, and every
-//! event draws its sequence number from the one counter whatever its
-//! class. The split changes what a pop costs, not what it returns: the
-//! few short-lived dispatches and the ~1 k in-flight messages no longer
-//! sift through ~10 k armed and cancelled timers that almost never fire
-//! (DESIGN.md §3.6). [`Simulation::queue_stats`] counts the traffic of
-//! each class.
+//! The queue behind that order holds one `Copy` sixteen-byte key per
+//! event, `(time, seq, slot)` packed in a `u128`, in four binary heaps
+//! (dispatch wake-ups, near and far messages, timers), and the event
+//! bodies in a slab beside them (the `queue` module; DESIGN.md §3.6).
+//! `peek` and `pop` take the least of the four heads, and every event
+//! draws its sequence number from the one counter whatever its class, so
+//! the split changes what a pop costs, not what it returns.
+//! [`Simulation::queue_stats`] counts the traffic of each class.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -47,6 +43,8 @@ use rand::SeedableRng;
 use crate::actor::{Actor, ProcessId, WireSize};
 use crate::idmap::IdMap;
 use crate::obs::{trigger, ObsEvent, ObsSink};
+use crate::queue::{Class, EventQueue, Head};
+pub use crate::queue::{QueueClassStats, QueueStats};
 use crate::sched::{Candidate, CandidateKind, Scheduler};
 use crate::time::{SimDuration, SimTime};
 
@@ -197,10 +195,10 @@ impl<'a, M> Context<'a, M> {
 }
 
 /// A message payload is boxed at the send site and the same allocation
-/// rides through the event heap and the actor's pending queue until the
-/// actor consumes it: queue shuffles move a few words instead of the
-/// payload (~200 bytes for a realistic `Msg` enum), and timer/start jobs
-/// allocate nothing at all.
+/// rides in the event queue's body slab, through the actor's pending
+/// queue (which holds its slot), until the actor consumes it: the slab
+/// moves a pointer instead of the payload (~144 bytes for a realistic
+/// `Msg` enum), and timer/start jobs allocate nothing at all.
 enum Job<M> {
     Start,
     Message { from: ProcessId, msg: Box<M> },
@@ -208,9 +206,10 @@ enum Job<M> {
     Restart,
 }
 
+/// The body of a queued event. `Dispatch` wake-ups have none: the process
+/// to wake rides in the key.
 enum EventKind<M> {
     Arrival(ProcessId, Job<M>),
-    Dispatch(ProcessId),
     /// A scheduled fail-stop crash ([`Simulation::schedule_crash`]).
     Crash(ProcessId),
     /// A scheduled recovery ([`Simulation::schedule_restart`]).
@@ -224,122 +223,13 @@ pub const KERNEL_CRASH: &str = "kernel.crash";
 /// restart brings an actor back (`value` = 0).
 pub const KERNEL_RESTART: &str = "kernel.restart";
 
-/// Priority-queue entry. The ordering key `(time, seq)` lives inline so
-/// heap comparisons never chase a pointer; the event body is small (the
-/// arrival message is boxed), so sifts move a few words. The ordering
-/// itself is untouched, so schedules are bit-identical.
-struct QueuedEvent<M> {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// Traffic of one class of the kernel's event queue (see
-/// [`Simulation::queue_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueClassStats {
-    /// Events pushed.
-    pub pushed: u64,
-    /// Events popped.
-    pub popped: u64,
-    /// Most events of this class queued at once.
-    pub peak_len: u64,
-}
-
-/// Per-class traffic of the kernel's event queue.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// `Dispatch` wake-ups: a busy actor's next core-free instant.
-    pub dispatch: QueueClassStats,
-    /// Message, start and restart arrivals and scheduled faults.
-    pub message: QueueClassStats,
-    /// Timer arrivals, whether they fire or drain cancelled.
-    pub timer: QueueClassStats,
-}
-
-const CLASS_DISPATCH: usize = 0;
-const CLASS_MESSAGE: usize = 1;
-const CLASS_TIMER: usize = 2;
-
-/// The kernel's event queue: one heap per event class, popped in the one
-/// `(time, seq)` order. The classes differ in how far ahead they are
-/// scheduled and in how many entries they hold, so keeping them apart
-/// keeps each pop's sift as shallow as its own class.
-struct EventQueue<M> {
-    heaps: [BinaryHeap<Reverse<QueuedEvent<M>>>; 3],
-    stats: [QueueClassStats; 3],
-}
-
-impl<M> EventQueue<M> {
-    fn new() -> Self {
-        EventQueue {
-            heaps: [BinaryHeap::new(), BinaryHeap::new(), BinaryHeap::new()],
-            stats: [QueueClassStats::default(); 3],
-        }
-    }
-
-    fn class_of(kind: &EventKind<M>) -> usize {
-        match kind {
-            EventKind::Dispatch(_) => CLASS_DISPATCH,
-            EventKind::Arrival(_, Job::Timer { .. }) => CLASS_TIMER,
-            EventKind::Arrival(..) | EventKind::Crash(_) | EventKind::Restart(_) => CLASS_MESSAGE,
-        }
-    }
-
-    fn push(&mut self, ev: QueuedEvent<M>) {
-        let class = Self::class_of(&ev.kind);
-        let heap = &mut self.heaps[class];
-        heap.push(Reverse(ev));
-        let stats = &mut self.stats[class];
-        stats.pushed += 1;
-        stats.peak_len = stats.peak_len.max(heap.len() as u64);
-    }
-
-    /// The class whose head is `(time, seq)`-least, if any event is queued.
-    fn head_class(&self) -> Option<usize> {
-        self.heaps
-            .iter()
-            .enumerate()
-            .filter_map(|(class, heap)| heap.peek().map(|Reverse(ev)| (ev, class)))
-            .min()
-            .map(|(_, class)| class)
-    }
-
-    fn peek(&self) -> Option<&QueuedEvent<M>> {
-        let class = self.head_class()?;
-        self.heaps[class].peek().map(|Reverse(ev)| ev)
-    }
-
-    fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        let class = self.head_class()?;
-        self.stats[class].popped += 1;
-        self.heaps[class].pop().map(|Reverse(ev)| ev)
-    }
-}
-
 struct ActorSlot<A: Actor> {
     actor: A,
     /// Free instants of each core (empty when `Cores::Unlimited`).
     core_free: Vec<SimTime>,
     unlimited: bool,
-    pending: VecDeque<(u64, Job<A::Msg>)>,
+    /// Arrived jobs waiting for a core: `(seq, body slot)`.
+    pending: VecDeque<(u64, u32)>,
     /// Earliest Dispatch event already scheduled, to avoid duplicates.
     dispatch_at: Option<SimTime>,
     crashed: bool,
@@ -364,7 +254,7 @@ pub struct SimStats {
 pub struct Simulation<A: Actor, L: LatencyModel> {
     time: SimTime,
     seq: u64,
-    queue: EventQueue<A::Msg>,
+    queue: EventQueue<EventKind<A::Msg>>,
     actors: Vec<ActorSlot<A>>,
     latency: L,
     rng: SmallRng,
@@ -376,9 +266,9 @@ pub struct Simulation<A: Actor, L: LatencyModel> {
     /// kernel additionally emits `Deliver`/`HandleStart`/`HandleEnd` events.
     obs_causal: bool,
     sched: Option<Box<dyn Scheduler>>,
-    /// Scratch for the scheduler hook's co-enabled window (events + their
-    /// payload-free summaries), reused across choice points.
-    cand_events: Vec<QueuedEvent<A::Msg>>,
+    /// Scratch for the scheduler hook's co-enabled window (event heads +
+    /// their payload-free summaries), reused across choice points.
+    cand_events: Vec<Head>,
     cand_meta: Vec<Candidate>,
 }
 
@@ -487,12 +377,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// Deterministic for a seed. A [`Scheduler`] re-queues the arrivals it
     /// passes over, and each re-queue counts as a push.
     pub fn queue_stats(&self) -> QueueStats {
-        let [dispatch, message, timer] = self.queue.stats;
-        QueueStats {
-            dispatch,
-            message,
-            timer,
-        }
+        self.queue.stats()
     }
 
     /// The network model in use (e.g. for partition injection handles).
@@ -536,7 +421,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// Panics if `at` is in the past.
     pub fn schedule_crash(&mut self, id: ProcessId, at: SimTime) {
         assert!(at >= self.time, "cannot schedule a crash in the past");
-        self.push(at, EventKind::Crash(id));
+        self.push(Class::Message, at, EventKind::Crash(id));
     }
 
     /// Schedules a restart of `id` at virtual instant `at`: the actor comes
@@ -551,7 +436,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// Panics if `at` is in the past.
     pub fn schedule_restart(&mut self, id: ProcessId, at: SimTime) {
         assert!(at >= self.time, "cannot schedule a restart in the past");
-        self.push(at, EventKind::Restart(id));
+        self.push(Class::Message, at, EventKind::Restart(id));
     }
 
     /// A scheduled crash taking effect: fail-stop with total loss of the
@@ -560,7 +445,9 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         let slot = &mut self.actors[id.index()];
         let discarded = slot.pending.len() as u64;
         slot.crashed = true;
-        slot.pending.clear();
+        for (_, body) in slot.pending.drain(..) {
+            self.queue.discard(body);
+        }
         // Retire every in-flight timer: a process that lost its memory must
         // not observe timers armed by its previous incarnation. The arrival
         // events still drain through the queue, find their id gone from
@@ -594,7 +481,11 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 value: 0,
             });
         }
-        self.push(self.time, EventKind::Arrival(id, Job::Restart));
+        self.push(
+            Class::Message,
+            self.time,
+            EventKind::Arrival(id, Job::Restart),
+        );
     }
 
     /// Injects a message from the environment, arriving at `at`.
@@ -605,6 +496,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     pub fn inject(&mut self, from: ProcessId, to: ProcessId, msg: A::Msg, at: SimTime) {
         assert!(at >= self.time, "cannot inject into the past");
         self.push(
+            Class::Message,
             at,
             EventKind::Arrival(
                 to,
@@ -616,10 +508,15 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         );
     }
 
-    fn push(&mut self, time: SimTime, kind: EventKind<A::Msg>) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(QueuedEvent { time, seq, kind });
+        seq
+    }
+
+    fn push(&mut self, class: Class, time: SimTime, kind: EventKind<A::Msg>) {
+        let seq = self.next_seq();
+        self.queue.push(class, time, seq, kind, self.time);
     }
 
     fn ensure_started(&mut self) {
@@ -630,6 +527,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         for i in 0..self.actors.len() {
             // In-range by construction: spawn() checked the table size.
             self.push(
+                Class::Message,
                 SimTime::ZERO,
                 EventKind::Arrival(ProcessId(i as u32), Job::Start),
             );
@@ -646,7 +544,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
         self.ensure_started();
         loop {
-            let Some(ev) = self.queue.peek() else {
+            let Some(head) = self.queue.peek() else {
                 // Queue drained before the horizon: advance to it anyway,
                 // mirroring the horizon-hit path below.
                 if until != SimTime::MAX && until > self.time {
@@ -654,25 +552,35 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 }
                 break;
             };
-            if ev.time > until {
+            if head.time() > until {
                 self.time = until;
                 return self.time;
             }
-            if self.sched.is_some() && matches!(ev.kind, EventKind::Arrival(..)) {
+            if self.sched.is_some()
+                && head.dispatch().is_none()
+                && matches!(self.queue.body(head.slot()), EventKind::Arrival(..))
+            {
                 self.step_scheduled(until);
                 continue;
             }
-            let ev = self.queue.pop().expect("peeked");
-            debug_assert!(ev.time >= self.time, "time went backwards");
-            self.time = ev.time;
-            match ev.kind {
-                EventKind::Arrival(to, job) => self.arrive(to, ev.seq, job),
-                EventKind::Dispatch(to) => {
-                    self.actors[to.index()].dispatch_at = None;
-                    self.try_dispatch(to);
+            self.queue.pop(head);
+            debug_assert!(head.time() >= self.time, "time went backwards");
+            self.time = head.time();
+            if let Some(to) = head.dispatch() {
+                self.actors[to.index()].dispatch_at = None;
+                self.try_dispatch(to);
+                continue;
+            }
+            match self.queue.body(head.slot()) {
+                EventKind::Arrival(to, _) => self.arrive(*to, head),
+                &EventKind::Crash(who) => {
+                    self.queue.discard(head.slot());
+                    self.fault_crash(who);
                 }
-                EventKind::Crash(who) => self.fault_crash(who),
-                EventKind::Restart(who) => self.fault_restart(who),
+                &EventKind::Restart(who) => {
+                    self.queue.discard(head.slot());
+                    self.fault_restart(who);
+                }
             }
         }
         self.time
@@ -691,17 +599,16 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
     /// [`Simulation::run_until`] is preserved.
     fn step_scheduled(&mut self, until: SimTime) {
         let window = self.sched.as_ref().expect("scheduler attached").window();
-        let head = self.queue.peek().expect("caller peeked").time;
+        let head = self.queue.peek().expect("caller peeked").time();
         let hi = std::cmp::min(head + window, until);
         let mut events = std::mem::take(&mut self.cand_events);
         let mut meta = std::mem::take(&mut self.cand_meta);
-        while let Some(ev) = self.queue.peek() {
-            if ev.time > hi || !matches!(ev.kind, EventKind::Arrival(..)) {
+        while let Some(head) = self.queue.peek() {
+            if head.time() > hi || head.dispatch().is_some() {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked");
-            let EventKind::Arrival(to, job) = &ev.kind else {
-                unreachable!("peek checked Arrival");
+            let EventKind::Arrival(to, job) = self.queue.body(head.slot()) else {
+                break;
             };
             // An arrival that will only retire kernel bookkeeping (a
             // canceled timer draining, or anything addressed to a crashed
@@ -711,8 +618,8 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             let inert = slot.crashed
                 || matches!(job, Job::Timer { id, .. } if !slot.armed.contains_key(id));
             meta.push(Candidate {
-                time: ev.time,
-                seq: ev.seq,
+                time: head.time(),
+                seq: head.seq(),
                 to: *to,
                 kind: match job {
                     Job::Start => CandidateKind::Start,
@@ -722,7 +629,8 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 },
                 inert,
             });
-            events.push(ev);
+            self.queue.pop(head);
+            events.push(head);
         }
         let idx = if events.len() == 1 {
             0
@@ -736,23 +644,21 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             i
         };
         let chosen = events.swap_remove(idx);
-        debug_assert!(chosen.time >= self.time, "time went backwards");
-        self.time = chosen.time;
-        for mut ev in events.drain(..) {
+        debug_assert!(chosen.time() >= self.time, "time went backwards");
+        self.time = chosen.time();
+        for ev in events.drain(..) {
             // Passed-over arrivals keep their seq (so a re-collected window
             // is offered in a stable order) but may not stay in the past.
-            if ev.time < self.time {
-                ev.time = self.time;
-            }
-            self.queue.push(ev);
+            self.queue
+                .requeue(ev, std::cmp::max(ev.time(), self.time), self.time);
         }
         meta.clear();
         self.cand_events = events;
         self.cand_meta = meta;
-        match chosen.kind {
-            EventKind::Arrival(to, job) => self.arrive(to, chosen.seq, job),
-            _ => unreachable!("window admits only arrivals"),
-        }
+        let EventKind::Arrival(to, _) = self.queue.body(chosen.slot()) else {
+            unreachable!("window admits only arrivals");
+        };
+        self.arrive(*to, chosen);
     }
 
     /// Runs until the event queue is empty.
@@ -760,23 +666,32 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
         self.run_until(SimTime::MAX)
     }
 
-    fn arrive(&mut self, to: ProcessId, seq: u64, job: Job<A::Msg>) {
+    /// The arrival `head`, popped, reaches `to`: its body moves to the
+    /// actor's pending queue by slot, or is dropped.
+    fn arrive(&mut self, to: ProcessId, head: Head) {
+        let body = head.slot();
+        let EventKind::Arrival(_, job) = self.queue.body(body) else {
+            unreachable!("arrive takes arrivals");
+        };
         let slot = &mut self.actors[to.index()];
         // A timer fires iff its id is still armed: a cancel removed it, and
         // so did a crash, which retires every id of the incarnation that
         // armed it.
-        if let Job::Timer { id, .. } = &job {
+        if let Job::Timer { id, .. } = job {
             if slot.armed.remove(id).is_none() {
+                self.queue.discard(body);
                 return;
             }
         }
+        let message = matches!(job, Job::Message { .. });
         if slot.crashed {
-            if matches!(job, Job::Message { .. }) {
+            if message {
                 self.stats.messages_dropped += 1;
             }
+            self.queue.discard(body);
             return;
         }
-        if matches!(job, Job::Message { .. }) {
+        if message {
             self.stats.messages_delivered += 1;
             // Causal delivery edge: `seq` is the id stamped on the message's
             // Send event, so consumers can pair departure with arrival.
@@ -784,13 +699,13 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 if let Some(obs) = self.obs.as_deref_mut() {
                     obs.record(ObsEvent::Deliver {
                         at: self.time,
-                        mid: seq,
+                        mid: head.seq(),
                         to,
                     });
                 }
             }
         }
-        self.actors[to.index()].pending.push_back((seq, job));
+        slot.pending.push_back((head.seq(), body));
         self.try_dispatch(to);
     }
 
@@ -805,8 +720,8 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 return;
             }
             if slot.unlimited {
-                let (seq, job) = slot.pending.pop_front().expect("nonempty");
-                self.run_job(to, now, seq, job, None);
+                let (seq, body) = slot.pending.pop_front().expect("nonempty");
+                self.run_job(to, now, seq, body, None);
                 continue;
             }
             let (core_idx, free) = slot
@@ -821,24 +736,21 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                     Some(at) if at <= free => {}
                     _ => {
                         slot.dispatch_at = Some(free);
-                        self.push(free, EventKind::Dispatch(to));
+                        let seq = self.next_seq();
+                        self.queue.push_dispatch(free, seq, to);
                     }
                 }
                 return;
             }
-            let (seq, job) = slot.pending.pop_front().expect("nonempty");
-            self.run_job(to, now, seq, job, Some(core_idx));
+            let (seq, body) = slot.pending.pop_front().expect("nonempty");
+            self.run_job(to, now, seq, body, Some(core_idx));
         }
     }
 
-    fn run_job(
-        &mut self,
-        id: ProcessId,
-        start: SimTime,
-        seq: u64,
-        job: Job<A::Msg>,
-        core: Option<usize>,
-    ) {
+    fn run_job(&mut self, id: ProcessId, start: SimTime, seq: u64, body: u32, core: Option<usize>) {
+        let EventKind::Arrival(_, job) = self.queue.take(body) else {
+            unreachable!("pending jobs are arrivals");
+        };
         self.stats.events_processed += 1;
         if self.obs_causal {
             let trig = match &job {
@@ -902,6 +814,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                         });
                     }
                     self.push(
+                        Class::Message,
                         end + delay,
                         EventKind::Arrival(to, Job::Message { from: id, msg }),
                     );
@@ -913,6 +826,7 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 } => {
                     self.actors[id.index()].armed.insert(tid, ());
                     self.push(
+                        Class::Timer,
                         end + after,
                         EventKind::Arrival(id, Job::Timer { id: tid, tag }),
                     );
@@ -1679,75 +1593,46 @@ mod tests {
         assert_eq!(sim.actor(a).log, vec![(later, env, 8), (later, env, 7)]);
     }
 
-    /// The three-heap [`EventQueue`] against the single heap it replaced:
-    /// a seeded interleaving of pushes of every event kind and pops, over
-    /// so few distinct instants that most heads tie on time *across*
-    /// classes and only `seq` separates them. Same `peek` before every
-    /// pop, same pop sequence, and counters that add up.
+    /// Every event body leaves the slab: run, dropped at a crashed actor,
+    /// discarded from a crashed actor's pending queue, or drained as a
+    /// cancelled timer.
     #[test]
-    fn event_queue_pops_in_the_single_heap_order() {
-        use rand::Rng;
-
-        fn kind(rng: &mut SmallRng) -> EventKind<Ping> {
-            let to = ProcessId(rng.gen_range(0..4u32));
-            match rng.gen_range(0..7u32) {
-                0 => EventKind::Dispatch(to),
-                1 => EventKind::Crash(to),
-                2 => EventKind::Restart(to),
-                3 => EventKind::Arrival(to, Job::Start),
-                4 => EventKind::Arrival(to, Job::Restart),
-                5 => EventKind::Arrival(to, Job::Timer { id: 0, tag: 0 }),
-                _ => EventKind::Arrival(
-                    to,
-                    Job::Message {
-                        from: to,
-                        msg: Box::new(Ping(0)),
-                    },
-                ),
+    fn every_body_slot_is_free_at_idle() {
+        // A one-core actor that spends 1 ms per message and arms a timer
+        // it cancels at once; a second timer stays armed.
+        struct Slow;
+        impl Actor for Slow {
+            type Msg = Ping;
+            fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+                ctx.set_timer(SimDuration::from_millis(30), 2);
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, Ping>, _: ProcessId, _: Ping) {
+                ctx.consume(SimDuration::from_millis(1));
+                let t = ctx.set_timer(SimDuration::from_millis(20), 1);
+                ctx.cancel_timer(t);
             }
         }
-
-        let mut rng = SmallRng::seed_from_u64(0x5eed);
-        let mut queue: EventQueue<Ping> = EventQueue::new();
-        let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-        let mut seen = [false; 3];
-        let (mut pushes, mut pops) = (0u64, 0u64);
-        for seq in 0..20_000u64 {
-            // Push-heavy first, pop-heavy later, so the queue both grows
-            // deep and drains empty within the run.
-            let push = rng.gen_bool(if seq < 10_000 { 0.6 } else { 0.4 });
-            if push {
-                let time = SimTime::from_nanos(rng.gen_range(0..8u64));
-                let kind = kind(&mut rng);
-                seen[EventQueue::class_of(&kind)] = true;
-                queue.push(QueuedEvent { time, seq, kind });
-                reference.push(Reverse((time, seq)));
-                pushes += 1;
-            } else {
-                let want = reference.peek().map(|Reverse(k)| *k);
-                assert_eq!(queue.peek().map(|ev| (ev.time, ev.seq)), want);
-                assert_eq!(queue.pop().map(|ev| (ev.time, ev.seq)), want);
-                reference.pop();
-                pops += u64::from(want.is_some());
-            }
+        let mut sim = Simulation::new(ZeroLatency, 1);
+        let a = sim.spawn(Slow, Cores::Fixed(1));
+        for i in 0..10 {
+            sim.inject(ProcessId(99), a, Ping(i), SimTime::from_nanos(1_000));
         }
-        assert_eq!(seen, [true; 3], "every class was exercised");
-        let st = queue.stats;
-        assert_eq!(st.iter().map(|c| c.pushed).sum::<u64>(), pushes);
-        assert_eq!(st.iter().map(|c| c.popped).sum::<u64>(), pops);
-        for (class, heap) in queue.heaps.iter().enumerate() {
-            assert_eq!(
-                st[class].pushed - st[class].popped,
-                heap.len() as u64,
-                "class {class}"
-            );
-            assert!(st[class].peak_len >= heap.len() as u64);
-            assert!(st[class].peak_len <= st[class].pushed);
-        }
-        while let Some(Reverse(want)) = reference.pop() {
-            assert_eq!(queue.pop().map(|ev| (ev.time, ev.seq)), Some(want));
-        }
-        assert!(queue.peek().is_none() && queue.pop().is_none());
+        // Just before the crash at 2.5 ms three messages have started and
+        // seven wait for the core.
+        sim.schedule_crash(a, SimTime::from_nanos(2_500_000));
+        sim.run_until(SimTime::from_nanos(2_400_000));
+        assert_eq!(sim.actors[a.index()].pending.len(), 7);
+        sim.run_until(SimTime::from_nanos(2_500_000));
+        assert!(sim.actors[a.index()].pending.is_empty());
+        // Messages to the crashed actor are dropped at arrival.
+        sim.inject(ProcessId(99), a, Ping(0), SimTime::from_nanos(3_000_000));
+        sim.schedule_restart(a, SimTime::from_nanos(4_000_000));
+        sim.inject(ProcessId(99), a, Ping(0), SimTime::from_nanos(5_000_000));
+        assert!(sim.queue.live_bodies() > 0);
+        sim.run_until_idle();
+        assert_eq!(sim.stats().messages_dropped, 1);
+        assert_eq!(sim.stats().events_processed, 1 + 3 + 1 + 1);
+        assert_eq!(sim.queue.live_bodies(), 0, "a body slot leaked");
     }
 
     #[test]

@@ -62,6 +62,7 @@ mod actor;
 mod idmap;
 mod kernel;
 mod obs;
+mod queue;
 mod sched;
 mod time;
 mod wheel;

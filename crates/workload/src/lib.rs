@@ -174,12 +174,10 @@ impl YcsbSource {
             assert_eq!(keys.len(), n, "could not draw {n} distinct keys");
             let global_ok = local
                 || n == 1
+                || self.partitions < 2
                 || keys
                     .iter()
-                    .map(|k| k % self.partitions)
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .len()
-                    >= 2.min(self.partitions as usize);
+                    .any(|k| k % self.partitions != keys[0] % self.partitions);
             if global_ok {
                 return keys;
             }

@@ -13,6 +13,12 @@
  * peak. The countdown starts from a fixed seed, so a deterministic program
  * gives the same profile on every run. Build the target with frame
  * pointers (see README.md).
+ *
+ * HEAPPROF_MODE=count asks who allocates instead of who holds: every
+ * allocation (malloc, calloc, realloc, the aligned ones) is sampled with
+ * probability 1/COUNT_EVERY whatever its size and lifetime, and the
+ * samples are kept for good, so one sample is COUNT_EVERY allocations made
+ * over the whole run. Same output format, same seeded generator.
  */
 #define _GNU_SOURCE
 #include <errno.h>
@@ -24,6 +30,7 @@
 #include <string.h>
 
 #define SAMPLE_BYTES 16384.0
+#define COUNT_EVERY 16 /* count mode: allocations per sample, a power of 2 */
 #define MAX_FRAMES 24
 #define STACK_BITS 16 /* interned allocation stacks */
 #define LIVE_BITS 18  /* sampled blocks live at once */
@@ -51,14 +58,20 @@ static uint32_t n_live;
 
 static int64_t live_bytes, peak_bytes, countdown;
 static uint64_t dropped, rng = 0x9e3779b97f4a7c15u;
+static uint64_t allocs; /* count mode: allocations seen */
 static int dirty, ready; /* dirty: live_count differs from peak_count */
+static int count_mode;   /* HEAPPROF_MODE=count: peak_count holds totals */
 static uintptr_t stack_hi; /* top of the main thread's stack */
 static char lock;
 static __thread int inside __attribute__((tls_model("initial-exec")));
 
-static int64_t interval(void) {
+static uint64_t next(void) {
     rng ^= rng << 13, rng ^= rng >> 7, rng ^= rng << 17;
-    double u = ((rng >> 11) + 1) * 0x1p-53; /* (0, 1] */
+    return rng;
+}
+
+static int64_t interval(void) {
+    double u = ((next() >> 11) + 1) * 0x1p-53; /* (0, 1] */
     return (int64_t)(-log(u) * SAMPLE_BYTES) + 1;
 }
 
@@ -110,9 +123,27 @@ static void take(void) {
 
 static void give(void) { __atomic_clear(&lock, __ATOMIC_RELEASE); }
 
+/* Count mode: charge one allocation in COUNT_EVERY, drawn at random, to
+ * its stack for the rest of the run. */
+static void count_alloc(uintptr_t fp) {
+    allocs++;
+    if (!ready || next() % COUNT_EVERY) return;
+    uintptr_t pcs[MAX_FRAMES];
+    uint32_t id = intern(pcs, walk(pcs, fp));
+    if (id == MAX_STACKS)
+        dropped++;
+    else
+        peak_count[id]++;
+}
+
 static void on_alloc(void *p, size_t size, uintptr_t fp) {
     if (!p || inside) return;
     take();
+    if (count_mode) {
+        count_alloc(fp);
+        give();
+        return;
+    }
     live_bytes += malloc_usable_size(p);
     if (ready && (countdown -= size) <= 0) {
         uint32_t k = 0;
@@ -138,7 +169,7 @@ static void on_alloc(void *p, size_t size, uintptr_t fp) {
 }
 
 static void on_free(void *p) {
-    if (!p || inside) return;
+    if (!p || inside || count_mode) return;
     take();
     live_bytes -= malloc_usable_size(p);
     size_t i = home(p);
@@ -228,11 +259,18 @@ static void dump(void) {
         }
         fclose(out);
     }
-    fprintf(stderr,
-            "heapprof: live-heap peak %.1f MiB; %lu samples of 16 KiB (%.1f MiB) to %s, %lu "
-            "dropped\n",
-            peak_bytes / 1048576.0, samples, samples / 64.0, out ? path : "(unwritable)",
-            dropped);
+    if (count_mode)
+        fprintf(stderr,
+                "heapprof: %lu allocations; %lu samples of %d allocations (%lu) to %s, %lu "
+                "dropped\n",
+                allocs, samples, COUNT_EVERY, samples * COUNT_EVERY,
+                out ? path : "(unwritable)", dropped);
+    else
+        fprintf(stderr,
+                "heapprof: live-heap peak %.1f MiB; %lu samples of 16 KiB (%.1f MiB) to %s, %lu "
+                "dropped\n",
+                peak_bytes / 1048576.0, samples, samples / 64.0, out ? path : "(unwritable)",
+                dropped);
     give();
 }
 
@@ -243,6 +281,8 @@ __attribute__((constructor)) static void start(void) {
     while (maps && fgets(line, sizeof line, maps))
         if (strstr(line, "[stack]")) sscanf(line, "%*x-%lx", &stack_hi);
     if (maps) fclose(maps);
+    const char *mode = getenv("HEAPPROF_MODE");
+    count_mode = mode && !strcmp(mode, "count");
     inside = 0;
     countdown = interval();
     ready = 1;
