@@ -244,9 +244,10 @@ impl ReplicaStats {
     }
 }
 
-/// Execution-phase state of a transaction at its coordinator.
+/// Execution-phase state of a transaction at its coordinator (Algorithm 1),
+/// from `Begin` until `submit` moves its sets into the payload.
 #[derive(Debug)]
-struct CoordTxn {
+struct ExecTxn {
     client: ProcessId,
     snapshot: Snapshot,
     rs: Vec<ReadEntry>,
@@ -256,30 +257,21 @@ struct CoordTxn {
     pending_read: Option<(Key, Option<Value>, usize)>,
     /// Failover timer of the outstanding read: (tag, kernel timer id).
     read_timer: Option<(u64, u64)>,
-    /// Paxos Commit acknowledgments received.
-    paxos_acks: usize,
-    /// The pending Paxos decision, if in the accept round.
-    paxos_decision: Option<bool>,
-    /// Keys of `vote_snd_obj` (empty when no synchronization is needed).
-    certifying: Vec<Key>,
-    /// The termination payload, kept for crash-recovery retransmission.
-    submitted_payload: Option<TermPayload>,
 }
 
-impl CoordTxn {
+// One per transaction executing at its coordinator.
+const _: () = assert!(std::mem::size_of::<ExecTxn>() <= 216);
+
+impl ExecTxn {
     /// A transaction that has executed nothing yet.
     fn new(client: ProcessId, snapshot: Snapshot) -> Self {
-        CoordTxn {
+        ExecTxn {
             client,
             snapshot,
             rs: Vec::new(),
             ws: Vec::new(),
             pending_read: None,
             read_timer: None,
-            paxos_acks: 0,
-            paxos_decision: None,
-            certifying: Vec::new(),
-            submitted_payload: None,
         }
     }
 
@@ -308,6 +300,40 @@ impl CoordTxn {
     }
 }
 
+/// Termination-phase state of a submitted transaction at its coordinator
+/// (Algorithm 2): the payload owns the sets, and the certifying keys are
+/// derived from them (`certifying_of`).
+#[derive(Debug)]
+struct CoordTxn {
+    client: ProcessId,
+    /// The termination payload, retransmitted by 2PC and Paxos Commit
+    /// retries and by a restarted coordinator.
+    payload: TermPayload,
+    /// Paxos Commit acknowledgments received.
+    paxos_acks: u32,
+    /// The pending Paxos decision, if in the accept round.
+    paxos_decision: Option<bool>,
+    /// True once the payload went out again (a retry, a resubmission after
+    /// a restart): a participant answers every copy with its vote.
+    resent: bool,
+}
+
+// One per submitted, undecided transaction at its coordinator.
+const _: () = assert!(std::mem::size_of::<CoordTxn>() <= 64);
+
+impl CoordTxn {
+    /// A transaction just submitted with `payload`.
+    fn new(client: ProcessId, payload: TermPayload) -> Self {
+        CoordTxn {
+            client,
+            payload,
+            paxos_acks: 0,
+            paxos_decision: None,
+            resent: false,
+        }
+    }
+}
+
 /// Termination-phase state of a transaction at a participant.
 #[derive(Debug)]
 struct PartTxn {
@@ -315,15 +341,42 @@ struct PartTxn {
     /// The vote this replica cast, for idempotent re-sends on retried
     /// termination (crash-recovery retransmission).
     my_vote: Option<bool>,
-    /// Commit-clock slots this replica reserved at vote time for its
-    /// locally hosted written partitions; resolved at termination.
-    reserved: Vec<(u32, u64)>,
-    /// The merged vote clocks of every participant, learned from the
-    /// decision (2PC/Paxos) or from the votes themselves (GC mode).
-    decided_clocks: Vec<(u32, u64)>,
     outcome: Option<bool>,
+    /// Vote-time commit clocks, boxed apart: only voting commitment over a
+    /// vector mechanism ([`Replica::vote_clocked`]) fills them, so the
+    /// other assemblies pay one null pointer per participation.
+    clocks: Option<Box<PartClocks>>,
     /// This participation's handle in the [`Certifier`].
     ticket: Ticket,
+}
+
+// One per participation in flight: under overload, one per queued entry.
+const _: () = assert!(std::mem::size_of::<PartTxn>() <= 72);
+
+/// The commit clocks of one participation.
+#[derive(Debug, Default)]
+struct PartClocks {
+    /// Slots this replica reserved at vote time for its locally hosted
+    /// written partitions; resolved at termination.
+    reserved: Box<[(u32, u64)]>,
+    /// The merged vote clocks of every participant, learned from the
+    /// decision (2PC/Paxos) or from the votes themselves (GC mode).
+    decided: Box<[(u32, u64)]>,
+}
+
+impl PartTxn {
+    fn reserved(&self) -> &[(u32, u64)] {
+        self.clocks.as_deref().map_or(&[], |c| &c.reserved)
+    }
+
+    fn decided_clocks(&self) -> &[(u32, u64)] {
+        self.clocks.as_deref().map_or(&[], |c| &c.decided)
+    }
+
+    /// The clocks entry, allocated on first use.
+    fn clocks_mut(&mut self) -> &mut PartClocks {
+        self.clocks.get_or_insert_with(Box::default)
+    }
 }
 
 /// Votes observed for a transaction (participants and coordinators share
@@ -386,6 +439,10 @@ pub struct Replica {
     /// objects), maintained only under `VoteRule::LocalDecide`.
     meta: BTreeMap<Key, u64>,
     gc: GroupComm<TermPayload>,
+    /// Coordinated transactions still executing (Algorithm 1).
+    executing: IdMap<TxId, ExecTxn>,
+    /// Coordinated transactions submitted and not yet decided; disjoint
+    /// from `executing`, which `submit` moves them out of.
     coord: IdMap<TxId, CoordTxn>,
     part: IdMap<TxId, PartTxn>,
     votes: IdMap<TxId, VoteState>,
@@ -399,8 +456,9 @@ pub struct Replica {
     early_decide: IdMap<TxId, (bool, Vec<(u32, u64)>)>,
     /// Reads waiting for a frontier advance or for `recovery.complete`.
     parked: ParkedReads,
-    /// Participations already terminated here; late votes and duplicate
-    /// decisions for them are dropped.
+    /// Transactions terminated here: participations, and the coordinations
+    /// a vote may still reach whose payload is not addressed here. Late
+    /// votes and duplicate decisions for them are dropped.
     done: TerminatedSet,
     /// Armed timers by tag; a tag absent when it fires was cancelled or
     /// died with a crash, and firing it does nothing.
@@ -544,6 +602,7 @@ impl Replica {
             parked: ParkedReads::default(),
             meta: BTreeMap::new(),
             gc,
+            executing: IdMap::new(),
             coord: IdMap::new(),
             part: IdMap::new(),
             votes: IdMap::new(),
@@ -601,10 +660,8 @@ impl Replica {
         self.cfg.replica_pids[s.index()]
     }
 
-    fn sites_of_keys<'a, I: IntoIterator<Item = &'a Key>>(&self, keys: I) -> BTreeSet<SiteId> {
-        self.cfg
-            .placement
-            .replicas_of_keys(keys.into_iter().copied())
+    fn sites_of_keys(&self, keys: impl IntoIterator<Item = Key>) -> BTreeSet<SiteId> {
+        self.cfg.placement.replicas_of_keys(keys)
     }
 
     fn is_local(&self, key: Key) -> bool {
@@ -639,12 +696,9 @@ impl Replica {
         match self.timers.remove(&tag) {
             Some(Timer::Catchup(peer)) => self.retry_catchup(ctx, peer),
             Some(Timer::TermRetry(tx)) => {
-                let payload = self
-                    .coord
-                    .get(&tx)
-                    .and_then(|t| t.submitted_payload.clone());
-                if let Some(payload) = payload {
-                    self.transmit(ctx, tx, payload);
+                if let Some(t) = self.coord.get_mut(&tx) {
+                    t.resent = true;
+                    self.transmit(ctx, tx);
                 }
             }
             Some(Timer::VoteTimeout(tx)) if self.coord.contains_key(&tx) => {

@@ -58,7 +58,9 @@ impl Replica {
         {
             let p = self.part.get_mut(&tx).expect("present");
             p.my_vote = Some(yes);
-            p.reserved = clocks.clone();
+            if !clocks.is_empty() {
+                p.clocks_mut().reserved = clocks.as_slice().into();
+            }
         }
         self.stats.votes_cast += 1;
         ctx.trace(labels::TXN_VOTE, tx.code(), vote_value(self.me, yes));
@@ -192,31 +194,37 @@ impl Replica {
     /// once every key is covered by *yes* votes — of one of its replicas in
     /// GC mode (the voting quorum of Algorithm 3), of all of them under 2PC
     /// and Paxos Commit; undecided until then.
-    fn outcome(&self, v: &VoteState, mut certifying: impl Iterator<Item = Key>) -> Option<bool> {
+    fn outcome(&self, v: &VoteState, certifying: impl Iterator<Item = Key>) -> Option<bool> {
         if v.any_no {
             return Some(false);
         }
-        let gc_mode = self.gc_mode();
-        let covered = certifying.all(|k| {
+        self.covered(v, certifying, !self.gc_mode()).then_some(true)
+    }
+
+    /// True if every key is covered by *yes* votes: of one of its replicas,
+    /// or of all of them with `every_replica`.
+    fn covered(
+        &self,
+        v: &VoteState,
+        mut keys: impl Iterator<Item = Key>,
+        every_replica: bool,
+    ) -> bool {
+        keys.all(|k| {
             let mut replicas = self.cfg.placement.replicas_of_key(k).iter();
-            if gc_mode {
-                replicas.any(|s| v.yes_sites.contains(s))
-            } else {
+            if every_replica {
                 replicas.all(|s| v.yes_sites.contains(s))
+            } else {
+                replicas.any(|s| v.yes_sites.contains(s))
             }
-        });
-        covered.then_some(true)
+        })
     }
 
     /// Coordinator side of `outcome(T)`: decide — through a Paxos round
     /// under Paxos Commit — as soon as the votes allow.
     fn check_coord_outcome(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
         let Some(t) = self.coord.get(&tx) else { return };
-        if t.certifying.is_empty() {
-            return;
-        }
         let Some(v) = self.votes.get(&tx) else { return };
-        let Some(commit) = self.outcome(v, t.certifying.iter().copied()) else {
+        let Some(commit) = self.outcome(v, self.certifying_of(&t.payload)) else {
             return;
         };
         if self.cfg.spec.commitment == CommitmentKind::PaxosCommit {
@@ -250,7 +258,7 @@ impl Replica {
         let Some(commit) = t.paxos_decision else {
             return;
         };
-        if t.paxos_acks > n / 2 {
+        if t.paxos_acks as usize > n / 2 {
             self.decide_and_announce(ctx, tx, commit, None);
         }
     }
@@ -279,7 +287,7 @@ impl Replica {
         let announce_sites = if self.gc_mode() {
             BTreeSet::new()
         } else {
-            self.sites_of_keys(&t.certifying)
+            self.sites_of_keys(self.certifying_of(&t.payload))
         };
         for s in announce_sites {
             let pid = self.pid_of_site(s);
@@ -304,20 +312,25 @@ impl Replica {
     /// forever. True everywhere else: a decision reaches a non-coordinator
     /// only as a destination.
     pub(super) fn payload_due(&self, tx: TxId) -> bool {
-        let Some(t) = self.coord.get(&tx) else {
-            return true;
-        };
+        self.coord
+            .get(&tx)
+            .is_none_or(|t| self.addressed_here(&t.payload))
+    }
+
+    /// True if `transmit` addresses `payload` to this replica.
+    fn addressed_here(&self, payload: &TermPayload) -> bool {
         let ab_cast = CommitmentKind::GroupCommunication {
             xcast: XcastKind::AbCast,
         };
         self.cfg.spec.certifying_obj == CertifyingObjRule::AllObjects
             || self.cfg.spec.commitment == ab_cast
-            || t.certifying.iter().any(|k| self.is_local(*k))
+            || self.certifying_of(payload).any(|k| self.is_local(k))
     }
 
-    /// Final coordinator bookkeeping: reply to the client, record history.
-    /// `cause` names why an abort happened (defaulting to certification
-    /// conflict); it partitions `stats.aborted` exactly.
+    /// Final coordinator bookkeeping, in whichever phase `tx` ended: reply
+    /// to the client, record history. `cause` names why an abort happened
+    /// (defaulting to certification conflict); it partitions
+    /// `stats.aborted` exactly.
     pub(super) fn finish_coord(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -325,9 +338,35 @@ impl Replica {
         commit: bool,
         cause: Option<AbortCause>,
     ) {
-        let Some(t) = self.coord.get(&tx) else {
+        // Leaving `coord` or `executing` is what marks the transaction
+        // decided: retries, timeouts and late decisions look it up and find
+        // nothing.
+        let client = if let Some(t) = self.coord.remove(&tx) {
+            if self.cfg.record_history {
+                self.outcomes.push(tx, commit, &t.payload.rs, &t.payload.ws);
+            }
+            // A vote can still arrive after the decision unless every
+            // replica of every certifying key voted yes to one transmission.
+            // Marked terminated, a coordination its payload is not addressed
+            // to drops it; at a destination the participation marks `tx`
+            // when it terminates.
+            let unanimous =
+                |v: &VoteState| !v.any_no && self.covered(v, self.certifying_of(&t.payload), true);
+            if !self.addressed_here(&t.payload)
+                && (t.resent || !self.votes.get(&tx).is_some_and(unanimous))
+            {
+                self.done.insert(tx);
+            }
+            t.client
+        } else if let Some(t) = self.executing.remove(&tx) {
+            if self.cfg.record_history {
+                self.outcomes.push(tx, commit, &t.rs, &t.ws);
+            }
+            t.client
+        } else {
             return;
         };
+        self.votes.remove(&tx);
         self.stats.coordinated += 1;
         let cause = (!commit).then_some(cause.unwrap_or(AbortCause::CertificationConflict));
         if commit {
@@ -347,7 +386,7 @@ impl Replica {
             ctx.trace(labels::TXN_ABORT, code, c.code());
         }
         ctx.send(
-            t.client,
+            client,
             Msg::Reply {
                 tx,
                 reply: ClientReply::Outcome {
@@ -356,13 +395,6 @@ impl Replica {
                 },
             },
         );
-        if self.cfg.record_history {
-            self.outcomes.push(tx, commit, &t.rs, &t.ws);
-        }
-        // Leaving `coord` is what marks the transaction decided: retries,
-        // timeouts and late decisions look it up and find nothing.
-        self.coord.remove(&tx);
-        self.votes.remove(&tx);
     }
 
     /// Participant side of `outcome(T)`: in GC mode every `vote_recv`
@@ -378,18 +410,8 @@ impl Replica {
         }
         let Some(v) = self.votes.get(&tx) else { return };
         // vote_snd_obj = certifying_obj: check coverage of the certifying
-        // set straight off the payload under this protocol's rule
-        // (duplicate keys re-check a pure predicate, so no dedup pass is
-        // needed).
-        let rs: &[ReadEntry] = match self.cfg.spec.certifying_obj {
-            CertifyingObjRule::WriteSet | CertifyingObjRule::WriteSetIfUpdate => &[],
-            _ => &p.payload.rs,
-        };
-        let certifying = rs
-            .iter()
-            .map(|e| e.key)
-            .chain(p.payload.ws.iter().map(|w| w.key));
-        let Some(commit) = self.outcome(v, certifying) else {
+        // set straight off the payload under this protocol's rule.
+        let Some(commit) = self.outcome(v, self.certifying_of(&p.payload)) else {
             return;
         };
         // GC-mode participants terminate from votes without an explicit
@@ -428,8 +450,8 @@ impl Replica {
             return;
         };
         let commit = *p.outcome.get_or_insert(commit);
-        if p.decided_clocks.is_empty() {
-            p.decided_clocks = clocks;
+        if p.decided_clocks().is_empty() && !clocks.is_empty() {
+            p.clocks_mut().decided = clocks.into();
         }
         if self.gc_mode() {
             // Apply in delivery order (Algorithm 3, line 10).

@@ -66,7 +66,7 @@ impl Replica {
         tx: TxId,
         op: ClientOp,
     ) {
-        if !matches!(op, ClientOp::Begin) && !self.coord.contains_key(&tx) {
+        if !matches!(op, ClientOp::Begin) && !self.executing.contains_key(&tx) {
             // The volatile execution state of this transaction is gone —
             // the coordinator crashed since `Begin` — so answer the client
             // with an abort instead of leaving it waiting forever.
@@ -86,7 +86,7 @@ impl Replica {
             ClientOp::Begin => {
                 ctx.trace(labels::TXN_BEGIN, tx.code(), 0);
                 let snapshot = self.fresh_snapshot();
-                self.coord.insert(tx, CoordTxn::new(from, snapshot));
+                self.executing.insert(tx, ExecTxn::new(from, snapshot));
                 ctx.send(
                     from,
                     Msg::Reply {
@@ -109,13 +109,13 @@ impl Replica {
         key: Key,
         update: Option<Value>,
     ) {
-        let Some(t) = self.coord.get(&tx) else {
+        let Some(t) = self.executing.get(&tx) else {
             return; // transaction already aborted/untracked
         };
         // Read-your-writes from the buffer (Algorithm 1, line 10).
         if t.ws.iter().any(|w| w.key == key) {
             let client = t.client;
-            let t = self.coord.get_mut(&tx).expect("present");
+            let t = self.executing.get_mut(&tx).expect("present");
             let entry = t.ws.iter_mut().find(|w| w.key == key).expect("just found");
             let reply = match update {
                 Some(v) => {
@@ -140,20 +140,20 @@ impl Replica {
                 return;
             }
             let mut snap = std::mem::replace(
-                &mut self.coord.get_mut(&tx).expect("present").snapshot,
+                &mut self.executing.get_mut(&tx).expect("present").snapshot,
                 Snapshot::unconstrained(),
             );
             ctx.consume(self.cfg.costs.per_read);
             let Some((value, seq, _)) = self.choose_version(key, &mut snap) else {
                 return self.finish_coord(ctx, tx, false, Some(AbortCause::ReadImpossible));
             };
-            let t = self.coord.get_mut(&tx).expect("present");
+            let t = self.executing.get_mut(&tx).expect("present");
             t.snapshot = snap;
             let reply = t.read_done(key, seq, value, update);
             ctx.send(t.client, Msg::Reply { tx, reply });
         } else {
             // Remote read (Algorithm 1, line 13): ask the nearest replica.
-            let t = self.coord.get_mut(&tx).expect("present");
+            let t = self.executing.get_mut(&tx).expect("present");
             t.pending_read = Some((key, update, 0));
             self.send_remote_read(ctx, tx, key, 0);
         }
@@ -195,12 +195,14 @@ impl Replica {
         ctx.trace(labels::TXN_READ_REMOTE, tx.code(), attempt as u64);
         let target_site = self.read_target_site(key, attempt);
         let target = self.pid_of_site(target_site);
-        let Some(t) = self.coord.get(&tx) else { return };
+        let Some(t) = self.executing.get(&tx) else {
+            return;
+        };
         let snap = t.snapshot.clone();
         ctx.consume(self.stamp_cost(snap.meta_entries()));
         ctx.send(target, Msg::ReadReq { tx, key, snap });
         let timer = self.arm(ctx, self.cfg.read_timeout, Timer::Read(tx));
-        if let Some(t) = self.coord.get_mut(&tx) {
+        if let Some(t) = self.executing.get_mut(&tx) {
             t.read_timer = Some(timer);
         }
     }
@@ -209,7 +211,7 @@ impl Replica {
     /// suspect the unresponsive replica and re-iterate the request to
     /// another one.
     pub(super) fn fail_over_read(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
-        let Some(t) = self.coord.get_mut(&tx) else {
+        let Some(t) = self.executing.get_mut(&tx) else {
             return;
         };
         let Some((key, _, attempt)) = t.pending_read.as_mut() else {
@@ -224,7 +226,7 @@ impl Replica {
             // The read cannot be served: every failover attempt is
             // exhausted, so the transaction aborts instead of re-iterating
             // forever.
-            let t = self.coord.get_mut(&tx).expect("present");
+            let t = self.executing.get_mut(&tx).expect("present");
             t.pending_read = None;
             t.read_timer = None;
             self.finish_coord(ctx, tx, false, Some(AbortCause::ReadImpossible));
@@ -343,7 +345,7 @@ impl Replica {
         seq: u64,
         snap: Snapshot,
     ) {
-        let Some(t) = self.coord.get_mut(&tx) else {
+        let Some(t) = self.executing.get_mut(&tx) else {
             return;
         };
         let Some((pending_key, update, _attempt)) = t.pending_read.take() else {

@@ -49,6 +49,7 @@ impl Replica {
         // depend on the in-memory `Wal` value that died with the process.
         let wal = gdur_persist::Wal::from_image(wal.as_bytes());
         self.parked = ParkedReads::default();
+        self.executing.clear();
         self.coord.clear();
         self.part.clear();
         self.votes.clear();
@@ -133,17 +134,17 @@ impl Replica {
                     base_seq,
                 })
                 .collect();
-            let mut t = CoordTxn::new(ProcessId(tx.coord()), Snapshot::unconstrained());
-            t.submitted_payload = Some(TermPayload::new(
+            let payload = TermPayload::new(
                 tx,
                 self.me,
                 ws.is_empty(),
-                std::sync::Arc::new(rs.clone()),
-                std::sync::Arc::new(ws.clone()),
+                std::sync::Arc::new(rs),
+                std::sync::Arc::new(ws),
                 std::sync::Arc::new(VersionVec::from_entries(dep)),
-            ));
-            (t.rs, t.ws) = (rs, ws);
-            t.certifying = self.certifying_keys(&t);
+            );
+            let mut t = CoordTxn::new(ProcessId(tx.coord()), payload);
+            // Its participants may have voted before the crash.
+            t.resent = true;
             self.coord.insert(tx, t);
         }
         self.start_catchup(ctx);
@@ -396,23 +397,14 @@ impl Replica {
             return;
         };
         ctx.trace(labels::RECOVERY_COMPLETE, 0, cu.applied);
-        let resume: Vec<(TxId, TermPayload)> = self
-            .coord
-            .sorted_keys()
-            .into_iter()
-            .filter_map(|tx| Some((tx, self.coord[&tx].submitted_payload.clone()?)))
-            .collect();
-        for (tx, payload) in resume {
+        for tx in self.coord.sorted_keys() {
             self.stats.resubmissions += 1;
-            ctx.trace(
-                labels::RECOVERY_RESUBMIT,
-                tx.code(),
-                self.coord[&tx].certifying.len() as u64,
-            );
+            let certifying = self.certifying_of(&self.coord[&tx].payload).count();
+            ctx.trace(labels::RECOVERY_RESUBMIT, tx.code(), certifying as u64);
             if let Some(vt) = self.cfg.vote_timeout {
                 self.arm(ctx, vt, Timer::VoteTimeout(tx));
             }
-            self.transmit(ctx, tx, payload);
+            self.transmit(ctx, tx);
         }
         self.cast_deferred_votes(ctx);
         self.parked.woken.append(&mut self.parked.recovery);

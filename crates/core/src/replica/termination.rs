@@ -6,61 +6,46 @@
 use super::*;
 
 impl Replica {
-    /// `certifying_obj(T)` (Algorithm 2, line 11).
-    pub(super) fn certifying_keys(&self, t: &CoordTxn) -> Vec<Key> {
+    /// True if `certifying_obj(T)` (Algorithm 2, line 11) is empty for a
+    /// transaction that read `rs` and buffered `ws`: it commits without
+    /// synchronization (a wait-free query), and `submit` never moves it
+    /// into `coord`.
+    fn commits_unsynchronized(&self, rs: &[ReadEntry], ws: &[WriteEntry]) -> bool {
         use CertifyingObjRule::*;
-        let rule = self.cfg.spec.certifying_obj;
-        let read_only = t.ws.is_empty();
-        // Who commits without synchronization.
+        let (rule, read_only) = (self.cfg.spec.certifying_obj, ws.is_empty());
         let exempt = match rule {
             Nothing => true,
             WriteSet | ReadWriteSet => false,
             WriteSetIfUpdate | ReadWriteSetIfUpdate | AllObjects => read_only,
-            ReadWriteSetUnlessLocalQuery => read_only && t.rs.iter().all(|e| self.is_local(e.key)),
+            ReadWriteSetUnlessLocalQuery => read_only && rs.iter().all(|e| self.is_local(e.key)),
         };
-        if exempt {
-            return Vec::new();
-        }
-        let mut keys: Vec<Key> = match rule {
-            WriteSet | WriteSetIfUpdate => Vec::new(),
-            // Under `AllObjects` every replica participates; the key list
-            // still names the accessed objects for certification.
-            _ => t.rs.iter().map(|e| e.key).collect(),
-        };
-        for w in &t.ws {
-            if !keys.contains(&w.key) {
-                keys.push(w.key);
-            }
-        }
-        keys
+        exempt || certifying_keys(rule, rs, ws).next().is_none()
     }
 
     /// `submit(T)` (Algorithm 2, line 7): moves the transaction from
-    /// `executing` to `submitted` and propagates it via `xcast`.
+    /// `executing` to `coord` (the paper's `submitted`) and propagates it
+    /// via `xcast`. Its read and write sets move into the payload; nothing
+    /// is copied.
     pub(super) fn submit(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
-        let Some(t) = self.coord.get(&tx) else {
+        let Some(t) = self.executing.get(&tx) else {
             return;
         };
-        let certifying = self.certifying_keys(t);
-        ctx.trace(labels::TXN_SUBMIT, tx.code(), certifying.len() as u64);
-        if certifying.is_empty() {
+        let rule = self.cfg.spec.certifying_obj;
+        if self.commits_unsynchronized(&t.rs, &t.ws) {
+            ctx.trace(labels::TXN_SUBMIT, tx.code(), 0);
             // Commit without synchronization (wait-free queries).
             self.finish_coord(ctx, tx, true, None);
             return;
         }
+        let certifying = certifying_keys(rule, &t.rs, &t.ws).count();
+        ctx.trace(labels::TXN_SUBMIT, tx.code(), certifying as u64);
         if let Some(vt) = self.cfg.vote_timeout {
             self.arm(ctx, vt, Timer::VoteTimeout(tx));
         }
-        let t = self.coord.get_mut(&tx).expect("present");
-        t.certifying = certifying;
-        let payload = TermPayload::new(
-            tx,
-            self.me,
-            t.ws.is_empty(),
-            std::sync::Arc::new(t.rs.clone()),
-            std::sync::Arc::new(t.ws.clone()),
-            std::sync::Arc::new(t.snapshot.dependency_vec()),
-        );
+        let t = self.executing.remove(&tx).expect("present");
+        let dep = std::sync::Arc::new(t.snapshot.dependency_vec());
+        let (rs, ws) = (std::sync::Arc::new(t.rs), std::sync::Arc::new(t.ws));
+        let payload = TermPayload::new(tx, self.me, ws.is_empty(), rs, ws, dep);
         ctx.consume(self.stamp_cost(payload.dep.dim()));
         if let Some(wal) = self.wal.as_mut() {
             // §5.3 durable logging: the submitted transaction — sets,
@@ -79,33 +64,31 @@ impl Replica {
                 dep: payload.dep.iter().collect(),
             });
         }
-        self.transmit(ctx, tx, payload);
+        self.coord.insert(tx, CoordTxn::new(t.client, payload));
+        self.transmit(ctx, tx);
     }
 
-    /// Propagates `payload` to the replicas of `certifying_obj(T)`
-    /// (Algorithm 2, line 15) — the first time, on every retry and when a
-    /// restarted coordinator resumes. Group communication relies on its
-    /// ordered `xcast`; 2PC and Paxos Commit multicast, keep the payload and
-    /// retry until the decision (Algorithm 4 in the crash-recovery model
-    /// waits for crashed participants to come back online).
-    pub(super) fn transmit(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, payload: TermPayload) {
+    /// Propagates the payload of the submitted `tx` to the replicas of
+    /// `certifying_obj(T)` (Algorithm 2, line 15) — the first time, on
+    /// every retry and when a restarted coordinator resumes. Group
+    /// communication relies on its ordered `xcast`; 2PC and Paxos Commit
+    /// multicast and retry until the decision (Algorithm 4 in the
+    /// crash-recovery model waits for crashed participants to come back
+    /// online).
+    pub(super) fn transmit(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
         let xcast = match self.cfg.spec.commitment {
             CommitmentKind::GroupCommunication { xcast } => xcast,
             CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
                 let after = self.cfg.read_timeout.saturating_mul(4);
                 self.arm(ctx, after, Timer::TermRetry(tx));
-                let t = self
-                    .coord
-                    .get_mut(&tx)
-                    .expect("transmitting an unknown txn");
-                t.submitted_payload.get_or_insert_with(|| payload.clone());
                 XcastKind::Multicast
             }
         };
+        let payload = self.coord[&tx].payload.clone();
         let sites = if self.cfg.spec.certifying_obj == CertifyingObjRule::AllObjects {
             self.cfg.placement.all_sites().collect()
         } else {
-            self.sites_of_keys(&self.coord[&tx].certifying)
+            self.sites_of_keys(self.certifying_of(&payload))
         };
         // Built as an `Arc` once: every fan-out copy below shares it.
         let dests: std::sync::Arc<[ProcessId]> =
@@ -113,6 +96,15 @@ impl Replica {
         let mut out = Vec::new();
         self.gc.xcast(xcast, dests, payload, &mut out);
         self.flush_gc(ctx, out);
+    }
+
+    /// `certifying_obj(T)` of a submitted transaction, straight off its
+    /// payload.
+    pub(super) fn certifying_of<'a>(
+        &self,
+        payload: &'a TermPayload,
+    ) -> impl Iterator<Item = Key> + 'a {
+        certifying_keys(self.cfg.spec.certifying_obj, &payload.rs, &payload.ws)
     }
 
     pub(super) fn flush_gc(
@@ -161,7 +153,7 @@ impl Replica {
                 if payload.coord != self.me {
                     // Re-send the identical vote, reservations included —
                     // voting is idempotent.
-                    let clocks = p.reserved.clone();
+                    let clocks = p.reserved().to_vec();
                     ctx.send(payload.coord, Msg::Vote { tx, yes, clocks });
                 }
             }
@@ -174,9 +166,8 @@ impl Replica {
             PartTxn {
                 payload,
                 my_vote: None,
-                reserved: Vec::new(),
-                decided_clocks: Vec::new(),
                 outcome: None,
+                clocks: None,
                 ticket: enqueued.ticket,
             },
         );
@@ -228,11 +219,11 @@ impl Replica {
     ) -> Vec<Ticket> {
         let p = self.part.remove(&tx).expect("present");
         if commit {
-            self.apply(ctx, &p.payload, &p.decided_clocks, &p.reserved);
+            self.apply(ctx, &p.payload, p.decided_clocks(), p.reserved());
         } else {
             // Aborted reservations resolve too, or the frontier would stall
             // on their slots forever.
-            self.resolve_reservations(&p.reserved);
+            self.resolve_reservations(p.reserved());
         }
         self.votes.remove(&tx);
         self.done.insert(tx);
@@ -509,4 +500,30 @@ impl Replica {
             });
         }
     }
+}
+
+/// The keys of `certifying_obj(T)` under `rule` for a transaction that
+/// synchronizes (see `commits_unsynchronized`): its reads unless the rule
+/// certifies writes only, then each written key not already named, in
+/// that order.
+fn certifying_keys<'a>(
+    rule: CertifyingObjRule,
+    rs: &'a [ReadEntry],
+    ws: &'a [WriteEntry],
+) -> impl Iterator<Item = Key> + 'a {
+    use CertifyingObjRule::*;
+    let rs: &[ReadEntry] = match rule {
+        WriteSet | WriteSetIfUpdate => &[],
+        // Under `AllObjects` every replica participates; the key list
+        // still names the accessed objects for certification.
+        _ => rs,
+    };
+    let named = move |i: usize, key: Key| {
+        rs.iter().any(|e| e.key == key) || ws[..i].iter().any(|w| w.key == key)
+    };
+    let writes = ws
+        .iter()
+        .enumerate()
+        .filter(move |(i, w)| !named(*i, w.key));
+    rs.iter().map(|e| e.key).chain(writes.map(|(_, w)| w.key))
 }

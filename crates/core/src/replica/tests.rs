@@ -268,7 +268,7 @@ fn a_read_that_outlived_its_snapshot_is_read_impossible() {
     }
     assert_eq!(probe.replica().store.latest_seq(Key(0)), Some(9));
     probe.client(reader, ClientOp::Read { key: Key(0) });
-    assert!(!probe.replica().coord.contains_key(&reader));
+    assert!(!probe.replica().executing.contains_key(&reader));
     assert_eq!(probe.replica().stats.aborted_read_impossible, 1);
 
     let replies = |probe: &Probe| {
@@ -320,7 +320,7 @@ fn read_failover(case: ReadTimer) -> (Option<usize>, usize, u64) {
     }
     probe.cluster.run_for(SimDuration::from_millis(300));
     let r = probe.replica();
-    let attempt = r.coord[&tx].pending_read.as_ref().map(|(_, _, n)| *n);
+    let attempt = r.executing[&tx].pending_read.as_ref().map(|(_, _, n)| *n);
     (attempt, r.suspected.len(), r.next_timer_tag)
 }
 
@@ -545,42 +545,195 @@ fn the_outcome_log_keeps_each_decision_with_its_reads_and_writes() {
     assert_eq!((stats.coordinated, stats.committed), (4, 3));
 }
 
-/// Every client updates keys of the next site's partition, so under 2PC
-/// (write set only) no coordinator is a destination of its own payload,
-/// and under AM-Cast (read and write set) only those of the plans that
-/// also read a local key are. A drained run leaves no decision waiting
-/// for a delivery.
+/// Three sites, every client updating keys of the next site's partition,
+/// run until idle. Under disaster-prone placement 2PC (write set only)
+/// makes no coordinator a destination of its own payload, and AM-Cast
+/// (read and write set) only those of the plans that also read a local
+/// key.
+fn drained_run(spec: ProtocolSpec, placement: Placement) -> Cluster {
+    let name = spec.name;
+    let mut cfg = ClusterConfig::small(spec, 3);
+    cfg.placement = placement;
+    cfg.clients_per_site = 4;
+    let mut cluster = Cluster::build(cfg, |client, site| {
+        let (here, next) = (site.0 as u64, (site.0 as u64 + 1) % 3);
+        // Two hot keys per partition: conflicts abort some commits.
+        let remote = |j: u64| Key(next + 3 * j);
+        let plans = vec![
+            TxnPlan {
+                ops: vec![PlanOp::Update(remote(client as u64 % 2))],
+            },
+            TxnPlan {
+                ops: vec![PlanOp::Read(Key(here)), PlanOp::Update(remote(1))],
+            },
+        ];
+        Box::new(ScriptSource::new(plans))
+    });
+    cluster.run_until_idle();
+    let stats = cluster.replica_stats();
+    assert!(
+        stats.committed > 0 && stats.aborted > 0,
+        "{name}: {stats:?}"
+    );
+    cluster
+}
+
+/// A drained run leaves no decision waiting for a delivery.
 #[test]
 fn no_early_decision_outlives_a_drained_run() {
     for spec in [walter_like(), p_store_like()] {
-        let name = spec.name;
-        let mut cfg = ClusterConfig::small(spec, 3);
-        cfg.clients_per_site = 4;
-        let mut cluster = Cluster::build(cfg, |client, site| {
-            let (here, next) = (site.0 as u64, (site.0 as u64 + 1) % 3);
-            // Two hot keys per partition: conflicts abort some commits.
-            let remote = |j: u64| Key(next + 3 * j);
-            let plans = vec![
-                TxnPlan {
-                    ops: vec![PlanOp::Update(remote(client as u64 % 2))],
-                },
-                TxnPlan {
-                    ops: vec![PlanOp::Read(Key(here)), PlanOp::Update(remote(1))],
-                },
-            ];
-            Box::new(ScriptSource::new(plans))
-        });
-        cluster.run_until_idle();
-        let stats = cluster.replica_stats();
-        assert!(
-            stats.committed > 0 && stats.aborted > 0,
-            "{name}: {stats:?}"
-        );
+        let (name, cluster) = (spec.name, drained_run(spec, Placement::disaster_prone(3)));
         for site in cluster.placement().all_sites() {
             let early = cluster.replica(site).early_decide.len();
             assert_eq!(early, 0, "{name}: early decisions left at {site}");
         }
     }
+}
+
+/// A vote that reaches a coordinator after its decision — the second
+/// replica's yes under AM-Cast, any vote after the first no — is dropped,
+/// also where the coordinator is no destination of the payload and so has
+/// no participation whose termination would clear it. Disaster tolerant:
+/// the next site's partition lives there and one site further, never at
+/// the coordinator.
+#[test]
+fn no_vote_outlives_a_drained_run() {
+    for spec in [p_store_like(), walter_like()] {
+        let placement = Placement::disaster_tolerant(3);
+        let (name, cluster) = (spec.name, drained_run(spec, placement));
+        for site in cluster.placement().all_sites() {
+            let votes = cluster.replica(site).votes.len();
+            assert_eq!(votes, 0, "{name}: vote ledgers left at {site}");
+        }
+    }
+}
+
+/// `submit` moves the executed sets into the payload instead of copying
+/// them, and a 2PC retry retransmits that very payload: the participant
+/// that restarts and takes the retry shares its sets with the coordinator.
+#[test]
+fn a_2pc_retry_retransmits_the_payload_submit_moved_the_sets_into() {
+    let mut probe = Probe::with(walter_like(), Placement::disaster_prone(3), |cfg| {
+        cfg.persistence = true;
+    });
+    let tx = probe.begin();
+    // Key k lives at site k only.
+    for key in 0..3 {
+        probe.update(tx, key);
+    }
+    let t = &probe.replica().executing[&tx];
+    let buffers = (t.rs.as_ptr(), t.ws.as_ptr());
+    // Sites 1 and 2 miss the first transmission.
+    probe.crash(1);
+    probe.crash(2);
+    probe.client(tx, ClientOp::Commit);
+    assert!(!probe.replica().executing.contains_key(&tx));
+    let t = &probe.replica().coord[&tx];
+    assert!(!t.resent);
+    let sent = t.payload.clone();
+    assert_eq!((sent.rs.as_ptr(), sent.ws.as_ptr()), buffers);
+    assert_eq!(sent.rs.len(), 3);
+    // Site 1 comes back; site 2 stays down, so nothing is decided.
+    let (pid, now) = (probe.pid(1), probe.cluster.now());
+    probe.cluster.sim_mut().schedule_restart(pid, now);
+    probe.cluster.run_for(SimDuration::from_secs(1));
+    let got = &probe.cluster.replica(SiteId(1)).part[&tx].payload;
+    assert!(Arc::ptr_eq(&got.rs, &sent.rs) && Arc::ptr_eq(&got.ws, &sent.ws));
+    let t = &probe.replica().coord[&tx];
+    assert!(t.resent && Arc::ptr_eq(&t.payload.rs, &sent.rs));
+}
+
+/// A coordinator that crashes with a submitted, undecided transaction
+/// rebuilds its termination entry — payload included — from the `Submit`
+/// record, and resumes the retransmission.
+#[test]
+fn a_restarted_coordinator_rebuilds_its_entry_with_the_logged_payload() {
+    let mut probe = Probe::with(walter_like(), Placement::disaster_prone(2), |cfg| {
+        cfg.persistence = true;
+    });
+    let tx = probe.begin();
+    probe.update(tx, 0);
+    probe.update(tx, 1);
+    // Site 1 never votes.
+    probe.crash(1);
+    probe.client(tx, ClientOp::Commit);
+    let sent = probe.replica().coord[&tx].payload.clone();
+    let (pid, now) = (probe.pid(0), probe.cluster.now());
+    probe.cluster.sim_mut().schedule_crash(pid, now);
+    probe.cluster.sim_mut().schedule_restart(pid, now);
+    probe.settle();
+    let r = probe.replica();
+    assert_eq!((r.stats.recoveries, r.stats.resubmissions), (1, 1));
+    assert!(r.executing.is_empty());
+    let t = &r.coord[&tx];
+    assert!(t.resent);
+    assert_eq!((t.client, t.payload.coord), (ProcessId(99), probe.pid(0)));
+    assert_eq!((&*t.payload.rs, &*t.payload.ws), (&*sent.rs, &*sent.ws));
+    assert_eq!(*t.payload.dep, *sent.dep);
+    assert_eq!(t.payload.wire_size(), sent.wire_size());
+    assert_eq!(probe.armed(), [Timer::TermRetry(tx)]);
+}
+
+/// The outcome log records each transaction with the sets of the phase it
+/// ended in: read-your-writes and read-modify-writes decided in
+/// termination, a wait-free query committed at submit without entering
+/// `coord`, and an abort during execution.
+#[test]
+fn the_outcome_log_takes_the_sets_from_either_phase() {
+    let mut probe = Probe::with(walter_like(), Placement::disaster_prone(2), |cfg| {
+        cfg.vote_timeout = Some(SimDuration::from_secs(10));
+        cfg.max_read_attempts = Some(1);
+    });
+    // Keys 0 and 2 live at site 0, keys 1 and 3 at site 1. Read-your-writes
+    // on a local key: the second read comes from the buffer.
+    let ryw = probe.begin();
+    probe.update(ryw, 0);
+    probe.client(ryw, ClientOp::Read { key: Key(0) });
+    probe.update(ryw, 0);
+    probe.client(ryw, ClientOp::Commit);
+    // Read-modify-writes of a remote key, and of a local key read before.
+    let rmw = probe.begin();
+    probe.update(rmw, 1);
+    probe.client(rmw, ClientOp::Read { key: Key(2) });
+    probe.update(rmw, 2);
+    probe.client(rmw, ClientOp::Commit);
+    let query = probe.begin();
+    probe.client(query, ClientOp::Read { key: Key(0) });
+    probe.client(query, ClientOp::Read { key: Key(1) });
+    probe.client(query, ClientOp::Commit);
+    assert!(!probe.replica().coord.contains_key(&query));
+    assert!(!probe.armed().contains(&Timer::VoteTimeout(query)));
+    // Site 1 down: the remote read's one attempt times out.
+    probe.crash(1);
+    let lost = probe.begin();
+    probe.client(lost, ClientOp::Read { key: Key(2) });
+    probe.client(lost, ClientOp::Read { key: Key(3) });
+    probe.cluster.run_for(SimDuration::from_millis(300));
+    let r = probe.replica();
+    assert!(r.executing.is_empty() && r.coord.is_empty());
+    assert_eq!(r.stats.aborted_read_impossible, 1);
+
+    let outcome = |tx, committed, reads, writes| TxnOutcome {
+        tx,
+        committed,
+        reads,
+        writes,
+    };
+    let log: Vec<TxnOutcome<'_>> = r.outcomes().iter().collect();
+    assert_eq!(
+        log,
+        [
+            outcome(ryw, true, &[(Key(0), 0)], &[Key(0)]),
+            outcome(
+                rmw,
+                true,
+                &[(Key(1), 0), (Key(2), 0), (Key(2), 0)],
+                &[Key(1), Key(2)]
+            ),
+            outcome(query, true, &[(Key(0), 1), (Key(1), 1)], &[]),
+            outcome(lost, false, &[(Key(2), 1)], &[]),
+        ]
+    );
 }
 
 /// Inserts `ids` into a `TerminatedSet` in a seeded random order and, after

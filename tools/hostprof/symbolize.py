@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self and inclusive share of samples per physical function.
 
-usage: symbolize.py [--top N] [--under NAME] [--inlined | --frames K] hostprof.out...
+usage: symbolize.py [--top N] [--under NAME] [--leaf NAME] [--inlined | --frames K] hostprof.out...
                                                                      (N defaults to 25)
 
 A sample counts as *self* time of the function holding its instruction
@@ -15,6 +15,9 @@ static functions in between carry no name. Several files — repetitions of
 one run — are added up. `--under NAME` keeps only the samples with a
 function whose name contains NAME on their chain, cut above it: the
 inclusive table then splits that function's samples by what it called.
+`--leaf NAME` keeps only the samples whose leaf function contains NAME:
+with `--frames 2` it charges a libc region such as the `memcpy` family
+to the workspace code that called into it.
 `--inlined` splits the leaf function by the frames inlined into it
 (`addr2line -i`): *self* charges a sample to the source file of its
 innermost inlined frame, so inlined library code such as
@@ -31,9 +34,10 @@ import bisect, collections, functools, os, re, subprocess, sys
 args = sys.argv[1:]
 top = int(args.pop(args.index("--top") + 1)) if "--top" in args else 25
 under = args.pop(args.index("--under") + 1) if "--under" in args else None
+leaf = args.pop(args.index("--leaf") + 1) if "--leaf" in args else None
 frames = int(args.pop(args.index("--frames") + 1)) if "--frames" in args else None
 inlined = "--inlined" in args
-paths = [a for a in args if a not in ("--top", "--under", "--frames", "--inlined")]
+paths = [a for a in args if a not in ("--top", "--under", "--leaf", "--frames", "--inlined")]
 # Library and allocator frames, which --frames looks through.
 RUNTIME = re.compile(r"^<?(alloc|core|std)::|^__r(ust|dl|g)_|^__rustc::|^\[")
 
@@ -104,6 +108,8 @@ for path in paths:
             continue
         # A return address points past its call; step back into the caller.
         chain = [function(pcs[0])] + [function(pc - 1) for pc in pcs[1:]]
+        if leaf and leaf not in chain[0]:
+            continue
         if under:
             cut = next((i for i, f in enumerate(chain) if under in f), None)
             if cut is None:
@@ -132,7 +138,8 @@ if inlined:
         for f in set(chain):
             incl_n[f] += n
 
-print(f"{total} samples from {len(paths)} file(s)" + (f" under {under}" if under else ""))
+print(f"{total} samples from {len(paths)} file(s)" + (f" under {under}" if under else "")
+      + (f" with leaf {leaf}" if leaf else ""))
 tables = ((f"first {frames}", groups),) if frames else (("self", self_n), ("inclusive", incl_n))
 column = "workspace frames, callee < caller" if frames else \
     "source file (inlined)" if inlined else "function"
