@@ -7,10 +7,11 @@
 # Tiers:
 #   ./ci.sh --fast   formatting, clippy, debug tests, doc references, the
 #                    profilers compile — the edit-loop tier
-#   ./ci.sh          the full gate: fast tier + release build/tests, then
-#                    the seven gates (obs_smoke, chaos_smoke, mc_smoke,
-#                    mega_smoke, bench_selfcheck, perf_gate,
-#                    all_figures --quick) run *concurrently* against the
+#   ./ci.sh          the full gate: fast tier + release build, the six
+#                    examples run, release tests, then the seven gates
+#                    (obs_smoke, chaos_smoke, mc_smoke, mega_smoke,
+#                    bench_selfcheck, perf_gate, all_figures --quick)
+#                    run *concurrently* against the
 #                    release binaries, with per-gate logs replayed in a
 #                    fixed order once all of them finish
 #
@@ -158,6 +159,21 @@ if [ "$FAST" = "1" ]; then
 fi
 
 step "cargo build --release" cargo build --release
+
+# run_examples: the six example binaries are self-checking scenarios (an
+# assert such as durable_store's "recovery must reproduce the live store"
+# exits non-zero); they print to stdout and write no file.
+run_examples() {
+    for _ex in quickstart bank_transfer pluggability dependability durable_store \
+        protocol_comparison; do
+        ./target/release/$_ex >/dev/null || {
+            echo "    example $_ex failed"
+            return 1
+        }
+    done
+}
+
+step "examples run" run_examples
 
 step "cargo test (release)" cargo test -q --release
 

@@ -15,14 +15,16 @@
 //!
 //! A flag the subcommand does not take, a flag without a value, and a
 //! non-numeric `--seed`, `--budget` or `--random` exit 2, naming the flag
-//! and the value.
+//! and the value; so does a counterexample file that cannot be read or
+//! parsed, naming the file and the error.
 
 use std::process::ExitCode;
 
 use gdur_analysis::mc::{
-    explore, mc_library, random_walks, replay, replay_causal, walter_psi_bug_config,
-    Counterexample, ExploreResult, McConfig,
+    explore, mc_library, random_walks, replay, walter_psi_bug_config, Counterexample,
+    ExploreResult, McConfig,
 };
+use gdur_obs::TraceHandle;
 
 fn configs() -> Vec<McConfig> {
     let mut all = mc_library();
@@ -120,13 +122,14 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("list") => {
             for cfg in configs() {
+                let d = &cfg.deployment;
                 println!(
                     "{}: protocol={} sites={} clients_per_site={} txns_per_client={} window={}ns{}",
-                    cfg.label,
-                    cfg.spec.name,
-                    cfg.sites,
-                    cfg.clients_per_site,
-                    cfg.txns_per_client,
+                    d.label,
+                    d.spec.name,
+                    d.sites,
+                    d.clients_per_site,
+                    d.txns_per_client,
                     cfg.window.as_nanos(),
                     if cfg.reintroduce_psi_bug {
                         " [psi-bug re-introduced]"
@@ -148,12 +151,12 @@ fn main() -> ExitCode {
                 Ok(opts) => opts,
                 Err(e) => return refuse(e),
             };
-            let Some(mut cfg) = configs().into_iter().find(|c| &c.label == label) else {
+            let Some(mut cfg) = configs().into_iter().find(|c| &c.deployment.label == label) else {
                 eprintln!("unknown config {label:?}; try `gdur-mc list`");
                 return ExitCode::FAILURE;
             };
             if let Some(seed) = opts.seed {
-                cfg.seed = seed;
+                cfg.deployment.seed = seed;
             }
             let result = match opts.random {
                 Some(n) => random_walks(&cfg, n, 1),
@@ -183,16 +186,19 @@ fn main() -> ExitCode {
                 Err(e) => return refuse(e),
             };
             let flag = |name: &str| opts.iter().find(|(f, _)| *f == name).map(|(_, v)| *v);
-            let text = std::fs::read_to_string(path).expect("read counterexample");
-            let cx = Counterexample::parse(&text).expect("parse counterexample");
-            let (violations, trace) = replay(&cx).expect("rebuild config");
+            let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
+            let cx = match text.and_then(|text| Counterexample::parse(&text)) {
+                Ok(cx) => cx,
+                Err(e) => return refuse(format!("{path}: {e}")),
+            };
+            let out = replay(&cx, TraceHandle::new());
             println!(
                 "{}: replayed {} decisions, {} trace events",
-                cx.label,
+                cx.config.deployment.label,
                 cx.decisions.len(),
-                trace.len()
+                out.trace.len()
             );
-            let jsonl = gdur_obs::jsonl::export(&trace);
+            let jsonl = gdur_obs::jsonl::export(&out.trace);
             if let Some(out) = flag("--trace") {
                 std::fs::write(out, jsonl).expect("write trace");
                 println!("trace written to {out}");
@@ -201,7 +207,7 @@ fn main() -> ExitCode {
                 // A second, causally-traced replay of the same schedule:
                 // deterministic, so it reproduces the identical run with
                 // handler brackets and message ids added.
-                let causal = replay_causal(&cx).expect("rebuild config");
+                let causal = replay(&cx, TraceHandle::causal());
                 let ix = gdur_obs::CausalIndex::build(&causal.trace);
                 let chrome = gdur_obs::export_chrome(&causal.trace, &ix, &causal.actor_names);
                 std::fs::write(out, chrome).expect("write chrome trace");
@@ -210,7 +216,7 @@ fn main() -> ExitCode {
                      (load in chrome://tracing or https://ui.perfetto.dev)"
                 );
             }
-            match violations.first() {
+            match out.violations.first() {
                 Some(v) => {
                     println!("reproduced: {v}");
                     ExitCode::SUCCESS

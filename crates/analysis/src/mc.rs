@@ -27,44 +27,31 @@
 //! full observability trace. A random-walk mode samples the same space
 //! uniformly for configurations too large to enumerate.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
-use gdur_harness::{build_ycsb, check_invariants};
+use gdur_core::{ClusterConfig, ProtocolSpec};
+use gdur_harness::{run_checked, Deployment, FaultSchedule};
 use gdur_obs::TraceHandle;
 use gdur_sim::{Candidate, CandidateKind, ObsEvent, Scheduler, SimDuration, SimTime};
-use gdur_store::Placement;
 use gdur_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A small, bounded deployment for schedule exploration.
 ///
-/// Uses disaster-prone placement (one replica per partition) so that most
-/// transactions need *remote* reads — the cross-replica snapshot races
-/// schedule exploration is after — with bounded closed-loop clients so runs
-/// terminate. Crash-free and timeout-free: every abort must come from
-/// certification, which keeps the invariant verdicts crisp. The workload is
-/// fixed to YCSB-B (2-read-2-write updates) — multi-key writers are what
-/// make fractured-read violations expressible at all.
+/// Its [`Deployment`] has an empty fault schedule, so it is disaster-prone
+/// (one replica per partition: most transactions need *remote* reads — the
+/// cross-replica snapshot races schedule exploration is after), crash-free
+/// and timeout-free: every abort must come from certification, which keeps
+/// the invariant verdicts crisp. Clients are bounded so runs terminate.
+/// The workload is YCSB-B (2-read-2-write updates) — multi-key writers are
+/// what make fractured-read violations expressible at all.
 #[derive(Debug, Clone)]
 pub struct McConfig {
-    /// Display/file label for this configuration.
-    pub label: String,
-    /// The protocol under test (must be a `gdur_protocols::by_name` entry
-    /// for counterexamples to round-trip).
-    pub spec: ProtocolSpec,
-    /// Sites (= partitions under disaster-tolerant placement).
-    pub sites: usize,
-    /// Closed-loop clients per site.
-    pub clients_per_site: usize,
-    /// Transactions issued per client before it stops.
-    pub txns_per_client: u64,
-    /// Keys per partition (small = contended).
-    pub keys_per_partition: u64,
-    /// Deployment RNG seed.
-    pub seed: u64,
+    /// What runs; its label names the configuration, its protocol must be
+    /// a `gdur_protocols::by_name` entry for counterexamples to round-trip.
+    pub deployment: Deployment,
     /// Co-enabled window offered to the scheduler (delay bound).
     pub window: SimDuration,
     /// Re-introduce the pre-fix Walter PSI fractured-read bug (see
@@ -77,15 +64,26 @@ impl McConfig {
     /// The standard 2-site/2-client exploration config for `spec`.
     pub fn small(label: &str, spec: ProtocolSpec) -> McConfig {
         McConfig {
-            label: label.to_string(),
-            spec,
-            sites: 2,
-            clients_per_site: 2,
-            txns_per_client: 6,
-            keys_per_partition: 8,
-            seed: 11,
+            deployment: Deployment {
+                label: label.to_string(),
+                workload: WorkloadSpec::b(),
+                sites: 2,
+                clients_per_site: 2,
+                txns_per_client: 6,
+                keys_per_partition: 8,
+                seed: 11,
+                ..Deployment::new(spec, FaultSchedule::new())
+            },
             window: SimDuration::from_micros(2000),
             reintroduce_psi_bug: false,
+        }
+    }
+
+    /// The deployment's cluster, with the PSI regression knob applied.
+    pub fn cluster_config(&self) -> ClusterConfig {
+        ClusterConfig {
+            bug_unreserved_commit_clocks: self.reintroduce_psi_bug,
+            ..self.deployment.cluster_config()
         }
     }
 }
@@ -110,39 +108,26 @@ pub fn mc_library() -> Vec<McConfig> {
 pub fn walter_psi_bug_config() -> McConfig {
     let mut cfg = McConfig::small("walter-psi-bug", gdur_protocols::walter());
     cfg.reintroduce_psi_bug = true;
-    cfg.seed = 2;
+    cfg.deployment.seed = 2;
     cfg
-}
-
-fn build_cluster(cfg: &McConfig) -> Cluster {
-    let placement = Placement::disaster_prone(cfg.sites);
-    let ccfg = ClusterConfig {
-        keys_per_partition: cfg.keys_per_partition,
-        value_size: 64,
-        clients_per_site: cfg.clients_per_site,
-        max_txns_per_client: Some(cfg.txns_per_client),
-        seed: cfg.seed,
-        bug_unreserved_commit_clocks: cfg.reintroduce_psi_bug,
-        ..ClusterConfig::new(cfg.spec.clone(), placement)
-    };
-    build_ycsb(ccfg, &WorkloadSpec::b(), 0.5, 0.0)
 }
 
 /// What the scheduler records during one run, shared with the explorer
 /// through an `Arc<Mutex<_>>` (the `TraceHandle` pattern).
 #[derive(Debug, Default)]
-struct McLog {
+pub struct McLog {
     /// Decision taken at each branching choice point (index into the race
-    /// set).
-    decisions: Vec<u32>,
+    /// set): the prescribed prefix plus the 0-defaults actually
+    /// encountered.
+    pub decisions: Vec<u32>,
     /// Race-set size at each branching choice point.
-    arities: Vec<u32>,
+    pub arities: Vec<u32>,
     /// Sum of co-enabled candidates over all windows with ≥ 2 candidates:
     /// the branches a naive (no-commutativity) checker would explore.
-    naive_branches: u64,
+    pub naive_branches: u64,
     /// Sum of race-set sizes over the same windows: the branches DPOR-lite
     /// actually explores.
-    explored_branches: u64,
+    pub explored_branches: u64,
 }
 
 enum Policy {
@@ -229,16 +214,8 @@ impl Scheduler for McScheduler {
 /// Everything one schedule run yields.
 #[derive(Debug)]
 pub struct ScheduleOutcome {
-    /// The decision taken at every branching choice point (prescribed
-    /// prefix plus the 0-defaults actually encountered).
-    pub decisions: Vec<u32>,
-    /// The race-set arity at every branching choice point.
-    pub arities: Vec<u32>,
-    /// Naive branch count (all co-enabled candidates of multi-candidate
-    /// windows).
-    pub naive_branches: u64,
-    /// Branches after commutativity pruning.
-    pub explored_branches: u64,
+    /// What the scheduler recorded.
+    pub log: McLog,
     /// Violated invariants, empty when the schedule is clean.
     pub violations: Vec<String>,
     /// The observability trace (only when requested).
@@ -249,214 +226,171 @@ pub struct ScheduleOutcome {
 }
 
 fn run_with_policy(cfg: &McConfig, policy: Policy, trace: Option<TraceHandle>) -> ScheduleOutcome {
-    let mut cluster = build_cluster(cfg);
     let log = Arc::new(Mutex::new(McLog::default()));
-    cluster.sim_mut().attach_scheduler(Box::new(McScheduler {
+    let scheduler = McScheduler {
         window: cfg.window,
         policy,
         log: Arc::clone(&log),
-    }));
-    if let Some(t) = &trace {
-        cluster.attach_obs(t.sink());
-    }
-    cluster.run_until_idle();
-    let violations = check_invariants(&cfg.spec, &cluster);
-    let mut log = log.lock().expect("mc log poisoned");
+    };
+    let run = run_checked(
+        &cfg.deployment,
+        cfg.cluster_config(),
+        Some(Box::new(scheduler)),
+        trace,
+    );
+    let log = std::mem::take(&mut *log.lock().expect("mc log poisoned"));
     ScheduleOutcome {
-        decisions: std::mem::take(&mut log.decisions),
-        arities: std::mem::take(&mut log.arities),
-        naive_branches: log.naive_branches,
-        explored_branches: log.explored_branches,
-        violations,
-        trace: trace.map(|t| t.take()).unwrap_or_default(),
-        actor_names: cluster.actor_names(),
+        log,
+        violations: run.violations,
+        trace: run.events,
+        actor_names: run.cluster.actor_names(),
     }
 }
 
 /// Runs one schedule under the prescribed decision vector (`[]` = the
-/// default schedule) and checks the invariant bundle.
-pub fn run_schedule(cfg: &McConfig, plan: &[u32], traced: bool) -> ScheduleOutcome {
+/// default schedule) and checks the invariant bundle. `trace` picks the
+/// trace kind: none, plain ([`TraceHandle::new`]), or causal
+/// ([`TraceHandle::causal`]: message ids, `Deliver` records and handler
+/// service brackets added, for span trees, attribution and Chrome export).
+pub fn run_schedule(cfg: &McConfig, plan: &[u32], trace: Option<TraceHandle>) -> ScheduleOutcome {
     run_with_policy(
         cfg,
         Policy::Guided {
             plan: plan.to_vec(),
             pos: 0,
         },
-        traced.then(TraceHandle::new),
+        trace,
     )
 }
 
-/// Like [`run_schedule`], but with a *causal* trace sink attached: the
-/// returned trace additionally carries message ids, `Deliver` records and
-/// handler service brackets, so it feeds `gdur_obs::CausalIndex` (span
-/// trees, critical-path attribution, Chrome export). [`run_schedule`]'s
-/// plain traces are untouched — their event counts stay golden-pinned.
-pub fn run_schedule_causal(cfg: &McConfig, plan: &[u32]) -> ScheduleOutcome {
-    run_with_policy(
-        cfg,
-        Policy::Guided {
-            plan: plan.to_vec(),
-            pos: 0,
-        },
-        Some(TraceHandle::causal()),
-    )
-}
+/// The keys of the `gdur-mc counterexample v1` format, in file order.
+const KEYS: [&str; 11] = [
+    "label",
+    "protocol",
+    "sites",
+    "clients_per_site",
+    "txns_per_client",
+    "keys_per_partition",
+    "seed",
+    "window_ns",
+    "psi_bug",
+    "violation",
+    "decisions",
+];
 
 /// A self-contained, replayable counterexample: configuration + seed +
-/// minimized decision vector.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// minimized decision vector. Two are equal when their text is.
+#[derive(Debug, Clone)]
 pub struct Counterexample {
-    /// Label of the originating [`McConfig`].
-    pub label: String,
-    /// Protocol name (resolved through `gdur_protocols::by_name`).
-    pub protocol: String,
-    /// Sites.
-    pub sites: usize,
-    /// Clients per site.
-    pub clients_per_site: usize,
-    /// Transactions per client.
-    pub txns_per_client: u64,
-    /// Keys per partition.
-    pub keys_per_partition: u64,
-    /// Deployment seed.
-    pub seed: u64,
-    /// Scheduler window in nanoseconds.
-    pub window_ns: u64,
-    /// Whether the PSI regression knob was on.
-    pub psi_bug: bool,
+    /// The configuration it was found under.
+    pub config: McConfig,
     /// The first violated invariant.
     pub violation: String,
     /// The minimized decision vector.
     pub decisions: Vec<u32>,
 }
 
+impl PartialEq for Counterexample {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_text() == other.to_text()
+    }
+}
+
+impl Eq for Counterexample {}
+
 impl Counterexample {
     /// Serializes to the `gdur-mc counterexample v1` text format.
     pub fn to_text(&self) -> String {
-        let decisions = self
-            .decisions
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "gdur-mc counterexample v1\n\
-             label {}\n\
-             protocol {}\n\
-             sites {}\n\
-             clients_per_site {}\n\
-             txns_per_client {}\n\
-             keys_per_partition {}\n\
-             seed {}\n\
-             window_ns {}\n\
-             psi_bug {}\n\
-             violation {}\n\
-             decisions {}\n",
-            self.label,
-            self.protocol,
-            self.sites,
-            self.clients_per_site,
-            self.txns_per_client,
-            self.keys_per_partition,
-            self.seed,
-            self.window_ns,
-            self.psi_bug as u8,
-            self.violation,
-            decisions
-        )
+        let d = &self.config.deployment;
+        let decisions: Vec<String> = self.decisions.iter().map(u32::to_string).collect();
+        let values = [
+            d.label.clone(),
+            d.spec.name.to_string(),
+            d.sites.to_string(),
+            d.clients_per_site.to_string(),
+            d.txns_per_client.to_string(),
+            d.keys_per_partition.to_string(),
+            d.seed.to_string(),
+            self.config.window.as_nanos().to_string(),
+            u8::from(self.config.reintroduce_psi_bug).to_string(),
+            self.violation.clone(),
+            decisions.join(","),
+        ];
+        let mut text = "gdur-mc counterexample v1\n".to_string();
+        for (key, value) in KEYS.iter().zip(values) {
+            text += &format!("{key} {value}\n");
+        }
+        text
     }
 
-    /// Parses the text format back; tolerates trailing whitespace.
+    /// Parses the text format back; tolerates trailing whitespace. Every
+    /// key must appear exactly once, the protocol must be a
+    /// `gdur_protocols::by_name` entry, and the deployment's sizes must be
+    /// at least 1.
     pub fn parse(text: &str) -> Result<Counterexample, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty counterexample file")?;
         if header.trim() != "gdur-mc counterexample v1" {
             return Err(format!("unrecognized header: {header:?}"));
         }
-        let mut cx = Counterexample {
-            label: String::new(),
-            protocol: String::new(),
-            sites: 0,
-            clients_per_site: 0,
-            txns_per_client: 0,
-            keys_per_partition: 0,
-            seed: 0,
-            window_ns: 0,
-            psi_bug: false,
-            violation: String::new(),
-            decisions: Vec::new(),
-        };
+        let mut fields = BTreeMap::new();
         for line in lines {
             let line = line.trim_end();
             if line.is_empty() {
                 continue;
             }
-            let (key, value) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed line: {line:?}"))?;
-            let parse_u64 =
-                |v: &str| -> Result<u64, String> { v.parse().map_err(|e| format!("{key}: {e}")) };
-            match key {
-                "label" => cx.label = value.to_string(),
-                "protocol" => cx.protocol = value.to_string(),
-                "sites" => cx.sites = parse_u64(value)? as usize,
-                "clients_per_site" => cx.clients_per_site = parse_u64(value)? as usize,
-                "txns_per_client" => cx.txns_per_client = parse_u64(value)?,
-                "keys_per_partition" => cx.keys_per_partition = parse_u64(value)?,
-                "seed" => cx.seed = parse_u64(value)?,
-                "window_ns" => cx.window_ns = parse_u64(value)?,
-                "psi_bug" => cx.psi_bug = parse_u64(value)? != 0,
-                "violation" => cx.violation = value.to_string(),
-                "decisions" => {
-                    if !value.trim().is_empty() {
-                        cx.decisions = value
-                            .split(',')
-                            .map(|d| d.trim().parse().map_err(|e| format!("decisions: {e}")))
-                            .collect::<Result<_, _>>()?;
-                    }
-                }
-                other => return Err(format!("unknown key {other:?}")),
+            let (key, value) = line.split_once(' ').unwrap_or((line, ""));
+            if !KEYS.contains(&key) {
+                return Err(format!("unknown key {key:?}"));
+            }
+            if fields.insert(key, value).is_some() {
+                return Err(format!("duplicate key {key:?}"));
             }
         }
-        if cx.protocol.is_empty() {
-            return Err("missing protocol".into());
+        if let Some(key) = KEYS.iter().find(|key| !fields.contains_key(*key)) {
+            return Err(format!("missing key {key:?}"));
         }
-        Ok(cx)
-    }
-
-    /// Rebuilds the [`McConfig`] this counterexample was found under.
-    pub fn config(&self) -> Result<McConfig, String> {
-        let spec = gdur_protocols::by_name(&self.protocol)
-            .ok_or_else(|| format!("unknown protocol {:?}", self.protocol))?;
-        Ok(McConfig {
-            label: self.label.clone(),
-            spec,
-            sites: self.sites,
-            clients_per_site: self.clients_per_site,
-            txns_per_client: self.txns_per_client,
-            keys_per_partition: self.keys_per_partition,
-            seed: self.seed,
-            window: SimDuration::from_nanos(self.window_ns),
-            reintroduce_psi_bug: self.psi_bug,
+        let number = |key: &str| -> Result<u64, String> {
+            fields[key].parse().map_err(|e| format!("{key}: {e}"))
+        };
+        let size = |key: &str| match number(key)? {
+            0 => Err(format!("{key}: must be at least 1")),
+            n => Ok(n),
+        };
+        let protocol = fields["protocol"];
+        let spec = gdur_protocols::by_name(protocol)
+            .ok_or_else(|| format!("unknown protocol {protocol:?}"))?;
+        let mut config = McConfig::small(fields["label"], spec);
+        let d = &mut config.deployment;
+        d.sites = size("sites")? as usize;
+        d.clients_per_site = size("clients_per_site")? as usize;
+        d.txns_per_client = size("txns_per_client")?;
+        d.keys_per_partition = size("keys_per_partition")?;
+        d.seed = number("seed")?;
+        config.window = SimDuration::from_nanos(number("window_ns")?);
+        config.reintroduce_psi_bug = number("psi_bug")? != 0;
+        let decisions = match fields["decisions"].trim() {
+            "" => Vec::new(),
+            list => list
+                .split(',')
+                .map(|d| d.trim().parse().map_err(|e| format!("decisions: {e}")))
+                .collect::<Result<_, _>>()?,
+        };
+        Ok(Counterexample {
+            config,
+            violation: fields["violation"].to_string(),
+            decisions,
         })
     }
 }
 
-/// Replays a counterexample: re-runs its exact schedule and returns the
-/// violations observed (which should match the recorded one) plus the full
-/// observability trace of the violating run.
-pub fn replay(cx: &Counterexample) -> Result<(Vec<String>, Vec<ObsEvent>), String> {
-    let cfg = cx.config()?;
-    let out = run_schedule(&cfg, &cx.decisions, true);
-    Ok((out.violations, out.trace))
-}
-
-/// Like [`replay`], but records the kernel causal events too and returns
-/// the actor display names — everything the span-tree, attribution and
-/// Chrome-export layers need to visualize the violating schedule.
-pub fn replay_causal(cx: &Counterexample) -> Result<ScheduleOutcome, String> {
-    let cfg = cx.config()?;
-    Ok(run_schedule_causal(&cfg, &cx.decisions))
+/// Replays a counterexample: re-runs its exact schedule with `trace`
+/// attached and returns the outcome — the violations observed (which
+/// should match the recorded one), the trace of the violating run, and the
+/// actor display names the span-tree, attribution and Chrome-export layers
+/// need.
+pub fn replay(cx: &Counterexample, trace: TraceHandle) -> ScheduleOutcome {
+    run_schedule(&cx.config, &cx.decisions, Some(trace))
 }
 
 /// Delta-debugging over choice points: drops trailing defaults, then
@@ -467,7 +401,7 @@ pub fn minimize(cfg: &McConfig, decisions: &[u32]) -> (Vec<u32>, u64) {
     let mut runs = 0u64;
     let mut violates = |plan: &[u32]| -> bool {
         runs += 1;
-        !run_schedule(cfg, plan, false).violations.is_empty()
+        !run_schedule(cfg, plan, None).violations.is_empty()
     };
     let trim = |mut v: Vec<u32>| -> Vec<u32> {
         while v.last() == Some(&0) {
@@ -498,7 +432,7 @@ pub fn minimize(cfg: &McConfig, decisions: &[u32]) -> (Vec<u32>, u64) {
 }
 
 /// The verdict of a bounded exploration.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ExploreResult {
     /// Label of the explored configuration.
     pub label: String,
@@ -527,21 +461,25 @@ impl ExploreResult {
         }
         100.0 * (1.0 - self.explored_branches as f64 / self.naive_branches as f64)
     }
-}
 
-fn to_counterexample(cfg: &McConfig, violation: String, decisions: Vec<u32>) -> Counterexample {
-    Counterexample {
-        label: cfg.label.clone(),
-        protocol: cfg.spec.name.to_string(),
-        sites: cfg.sites,
-        clients_per_site: cfg.clients_per_site,
-        txns_per_client: cfg.txns_per_client,
-        keys_per_partition: cfg.keys_per_partition,
-        seed: cfg.seed,
-        window_ns: cfg.window.as_nanos(),
-        psi_bug: cfg.reintroduce_psi_bug,
-        violation,
-        decisions,
+    /// Counts one executed schedule. On a violation, minimizes its decision
+    /// vector into the counterexample and returns true: the search stops.
+    fn record(&mut self, cfg: &McConfig, out: &ScheduleOutcome) -> bool {
+        self.schedules += 1;
+        self.choice_points += out.log.arities.len() as u64;
+        self.naive_branches += out.log.naive_branches;
+        self.explored_branches += out.log.explored_branches;
+        let Some(violation) = out.violations.first() else {
+            return false;
+        };
+        let (decisions, runs) = minimize(cfg, &out.log.decisions);
+        self.minimize_runs = runs;
+        self.counterexample = Some(Counterexample {
+            config: cfg.clone(),
+            violation: violation.clone(),
+            decisions,
+        });
+        true
     }
 }
 
@@ -558,14 +496,8 @@ fn to_counterexample(cfg: &McConfig, violation: String, decisions: Vec<u32>) -> 
 /// (which is then minimized) or after `budget` schedules.
 pub fn explore(cfg: &McConfig, budget: u64) -> ExploreResult {
     let mut result = ExploreResult {
-        label: cfg.label.clone(),
-        schedules: 0,
-        choice_points: 0,
-        naive_branches: 0,
-        explored_branches: 0,
-        exhausted: false,
-        minimize_runs: 0,
-        counterexample: None,
+        label: cfg.deployment.label.clone(),
+        ..ExploreResult::default()
     };
     let mut frontier: VecDeque<Vec<u32>> = VecDeque::from([Vec::new()]);
     while let Some(prefix) = frontier.pop_front() {
@@ -574,20 +506,14 @@ pub fn explore(cfg: &McConfig, budget: u64) -> ExploreResult {
             // exhausted.
             return result;
         }
-        let out = run_schedule(cfg, &prefix, false);
-        result.schedules += 1;
-        result.choice_points += out.arities.len() as u64;
-        result.naive_branches += out.naive_branches;
-        result.explored_branches += out.explored_branches;
-        if let Some(violation) = out.violations.into_iter().next() {
-            let (min, runs) = minimize(cfg, &out.decisions);
-            result.minimize_runs = runs;
-            result.counterexample = Some(to_counterexample(cfg, violation, min));
+        let out = run_schedule(cfg, &prefix, None);
+        if result.record(cfg, &out) {
             return result;
         }
-        for i in prefix.len()..out.decisions.len() {
-            for d in 1..out.arities[i] {
-                let mut sibling = out.decisions[..i].to_vec();
+        let log = &out.log;
+        for i in prefix.len()..log.decisions.len() {
+            for d in 1..log.arities[i] {
+                let mut sibling = log.decisions[..i].to_vec();
                 sibling.push(d);
                 frontier.push_back(sibling);
             }
@@ -604,27 +530,13 @@ pub fn explore(cfg: &McConfig, budget: u64) -> ExploreResult {
 /// so the walk that found a violation is deterministic after the fact.
 pub fn random_walks(cfg: &McConfig, walks: u64, walk_seed: u64) -> ExploreResult {
     let mut result = ExploreResult {
-        label: cfg.label.clone(),
-        schedules: 0,
-        choice_points: 0,
-        naive_branches: 0,
-        explored_branches: 0,
-        exhausted: false,
-        minimize_runs: 0,
-        counterexample: None,
+        label: cfg.deployment.label.clone(),
+        ..ExploreResult::default()
     };
     for i in 0..walks {
         let rng = SmallRng::seed_from_u64(walk_seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let out = run_with_policy(cfg, Policy::Random(rng), None);
-        result.schedules += 1;
-        result.choice_points += out.arities.len() as u64;
-        result.naive_branches += out.naive_branches;
-        result.explored_branches += out.explored_branches;
-        if let Some(violation) = out.violations.into_iter().next() {
-            let (min, runs) = minimize(cfg, &out.decisions);
-            result.minimize_runs = runs;
-            result.counterexample = Some(to_counterexample(cfg, violation, min));
-            return result;
+        if result.record(cfg, &run_with_policy(cfg, Policy::Random(rng), None)) {
+            break;
         }
     }
     result
@@ -660,9 +572,9 @@ mod tests {
             cx.violation
         );
         // Replay reproduces the exact violation from the decision vector.
-        let (violations, trace) = replay(cx).expect("counterexample config round-trips");
-        assert_eq!(violations.first(), Some(&cx.violation));
-        assert!(!trace.is_empty(), "replay exports an obs trace");
+        let out = replay(cx, TraceHandle::new());
+        assert_eq!(out.violations.first(), Some(&cx.violation));
+        assert!(!out.trace.is_empty(), "replay exports an obs trace");
         // And the text format round-trips losslessly.
         let reparsed = Counterexample::parse(&cx.to_text()).expect("parse own output");
         assert_eq!(&reparsed, cx);
@@ -690,7 +602,7 @@ mod tests {
     #[test]
     fn fixed_walter_is_clean_where_the_bug_was_found() {
         let mut cfg = walter_psi_bug_config();
-        cfg.label = "walter-fixed".to_string();
+        cfg.deployment.label = "walter-fixed".to_string();
         cfg.reintroduce_psi_bug = false;
         let result = explore(&cfg, 20);
         assert!(
@@ -704,21 +616,17 @@ mod tests {
     #[test]
     fn library_2pc_and_ab_configs_hold_invariants() {
         for cfg in mc_library() {
-            if cfg.label == "walter" {
+            let label = &cfg.deployment.label;
+            if label == "walter" {
                 continue; // covered transitively by the psi-bug pair above
             }
             let result = explore(&cfg, 15);
             assert!(
                 result.counterexample.is_none(),
-                "{}: unexpected violation {:?}",
-                cfg.label,
+                "{label}: unexpected violation {:?}",
                 result.counterexample
             );
-            assert!(
-                result.schedules == 15,
-                "{}: tree should not exhaust",
-                cfg.label
-            );
+            assert!(result.schedules == 15, "{label}: tree should not exhaust");
         }
     }
 
@@ -727,21 +635,23 @@ mod tests {
     #[test]
     fn empty_plan_matches_unscheduled_run() {
         let cfg = McConfig::small("walter", gdur_protocols::walter());
-        let mut plain = build_cluster(&cfg);
-        plain.run_until_idle();
-        let out = run_schedule(&cfg, &[], false);
-        assert!(out.violations.is_empty());
-        let mut scheduled = build_cluster(&cfg);
-        scheduled.sim_mut().attach_scheduler(Box::new(McScheduler {
+        let plain = run_checked(&cfg.deployment, cfg.cluster_config(), None, None);
+        let scheduler = McScheduler {
             window: cfg.window,
             policy: Policy::Guided {
                 plan: Vec::new(),
                 pos: 0,
             },
             log: Arc::new(Mutex::new(McLog::default())),
-        }));
-        scheduled.run_until_idle();
-        assert_eq!(plain.records(), scheduled.records());
+        };
+        let scheduled = run_checked(
+            &cfg.deployment,
+            cfg.cluster_config(),
+            Some(Box::new(scheduler)),
+            None,
+        );
+        assert!(scheduled.violations.is_empty());
+        assert_eq!(plain.cluster.records(), scheduled.cluster.records());
     }
 
     /// Random walks record their decisions, so a violating walk is exactly
@@ -753,7 +663,62 @@ mod tests {
         let cx = result
             .counterexample
             .expect("random walks should stumble into the PSI bug within 30 walks");
-        let (violations, _) = replay(&cx).expect("config round-trips");
-        assert_eq!(violations.first(), Some(&cx.violation));
+        let out = replay(&cx, TraceHandle::new());
+        assert_eq!(out.violations.first(), Some(&cx.violation));
+    }
+
+    /// `gdur-mc replay` trusts no file: every key is required exactly
+    /// once, and a deployment size of 0 is refused, each by name.
+    #[test]
+    fn counterexample_parse_requires_every_key_once() {
+        let cx = Counterexample {
+            config: walter_psi_bug_config(),
+            violation: "history: example".to_string(),
+            decisions: vec![0, 2, 1],
+        };
+        let text = cx.to_text();
+        assert_eq!(Counterexample::parse(&text), Ok(cx));
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate().skip(1) {
+            let key = line.split(' ').next().expect("key");
+            let mut dropped = lines.clone();
+            dropped.remove(i);
+            let e = Counterexample::parse(&dropped.join("\n")).expect_err("missing key");
+            assert!(e.contains("missing") && e.contains(key), "{key}: {e}");
+            let e = Counterexample::parse(&format!("{text}{line}\n")).expect_err("duplicate");
+            assert!(e.contains("duplicate") && e.contains(key), "{key}: {e}");
+            // The four deployment sizes.
+            if KEYS[2..6].contains(&key) {
+                let (zero, mut zeroed) = (format!("{key} 0"), lines.clone());
+                zeroed[i] = &zero;
+                let e = Counterexample::parse(&zeroed.join("\n")).expect_err("zero size");
+                assert!(e.contains(key), "{key}: {e}");
+            }
+        }
+    }
+
+    /// The fault-tolerant half of a deployment follows from its schedule:
+    /// persistence, disaster-tolerant placement, bounded read failover and
+    /// the client operation timeout exactly when the schedule holds a
+    /// fault, and a vote timeout only when, in addition, the coordinator
+    /// owns the decision.
+    #[test]
+    fn the_fault_half_follows_from_the_schedule() {
+        // A crash of an assembly that commits by group communication, too.
+        let crash = FaultSchedule::new().crash(1, 400);
+        let gc = Deployment::new(gdur_protocols::p_store_ab(), crash);
+        let chaos = gdur_harness::chaos_library().into_iter().chain([gc]);
+        let chaos = chaos.map(|d| (d.cluster_config(), d));
+        let explored = mc_library().into_iter();
+        let explored = explored.map(|c| (c.cluster_config(), c.deployment));
+        for (c, dep) in chaos.chain(explored) {
+            let (label, faulty) = (&dep.label, !dep.schedule.events().is_empty());
+            let tolerant = c.placement.replicas(gdur_store::PartitionId(0)).len() > 1;
+            let timeouts = (c.max_read_attempts.is_some(), c.client_op_timeout.is_some());
+            let want = (faulty, faulty, (faulty, faulty));
+            assert_eq!((c.persistence, tolerant, timeouts), want, "{label}");
+            let coordinated = dep.spec.group_communication().is_none();
+            assert_eq!(c.vote_timeout.is_some(), faulty && coordinated, "{label}");
+        }
     }
 }

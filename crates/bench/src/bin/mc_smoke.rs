@@ -17,6 +17,7 @@
 use std::process::exit;
 
 use gdur_analysis::mc::{explore, mc_library, replay, walter_psi_bug_config};
+use gdur_obs::TraceHandle;
 
 /// Acceptance floor for distinct schedules per library config.
 const MIN_SCHEDULES: u64 = 1000;
@@ -97,51 +98,41 @@ fn main() {
     // The regression half: the re-armed PR 1 PSI fractured read must be
     // found within a small budget, minimized, and replayable.
     let bug = walter_psi_bug_config();
+    let label = &bug.deployment.label;
     let r = explore(&bug, BUG_BUDGET);
     let Some(cx) = &r.counterexample else {
         eprintln!(
-            "mc_smoke: {} ran {} schedules clean — the re-introduced PSI bug \
+            "mc_smoke: {label} ran {} schedules clean — the re-introduced PSI bug \
              was not found",
-            bug.label, r.schedules
+            r.schedules
         );
         exit(1);
     };
     println!(
-        "{}: found after {} schedules, minimized to {} decisions in {} runs: {}",
-        bug.label,
+        "{label}: found after {} schedules, minimized to {} decisions in {} runs: {}",
         r.schedules,
         cx.decisions.len(),
         r.minimize_runs,
         cx.violation
     );
     if r.schedules <= 1 {
-        eprintln!("mc_smoke: {}: default schedule already violates; the config no longer demonstrates schedule exploration", bug.label);
+        eprintln!("mc_smoke: {label}: default schedule already violates; the config no longer demonstrates schedule exploration");
         exit(1);
     }
-    let (violations, trace) = match replay(cx) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!(
-                "mc_smoke: {}: counterexample failed to replay: {e}",
-                bug.label
-            );
-            exit(1);
-        }
-    };
-    if violations.first() != Some(&cx.violation) {
+    let out = replay(cx, TraceHandle::new());
+    if out.violations.first() != Some(&cx.violation) {
         eprintln!(
-            "mc_smoke: {}: replay did not reproduce the recorded violation \
-             (got {violations:?})",
-            bug.label
+            "mc_smoke: {label}: replay did not reproduce the recorded violation \
+             (got {:?})",
+            out.violations
         );
         exit(1);
     }
     lines.push(format!(
-        "{} found_after={} minimized={} trace_events={} violation={}",
-        bug.label,
+        "{label} found_after={} minimized={} trace_events={} violation={}",
         r.schedules,
         cx.decisions.len(),
-        trace.len(),
+        out.trace.len(),
         cx.violation
     ));
 

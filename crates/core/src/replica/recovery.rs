@@ -103,7 +103,6 @@ impl Replica {
                 gdur_persist::LogRecord::Submit { tx, rs, ws, dep } => {
                     submits.push((tx, rs, ws, dep));
                 }
-                gdur_persist::LogRecord::Checkpoint => {}
             }
         }
         for (p, _) in &ts_bumps {

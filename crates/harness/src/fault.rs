@@ -1,32 +1,32 @@
-//! Declarative fault schedules and the chaos harness (§5.3).
+//! Declarative fault schedules, the one deployment type of a checked run,
+//! and its one runner (§5.3).
 //!
 //! A [`FaultSchedule`] lists scheduled crashes, restarts, link partitions,
-//! and heals in virtual time. [`run_chaos`] drives one protocol under one
-//! schedule: it pre-registers the crash/restart events with the simulation
-//! kernel — the one fault model there is — slices the run at every
-//! partition boundary to flip the link state, lets the deployment drain to
-//! idle, and then subjects the run to the same always-on history
-//! verification as every experiment, plus a store-convergence check across
-//! the replicas of each partition.
+//! and heals in virtual time. A [`Deployment`] is a small bounded
+//! deployment plus its schedule; [`run_checked`] runs it — under the
+//! kernel's own order, or under a `gdur_sim::Scheduler` when `gdur-mc`
+//! explores schedules — and judges it with [`check_invariants`]: history
+//! verification, store convergence, and the abort-cause partition.
+//! [`run_chaos`] adds the recovery counts of a [`ChaosReport`].
 //!
 //! A schedule that restarts a replica is a claim that the assembly
-//! recovers. [`run_chaos`] refuses it for an assembly that does not
+//! recovers. [`run_checked`] refuses it for an assembly that does not
 //! ([`ProtocolSpec::recovery_support`]): the support matrix of DESIGN.md
 //! §3.7 has no cell between "recovers, tested" and "refused".
 //!
-//! Everything here is deterministic: the same protocol, schedule, and seed
+//! Everything here is deterministic: the same deployment and schedule
 //! reproduce the same trace byte for byte (`tests/tests/determinism.rs`
 //! reruns the library to check it; `chaos_smoke`'s golden relies on it).
 
-use gdur_consistency::{CriterionCheck, History};
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
 use gdur_net::SiteId;
 use gdur_obs::{labels, ObsEvent, TraceHandle};
-use gdur_sim::{SimDuration, SimTime};
+use gdur_sim::{Scheduler, SimDuration, SimTime};
 use gdur_store::{PartitionId, Placement};
 use gdur_workload::WorkloadSpec;
 
 use crate::experiment::build_ycsb;
+use crate::invariants::{check_invariants, DIVERGED};
 
 /// One scheduled fault of a chaos run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,44 +157,31 @@ impl FaultSchedule {
         evs
     }
 
-    /// Sites that get restarted at some point.
-    pub fn restarted_sites(&self) -> Vec<SiteId> {
-        let mut out = Vec::new();
-        for e in &self.events {
-            if let FaultEvent::Restart { site, .. } = e {
-                if !out.contains(site) {
-                    out.push(*site);
-                }
-            }
-        }
-        out
-    }
-
-    /// The latest restart instant, if any replica restarts.
-    pub fn last_restart(&self) -> Option<SimTime> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::Restart { at, .. } => Some(*at),
-                _ => None,
-            })
-            .max()
+    /// The restarts, as `(site, instant)`, in declaration order.
+    fn restarts(&self) -> impl Iterator<Item = (SiteId, SimTime)> + '_ {
+        self.events.iter().filter_map(|e| match *e {
+            FaultEvent::Restart { site, at } => Some((site, at)),
+            _ => None,
+        })
     }
 }
 
-/// Configuration of one chaos run. Defaults (via [`ChaosConfig::new`]) are
-/// sized for CI: a 3-site disaster-tolerant deployment with a bounded
-/// closed-loop workload.
+/// One deployment of a checked run: the protocol, the workload and its
+/// size, the seed, and the faults it suffers. Chaos runs and schedule
+/// exploration (`gdur-mc` in `gdur-analysis`) both describe what they run
+/// with it, and [`run_checked`] runs it.
+///
+/// The fault-tolerant half of the cluster is not an option: it follows
+/// from the schedule ([`Deployment::cluster_config`]).
 #[derive(Debug, Clone)]
-pub struct ChaosConfig {
+pub struct Deployment {
     /// Report label (defaults to the protocol name).
     pub label: String,
     /// The protocol under test.
     pub spec: ProtocolSpec,
-    /// The fault schedule.
-    pub schedule: FaultSchedule,
-    /// Number of sites (placement is always disaster tolerant: catch-up
-    /// needs a second replica per partition).
+    /// The YCSB workload, at 50 % read-only transactions.
+    pub workload: WorkloadSpec,
+    /// Number of sites (= partitions).
     pub sites: usize,
     /// Closed-loop clients per site.
     pub clients_per_site: usize,
@@ -204,30 +191,65 @@ pub struct ChaosConfig {
     pub keys_per_partition: u64,
     /// Deployment seed.
     pub seed: u64,
+    /// The fault schedule.
+    pub schedule: FaultSchedule,
     /// One client actor per site instead of one per client (see
     /// `ClusterConfig::client_pooling`).
     pub client_pooling: bool,
 }
 
-impl ChaosConfig {
-    /// CI-sized defaults for `spec` under `schedule`.
+impl Deployment {
+    /// The CI-sized chaos deployment of `spec` under `schedule`: 3 sites,
+    /// 2 clients per site x 30 transactions of workload A over 200 keys
+    /// per partition, seed 7.
     pub fn new(spec: ProtocolSpec, schedule: FaultSchedule) -> Self {
-        ChaosConfig {
+        Deployment {
             label: spec.name.to_string(),
             spec,
-            schedule,
+            workload: WorkloadSpec::a(),
             sites: 3,
             clients_per_site: 2,
             txns_per_client: 30,
             keys_per_partition: 200,
             seed: 7,
+            schedule,
             client_pooling: false,
+        }
+    }
+
+    /// The cluster this deployment runs. A schedule that holds a fault gets
+    /// the §5.3 crash–recovery model: disaster-tolerant placement (catch-up
+    /// needs a second replica), the write-ahead log, a 500 ms vote timeout
+    /// where the coordinator owns the decision, bounded read failover and a
+    /// 2 s client operation timeout. An empty schedule gets a crash- and
+    /// timeout-free disaster-prone deployment.
+    pub fn cluster_config(&self) -> ClusterConfig {
+        let faulty = !self.schedule.events().is_empty();
+        let placement = if faulty {
+            Placement::disaster_tolerant(self.sites)
+        } else {
+            Placement::disaster_prone(self.sites)
+        };
+        // Only a coordinator that owns the decision may abort it on a timer.
+        let coordinated = self.spec.group_communication().is_none();
+        ClusterConfig {
+            keys_per_partition: self.keys_per_partition,
+            value_size: 64,
+            clients_per_site: self.clients_per_site,
+            max_txns_per_client: Some(self.txns_per_client),
+            persistence: faulty,
+            vote_timeout: (faulty && coordinated).then(|| SimDuration::from_millis(500)),
+            max_read_attempts: faulty.then_some(6),
+            client_op_timeout: faulty.then(|| SimDuration::from_secs(2)),
+            client_pooling: self.client_pooling,
+            seed: self.seed,
+            ..ClusterConfig::new(self.spec.clone(), placement)
         }
     }
 }
 
 /// The outcome of one chaos run, summarizing client-visible results,
-/// recovery activity, and the two safety verdicts.
+/// recovery activity, and the safety verdicts.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Report label.
@@ -265,12 +287,13 @@ pub struct ChaosReport {
     pub parked_at_idle: u64,
     /// True if every partition's replicas ended with identical stores.
     pub converged: bool,
-    /// First history violation, if the criterion check failed.
+    /// First violation of [`check_invariants`] other than divergence:
+    /// of the criterion, or of the abort-cause partition.
     pub violation: Option<String>,
 }
 
 impl ChaosReport {
-    /// True if the run of `spec` passed both safety verdicts: no criterion
+    /// True if the run of `spec` passed every safety verdict: no
     /// violation, and converged stores where the assembly promises them
     /// ([`ProtocolSpec::orders_write_conflicts`]).
     pub fn ok(&self, spec: &ProtocolSpec) -> bool {
@@ -334,116 +357,119 @@ pub fn stores_converged(cluster: &Cluster) -> bool {
     true
 }
 
-/// Runs `spec` under the fault schedule and returns the report plus the
-/// full deterministic event trace.
+/// What a checked run leaves behind.
+pub struct CheckedRun {
+    /// The deployment, drained to idle.
+    pub cluster: Cluster,
+    /// The verdicts of [`check_invariants`], empty when the run is clean.
+    pub violations: Vec<String>,
+    /// The trace, empty when the run was not traced.
+    pub events: Vec<ObsEvent>,
+}
+
+/// Builds `ccfg` (normally [`Deployment::cluster_config`]) with the
+/// deployment's workload, applies its fault schedule, drains the run to
+/// idle under `scheduler` (the kernel's own order when `None`), and judges
+/// it with [`check_invariants`]. The only runner of both chaos runs and
+/// schedule exploration.
 ///
-/// The run uses persistence (so crashed replicas recover from their WAL),
-/// a vote timeout under 2PC and Paxos Commit (so terminations wedged by a
-/// crash abort instead of retrying forever), bounded read failover, and a
-/// client operation timeout (so closed-loop clients survive a crashed
-/// coordinator) — the §5.3 crash–recovery model end to end.
+/// Crashes and restarts are pre-registered with the simulation kernel —
+/// the one fault model there is — and the run is sliced at every partition
+/// boundary to flip the link state.
 ///
 /// # Panics
 ///
 /// Panics with the diagnostic of [`ProtocolSpec::recovery_support`] if the
 /// schedule restarts a replica of an assembly that has no recovery.
-pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
-    if cfg.schedule.last_restart().is_some() {
-        if let Err(refusal) = cfg.spec.recovery_support() {
-            panic!("{}: the schedule restarts a replica: {refusal}", cfg.label);
+pub fn run_checked(
+    dep: &Deployment,
+    ccfg: ClusterConfig,
+    scheduler: Option<Box<dyn Scheduler>>,
+    trace: Option<TraceHandle>,
+) -> CheckedRun {
+    if dep.schedule.restarts().next().is_some() {
+        if let Err(refusal) = dep.spec.recovery_support() {
+            panic!("{}: the schedule restarts a replica: {refusal}", dep.label);
         }
     }
-    let placement = Placement::disaster_tolerant(cfg.sites);
-    // Only a coordinator that owns the decision may abort it on a timer.
-    let coordinated = cfg.spec.group_communication().is_none();
-    let ccfg = ClusterConfig {
-        keys_per_partition: cfg.keys_per_partition,
-        value_size: 64,
-        clients_per_site: cfg.clients_per_site,
-        max_txns_per_client: Some(cfg.txns_per_client),
-        persistence: true,
-        vote_timeout: coordinated.then(|| SimDuration::from_millis(500)),
-        max_read_attempts: Some(6),
-        client_op_timeout: Some(SimDuration::from_secs(2)),
-        client_pooling: cfg.client_pooling,
-        seed: cfg.seed,
-        ..ClusterConfig::new(cfg.spec.clone(), placement)
-    };
-    let mut cluster = build_ycsb(ccfg, &WorkloadSpec::a(), 0.5, 0.0);
-    let trace = TraceHandle::new();
-    cluster.attach_obs(trace.sink());
+    let mut cluster = build_ycsb(ccfg, &dep.workload, 0.5, 0.0);
+    if let Some(scheduler) = scheduler {
+        cluster.sim_mut().attach_scheduler(scheduler);
+    }
+    if let Some(t) = &trace {
+        cluster.attach_obs(t.sink());
+    }
     let pc = cluster.partition_control();
     let replica_pids = cluster.replica_pids().to_vec();
-
     // Crashes and restarts are kernel events: register them up front so
     // they land at their exact virtual instants regardless of how the run
     // is sliced below.
-    for ev in cfg.schedule.events() {
+    let pid = |site: SiteId| replica_pids[site.index()];
+    for ev in dep.schedule.events() {
+        let sim = cluster.sim_mut();
         match *ev {
-            FaultEvent::Crash { site, at } => {
-                cluster
-                    .sim_mut()
-                    .schedule_crash(replica_pids[site.index()], at);
-            }
-            FaultEvent::Restart { site, at } => {
-                cluster
-                    .sim_mut()
-                    .schedule_restart(replica_pids[site.index()], at);
-            }
+            FaultEvent::Crash { site, at } => sim.schedule_crash(pid(site), at),
+            FaultEvent::Restart { site, at } => sim.schedule_restart(pid(site), at),
             FaultEvent::Partition { .. } | FaultEvent::Heal { .. } => {}
         }
     }
     // Link state is latency-model state, not a kernel event: slice the run
     // at every partition boundary and flip the cut between slices.
-    for ev in cfg.schedule.chronological() {
-        match ev {
-            FaultEvent::Partition { a, b, at } => {
-                cluster.sim_mut().run_until(at);
-                pc.cut(a, b);
-            }
-            FaultEvent::Heal { a, b, at } => {
-                cluster.sim_mut().run_until(at);
-                pc.heal(a, b);
-            }
-            FaultEvent::Crash { .. } | FaultEvent::Restart { .. } => {}
+    for ev in dep.schedule.chronological() {
+        let (a, b, at, cut) = match ev {
+            FaultEvent::Partition { a, b, at } => (a, b, at, true),
+            FaultEvent::Heal { a, b, at } => (a, b, at, false),
+            FaultEvent::Crash { .. } | FaultEvent::Restart { .. } => continue,
+        };
+        cluster.sim_mut().run_until(at);
+        if cut {
+            pc.cut(a, b);
+        } else {
+            pc.heal(a, b);
         }
     }
     cluster.run_until_idle();
+    CheckedRun {
+        violations: check_invariants(&dep.spec, &cluster),
+        events: trace.map(|t| t.take()).unwrap_or_default(),
+        cluster,
+    }
+}
 
-    let history = History::from_cluster(&cluster);
-    let violation = cfg
-        .spec
-        .criterion
-        .check(&history)
-        .err()
-        .map(|v| v.to_string());
-    let converged = stores_converged(&cluster);
-
+/// Runs the deployment traced ([`run_checked`] on its own
+/// [`Deployment::cluster_config`]) and returns the report plus the full
+/// deterministic event trace.
+///
+/// # Panics
+///
+/// As [`run_checked`].
+pub fn run_chaos(dep: &Deployment) -> (ChaosReport, Vec<ObsEvent>) {
+    let CheckedRun {
+        cluster,
+        violations,
+        events,
+    } = run_checked(dep, dep.cluster_config(), None, Some(TraceHandle::new()));
     let records = cluster.records();
     let committed = records.iter().filter(|r| r.committed).count() as u64;
-    let aborted = records.len() as u64 - committed;
     // Transaction ids carry the *client-side* pid as their coordinator
     // field: the clients of a restarted site are its colocated actors.
-    let restarted: Vec<u32> = cfg
+    let restarted: Vec<u32> = dep
         .schedule
-        .restarted_sites()
-        .iter()
-        .flat_map(|s| cluster.client_pids_at(*s))
+        .restarts()
+        .flat_map(|(site, _)| cluster.client_pids_at(site))
         .map(|p| p.0)
         .collect();
-    let post_restart_commits = match cfg.schedule.last_restart() {
-        Some(at) => records
-            .iter()
-            .filter(|r| r.committed && r.decided_at >= at && restarted.contains(&r.tx.coord()))
-            .count() as u64,
-        None => 0,
-    };
+    let last_restart = dep.schedule.restarts().map(|(_, at)| at).max();
+    let post_restart_commits = records
+        .iter()
+        .filter(|r| r.committed && last_restart.is_some_and(|at| r.decided_at >= at))
+        .filter(|r| restarted.contains(&r.tx.coord()))
+        .count() as u64;
     let stats = cluster.replica_stats();
-    let events = trace.take();
     let report = ChaosReport {
-        label: cfg.label.clone(),
+        label: dep.label.clone(),
         committed,
-        aborted,
+        aborted: records.len() as u64 - committed,
         post_restart_commits,
         crashes: count_label(&events, labels::KERNEL_CRASH),
         restarts: count_label(&events, labels::KERNEL_RESTART),
@@ -451,20 +477,17 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
         resubmissions: stats.resubmissions,
         catchup_installs: stats.catchup_installs,
         catchup_records_decoded: stats.catchup_records_decoded,
-        wal_records: (0..cfg.sites)
-            .map(|s| {
-                cluster
-                    .replica(SiteId(s as u16))
-                    .wal()
-                    .map_or(0, |w| w.len())
-            })
+        wal_records: (0..dep.sites as u16)
+            .map(|s| cluster.replica(SiteId(s)).wal().map_or(0, |w| w.len()))
             .collect(),
         recovery_completes: count_label(&events, labels::RECOVERY_COMPLETE),
         reads_parked: stats.reads_parked,
         parked_read_checks: stats.parked_read_checks,
         parked_at_idle: cluster.parked_reads() as u64,
-        converged,
-        violation,
+        converged: stores_converged(&cluster),
+        // A replica that stays down cannot converge: divergence is the
+        // `converged` verdict's, weighed by [`ChaosReport::ok`].
+        violation: violations.into_iter().find(|v| v != DIVERGED),
     };
     (report, events)
 }
@@ -474,7 +497,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> (ChaosReport, Vec<ObsEvent>) {
 /// (`P-Store-2PC`), Paxos Commit (`P-Store-Paxos`), and the vector-clock
 /// log replay (`Walter`). Assemblies that commit by group communication
 /// have no restart ([`ProtocolSpec::recovery_support`]) and no entry.
-pub fn chaos_library() -> Vec<ChaosConfig> {
+pub fn chaos_library() -> Vec<Deployment> {
     let schedule = || {
         FaultSchedule::new()
             .crash(1, 400)
@@ -483,8 +506,8 @@ pub fn chaos_library() -> Vec<ChaosConfig> {
             .restart(1, 1_200)
     };
     vec![
-        ChaosConfig::new(gdur_protocols::p_store_2pc(), schedule()),
-        ChaosConfig::new(gdur_protocols::p_store_paxos(), schedule()),
-        ChaosConfig::new(gdur_protocols::walter(), schedule()),
+        Deployment::new(gdur_protocols::p_store_2pc(), schedule()),
+        Deployment::new(gdur_protocols::p_store_paxos(), schedule()),
+        Deployment::new(gdur_protocols::walter(), schedule()),
     ]
 }

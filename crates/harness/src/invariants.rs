@@ -1,20 +1,20 @@
-//! The per-run invariant bundle, packaged for schedule exploration.
+//! The per-run invariant bundle of a checked run.
 //!
-//! The harness already enforces three invariants along the *default*
-//! schedule: every experiment's history is verified against the spec's
-//! claimed criterion ([`crate::experiment::run_point`] panics on
-//! violation), chaos runs check replica-store convergence, and the
-//! observability layer checks that coordinated aborts partition exactly
-//! into their recorded causes. The model checker (`gdur-mc` in
-//! `gdur-analysis`) re-runs a deployment under *many* schedules and needs
-//! the same verdicts as a value rather than a panic: this module bundles
-//! them into one call returning human-readable violation strings, empty
-//! when the run is clean.
+//! Every experiment's history is verified against the spec's claimed
+//! criterion ([`crate::experiment::run_point`] panics on violation). A
+//! checked run ([`crate::fault::run_checked`]: a chaos run, or one schedule
+//! of the model checker `gdur-mc` in `gdur-analysis`) needs that verdict
+//! and two more as a value rather than a panic: this module bundles them
+//! into one call returning human-readable violation strings, empty when
+//! the run is clean.
 
 use gdur_consistency::{CriterionCheck, History};
 use gdur_core::{Cluster, ProtocolSpec};
 
 use crate::fault::stores_converged;
+
+/// The convergence violation of [`check_invariants`].
+pub(crate) const DIVERGED: &str = "convergence: replica stores diverged";
 
 /// Runs the invariant bundle against a finished (run-to-idle) cluster:
 ///
@@ -36,7 +36,7 @@ pub fn check_invariants(spec: &ProtocolSpec, cluster: &Cluster) -> Vec<String> {
         out.push(format!("history: {v}"));
     }
     if spec.orders_write_conflicts() && !stores_converged(cluster) {
-        out.push("convergence: replica stores diverged".to_string());
+        out.push(DIVERGED.to_string());
     }
     let st = cluster.replica_stats();
     let causes = st.aborted_cert_conflict

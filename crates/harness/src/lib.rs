@@ -22,7 +22,8 @@ pub mod invariants;
 pub mod report;
 
 pub use fault::{
-    chaos_library, run_chaos, stores_converged, ChaosConfig, ChaosReport, FaultEvent, FaultSchedule,
+    chaos_library, run_chaos, run_checked, stores_converged, ChaosReport, CheckedRun, Deployment,
+    FaultEvent, FaultSchedule,
 };
 pub use invariants::check_invariants;
 

@@ -10,7 +10,7 @@
 //! * a self-contained binary codec with checksummed frames
 //!   ([`codec`]) so torn writes are detected;
 //! * an append-only [`Wal`] holding [`LogRecord`]s (installs, decisions,
-//!   checkpoints) with truncation;
+//!   submits);
 //! * [`recover`] — replaying a log image into a fresh
 //!   [`MultiVersionStore`](gdur_store::MultiVersionStore) plus the
 //!   decision table a restarted 2PC participant answers retried

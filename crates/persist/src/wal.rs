@@ -1,15 +1,13 @@
-//! The write-ahead log: append-only record stream with checkpointing and
-//! recovery into a [`MultiVersionStore`].
+//! The write-ahead log: append-only record stream with recovery into a
+//! [`MultiVersionStore`].
 //!
-//! Two record kinds mirror what a G-DUR replica persists (§5.3: "every
+//! Three record kinds mirror what a G-DUR replica persists (§5.3: "every
 //! time the state of Algorithm 4 changes, the modification must be
 //! logged"):
 //!
 //! * [`LogRecord::Install`] — an applied after-value;
 //! * [`LogRecord::Decision`] — a commit/abort decision (2PC's commit
 //!   point);
-//! * [`LogRecord::Checkpoint`] — a cut: recovery may start from the last
-//!   checkpoint's state snapshot;
 //! * [`LogRecord::Submit`] — a coordinator handed a transaction to the
 //!   commitment protocol. A `Submit` without a matching `Decision` is an
 //!   in-flight termination: recovery resumes its retransmission.
@@ -47,8 +45,6 @@ pub enum LogRecord {
         /// True = commit.
         commit: bool,
     },
-    /// A checkpoint marker; records before it may be truncated.
-    Checkpoint,
     /// A coordinator submitted a transaction for termination (§5.3: the
     /// protocol state change that starts retransmission). A `Submit` with
     /// no later `Decision` for the same transaction marks a mid-commit
@@ -68,7 +64,6 @@ pub enum LogRecord {
 
 const TAG_INSTALL: u8 = 1;
 const TAG_DECISION: u8 = 2;
-const TAG_CHECKPOINT: u8 = 3;
 const TAG_SUBMIT: u8 = 4;
 
 fn put_stamp(buf: &mut BytesMut, stamp: &Stamp) {
@@ -150,7 +145,6 @@ impl LogRecord {
                 put_tx(&mut buf, *tx);
                 buf.put_u8(u8::from(*commit));
             }
-            LogRecord::Checkpoint => buf.put_u8(TAG_CHECKPOINT),
             LogRecord::Submit { tx, rs, ws, dep } => {
                 buf.put_u8(TAG_SUBMIT);
                 put_tx(&mut buf, *tx);
@@ -202,7 +196,6 @@ impl LogRecord {
                 let commit = body.get_u8() != 0;
                 Ok(LogRecord::Decision { tx, commit })
             }
-            TAG_CHECKPOINT => Ok(LogRecord::Checkpoint),
             TAG_SUBMIT => {
                 let tx = get_tx(&mut body)?;
                 let nr = codec::get_varint(&mut body)? as usize;
@@ -280,9 +273,7 @@ impl Wal {
 
     /// Rebuilds a log from a possibly-torn on-disk image: every intact
     /// frame is kept, everything at and after the first torn or corrupt
-    /// frame is discarded. This is the disk-read half of recovery; a
-    /// checkpoint that only exists past the damage is therefore never
-    /// honoured.
+    /// frame is discarded. This is the disk-read half of recovery.
     pub fn from_image(data: Bytes) -> Self {
         let mut wal = Wal::new();
         for rec in Self::scan_bytes(data) {
@@ -323,23 +314,6 @@ impl Wal {
         }
         out
     }
-
-    /// Drops everything before the last checkpoint (log truncation).
-    /// Returns the number of records discarded.
-    pub fn truncate_to_last_checkpoint(&mut self) -> u64 {
-        let records = self.scan();
-        let Some(cut) = records.iter().rposition(|r| *r == LogRecord::Checkpoint) else {
-            return 0;
-        };
-        let keep = &records[cut..];
-        let mut fresh = Wal::new();
-        for r in keep {
-            fresh.append(r);
-        }
-        let dropped = self.len() - keep.len() as u64;
-        *self = fresh;
-        dropped
-    }
 }
 
 /// Replays a log image into a fresh store: installs are applied in order,
@@ -374,7 +348,6 @@ pub fn recover(log: &Wal) -> (MultiVersionStore, Vec<(TxId, bool)>) {
                 store.install(key, value, stamp, writer);
             }
             LogRecord::Decision { tx, commit } => decisions.push((tx, commit)),
-            LogRecord::Checkpoint => {}
             // In-flight termination state is protocol-level; the replica's
             // own recovery path re-derives it from Submit/Decision pairs.
             LogRecord::Submit { .. } => {}
@@ -405,7 +378,6 @@ mod tests {
                 tx: TxId::new(2, 9),
                 commit: true,
             },
-            LogRecord::Checkpoint,
             LogRecord::Install {
                 key: Key(1),
                 seq: 3,
@@ -491,8 +463,8 @@ mod tests {
 
     #[test]
     fn recovery_tolerates_mid_log_gap_keys() {
-        // First logged version of a key is seq 3 (older versions were
-        // checkpoint-truncated): recovery backfills placeholders.
+        // First logged version of a key is seq 3 (its older versions are
+        // not in this log): recovery backfills placeholders.
         let mut wal = Wal::new();
         wal.append(&install(9, 3, 93));
         let (store, _) = recover(&wal);
@@ -501,7 +473,7 @@ mod tests {
     }
 
     /// A log with every record shape: Ts and Vec stamps, a large value, a
-    /// decision, and a checkpoint — so the fuzz below exercises every
+    /// decision, and a submit — so the fuzz below exercises every
     /// decode path. Returns the records and the byte offset of each frame
     /// boundary (`boundaries[i]` = offset where frame `i` starts;
     /// final entry = total length).
@@ -522,7 +494,6 @@ mod tests {
                 writer: TxId::new(3, 1),
                 value: Value::of_size(64),
             },
-            LogRecord::Checkpoint,
             install(1, 1, 11),
             LogRecord::Submit {
                 tx: TxId::new(4, 2),
@@ -573,9 +544,8 @@ mod tests {
 
     #[test]
     fn scan_from_is_the_suffix_on_every_torn_image() {
-        // The offset index is rebuilt by `from_image` and by truncation;
-        // whatever byte the image was torn at, it must address exactly the
-        // surviving frames.
+        // The offset index is rebuilt by `from_image`; whatever byte the
+        // image was torn at, it must address exactly the surviving frames.
         let (wal, recs, boundaries) = fuzz_log();
         let img = wal.as_bytes();
         for cut in 0..=img.len() {
@@ -583,17 +553,11 @@ mod tests {
             let mut recovered = Wal::from_image(img.slice(..cut));
             let what = format!("cut at byte {cut}");
             assert_scan_from_is_every_suffix(&recovered, &recs[..intact], &what);
-            // The checkpoint is frame 3: once it survives the cut,
-            // truncation drops the three records before it.
-            let dropped = if intact > 3 { 3 } else { 0 };
-            assert_eq!(recovered.truncate_to_last_checkpoint(), dropped as u64);
-            let what = format!("truncated after a cut at byte {cut}");
-            assert_scan_from_is_every_suffix(&recovered, &recs[dropped..intact], &what);
             // Appends after a rebuild keep extending the index.
-            recovered.append(&LogRecord::Checkpoint);
+            recovered.append(&install(2, 0, 20));
             assert_eq!(
                 recovered.scan_from(recovered.len() - 1).collect::<Vec<_>>(),
-                vec![LogRecord::Checkpoint]
+                vec![install(2, 0, 20)]
             );
         }
     }
@@ -612,25 +576,6 @@ mod tests {
             let scanned = Wal::scan_bytes(Bytes::from(bad));
             assert_eq!(scanned, recs[..frame_of_pos], "flip at byte {pos}");
         }
-    }
-
-    #[test]
-    fn checkpoint_past_corruption_is_ignored() {
-        // The checkpoint in fuzz_log sits in frame 3. Corrupt frame 1:
-        // recovery must discard the checkpoint along with everything else
-        // after the damage, so truncation falls back to "no checkpoint".
-        let (wal, _recs, boundaries) = fuzz_log();
-        let mut img = wal.as_bytes().to_vec();
-        img[boundaries[1] + 2] ^= 0xff; // body byte of frame 1
-        let mut recovered = Wal::from_image(Bytes::from(img));
-        let recs = recovered.scan();
-        assert_eq!(recs.len(), 1, "only the frame before the damage survives");
-        assert!(!recs.contains(&LogRecord::Checkpoint));
-        assert_eq!(
-            recovered.truncate_to_last_checkpoint(),
-            0,
-            "a checkpoint that only exists past the corruption must not be honoured"
-        );
     }
 
     /// A Decision record body carrying a raw `(coord, seq)`.
@@ -674,20 +619,6 @@ mod tests {
             assert_eq!(store.latest_seq(Key(1)), Some(0));
             assert!(decisions.is_empty());
         }
-    }
-
-    #[test]
-    fn checkpoint_truncation() {
-        let mut wal = Wal::new();
-        wal.append(&install(1, 0, 10));
-        wal.append(&LogRecord::Checkpoint);
-        wal.append(&install(1, 1, 11));
-        let dropped = wal.truncate_to_last_checkpoint();
-        assert_eq!(dropped, 1);
-        let recs = wal.scan();
-        assert_eq!(recs[0], LogRecord::Checkpoint);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(wal.truncate_to_last_checkpoint(), 0, "idempotent");
     }
 
     #[test]

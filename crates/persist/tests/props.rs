@@ -23,7 +23,7 @@ fn arb_stamp(rng: &mut SmallRng) -> Stamp {
 }
 
 fn arb_record(rng: &mut SmallRng) -> LogRecord {
-    match rng.gen_range(0u32..3) {
+    match rng.gen_range(0u32..2) {
         0 => LogRecord::Install {
             key: Key(rng.gen_range(0u64..32)),
             seq: rng.gen_range(0u64..8),
@@ -31,11 +31,10 @@ fn arb_record(rng: &mut SmallRng) -> LogRecord {
             writer: TxId::new(rng.gen_range(0u32..8), rng.gen_range(0u64..100)),
             value: Value::of_size(rng.gen_range(0usize..64)),
         },
-        1 => LogRecord::Decision {
+        _ => LogRecord::Decision {
             tx: TxId::new(rng.gen_range(0u32..8), rng.gen_range(0u64..100)),
             commit: rng.gen_bool(0.5),
         },
-        _ => LogRecord::Checkpoint,
     }
 }
 

@@ -9,7 +9,7 @@
 use gdur_consistency::{CriterionCheck, History};
 use gdur_core::{Cluster, ClusterConfig};
 use gdur_harness::{
-    build_point, run_chaos, ChaosConfig, Experiment, FaultSchedule, PlacementKind, Scale,
+    build_point, run_chaos, Deployment, Experiment, FaultSchedule, PlacementKind, Scale,
     WorkloadKind,
 };
 use gdur_sim::SimDuration;
@@ -28,7 +28,7 @@ fn a_recovery_wakes_its_parked_reads_once() {
         // Enough closed-loop load that reads reach site 1 during its
         // catch-up (at the CI default of 2 clients the transfer ends
         // before one does).
-        let mut cfg = ChaosConfig::new(gdur_protocols::p_store_2pc(), schedule);
+        let mut cfg = Deployment::new(gdur_protocols::p_store_2pc(), schedule);
         cfg.clients_per_site = 32;
         cfg.txns_per_client = 200;
         let (report, _events) = run_chaos(&cfg);

@@ -3,22 +3,23 @@
 //! the crash lands.
 //!
 //! Every scenario runs through [`gdur_harness::run_chaos`], which keeps
-//! the always-on history verification and the cross-replica store
-//! convergence check in the loop. `recovery_support_matrix` is the
-//! contract of DESIGN.md §3.7: every assembly of the library either
-//! recovers, at the size where recovery bugs show, or is refused.
+//! the invariant bundle in the loop: history verification, cross-replica
+//! store convergence, and the abort-cause partition.
+//! `recovery_support_matrix` is the contract of DESIGN.md §3.7: every
+//! assembly of the library either recovers, at the size where recovery
+//! bugs show, or is refused.
 
-use gdur_harness::{chaos_library, run_chaos, ChaosConfig, FaultSchedule};
+use gdur_harness::{chaos_library, run_chaos, Deployment, FaultSchedule};
 use gdur_protocols::{all_protocols, p_store_2pc, p_store_ab, p_store_paxos};
 
 /// Expected client-visible record count: every closed-loop transaction
 /// must reach *some* decision (commit, certification abort, or a
 /// crash-timeout abort) — a shortfall means a transaction is stuck.
-fn expected_records(cfg: &ChaosConfig) -> u64 {
+fn expected_records(cfg: &Deployment) -> u64 {
     (cfg.sites * cfg.clients_per_site) as u64 * cfg.txns_per_client
 }
 
-fn run_and_check(cfg: ChaosConfig) -> gdur_harness::ChaosReport {
+fn run_and_check(cfg: Deployment) -> gdur_harness::ChaosReport {
     let (report, _events) = run_chaos(&cfg);
     assert_eq!(
         report.committed + report.aborted,
@@ -42,7 +43,7 @@ fn run_and_check(cfg: ChaosConfig) -> gdur_harness::ChaosReport {
 #[test]
 fn crash_between_wal_append_and_termination_send() {
     let schedule = FaultSchedule::new().crash(1, 350).restart(1, 900);
-    let report = run_and_check(ChaosConfig::new(p_store_2pc(), schedule));
+    let report = run_and_check(Deployment::new(p_store_2pc(), schedule));
     assert_eq!(report.crashes, 1);
     assert_eq!(report.replays, 1, "restart must replay the WAL");
     assert!(
@@ -67,7 +68,7 @@ fn restart_during_active_partition() {
         .partition(0, 1, 500)
         .restart(1, 700)
         .heal(0, 1, 1_500);
-    let report = run_and_check(ChaosConfig::new(p_store_paxos(), schedule));
+    let report = run_and_check(Deployment::new(p_store_paxos(), schedule));
     assert_eq!(report.crashes, 1);
     assert_eq!(report.replays, 1);
     assert_eq!(
@@ -87,7 +88,7 @@ fn double_crash_of_same_replica() {
         .restart(1, 600)
         .crash(1, 900)
         .restart(1, 1_300);
-    let report = run_and_check(ChaosConfig::new(p_store_2pc(), schedule));
+    let report = run_and_check(Deployment::new(p_store_2pc(), schedule));
     assert_eq!(report.crashes, 2);
     assert_eq!(report.restarts, 2);
     assert_eq!(report.replays, 2, "each restart must replay the WAL");
@@ -105,7 +106,7 @@ fn double_crash_of_same_replica() {
 /// hanging, and the peers terminate every transaction via coverage.
 #[test]
 fn coordinator_crash_mid_vote() {
-    let cfg = ChaosConfig::new(p_store_ab(), FaultSchedule::new().crash(1, 400));
+    let cfg = Deployment::new(p_store_ab(), FaultSchedule::new().crash(1, 400));
     let report = run_and_check(cfg);
     assert_eq!((report.crashes, report.restarts), (1, 0));
     // The crash-timeout path must actually have fired for the dead
@@ -130,7 +131,7 @@ fn the_library_survives_a_crash_and_a_partition() {
     let cut = FaultSchedule::new().partition(0, 2, 600).heal(0, 2, 900);
     for spec in all_protocols() {
         let run = |schedule: &FaultSchedule| {
-            let mut cfg = ChaosConfig::new(spec.clone(), schedule.clone());
+            let mut cfg = Deployment::new(spec.clone(), schedule.clone());
             (cfg.clients_per_site, cfg.txns_per_client) = (16, 200);
             run_and_check(cfg)
         };
@@ -152,7 +153,7 @@ fn the_library_survives_a_crash_and_a_partition() {
 fn recovery_support_matrix() {
     let schedule = chaos_library()[0].schedule.clone();
     for spec in all_protocols() {
-        let mut cfg = ChaosConfig::new(spec, schedule.clone());
+        let mut cfg = Deployment::new(spec, schedule.clone());
         if let Err(refusal) = cfg.spec.recovery_support() {
             assert_eq!(refusal.code, "E-RECOVERY-GC");
             let panic = std::panic::catch_unwind(|| run_chaos(&cfg))
@@ -215,7 +216,7 @@ fn catchup_decodes_a_linear_number_of_log_records() {
         .partition(0, 2, 5_500)
         .heal(0, 2, 6_000)
         .restart(1, 8_000);
-    let mut cfg = ChaosConfig::new(p_store_paxos(), schedule);
+    let mut cfg = Deployment::new(p_store_paxos(), schedule);
     cfg.clients_per_site = 16;
     cfg.txns_per_client = 100;
     let report = run_and_check(cfg);
