@@ -45,7 +45,7 @@ step() {
 # character outside [A-Za-z0-9_./-], so globs and `:line` suffixes check
 # their directory or file; a `path/to/file.rs::name` reference also needs
 # `fn name` in that file. Then `refs_check`.
-DOCS="README.md DESIGN.md EXPERIMENTS.md tools/hostprof/README.md"
+DOCS="README.md DESIGN.md EXPERIMENTS.md ROADMAP.md tools/hostprof/README.md"
 
 docs_check() {
     _missing=0
@@ -73,7 +73,7 @@ docs_check() {
     return $_missing
 }
 
-# refs_check: in the four documents and in the `//` and `#[ignore = "…"]`
+# refs_check: in the documents of $DOCS and in the `//` and `#[ignore = "…"]`
 # text under crates/ tests/ examples/, every `ROADMAP item N` names an item
 # of ROADMAP.md (a `### Item N` heading or an `Item N (…)` tombstone) and
 # every `DESIGN.md §x.y` a numbered heading of DESIGN.md, and every `PR N` —
@@ -126,9 +126,10 @@ refs_check() {
 }
 
 # tools_check: the profilers under tools/hostprof (not run by CI) still
-# compile warning-free and symbolize.py still parses. `ast.parse` rather
-# than `py_compile`, which would leave a __pycache__ behind; without gcc
-# the C half is skipped with a note.
+# compile warning-free and symbolize.py still parses and answers --help.
+# `ast.parse` rather than `py_compile`, which would leave a __pycache__
+# behind (running the script writes none); without gcc the C half is
+# skipped with a note.
 tools_check() {
     if command -v gcc >/dev/null 2>&1; then
         for _src in tools/hostprof/hostprof.c tools/hostprof/heapprof.c; do
@@ -137,7 +138,8 @@ tools_check() {
     else
         echo "    gcc not found: tools/hostprof/*.c not compiled (skipped)"
     fi
-    python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/symbolize.py
+    python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/symbolize.py &&
+        python3 tools/hostprof/symbolize.py --help >/dev/null
 }
 
 TOTAL0=$(date +%s)

@@ -427,7 +427,7 @@ impl Replica {
         if let Some(wal) = self.wal.as_mut() {
             ctx.consume(self.cfg.costs.per_log_append);
             wal.append(&gdur_persist::LogRecord::Decision { tx, commit });
-            self.decided_outcomes.insert(tx, commit);
+            self.decided_outcomes.set(tx, [true, commit]);
         }
     }
 

@@ -58,7 +58,7 @@ impl Replica {
         self.timers.clear();
         self.suspected.clear();
         self.done = TerminatedSet::default();
-        self.decided_outcomes.clear();
+        self.decided_outcomes = TxBits::default();
         self.resolved_ahead.clear();
         self.catchup = None;
         let partitions = self.cfg.placement.partitions();
@@ -98,7 +98,7 @@ impl Replica {
                 }
                 gdur_persist::LogRecord::Decision { tx, commit } => {
                     self.done.insert(tx);
-                    self.decided_outcomes.insert(tx, commit);
+                    self.decided_outcomes.set(tx, [true, commit]);
                 }
                 gdur_persist::LogRecord::Submit { tx, rs, ws, dep } => {
                     submits.push((tx, rs, ws, dep));
@@ -118,7 +118,7 @@ impl Replica {
         // entry and the termination payload; the multicast itself is
         // deferred to `finish_catchup`.
         for (tx, rs, ws, dep) in submits {
-            if self.decided_outcomes.contains_key(&tx) {
+            if self.decided_outcomes.get(&tx)[0] {
                 continue;
             }
             let rs: Vec<ReadEntry> = rs
@@ -344,7 +344,9 @@ impl Replica {
             applied += 1;
         }
         for (tx, commit) in decisions {
-            self.decided_outcomes.entry(tx).or_insert(commit);
+            if !self.decided_outcomes.get(&tx)[0] {
+                self.decided_outcomes.set(tx, [true, commit]);
+            }
             if self.coord.contains_key(&tx) {
                 // One of our own mid-commit transactions already terminated
                 // cluster-wide before the crash: close it without

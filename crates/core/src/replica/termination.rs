@@ -141,7 +141,7 @@ impl Replica {
             // if the outcome is on durable record, answer it directly so
             // the retransmission loop terminates (§5.3).
             if payload.coord != self.me {
-                if let Some(&commit) = self.decided_outcomes.get(&tx) {
+                if let [true, commit] = self.decided_outcomes.get(&tx) {
                     let clocks = Vec::new();
                     ctx.send(payload.coord, Msg::Decide { tx, commit, clocks });
                 }

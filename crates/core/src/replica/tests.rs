@@ -772,10 +772,8 @@ fn the_terminated_set_compresses_contiguous_client_sequences() {
         .flat_map(|c| (0..=42).map(move |s| TxId::new(c, s)))
         .collect();
     let set = terminated_set_matches(&ids, &universe, 11);
-    // Every client's sequence closed: all prefix, no tail.
-    assert!(set.tail.is_empty());
-    assert!((0..4).all(|c| set.watermark(c) == 40));
-    assert_eq!(set.watermark(4), 0);
+    // A client's 40 contiguous ids take one word.
+    assert_eq!(set.0.len(), 4);
 }
 
 #[test]
@@ -798,19 +796,85 @@ fn the_terminated_set_matches_a_btreeset_on_pooled_sequences_with_gaps() {
         })
         .collect();
     let set = terminated_set_matches(&ids, &universe, 23);
-    // Only pool slot 0 allocates from seq 1, and the first gap stops the
-    // prefix: seqs 1–2 of coordinator 0, seq 1 of coordinator 1, none of
-    // coordinator 2. Everything else stays in the tail.
-    assert_eq!([0, 1, 2].map(|c| set.watermark(c)), [2, 1, 0]);
-    assert_eq!(set.tail.len(), ids.len() - 3);
+    // The gaps cost nothing: one word per pooled client.
+    assert_eq!(set.0.len(), 3 * 4);
 }
 
 #[test]
-fn the_terminated_set_keeps_a_seq_0_id_out_of_the_prefix() {
+fn the_terminated_set_holds_a_seq_0_id_in_its_clients_first_word() {
     let zero = TxId::new(7, 0);
     let ids = [zero, TxId::new(7, 1), TxId::new(7, 2)];
     let universe: Vec<TxId> = (0..=3).map(|s| TxId::new(7, s)).collect();
     let set = terminated_set_matches(&ids, &universe, 5);
-    assert_eq!(set.watermark(7), 2);
-    assert_eq!(set.tail.sorted_keys(), vec![zero]);
+    assert_eq!(set.0.len(), 1);
+}
+
+#[test]
+fn the_terminated_set_matches_a_btreeset_at_word_edges_and_extremes() {
+    let (max_c, max_s) = (TxId::MAX_COORD, TxId::MAX_SEQ);
+    let ids: Vec<TxId> = [0, 63, 64, 65, 127, 128]
+        .into_iter()
+        .flat_map(|s| [TxId::new(0, s), TxId::new(max_c, s)])
+        .chain([TxId::new(0, max_s), TxId::new(max_c, max_s - 64)])
+        .collect();
+    let universe: Vec<TxId> = [0, 1, 62, 63, 64, 65, 66, 126, 127, 128, 129]
+        .into_iter()
+        .chain([max_s - 65, max_s - 64, max_s - 63, max_s - 1, max_s])
+        .flat_map(|s| [0, 1, max_c - 1, max_c].map(|c| TxId::new(c, s)))
+        .collect();
+    let set = terminated_set_matches(&ids, &universe, 3);
+    // Seqs 0 and 63 share a word, 64 and 65 open the next; no word spans
+    // two coordinators.
+    assert_eq!(set.0.len(), 2 * 3 + 2);
+}
+
+/// Applies a seeded random run of overwriting and first-wins decisions to
+/// the outcome bits of a replica (`[decided, committed]` per id) and to a
+/// `BTreeMap<TxId, bool>`, comparing every id of `universe` after each one;
+/// half-way through both are cleared, as a restart does.
+#[test]
+fn the_outcome_bits_match_a_btreemap() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    let pooled = |idx: u64, seq: u64| (idx << 20) | seq;
+    let seqs: Vec<u64> = [0, 1, 2, 63, 64, 65]
+        .into_iter()
+        .chain([pooled(1, 1), pooled(1, 3), pooled(2, 70)])
+        .collect();
+    let universe: Vec<TxId> = (0..3u32)
+        .flat_map(|c| seqs.iter().map(move |&s| TxId::new(c, s)))
+        .chain([TxId::new(TxId::MAX_COORD, TxId::MAX_SEQ)])
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(17);
+    let mut bits = TxBits::<2>::default();
+    let mut reference: BTreeMap<TxId, bool> = BTreeMap::new();
+    for step in 0..600 {
+        if step == 300 {
+            bits = TxBits::default();
+            reference.clear();
+        }
+        let tx = universe[rng.gen_range(0..universe.len())];
+        let commit = rng.gen_bool(0.5);
+        if rng.gen_bool(0.5) {
+            bits.set(tx, [true, commit]);
+            reference.insert(tx, commit);
+        } else {
+            if !bits.get(&tx)[0] {
+                bits.set(tx, [true, commit]);
+            }
+            reference.entry(tx).or_insert(commit);
+        }
+        for t in &universe {
+            let want = reference.get(t).copied();
+            assert_eq!(bits.get(t)[0], reference.contains_key(t), "{t:?}");
+            assert_eq!(bits.get(t)[0].then_some(bits.get(t)[1]), want, "{t:?}");
+        }
+    }
+    // Commit, then abort: the second outcome replaces the first.
+    let tx = TxId::new(1, 64);
+    bits.set(tx, [true, true]);
+    bits.set(tx, [true, false]);
+    assert_eq!(bits.get(&tx), [true, false]);
 }

@@ -110,10 +110,15 @@ pub fn checksum(data: &[u8]) -> u32 {
 /// Frames `body` with a length prefix and checksum trailer.
 pub fn frame(body: &[u8]) -> BytesMut {
     let mut out = BytesMut::with_capacity(body.len() + 10);
-    put_varint(&mut out, body.len() as u64);
+    put_frame(&mut out, body);
+    out
+}
+
+/// Appends [`frame`]`(body)` to `out`, without an intermediate buffer.
+pub fn put_frame(out: &mut BytesMut, body: &[u8]) {
+    put_varint(out, body.len() as u64);
     out.put_slice(body);
     out.put_u32_le(checksum(body));
-    out
 }
 
 /// Splits the next frame off `buf`, verifying length and checksum.

@@ -125,6 +125,12 @@ impl LogRecord {
     /// Serializes the record body (unframed).
     pub fn encode(&self) -> BytesMut {
         let mut buf = BytesMut::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the record body (unframed) to `buf`.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
             LogRecord::Install {
                 key,
@@ -134,38 +140,37 @@ impl LogRecord {
                 value,
             } => {
                 buf.put_u8(TAG_INSTALL);
-                codec::put_varint(&mut buf, key.0);
-                codec::put_varint(&mut buf, *seq);
-                put_stamp(&mut buf, stamp);
-                put_tx(&mut buf, *writer);
-                codec::put_bytes(&mut buf, value.as_bytes());
+                codec::put_varint(buf, key.0);
+                codec::put_varint(buf, *seq);
+                put_stamp(buf, stamp);
+                put_tx(buf, *writer);
+                codec::put_bytes(buf, value.as_bytes());
             }
             LogRecord::Decision { tx, commit } => {
                 buf.put_u8(TAG_DECISION);
-                put_tx(&mut buf, *tx);
+                put_tx(buf, *tx);
                 buf.put_u8(u8::from(*commit));
             }
             LogRecord::Submit { tx, rs, ws, dep } => {
                 buf.put_u8(TAG_SUBMIT);
-                put_tx(&mut buf, *tx);
-                codec::put_varint(&mut buf, rs.len() as u64);
+                put_tx(buf, *tx);
+                codec::put_varint(buf, rs.len() as u64);
                 for (key, seq) in rs {
-                    codec::put_varint(&mut buf, key.0);
-                    codec::put_varint(&mut buf, *seq);
+                    codec::put_varint(buf, key.0);
+                    codec::put_varint(buf, *seq);
                 }
-                codec::put_varint(&mut buf, ws.len() as u64);
+                codec::put_varint(buf, ws.len() as u64);
                 for (key, base, value) in ws {
-                    codec::put_varint(&mut buf, key.0);
-                    codec::put_varint(&mut buf, *base);
-                    codec::put_bytes(&mut buf, value.as_bytes());
+                    codec::put_varint(buf, key.0);
+                    codec::put_varint(buf, *base);
+                    codec::put_bytes(buf, value.as_bytes());
                 }
-                codec::put_varint(&mut buf, dep.len() as u64);
+                codec::put_varint(buf, dep.len() as u64);
                 for e in dep {
-                    codec::put_varint(&mut buf, *e);
+                    codec::put_varint(buf, *e);
                 }
             }
         }
-        buf
     }
 
     /// Decodes a record body produced by [`LogRecord::encode`].
@@ -233,6 +238,9 @@ pub struct Wal {
     /// Byte offset in `data` at which each record's frame starts, indexed
     /// by log sequence number.
     offsets: Vec<usize>,
+    /// The body of the record being appended, kept so that an append
+    /// allocates nothing once it has grown to the largest record.
+    scratch: BytesMut,
 }
 
 impl Wal {
@@ -243,10 +251,10 @@ impl Wal {
 
     /// Appends a record; returns its log sequence number.
     pub fn append(&mut self, rec: &LogRecord) -> u64 {
-        let body = rec.encode();
-        let framed = codec::frame(&body);
+        self.scratch.clear();
+        rec.encode_into(&mut self.scratch);
         self.offsets.push(self.data.len());
-        self.data.extend_from_slice(&framed);
+        codec::put_frame(&mut self.data, &self.scratch);
         self.len() - 1
     }
 

@@ -4,7 +4,7 @@
 //! exercises the identical case set.
 
 use bytes::Bytes;
-use gdur_persist::{recover, LogRecord, Wal};
+use gdur_persist::{codec, recover, LogRecord, Wal};
 use gdur_store::{Key, TxId, Value};
 use gdur_versioning::{Stamp, VersionVec};
 use rand::rngs::SmallRng;
@@ -50,6 +50,25 @@ fn encode_decode_roundtrip() {
         let rec = arb_record(&mut rng);
         let body = rec.encode().freeze();
         assert_eq!(LogRecord::decode(body).unwrap(), rec);
+    }
+}
+
+#[test]
+fn append_writes_exactly_the_frame_of_the_record() {
+    let mut rng = SmallRng::seed_from_u64(0xf4a3);
+    // A large record first, so later appends reuse the scratch buffer
+    // with stale bytes past the new body.
+    let submit = LogRecord::Submit {
+        tx: TxId::new(3, 9),
+        rs: vec![(Key(1), 2), (Key(300), 0)],
+        ws: vec![(Key(4), 1, Value::of_size(200))],
+        dep: vec![7, 0, 128],
+    };
+    let mut wal = Wal::new();
+    for rec in std::iter::once(submit).chain((0..256).map(|_| arb_record(&mut rng))) {
+        let before = wal.byte_len();
+        wal.append(&rec);
+        assert_eq!(&wal.as_bytes()[before..], &codec::frame(&rec.encode())[..]);
     }
 }
 

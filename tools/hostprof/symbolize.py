@@ -28,16 +28,44 @@ with one that groups samples by their first K workspace frames, leaf
 first: frames of `alloc::`, `core::`, `std::`, the Rust allocator shims
 and libc are skipped, so a heap profile's samples are charged to the code
 that owns the memory rather than to the `finish_grow` that grew it.
+`--help` prints this text; an unknown flag or an unreadable file prints
+the usage line and exits 2.
 """
 import bisect, collections, functools, os, re, subprocess, sys
 
-args = sys.argv[1:]
-top = int(args.pop(args.index("--top") + 1)) if "--top" in args else 25
-under = args.pop(args.index("--under") + 1) if "--under" in args else None
-leaf = args.pop(args.index("--leaf") + 1) if "--leaf" in args else None
-frames = int(args.pop(args.index("--frames") + 1)) if "--frames" in args else None
-inlined = "--inlined" in args
-paths = [a for a in args if a not in ("--top", "--under", "--leaf", "--frames", "--inlined")]
+def fail(why):
+    # The usage line and exit 2, as the workspace's Rust CLIs do.
+    print(f"symbolize.py: {why}\n{__doc__.splitlines()[2]}", file=sys.stderr)
+    sys.exit(2)
+
+# --help first; then each option with its value; the rest are files.
+args, opts, texts = sys.argv[1:], {}, []
+if "--help" in args or "-h" in args:
+    print(__doc__)
+    sys.exit(0)
+while args:
+    arg = args.pop(0)
+    if arg == "--inlined":
+        opts[arg] = True
+    elif arg in ("--top", "--under", "--leaf", "--frames"):
+        if not args:
+            fail(f"{arg} needs a value")
+        opts[arg] = args.pop(0)
+        if arg in ("--top", "--frames") and not opts[arg].isdigit():
+            fail(f"{arg} takes a number, not {opts[arg]!r}")
+    elif arg.startswith("-"):
+        fail(f"unknown flag {arg}")
+    else:
+        try:
+            texts.append(open(arg).read())
+        except OSError as e:
+            fail(f"cannot read {arg}: {e.strerror}")
+if not texts:
+    fail("no profile given")
+top = int(opts.get("--top", 25))
+under, leaf = opts.get("--under"), opts.get("--leaf")
+frames = int(opts["--frames"]) if "--frames" in opts else None
+inlined = "--inlined" in opts
 # Library and allocator frames, which --frames looks through.
 RUNTIME = re.compile(r"^<?(alloc|core|std)::|^__r(ust|dl|g)_|^__rustc::|^\[")
 
@@ -76,8 +104,8 @@ def inline_chains(obj, offsets):
 
 self_n, incl_n, total = collections.Counter(), collections.Counter(), 0
 leaves, groups = collections.Counter(), collections.Counter()
-for path in paths:
-    head, _, tail = open(path).read().partition("--samples--\n")
+for text in texts:
+    head, _, tail = text.partition("--samples--\n")
     # Executable mappings, each with its file's load base: the lowest mapping
     # of that file, ELF virtual address 0 of a position-independent object.
     base, spans = {}, []
@@ -138,7 +166,7 @@ if inlined:
         for f in set(chain):
             incl_n[f] += n
 
-print(f"{total} samples from {len(paths)} file(s)" + (f" under {under}" if under else "")
+print(f"{total} samples from {len(texts)} file(s)" + (f" under {under}" if under else "")
       + (f" with leaf {leaf}" if leaf else ""))
 tables = ((f"first {frames}", groups),) if frames else (("self", self_n), ("inclusive", incl_n))
 column = "workspace frames, callee < caller" if frames else \
