@@ -6,7 +6,8 @@
 #
 # Tiers:
 #   ./ci.sh --fast   formatting, clippy, debug tests, doc references, the
-#                    profilers compile — the edit-loop tier
+#                    profilers compile, the benchmark crate type-checks —
+#                    the edit-loop tier
 #   ./ci.sh          the full gate: fast tier + release build, the six
 #                    examples run, release tests, then the seven gates
 #                    (obs_smoke, chaos_smoke, mc_smoke, mega_smoke,
@@ -154,6 +155,12 @@ step "cargo test (debug)" cargo test -q
 step "docs name only what exists" docs_check
 
 step "profilers compile" tools_check
+
+# The benchmark (BENCHMARK.json) reaches the system only through the
+# crates' public APIs: a change that breaks it fails here, not only in the
+# full tier's bench_selfcheck. Its build directory is the one run.sh uses.
+step "benchmark type-checks" \
+    cargo check --offline --manifest-path benchmark/Cargo.toml
 
 if [ "$FAST" = "1" ]; then
     echo "==> ci --fast: all checks passed ($(($(date +%s) - TOTAL0))s)"

@@ -4,7 +4,7 @@
 //! (Algorithm 3, line 3: the convoy effect).
 //!
 //! Everything is addressed by dense **delivery tickets**: each delivered
-//! transaction takes the next `u64`. Queue entries live in one `VecDeque`
+//! transaction takes the next `u32`. Queue entries live in one `VecDeque`
 //! indexed by `ticket - head`, and each key bucket keeps its reader and
 //! writer tickets in ascending order. No wait edge is stored: a slot counts
 //! its distinct blockers, and a leaving head recomputes its waiters from
@@ -28,21 +28,24 @@ use gdur_store::{Key, TxId};
 use crate::messages::TermPayload;
 use crate::spec::CommuteRule;
 
-/// Position of a transaction in this replica's delivery order.
-pub(crate) type Ticket = u64;
+/// Position of a transaction in this replica's delivery order. A replica
+/// delivers fewer than 2³² payloads in its lifetime; [`Certifier::enqueue`]
+/// panics past that.
+pub(crate) type Ticket = u32;
 
 /// A queued transaction (`fifo` only).
 #[derive(Debug)]
 struct Slot {
     tx: TxId,
     /// Conflicting predecessors still queued.
-    blocked_by: usize,
+    blocked_by: u32,
     /// Ticket of the last enqueue that counted this slot as a blocker:
     /// a slot reached through several keys is counted once.
     mark: Ticket,
 }
 
-const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
+// One per queued transaction: under overload, the queue is deep.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 16);
 
 /// Queued accessors of one key, ascending by ticket.
 #[derive(Debug, Default)]
@@ -89,6 +92,14 @@ impl Certifier {
             buckets: IdMap::new(),
             footprint: Vec::new(),
         }
+    }
+
+    /// An empty queue whose first delivery takes `ticket`.
+    #[cfg(test)]
+    fn starting_at(commute: CommuteRule, fifo: bool, ticket: Ticket) -> Self {
+        let mut c = Self::new(commute, fifo);
+        (c.head, c.next) = (ticket, ticket);
+        c
     }
 
     /// Number of queued transactions (always 0 without `fifo`).
@@ -158,7 +169,9 @@ impl Certifier {
     /// it is appended to `Q` with the number of distinct blockers.
     pub(crate) fn enqueue(&mut self, payload: &TermPayload) -> Enqueued {
         let ticket = self.next;
-        self.next += 1;
+        self.next = ticket.checked_add(1).unwrap_or_else(|| {
+            panic!("delivery ticket {ticket} is the last a u32 holds: too many deliveries")
+        });
         self.load_footprint(payload);
         let mut blocked_by = 0;
         let mut conflict = false;
@@ -226,15 +239,21 @@ impl Certifier {
     }
 
     /// `ticket` (whose payload this is) terminated: drops it from the index
-    /// and, with `fifo`, from the head of `Q`. Returns its waiters — the
-    /// registered tickets it does not commute with, all later than it — in
-    /// delivery order; the caller passes each to [`Certifier::unblock`] and
-    /// casts the vote of a transaction that returns *before* unblocking the
-    /// next, because that vote may terminate — and so remove — further
-    /// queue entries.
-    pub(crate) fn leave(&mut self, ticket: Ticket, payload: &TermPayload) -> Vec<Ticket> {
+    /// and, with `fifo`, from the head of `Q`. Replaces the contents of
+    /// `waiters` with its waiters — the registered tickets it does not
+    /// commute with, all later than it — in delivery order; the caller
+    /// passes each to [`Certifier::unblock`] and casts the vote of a
+    /// transaction that returns *before* unblocking the next, because that
+    /// vote may terminate — and so remove — further queue entries. The
+    /// caller owns the buffer, so a nested `leave` needs one of its own.
+    pub(crate) fn leave(
+        &mut self,
+        ticket: Ticket,
+        payload: &TermPayload,
+        waiters: &mut Vec<Ticket>,
+    ) {
         self.load_footprint(payload);
-        let mut waiters = Vec::new();
+        waiters.clear();
         for &(key, read, wrote) in &self.footprint {
             let bucket = self
                 .buckets
@@ -261,7 +280,7 @@ impl Certifier {
             }
         }
         if !self.fifo {
-            return Vec::new();
+            return;
         }
         assert_eq!(ticket, self.head, "Q is left in delivery order");
         self.slots.pop_front().expect("the head is queued");
@@ -270,7 +289,6 @@ impl Certifier {
         // several keys or both deques of one is woken once.
         waiters.sort();
         waiters.dedup();
-        waiters
     }
 
     /// Removes `ticket` from an ascending deque. In delivery-order leaving
@@ -301,7 +319,6 @@ impl Certifier {
 #[cfg(test)]
 mod tests {
     use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::Arc;
 
     use gdur_sim::ProcessId;
     use gdur_store::Value;
@@ -332,10 +349,17 @@ mod tests {
             TxId::new(0, seq),
             ProcessId(0),
             writes.is_empty(),
-            Arc::new(rs.collect()),
-            Arc::new(ws.collect()),
-            Arc::new(VersionVec::zero(0)),
+            rs.collect(),
+            ws.collect(),
+            VersionVec::zero(0),
         )
+    }
+
+    /// `Certifier::leave` into a fresh buffer.
+    fn leave(c: &mut Certifier, ticket: Ticket, payload: &TermPayload) -> Vec<Ticket> {
+        let mut waiters = Vec::new();
+        c.leave(ticket, payload, &mut waiters);
+        waiters
     }
 
     /// A random footprint over a few hot keys: repeated reads, blind writes
@@ -516,7 +540,7 @@ mod tests {
             if !decided.contains(&head) {
                 break;
             }
-            let left = c.leave(tickets[&head], &payloads[&head]);
+            let left = leave(c, tickets[&head], &payloads[&head]);
             let expected: Vec<Ticket> = waiters
                 .get(&head)
                 .map_or(Vec::new(), |ws| ws.iter().map(|w| tickets[w]).collect());
@@ -619,7 +643,7 @@ mod tests {
                     } else if !live.is_empty() {
                         let (ticket, p) = live.swap_remove(rng.gen_range(0..live.len()));
                         assert!(reference.index_remove(p.tx, &p).is_empty());
-                        assert!(certifier.leave(ticket, &p).is_empty());
+                        assert!(leave(&mut certifier, ticket, &p).is_empty());
                     }
                     // The deferred-vote question, asked of registered entries.
                     for (ticket, p) in &live {
@@ -633,7 +657,7 @@ mod tests {
                 }
                 for (ticket, p) in live {
                     reference.index_remove(p.tx, &p);
-                    certifier.leave(ticket, &p);
+                    leave(&mut certifier, ticket, &p);
                 }
                 assert!(reference.key_index.is_empty());
                 assert!(certifier.buckets.is_empty());
@@ -653,15 +677,15 @@ mod tests {
         let t0 = c.enqueue(&p0).ticket;
         let t1 = c.enqueue(&p1).ticket;
         let t2 = c.enqueue(&p2).ticket;
-        let outer = c.leave(t0, &p0);
+        let outer = leave(&mut c, t0, &p0);
         assert_eq!(outer, vec![t1, t2]);
         assert_eq!(c.unblock(t1), Some(p1.tx));
         // Nested: t1 leaves, t2 loses one of its two blockers and leaves
         // while still blocked.
-        let nested = c.leave(t1, &p1);
+        let nested = leave(&mut c, t1, &p1);
         assert_eq!(nested, vec![t2]);
         assert_eq!(c.unblock(t2), None);
-        assert!(c.leave(t2, &p2).is_empty());
+        assert!(leave(&mut c, t2, &p2).is_empty());
         // Back in the outer loop, t2's ticket is below the head.
         assert_eq!(c.unblock(t2), None);
         // A later arrival reusing slot index 0 is not mistaken for it.
@@ -669,7 +693,7 @@ mod tests {
         let t3 = c.enqueue(&p3).ticket;
         assert_eq!(c.unblock(t2), None);
         assert!(!c.is_blocked(t3));
-        c.leave(t3, &p3);
+        leave(&mut c, t3, &p3);
         assert!(c.buckets.is_empty());
     }
 
@@ -693,7 +717,7 @@ mod tests {
         assert_eq!(c.unblock(old), None);
         let w = c.enqueue(&p0);
         assert!(w.conflict);
-        assert_eq!(c.leave(again.ticket, &p1), vec![w.ticket]);
+        assert_eq!(leave(&mut c, again.ticket, &p1), vec![w.ticket]);
         assert_eq!(c.unblock(w.ticket), Some(p0.tx));
     }
 
@@ -710,8 +734,42 @@ mod tests {
         let t1 = c.enqueue(&other).ticket;
         assert_eq!(c.slots[1].blocked_by, 1);
         // Recomputed from both deques at leave, t1 is still listed once.
-        assert_eq!(c.leave(t0, &rmw), vec![t1]);
+        assert_eq!(leave(&mut c, t0, &rmw), vec![t1]);
         assert_eq!(c.unblock(t1), Some(other.tx));
+    }
+
+    /// The waiters replace what the caller's buffer held, so a buffer can
+    /// be lent again without being cleared.
+    #[test]
+    fn leave_overwrites_a_lent_buffer() {
+        let mut c = Certifier::new(CommuteRule::ReadWriteDisjoint, true);
+        let p0 = payload(0, &[], &[1]);
+        let p1 = payload(1, &[1], &[]);
+        let t0 = c.enqueue(&p0).ticket;
+        let t1 = c.enqueue(&p1).ticket;
+        let mut buffer = vec![7, 7, 7];
+        c.leave(t0, &p0, &mut buffer);
+        assert_eq!(buffer, [t1]);
+        c.unblock(t1);
+        c.leave(t1, &p1, &mut buffer);
+        assert!(buffer.is_empty());
+    }
+
+    /// The last tickets a `u32` holds work like any other; the delivery
+    /// after them panics, naming the ticket it would have taken.
+    #[test]
+    #[should_panic(expected = "delivery ticket 4294967295")]
+    fn a_delivery_past_the_last_ticket_panics() {
+        let mut c = Certifier::starting_at(CommuteRule::ReadWriteDisjoint, true, u32::MAX - 2);
+        let p0 = payload(0, &[], &[1]);
+        let p1 = payload(1, &[1], &[]);
+        let t0 = c.enqueue(&p0).ticket;
+        let t1 = c.enqueue(&p1);
+        assert_eq!((t0, t1.ticket), (u32::MAX - 2, u32::MAX - 1));
+        assert!(t1.conflict);
+        assert_eq!(leave(&mut c, t0, &p0), vec![t1.ticket]);
+        assert_eq!(c.unblock(t1.ticket), Some(p1.tx));
+        c.enqueue(&payload(2, &[], &[2]));
     }
 
     /// One writer, then ten thousand readers of its key: each reader has
@@ -729,14 +787,14 @@ mod tests {
                 (got.ticket, p)
             })
             .collect();
-        let waiters = c.leave(w, &writer);
+        let waiters = leave(&mut c, w, &writer);
         assert!(waiters.iter().eq(readers.iter().map(|(t, _)| t)));
         for (t, p) in &readers {
             assert_eq!(c.unblock(*t), Some(p.tx));
             assert!(!c.is_blocked(*t));
         }
         for (t, p) in &readers {
-            assert!(c.leave(*t, p).is_empty());
+            assert!(leave(&mut c, *t, p).is_empty());
         }
         assert_eq!(c.len(), 0);
         assert!(c.buckets.is_empty());

@@ -62,54 +62,73 @@ pub enum ClientReply {
 /// The termination record `xcast` to the replicas of
 /// `certifying_obj(T)` (Algorithm 2, line 15).
 ///
-/// Read/write sets are shared via [`Arc`] so that fanning the payload out
-/// to many replicas clones pointers, not buffers — mirroring scatter-gather
-/// marshaling in the Java original.
+/// One pointer to one immutable body, built once at `submit` (or from the
+/// log's `Submit` record at a restart): fanning the payload out to many
+/// replicas, Skeen's pending copy and every participation or coordinator
+/// entry that keeps it bump one reference count and copy no set. Fields
+/// are read through [`PayloadBody`].
 #[derive(Debug, Clone)]
-pub struct TermPayload {
+pub struct TermPayload(Arc<PayloadBody>);
+
+// Every holder of a payload pays this per transaction in flight.
+const _: () = assert!(std::mem::size_of::<TermPayload>() == std::mem::size_of::<usize>());
+
+/// What a [`TermPayload`] carries; fixed at construction.
+#[derive(Debug)]
+pub struct PayloadBody {
     /// The terminating transaction.
     pub tx: TxId,
     /// Its coordinator (where votes/decisions flow back).
     pub coord: ProcessId,
     /// True if the transaction wrote nothing.
     pub read_only: bool,
-    /// Read set with observed per-key versions.
-    pub rs: Arc<Vec<ReadEntry>>,
-    /// Write buffer with after-values and base versions.
-    pub ws: Arc<Vec<WriteEntry>>,
-    /// Dependency vector for commit stamping (dimension = mechanism dim),
-    /// `Arc`-shared so the whole payload clones in O(1) — it is copied
-    /// once per destination by every `xcast` primitive and again at each
-    /// certification/voting step.
-    pub dep: Arc<VersionVec>,
-    /// Cached wire size; the shared sets are immutable after construction,
-    /// and the size is re-read on every fan-out copy, send-cost charge,
+    /// Cached wire size, re-read on every fan-out copy, send-cost charge
     /// and kernel traffic account.
     wire: u32,
+    /// Read set with observed per-key versions.
+    pub rs: Box<[ReadEntry]>,
+    /// Write buffer with after-values and base versions.
+    pub ws: Box<[WriteEntry]>,
+    /// Dependency vector for commit stamping (dimension = mechanism dim).
+    pub dep: VersionVec,
 }
 
 impl TermPayload {
-    /// Assembles a payload, fixing its wire size once (the `Arc`-shared
-    /// sets never change afterwards).
+    /// Assembles a payload, fixing its wire size once. The sets are kept
+    /// right-sized: a buffer with spare capacity is shrunk to its length.
     pub fn new(
         tx: TxId,
         coord: ProcessId,
         read_only: bool,
-        rs: Arc<Vec<ReadEntry>>,
-        ws: Arc<Vec<WriteEntry>>,
-        dep: Arc<VersionVec>,
+        rs: Vec<ReadEntry>,
+        ws: Vec<WriteEntry>,
+        dep: VersionVec,
     ) -> Self {
         let ws_bytes: usize = ws.iter().map(|w| 16 + w.value.len()).sum();
         let wire = (32 + rs.len() * 16 + ws_bytes + dep.wire_size()) as u32;
-        TermPayload {
+        TermPayload(Arc::new(PayloadBody {
             tx,
             coord,
             read_only,
-            rs,
-            ws,
-            dep,
             wire,
-        }
+            rs: rs.into_boxed_slice(),
+            ws: ws.into_boxed_slice(),
+            dep,
+        }))
+    }
+
+    /// True if `a` and `b` are copies of one payload (one allocation).
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl std::ops::Deref for TermPayload {
+    type Target = PayloadBody;
+
+    fn deref(&self) -> &PayloadBody {
+        &self.0
     }
 }
 
@@ -340,24 +359,24 @@ mod tests {
             TxId::new(0, 1),
             ProcessId(0),
             true,
-            Arc::new(vec![]),
-            Arc::new(vec![]),
-            Arc::new(VersionVec::zero(0)),
+            vec![],
+            vec![],
+            VersionVec::zero(0),
         );
         let loaded = TermPayload::new(
             TxId::new(0, 1),
             ProcessId(0),
             false,
-            Arc::new(vec![ReadEntry {
+            vec![ReadEntry {
                 key: Key(1),
                 seq: 0,
-            }]),
-            Arc::new(vec![WriteEntry {
+            }],
+            vec![WriteEntry {
                 key: Key(2),
                 value: Value::of_size(1024),
                 base_seq: 0,
-            }]),
-            Arc::new(VersionVec::zero(4)),
+            }],
+            VersionVec::zero(4),
         );
         assert!(loaded.wire_size() > empty.wire_size() + 1024);
     }

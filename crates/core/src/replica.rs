@@ -319,7 +319,7 @@ struct CoordTxn {
 }
 
 // One per submitted, undecided transaction at its coordinator.
-const _: () = assert!(std::mem::size_of::<CoordTxn>() <= 64);
+const _: () = assert!(std::mem::size_of::<CoordTxn>() <= 24);
 
 impl CoordTxn {
     /// A transaction just submitted with `payload`.
@@ -351,7 +351,7 @@ struct PartTxn {
 }
 
 // One per participation in flight: under overload, one per queued entry.
-const _: () = assert!(std::mem::size_of::<PartTxn>() <= 72);
+const _: () = assert!(std::mem::size_of::<PartTxn>() <= 24);
 
 /// The commit clocks of one participation.
 #[derive(Debug, Default)]
@@ -383,13 +383,25 @@ impl PartTxn {
 /// this view; in GC mode every `vote_recv` replica decides from it).
 #[derive(Debug, Default)]
 struct VoteState {
-    /// Sites that voted yes, kept sorted. A flat vector: the set is bounded
-    /// by the site count, so membership scans beat a tree node per insert.
-    yes_sites: Vec<SiteId>,
+    /// Sites that voted yes, bit `s` for site `s`: a placement has at most
+    /// 64 sites (`Placement::new` asserts it).
+    yes_sites: u64,
     any_no: bool,
     /// Per-partition commit-clock reservations carried by yes votes,
     /// merged by maximum.
     clocks: Vec<(u32, u64)>,
+}
+
+impl VoteState {
+    /// Records a yes vote of `site`.
+    fn add_yes(&mut self, site: SiteId) {
+        self.yes_sites |= 1 << site.0;
+    }
+
+    /// True if `site` voted yes.
+    fn voted_yes(&self, site: SiteId) -> bool {
+        self.yes_sites & (1 << site.0) != 0
+    }
 }
 
 /// A read parked until the local visibility frontier catches up with the
@@ -449,6 +461,10 @@ pub struct Replica {
     /// Delivery queue `Q` of Algorithm 2 with its `commute` conflict index
     /// and deferred-vote wait graph.
     certifier: Certifier,
+    /// Emptied waiter buffers for [`Certifier::leave`], lent by
+    /// `terminate` and given back by `wake`: one per termination nested in
+    /// a wake loop.
+    spare_waiters: Vec<Vec<Ticket>>,
     /// Decisions that raced ahead of the ordered delivery of their
     /// transaction (a coordinator can abort on the first negative vote
     /// before slower replicas deliver the payload). Only a destination of
@@ -600,6 +616,7 @@ impl Replica {
             part: IdMap::new(),
             votes: IdMap::new(),
             certifier: Certifier::new(commute, gc_mode),
+            spare_waiters: Vec::new(),
             early_decide: IdMap::new(),
             done: TerminatedSet::default(),
             timers: IdMap::new(),

@@ -172,9 +172,7 @@ impl Replica {
         {
             let v = self.votes.get_or_insert_with(tx, VoteState::default);
             if yes {
-                if let Err(i) = v.yes_sites.binary_search(&site) {
-                    v.yes_sites.insert(i, site);
-                }
+                v.add_yes(site);
                 for (p, s) in clocks {
                     match v.clocks.iter_mut().find(|(q, _)| *q == p) {
                         Some(e) => e.1 = e.1.max(s),
@@ -212,9 +210,9 @@ impl Replica {
         keys.all(|k| {
             let mut replicas = self.cfg.placement.replicas_of_key(k).iter();
             if every_replica {
-                replicas.all(|s| v.yes_sites.contains(s))
+                replicas.all(|s| v.voted_yes(*s))
             } else {
-                replicas.any(|s| v.yes_sites.contains(s))
+                replicas.any(|s| v.voted_yes(*s))
             }
         })
     }
@@ -461,8 +459,9 @@ impl Replica {
             // catch-up transfer is rebuilding the store, in which case the
             // entry parks (outcome recorded above) until the
             // `finish_catchup` sweep. Nobody waits on a 2PC/Paxos
-            // participation.
-            self.terminate(ctx, tx, commit);
+            // participation: the waiters are none.
+            let waiters = self.terminate(ctx, tx, commit);
+            self.wake(ctx, waiters);
         }
     }
 }

@@ -137,9 +137,9 @@ impl Replica {
                 tx,
                 self.me,
                 ws.is_empty(),
-                std::sync::Arc::new(rs),
-                std::sync::Arc::new(ws),
-                std::sync::Arc::new(VersionVec::from_entries(dep)),
+                rs,
+                ws,
+                VersionVec::from_entries(dep),
             );
             let mut t = CoordTxn::new(ProcessId(tx.coord()), payload);
             // Its participants may have voted before the crash.
@@ -433,7 +433,8 @@ impl Replica {
             .filter_map(|tx| Some((tx, self.part[&tx].outcome?)))
             .collect();
         for (tx, commit) in parked {
-            self.terminate(ctx, tx, commit);
+            let waiters = self.terminate(ctx, tx, commit);
+            self.wake(ctx, waiters);
         }
     }
 }

@@ -24,8 +24,8 @@ impl Replica {
 
     /// `submit(T)` (Algorithm 2, line 7): moves the transaction from
     /// `executing` to `coord` (the paper's `submitted`) and propagates it
-    /// via `xcast`. Its read and write sets move into the payload; nothing
-    /// is copied.
+    /// via `xcast`. Its read and write sets move into the payload, trimmed
+    /// to their length; no entry is cloned.
     pub(super) fn submit(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
         let Some(t) = self.executing.get(&tx) else {
             return;
@@ -43,9 +43,8 @@ impl Replica {
             self.arm(ctx, vt, Timer::VoteTimeout(tx));
         }
         let t = self.executing.remove(&tx).expect("present");
-        let dep = std::sync::Arc::new(t.snapshot.dependency_vec());
-        let (rs, ws) = (std::sync::Arc::new(t.rs), std::sync::Arc::new(t.ws));
-        let payload = TermPayload::new(tx, self.me, ws.is_empty(), rs, ws, dep);
+        let dep = t.snapshot.dependency_vec();
+        let payload = TermPayload::new(tx, self.me, t.ws.is_empty(), t.rs, t.ws, dep);
         ctx.consume(self.stamp_cost(payload.dep.dim()));
         if let Some(wal) = self.wal.as_mut() {
             // §5.3 durable logging: the submitted transaction — sets,
@@ -196,21 +195,24 @@ impl Replica {
         }
     }
 
-    /// `tx` left the certifier: its waiters lose a blocker each, in
-    /// delivery order, and one whose last blocker this was casts its
-    /// deferred vote before the next is looked at.
-    fn wake(&mut self, ctx: &mut Context<'_, Msg>, waiters: Vec<Ticket>) {
-        for w in waiters {
+    /// A transaction left the certifier: its waiters lose a blocker each,
+    /// in delivery order, and one whose last blocker this was casts its
+    /// deferred vote before the next is looked at. The buffer goes back to
+    /// `spare_waiters`.
+    pub(super) fn wake(&mut self, ctx: &mut Context<'_, Msg>, waiters: Vec<Ticket>) {
+        for &w in &waiters {
             if let Some(tx) = self.certifier.unblock(w) {
                 self.cast_vote(ctx, tx, false);
             }
         }
+        self.spare_waiters.push(waiters);
     }
 
     /// Terminates this replica's participation in `tx`: applies the commit
     /// (or resolves the reservations of an abort), takes the transaction
     /// out of the certifier and forgets its votes. Returns the tickets whose
-    /// deferred vote waited for it.
+    /// deferred vote waited for it, in a buffer lent from `spare_waiters`:
+    /// hand it to `wake`.
     pub(super) fn terminate(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -227,7 +229,9 @@ impl Replica {
         }
         self.votes.remove(&tx);
         self.done.insert(tx);
-        self.certifier.leave(p.ticket, &p.payload)
+        let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+        self.certifier.leave(p.ticket, &p.payload, &mut waiters);
+        waiters
     }
 
     /// Pops every decided transaction at the head of `Q`, applying commits
@@ -390,7 +394,7 @@ impl Replica {
         // vote-clocked mode the decision's merged reservations cover every
         // written partition, local or not, so every install of the
         // transaction (at every replica) carries the same complete vector.
-        let mut commit_vec = (*payload.dep).clone();
+        let mut commit_vec = payload.dep.clone();
         if commit_vec.dim() == self.knowledge.dim() {
             for (p, s) in &bumped {
                 if commit_vec.get(*p) < *s {

@@ -3,8 +3,6 @@
 //! client per site is mute: it issues nothing and drops the replies to the
 //! operations a test injects in its name.
 
-use std::sync::Arc;
-
 use gdur_gc::GcMsg;
 use gdur_obs::{ObsEvent, TraceHandle};
 use gdur_sim::{SimTime, WireSize};
@@ -436,15 +434,8 @@ fn outcome_in_gc_mode_is_one_yes_per_object_or_any_no() {
             value: Value::of_size(8),
             base_seq: 0,
         }];
-        let dep = Arc::new(VersionVec::zero(0));
-        let payload = TermPayload::new(
-            tx,
-            probe.pid(1),
-            false,
-            Arc::new(rs.to_vec()),
-            Arc::new(ws),
-            dep,
-        );
+        let dep = VersionVec::zero(0);
+        let payload = TermPayload::new(tx, probe.pid(1), false, rs.to_vec(), ws, dep);
         probe.inject(probe.pid(1), Msg::Gc(GcMsg::Reliable { payload }));
         tx
     };
@@ -608,9 +599,9 @@ fn no_vote_outlives_a_drained_run() {
     }
 }
 
-/// `submit` moves the executed sets into the payload instead of copying
-/// them, and a 2PC retry retransmits that very payload: the participant
-/// that restarts and takes the retry shares its sets with the coordinator.
+/// `submit` moves the executed sets into the payload, trimmed to their
+/// length, and a 2PC retry retransmits that very payload: the participant
+/// that restarts and takes the retry shares it with the coordinator.
 #[test]
 fn a_2pc_retry_retransmits_the_payload_submit_moved_the_sets_into() {
     let mut probe = Probe::with(walter_like(), Placement::disaster_prone(3), |cfg| {
@@ -622,7 +613,7 @@ fn a_2pc_retry_retransmits_the_payload_submit_moved_the_sets_into() {
         probe.update(tx, key);
     }
     let t = &probe.replica().executing[&tx];
-    let buffers = (t.rs.as_ptr(), t.ws.as_ptr());
+    let executed = (t.rs.clone(), t.ws.clone());
     // Sites 1 and 2 miss the first transmission.
     probe.crash(1);
     probe.crash(2);
@@ -631,16 +622,16 @@ fn a_2pc_retry_retransmits_the_payload_submit_moved_the_sets_into() {
     let t = &probe.replica().coord[&tx];
     assert!(!t.resent);
     let sent = t.payload.clone();
-    assert_eq!((sent.rs.as_ptr(), sent.ws.as_ptr()), buffers);
+    assert_eq!((&*sent.rs, &*sent.ws), (&*executed.0, &*executed.1));
     assert_eq!(sent.rs.len(), 3);
     // Site 1 comes back; site 2 stays down, so nothing is decided.
     let (pid, now) = (probe.pid(1), probe.cluster.now());
     probe.cluster.sim_mut().schedule_restart(pid, now);
     probe.cluster.run_for(SimDuration::from_secs(1));
     let got = &probe.cluster.replica(SiteId(1)).part[&tx].payload;
-    assert!(Arc::ptr_eq(&got.rs, &sent.rs) && Arc::ptr_eq(&got.ws, &sent.ws));
+    assert!(TermPayload::ptr_eq(got, &sent));
     let t = &probe.replica().coord[&tx];
-    assert!(t.resent && Arc::ptr_eq(&t.payload.rs, &sent.rs));
+    assert!(t.resent && TermPayload::ptr_eq(&t.payload, &sent));
 }
 
 /// A coordinator that crashes with a submitted, undecided transaction
@@ -669,7 +660,8 @@ fn a_restarted_coordinator_rebuilds_its_entry_with_the_logged_payload() {
     assert!(t.resent);
     assert_eq!((t.client, t.payload.coord), (ProcessId(99), probe.pid(0)));
     assert_eq!((&*t.payload.rs, &*t.payload.ws), (&*sent.rs, &*sent.ws));
-    assert_eq!(*t.payload.dep, *sent.dep);
+    assert_eq!(t.payload.dep, sent.dep);
+    assert!(!TermPayload::ptr_eq(&t.payload, &sent));
     assert_eq!(t.payload.wire_size(), sent.wire_size());
     assert_eq!(probe.armed(), [Timer::TermRetry(tx)]);
 }
@@ -826,6 +818,30 @@ fn the_terminated_set_matches_a_btreeset_at_word_edges_and_extremes() {
     // Seqs 0 and 63 share a word, 64 and 65 open the next; no word spans
     // two coordinators.
     assert_eq!(set.0.len(), 2 * 3 + 2);
+}
+
+/// The yes-vote site mask answers membership like the sorted site vector
+/// it replaced, over seeded random vote sequences at every site count from
+/// 1 to 64, repeated votes included.
+#[test]
+fn the_yes_mask_matches_sorted_site_membership() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    for sites in 1..=64u16 {
+        let mut rng = SmallRng::seed_from_u64(u64::from(sites));
+        let (mut mask, mut sorted) = (VoteState::default(), Vec::<SiteId>::new());
+        for _ in 0..rng.gen_range(0..2 * sites) {
+            let site = SiteId(rng.gen_range(0..sites));
+            mask.add_yes(site);
+            if let Err(i) = sorted.binary_search(&site) {
+                sorted.insert(i, site);
+            }
+            for s in (0..sites).map(SiteId) {
+                assert_eq!(mask.voted_yes(s), sorted.contains(&s), "{sites} sites, {s}");
+            }
+        }
+    }
 }
 
 /// Applies a seeded random run of overwriting and first-wins decisions to

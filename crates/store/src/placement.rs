@@ -46,9 +46,11 @@ impl Placement {
     ///
     /// # Panics
     ///
-    /// Panics if there are no partitions, if any partition has no replicas,
-    /// or if a replica site is out of range.
+    /// Panics if there are more than 64 sites (a replica tallies votes in
+    /// a 64-bit site mask), if there are no partitions, if any partition
+    /// has no replicas, or if a replica site is out of range.
     pub fn new(sites: usize, replicas_of: Vec<Vec<SiteId>>) -> Self {
+        assert!(sites <= 64, "{sites} sites: a placement has at most 64");
         assert!(!replicas_of.is_empty(), "need at least one partition");
         for (p, reps) in replicas_of.iter().enumerate() {
             assert!(!reps.is_empty(), "partition {p} has no replicas");
@@ -206,5 +208,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_replica_site_rejected() {
         let _ = Placement::new(2, vec![vec![SiteId(5)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "65 sites: a placement has at most 64")]
+    fn more_than_64_sites_rejected() {
+        assert_eq!(Placement::disaster_prone(64).sites(), 64);
+        let _ = Placement::disaster_prone(65);
     }
 }
