@@ -28,7 +28,7 @@
 //! decidable from these records alone and are documented as out of scope
 //! in DESIGN.md.
 
-use gdur_core::{Cluster, InstallEvent, OutcomeLog};
+use gdur_core::{Cluster, InstallEvent, OutcomeLog, Reads, Writes};
 use gdur_net::SiteId;
 use gdur_store::{Key, TxId};
 
@@ -50,10 +50,10 @@ pub struct HistoryTxn<'a> {
     /// Site of the coordinator (the replica whose outcome log holds it).
     pub site: SiteId,
     /// Reads: key → per-key sequence observed, in read order.
-    pub reads: &'a [(Key, u64)],
+    pub reads: Reads<'a>,
     /// Written keys, in write order; empty for a query. The version each
     /// one installed is [`History::installed`].
-    pub writes: &'a [Key],
+    pub writes: Writes<'a>,
 }
 
 // Yielded by value for every decided transaction of the run.
@@ -414,7 +414,7 @@ impl CriterionCheck for Criterion {
 /// version.
 pub fn check_read_committed(h: &History) -> Result<(), Violation> {
     for t in h.committed() {
-        for &(key, seq) in t.reads {
+        for (key, seq) in t.reads.iter() {
             if seq != 0 && h.writer(key, seq).is_none() {
                 return Err(Violation::DirtyRead { tx: t.tx, key, seq });
             }
@@ -465,10 +465,17 @@ pub fn check_no_fractured_reads(h: &History) -> Result<(), Violation> {
     let mut candidates: Vec<TxId> = Vec::new();
     for t in h.committed() {
         read_map.clear();
-        read_map.extend(t.reads.iter().rev());
-        // Stable, so each key's last read comes first and is the one kept.
+        read_map.extend(t.reads.iter());
+        // Stable, so each key's reads stay in read order; the last one's
+        // sequence is the one kept.
         read_map.sort_by_key(|&(key, _)| key);
-        read_map.dedup_by_key(|&mut (key, _)| key);
+        read_map.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
         candidates.clear();
         for &(key, _) in &read_map {
             let from = multi_writers.partition_point(|&(k, _)| k < key);
@@ -534,8 +541,9 @@ pub fn check_first_committer_wins(h: &History) -> Result<(), Violation> {
         next = Some((key, seq + 1));
     }
     for t in h.committed() {
-        for &key in t.writes {
-            let Some(&(_, base)) = t.reads.iter().rev().find(|&&(k, _)| k == key) else {
+        for key in t.writes.iter() {
+            let last_read = t.reads.iter().filter(|&(k, _)| k == key).last();
+            let Some((_, base)) = last_read else {
                 continue;
             };
             if h.installed(t.tx, key).is_some_and(|seq| seq != base + 1) {
@@ -550,14 +558,14 @@ pub fn check_first_committer_wins(h: &History) -> Result<(), Violation> {
 /// (the graph keeps bare edges; only a reported cycle needs the reasons).
 fn dependency(h: &History, a: &HistoryTxn, b: &HistoryTxn) -> (DepKind, Key, u64) {
     let wrote = |t: &HistoryTxn, key: Key, seq: u64| h.writer(key, seq) == Some(t.tx);
-    let wr = (b.reads.iter().copied())
+    let wr = (b.reads.iter())
         .filter(|(k, s)| *s > 0 && wrote(a, *k, *s))
         .map(|(k, s)| (DepKind::Wr, k, s));
-    let rw = (a.reads.iter().copied())
+    let rw = (a.reads.iter())
         .filter(|(k, s)| wrote(b, *k, *s + 1))
         .map(|(k, s)| (DepKind::Rw, k, s));
     let ww = (b.writes.iter())
-        .filter_map(|&k| Some((k, h.installed(b.tx, k)?.checked_sub(1)?)))
+        .filter_map(|k| Some((k, h.installed(b.tx, k)?.checked_sub(1)?)))
         .filter(|(k, prev)| *prev > 0 && wrote(a, *k, *prev))
         .map(|(k, prev)| (DepKind::Ww, k, prev));
     wr.chain(rw).chain(ww).next().expect("an edge has a reason")
@@ -601,7 +609,7 @@ pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), V
         }
     };
     for t in h.txns.iter().filter(member) {
-        for &(key, seq) in t.reads {
+        for (key, seq) in t.reads.iter() {
             // write-read: version writer → reader.
             if seq > 0 {
                 if let Some(w) = h.writer(key, seq) {
@@ -613,7 +621,7 @@ pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), V
                 add(t.tx, w_next);
             }
         }
-        for &key in t.writes {
+        for key in t.writes.iter() {
             let Some(seq) = h.installed(t.tx, key) else {
                 continue;
             };

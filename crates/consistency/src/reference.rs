@@ -15,12 +15,13 @@ use super::{CycleHop, DepKind, Divergence, Violation};
 
 /// A recorded, committed (or aborted) transaction with resolved versions.
 #[derive(Debug, Clone)]
-pub struct HistoryTxn<'a> {
+pub struct HistoryTxn {
     pub tx: TxId,
     pub committed: bool,
     pub read_only: bool,
     pub site: SiteId,
-    pub reads: &'a [(Key, u64)],
+    /// Reads, decoded from the outcome log's view into a vector.
+    pub reads: Vec<(Key, u64)>,
     /// Writes: key → per-key sequence *installed* (`None` if the install
     /// record is missing).
     pub writes: Vec<(Key, Option<u64>)>,
@@ -28,17 +29,17 @@ pub struct HistoryTxn<'a> {
 
 /// A full recorded execution.
 #[derive(Debug, Clone, Default)]
-pub struct History<'a> {
-    pub txns: Vec<HistoryTxn<'a>>,
+pub struct History {
+    pub txns: Vec<HistoryTxn>,
     /// Version table: (key, seq) → writer. Where replicas disagree, the
     /// writer installed at the lowest site.
     pub versions: BTreeMap<(Key, u64), TxId>,
     pub divergent: Vec<Divergence>,
 }
 
-impl<'a> History<'a> {
+impl History {
     /// The history of site `s`'s outcome log and installs, `sites[s]`.
-    pub fn new(sites: &[(&'a OutcomeLog, &'a [InstallEvent])]) -> History<'a> {
+    pub fn new(sites: &[(&OutcomeLog, &[InstallEvent])]) -> History {
         let mut versions: BTreeMap<(Key, u64), TxId> = BTreeMap::new();
         let mut divergent = Vec::new();
         for (s, (_, installs)) in sites.iter().enumerate() {
@@ -79,9 +80,9 @@ impl<'a> History<'a> {
                     committed: rec.committed,
                     read_only: rec.writes.is_empty(),
                     site,
-                    reads: rec.reads,
+                    reads: rec.reads.iter().collect(),
                     writes: (rec.writes.iter())
-                        .map(|&k| (k, installed_seq(rec.tx, k)))
+                        .map(|k| (k, installed_seq(rec.tx, k)))
                         .collect(),
                 });
             }
@@ -93,7 +94,7 @@ impl<'a> History<'a> {
         }
     }
 
-    pub fn committed(&self) -> impl Iterator<Item = &HistoryTxn<'a>> {
+    pub fn committed(&self) -> impl Iterator<Item = &HistoryTxn> {
         self.txns.iter().filter(|t| t.committed)
     }
 }
@@ -124,7 +125,7 @@ pub fn check(c: Criterion, h: &History) -> Result<(), Violation> {
 
 pub fn check_read_committed(h: &History) -> Result<(), Violation> {
     for t in h.committed() {
-        for (key, seq) in t.reads {
+        for (key, seq) in &t.reads {
             if *seq != 0 && !h.versions.contains_key(&(*key, *seq)) {
                 return Err(Violation::DirtyRead {
                     tx: t.tx,
@@ -263,7 +264,7 @@ pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), V
         if !include_queries && t.read_only {
             continue;
         }
-        for (key, seq) in t.reads {
+        for (key, seq) in &t.reads {
             // write-read: version writer → reader.
             if *seq > 0 {
                 if let Some(w) = h.versions.get(&(*key, *seq)) {

@@ -310,15 +310,24 @@ impl Rng {
     }
 }
 
+/// Where the generator's four keys land: at 2³⁵ and above, up to
+/// `u64::MAX`, so the outcome logs hold six- to ten-byte varints.
+const KEYS: [u64; 4] = [1 << 35, (1 << 35) + 1, 1 << 56, u64::MAX];
+
 /// The outcome logs and installs of a seeded run of up to 13 transactions
-/// over four keys on one to three sites, with every anomaly the checks
+/// over four keys ([`KEYS`]) on one to three sites, with every anomaly the checks
 /// look for within reach: reads of versions not installed (dirty reads)
 /// or stale ones (fractured reads, write skew, long forks), installs that
 /// skip a sequence (gaps) or repeat the latest one (a stale base, and a
 /// version with two or three writers), installs under another writer's id
 /// (divergence) or at a second sequence, installs out of decision order,
-/// and a transaction decided at two sites.
+/// and a transaction decided at two sites. An odd seed's history is lifted:
+/// every version but the seed is 2¹⁴ higher (three-byte varints), as late
+/// versions of keys whose early ones are not in the record — so there the
+/// version sequences start with a gap.
 fn generate(seed: u64) -> Vec<Site> {
+    let lift = if seed % 2 == 1 { 1 << 14 } else { 0 };
+    let place = |&(k, seq): &(u64, u64)| (KEYS[k as usize], if seq == 0 { 0 } else { seq + lift });
     let mut rng = Rng(seed);
     let mut sites: Vec<Site> = (0..1 + rng.below(3)).map(|_| Site::default()).collect();
     let n_sites = sites.len() as u64;
@@ -355,6 +364,8 @@ fn generate(seed: u64) -> Vec<Site> {
             latest[k as usize] = last.max(seq);
             writes.push((k, seq));
         }
+        let reads: Vec<_> = reads.iter().map(place).collect();
+        let writes: Vec<_> = writes.iter().map(place).collect();
         let committed = rng.percent(80);
         let coord = rng.below(n_sites) as usize;
         sites[coord].decide(id, &reads, &writes, committed);
@@ -425,9 +436,10 @@ fn the_flat_oracle_matches_the_reference_model() {
         let txns: Vec<_> = (h.txns.iter())
             .map(|t| {
                 let writes: Vec<_> = (t.writes.iter())
-                    .map(|&k| (k, h.installed(t.tx, k)))
+                    .map(|k| (k, h.installed(t.tx, k)))
                     .collect();
-                (t.tx, t.committed, t.read_only, t.site, t.reads, writes)
+                let reads: Vec<_> = t.reads.iter().collect();
+                (t.tx, t.committed, t.read_only, t.site, reads, writes)
             })
             .collect();
         let old_txns: Vec<_> = (r.txns.iter())
@@ -437,7 +449,7 @@ fn the_flat_oracle_matches_the_reference_model() {
                     t.committed,
                     t.read_only,
                     t.site,
-                    t.reads,
+                    t.reads.clone(),
                     t.writes.clone(),
                 )
             })

@@ -6,12 +6,14 @@
 //! or of a whole site's).
 
 use gdur_obs::{pool_seq, AbortCause};
+use gdur_persist::codec::put_varint;
 use gdur_sim::{SimDuration, SimTime};
 use gdur_store::{TxId, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::messages::ClientOp;
+use crate::replica::read_varint;
 use crate::txn::{PlanOp, TxSource, TxnPlan};
 
 /// Metrics of one finished transaction.
@@ -46,6 +48,49 @@ impl TxnRecord {
     /// Full transaction latency: begin → outcome (Figure 4's metric).
     pub fn total_latency(&self) -> SimDuration {
         self.decided_at.saturating_since(self.started_at)
+    }
+
+    /// Appends the record to a pool's arena as LEB128 varints: the tx word,
+    /// `started_at`, the wrapping deltas from it to `submitted_at` and from
+    /// that to `decided_at`, and a flags value — committed in bit 0,
+    /// read-only in bit 1, the cause's code plus one above them (0 for
+    /// none), so one byte.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        let (started, submitted, decided) = (
+            self.started_at.as_nanos(),
+            self.submitted_at.as_nanos(),
+            self.decided_at.as_nanos(),
+        );
+        let cause = self.cause.map_or(0, |c| c.code() + 1);
+        put_varint(out, self.tx.code());
+        put_varint(out, started);
+        put_varint(out, submitted.wrapping_sub(started));
+        put_varint(out, decided.wrapping_sub(submitted));
+        put_varint(
+            out,
+            u64::from(self.committed) | u64::from(self.read_only) << 1 | cause << 2,
+        );
+    }
+
+    /// Reads back the record [`TxnRecord::encode`] wrote at the front of
+    /// `bytes`, and steps over it.
+    pub(crate) fn decode(bytes: &mut &[u8]) -> TxnRecord {
+        let tx = TxId::from_code(read_varint(bytes));
+        let started = read_varint(bytes);
+        let submitted = started.wrapping_add(read_varint(bytes));
+        let decided = submitted.wrapping_add(read_varint(bytes));
+        let flags = read_varint(bytes);
+        TxnRecord {
+            tx,
+            started_at: SimTime::from_nanos(started),
+            submitted_at: SimTime::from_nanos(submitted),
+            decided_at: SimTime::from_nanos(decided),
+            committed: flags & 1 == 1,
+            read_only: flags & 2 == 2,
+            cause: (flags >> 2)
+                .checked_sub(1)
+                .map(|c| AbortCause::ALL[c as usize]),
+        }
     }
 }
 

@@ -377,9 +377,9 @@ impl Cluster {
     /// All finished-transaction records across clients (empty when built
     /// with `record_txn_metrics: false`).
     pub fn records(&self) -> Vec<TxnRecord> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.pools().map(|p| p.records().len()).sum());
         for p in self.pools() {
-            out.extend_from_slice(p.records());
+            out.extend(p.records());
         }
         out
     }

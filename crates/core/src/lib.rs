@@ -38,7 +38,10 @@ pub use lint::{Diagnostic, Severity};
 pub use messages::{ClientOp, ClientReply, Msg, PayloadBody, TermPayload};
 pub use node::Node;
 pub use pool::{ClientPool, PoolCounts};
-pub use replica::{InstallEvent, OutcomeLog, Replica, ReplicaConfig, ReplicaStats, TxnOutcome};
+pub use replica::{
+    InstallEvent, LoggedSet, OutcomeLog, Reads, Replica, ReplicaConfig, ReplicaStats, TxnOutcome,
+    Writes,
+};
 pub use spec::{
     CertifyRule, CertifyingObjRule, ChooseRule, CommitmentKind, CommuteRule, CostModel, Criterion,
     PostCommitRule, ProtocolSpec, VoteRule,

@@ -115,7 +115,11 @@ pub struct ClientPool {
     armed: Option<(SimTime, u64)>,
     /// Scratch buffer reused across timer fires (no per-fire allocation).
     due: Vec<(SimTime, u32)>,
-    records: Vec<TxnRecord>,
+    /// The finished transactions' records, in decide order, each as
+    /// [`TxnRecord::encode`] writes it: about half their size as structs.
+    records: Vec<u8>,
+    /// How many records `records` holds.
+    recorded: usize,
     counts: PoolCounts,
 }
 
@@ -125,7 +129,7 @@ impl std::fmt::Debug for ClientPool {
             .field("coordinator", &self.coordinator)
             .field("clients", &self.slots.len())
             .field("issued", &self.counts.issued)
-            .field("records", &self.records.len())
+            .field("records", &self.recorded)
             .finish()
     }
 }
@@ -148,6 +152,7 @@ impl ClientPool {
             armed: None,
             due: Vec::new(),
             records: Vec::new(),
+            recorded: 0,
             counts: PoolCounts::default(),
         }
     }
@@ -212,16 +217,19 @@ impl ClientPool {
     }
 
     /// Finished-transaction records across all pooled clients, in decide
-    /// order (empty when record collection is disabled).
-    pub fn records(&self) -> &[TxnRecord] {
-        &self.records
+    /// order (empty when record collection is disabled), decoded as they
+    /// are walked.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = TxnRecord> + '_ {
+        let mut rest = self.records.as_slice();
+        (0..self.recorded).map(move |_| TxnRecord::decode(&mut rest))
     }
 
     fn finish(&mut self, idx: u32, at: SimTime, committed: bool, cause: Option<AbortCause>) {
         let rec = self.slots[idx as usize].finish(at, committed, cause);
         self.counts.record(&rec);
         if self.record_txns {
-            self.records.push(rec);
+            rec.encode(&mut self.records);
+            self.recorded += 1;
         }
     }
 
@@ -416,5 +424,75 @@ impl ClientPool {
         }
         self.due = due;
         self.ensure_armed(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gdur_store::TxId;
+
+    use super::*;
+
+    /// The pool's record arena against the layout it replaced, a
+    /// `Vec<TxnRecord>`: every field at its extremes, every cause, a
+    /// transaction that never submitted, an outcome an hour late, and
+    /// instants whose deltas wrap.
+    #[test]
+    fn the_record_arena_round_trips_against_a_vector_of_records() {
+        let (max, hour) = (u64::MAX, 3_600_000_000_000);
+        // (tx word, started, submitted, decided, committed, read-only, cause)
+        let mut cases = vec![
+            (max, 0, 0, 0, true, true, None),
+            (0, max, max, max, true, false, None),
+            // Never submitted: `submitted_at` stays at the start.
+            (
+                TxId::new(7, 3).code(),
+                5,
+                5,
+                9,
+                false,
+                true,
+                Some(AbortCause::Crash),
+            ),
+            // Decided an hour late.
+            (TxId::new(7, 4).code(), 10, 20, 20 + hour, true, false, None),
+            // Instants out of order: the deltas wrap.
+            (TxId::new(1, 1).code(), max, 3, 0, false, false, None),
+            (TxId::new(1, 2).code(), 1 << 40, 1, max, true, true, None),
+        ];
+        for (i, cause) in (0..).zip(AbortCause::ALL) {
+            for read_only in [false, true] {
+                let tx = TxId::new(TxId::MAX_COORD, TxId::MAX_SEQ - i).code();
+                let t = 1_000_000 * i;
+                cases.push((tx, t, t + hour, t + 2 * hour, false, read_only, Some(cause)));
+            }
+        }
+        let at = SimTime::from_nanos;
+        let want: Vec<TxnRecord> = (cases.into_iter())
+            .map(|(tx, s, u, d, committed, read_only, cause)| TxnRecord {
+                tx: TxId::from_code(tx),
+                started_at: at(s),
+                submitted_at: at(u),
+                decided_at: at(d),
+                committed,
+                read_only,
+                cause,
+            })
+            .collect();
+        let mut pool = ClientPool::new(ProcessId(0), Value::empty());
+        assert_eq!(pool.records().len(), 0);
+        for rec in &want {
+            rec.encode(&mut pool.records);
+            pool.recorded += 1;
+        }
+        assert_eq!(pool.records().len(), want.len());
+        assert_eq!(pool.records().collect::<Vec<_>>(), want);
+        // Under seven tenths of the structs' bytes, even at these extremes.
+        let structs = want.len() * std::mem::size_of::<TxnRecord>();
+        assert!(
+            pool.records.len() * 10 < structs * 7,
+            "{} bytes",
+            pool.records.len()
+        );
     }
 }

@@ -18,10 +18,12 @@
 //! branches on `gc_mode()` (DESIGN.md §3.2 lists them).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 
 use gdur_gc::{GcEvent, GroupComm, XcastKind};
 use gdur_net::SiteId;
 use gdur_obs::{labels, vote_value, AbortCause};
+use gdur_persist::codec::{get_varint, put_varint};
 use gdur_sim::{Context, IdMap, ProcessId, SimDuration};
 use gdur_store::{Key, MultiVersionStore, Placement, SeedImage, TxId, Value};
 use gdur_versioning::{Mechanism, Stamp, VersionVec};
@@ -99,72 +101,168 @@ pub struct TxnOutcome<'a> {
     pub committed: bool,
     /// Read set: (key, per-key sequence of the version observed), in read
     /// order.
-    pub reads: &'a [(Key, u64)],
+    pub reads: Reads<'a>,
     /// Written keys, in write order; empty for a query.
-    pub writes: &'a [Key],
+    pub writes: Writes<'a>,
 }
 
-/// One decided transaction of an [`OutcomeLog`]: where its reads and
-/// writes end in the log's arenas (they start where the previous
-/// header's end).
-#[derive(Debug, Clone, Copy)]
-struct OutcomeHeader {
-    tx: TxId,
-    reads_end: u32,
-    writes_end: u32,
-    committed: bool,
+/// One set of a decided transaction — its reads or its writes — as its
+/// coordinator's [`OutcomeLog`] holds it: the item count, then the items,
+/// as LEB128 varints. Copying the view copies two words; the items are
+/// decoded as [`LoggedSet::iter`] walks them. Equal sets have equal bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LoggedSet<'a, T> {
+    bytes: &'a [u8],
+    item: PhantomData<fn() -> T>,
 }
 
-// A field added to the header is paid once per decided transaction.
-const _: () = assert!(std::mem::size_of::<OutcomeHeader>() <= 24);
+/// A read set: (key, per-key sequence observed) pairs, in read order.
+pub type Reads<'a> = LoggedSet<'a, (Key, u64)>;
 
-/// The coordinator's record of every transaction it decided, flat: one
-/// fixed-size header per transaction and two arenas its read and write
-/// sets are appended to, so recording a transaction allocates nothing
-/// beyond the arenas' amortized growth.
+/// A write set's keys, in write order.
+pub type Writes<'a> = LoggedSet<'a, Key>;
+
+// Two views per transaction yielded by every walk of the history.
+const _: () = assert!(std::mem::size_of::<Reads<'static>>() <= 16);
+const _: () = assert!(std::mem::size_of::<Writes<'static>>() <= 16);
+
+impl<'a, T> LoggedSet<'a, T> {
+    fn new(bytes: &'a [u8]) -> Self {
+        LoggedSet {
+            bytes,
+            item: PhantomData,
+        }
+    }
+
+    /// Number of items.
+    pub fn len(self) -> usize {
+        read_varint(&mut { self.bytes }) as usize
+    }
+
+    /// True if the set has no item (a count of zero is the byte 0).
+    pub fn is_empty(self) -> bool {
+        self.bytes[0] == 0
+    }
+
+    /// The items after the count, and how many there are.
+    fn items(self) -> (usize, &'a [u8]) {
+        let mut rest = self.bytes;
+        (read_varint(&mut rest) as usize, rest)
+    }
+}
+
+impl<'a> Reads<'a> {
+    /// The reads, in read order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = (Key, u64)> + 'a {
+        let (n, mut rest) = self.items();
+        (0..n).map(move |_| (Key(read_varint(&mut rest)), read_varint(&mut rest)))
+    }
+}
+
+impl<'a> Writes<'a> {
+    /// The written keys, in write order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = Key> + 'a {
+        let (n, mut rest) = self.items();
+        (0..n).map(move |_| Key(read_varint(&mut rest)))
+    }
+}
+
+impl std::fmt::Debug for Reads<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl std::fmt::Debug for Writes<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The next varint of an arena this crate wrote.
+pub(crate) fn read_varint(bytes: &mut &[u8]) -> u64 {
+    get_varint(bytes).expect("a record arena holds whole varints")
+}
+
+/// Splits `len` bytes off the front of `bytes`.
+fn split_off<'a>(bytes: &mut &'a [u8], len: u64) -> &'a [u8] {
+    let (head, rest) = bytes.split_at(len as usize);
+    *bytes = rest;
+    head
+}
+
+/// Appends what `put` writes to `out`, preceded by the varint
+/// `head(length in bytes)`, so a reader can step over it undecoded.
+fn put_sized(out: &mut Vec<u8>, head: impl FnOnce(u64) -> u64, put: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    put(out);
+    let len = out.len() - start;
+    put_varint(out, head(len as u64));
+    let head_len = out.len() - start - len;
+    out[start..].rotate_right(head_len);
+}
+
+/// The coordinator's record of every transaction it decided: the ids in
+/// decision order, and everything else in one byte arena of LEB128
+/// varints. Per transaction, the arena holds a head — the byte length of
+/// the reads, shifted left once, plus the committed flag — the reads (their
+/// count, then (key, seq) pairs), the byte length of the writes, and the
+/// writes (their count, then keys). The lengths let a walk hand out both
+/// sets as views without decoding either.
 #[derive(Debug, Default)]
 pub struct OutcomeLog {
-    headers: Vec<OutcomeHeader>,
-    reads: Vec<(Key, u64)>,
-    writes: Vec<Key>,
+    ids: Vec<TxId>,
+    bytes: Vec<u8>,
 }
 
 impl OutcomeLog {
     /// Appends a decided transaction with its read set and the keys of its
     /// write buffer.
     pub fn push(&mut self, tx: TxId, committed: bool, rs: &[ReadEntry], ws: &[WriteEntry]) {
-        self.reads.extend(rs.iter().map(|e| (e.key, e.seq)));
-        self.writes.extend(ws.iter().map(|w| w.key));
-        let end = |len: usize| u32::try_from(len).expect("outcome log arena past 2^32 entries");
-        self.headers.push(OutcomeHeader {
-            tx,
-            reads_end: end(self.reads.len()),
-            writes_end: end(self.writes.len()),
-            committed,
-        });
+        self.ids.push(tx);
+        let reads = |out: &mut Vec<u8>| {
+            put_varint(out, rs.len() as u64);
+            for e in rs {
+                put_varint(out, e.key.0);
+                put_varint(out, e.seq);
+            }
+        };
+        put_sized(
+            &mut self.bytes,
+            |len| len << 1 | u64::from(committed),
+            reads,
+        );
+        let writes = |out: &mut Vec<u8>| {
+            put_varint(out, ws.len() as u64);
+            for w in ws {
+                put_varint(out, w.key.0);
+            }
+        };
+        put_sized(&mut self.bytes, |len| len, writes);
     }
 
     /// Number of decided transactions.
     pub fn len(&self) -> usize {
-        self.headers.len()
+        self.ids.len()
     }
 
     /// True if nothing was decided.
     pub fn is_empty(&self) -> bool {
-        self.headers.is_empty()
+        self.ids.is_empty()
     }
 
     /// The decided transactions in decision order, as views into the log.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = TxnOutcome<'_>> + '_ {
-        let mut start = (0, 0);
-        self.headers.iter().map(move |h| {
-            let end = (h.reads_end as usize, h.writes_end as usize);
-            let (r, w) = std::mem::replace(&mut start, end);
+        let mut rest = self.bytes.as_slice();
+        self.ids.iter().map(move |&tx| {
+            let head = read_varint(&mut rest);
+            let reads = LoggedSet::new(split_off(&mut rest, head >> 1));
+            let writes_len = read_varint(&mut rest);
             TxnOutcome {
-                tx: h.tx,
-                committed: h.committed,
-                reads: &self.reads[r..end.0],
-                writes: &self.writes[w..end.1],
+                tx,
+                committed: head & 1 == 1,
+                reads,
+                writes: LoggedSet::new(split_off(&mut rest, writes_len)),
             }
         })
     }
@@ -827,5 +925,7 @@ mod execution;
 mod recovery;
 mod termination;
 
+#[cfg(test)]
+mod reference;
 #[cfg(test)]
 pub(crate) mod tests;

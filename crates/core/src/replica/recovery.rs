@@ -77,7 +77,7 @@ impl Replica {
         type SubmitReplay = (TxId, Vec<(Key, u64)>, Vec<(Key, u64, Value)>, Vec<u64>);
         let mut submits: Vec<SubmitReplay> = Vec::new();
         let mut replayed: u64 = 0;
-        for rec in wal.scan() {
+        for rec in wal.scan_from(0) {
             ctx.consume(self.cfg.costs.per_log_append);
             match rec {
                 gdur_persist::LogRecord::Install {

@@ -493,6 +493,26 @@ fn a_decision_costs_its_header_and_twelve_bytes_per_clock() {
     assert_eq!(decide(vec![(0, 7), (2, 9)]).wire_size(), 16 + 16 + 12 * 2);
 }
 
+/// An outcome log's transactions, each set decoded into a vector.
+type Decoded = (TxId, bool, Vec<(Key, u64)>, Vec<Key>);
+
+fn decoded(log: &OutcomeLog) -> Vec<Decoded> {
+    (log.iter())
+        .map(|o| {
+            (
+                o.tx,
+                o.committed,
+                o.reads.iter().collect(),
+                o.writes.iter().collect(),
+            )
+        })
+        .collect()
+}
+
+fn outcome(tx: TxId, committed: bool, reads: &[(Key, u64)], writes: &[Key]) -> Decoded {
+    (tx, committed, reads.to_vec(), writes.to_vec())
+}
+
 /// The outcome log gives back every decision in order, each with exactly
 /// the versions it read and the keys it wrote: a committed update, a
 /// query, and a write-write conflict's winner and loser.
@@ -516,15 +536,8 @@ fn the_outcome_log_keeps_each_decision_with_its_reads_and_writes() {
     probe.client(winner, ClientOp::Commit);
     probe.client(loser, ClientOp::Commit);
 
-    let outcome = |tx, committed, reads, writes| TxnOutcome {
-        tx,
-        committed,
-        reads,
-        writes,
-    };
-    let log: Vec<TxnOutcome<'_>> = probe.replica().outcomes().iter().collect();
     assert_eq!(
-        log,
+        decoded(probe.replica().outcomes()),
         [
             outcome(update, true, &[(Key(0), 0), (Key(2), 0)], &[Key(0), Key(2)]),
             outcome(query, true, &[(Key(0), 1), (Key(4), 0)], &[]),
@@ -705,15 +718,8 @@ fn the_outcome_log_takes_the_sets_from_either_phase() {
     assert!(r.executing.is_empty() && r.coord.is_empty());
     assert_eq!(r.stats.aborted_read_impossible, 1);
 
-    let outcome = |tx, committed, reads, writes| TxnOutcome {
-        tx,
-        committed,
-        reads,
-        writes,
-    };
-    let log: Vec<TxnOutcome<'_>> = r.outcomes().iter().collect();
     assert_eq!(
-        log,
+        decoded(r.outcomes()),
         [
             outcome(ryw, true, &[(Key(0), 0)], &[Key(0)]),
             outcome(
@@ -893,4 +899,78 @@ fn the_outcome_bits_match_a_btreemap() {
     bits.set(tx, [true, true]);
     bits.set(tx, [true, false]);
     assert_eq!(bits.get(&tx), [true, false]);
+}
+
+/// The varint outcome log against the fixed-width layout it replaced
+/// (`reference`): the same pushes read back the same transactions, sets
+/// and counts — at the extremes of every field, with empty sets, and on a
+/// seeded random mix of one- to ten-byte varints.
+#[test]
+fn the_outcome_log_round_trips_against_the_fixed_width_layout() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::reference::FixedOutcomeLog;
+
+    let read = |key, seq| ReadEntry { key: Key(key), seq };
+    let write = |key| WriteEntry {
+        key: Key(key),
+        value: Value::empty(),
+        base_seq: 0,
+    };
+    type Txn = (TxId, bool, Vec<ReadEntry>, Vec<WriteEntry>);
+    let mut txns: Vec<Txn> = vec![
+        (TxId::from_code(u64::MAX), true, vec![], vec![]),
+        (
+            TxId::from_code(0),
+            false,
+            vec![read(u64::MAX, u64::MAX)],
+            vec![],
+        ),
+        (
+            TxId::new(3, 1),
+            true,
+            vec![],
+            vec![write(u64::MAX), write(0)],
+        ),
+        (
+            TxId::new(TxId::MAX_COORD, TxId::MAX_SEQ),
+            true,
+            vec![read(0, 0), read(1 << 35, 1 << 14), read(u64::MAX, 0)],
+            vec![write(1 << 35), write(u64::MAX)],
+        ),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x0c0e);
+    let wide = |rng: &mut SmallRng| rng.gen::<u64>() >> rng.gen_range(0..64);
+    for _ in 0..500 {
+        let reads = (0..rng.gen_range(0..200)).map(|_| read(wide(&mut rng), wide(&mut rng)));
+        let reads = reads.collect();
+        let writes = (0..rng.gen_range(0..80))
+            .map(|_| write(wide(&mut rng)))
+            .collect();
+        txns.push((TxId::from_code(wide(&mut rng)), rng.gen(), reads, writes));
+    }
+    let (mut log, mut fixed) = (OutcomeLog::default(), FixedOutcomeLog::default());
+    assert!(log.is_empty());
+    for (tx, committed, rs, ws) in &txns {
+        log.push(*tx, *committed, rs, ws);
+        fixed.push(*tx, *committed, rs, ws);
+    }
+    assert_eq!((log.len(), log.iter().len()), (txns.len(), txns.len()));
+    for (o, (tx, committed, reads, writes)) in log.iter().zip(fixed.iter()) {
+        assert_eq!((o.tx, o.committed), (tx, committed));
+        assert_eq!(
+            (o.reads.len(), o.reads.is_empty()),
+            (reads.len(), reads.is_empty())
+        );
+        assert_eq!(
+            (o.writes.len(), o.writes.is_empty()),
+            (writes.len(), writes.is_empty())
+        );
+        assert_eq!(o.reads.iter().len(), reads.len());
+        assert!(o.reads.iter().eq(reads.iter().copied()), "{tx:?}");
+        assert!(o.writes.iter().eq(writes.iter().copied()), "{tx:?}");
+        assert_eq!(format!("{:?}", o.reads), format!("{reads:?}"));
+        assert_eq!(format!("{:?}", o.writes), format!("{writes:?}"));
+    }
 }

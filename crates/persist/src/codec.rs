@@ -48,8 +48,9 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Writes a LEB128 varint.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+/// Writes a LEB128 varint: seven bits a byte, low bits first, the high bit
+/// set on every byte but the last — one byte below 2⁷, ten for `u64::MAX`.
+pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -61,24 +62,30 @@ pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-/// Reads a LEB128 varint.
+/// Reads a LEB128 varint. An unterminated one, or one longer than ten
+/// bytes, is [`DecodeError::Truncated`] and consumes nothing.
+#[inline]
 pub fn get_varint(buf: &mut impl Buf) -> Result<u64, DecodeError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(DecodeError::Truncated);
-        }
-        let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7f) << shift;
+    let bytes = buf.chunk();
+    // One byte is the common case: counts, flags, small sequences.
+    if let Some(&byte) = bytes.first() {
         if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(DecodeError::Truncated);
+            buf.advance(1);
+            return Ok(u64::from(byte));
         }
     }
+    let mut v = 0u64;
+    let mut i = 0;
+    while i < bytes.len().min(10) {
+        let byte = bytes[i];
+        v |= u64::from(byte & 0x7f) << (7 * i);
+        i += 1;
+        if byte & 0x80 == 0 {
+            buf.advance(i);
+            return Ok(v);
+        }
+    }
+    Err(DecodeError::Truncated)
 }
 
 /// Writes a length-prefixed byte slice.
@@ -196,5 +203,29 @@ mod tests {
     fn varint_truncation_detected() {
         let mut b = Bytes::from_static(&[0x80, 0x80]); // unterminated varint
         assert_eq!(get_varint(&mut b), Err(DecodeError::Truncated));
+        // Eleven bytes is past any u64, terminated or not.
+        let mut long: &[u8] = &[
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0,
+        ];
+        assert_eq!(get_varint(&mut long), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn varints_take_one_byte_per_seven_bits_into_any_buffer() {
+        let mut out: Vec<u8> = Vec::new();
+        for (v, len) in [(0, 1), (127, 1), (128, 2), (1 << 14, 3), (1 << 35, 6)] {
+            out.clear();
+            put_varint(&mut out, v);
+            assert_eq!(out.len(), len, "{v}");
+        }
+        out.clear();
+        put_varint(&mut out, u64::MAX);
+        assert_eq!(
+            out,
+            [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]
+        );
+        let mut view: &[u8] = &out;
+        assert_eq!(get_varint(&mut view), Ok(u64::MAX));
+        assert!(view.is_empty());
     }
 }

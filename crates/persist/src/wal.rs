@@ -280,14 +280,24 @@ impl Wal {
     }
 
     /// Rebuilds a log from a possibly-torn on-disk image: every intact
-    /// frame is kept, everything at and after the first torn or corrupt
-    /// frame is discarded. This is the disk-read half of recovery.
+    /// frame is kept, everything at and after the first torn, corrupt or
+    /// undecodable frame is discarded. This is the disk-read half of
+    /// recovery. The kept frames are the image's own bytes, at their own
+    /// offsets: each is decoded once, to check it, and never re-encoded.
     pub fn from_image(data: Bytes) -> Self {
-        let mut wal = Wal::new();
-        for rec in Self::scan_bytes(data) {
-            wal.append(&rec);
+        let mut offsets = Vec::new();
+        let mut intact = 0;
+        for (end, _) in intact_frames(data.clone()) {
+            offsets.push(intact);
+            intact = end;
         }
-        wal
+        let mut kept = BytesMut::with_capacity(intact);
+        kept.extend_from_slice(&data[..intact]);
+        Wal {
+            data: kept,
+            offsets,
+            scratch: BytesMut::new(),
+        }
     }
 
     /// Decodes every record, in log order.
@@ -309,19 +319,22 @@ impl Wal {
 
     /// Like [`Wal::scan`] over an arbitrary byte image, stopping silently
     /// at the first torn or corrupt frame (crash-during-append semantics).
-    pub fn scan_bytes(mut data: Bytes) -> Vec<LogRecord> {
-        let mut out = Vec::new();
-        while data.has_remaining() {
-            let Ok(body) = codec::unframe(&mut data) else {
-                break;
-            };
-            let Ok(rec) = LogRecord::decode(body) else {
-                break;
-            };
-            out.push(rec);
-        }
-        out
+    pub fn scan_bytes(data: Bytes) -> Vec<LogRecord> {
+        intact_frames(data).map(|(_, rec)| rec).collect()
     }
+}
+
+/// The intact frames at the head of `data`, in order: each one's record and
+/// the offset its frame ends at. Ends at the first torn, corrupt or
+/// undecodable frame.
+fn intact_frames(data: Bytes) -> impl Iterator<Item = (usize, LogRecord)> {
+    let len = data.len();
+    let mut rest = data;
+    std::iter::from_fn(move || {
+        let rec = LogRecord::decode(codec::unframe(&mut rest).ok()?).ok()?;
+        Some((len - rest.len(), rec))
+    })
+    .fuse()
 }
 
 /// Replays a log image into a fresh store: installs are applied in order,
@@ -535,6 +548,9 @@ mod tests {
             // must also survive every cut.
             let recovered = Wal::from_image(img.slice(..cut));
             assert_eq!(recovered.len(), intact as u64, "cut at byte {cut}");
+            // It keeps the intact frames' bytes as they were.
+            let prefix = img.slice(..boundaries[intact]);
+            assert_eq!(recovered.as_bytes(), prefix, "cut at byte {cut}");
             let (_store, _decisions) = recover(&recovered);
         }
     }
@@ -581,8 +597,14 @@ mod tests {
             let frame_of_pos = boundaries.iter().filter(|&&b| b <= pos).count() - 1;
             let mut bad = img.clone();
             bad[pos] ^= 0xff;
-            let scanned = Wal::scan_bytes(Bytes::from(bad));
+            let scanned = Wal::scan_bytes(Bytes::from(bad.clone()));
             assert_eq!(scanned, recs[..frame_of_pos], "flip at byte {pos}");
+            let kept = Wal::from_image(Bytes::from(bad)).as_bytes();
+            assert_eq!(
+                kept[..],
+                img[..boundaries[frame_of_pos]],
+                "flip at byte {pos}"
+            );
         }
     }
 
