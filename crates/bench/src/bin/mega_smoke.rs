@@ -32,7 +32,6 @@ fn pooled_point(label: &str, spec: ProtocolSpec, clients_per_site: usize) -> Str
         clients_per_site,
         record_history: false,
         record_txn_metrics: false,
-        client_pooling: true,
         client_think_time: Some(SimDuration::from_secs(1)),
         client_op_timeout: Some(SimDuration::from_secs(2)),
         seed: 11 ^ (clients_per_site as u64) << 32,

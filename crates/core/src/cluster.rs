@@ -31,6 +31,9 @@ pub struct ClusterConfig {
     /// Closed-loop client threads per site.
     pub clients_per_site: usize,
     /// Optional bound on transactions per client (for run-to-idle tests).
+    /// Every client is bounded at [`gdur_obs::MAX_POOL_LOCAL_SEQ`] (2²⁰)
+    /// transactions regardless — an explicit panic, not a wrap; the
+    /// paper's scale issues < 10⁴ per client.
     pub max_txns_per_client: Option<u64>,
     /// CPU model of the replicas.
     pub costs: CostModel,
@@ -52,13 +55,11 @@ pub struct ClusterConfig {
     /// wait forever). Keeps closed-loop clients alive across coordinator
     /// crashes in fault-injection runs.
     pub client_op_timeout: Option<SimDuration>,
-    /// Client-actor granularity: `true` runs each site's clients as one
-    /// [`crate::ClientPool`] actor, `false` as one single-client pool per
-    /// client. Records are identical either way (same seeds, same
-    /// transaction ids, same instants); one actor per site is what keeps
-    /// sweeps beyond ~10³ clients per site cheap. Every client is bounded
-    /// at [`gdur_obs::MAX_POOL_LOCAL_SEQ`] (2²⁰) transactions — an explicit
-    /// panic, not a wrap; the paper's scale issues < 10⁴ per client.
+    /// Vestigial: nothing reads it. It chose between one client actor per
+    /// client and one [`crate::ClientPool`] per site; every deployment now
+    /// runs each site's clients as one pool (DESIGN.md §3.10). The field
+    /// outlives the choice only because `benchmark/` spells it in a full
+    /// literal, and goes with that line (ROADMAP item 8).
     pub client_pooling: bool,
     /// Closed-loop think time between an outcome and the next begin; also
     /// staggers a pool's initial begins across one interval. `None` =
@@ -135,8 +136,6 @@ pub struct Cluster {
     replica_pids: Vec<ProcessId>,
     client_pids: Vec<ProcessId>,
     placement: Placement,
-    /// Built with `client_pooling`: `client_pids[site]` is that site's pool.
-    pooled: bool,
 }
 
 impl Cluster {
@@ -156,15 +155,8 @@ impl Cluster {
             sites <= u16::MAX as usize,
             "{sites} sites overflow the u16 SiteId space"
         );
-        // Client actors per site × clients per actor: one pool for the
-        // whole site, or one single-client pool per client.
-        let (actors_per_site, clients_per_actor) = if cfg.client_pooling {
-            (1, cfg.clients_per_site)
-        } else {
-            (cfg.clients_per_site, 1)
-        };
         assert!(
-            clients_per_actor <= gdur_obs::MAX_POOL_CLIENTS as usize,
+            cfg.clients_per_site <= gdur_obs::MAX_POOL_CLIENTS as usize,
             "clients_per_site={} exceeds the per-pool maximum of {} \
              (20-bit pooled client-index space)",
             cfg.clients_per_site,
@@ -188,13 +180,10 @@ impl Cluster {
         if let Some(j) = cfg.jitter {
             topo = topo.with_jitter(j);
         }
-        // Replicas first (pids 0..sites), then the client actors site by
-        // site — one topology slot each.
-        for s in 0..sites {
-            topo.place(SiteId(s as u16));
-        }
-        for s in 0..sites {
-            for _ in 0..actors_per_site {
+        // Replicas first (pids 0..sites), then one client pool per site
+        // (pids sites..2·sites) — one topology slot each.
+        for _ in 0..2 {
+            for s in 0..sites {
                 topo.place(SiteId(s as u16));
             }
         }
@@ -246,32 +235,28 @@ impl Cluster {
             debug_assert_eq!(pid, replica_pids[s]);
         }
 
-        let mut client_pids = Vec::new();
+        let mut client_pids = Vec::with_capacity(sites);
         let mut client_idx = 0usize;
         for (s, &coordinator) in replica_pids.iter().enumerate() {
             let site = SiteId(s as u16);
-            for _ in 0..actors_per_site {
-                let mut pool = ClientPool::new(coordinator, proto_value.clone())
-                    .with_txn_records(cfg.record_txn_metrics);
-                if let Some(max) = cfg.max_txns_per_client {
-                    pool = pool.with_max_txns(max);
-                }
-                if let Some(t) = cfg.client_op_timeout {
-                    pool = pool.with_op_timeout(t);
-                }
-                if let Some(t) = cfg.client_think_time {
-                    pool = pool.with_think_time(t);
-                }
-                // The seed depends on the global client index only, so a
-                // client draws the same workload stream at either
-                // granularity.
-                for _ in 0..clients_per_actor {
-                    let source = make_source(client_idx, site);
-                    pool.add_client(source, cfg.seed ^ (0x9e37_79b9 + client_idx as u64));
-                    client_idx += 1;
-                }
-                client_pids.push(sim.spawn(Node::Pool(pool), Cores::Unlimited));
+            let mut pool = ClientPool::new(coordinator, proto_value.clone())
+                .with_txn_records(cfg.record_txn_metrics);
+            if let Some(max) = cfg.max_txns_per_client {
+                pool = pool.with_max_txns(max);
             }
+            if let Some(t) = cfg.client_op_timeout {
+                pool = pool.with_op_timeout(t);
+            }
+            if let Some(t) = cfg.client_think_time {
+                pool = pool.with_think_time(t);
+            }
+            // Each client's seed depends on its global index only.
+            for _ in 0..cfg.clients_per_site {
+                let source = make_source(client_idx, site);
+                pool.add_client(source, cfg.seed ^ (0x9e37_79b9 + client_idx as u64));
+                client_idx += 1;
+            }
+            client_pids.push(sim.spawn(Node::Pool(pool), Cores::Unlimited));
         }
 
         Cluster {
@@ -279,7 +264,6 @@ impl Cluster {
             replica_pids,
             client_pids,
             placement: cfg.placement,
-            pooled: cfg.client_pooling,
         }
     }
 
@@ -331,7 +315,7 @@ impl Cluster {
         &self.replica_pids
     }
 
-    /// Client process ids.
+    /// Client pool process ids, indexed by site.
     pub fn client_pids(&self) -> &[ProcessId] {
         &self.client_pids
     }
@@ -350,14 +334,11 @@ impl Cluster {
     }
 
     fn pools(&self) -> impl Iterator<Item = &ClientPool> + '_ {
-        self.client_pids
-            .iter()
-            .map(|pid| self.sim.actor(*pid).as_pool().expect("client pid"))
+        self.placement.all_sites().map(|s| self.pool(s))
     }
 
-    /// Display name per actor, indexed by process id — `replica p0 @ s0`,
-    /// `client p3 @ s1`, or `pool p3 @ s1 (N clients)` for a pool of more
-    /// than one — the track names of trace tooling.
+    /// Display name per actor, indexed by process id — `replica p0 @ s0`
+    /// or `pool p3 @ s1 (N clients)` — the track names of trace tooling.
     pub fn actor_names(&self) -> Vec<String> {
         let topology = self.topology();
         let mut names = vec![String::new(); self.replica_pids.len() + self.client_pids.len()];
@@ -365,11 +346,8 @@ impl Cluster {
             names[p.index()] = format!("replica p{} @ s{}", p.0, topology.site_of(p).0);
         }
         for (&p, pool) in self.client_pids.iter().zip(self.pools()) {
-            let site = topology.site_of(p).0;
-            names[p.index()] = match pool.clients() {
-                1 => format!("client p{} @ s{site}", p.0),
-                n => format!("pool p{} @ s{site} ({n} clients)", p.0),
-            };
+            let (site, n) = (topology.site_of(p).0, pool.clients());
+            names[p.index()] = format!("pool p{} @ s{site} ({n} clients)", p.0);
         }
         names
     }
@@ -384,24 +362,12 @@ impl Cluster {
         out
     }
 
-    /// The client pool at `site`, if the deployment was built with
-    /// `client_pooling`.
-    pub fn pool(&self, site: SiteId) -> Option<&ClientPool> {
-        if !self.pooled {
-            return None;
-        }
-        self.client_pids
-            .get(site.index())
-            .and_then(|pid| self.sim.actor(*pid).as_pool())
-    }
-
-    /// The client actors colocated with `site`'s replica.
-    pub fn client_pids_at(&self, site: SiteId) -> impl Iterator<Item = ProcessId> + '_ {
-        let topo = self.topology();
-        self.client_pids
-            .iter()
-            .copied()
-            .filter(move |pid| topo.site_of(*pid) == site)
+    /// The client pool colocated with `site`'s replica.
+    pub fn pool(&self, site: SiteId) -> &ClientPool {
+        self.sim
+            .actor(self.client_pids[site.index()])
+            .as_pool()
+            .expect("client pid")
     }
 
     /// Aggregate client counters summed across every client actor.

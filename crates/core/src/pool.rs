@@ -2,8 +2,7 @@
 //!
 //! The paper's load model is closed-loop client threads colocated with
 //! each site's replica (§8.1). [`ClientPool`] is the only implementation
-//! of it; a deployment chooses how many clients share an actor (one, or a
-//! whole site's — `ClusterConfig::client_pooling`), never *which* driver:
+//! of it, and a deployment runs each site's clients as one pool actor:
 //!
 //! * per-client state lives in a flat `Vec<ClientSlot>` (workload source,
 //!   private RNG, in-flight transaction) — state arrays, not actors;
@@ -16,30 +15,24 @@
 //! ## Transaction identity
 //!
 //! A transaction id carries the *pool's* pid as its coordinator field
-//! (replicas reply to the sender either way) and encodes the client inside
-//! the sequence: `seq = (client_idx << 20) | local_seq` (see
-//! [`gdur_obs::pool_seq`]); a pool of one therefore numbers its
-//! transactions 1, 2, 3, …. The split fits the 40-bit sequence of
+//! (replicas reply to the sender) and encodes the client inside the
+//! sequence: `seq = (client_idx << 20) | local_seq` (see
+//! [`gdur_obs::pool_seq`]); client 0 therefore numbers its transactions
+//! 1, 2, 3, …. The split fits the 40-bit sequence of
 //! [`gdur_store::TxId`], so replica-side lifecycle trace events stamp
 //! transactions collision-free, and it puts the client index in the high
-//! bits so ids order client-major — the same relative order one actor per
-//! client produces pid-major. Both bounds are checked with explicit panics
-//! ([`gdur_obs::MAX_POOL_CLIENTS`] clients per pool,
+//! bits so ids order client-major. Both bounds are checked with explicit
+//! panics ([`gdur_obs::MAX_POOL_CLIENTS`] clients per pool,
 //! [`gdur_obs::MAX_POOL_LOCAL_SEQ`] transactions per client); nothing
 //! truncates silently.
 //!
-//! ## Determinism & granularity
+//! ## Determinism
 //!
-//! Grouping does not change outcomes: each slot's RNG and workload source
-//! are seeded from the global client index, a pool issues begins in
-//! client-index order — the same global send order as one start dispatch
-//! per single-client actor — and the latency model draws its per-message
-//! jitter in send order, so every message leaves and arrives at the same
-//! virtual instant at either granularity. Deadlines are wheel entries, and
-//! a stale kernel fire pops nothing and draws no randomness, so op
-//! timeouts land at the same instants too. `tests/tests/pool.rs` asserts
-//! record-level equality across the protocol library, under late-Decide
-//! races and across a client restart.
+//! Each slot's RNG and workload source are seeded from the global client
+//! index, and a pool issues its begins in client-index order. Deadlines
+//! are wheel entries, and a stale kernel fire pops nothing and draws no
+//! randomness. `tests/tests/pool.rs` covers the late-Decide race and a
+//! client restart.
 
 use gdur_obs::{pool_seq_parts, AbortCause, MAX_POOL_CLIENTS};
 use gdur_sim::{Context, ProcessId, SimDuration, SimTime, TimerWheel};
@@ -329,8 +322,7 @@ impl ClientPool {
         for idx in 0..n {
             match self.think_time {
                 // Back-to-back mode: begin everything now, in client-index
-                // order — the global send order single-client actors
-                // produce during start dispatch.
+                // order.
                 None => self.begin(ctx, idx),
                 // Paced mode: stagger initial begins across one think
                 // interval so begins arrive uniformly, not as a stampede.

@@ -22,7 +22,7 @@ use std::marker::PhantomData;
 
 use gdur_gc::{GcEvent, GroupComm, XcastKind};
 use gdur_net::SiteId;
-use gdur_obs::{labels, vote_value, AbortCause};
+use gdur_obs::{labels, AbortCause};
 use gdur_persist::codec::{get_varint, put_varint};
 use gdur_sim::{Context, IdMap, ProcessId, SimDuration};
 use gdur_store::{Key, MultiVersionStore, Placement, SeedImage, TxId, Value};

@@ -63,7 +63,7 @@ impl Replica {
             }
         }
         self.stats.votes_cast += 1;
-        ctx.trace(labels::TXN_VOTE, tx.code(), vote_value(self.me, yes));
+        ctx.trace(labels::TXN_VOTE, tx.code(), u64::from(yes));
         self.send_vote(ctx, &payload, yes, clocks);
     }
 

@@ -47,7 +47,8 @@ impl Replica {
         self.stats.recoveries += 1;
         // Re-open the log from its durable byte image — recovery must not
         // depend on the in-memory `Wal` value that died with the process.
-        let wal = gdur_persist::Wal::from_image(wal.as_bytes());
+        // The dead log is consumed, so the replay holds one copy.
+        let wal = gdur_persist::Wal::from_image(wal.into_image());
         self.parked = ParkedReads::default();
         self.executing.clear();
         self.coord.clear();

@@ -109,9 +109,6 @@ pub struct Scale {
     pub cores: u16,
     /// Base RNG seed.
     pub seed: u64,
-    /// One client actor per site instead of one per client (see
-    /// `ClusterConfig::client_pooling`).
-    pub client_pooling: bool,
 }
 
 impl Scale {
@@ -125,7 +122,6 @@ impl Scale {
             client_sweep: vec![8, 64, 256, 512, 1024, 1536],
             cores: 4,
             seed: 1,
-            client_pooling: false,
         }
     }
 
@@ -139,7 +135,6 @@ impl Scale {
             client_sweep: vec![4, 16, 48],
             cores: 4,
             seed: 1,
-            client_pooling: false,
         }
     }
 }
@@ -262,7 +257,6 @@ pub fn build_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> 
         value_size: scale.value_size,
         clients_per_site,
         cores_per_replica: scale.cores,
-        client_pooling: scale.client_pooling,
         seed: scale.seed ^ (clients_per_site as u64) << 32,
         ..ClusterConfig::new(exp.spec.clone(), exp.placement.placement(exp.sites))
     };

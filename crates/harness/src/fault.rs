@@ -193,9 +193,6 @@ pub struct Deployment {
     pub seed: u64,
     /// The fault schedule.
     pub schedule: FaultSchedule,
-    /// One client actor per site instead of one per client (see
-    /// `ClusterConfig::client_pooling`).
-    pub client_pooling: bool,
 }
 
 impl Deployment {
@@ -213,7 +210,6 @@ impl Deployment {
             keys_per_partition: 200,
             seed: 7,
             schedule,
-            client_pooling: false,
         }
     }
 
@@ -241,7 +237,6 @@ impl Deployment {
             vote_timeout: (faulty && coordinated).then(|| SimDuration::from_millis(500)),
             max_read_attempts: faulty.then_some(6),
             client_op_timeout: faulty.then(|| SimDuration::from_secs(2)),
-            client_pooling: self.client_pooling,
             seed: self.seed,
             ..ClusterConfig::new(self.spec.clone(), placement)
         }
@@ -452,12 +447,11 @@ pub fn run_chaos(dep: &Deployment) -> (ChaosReport, Vec<ObsEvent>) {
     let records = cluster.records();
     let committed = records.iter().filter(|r| r.committed).count() as u64;
     // Transaction ids carry the *client-side* pid as their coordinator
-    // field: the clients of a restarted site are its colocated actors.
+    // field: the clients of a restarted site are its colocated pool.
     let restarted: Vec<u32> = dep
         .schedule
         .restarts()
-        .flat_map(|(site, _)| cluster.client_pids_at(site))
-        .map(|p| p.0)
+        .map(|(site, _)| cluster.client_pids()[site.index()].0)
         .collect();
     let last_restart = dep.schedule.restarts().map(|(_, at)| at).max();
     let post_restart_commits = records

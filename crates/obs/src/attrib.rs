@@ -21,8 +21,7 @@
 //! - [`Blame::Straggler`] — unchainable waits: the coordinator sat on a
 //!   quorum until the last vote (or a timer) unblocked it, so the gap back
 //!   to the previous transaction event is the straggler's fault. The
-//!   packed [`labels::TXN_VOTE`] payload ([`crate::vote_parts`]) names the
-//!   replica whose vote closed the quorum.
+//!   actor of a [`labels::TXN_VOTE`] point is the replica that voted.
 //!
 //! [`Attribution`] aggregates the walks of all committed transactions in a
 //! measurement window into a per-protocol table; rendering uses integer
@@ -470,7 +469,6 @@ pub fn render_attribution_text(rows: &[(String, Attribution)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::vote_value;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -559,7 +557,7 @@ mod tests {
                 actor: p(1),
                 label: labels::TXN_VOTE,
                 tx: 7,
-                value: vote_value(p(1), true),
+                value: 1,
             },
             ObsEvent::Send {
                 at: t(220),

@@ -23,11 +23,8 @@ pub mod labels {
     /// A replica popped the transaction off its certification queue
     /// (value: queue depth after the pop).
     pub const CERT_DEQUEUE: &str = "cert.dequeue";
-    /// A replica cast its certification vote (value: packed voter id +
-    /// verdict, see [`vote_value`](super::vote_value) /
-    /// [`vote_parts`](super::vote_parts) — bit 0 is 1 = yes, the upper bits
-    /// identify the voting process, so trace consumers can name the
-    /// quorum straggler).
+    /// A replica cast its certification vote (value: 1 = yes). The voter
+    /// is the point's actor.
     pub const TXN_VOTE: &str = "txn.vote";
     /// The coordinator decided (value: 1 = commit).
     pub const TXN_DECIDE: &str = "txn.decide";
@@ -131,10 +128,8 @@ pub const MAX_POOL_LOCAL_SEQ: u64 = (1 << POOL_LOCAL_SEQ_BITS) - 1;
 /// Packs a pooled client's `(index, local sequence)` into the sequence of
 /// its transaction id: `(client << 20) | local_seq`.
 ///
-/// The client index occupies the *high* bits on purpose: transaction ids
-/// then order client-major, exactly as per-client actors order pid-major,
-/// so any tie-break that compares transaction ids behaves identically in
-/// pooled and per-client deployments.
+/// The client index occupies the *high* bits on purpose: a pool's
+/// transaction ids then order client-major.
 ///
 /// # Panics
 ///
@@ -161,19 +156,6 @@ pub fn pool_seq_parts(seq: u64) -> (u32, u64) {
         (seq >> POOL_LOCAL_SEQ_BITS) as u32,
         seq & MAX_POOL_LOCAL_SEQ,
     )
-}
-
-/// Packs the payload of a [`labels::TXN_VOTE`] event: bit 0 is the verdict
-/// (1 = yes), the upper bits are the voting process id — enough for trace
-/// consumers to identify which replica's vote closed (or straggled behind)
-/// the quorum.
-pub fn vote_value(voter: gdur_sim::ProcessId, yes: bool) -> u64 {
-    ((voter.0 as u64) << 1) | yes as u64
-}
-
-/// Splits a [`vote_value`] payload back into `(voter, yes)`.
-pub fn vote_parts(value: u64) -> (gdur_sim::ProcessId, bool) {
-    (gdur_sim::ProcessId((value >> 1) as u32), value & 1 == 1)
 }
 
 /// A cloneable in-memory trace buffer.
@@ -271,7 +253,7 @@ mod tests {
         let widest = pool_seq(MAX_POOL_CLIENTS - 1, MAX_POOL_LOCAL_SEQ);
         let id = TxId::from_code(TxId::new(7, widest).code());
         assert_eq!((id.coord(), id.seq()), (7, widest));
-        // Client-major ordering: ids order like per-client actor pids do.
+        // Client-major ordering.
         assert!(pool_seq(1, MAX_POOL_LOCAL_SEQ) < pool_seq(2, 1));
     }
 

@@ -53,8 +53,8 @@ pub use attrib::{
 pub use breakdown::{MsgFlow, Phase, PhaseBreakdown};
 pub use chrome::export_chrome;
 pub use event::{
-    labels, pool_seq, pool_seq_parts, vote_parts, vote_value, AbortCause, TraceHandle,
-    MAX_POOL_CLIENTS, MAX_POOL_LOCAL_SEQ, POOL_LOCAL_SEQ_BITS,
+    labels, pool_seq, pool_seq_parts, AbortCause, TraceHandle, MAX_POOL_CLIENTS,
+    MAX_POOL_LOCAL_SEQ, POOL_LOCAL_SEQ_BITS,
 };
 pub use gdur_sim::{ObsEvent, ObsSink};
 pub use hist::Histogram;

@@ -273,10 +273,11 @@ impl Wal {
         self.data.len()
     }
 
-    /// The raw encoded log (e.g. to simulate shipping it to a recovering
-    /// replica).
-    pub fn as_bytes(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.data)
+    /// The raw encoded log, consuming it: the durable byte image a
+    /// restart re-opens with [`Wal::from_image`]. The log's buffer becomes
+    /// the image, so a caller that drops the log holds no second copy.
+    pub fn into_image(self) -> Bytes {
+        self.data.freeze()
     }
 
     /// Rebuilds a log from a possibly-torn on-disk image: every intact
@@ -476,7 +477,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(&install(1, 0, 10));
         wal.append(&install(1, 1, 11));
-        let mut img = wal.as_bytes().to_vec();
+        let mut img = wal.into_image().to_vec();
         img.truncate(img.len() - 3); // torn final frame
         let recs = Wal::scan_bytes(Bytes::from(img));
         assert_eq!(recs.len(), 1, "only the intact prefix survives");
@@ -539,7 +540,7 @@ mod tests {
         // frames wholly before the cut, and must never replay past the
         // torn frame.
         let (wal, recs, boundaries) = fuzz_log();
-        let img = wal.as_bytes();
+        let img = wal.into_image();
         for cut in 0..=img.len() {
             let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
             let scanned = Wal::scan_bytes(img.slice(..cut));
@@ -550,9 +551,18 @@ mod tests {
             assert_eq!(recovered.len(), intact as u64, "cut at byte {cut}");
             // It keeps the intact frames' bytes as they were.
             let prefix = img.slice(..boundaries[intact]);
-            assert_eq!(recovered.as_bytes(), prefix, "cut at byte {cut}");
+            assert_eq!(recovered.clone().into_image(), prefix, "cut at byte {cut}");
             let (_store, _decisions) = recover(&recovered);
         }
+    }
+
+    #[test]
+    fn a_log_reopened_from_its_image_scans_the_same() {
+        let (wal, recs, _) = fuzz_log();
+        let reopened = Wal::from_image(wal.clone().into_image());
+        assert_eq!(reopened.scan(), wal.scan());
+        assert_eq!(reopened.scan(), recs);
+        assert_eq!(reopened.byte_len(), wal.byte_len());
     }
 
     /// `scan_from(k)` must be the `k`-suffix of the log for every `k`,
@@ -571,7 +581,7 @@ mod tests {
         // The offset index is rebuilt by `from_image`; whatever byte the
         // image was torn at, it must address exactly the surviving frames.
         let (wal, recs, boundaries) = fuzz_log();
-        let img = wal.as_bytes();
+        let img = wal.into_image();
         for cut in 0..=img.len() {
             let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
             let mut recovered = Wal::from_image(img.slice(..cut));
@@ -592,14 +602,14 @@ mod tests {
         // checksum must stop the scan at the damaged frame, keeping only
         // the intact prefix before it.
         let (wal, recs, boundaries) = fuzz_log();
-        let img = wal.as_bytes().to_vec();
+        let img = wal.into_image().to_vec();
         for pos in 0..img.len() {
             let frame_of_pos = boundaries.iter().filter(|&&b| b <= pos).count() - 1;
             let mut bad = img.clone();
             bad[pos] ^= 0xff;
             let scanned = Wal::scan_bytes(Bytes::from(bad.clone()));
             assert_eq!(scanned, recs[..frame_of_pos], "flip at byte {pos}");
-            let kept = Wal::from_image(Bytes::from(bad)).as_bytes();
+            let kept = Wal::from_image(Bytes::from(bad)).into_image();
             assert_eq!(
                 kept[..],
                 img[..boundaries[frame_of_pos]],
@@ -640,7 +650,7 @@ mod tests {
             // exactly as at a bad checksum: the install after it is lost.
             let mut wal = Wal::new();
             wal.append(&install(1, 0, 10));
-            let mut img = wal.as_bytes().to_vec();
+            let mut img = wal.into_image().to_vec();
             img.extend_from_slice(&codec::frame(&raw_decision(coord, seq)));
             img.extend_from_slice(&codec::frame(&install(1, 1, 11).encode()));
             let img = Bytes::from(img);

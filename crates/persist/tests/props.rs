@@ -68,7 +68,10 @@ fn append_writes_exactly_the_frame_of_the_record() {
     for rec in std::iter::once(submit).chain((0..256).map(|_| arb_record(&mut rng))) {
         let before = wal.byte_len();
         wal.append(&rec);
-        assert_eq!(&wal.as_bytes()[before..], &codec::frame(&rec.encode())[..]);
+        assert_eq!(
+            &wal.clone().into_image()[before..],
+            &codec::frame(&rec.encode())[..]
+        );
     }
 }
 
@@ -95,7 +98,7 @@ fn truncated_images_yield_a_prefix() {
         for r in &recs {
             wal.append(r);
         }
-        let img = wal.as_bytes();
+        let img = wal.into_image();
         let cut = img.len().saturating_sub(cut_back);
         let scanned = Wal::scan_bytes(img.slice(..cut));
         assert!(scanned.len() <= recs.len());
@@ -113,7 +116,7 @@ fn recovery_never_panics_on_corruption() {
         for r in &recs {
             wal.append(r);
         }
-        let mut img = wal.as_bytes().to_vec();
+        let mut img = wal.into_image().to_vec();
         if !img.is_empty() {
             let i = flip % img.len();
             img[i] ^= 0x55;

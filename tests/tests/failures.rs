@@ -114,29 +114,31 @@ fn partition_blocks_cross_site_transactions_and_heals() {
     );
 }
 
+/// Each site's clients submit through their colocated replica only: when
+/// site 1's replica crashes, its pool stalls while the pools of sites 0
+/// and 2 keep finishing transactions.
 #[test]
 fn crashed_coordinator_only_stalls_its_own_clients() {
     let mut cluster = build(gdur_protocols::p_store_ab(), 3);
     cluster.run_for(SimDuration::from_secs(2));
+    let per_site = |cluster: &Cluster| -> Vec<usize> {
+        (0..3)
+            .map(|s| cluster.pool(SiteId(s)).records().len())
+            .collect()
+    };
+    let before = per_site(&cluster);
     crash_now(&mut cluster, 1);
     cluster.run_for(SimDuration::from_secs(3));
-    // Clients attached to sites 0 and 2 keep finishing transactions.
-    let per_client: Vec<usize> = cluster
-        .client_pids()
-        .iter()
-        .map(|pid| {
-            cluster
-                .sim()
-                .actor(*pid)
-                .as_pool()
-                .expect("client")
-                .records()
-                .len()
-        })
-        .collect();
-    // 3 clients per site, grouped site-major.
-    let site1_clients = &per_client[3..6];
-    let others: usize = per_client[..3].iter().chain(&per_client[6..]).sum();
-    assert!(others > 100, "surviving sites should keep committing");
-    let _ = site1_clients;
+    let after = per_site(&cluster);
+    let finished: Vec<usize> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+    assert_eq!(
+        finished[1], 0,
+        "site 1's clients finished transactions after their coordinator crashed ({before:?} -> {after:?})"
+    );
+    for s in [0, 2] {
+        assert!(
+            finished[s] > 50,
+            "site {s}'s clients should keep finishing transactions ({before:?} -> {after:?})"
+        );
+    }
 }

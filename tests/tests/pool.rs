@@ -1,17 +1,12 @@
-//! Client-pool granularity: one actor per site vs one actor per client.
+//! Client pools: each site's closed-loop clients run as one
+//! [`gdur_core::ClientPool`] actor.
 //!
-//! Grouping is a pure aggregation: N closed-loop clients multiplexed
-//! through one actor per site must produce the *same outcomes* as N
-//! single-client pools — same per-client transaction streams, same
-//! commit/abort decisions, same consistency verdicts. These tests pin that
-//! across the protocol library, and exercise the races (late decision
-//! after a client-side op timeout, client restart mid-transaction) at
-//! both granularities.
+//! These tests pin that every deployment has that one layout, and exercise
+//! the races a pool multiplexes: a late decision after a client-side op
+//! timeout, and a client restart mid-transaction.
 
 use gdur_consistency::{CriterionCheck, History};
-use gdur_core::{
-    AbortCause, Cluster, ClusterConfig, ProtocolSpec, ScriptSource, TxnPlan, TxnRecord,
-};
+use gdur_core::{AbortCause, Cluster, ClusterConfig, ProtocolSpec, ScriptSource, TxnPlan};
 use gdur_obs::pool_seq_parts;
 use gdur_sim::{SimDuration, SimTime};
 use gdur_store::Key;
@@ -21,20 +16,20 @@ const SITES: usize = 3;
 const CPS: usize = 3;
 const TXNS: u64 = 8;
 
-fn contended_config(spec: ProtocolSpec, pooled: bool, seed: u64) -> ClusterConfig {
+fn contended_config(spec: ProtocolSpec, client_pooling: bool, seed: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::small(spec, SITES);
     // Small keyspace → real contention → certification aborts happen, so
-    // the equivalence below covers the abort paths too.
+    // the comparison below covers the abort paths too.
     cfg.keys_per_partition = 40;
     cfg.clients_per_site = CPS;
     cfg.max_txns_per_client = Some(TXNS);
-    cfg.client_pooling = pooled;
+    cfg.client_pooling = client_pooling;
     cfg.seed = seed;
     cfg
 }
 
-fn build_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
-    let cfg = contended_config(spec, pooled, seed);
+fn build_contended(spec: ProtocolSpec, client_pooling: bool, seed: u64) -> Cluster {
+    let cfg = contended_config(spec, client_pooling, seed);
     let total_keys = cfg.keys_per_partition * SITES as u64;
     Cluster::build(cfg, move |_, site| {
         Box::new(YcsbSource::new(
@@ -47,125 +42,83 @@ fn build_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
     })
 }
 
-fn run_contended(spec: ProtocolSpec, pooled: bool, seed: u64) -> Cluster {
-    let mut cluster = build_contended(spec, pooled, seed);
+fn run_contended(spec: ProtocolSpec, client_pooling: bool, seed: u64) -> Cluster {
+    let mut cluster = build_contended(spec, client_pooling, seed);
     cluster.run_until_idle();
     cluster
 }
 
-/// One record, keyed by the logical client that ran it: `(site,
-/// client-within-site, per-client sequence)` plus every outcome-relevant
-/// field. Transaction ids differ between modes by construction (pid-seq vs
-/// pooled pid + packed seq), so equivalence is stated modulo that renaming.
-type KeyedRecord = (
-    (usize, u32, u64),
-    (SimTime, SimTime, SimTime, bool, bool, Option<AbortCause>),
-);
-
-fn keyed_records(cluster: &Cluster, pooled: bool) -> Vec<KeyedRecord> {
-    let pids = cluster.client_pids();
-    let mut out: Vec<KeyedRecord> = cluster
-        .records()
-        .into_iter()
-        .map(|r: TxnRecord| {
-            let pos = pids
-                .iter()
-                .position(|p| p.0 == r.tx.coord())
-                .expect("record from a known client pid");
-            let key = if pooled {
-                let (idx, local_seq) = pool_seq_parts(r.tx.seq());
-                (pos, idx, local_seq)
-            } else {
-                ((pos / CPS), (pos % CPS) as u32, r.tx.seq())
-            };
-            (
-                key,
-                (
-                    r.started_at,
-                    r.submitted_at,
-                    r.decided_at,
-                    r.committed,
-                    r.read_only,
-                    r.cause,
-                ),
-            )
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// Tentpole equivalence: for every protocol in the library, the pooled and
-/// per-client deployments produce identical per-client transaction streams
-/// — same instants, same decisions, same abort causes — and identical
-/// history-verification verdicts.
+/// Every deployment runs one [`gdur_core::ClientPool`] per site:
+/// `ClusterConfig::client_pooling` is read by nothing, so both of its
+/// values build the same cluster — one client actor per site, the same
+/// records, the same verdict of the assembly's criterion — for every
+/// assembly of the library.
 #[test]
-fn pools_match_individual_clients_across_the_library() {
+fn client_pooling_is_vestigial_across_the_library() {
     for spec in gdur_protocols::all_protocols() {
         let name = spec.name;
         let criterion = spec.criterion;
-        let single = run_contended(spec.clone(), false, 13);
-        let pooled = run_contended(spec, true, 13);
-
-        let single_records = keyed_records(&single, false);
-        let pooled_records = keyed_records(&pooled, true);
-        assert_eq!(
-            single_records.len(),
-            SITES * CPS * TXNS as usize,
-            "{name}: per-client run lost transactions"
-        );
-        assert_eq!(
-            single_records, pooled_records,
-            "{name}: pooled outcomes diverged from per-client actors"
-        );
-
-        for (mode, cluster) in [("per-client", &single), ("pooled", &pooled)] {
+        let runs = [false, true].map(|pooling| run_contended(spec.clone(), pooling, 13));
+        for (cluster, pooling) in runs.iter().zip([false, true]) {
+            assert_eq!(
+                cluster.client_pids().len(),
+                SITES,
+                "{name} (client_pooling={pooling}): one client actor per site"
+            );
+            assert_eq!(
+                cluster.records().len(),
+                SITES * CPS * TXNS as usize,
+                "{name} (client_pooling={pooling}): lost transactions"
+            );
             let history = History::from_cluster(cluster);
             if let Err(v) = criterion.check(&history) {
-                panic!("{name} ({mode}) violated {criterion:?}: {v}");
+                panic!("{name} (client_pooling={pooling}) violated {criterion:?}: {v}");
             }
         }
+        assert_eq!(
+            runs[0].records(),
+            runs[1].records(),
+            "{name}: client_pooling changed the outcomes"
+        );
     }
 }
 
 /// A restarted client machine has nothing durable: whatever it had in
 /// flight is accounted as a crash abort at the restart instant, and the
 /// closed loop resumes from the next sequence number — so a bounded run
-/// still decides every transaction it issued, at either granularity.
+/// still decides every transaction it issued.
 #[test]
 fn restarted_client_accounts_for_its_in_flight_transaction() {
-    for pooled in [false, true] {
-        let mut cluster = build_contended(gdur_protocols::p_store(), pooled, 5);
-        let victim = cluster.client_pids()[0];
-        let restart_at = SimTime::from_nanos(4_000_000);
-        let sim = cluster.sim_mut();
-        sim.schedule_crash(victim, SimTime::from_nanos(3_000_000));
-        sim.schedule_restart(victim, restart_at);
-        cluster.run_until_idle();
+    let mut cluster = build_contended(gdur_protocols::p_store(), false, 5);
+    let victim = cluster.client_pids()[0];
+    let restart_at = SimTime::from_nanos(4_000_000);
+    let sim = cluster.sim_mut();
+    sim.schedule_crash(victim, SimTime::from_nanos(3_000_000));
+    sim.schedule_restart(victim, restart_at);
+    cluster.run_until_idle();
 
-        let records = cluster.records();
-        assert_eq!(
-            records.len(),
-            SITES * CPS * TXNS as usize,
-            "pooled={pooled}: decided {} of {}",
-            records.len(),
-            SITES * CPS * TXNS as usize
-        );
-        let first = records
-            .iter()
-            .find(|r| r.tx.coord() == victim.0)
-            .expect("the victim decided something");
-        assert_eq!(
-            (
-                pool_seq_parts(first.tx.seq()),
-                first.committed,
-                first.cause,
-                first.decided_at
-            ),
-            ((0, 1), false, Some(AbortCause::Crash), restart_at),
-            "pooled={pooled}: the in-flight transaction must be crash-aborted at restart"
-        );
-    }
+    let records = cluster.records();
+    assert_eq!(
+        records.len(),
+        SITES * CPS * TXNS as usize,
+        "decided {} of {}",
+        records.len(),
+        SITES * CPS * TXNS as usize
+    );
+    let first = records
+        .iter()
+        .find(|r| r.tx.coord() == victim.0)
+        .expect("the victim decided something");
+    assert_eq!(
+        (
+            pool_seq_parts(first.tx.seq()),
+            first.committed,
+            first.cause,
+            first.decided_at
+        ),
+        ((0, 1), false, Some(AbortCause::Crash), restart_at),
+        "the in-flight transaction must be crash-aborted at restart"
+    );
 }
 
 /// Builds the late-decision scenario: every transaction reads a local key
@@ -175,13 +128,12 @@ fn restarted_client_accounts_for_its_in_flight_transaction() {
 /// of tens of milliseconds. With a 5 ms op timeout, the client abandons
 /// each commit as [`AbortCause::Crash`] while the decision is still in
 /// flight, and the decision arrives at a client that has already moved on.
-fn run_late_decision(pooled: bool) -> Cluster {
+fn run_late_decision() -> Cluster {
     let mut cfg = ClusterConfig::small(gdur_protocols::p_store(), SITES);
     cfg.keys_per_partition = 40;
     cfg.clients_per_site = 2;
     cfg.max_txns_per_client = Some(4);
     cfg.client_op_timeout = Some(SimDuration::from_millis(5));
-    cfg.client_pooling = pooled;
     cfg.seed = 23;
     let mut cluster = Cluster::build(cfg, move |idx, site| {
         // Keys are partitioned `key % sites`: the read stays local, the
@@ -203,11 +155,13 @@ fn run_late_decision(pooled: bool) -> Cluster {
 
 /// A decision arriving after the client already gave up on the operation
 /// must be dropped: no panic, no double-counted outcome. Every issued
-/// transaction gets exactly one record, and the abort-cause partition
-/// stays exact.
+/// transaction gets exactly one record, the abort-cause partition stays
+/// exact, and each client of each pool decided its own transactions
+/// exactly once, in order — a late reply is never credited to the
+/// client's next transaction.
 #[test]
 fn late_decision_after_op_timeout_is_dropped_per_client() {
-    let cluster = run_late_decision(false);
+    let cluster = run_late_decision();
     let records = cluster.records();
     assert_eq!(
         records.len(),
@@ -229,6 +183,20 @@ fn late_decision_after_op_timeout_is_dropped_per_client() {
             "cause must be present iff aborted"
         );
     }
+    let mut seqs: std::collections::BTreeMap<(u32, u32), Vec<u64>> = Default::default();
+    for r in &records {
+        let (client, local) = pool_seq_parts(r.tx.seq());
+        seqs.entry((r.tx.coord(), client)).or_default().push(local);
+    }
+    assert_eq!(seqs.len(), SITES * 2, "every client must decide something");
+    for ((pool, client), mut local) in seqs {
+        local.sort_unstable();
+        assert_eq!(
+            local,
+            vec![1, 2, 3, 4],
+            "pool {pool} client {client}: each transaction decided exactly once"
+        );
+    }
 }
 
 /// Same race through the pool's shared timer wheel: the wheel entry for a
@@ -237,14 +205,11 @@ fn late_decision_after_op_timeout_is_dropped_per_client() {
 /// `issued = committed + aborted` with an exact cause partition.
 #[test]
 fn late_decision_after_op_timeout_is_dropped_pooled() {
-    let cluster = run_late_decision(true);
+    let cluster = run_late_decision();
     let mut issued = 0;
     let mut counts_crash = 0;
     for s in 0..SITES {
-        let pool = cluster
-            .pool(gdur_net::SiteId(s as u16))
-            .expect("pooled deployment has a pool per site");
-        let c = pool.counts();
+        let c = cluster.pool(gdur_net::SiteId(s as u16)).counts();
         assert_eq!(
             c.issued,
             c.committed + c.aborted,
@@ -264,49 +229,6 @@ fn late_decision_after_op_timeout_is_dropped_pooled() {
     assert_eq!(issued, (SITES * 2 * 4) as u64, "liveness violated");
     assert!(
         counts_crash > 0,
-        "scenario failed to trigger any pooled op timeout"
-    );
-}
-
-/// The pooled path through the full harness: `run_point` with
-/// `client_pooling` keeps the always-on history verification green and
-/// still commits work.
-#[test]
-fn pooled_run_point_passes_the_consistency_oracle() {
-    use gdur_harness::{run_point, Experiment, PlacementKind, Scale, WorkloadKind};
-    let mut scale = Scale::quick();
-    scale.client_pooling = true;
-    scale.measure = SimDuration::from_secs(1);
-    let exp = Experiment::new(
-        gdur_protocols::s_dur(),
-        WorkloadKind::C,
-        0.9,
-        3,
-        PlacementKind::Dp,
-    );
-    let point = run_point(&exp, &scale, 16);
-    assert!(point.committed > 0, "pooled point committed nothing");
-}
-
-/// Pools under fault injection: crash, partition, heal, and restart with
-/// one pool actor per site must keep both safety verdicts green (store
-/// convergence and the consistency criterion) and still recover.
-#[test]
-fn pooled_chaos_run_stays_safe() {
-    let mut cfg = gdur_harness::chaos_library()
-        .into_iter()
-        .next()
-        .expect("chaos library is non-empty");
-    cfg.client_pooling = true;
-    let (report, _events) = gdur_harness::run_chaos(&cfg);
-    assert!(
-        report.ok(&cfg.spec),
-        "pooled chaos run failed: converged={}, violation={:?}",
-        report.converged,
-        report.violation
-    );
-    assert!(
-        report.crashes > 0 && report.restarts > 0,
-        "schedule was a no-op"
+        "scenario failed to trigger any pool op timeout"
     );
 }
