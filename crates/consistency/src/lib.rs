@@ -21,7 +21,9 @@
 //!
 //! A [`History`] copies nothing per transaction: its transactions are a
 //! view over the coordinators' outcome logs, and its one index is a flat
-//! version table sorted by (key, seq), with a permutation by writer.
+//! version table sorted by (key, seq), with a permutation by writer. The
+//! checks a criterion implies share one walk over the committed
+//! transactions, which decodes each read set once.
 //!
 //! The monotonicity distinctions between SI, PSI and NMSI (which of the
 //! paper's snapshot criteria admit non-monotonic snapshots) are not
@@ -386,41 +388,139 @@ impl CriterionCheck for Criterion {
     /// maximum-performance baseline ("without any additional guarantee"),
     /// and read atomicity promises unfractured reads only — neither
     /// criterion orders write-write conflicts.
+    ///
+    /// The checks share one [`walk`] over the committed transactions; the
+    /// violation returned is the one the checks run in turn would report:
+    /// a dirty read, a divergence, a fractured read, then a lost update or
+    /// a cycle.
     fn check(self, h: &History) -> Result<(), Violation> {
-        check_read_committed(h)?;
+        let snapshot = matches!(self, Criterion::Si | Criterion::Psi | Criterion::Nmsi);
+        let found = walk(
+            h,
+            Steps {
+                read_committed: true,
+                fractured_reads: self != Criterion::Rc,
+                first_committer_wins: snapshot,
+                serializability: match self {
+                    Criterion::Us => Some(false),
+                    Criterion::Ser => Some(true),
+                    _ => None,
+                },
+            },
+        );
+        found.dirty?;
         if !matches!(self, Criterion::Rc | Criterion::Ra) {
             check_replica_agreement(h)?;
         }
-        match self {
-            Criterion::Rc => Ok(()),
-            Criterion::Ra => check_no_fractured_reads(h),
-            Criterion::Si | Criterion::Psi | Criterion::Nmsi => {
-                check_no_fractured_reads(h)?;
-                check_first_committer_wins(h)
+        found.fractured?;
+        if snapshot {
+            check_version_sequences(h)?;
+            found.lost?;
+        }
+        found.graph.map_or(Ok(()), |graph| graph.acyclic(h))
+    }
+}
+
+/// The per-transaction checks one [`walk`] runs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Steps {
+    read_committed: bool,
+    fractured_reads: bool,
+    first_committer_wins: bool,
+    /// `Some(include_queries)` builds the serialization graph.
+    serializability: Option<bool>,
+}
+
+/// What one [`walk`] found: each check's first violation, in transaction
+/// order, and the serialization graph it built.
+struct Walked {
+    dirty: Result<(), Violation>,
+    fractured: Result<(), Violation>,
+    lost: Result<(), Violation>,
+    graph: Option<Graph>,
+}
+
+/// Runs `steps` on every committed transaction in one pass, decoding each
+/// read set once. The read-committed test and the graph's read edges take
+/// each read as it is decoded; fractured reads and first-committer-wins
+/// need the last read of each key, by key, which the walk collects into one
+/// reused buffer. Violations are rare, so the walk runs to the end; a check
+/// that has found one skips the transactions after it.
+fn walk(h: &History, steps: Steps) -> Walked {
+    let multi_writers = if steps.fractured_reads {
+        multi_key_writers(h)
+    } else {
+        Vec::new()
+    };
+    let mut found = Walked {
+        dirty: Ok(()),
+        fractured: Ok(()),
+        lost: Ok(()),
+        graph: steps.serializability.map(|queries| Graph::new(h, queries)),
+    };
+    let mut last_reads: Vec<(Key, u64)> = Vec::new();
+    let mut candidates: Vec<TxId> = Vec::new();
+    for t in h.committed() {
+        let fractured = steps.fractured_reads && found.fractured.is_ok();
+        let lost = steps.first_committer_wins && found.lost.is_ok();
+        let keep_reads = fractured || lost;
+        let mut graph = found.graph.as_mut().filter(|graph| graph.member(&t));
+        last_reads.clear();
+        if keep_reads {
+            // Grown once per transaction, to its read count, as `extend`
+            // would; pushing alone could grow it twice.
+            last_reads.reserve(t.reads.len());
+        }
+        for (key, seq) in t.reads.iter() {
+            let read_committed = steps.read_committed && found.dirty.is_ok();
+            if read_committed && seq != 0 && h.writer(key, seq).is_none() {
+                found.dirty = Err(Violation::DirtyRead { tx: t.tx, key, seq });
             }
-            Criterion::Us => {
-                check_no_fractured_reads(h)?;
-                check_serializability(h, false)
+            if let Some(graph) = &mut graph {
+                graph.add_read(h, t.tx, key, seq);
             }
-            Criterion::Ser => {
-                check_no_fractured_reads(h)?;
-                check_serializability(h, true)
+            if keep_reads {
+                last_reads.push((key, seq));
             }
         }
+        if let Some(graph) = graph {
+            graph.add_writes(h, &t);
+        }
+        if keep_reads {
+            keep_last_read_of_each_key(&mut last_reads);
+        }
+        if fractured {
+            found.fractured = fractured_read(h, &t, &last_reads, &multi_writers, &mut candidates);
+        }
+        if lost {
+            found.lost = stale_base(h, &t, &last_reads);
+        }
     }
+    found
+}
+
+/// Reduces `reads`, in read order, to the last read of each key, by key.
+fn keep_last_read_of_each_key(reads: &mut Vec<(Key, u64)>) {
+    // Stable, so each key's reads stay in read order; the last one's
+    // sequence is the one kept.
+    reads.sort_by_key(|&(key, _)| key);
+    reads.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
+        }
+        same
+    });
 }
 
 /// Every read refers to the seed version or an installed committed
 /// version.
 pub fn check_read_committed(h: &History) -> Result<(), Violation> {
-    for t in h.committed() {
-        for (key, seq) in t.reads.iter() {
-            if seq != 0 && h.writer(key, seq).is_none() {
-                return Err(Violation::DirtyRead { tx: t.tx, key, seq });
-            }
-        }
-    }
-    Ok(())
+    let steps = Steps {
+        read_committed: true,
+        ..Steps::default()
+    };
+    walk(h, steps).dirty
 }
 
 /// DT replicas must install identical writers per (key, seq).
@@ -442,8 +542,16 @@ pub fn check_replica_agreement(h: &History) -> Result<(), Violation> {
 /// history. A reader's last read of a key counts, and a writer's highest
 /// install of it.
 pub fn check_no_fractured_reads(h: &History) -> Result<(), Violation> {
-    // (key, writer) for every writer that installed this key *and* at
-    // least one other.
+    let steps = Steps {
+        fractured_reads: true,
+        ..Steps::default()
+    };
+    walk(h, steps).fractured
+}
+
+/// (key, writer) for every writer that installed this key *and* at least
+/// one other, sorted.
+fn multi_key_writers(h: &History) -> Vec<(Key, TxId)> {
     let mut multi_writers: Vec<(Key, TxId)> = Vec::new();
     let writer_of = |v: u32| h.versions[v as usize].2;
     for installs in h.by_writer.chunk_by(|&a, &b| writer_of(a) == writer_of(b)) {
@@ -459,61 +567,57 @@ pub fn check_no_fractured_reads(h: &History) -> Result<(), Violation> {
         }
     }
     multi_writers.sort_unstable();
-    // Per reader, reused: its last read of each key, by key, and the
-    // multi-key writers of those keys, once per key they share.
-    let mut read_map: Vec<(Key, u64)> = Vec::new();
-    let mut candidates: Vec<TxId> = Vec::new();
-    for t in h.committed() {
-        read_map.clear();
-        read_map.extend(t.reads.iter());
-        // Stable, so each key's reads stay in read order; the last one's
-        // sequence is the one kept.
-        read_map.sort_by_key(|&(key, _)| key);
-        read_map.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 = later.1;
-            }
-            same
-        });
-        candidates.clear();
-        for &(key, _) in &read_map {
-            let from = multi_writers.partition_point(|&(k, _)| k < key);
-            let writers = multi_writers[from..].iter().take_while(|&&(k, _)| k == key);
-            candidates.extend(writers.map(|&(_, w)| w));
+    multi_writers
+}
+
+/// The first multi-key writer whose writes `t` saw in part, given `t`'s
+/// last read of each key and the [`multi_key_writers`] index. `candidates`
+/// is a reused buffer: the multi-key writers of `t`'s read keys, once per
+/// key they share with it.
+fn fractured_read(
+    h: &History,
+    t: &HistoryTxn,
+    last_reads: &[(Key, u64)],
+    multi_writers: &[(Key, TxId)],
+    candidates: &mut Vec<TxId>,
+) -> Result<(), Violation> {
+    candidates.clear();
+    for &(key, _) in last_reads {
+        let from = multi_writers.partition_point(|&(k, _)| k < key);
+        let writers = multi_writers[from..].iter().take_while(|&&(k, _)| k == key);
+        candidates.extend(writers.map(|&(_, w)| w));
+    }
+    candidates.sort_unstable();
+    for shared in candidates.chunk_by(|a, b| a == b) {
+        let writer = shared[0];
+        if writer == t.tx || shared.len() < 2 {
+            continue;
         }
-        candidates.sort_unstable();
-        for shared in candidates.chunk_by(|a, b| a == b) {
-            let writer = shared[0];
-            if writer == t.tx || shared.len() < 2 {
+        // Of the keys both read by t and written by `writer`, the first on
+        // which t saw the write and the first on which it missed it.
+        let (mut seen, mut missed) = (None, None);
+        let mut installs = h.installs_of(writer).peekable();
+        while let Some((key, wseq, _)) = installs.next() {
+            if installs.peek().is_some_and(|next| next.0 == key) {
+                continue; // a higher install of the key follows
+            }
+            let Ok(i) = last_reads.binary_search_by_key(&key, |&(k, _)| k) else {
                 continue;
-            }
-            // Of the keys both read by t and written by `writer`, the first
-            // on which t saw the write and the first on which it missed it.
-            let (mut seen, mut missed) = (None, None);
-            let mut installs = h.installs_of(writer).peekable();
-            while let Some((key, wseq, _)) = installs.next() {
-                if installs.peek().is_some_and(|next| next.0 == key) {
-                    continue; // a higher install of the key follows
-                }
-                let Ok(i) = read_map.binary_search_by_key(&key, |&(k, _)| k) else {
-                    continue;
-                };
-                let first = if read_map[i].1 >= wseq {
-                    &mut seen
-                } else {
-                    &mut missed
-                };
-                first.get_or_insert(key);
-            }
-            if let (Some(seen_key), Some(missed_key)) = (seen, missed) {
-                return Err(Violation::FracturedRead {
-                    reader: t.tx,
-                    writer,
-                    seen_key,
-                    missed_key,
-                });
-            }
+            };
+            let first = if last_reads[i].1 >= wseq {
+                &mut seen
+            } else {
+                &mut missed
+            };
+            first.get_or_insert(key);
+        }
+        if let (Some(seen_key), Some(missed_key)) = (seen, missed) {
+            return Err(Violation::FracturedRead {
+                reader: t.tx,
+                writer,
+                seen_key,
+                missed_key,
+            });
         }
     }
     Ok(())
@@ -529,6 +633,17 @@ pub fn check_no_fractured_reads(h: &History) -> Result<(), Violation> {
 /// superseded twice. A blind write (of a key its transaction did not read)
 /// and a write without an install record have no base to check.
 pub fn check_first_committer_wins(h: &History) -> Result<(), Violation> {
+    check_version_sequences(h)?;
+    let steps = Steps {
+        first_committer_wins: true,
+        ..Steps::default()
+    };
+    walk(h, steps).lost
+}
+
+/// The first rule of [`check_first_committer_wins`]: each key's versions
+/// are 1, 2, 3, … with no gap.
+fn check_version_sequences(h: &History) -> Result<(), Violation> {
     let mut next: Option<(Key, u64)> = None;
     for &(key, seq, _) in &h.versions {
         let expected = match next {
@@ -540,15 +655,20 @@ pub fn check_first_committer_wins(h: &History) -> Result<(), Violation> {
         }
         next = Some((key, seq + 1));
     }
-    for t in h.committed() {
-        for key in t.writes.iter() {
-            let last_read = t.reads.iter().filter(|&(k, _)| k == key).last();
-            let Some((_, base)) = last_read else {
-                continue;
-            };
-            if h.installed(t.tx, key).is_some_and(|seq| seq != base + 1) {
-                return Err(Violation::LostUpdate { key, seq: base });
-            }
+    Ok(())
+}
+
+/// The second rule of [`check_first_committer_wins`] for `t`: its first
+/// write, in write order, that did not install the version after its last
+/// read of the key.
+fn stale_base(h: &History, t: &HistoryTxn, last_reads: &[(Key, u64)]) -> Result<(), Violation> {
+    for key in t.writes.iter() {
+        let Ok(i) = last_reads.binary_search_by_key(&key, |&(k, _)| k) else {
+            continue;
+        };
+        let base = last_reads[i].1;
+        if h.installed(t.tx, key).is_some_and(|seq| seq != base + 1) {
+            return Err(Violation::LostUpdate { key, seq: base });
         }
     }
     Ok(())
@@ -572,6 +692,7 @@ fn dependency(h: &History, a: &HistoryTxn, b: &HistoryTxn) -> (DepKind, Key, u64
 }
 
 /// Builds the direct serialization graph and checks acyclicity.
+/// Builds the direct serialization graph and checks acyclicity.
 ///
 /// Nodes are committed transactions (updates only when `include_queries`
 /// is false — update serializability); edges are write-read, write-write
@@ -579,48 +700,88 @@ fn dependency(h: &History, a: &HistoryTxn, b: &HistoryTxn) -> (DepKind, Key, u64
 /// sequences. A violation carries one simple cycle: the DFS stack from the
 /// node the back edge closes on, not from the DFS root.
 pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), Violation> {
-    let member = |t: &HistoryTxn| t.committed && (include_queries || !t.read_only);
-    // Nodes are numbered in first-occurrence order: each member with its
-    // position, sorted by transaction, keeps its first position, and the
-    // positions are then replaced by their rank.
-    let mut nodes: Vec<(TxId, u32)> = (h.txns.iter().filter(member))
-        .zip(0..)
-        .map(|(t, i)| (t.tx, i))
-        .collect();
-    nodes.sort_unstable();
-    nodes.dedup_by_key(|&mut (tx, _)| tx);
-    let mut firsts: Vec<u32> = nodes.iter().map(|&(_, i)| i).collect();
-    firsts.sort_unstable();
-    for (_, i) in &mut nodes {
-        *i = firsts.partition_point(|&f| f < *i) as u32;
-    }
-    drop(firsts);
-    let node = |tx: TxId| {
-        let i = nodes.binary_search_by_key(&tx, |&(t, _)| t).ok()?;
-        Some(nodes[i].1)
+    let steps = Steps {
+        serializability: Some(include_queries),
+        ..Steps::default()
     };
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut add = |from: TxId, to: TxId| {
+    walk(h, steps)
+        .graph
+        .map_or(Ok(()), |graph| graph.acyclic(h))
+}
+
+/// The direct serialization graph of [`check_serializability`]: its nodes
+/// are numbered up front, its edges added by [`walk`] one member at a time.
+struct Graph {
+    include_queries: bool,
+    /// Each member's transaction and node, sorted by transaction.
+    nodes: Vec<(TxId, u32)>,
+    /// Bare edges (only a reported cycle needs the reasons).
+    edges: Vec<(u32, u32)>,
+}
+
+impl Graph {
+    /// The graph's nodes and no edge. Nodes are numbered in
+    /// first-occurrence order: each member with its position, sorted by
+    /// transaction, keeps its first position, and the positions are then
+    /// replaced by their rank. The walk steps over the read sets undecoded.
+    fn new(h: &History, include_queries: bool) -> Graph {
+        let mut graph = Graph {
+            include_queries,
+            nodes: Vec::new(),
+            edges: Vec::new(),
+        };
+        let mut nodes: Vec<(TxId, u32)> = (h.txns.iter().filter(|t| graph.member(t)))
+            .zip(0..)
+            .map(|(t, i)| (t.tx, i))
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup_by_key(|&mut (tx, _)| tx);
+        let mut firsts: Vec<u32> = nodes.iter().map(|&(_, i)| i).collect();
+        firsts.sort_unstable();
+        for (_, i) in &mut nodes {
+            *i = firsts.partition_point(|&f| f < *i) as u32;
+        }
+        graph.nodes = nodes;
+        graph
+    }
+
+    /// True if `t` is a node.
+    fn member(&self, t: &HistoryTxn) -> bool {
+        t.committed && (self.include_queries || !t.read_only)
+    }
+
+    /// `tx`'s node, if it is a member.
+    fn node(&self, tx: TxId) -> Option<u32> {
+        let i = self.nodes.binary_search_by_key(&tx, |&(t, _)| t).ok()?;
+        Some(self.nodes[i].1)
+    }
+
+    /// The edge `from → to`, if both are members and differ.
+    fn edge(&mut self, from: TxId, to: TxId) {
         if from == to {
             return;
         }
-        if let (Some(a), Some(b)) = (node(from), node(to)) {
-            edges.push((a, b));
+        if let (Some(a), Some(b)) = (self.node(from), self.node(to)) {
+            self.edges.push((a, b));
         }
-    };
-    for t in h.txns.iter().filter(member) {
-        for (key, seq) in t.reads.iter() {
-            // write-read: version writer → reader.
-            if seq > 0 {
-                if let Some(w) = h.writer(key, seq) {
-                    add(w, t.tx);
-                }
-            }
-            // read-write: reader → writer of the next version.
-            if let Some(w_next) = h.writer(key, seq + 1) {
-                add(t.tx, w_next);
+    }
+
+    /// The edges of member `tx`'s read of `key`@`seq`.
+    fn add_read(&mut self, h: &History, tx: TxId, key: Key, seq: u64) {
+        // write-read: version writer → reader.
+        if seq > 0 {
+            if let Some(w) = h.writer(key, seq) {
+                self.edge(w, tx);
             }
         }
+        // read-write: reader → writer of the next version.
+        if let Some(w_next) = h.writer(key, seq + 1) {
+            self.edge(tx, w_next);
+        }
+    }
+
+    /// The edges of member `t`'s writes.
+    fn add_writes(&mut self, h: &History, t: &HistoryTxn) {
         for key in t.writes.iter() {
             let Some(seq) = h.installed(t.tx, key) else {
                 continue;
@@ -628,81 +789,86 @@ pub fn check_serializability(h: &History, include_queries: bool) -> Result<(), V
             // write-write: previous version's writer → this writer.
             if seq > 1 {
                 if let Some(w_prev) = h.writer(key, seq - 1) {
-                    add(w_prev, t.tx);
+                    self.edge(w_prev, t.tx);
                 }
             }
         }
     }
-    edges.sort_unstable();
-    edges.dedup();
-    // Node n's successors are edges[offsets[n]..offsets[n + 1]], ascending.
-    let offsets: Vec<usize> = (0..=nodes.len() as u32)
-        .map(|n| edges.partition_point(|&(from, _)| from < n))
-        .collect();
-    let successors = |n: u32| &edges[offsets[n as usize]..offsets[n as usize + 1]];
-    // Iterative DFS cycle detection.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let mut marks = vec![Mark::White; nodes.len()];
-    // A frame is a node and the number of its successors not yet taken;
-    // they are taken from the high end.
-    let mut stack: Vec<(u32, usize)> = Vec::new();
-    for start in 0..nodes.len() as u32 {
-        if marks[start as usize] != Mark::White {
-            continue;
+
+    /// `Ok` if the graph is acyclic, else one simple cycle.
+    fn acyclic(mut self, h: &History) -> Result<(), Violation> {
+        self.edges.sort_unstable();
+        self.edges.dedup();
+        let (nodes, edges) = (&self.nodes, &self.edges);
+        // Node n's successors are edges[offsets[n]..offsets[n + 1]], ascending.
+        let offsets: Vec<usize> = (0..=nodes.len() as u32)
+            .map(|n| edges.partition_point(|&(from, _)| from < n))
+            .collect();
+        let successors = |n: u32| &edges[offsets[n as usize]..offsets[n as usize + 1]];
+        // Iterative DFS cycle detection.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            White,
+            Grey,
+            Black,
         }
-        marks[start as usize] = Mark::Grey;
-        stack.push((start, successors(start).len()));
-        while let Some((node, left)) = stack.last_mut() {
-            if *left == 0 {
-                marks[*node as usize] = Mark::Black;
-                stack.pop();
+        let mut marks = vec![Mark::White; nodes.len()];
+        // A frame is a node and the number of its successors not yet taken;
+        // they are taken from the high end.
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for start in 0..nodes.len() as u32 {
+            if marks[start as usize] != Mark::White {
                 continue;
             }
-            *left -= 1;
-            let (_, next) = successors(*node)[*left];
-            match marks[next as usize] {
-                Mark::White => {
-                    marks[next as usize] = Mark::Grey;
-                    stack.push((next, successors(next).len()));
+            marks[start as usize] = Mark::Grey;
+            stack.push((start, successors(start).len()));
+            while let Some((node, left)) = stack.last_mut() {
+                if *left == 0 {
+                    marks[*node as usize] = Mark::Black;
+                    stack.pop();
+                    continue;
                 }
-                Mark::Grey => {
-                    let on_cycle: Vec<u32> = (stack.iter().map(|&(n, _)| n))
-                        .skip_while(|&n| n != next)
-                        .collect();
-                    // Rare: each hop's transaction is looked up again, at
-                    // its first occurrence.
-                    let txn = |n: u32| {
-                        let tx = nodes.iter().find(|&&(_, i)| i == n).expect("a node").0;
-                        (h.txns.iter().filter(member))
-                            .find(|t| t.tx == tx)
-                            .expect("a member")
-                    };
-                    let cycle = on_cycle
-                        .iter()
-                        .zip(on_cycle.iter().skip(1).chain([&next]))
-                        .map(|(&a, &b)| {
-                            let (a, b) = (txn(a), txn(b));
-                            let (kind, key, seq) = dependency(h, &a, &b);
-                            CycleHop {
-                                from: a.tx,
-                                query: a.read_only,
-                                site: a.site,
-                                kind,
-                                key,
-                                seq,
-                            }
-                        })
-                        .collect();
-                    return Err(Violation::SerializationCycle { cycle });
+                *left -= 1;
+                let (_, next) = successors(*node)[*left];
+                match marks[next as usize] {
+                    Mark::White => {
+                        marks[next as usize] = Mark::Grey;
+                        stack.push((next, successors(next).len()));
+                    }
+                    Mark::Grey => {
+                        let on_cycle: Vec<u32> = (stack.iter().map(|&(n, _)| n))
+                            .skip_while(|&n| n != next)
+                            .collect();
+                        // Rare: each hop's transaction is looked up again, at
+                        // its first occurrence.
+                        let txn = |n: u32| {
+                            let tx = nodes.iter().find(|&&(_, i)| i == n).expect("a node").0;
+                            (h.txns.iter().filter(|t| self.member(t)))
+                                .find(|t| t.tx == tx)
+                                .expect("a member")
+                        };
+                        let cycle = on_cycle
+                            .iter()
+                            .zip(on_cycle.iter().skip(1).chain([&next]))
+                            .map(|(&a, &b)| {
+                                let (a, b) = (txn(a), txn(b));
+                                let (kind, key, seq) = dependency(h, &a, &b);
+                                CycleHop {
+                                    from: a.tx,
+                                    query: a.read_only,
+                                    site: a.site,
+                                    kind,
+                                    key,
+                                    seq,
+                                }
+                            })
+                            .collect();
+                        return Err(Violation::SerializationCycle { cycle });
+                    }
+                    Mark::Black => {}
                 }
-                Mark::Black => {}
             }
         }
+        Ok(())
     }
-    Ok(())
 }

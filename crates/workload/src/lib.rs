@@ -323,8 +323,9 @@ mod tests {
     #[test]
     fn zipfian_sampler_is_shared_across_clients() {
         // The harness builds one WorkloadSpec per deployment and clones it
-        // per client; the clone must share the sampler (its construction is
-        // an O(n) zeta sum), not rebuild it.
+        // per client; the clone must share the sampler, not rebuild it:
+        // the O(n) zeta sum is memoised per process, but each rebuild
+        // would still be an allocation per client.
         let spec = WorkloadSpec::c(10_000);
         let KeyDist::Zipfian(a) = &spec.dist else {
             panic!("workload C must be zipfian");

@@ -5,6 +5,8 @@
 //! popular keys spread across the keyspace (and therefore across
 //! partitions), as YCSB's `ScrambledZipfianGenerator` does.
 
+use std::sync::{Mutex, PoisonError};
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -29,11 +31,40 @@ fn zeta(n: u64, theta: f64) -> f64 {
     (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
 }
 
+/// How many `(n, theta)` sums [`ZETAS`] keeps.
+const ZETAS_KEPT: usize = 32;
+
+/// Every `zeta(n, theta)` this process has summed, keyed by
+/// `(n, theta.to_bits())`; `n == 0` marks a free entry. A deployment builds
+/// one sampler per site over the same keyspace, and a test binary builds
+/// many on many threads; each pair is summed once. Inline, so the memo
+/// allocates nothing; once it is full, a further pair is summed each time.
+static ZETAS: Mutex<[(u64, u64, f64); ZETAS_KEPT]> = Mutex::new([(0, 0, 0.0); ZETAS_KEPT]);
+
+/// `zeta(n, theta)`, summed on the first call per `(n, theta)` and read
+/// from [`ZETAS`] after: the identical f64, so samples are unchanged.
+fn memo_zeta(n: u64, theta: f64) -> f64 {
+    let bits = theta.to_bits();
+    // The lock is held across the sum, so concurrent builders of one pair
+    // wait for it rather than sum it again. Nothing can panic while it is
+    // held, but a poisoned memo would still hold only finished sums.
+    let mut zetas = ZETAS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, _, zetan)) = zetas.iter().find(|&&(m, b, _)| (m, b) == (n, bits)) {
+        return zetan;
+    }
+    let zetan = zeta(n, theta);
+    if let Some(free) = zetas.iter_mut().find(|&&mut (m, _, _)| m == 0) {
+        *free = (n, bits, zetan);
+    }
+    zetan
+}
+
 impl Zipfian {
     /// Builds a sampler over `n` items with skew `theta`.
     ///
-    /// Construction is `O(n)` (the zeta sum); share the instance rather
-    /// than building one per client.
+    /// The first construction per `(n, theta)` in a process is `O(n)` (the
+    /// zeta sum); later ones read the sum from a process-wide memo. The
+    /// instance is still worth sharing between clients.
     ///
     /// # Panics
     ///
@@ -44,7 +75,12 @@ impl Zipfian {
             (0.0..1.0).contains(&theta) && theta > 0.0,
             "theta must be in (0,1)"
         );
-        let zetan = zeta(n, theta);
+        Zipfian::with_zetan(n, theta, memo_zeta(n, theta))
+    }
+
+    /// The sampler over `n` items with skew `theta` whose zeta sum is
+    /// `zetan`.
+    fn with_zetan(n: u64, theta: f64, zetan: f64) -> Self {
         let zeta2 = zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         // Gray's eta is 0/0 at n == 2 (zetan == zeta2) and meaningless at
@@ -108,6 +144,58 @@ fn fnv1a(x: u64) -> u64 {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// Every field of `z`, floats as their bits.
+    fn bits(z: &Zipfian) -> [u64; 5] {
+        [
+            z.n,
+            z.alpha.to_bits(),
+            z.zetan.to_bits(),
+            z.eta.to_bits(),
+            z.rank1_bound.to_bits(),
+        ]
+    }
+
+    /// The sampler `Zipfian::new` would build with no memo.
+    fn fresh(n: u64, theta: f64) -> Zipfian {
+        Zipfian::with_zetan(n, theta, zeta(n, theta))
+    }
+
+    #[test]
+    fn a_memoised_sampler_is_the_fresh_one_bit_for_bit() {
+        // n <= 2 includes the degenerate eta; 400 000 is workload C's
+        // keyspace in the benchmark's convoy deployment. The grid has pairs
+        // that share n and differ in theta, and neighbouring n that share
+        // theta, so a memo entry matched on n alone, or on theta alone,
+        // would be handed out.
+        for n in [1, 2, 3, 8_000, 400_000] {
+            for theta in [0.5, DEFAULT_THETA] {
+                let want = bits(&fresh(n, theta));
+                // The first build may sum or hit; the second hits.
+                assert_eq!(bits(&Zipfian::new(n, theta)), want, "n={n} theta={theta}");
+                assert_eq!(bits(&Zipfian::new(n, theta)), want, "n={n} theta={theta}");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_builders_of_one_keyspace_agree() {
+        // A pair no other test builds, so the four threads race for the
+        // first sum.
+        let (n, theta) = (123_457, 0.77);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the memo is process-wide; the test suite builds samplers on many threads"
+        )]
+        let built: Vec<[u64; 5]> = std::thread::scope(|s| {
+            let builders: Vec<_> = (0..4)
+                .map(|_| s.spawn(move || bits(&Zipfian::new(n, theta))))
+                .collect();
+            builders.into_iter().map(|b| b.join().unwrap()).collect()
+        });
+        let want = bits(&fresh(n, theta));
+        assert!(built.iter().all(|b| *b == want), "{built:?} vs {want:?}");
+    }
 
     #[test]
     fn samples_stay_in_range() {
