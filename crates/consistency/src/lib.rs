@@ -301,6 +301,20 @@ impl<'a> History<'a> {
         ((k, s) == (key, seq)).then_some(tx)
     }
 
+    /// The writers of `key`@`seq` and of the version after it, found by one
+    /// search: they sit next to each other in the table.
+    fn writers_at(&self, key: Key, seq: u64) -> (Option<TxId>, Option<TxId>) {
+        let i = self
+            .versions
+            .partition_point(|&(k, s, _)| (k, s) < (key, seq));
+        let at = |i: usize, seq| match self.versions.get(i) {
+            Some(&(k, s, tx)) if (k, s) == (key, seq) => Some(tx),
+            _ => None,
+        };
+        let writer = at(i, seq);
+        (writer, at(i + usize::from(writer.is_some()), seq + 1))
+    }
+
     /// The sequence `tx` installed `key` at — the lowest, if several.
     pub fn installed(&self, tx: TxId, key: Key) -> Option<u64> {
         let i = self.by_writer.partition_point(|&v| {
@@ -473,11 +487,14 @@ fn walk(h: &History, steps: Steps) -> Walked {
         }
         for (key, seq) in t.reads.iter() {
             let read_committed = steps.read_committed && found.dirty.is_ok();
-            if read_committed && seq != 0 && h.writer(key, seq).is_none() {
-                found.dirty = Err(Violation::DirtyRead { tx: t.tx, key, seq });
-            }
-            if let Some(graph) = &mut graph {
-                graph.add_read(h, t.tx, key, seq);
+            if (read_committed && seq != 0) || graph.is_some() {
+                let (writer, overwriter) = h.writers_at(key, seq);
+                if read_committed && seq != 0 && writer.is_none() {
+                    found.dirty = Err(Violation::DirtyRead { tx: t.tx, key, seq });
+                }
+                if let Some(graph) = &mut graph {
+                    graph.add_read(t.tx, seq, writer, overwriter);
+                }
             }
             if keep_reads {
                 last_reads.push((key, seq));
@@ -766,16 +783,15 @@ impl Graph {
         }
     }
 
-    /// The edges of member `tx`'s read of `key`@`seq`.
-    fn add_read(&mut self, h: &History, tx: TxId, key: Key, seq: u64) {
+    /// The edges of member `tx`'s read of a version at `seq`, written by
+    /// `writer` and overwritten by `overwriter`.
+    fn add_read(&mut self, tx: TxId, seq: u64, writer: Option<TxId>, overwriter: Option<TxId>) {
         // write-read: version writer → reader.
-        if seq > 0 {
-            if let Some(w) = h.writer(key, seq) {
-                self.edge(w, tx);
-            }
+        if let Some(w) = writer.filter(|_| seq > 0) {
+            self.edge(w, tx);
         }
         // read-write: reader → writer of the next version.
-        if let Some(w_next) = h.writer(key, seq + 1) {
+        if let Some(w_next) = overwriter {
             self.edge(tx, w_next);
         }
     }

@@ -7,7 +7,7 @@ use gdur_gc::GcMsg;
 use gdur_obs::AbortCause;
 use gdur_sim::{ProcessId, WireSize};
 use gdur_store::{Key, TxId, Value};
-use gdur_versioning::{Stamp, VersionVec};
+use gdur_versioning::VersionVec;
 
 use crate::txn::{ReadEntry, Snapshot, WriteEntry};
 
@@ -138,29 +138,6 @@ impl WireSize for TermPayload {
     }
 }
 
-/// One version shipped during catch-up state transfer: the fields of a
-/// [`gdur_persist::LogRecord::Install`] the recovering replica re-applies.
-#[derive(Debug, Clone)]
-pub struct CatchupInstall {
-    /// Key written.
-    pub key: Key,
-    /// Per-key sequence installed.
-    pub seq: u64,
-    /// Stamp of the version.
-    pub stamp: Stamp,
-    /// Writing transaction.
-    pub writer: TxId,
-    /// The after-value.
-    pub value: Value,
-}
-
-impl CatchupInstall {
-    /// Approximate on-the-wire size of this entry.
-    pub fn wire_size(&self) -> usize {
-        24 + self.stamp.wire_size() + self.value.len()
-    }
-}
-
 /// All messages of the simulated deployment.
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -263,15 +240,17 @@ pub enum Msg {
         /// Page size bound (records per reply).
         max: u32,
     },
-    /// One page of catch-up state: the installs and decisions of the
-    /// requested partitions. `next = None` marks the final page, which also
-    /// carries the peer's per-partition visibility `frontier` so the
-    /// requester can re-open its snapshot clock.
+    /// One page of catch-up state: the installs of the requested
+    /// partitions and the decisions, as the peer's log frames them.
+    /// `next = None` marks the final page, which also carries the peer's
+    /// per-partition visibility `frontier` so the requester can re-open its
+    /// snapshot clock.
     CatchupRep {
-        /// Install records of the requested partitions, in log order.
-        installs: Vec<CatchupInstall>,
-        /// Commit/abort decisions logged by the peer.
-        decisions: Vec<(TxId, bool)>,
+        /// The page's records as a log of their own: the peer's WAL
+        /// frames, in its log order.
+        page: gdur_persist::Wal,
+        /// Modelled size of those records, fixed when the page was built.
+        records_wire: u32,
         /// Resume index for the next page; `None` = transfer complete.
         next: Option<u64>,
         /// Peer's knowledge entries for the requested partitions (final
@@ -315,19 +294,10 @@ impl WireSize for Msg {
             Msg::Propagate { .. } => HDR + 16,
             Msg::CatchupReq { partitions, .. } => HDR + 12 + 4 * partitions.len(),
             Msg::CatchupRep {
-                installs,
-                decisions,
+                records_wire,
                 frontier,
                 ..
-            } => {
-                HDR + 9
-                    + installs
-                        .iter()
-                        .map(CatchupInstall::wire_size)
-                        .sum::<usize>()
-                    + 17 * decisions.len()
-                    + 12 * frontier.len()
-            }
+            } => HDR + 9 + *records_wire as usize + 12 * frontier.len(),
         }
     }
 

@@ -54,7 +54,7 @@ pub struct PoolCounts {
     /// Transactions that aborted (any cause).
     pub aborted: u64,
     /// Aborts partitioned by [`AbortCause::code`].
-    pub aborted_by_cause: [u64; 4],
+    pub aborted_by_cause: [u64; AbortCause::ALL.len()],
     /// Sum of total latency (begin → outcome) over committed
     /// transactions, in nanoseconds.
     pub total_latency_nanos: u64,

@@ -29,7 +29,7 @@ use gdur_store::{Key, MultiVersionStore, Placement, SeedImage, TxId, Value};
 use gdur_versioning::{Mechanism, Stamp, VersionVec};
 
 use crate::certifier::{Certifier, Ticket};
-use crate::messages::{CatchupInstall, ClientOp, ClientReply, Msg, TermPayload};
+use crate::messages::{ClientOp, ClientReply, Msg, TermPayload};
 use crate::spec::{
     CertifyRule, CertifyingObjRule, CommitmentKind, CommuteRule, CostModel, ProtocolSpec, VoteRule,
 };
@@ -910,11 +910,11 @@ impl Replica {
                 max,
             } => self.on_catchup_req(ctx, from, partitions, start, max),
             Msg::CatchupRep {
-                installs,
-                decisions,
+                page,
+                records_wire: _,
                 next,
                 frontier,
-            } => self.on_catchup_rep(ctx, from, installs, decisions, next, frontier),
+            } => self.on_catchup_rep(ctx, from, page, next, frontier),
         }
         self.serve_woken_reads(ctx);
     }

@@ -2,6 +2,8 @@
 //! paginated catch-up transfer from peers, and the resumption of what was
 //! in flight.
 
+use gdur_persist::{LogRecord, Wal};
+
 use super::*;
 
 impl Replica {
@@ -20,13 +22,13 @@ impl Replica {
     ///
     /// The durable state is the initial load plus the write-ahead log;
     /// everything else — mailbox, timers, in-memory protocol state — died
-    /// with the crash. Recovery replays committed installs into a fresh
-    /// store, re-derives the visibility frontier from their stamps, marks
-    /// logged decisions as terminated, rebuilds the coordinator entry of
-    /// every `Submit` without a matching `Decision` (a mid-commit crash),
-    /// and then starts the peer catch-up transfer. Retransmission of the
-    /// rebuilt terminations waits for `finish_catchup`, so the self-
-    /// delivered vote certifies against a current store.
+    /// with the crash. Recovery replays the log into a fresh store through
+    /// [`Replica::replay`], each record as it is read (installs, the
+    /// frontier, decisions, and the coordinator entry of every `Submit`
+    /// without a matching `Decision` — a mid-commit crash), and then starts
+    /// the peer catch-up transfer. Retransmission of the rebuilt
+    /// terminations waits for `finish_catchup`, so the self-delivered vote
+    /// certifies against a current store.
     ///
     /// # Panics
     ///
@@ -45,10 +47,6 @@ impl Replica {
             );
         };
         self.stats.recoveries += 1;
-        // Re-open the log from its durable byte image — recovery must not
-        // depend on the in-memory `Wal` value that died with the process.
-        // The dead log is consumed, so the replay holds one copy.
-        let wal = gdur_persist::Wal::from_image(wal.into_image());
         self.parked = ParkedReads::default();
         self.executing.clear();
         self.coord.clear();
@@ -62,93 +60,98 @@ impl Replica {
         self.decided_outcomes = TxBits::default();
         self.resolved_ahead.clear();
         self.catchup = None;
-        let partitions = self.cfg.placement.partitions();
-        let dim = self
-            .cfg
-            .spec
-            .versioning
-            .dim(self.cfg.replica_pids.len(), partitions);
-        // The durable initial load: the seed image, every write forgotten.
-        let mut store = self.store.pristine();
-        let mut knowledge = VersionVec::zero(dim.max(partitions));
-        // Scalar-timestamp mechanisms carry no vector in their stamps; the
-        // frontier there counts one bump per (partition, writer), mirroring
-        // the live path's bump-once-per-transaction-per-partition.
-        let mut ts_bumps: BTreeSet<(u32, TxId)> = BTreeSet::new();
-        type SubmitReplay = (TxId, Vec<(Key, u64)>, Vec<(Key, u64, Value)>, Vec<u64>);
-        let mut submits: Vec<SubmitReplay> = Vec::new();
-        let mut replayed: u64 = 0;
-        for rec in wal.scan_from(0) {
+        // The durable initial load, every write forgotten, under a frontier
+        // that only the replayed installs move.
+        self.store = self.store.pristine();
+        self.knowledge = VersionVec::zero(self.knowledge.dim());
+        // Re-open the log from its durable byte image — recovery must not
+        // depend on the in-memory `Wal` value that died with the process.
+        // The dead log's buffer is the image, read where it lies.
+        let mut installed: u64 = 0;
+        let wal = Wal::from_image(wal.into_image(), |rec| {
             ctx.consume(self.cfg.costs.per_log_append);
-            match rec {
-                gdur_persist::LogRecord::Install {
-                    key,
-                    seq: _,
-                    stamp,
-                    writer,
-                    value,
-                } => {
-                    match stamp.as_vec() {
-                        Some(vec) if vec.dim() == knowledge.dim() => knowledge.merge(vec),
-                        _ => {
-                            ts_bumps.insert((self.cfg.placement.partition_of(key).0, writer));
-                        }
-                    }
-                    store.install(key, value, stamp, writer);
-                    replayed += 1;
-                }
-                gdur_persist::LogRecord::Decision { tx, commit } => {
-                    self.done.insert(tx);
-                    self.decided_outcomes.set(tx, [true, commit]);
-                }
-                gdur_persist::LogRecord::Submit { tx, rs, ws, dep } => {
-                    submits.push((tx, rs, ws, dep));
-                }
-            }
-        }
-        for (p, _) in &ts_bumps {
-            let p = *p as usize;
-            knowledge.set(p, knowledge.get(p) + 1);
-        }
-        self.store = store;
-        self.knowledge = knowledge;
+            installed += u64::from(self.replay(ctx, rec, false));
+        });
         self.reserved = self.knowledge.clone();
-        ctx.trace(labels::RECOVERY_REPLAY, 0, replayed);
+        ctx.trace(labels::RECOVERY_REPLAY, 0, installed);
         self.wal = Some(wal);
-        // Mid-commit coordinated transactions: rebuild the coordinator
-        // entry and the termination payload; the multicast itself is
-        // deferred to `finish_catchup`.
-        for (tx, rs, ws, dep) in submits {
-            if self.decided_outcomes.get(&tx)[0] {
-                continue;
-            }
-            let rs: Vec<ReadEntry> = rs
-                .into_iter()
-                .map(|(key, seq)| ReadEntry { key, seq })
-                .collect();
-            let ws: Vec<WriteEntry> = ws
-                .into_iter()
-                .map(|(key, base_seq, value)| WriteEntry {
-                    key,
-                    value,
-                    base_seq,
-                })
-                .collect();
-            let payload = TermPayload::new(
-                tx,
-                self.me,
-                ws.is_empty(),
-                rs,
-                ws,
-                VersionVec::from_entries(dep),
-            );
-            let mut t = CoordTxn::new(ProcessId(tx.coord()), payload);
-            // Its participants may have voted before the crash.
-            t.resent = true;
-            self.coord.insert(tx, t);
-        }
         self.start_catchup(ctx);
         self.serve_woken_reads(ctx);
+    }
+
+    /// Applies one logged record, the only way a record enters a replica:
+    /// `on_restart` replays its own image through here, `on_catchup_rep` a
+    /// peer's page (`from_peer`). Returns whether a version was installed.
+    ///
+    /// * An `Install` lands only at the key's next sequence (overlapping
+    ///   pages are idempotent) and moves the visibility frontier to the
+    ///   commit clocks its stamp carries; a scalar stamp carries none, and
+    ///   under TS nothing reads the frontier. A peer's install is logged
+    ///   and recorded like a live one; the replica's own is not logged
+    ///   again, since the log being replayed is its record.
+    /// * A `Decision` marks its transaction terminated and finishes a
+    ///   coordinator entry rebuilt from the log: with a client reply if a
+    ///   peer decided it, silently if the replica's own log did (its client
+    ///   heard back before the crash).
+    /// * A `Submit` rebuilds its coordinator entry from the logged sets.
+    fn replay(&mut self, ctx: &mut Context<'_, Msg>, rec: LogRecord, from_peer: bool) -> bool {
+        match rec {
+            LogRecord::Install {
+                key,
+                seq,
+                stamp,
+                writer,
+                value,
+            } => {
+                let next = self.store.latest_seq(key).map_or(0, |s| s + 1);
+                if !self.is_local(key) || seq != next {
+                    return false;
+                }
+                if let Some(vec) = stamp.as_vec().filter(|v| v.dim() == self.knowledge.dim()) {
+                    for (p, s) in vec.iter().enumerate() {
+                        if s > self.knowledge.get(p) {
+                            self.advance_frontier(p, s);
+                        }
+                    }
+                }
+                if from_peer {
+                    self.install(ctx, key, &value, stamp, writer);
+                } else {
+                    self.store.install(key, value, stamp, writer);
+                }
+                true
+            }
+            LogRecord::Decision { tx, commit } => {
+                self.decided_outcomes.set(tx, [true, commit]);
+                if !self.coord.contains_key(&tx) {
+                    self.done.insert(tx);
+                } else if from_peer {
+                    self.finish_coord(ctx, tx, commit, None);
+                } else {
+                    self.coord.remove(&tx);
+                    self.done.insert(tx);
+                }
+                false
+            }
+            LogRecord::Submit { tx, rs, ws, dep } => {
+                let rs = rs.into_iter().map(|(key, seq)| ReadEntry { key, seq });
+                let ws: Vec<WriteEntry> = ws
+                    .into_iter()
+                    .map(|(key, base_seq, value)| WriteEntry {
+                        key,
+                        value,
+                        base_seq,
+                    })
+                    .collect();
+                let dep = VersionVec::from_entries(dep);
+                let payload = TermPayload::new(tx, self.me, ws.is_empty(), rs.collect(), ws, dep);
+                let mut t = CoordTxn::new(ProcessId(tx.coord()), payload);
+                // Its participants may have voted before the crash.
+                t.resent = true;
+                self.coord.insert(tx, t);
+                false
+            }
+        }
     }
 
     /// Starts the peer state transfer: one request stream per peer, each
@@ -242,8 +245,9 @@ impl Replica {
     /// Serves one page of catch-up state from this replica's own log:
     /// install records of the requested partitions plus every decision
     /// (decisions are cheap and close the requester's parked
-    /// terminations). Reads the log from `start` and stops when the page
-    /// is full, so a page costs its own records, not the log's.
+    /// terminations), framed as the log frames them. Reads the log from
+    /// `start` and stops when the page is full, so a page costs its own
+    /// records, not the log's.
     pub(super) fn on_catchup_req(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -252,42 +256,26 @@ impl Replica {
         start: u64,
         max: u32,
     ) {
-        let mut installs = Vec::new();
-        let mut decisions = Vec::new();
+        let mut page = Wal::new();
+        let mut records_wire = 0;
         let mut idx = start;
         let mut records = self.wal.iter().flat_map(|wal| wal.scan_from(start));
-        while installs.len() + decisions.len() < max as usize {
+        while page.len() < u64::from(max) {
             let Some(rec) = records.next() else { break };
             self.stats.catchup_records_decoded += 1;
-            match rec {
-                gdur_persist::LogRecord::Install {
-                    key,
-                    seq,
-                    stamp,
-                    writer,
-                    value,
-                } if partitions.contains(&self.cfg.placement.partition_of(key).0) => {
-                    installs.push(CatchupInstall {
-                        key,
-                        seq,
-                        stamp,
-                        writer,
-                        value,
-                    });
-                }
-                gdur_persist::LogRecord::Decision { tx, commit } => {
-                    decisions.push((tx, commit));
-                }
-                _ => {}
-            }
             idx += 1;
+            records_wire += match &rec {
+                LogRecord::Install {
+                    key, stamp, value, ..
+                } if partitions.contains(&self.cfg.placement.partition_of(*key).0) => {
+                    24 + stamp.wire_size() + value.len()
+                }
+                LogRecord::Decision { .. } => 17,
+                LogRecord::Install { .. } | LogRecord::Submit { .. } => continue,
+            };
+            page.append(&rec);
         }
-        ctx.consume(
-            self.cfg
-                .costs
-                .per_log_append
-                .saturating_mul((installs.len() + decisions.len()) as u64),
-        );
+        ctx.consume(self.cfg.costs.per_log_append.saturating_mul(page.len()));
         // A live log holds only intact frames, so a record remains after
         // the page iff the page stopped short of the log's length.
         let next = (idx < self.wal.as_ref().map_or(0, |wal| wal.len())).then_some(idx);
@@ -299,27 +287,26 @@ impl Replica {
         } else {
             Vec::new()
         };
+        let records_wire = u32::try_from(records_wire).expect("a page's size fits u32");
         ctx.send(
             from,
             Msg::CatchupRep {
-                installs,
-                decisions,
+                page,
+                records_wire,
                 next,
                 frontier,
             },
         );
     }
 
-    /// Applies one page of catch-up state: installs in log order (only at
-    /// the exact next per-key sequence, which makes overlapping pages
-    /// idempotent), then decisions, then either requests the next page or
-    /// adopts the peer's frontier and finishes this stream.
+    /// Applies one page of catch-up state, record by record in the peer's
+    /// log order through [`Replica::replay`], then either requests the next
+    /// page or adopts the peer's frontier and finishes this stream.
     pub(super) fn on_catchup_rep(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         from: ProcessId,
-        installs: Vec<CatchupInstall>,
-        decisions: Vec<(TxId, bool)>,
+        page: Wal,
         next: Option<u64>,
         frontier: Vec<(u32, u64)>,
     ) {
@@ -332,31 +319,13 @@ impl Replica {
             return;
         }
         let mut applied: u64 = 0;
-        for inst in installs {
-            if !self.is_local(inst.key) {
-                continue;
+        Wal::from_image(page.into_image(), |rec| {
+            if self.replay(ctx, rec, true) {
+                ctx.consume(self.cfg.costs.per_apply);
+                applied += 1;
             }
-            let expected = self.store.latest_seq(inst.key).map(|s| s + 1).unwrap_or(0);
-            if inst.seq != expected {
-                continue;
-            }
-            self.install(ctx, inst.key, &inst.value, inst.stamp, inst.writer);
-            self.stats.catchup_installs += 1;
-            applied += 1;
-        }
-        for (tx, commit) in decisions {
-            if !self.decided_outcomes.get(&tx)[0] {
-                self.decided_outcomes.set(tx, [true, commit]);
-            }
-            if self.coord.contains_key(&tx) {
-                // One of our own mid-commit transactions already terminated
-                // cluster-wide before the crash: close it without
-                // retransmitting.
-                self.finish_coord(ctx, tx, commit, None);
-            } else {
-                self.done.insert(tx);
-            }
-        }
+        });
+        self.stats.catchup_installs += applied;
         let cu = self.catchup.as_mut().expect("recovering");
         cu.applied += applied;
         ctx.trace(labels::RECOVERY_CATCHUP_APPLY, 0, applied);
@@ -374,8 +343,8 @@ impl Replica {
         if next.is_some() {
             return self.send_catchup_req(ctx, from);
         }
-        // The last page: adopt the peer's visibility frontier — the
-        // transferred installs are now locally visible.
+        // The last page: adopt the peer's visibility frontier, which also
+        // covers the aborted commit clocks that no install records.
         for (p, s) in frontier {
             let p = p as usize;
             if p < self.knowledge.dim() && self.knowledge.get(p) < s {

@@ -332,9 +332,9 @@ impl Replica {
 
     /// Moves partition `p`'s entry of the visibility frontier to `s` and
     /// wakes the parked reads whose wait bound it reaches. Every write to
-    /// `knowledge` goes through here, except `on_restart`'s rebuild from
-    /// the log (which drops every waiter with the rest of the volatile
-    /// state): the frontier never moves backwards.
+    /// `knowledge` goes through here, a replayed install's included, except
+    /// `on_restart`'s reset to zero (which drops every waiter with the rest
+    /// of the volatile state): the frontier never moves backwards.
     pub(super) fn advance_frontier(&mut self, p: usize, s: u64) {
         debug_assert!(
             s >= self.knowledge.get(p),
@@ -434,6 +434,7 @@ impl Replica {
                     vec: commit_vec.clone(),
                 },
             };
+            ctx.consume(self.cfg.costs.per_apply);
             self.install(ctx, w.key, &w.value, stamp, payload.tx);
             self.stats.applies += 1;
         }
@@ -473,7 +474,8 @@ impl Replica {
     }
 
     /// Installs one version: into the store, the durable log when one is
-    /// attached, and the recorded history.
+    /// attached, and the recorded history. The caller charges `per_apply`;
+    /// the log append charges its own.
     pub(super) fn install(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -482,7 +484,6 @@ impl Replica {
         stamp: Stamp,
         writer: TxId,
     ) {
-        ctx.consume(self.cfg.costs.per_apply);
         let seq = self
             .store
             .install(key, value.clone(), stamp.clone(), writer);

@@ -5,7 +5,9 @@
 
 use gdur_gc::GcMsg;
 use gdur_obs::{ObsEvent, TraceHandle};
+use gdur_persist::LogRecord;
 use gdur_sim::{SimTime, WireSize};
+use gdur_store::VersionRecord;
 
 use super::*;
 use crate::node::Node;
@@ -972,5 +974,142 @@ fn the_outcome_log_round_trips_against_the_fixed_width_layout() {
         assert!(o.writes.iter().eq(writes.iter().copied()), "{tx:?}");
         assert_eq!(format!("{:?}", o.reads), format!("{reads:?}"));
         assert_eq!(format!("{:?}", o.writes), format!("{writes:?}"));
+    }
+}
+
+/// A seeded log as a replica of a two-site disaster-tolerant deployment
+/// writes it: committed transactions' installs at each key's next sequence,
+/// under scalar stamps or commit vectors, their decisions before or after
+/// their installs, aborts, a `Submit` its `Decision` closed, and last a
+/// mid-commit `Submit` with no `Decision`. Transactions are `client`'s.
+fn replay_log(spec: &ProtocolSpec, client: ProcessId, seed: u64) -> (Vec<LogRecord>, Vec<TxId>) {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let placement = Placement::disaster_tolerant(2);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (mut log, mut txs) = (Vec::new(), Vec::new());
+    let (mut seqs, mut clocks) = (BTreeMap::<Key, u64>::new(), [0u64; 2]);
+    let submit = |tx, key: Key, base| LogRecord::Submit {
+        tx,
+        rs: vec![(key, base)],
+        ws: vec![(key, base, Value::from_u64(base))],
+        dep: vec![0; 2],
+    };
+    for n in 1..=150 {
+        let tx = TxId::new(client.0, n);
+        txs.push(tx);
+        let commit = rng.gen_bool(0.8);
+        let decision = LogRecord::Decision { tx, commit };
+        let late = rng.gen_bool(0.5);
+        if n == 150 {
+            log.push(submit(tx, Key(3), 0));
+            break;
+        }
+        if n % 40 == 0 {
+            log.push(submit(tx, Key(1), 0));
+        }
+        if !commit || !late {
+            log.push(decision.clone());
+        }
+        if !commit {
+            continue;
+        }
+        let keys: BTreeSet<Key> = (0..rng.gen_range(1..4))
+            .map(|_| Key(rng.gen_range(0..24)))
+            .collect();
+        for &key in &keys {
+            clocks[placement.partition_of(key).index()] += 1;
+        }
+        for key in keys {
+            let seq = seqs.entry(key).or_insert(0);
+            *seq += 1;
+            let p = placement.partition_of(key);
+            let stamp = match spec.versioning {
+                Mechanism::Ts => Stamp::Ts(*seq),
+                _ => Stamp::Vec {
+                    origin: p.0,
+                    vec: VersionVec::from_entries(clocks.to_vec()),
+                },
+            };
+            let value = Value::from_u64(n);
+            log.push(LogRecord::Install {
+                key,
+                seq: *seq,
+                stamp,
+                writer: tx,
+                value,
+            });
+        }
+        if late {
+            log.push(decision);
+        }
+    }
+    (log, txs)
+}
+
+/// A replica's latest version of each key, `[terminated, decided,
+/// committed]` of each transaction, its frontier and its resubmissions.
+type Rebuilt = (Vec<Option<VersionRecord>>, Vec<[bool; 3]>, VersionVec, u64);
+
+/// Site 0 of a two-site deployment crashed and restarted with `own` as its
+/// log and `peer` as site 1's, once its recovery settled.
+fn rebuilt(spec: ProtocolSpec, own: &[LogRecord], peer: &[LogRecord], txs: &[TxId]) -> Rebuilt {
+    let mut probe = Probe::with(spec, Placement::disaster_tolerant(2), |cfg| {
+        cfg.persistence = true;
+    });
+    for (site, records) in [own, peer].into_iter().enumerate() {
+        let pid = probe.pid(site);
+        let Node::Replica(r) = probe.cluster.sim_mut().actor_mut(pid) else {
+            unreachable!("pid of a replica")
+        };
+        let wal = r.wal.as_mut().expect("persistence attached");
+        records.iter().for_each(|rec| _ = wal.append(rec));
+    }
+    let (pid, now) = (probe.pid(0), probe.cluster.now());
+    probe.cluster.sim_mut().schedule_crash(pid, now);
+    probe.cluster.sim_mut().schedule_restart(pid, now);
+    probe.cluster.run_for(SimDuration::from_secs(2));
+    let r = probe.replica();
+    assert!(
+        !r.recovering() && r.coord.is_empty(),
+        "the resubmission decided"
+    );
+    let keys = (0..24).map(|k| r.store.latest(Key(k)).cloned()).collect();
+    let outcomes = txs.iter().map(|tx| {
+        let [decided, committed] = r.decided_outcomes.get(tx);
+        [r.done.contains(tx), decided, committed]
+    });
+    let resubmitted = r.stats.resubmissions;
+    (keys, outcomes.collect(), r.knowledge.clone(), resubmitted)
+}
+
+/// Restart and catch-up are one path: a replica restarted from its own log
+/// and one caught up from a peer that holds the same log end in the same
+/// state — per-key latest versions (sequence, value, stamp, writer), the
+/// terminated set, the decided outcomes and the visibility frontier — under
+/// scalar stamps and commit vectors. The caught-up replica's own log holds
+/// the mid-commit `Submit` alone, a coordinator's record no peer ships, so
+/// both resubmit it; the comparison is after it decided.
+#[test]
+fn a_restart_and_a_catch_up_from_the_same_log_agree() {
+    let p_store_2pc_like = ProtocolSpec {
+        name: "p-store-2pc-like",
+        commitment: CommitmentKind::TwoPhaseCommit,
+        ..p_store_like()
+    };
+    for spec in [walter_like(), p_store_2pc_like] {
+        let probe = Probe::with(spec.clone(), Placement::disaster_tolerant(2), |_| {});
+        let client = probe.cluster.client_pids()[0];
+        for seed in 0..4 {
+            let (log, txs) = replay_log(&spec, client, seed);
+            let mid = log.last().expect("the mid-commit submit");
+            let restarted = rebuilt(spec.clone(), &log, &[], &txs);
+            let caught_up = rebuilt(spec.clone(), std::slice::from_ref(mid), &log, &txs);
+            let what = format!("{} seed {seed}", spec.name);
+            assert_eq!(restarted, caught_up, "{what}");
+            assert_eq!(restarted.3, 1, "{what}: the mid-commit submit resumed");
+            assert!(restarted.0.iter().flatten().any(|v| v.seq > 1), "{what}");
+            assert!(restarted.2.iter().any(|s| s > 0) || spec.versioning == Mechanism::Ts);
+        }
     }
 }

@@ -51,7 +51,7 @@ pub struct PhaseBreakdown {
     /// Transactions decided abort inside the window.
     pub aborted: u64,
     /// Aborts by cause, indexed by [`AbortCause::code`]; sums to `aborted`.
-    pub abort_causes: [u64; 4],
+    pub abort_causes: [u64; AbortCause::ALL.len()],
     /// Participant-side orphan discards (suspected-coordinator cleanup).
     /// Deliberately *not* part of the abort partition: the coordinator of
     /// an orphaned transaction is gone and never counted it as aborted.

@@ -88,6 +88,37 @@ pub fn get_varint(buf: &mut impl Buf) -> Result<u64, DecodeError> {
     Err(DecodeError::Truncated)
 }
 
+/// Bytes a record is decoded from. A [`Bytes`] lends each value as a view
+/// of itself; a borrowed slice — a log read where it lies — copies it out.
+pub trait Source: Buf + Sized {
+    /// Splits off the next `len` bytes, which the caller checked are there.
+    fn split_to(&mut self, len: usize) -> Self;
+    /// These bytes as an owned [`Bytes`].
+    fn into_bytes(self) -> Bytes;
+}
+
+impl Source for Bytes {
+    fn split_to(&mut self, len: usize) -> Self {
+        Bytes::split_to(self, len)
+    }
+
+    fn into_bytes(self) -> Bytes {
+        self
+    }
+}
+
+impl Source for &[u8] {
+    fn split_to(&mut self, len: usize) -> Self {
+        let (head, rest) = self.split_at(len);
+        *self = rest;
+        head
+    }
+
+    fn into_bytes(self) -> Bytes {
+        Bytes::copy_from_slice(self)
+    }
+}
+
 /// Writes a length-prefixed byte slice.
 pub fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
     put_varint(buf, b.len() as u64);
@@ -95,12 +126,12 @@ pub fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
 }
 
 /// Reads a length-prefixed byte slice.
-pub fn get_bytes(buf: &mut Bytes) -> Result<Bytes, DecodeError> {
+pub fn get_bytes(buf: &mut impl Source) -> Result<Bytes, DecodeError> {
     let len = get_varint(buf)? as usize;
     if buf.remaining() < len {
         return Err(DecodeError::Truncated);
     }
-    Ok(buf.split_to(len))
+    Ok(buf.split_to(len).into_bytes())
 }
 
 /// FNV-1a based 32-bit frame checksum; not cryptographic, just
@@ -129,14 +160,14 @@ pub fn put_frame(out: &mut BytesMut, body: &[u8]) {
 }
 
 /// Splits the next frame off `buf`, verifying length and checksum.
-pub fn unframe(buf: &mut Bytes) -> Result<Bytes, DecodeError> {
+pub fn unframe<S: Source>(buf: &mut S) -> Result<S, DecodeError> {
     let len = get_varint(buf)? as usize;
     if buf.remaining() < len + 4 {
         return Err(DecodeError::Truncated);
     }
     let body = buf.split_to(len);
     let stored = buf.get_u32_le();
-    let computed = checksum(&body);
+    let computed = checksum(body.chunk());
     if stored != computed {
         return Err(DecodeError::ChecksumMismatch { stored, computed });
     }
@@ -190,13 +221,8 @@ mod tests {
     #[test]
     fn torn_tail_detected() {
         let f = frame(b"payload");
-        let mut b = f.freeze();
-        let _ = b.split_off(f_len(&b) - 2); // drop 2 trailing bytes
+        let mut b = &f[..f.len() - 2]; // drop 2 trailing bytes
         assert_eq!(unframe(&mut b), Err(DecodeError::Truncated));
-    }
-
-    fn f_len(b: &Bytes) -> usize {
-        b.len()
     }
 
     #[test]

@@ -10,24 +10,26 @@
 //! * a self-contained binary codec with checksummed frames
 //!   ([`codec`]) so torn writes are detected;
 //! * an append-only [`Wal`] holding [`LogRecord`]s (installs, decisions,
-//!   submits);
-//! * [`recover`] — replaying a log image into a fresh
-//!   [`MultiVersionStore`](gdur_store::MultiVersionStore) plus the
-//!   decision table a restarted 2PC participant answers retried
-//!   terminations from.
+//!   submits), re-opened from its byte image in place: a restart gets each
+//!   intact record once, in log order, and the image is cut at the first
+//!   torn frame. What a record does to a replica is `gdur-core`'s recovery.
 //!
 //! ```
-//! use gdur_persist::{recover, LogRecord, Wal};
+//! use gdur_persist::{LogRecord, Wal};
 //! use gdur_store::{Key, TxId, Value};
 //! use gdur_versioning::Stamp;
 //!
 //! let mut wal = Wal::new();
-//! wal.append(&LogRecord::Install {
-//!     key: Key(1), seq: 0, stamp: Stamp::Ts(0),
+//! let rec = LogRecord::Install {
+//!     key: Key(1), seq: 1, stamp: Stamp::Ts(1),
 //!     writer: TxId::new(0, 1), value: Value::from_u64(42),
-//! });
-//! let (store, _decisions) = recover(&wal);
-//! assert_eq!(store.latest(Key(1)).unwrap().value.as_u64(), Some(42));
+//! };
+//! wal.append(&rec);
+//! let mut image = wal.into_image();
+//! image.extend_from_slice(&[7, 0]); // a torn append
+//! let mut replayed = Vec::new();
+//! let wal = Wal::from_image(image, |r| replayed.push(r));
+//! assert_eq!((replayed, wal.len()), (vec![rec], 1));
 //! ```
 
 pub mod codec;

@@ -1,5 +1,5 @@
-//! The write-ahead log: append-only record stream with recovery into a
-//! [`MultiVersionStore`].
+//! The write-ahead log: an append-only record stream, re-opened from its
+//! byte image at a restart.
 //!
 //! Three record kinds mirror what a G-DUR replica persists (§5.3: "every
 //! time the state of Algorithm 4 changes, the modification must be
@@ -12,15 +12,16 @@
 //!   commitment protocol. A `Submit` without a matching `Decision` is an
 //!   in-flight termination: recovery resumes its retransmission.
 //!
-//! Recovery scans frames until the first torn/corrupt one (crash during a
-//! write), replaying installs in order.
+//! Re-opening an image reads its frames where they lie, up to the first
+//! torn or corrupt one (a crash during a write), and hands each intact
+//! record to the caller in log order.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use gdur_store::{Key, MultiVersionStore, TxId, Value};
 use gdur_versioning::{Stamp, VersionVec};
 
-use crate::codec::{self, DecodeError};
+use crate::codec::{self, DecodeError, Source};
 
 /// One durable log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +84,7 @@ fn put_stamp(buf: &mut BytesMut, stamp: &Stamp) {
     }
 }
 
-fn get_stamp(buf: &mut Bytes) -> Result<Stamp, DecodeError> {
+fn get_stamp(buf: &mut impl Source) -> Result<Stamp, DecodeError> {
     if !buf.has_remaining() {
         return Err(DecodeError::Truncated);
     }
@@ -112,7 +113,7 @@ fn put_tx(buf: &mut BytesMut, tx: TxId) {
 
 /// Reads a transaction id; a coordinator or sequence wider than [`TxId`]
 /// packs is a decode error, never a truncation or a panic.
-fn get_tx(buf: &mut Bytes) -> Result<TxId, DecodeError> {
+fn get_tx(buf: &mut impl Source) -> Result<TxId, DecodeError> {
     let coord = codec::get_varint(buf)?;
     let seq = codec::get_varint(buf)?;
     u32::try_from(coord)
@@ -174,7 +175,7 @@ impl LogRecord {
     }
 
     /// Decodes a record body produced by [`LogRecord::encode`].
-    pub fn decode(mut body: Bytes) -> Result<LogRecord, DecodeError> {
+    pub fn decode(mut body: impl Source) -> Result<LogRecord, DecodeError> {
         if !body.has_remaining() {
             return Err(DecodeError::Truncated);
         }
@@ -244,6 +245,9 @@ pub struct Wal {
 }
 
 impl Wal {
+    /// Frames [`Wal::scan_from`] copies out of the log at a time.
+    const CHUNK: usize = 256;
+
     /// An empty log.
     pub fn new() -> Self {
         Wal::default()
@@ -273,29 +277,30 @@ impl Wal {
         self.data.len()
     }
 
-    /// The raw encoded log, consuming it: the durable byte image a
-    /// restart re-opens with [`Wal::from_image`]. The log's buffer becomes
-    /// the image, so a caller that drops the log holds no second copy.
-    pub fn into_image(self) -> Bytes {
-        self.data.freeze()
+    /// The raw encoded log, consuming it: the durable byte image a restart
+    /// re-opens with [`Wal::from_image`]. The image is the log's own
+    /// buffer, not a copy.
+    pub fn into_image(self) -> BytesMut {
+        self.data
     }
 
-    /// Rebuilds a log from a possibly-torn on-disk image: every intact
-    /// frame is kept, everything at and after the first torn, corrupt or
-    /// undecodable frame is discarded. This is the disk-read half of
-    /// recovery. The kept frames are the image's own bytes, at their own
-    /// offsets: each is decoded once, to check it, and never re-encoded.
-    pub fn from_image(data: Bytes) -> Self {
+    /// Re-opens a log from a possibly-torn byte image, in place: each
+    /// intact frame is decoded once, where it lies, and its record handed
+    /// to `replay` in log order; the image is truncated at the first torn,
+    /// corrupt or undecodable frame. This is the disk-read half of
+    /// recovery. Nothing is copied but the values `replay` receives.
+    pub fn from_image(mut data: BytesMut, mut replay: impl FnMut(LogRecord)) -> Self {
         let mut offsets = Vec::new();
         let mut intact = 0;
-        for (end, _) in intact_frames(data.clone()) {
+        let mut rest: &[u8] = &data;
+        while let Ok(rec) = codec::unframe(&mut rest).and_then(LogRecord::decode) {
             offsets.push(intact);
-            intact = end;
+            intact = data.len() - rest.len();
+            replay(rec);
         }
-        let mut kept = BytesMut::with_capacity(intact);
-        kept.extend_from_slice(&data[..intact]);
+        data.truncate(intact);
         Wal {
-            data: kept,
+            data,
             offsets,
             scratch: BytesMut::new(),
         }
@@ -306,43 +311,30 @@ impl Wal {
         self.scan_from(0).collect()
     }
 
-    /// Decodes the records from log sequence number `lsn` on, one frame at
-    /// a time: a reader that stops after `n` records has paid for `n`
-    /// frames, wherever in the log it started. Empty at and past the end.
+    /// Decodes the records from log sequence number `lsn` on. Frames are
+    /// copied out [`Wal::CHUNK`] at a time, each run once, and the values
+    /// are views of that copy: a reader that stops after `n` records has
+    /// paid for about `n` frames, wherever in the log it started. Empty at
+    /// and past the end.
     pub fn scan_from(&self, lsn: u64) -> impl Iterator<Item = LogRecord> + '_ {
         let first = lsn.min(self.len()) as usize;
-        (first..self.offsets.len()).map_while(move |i| {
-            let end = self.offsets.get(i + 1).copied().unwrap_or(self.data.len());
-            let mut frame = Bytes::copy_from_slice(&self.data[self.offsets[i]..end]);
-            LogRecord::decode(codec::unframe(&mut frame).ok()?).ok()
-        })
-    }
-
-    /// Like [`Wal::scan`] over an arbitrary byte image, stopping silently
-    /// at the first torn or corrupt frame (crash-during-append semantics).
-    pub fn scan_bytes(data: Bytes) -> Vec<LogRecord> {
-        intact_frames(data).map(|(_, rec)| rec).collect()
+        (first..self.offsets.len())
+            .step_by(Self::CHUNK)
+            .flat_map(move |i| {
+                let end = self.offsets.get(i + Self::CHUNK).copied();
+                let run = &self.data[self.offsets[i]..end.unwrap_or(self.data.len())];
+                let mut chunk = Bytes::copy_from_slice(run);
+                std::iter::from_fn(move || {
+                    codec::unframe(&mut chunk).and_then(LogRecord::decode).ok()
+                })
+            })
     }
 }
 
-/// The intact frames at the head of `data`, in order: each one's record and
-/// the offset its frame ends at. Ends at the first torn, corrupt or
-/// undecodable frame.
-fn intact_frames(data: Bytes) -> impl Iterator<Item = (usize, LogRecord)> {
-    let len = data.len();
-    let mut rest = data;
-    std::iter::from_fn(move || {
-        let rec = LogRecord::decode(codec::unframe(&mut rest).ok()?).ok()?;
-        Some((len - rest.len(), rec))
-    })
-    .fuse()
-}
-
-/// Replays a log image into a fresh store: installs are applied in order,
-/// seeding unseen keys from their first logged version.
-///
-/// Returns the store plus the set of decisions seen (a recovering 2PC
-/// participant uses these to answer retried terminations).
+/// Replays a log into a fresh store, seeding unseen keys from their first
+/// logged version; returns the store and the decisions seen. A replica
+/// restarts through its own replay (`gdur-core`), not this: the caller left
+/// is the benchmark's `persist.recover_s`.
 pub fn recover(log: &Wal) -> (MultiVersionStore, Vec<(TxId, bool)>) {
     let mut store = MultiVersionStore::new();
     let mut decisions = Vec::new();
@@ -472,15 +464,23 @@ mod tests {
         assert_eq!(decisions, vec![(TxId::new(3, 4), false)]);
     }
 
+    /// Re-opens a copy of `image`: the log and the records it replayed.
+    fn reopen(image: &[u8]) -> (Wal, Vec<LogRecord>) {
+        let mut data = BytesMut::new();
+        data.extend_from_slice(image);
+        let mut replayed = Vec::new();
+        let wal = Wal::from_image(data, |rec| replayed.push(rec));
+        (wal, replayed)
+    }
+
     #[test]
     fn recovery_stops_at_torn_tail() {
         let mut wal = Wal::new();
         wal.append(&install(1, 0, 10));
         wal.append(&install(1, 1, 11));
-        let mut img = wal.into_image().to_vec();
-        img.truncate(img.len() - 3); // torn final frame
-        let recs = Wal::scan_bytes(Bytes::from(img));
-        assert_eq!(recs.len(), 1, "only the intact prefix survives");
+        let img = wal.into_image();
+        let (_, recs) = reopen(&img[..img.len() - 3]); // torn final frame
+        assert_eq!(recs, [install(1, 0, 10)], "only the intact prefix survives");
     }
 
     #[test]
@@ -543,23 +543,20 @@ mod tests {
         let img = wal.into_image();
         for cut in 0..=img.len() {
             let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            let scanned = Wal::scan_bytes(img.slice(..cut));
-            assert_eq!(scanned, recs[..intact], "cut at byte {cut}");
-            // The full recovery pipeline (image -> log -> store replay)
-            // must also survive every cut.
-            let recovered = Wal::from_image(img.slice(..cut));
+            let (recovered, replayed) = reopen(&img[..cut]);
+            assert_eq!(replayed, recs[..intact], "cut at byte {cut}");
             assert_eq!(recovered.len(), intact as u64, "cut at byte {cut}");
             // It keeps the intact frames' bytes as they were.
-            let prefix = img.slice(..boundaries[intact]);
-            assert_eq!(recovered.clone().into_image(), prefix, "cut at byte {cut}");
-            let (_store, _decisions) = recover(&recovered);
+            let prefix = &img[..boundaries[intact]];
+            assert_eq!(recovered.into_image()[..], *prefix, "cut at byte {cut}");
         }
     }
 
     #[test]
     fn a_log_reopened_from_its_image_scans_the_same() {
         let (wal, recs, _) = fuzz_log();
-        let reopened = Wal::from_image(wal.clone().into_image());
+        let (reopened, replayed) = reopen(&wal.clone().into_image());
+        assert_eq!(replayed, recs);
         assert_eq!(reopened.scan(), wal.scan());
         assert_eq!(reopened.scan(), recs);
         assert_eq!(reopened.byte_len(), wal.byte_len());
@@ -584,7 +581,7 @@ mod tests {
         let img = wal.into_image();
         for cut in 0..=img.len() {
             let intact = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            let mut recovered = Wal::from_image(img.slice(..cut));
+            let (mut recovered, _) = reopen(&img[..cut]);
             let what = format!("cut at byte {cut}");
             assert_scan_from_is_every_suffix(&recovered, &recs[..intact], &what);
             // Appends after a rebuild keep extending the index.
@@ -607,9 +604,9 @@ mod tests {
             let frame_of_pos = boundaries.iter().filter(|&&b| b <= pos).count() - 1;
             let mut bad = img.clone();
             bad[pos] ^= 0xff;
-            let scanned = Wal::scan_bytes(Bytes::from(bad.clone()));
-            assert_eq!(scanned, recs[..frame_of_pos], "flip at byte {pos}");
-            let kept = Wal::from_image(Bytes::from(bad)).into_image();
+            let (reopened, replayed) = reopen(&bad);
+            assert_eq!(replayed, recs[..frame_of_pos], "flip at byte {pos}");
+            let kept = reopened.into_image();
             assert_eq!(
                 kept[..],
                 img[..boundaries[frame_of_pos]],
@@ -653,11 +650,9 @@ mod tests {
             let mut img = wal.into_image().to_vec();
             img.extend_from_slice(&codec::frame(&raw_decision(coord, seq)));
             img.extend_from_slice(&codec::frame(&install(1, 1, 11).encode()));
-            let img = Bytes::from(img);
-            assert_eq!(Wal::scan_bytes(img.clone()), vec![install(1, 0, 10)]);
-            let (store, decisions) = recover(&Wal::from_image(img));
-            assert_eq!(store.latest_seq(Key(1)), Some(0));
-            assert!(decisions.is_empty());
+            let (reopened, replayed) = reopen(&img);
+            assert_eq!(replayed, [install(1, 0, 10)]);
+            assert_eq!(reopened.len(), 1);
         }
     }
 

@@ -1,9 +1,9 @@
 //! Randomized (seeded, deterministic) tests: WAL encode/decode and recovery
-//! are lossless on intact prefixes, and recovery never panics on arbitrary
-//! corruption. Inputs are driven by a fixed-seed generator so every run
-//! exercises the identical case set.
+//! are lossless on intact prefixes, and re-opening an image — the path a
+//! restart takes — never panics on arbitrary corruption. Inputs are driven
+//! by a fixed-seed generator so every run exercises the identical case set.
 
-use bytes::Bytes;
+use bytes::BytesMut;
 use gdur_persist::{codec, recover, LogRecord, Wal};
 use gdur_store::{Key, TxId, Value};
 use gdur_versioning::{Stamp, VersionVec};
@@ -41,6 +41,27 @@ fn arb_record(rng: &mut SmallRng) -> LogRecord {
 fn arb_records(rng: &mut SmallRng, lo: usize, hi: usize) -> Vec<LogRecord> {
     let n = rng.gen_range(lo..hi);
     (0..n).map(|_| arb_record(rng)).collect()
+}
+
+/// The log of `recs`, and the byte offset each frame ends at.
+fn logged(recs: &[LogRecord]) -> (Wal, Vec<usize>) {
+    let mut wal = Wal::new();
+    let ends = recs.iter().map(|r| {
+        wal.append(r);
+        wal.byte_len()
+    });
+    let ends = ends.collect();
+    (wal, ends)
+}
+
+/// Re-opens `image` as a restart does: the records replayed, and the bytes
+/// the re-opened log kept.
+fn reopen(image: &[u8]) -> (Vec<LogRecord>, BytesMut) {
+    let mut data = BytesMut::new();
+    data.extend_from_slice(image);
+    let mut replayed = Vec::new();
+    let wal = Wal::from_image(data, |rec| replayed.push(rec));
+    (replayed, wal.into_image())
 }
 
 #[test]
@@ -94,15 +115,13 @@ fn truncated_images_yield_a_prefix() {
     for _ in 0..64 {
         let recs = arb_records(&mut rng, 1, 12);
         let cut_back = rng.gen_range(1usize..32);
-        let mut wal = Wal::new();
-        for r in &recs {
-            wal.append(r);
-        }
+        let (wal, ends) = logged(&recs);
         let img = wal.into_image();
         let cut = img.len().saturating_sub(cut_back);
-        let scanned = Wal::scan_bytes(img.slice(..cut));
-        assert!(scanned.len() <= recs.len());
-        assert_eq!(&recs[..scanned.len()], &scanned[..]);
+        let intact = ends.iter().filter(|&&end| end <= cut).count();
+        let (replayed, kept) = reopen(&img[..cut]);
+        assert_eq!(replayed, recs[..intact]);
+        assert_eq!(kept[..], img[..ends[..intact].last().map_or(0, |&end| end)]);
     }
 }
 
@@ -112,17 +131,16 @@ fn recovery_never_panics_on_corruption() {
     for _ in 0..128 {
         let recs = arb_records(&mut rng, 1, 8);
         let flip = rng.gen_range(0usize..256);
-        let mut wal = Wal::new();
-        for r in &recs {
-            wal.append(r);
-        }
+        let (wal, ends) = logged(&recs);
         let mut img = wal.into_image().to_vec();
-        if !img.is_empty() {
-            let i = flip % img.len();
-            img[i] ^= 0x55;
-        }
-        // Scanning a corrupt image must stop cleanly, never panic.
-        let _ = Wal::scan_bytes(Bytes::from(img));
+        let i = flip % img.len();
+        img[i] ^= 0x55;
+        // Re-opening a corrupt image stops cleanly at the damaged frame,
+        // never panics, and keeps exactly the frames before it.
+        let intact = ends.iter().filter(|&&end| end <= i).count();
+        let (replayed, kept) = reopen(&img);
+        assert_eq!(replayed, recs[..intact]);
+        assert_eq!(kept[..], img[..ends[..intact].last().map_or(0, |&end| end)]);
     }
 }
 

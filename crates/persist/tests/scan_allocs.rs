@@ -1,7 +1,7 @@
-//! Reading the log allocates per record, not per byte: `Wal::scan` over a
-//! thousand generated records stays within a small constant number of
-//! allocations per record. A counting global allocator measures it, on
-//! the test's own thread only.
+//! Reading the log allocates for what a record owns, not per frame or per
+//! byte: `Wal::scan` over a thousand generated records makes about one
+//! allocation a record. A counting global allocator measures it, on the
+//! test's own thread only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,12 +95,12 @@ fn scanning_the_log_allocates_a_constant_per_record() {
     let scanned = wal.scan();
     let made = allocs() - before;
     assert_eq!(scanned, recs);
-    // Per record: the frame's copy (its bytes and their shared buffer), a
-    // vector stamp, a submit's three sets; the result vector's growth adds
-    // a logarithm. About 3 a record on this mix; a read that allocated per
-    // byte read made 47 a record.
+    // A vector stamp and a submit's three sets allocate; values are views
+    // of the run of frames copied out at once (two allocations per 256
+    // frames), and the result vector's growth adds a logarithm: 1,019 on
+    // this mix. A copy per frame would add two a record.
     assert!(
-        made <= 4 * RECORDS,
+        made <= RECORDS + RECORDS / 10,
         "{made} allocations to scan {RECORDS} records"
     );
 }
