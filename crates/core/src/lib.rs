@@ -35,7 +35,7 @@ pub use client::TxnRecord;
 pub use cluster::{Cluster, ClusterConfig};
 pub use gdur_obs::AbortCause;
 pub use lint::{Diagnostic, Severity};
-pub use messages::{ClientOp, ClientReply, Msg, PayloadBody, TermPayload};
+pub use messages::{CatchupSummary, ClientOp, ClientReply, Msg, PayloadBody, TermPayload};
 pub use node::Node;
 pub use pool::{ClientPool, PoolCounts};
 pub use replica::{

@@ -138,6 +138,71 @@ impl WireSize for TermPayload {
     }
 }
 
+/// What a restarted replica already holds, named in every catch-up request
+/// so that the peer ships only what the requester lacks (§5.3 state
+/// transfer): the latest sequence of each key of the requested partitions
+/// written above the initial load, and the words of its decided-id bits
+/// (id `tx` is bit `tx.code() & 63` of word `tx.code() >> 6`). Built once,
+/// after the requester replayed its own log; every request of the transfer
+/// shares it.
+#[derive(Debug)]
+pub struct CatchupSummary {
+    /// `(key, latest sequence)`, ascending by key.
+    keys: Box<[(Key, u64)]>,
+    /// `(word index, word)`, ascending by index.
+    decided: Box<[(u64, u64)]>,
+    /// Encoded size: a varint count, then varint pairs; each word index a
+    /// varint followed by its 8-byte word.
+    wire: u32,
+}
+
+impl CatchupSummary {
+    /// A summary of `keys` (each once) and the decided-id words `decided`
+    /// (each index once), in any order.
+    pub fn new(mut keys: Vec<(Key, u64)>, mut decided: Vec<(u64, u64)>) -> Self {
+        use gdur_persist::codec::varint_len;
+        keys.sort_unstable();
+        decided.sort_unstable();
+        let pairs: usize = keys
+            .iter()
+            .map(|(k, s)| varint_len(k.0) + varint_len(*s))
+            .sum();
+        let words: usize = decided.iter().map(|(i, _)| varint_len(*i) + 8).sum();
+        let counts = varint_len(keys.len() as u64) + varint_len(decided.len() as u64);
+        let wire = counts + pairs + words;
+        CatchupSummary {
+            keys: keys.into_boxed_slice(),
+            decided: decided.into_boxed_slice(),
+            wire: u32::try_from(wire).expect("a summary's size fits u32"),
+        }
+    }
+
+    /// True unless the requester holds `key` at `seq` or above; a key the
+    /// summary does not name is held at its initial load, sequence 0.
+    pub fn lacks_install(&self, key: Key, seq: u64) -> bool {
+        let held = match self.keys.binary_search_by_key(&key, |(k, _)| *k) {
+            Ok(i) => self.keys[i].1,
+            Err(_) => 0,
+        };
+        seq > held
+    }
+
+    /// True unless the requester holds a decision of `tx`.
+    pub fn lacks_decision(&self, tx: TxId) -> bool {
+        let (index, bit) = (tx.code() >> 6, tx.code() & 63);
+        match self.decided.binary_search_by_key(&index, |(i, _)| *i) {
+            Ok(i) => (self.decided[i].1 >> bit) & 1 == 0,
+            Err(_) => true,
+        }
+    }
+}
+
+impl WireSize for CatchupSummary {
+    fn wire_size(&self) -> usize {
+        self.wire as usize
+    }
+}
+
 /// All messages of the simulated deployment.
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -230,8 +295,9 @@ pub enum Msg {
         seq: u64,
     },
     /// Catch-up state transfer (§5.3 recovery): a restarted replica asks a
-    /// peer for the installs of its hosted partitions, paginated from the
-    /// peer's log record index `from` in pages of at most `max` records.
+    /// peer for the installs of its hosted partitions and the decisions
+    /// that it does not hold, paginated from the peer's log record index
+    /// `from` in pages of at most `max` records.
     CatchupReq {
         /// Partitions the requester hosts and wants caught up.
         partitions: Vec<u32>,
@@ -239,9 +305,12 @@ pub enum Msg {
         from: u64,
         /// Page size bound (records per reply).
         max: u32,
+        /// What the requester holds: the peer skips those records.
+        held: Arc<CatchupSummary>,
     },
     /// One page of catch-up state: the installs of the requested
-    /// partitions and the decisions, as the peer's log frames them.
+    /// partitions and the decisions that the requester lacks, as the
+    /// peer's log frames them.
     /// `next = None` marks the final page, which also carries the peer's
     /// per-partition visibility `frontier` so the requester can re-open its
     /// snapshot clock.
@@ -292,7 +361,9 @@ impl WireSize for Msg {
             Msg::Decide { clocks, .. } => HDR + 16 + 12 * clocks.len(),
             Msg::PaxosAccept { .. } | Msg::PaxosAccepted { .. } => HDR + 16,
             Msg::Propagate { .. } => HDR + 16,
-            Msg::CatchupReq { partitions, .. } => HDR + 12 + 4 * partitions.len(),
+            Msg::CatchupReq {
+                partitions, held, ..
+            } => HDR + 12 + 4 * partitions.len() + held.wire_size(),
             Msg::CatchupRep {
                 records_wire,
                 frontier,
@@ -321,6 +392,8 @@ impl WireSize for Msg {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]
@@ -366,6 +439,37 @@ mod tests {
             op: ClientOp::Begin,
         };
         assert!(b.wire_size() < 64);
+    }
+
+    /// The summary names what it was given, whatever the order, and
+    /// travels at its varint-encoded size.
+    #[test]
+    fn a_summary_lacks_what_it_does_not_name_and_costs_its_encoding() {
+        let (a, b) = (TxId::new(0, 63), TxId::new(0, 64));
+        let c = TxId::new(TxId::MAX_COORD, TxId::MAX_SEQ);
+        let words = |txs: &[TxId]| {
+            let mut words = BTreeMap::<u64, u64>::new();
+            for tx in txs {
+                *words.entry(tx.code() >> 6).or_default() |= 1 << (tx.code() & 63);
+            }
+            words.into_iter().rev().collect::<Vec<_>>()
+        };
+        let held = CatchupSummary::new(vec![(Key(300), 2), (Key(7), 129)], words(&[a, c]));
+        assert!(!held.lacks_install(Key(7), 129) && held.lacks_install(Key(7), 130));
+        assert!(!held.lacks_install(Key(300), 1) && held.lacks_install(Key(300), 3));
+        assert!(!held.lacks_install(Key(8), 0) && held.lacks_install(Key(8), 1));
+        assert!(!held.lacks_decision(a) && !held.lacks_decision(c));
+        assert!(held.lacks_decision(b) && held.lacks_decision(TxId::new(0, 62)));
+        // Counts 1 + 1; keys 1 + 2 and 2 + 1; words 1 + 8 and 9 + 8.
+        assert_eq!(held.wire_size(), 2 + 6 + 26);
+        let req = |held| Msg::CatchupReq {
+            partitions: vec![0, 1],
+            from: 0,
+            max: 256,
+            held: Arc::new(held),
+        };
+        let empty = CatchupSummary::new(Vec::new(), Vec::new());
+        assert_eq!(req(empty).wire_size() + 6 + 26, req(held).wire_size());
     }
 
     #[test]

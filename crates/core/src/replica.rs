@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use gdur_gc::{GcEvent, GroupComm, XcastKind};
 use gdur_net::SiteId;
@@ -29,7 +30,7 @@ use gdur_store::{Key, MultiVersionStore, Placement, SeedImage, TxId, Value};
 use gdur_versioning::{Mechanism, Stamp, VersionVec};
 
 use crate::certifier::{Certifier, Ticket};
-use crate::messages::{ClientOp, ClientReply, Msg, TermPayload};
+use crate::messages::{CatchupSummary, ClientOp, ClientReply, Msg, TermPayload};
 use crate::spec::{
     CertifyRule, CertifyingObjRule, CommitmentKind, CommuteRule, CostModel, ProtocolSpec, VoteRule,
 };
@@ -303,9 +304,19 @@ pub struct ReplicaStats {
     pub resubmissions: u64,
     /// Install records adopted from peers during catch-up state transfer.
     pub catchup_installs: u64,
-    /// Log records this replica decoded to serve catch-up pages to peers:
-    /// the host cost of state transfer, linear in the records shipped.
+    /// Log records this replica examined to serve catch-up pages to
+    /// peers: the host cost of state transfer, linear in the log read.
     pub catchup_records_decoded: u64,
+    /// Log records this replica shipped on catch-up pages: the ones the
+    /// requester's summary says it lacks.
+    pub catchup_records_shipped: u64,
+    /// Catch-up pages this replica served.
+    pub catchup_pages: u64,
+    /// Catch-up records received whose replay changed nothing: what the
+    /// requester's summary, fixed when its transfer started, still let
+    /// through (a decision its other peer shipped too, or one that arrived
+    /// live).
+    pub catchup_records_unchanged: u64,
     /// Reads that could not be served on arrival (behind the visibility
     /// frontier, or during a recovery), each counted once however long.
     pub reads_parked: u64,
@@ -336,6 +347,10 @@ impl ReplicaStats {
             resubmissions: self.resubmissions + other.resubmissions,
             catchup_installs: self.catchup_installs + other.catchup_installs,
             catchup_records_decoded: self.catchup_records_decoded + other.catchup_records_decoded,
+            catchup_records_shipped: self.catchup_records_shipped + other.catchup_records_shipped,
+            catchup_pages: self.catchup_pages + other.catchup_pages,
+            catchup_records_unchanged: self.catchup_records_unchanged
+                + other.catchup_records_unchanged,
             reads_parked: self.reads_parked + other.reads_parked,
             parked_read_checks: self.parked_read_checks + other.parked_read_checks,
         }
@@ -617,6 +632,9 @@ struct CatchupPeer {
     partitions: Vec<u32>,
     /// Resume index into the peer's log.
     from: u64,
+    /// What this replica held of those partitions, and the decisions it
+    /// held, when the transfer started.
+    held: Arc<CatchupSummary>,
     /// Outstanding retry timer (tag, kernel id).
     timer: Option<(u64, u64)>,
 }
@@ -638,7 +656,7 @@ struct CatchupState {
 /// case — a pooled client (`client_idx << 20 | seq`) with 1–3 transactions,
 /// or a participant that sees only some of a client's — sets 1–3 bits per
 /// word; at `N = 1` its entry is 16 bytes against the 8 of a flat id set, so
-/// at most twice that set. Nothing walks the bits.
+/// at most twice that set. Only a catch-up summary walks the words.
 #[derive(Debug, Default)]
 struct TxBits<const N: usize>(IdMap<u64, [u64; N]>);
 
@@ -647,6 +665,12 @@ impl<const N: usize> TxBits<N> {
     fn get(&self, tx: &TxId) -> [bool; N] {
         let words = self.0.get(&(tx.code() >> 6)).copied().unwrap_or([0; N]);
         words.map(|w| (w >> (tx.code() & 63)) & 1 == 1)
+    }
+
+    /// Plane `plane`'s words, `(word index, word)` in index order.
+    fn words(&self, plane: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let indices = self.0.sorted_keys().into_iter();
+        indices.map(move |i| (i, self.0[&i][plane]))
     }
 
     /// Sets `tx`'s bit in each plane to `bits`.
@@ -908,7 +932,8 @@ impl Replica {
                 partitions,
                 from: start,
                 max,
-            } => self.on_catchup_req(ctx, from, partitions, start, max),
+                held,
+            } => self.on_catchup_req(ctx, from, &partitions, start, max, &held),
             Msg::CatchupRep {
                 page,
                 records_wire: _,

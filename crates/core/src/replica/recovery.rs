@@ -2,9 +2,22 @@
 //! paginated catch-up transfer from peers, and the resumption of what was
 //! in flight.
 
-use gdur_persist::{LogRecord, Wal};
+use gdur_persist::{LogRecord, RecordHead, Wal};
 
 use super::*;
+
+/// What replaying one log record did to the replica.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Replayed {
+    /// An install landed.
+    Installed,
+    /// A decision the replica did not hold, or a coordinator entry, was
+    /// recorded.
+    Recorded,
+    /// Nothing changed: an install not at its key's next sequence, or a
+    /// decision already held, terminated and with no open entry.
+    Nothing,
+}
 
 impl Replica {
     /// Install records per catch-up reply page.
@@ -70,7 +83,7 @@ impl Replica {
         let mut installed: u64 = 0;
         let wal = Wal::from_image(wal.into_image(), |rec| {
             ctx.consume(self.cfg.costs.per_log_append);
-            installed += u64::from(self.replay(ctx, rec, false));
+            installed += u64::from(self.replay(ctx, rec, false) == Replayed::Installed);
         });
         self.reserved = self.knowledge.clone();
         ctx.trace(labels::RECOVERY_REPLAY, 0, installed);
@@ -81,7 +94,7 @@ impl Replica {
 
     /// Applies one logged record, the only way a record enters a replica:
     /// `on_restart` replays its own image through here, `on_catchup_rep` a
-    /// peer's page (`from_peer`). Returns whether a version was installed.
+    /// peer's page (`from_peer`). Returns what the record changed.
     ///
     /// * An `Install` lands only at the key's next sequence (overlapping
     ///   pages are idempotent) and moves the visibility frontier to the
@@ -94,7 +107,7 @@ impl Replica {
     ///   peer decided it, silently if the replica's own log did (its client
     ///   heard back before the crash).
     /// * A `Submit` rebuilds its coordinator entry from the logged sets.
-    fn replay(&mut self, ctx: &mut Context<'_, Msg>, rec: LogRecord, from_peer: bool) -> bool {
+    fn replay(&mut self, ctx: &mut Context<'_, Msg>, rec: LogRecord, from_peer: bool) -> Replayed {
         match rec {
             LogRecord::Install {
                 key,
@@ -105,7 +118,7 @@ impl Replica {
             } => {
                 let next = self.store.latest_seq(key).map_or(0, |s| s + 1);
                 if !self.is_local(key) || seq != next {
-                    return false;
+                    return Replayed::Nothing;
                 }
                 if let Some(vec) = stamp.as_vec().filter(|v| v.dim() == self.knowledge.dim()) {
                     for (p, s) in vec.iter().enumerate() {
@@ -119,9 +132,12 @@ impl Replica {
                 } else {
                     self.store.install(key, value, stamp, writer);
                 }
-                true
+                Replayed::Installed
             }
             LogRecord::Decision { tx, commit } => {
+                let held = self.decided_outcomes.get(&tx) == [true, commit]
+                    && self.done.contains(&tx)
+                    && !self.coord.contains_key(&tx);
                 self.decided_outcomes.set(tx, [true, commit]);
                 if !self.coord.contains_key(&tx) {
                     self.done.insert(tx);
@@ -131,7 +147,11 @@ impl Replica {
                     self.coord.remove(&tx);
                     self.done.insert(tx);
                 }
-                false
+                if held {
+                    Replayed::Nothing
+                } else {
+                    Replayed::Recorded
+                }
             }
             LogRecord::Submit { tx, rs, ws, dep } => {
                 let rs = rs.into_iter().map(|(key, seq)| ReadEntry { key, seq });
@@ -149,7 +169,7 @@ impl Replica {
                 // Its participants may have voted before the crash.
                 t.resent = true;
                 self.coord.insert(tx, t);
-                false
+                Replayed::Recorded
             }
         }
     }
@@ -159,7 +179,7 @@ impl Replica {
     /// no second replica cannot be caught up (their committed-but-unlogged
     /// tail is unrecoverable); the WAL replay is all they get.
     fn start_catchup(&mut self, ctx: &mut Context<'_, Msg>) {
-        let mut pending: BTreeMap<ProcessId, CatchupPeer> = BTreeMap::new();
+        let mut served: BTreeMap<ProcessId, Vec<u32>> = BTreeMap::new();
         for p in self.cfg.placement.partitions_at(self.cfg.site) {
             let Some(peer) = self
                 .cfg
@@ -171,16 +191,30 @@ impl Replica {
             else {
                 continue;
             };
-            pending
-                .entry(self.pid_of_site(peer))
-                .or_insert_with(|| CatchupPeer {
-                    partitions: Vec::new(),
-                    from: 0,
-                    timer: None,
-                })
-                .partitions
-                .push(p.0);
+            served.entry(self.pid_of_site(peer)).or_default().push(p.0);
         }
+        // What the own replay left, named once for the whole transfer.
+        let decided: Vec<(u64, u64)> = self.decided_outcomes.words(0).collect();
+        let summary = |partitions: &[u32]| {
+            let written = self
+                .store
+                .written()
+                .filter(|(key, _)| partitions.contains(&self.cfg.placement.partition_of(*key).0));
+            Arc::new(CatchupSummary::new(written.collect(), decided.clone()))
+        };
+        let pending: BTreeMap<ProcessId, CatchupPeer> = served
+            .into_iter()
+            .map(|(peer, partitions)| {
+                let held = summary(&partitions);
+                let stream = CatchupPeer {
+                    partitions,
+                    from: 0,
+                    held,
+                    timer: None,
+                };
+                (peer, stream)
+            })
+            .collect();
         let peers: Vec<ProcessId> = pending.keys().copied().collect();
         self.catchup = Some(CatchupState {
             pending,
@@ -198,11 +232,11 @@ impl Replica {
     /// Sends (or re-sends) the next catch-up page request to `peer` and
     /// arms the retry timer that asks again if the peer stays silent.
     fn send_catchup_req(&mut self, ctx: &mut Context<'_, Msg>, peer: ProcessId) {
-        let Some((partitions, from)) = self
+        let Some((partitions, from, held)) = self
             .catchup
             .as_ref()
             .and_then(|cu| cu.pending.get(&peer))
-            .map(|p| (p.partitions.clone(), p.from))
+            .map(|p| (p.partitions.clone(), p.from, Arc::clone(&p.held)))
         else {
             return;
         };
@@ -222,6 +256,7 @@ impl Replica {
                 partitions,
                 from,
                 max: Self::CATCHUP_PAGE,
+                held,
             },
         );
     }
@@ -242,39 +277,49 @@ impl Replica {
         self.send_catchup_req(ctx, peer);
     }
 
-    /// Serves one page of catch-up state from this replica's own log:
-    /// install records of the requested partitions plus every decision
-    /// (decisions are cheap and close the requester's parked
-    /// terminations), framed as the log frames them. Reads the log from
-    /// `start` and stops when the page is full, so a page costs its own
-    /// records, not the log's.
+    /// Serves one page of catch-up state from this replica's own log: the
+    /// install records of the requested partitions and the decisions that
+    /// the requester's summary `held` does not already hold, their frames
+    /// copied as they lie. Reads the log from `start` and stops when the
+    /// page is full, so a page costs its own records, not the log's; a
+    /// skipped record costs no virtual time.
     pub(super) fn on_catchup_req(
         &mut self,
         ctx: &mut Context<'_, Msg>,
         from: ProcessId,
-        partitions: Vec<u32>,
+        partitions: &[u32],
         start: u64,
         max: u32,
+        held: &CatchupSummary,
     ) {
         let mut page = Wal::new();
         let mut records_wire = 0;
         let mut idx = start;
-        let mut records = self.wal.iter().flat_map(|wal| wal.scan_from(start));
+        let mut frames = self.wal.iter().flat_map(|wal| wal.frames_from(start));
         while page.len() < u64::from(max) {
-            let Some(rec) = records.next() else { break };
+            let Some((head, frame)) = frames.next() else {
+                break;
+            };
             self.stats.catchup_records_decoded += 1;
             idx += 1;
-            records_wire += match &rec {
-                LogRecord::Install {
-                    key, stamp, value, ..
-                } if partitions.contains(&self.cfg.placement.partition_of(*key).0) => {
-                    24 + stamp.wire_size() + value.len()
+            records_wire += match head {
+                RecordHead::Install {
+                    key,
+                    seq,
+                    stamp_wire,
+                    value_len,
+                } if partitions.contains(&self.cfg.placement.partition_of(key).0)
+                    && held.lacks_install(key, seq) =>
+                {
+                    24 + stamp_wire + value_len
                 }
-                LogRecord::Decision { .. } => 17,
-                LogRecord::Install { .. } | LogRecord::Submit { .. } => continue,
+                RecordHead::Decision { tx } if held.lacks_decision(tx) => 17,
+                _ => continue,
             };
-            page.append(&rec);
+            page.append_frame(frame);
         }
+        self.stats.catchup_pages += 1;
+        self.stats.catchup_records_shipped += page.len();
         ctx.consume(self.cfg.costs.per_log_append.saturating_mul(page.len()));
         // A live log holds only intact frames, so a record remains after
         // the page iff the page stopped short of the log's length.
@@ -318,14 +363,17 @@ impl Replica {
             // A stale page: this peer's stream already finished.
             return;
         }
-        let mut applied: u64 = 0;
-        Wal::from_image(page.into_image(), |rec| {
-            if self.replay(ctx, rec, true) {
+        let (mut applied, mut unchanged) = (0, 0);
+        Wal::from_image(page.into_image(), |rec| match self.replay(ctx, rec, true) {
+            Replayed::Installed => {
                 ctx.consume(self.cfg.costs.per_apply);
                 applied += 1;
             }
+            Replayed::Nothing => unchanged += 1,
+            Replayed::Recorded => {}
         });
         self.stats.catchup_installs += applied;
+        self.stats.catchup_records_unchanged += unchanged;
         let cu = self.catchup.as_mut().expect("recovering");
         cu.applied += applied;
         ctx.trace(labels::RECOVERY_CATCHUP_APPLY, 0, applied);

@@ -981,8 +981,13 @@ fn the_outcome_log_round_trips_against_the_fixed_width_layout() {
 /// writes it: committed transactions' installs at each key's next sequence,
 /// under scalar stamps or commit vectors, their decisions before or after
 /// their installs, aborts, a `Submit` its `Decision` closed, and last a
-/// mid-commit `Submit` with no `Decision`. Transactions are `client`'s.
-fn replay_log(spec: &ProtocolSpec, client: ProcessId, seed: u64) -> (Vec<LogRecord>, Vec<TxId>) {
+/// mid-commit `Submit` with no `Decision`: `n` transactions, `client`'s.
+fn replay_log(
+    spec: &ProtocolSpec,
+    client: ProcessId,
+    seed: u64,
+    n: u64,
+) -> (Vec<LogRecord>, Vec<TxId>) {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     let placement = Placement::disaster_tolerant(2);
@@ -995,17 +1000,17 @@ fn replay_log(spec: &ProtocolSpec, client: ProcessId, seed: u64) -> (Vec<LogReco
         ws: vec![(key, base, Value::from_u64(base))],
         dep: vec![0; 2],
     };
-    for n in 1..=150 {
-        let tx = TxId::new(client.0, n);
+    for i in 1..=n {
+        let tx = TxId::new(client.0, i);
         txs.push(tx);
         let commit = rng.gen_bool(0.8);
         let decision = LogRecord::Decision { tx, commit };
         let late = rng.gen_bool(0.5);
-        if n == 150 {
+        if i == n {
             log.push(submit(tx, Key(3), 0));
             break;
         }
-        if n % 40 == 0 {
+        if i % 40 == 0 {
             log.push(submit(tx, Key(1), 0));
         }
         if !commit || !late {
@@ -1031,7 +1036,7 @@ fn replay_log(spec: &ProtocolSpec, client: ProcessId, seed: u64) -> (Vec<LogReco
                     vec: VersionVec::from_entries(clocks.to_vec()),
                 },
             };
-            let value = Value::from_u64(n);
+            let value = Value::from_u64(i);
             log.push(LogRecord::Install {
                 key,
                 seq: *seq,
@@ -1048,16 +1053,43 @@ fn replay_log(spec: &ProtocolSpec, client: ProcessId, seed: u64) -> (Vec<LogReco
 }
 
 /// A replica's latest version of each key, `[terminated, decided,
-/// committed]` of each transaction, its frontier and its resubmissions.
-type Rebuilt = (Vec<Option<VersionRecord>>, Vec<[bool; 3]>, VersionVec, u64);
+/// committed]` of each transaction, its frontier, and the transactions it
+/// resubmitted when its catch-up finished: its coordinator entries then.
+type Rebuilt = (
+    Vec<Option<VersionRecord>>,
+    Vec<[bool; 3]>,
+    VersionVec,
+    Vec<u64>,
+);
+
+/// What site 1 gives site 0's catch-up in [`rebuilt`].
+#[derive(Clone, Copy)]
+enum Peer<'a> {
+    /// Site 1's log: site 1 serves it page by page, through the summary
+    /// of what site 0 holds.
+    Serves(&'a [LogRecord]),
+    /// Site 1's log is empty, and this log reaches site 0 first, as one
+    /// final page of every install and decision it holds.
+    Whole(&'a [LogRecord]),
+}
 
 /// Site 0 of a two-site deployment crashed and restarted with `own` as its
-/// log and `peer` as site 1's, once its recovery settled.
-fn rebuilt(spec: ProtocolSpec, own: &[LogRecord], peer: &[LogRecord], txs: &[TxId]) -> Rebuilt {
+/// log, caught up from `peer`, once its recovery settled; with both
+/// replicas' counters.
+fn rebuilt(
+    spec: ProtocolSpec,
+    own: &[LogRecord],
+    peer: Peer<'_>,
+    txs: &[TxId],
+) -> (Rebuilt, [ReplicaStats; 2]) {
     let mut probe = Probe::with(spec, Placement::disaster_tolerant(2), |cfg| {
         cfg.persistence = true;
     });
-    for (site, records) in [own, peer].into_iter().enumerate() {
+    let served = match peer {
+        Peer::Serves(log) => log,
+        Peer::Whole(_) => &[],
+    };
+    for (site, records) in [own, served].into_iter().enumerate() {
         let pid = probe.pid(site);
         let Node::Replica(r) = probe.cluster.sim_mut().actor_mut(pid) else {
             unreachable!("pid of a replica")
@@ -1068,6 +1100,26 @@ fn rebuilt(spec: ProtocolSpec, own: &[LogRecord], peer: &[LogRecord], txs: &[TxI
     let (pid, now) = (probe.pid(0), probe.cluster.now());
     probe.cluster.sim_mut().schedule_crash(pid, now);
     probe.cluster.sim_mut().schedule_restart(pid, now);
+    if let Peer::Whole(log) = peer {
+        // Injected while site 0 still replays its own log, so it is served
+        // right after: site 1's own answer, an empty page, finds the
+        // stream finished.
+        let mut page = gdur_persist::Wal::new();
+        let shipped = log
+            .iter()
+            .filter(|rec| !matches!(rec, LogRecord::Submit { .. }));
+        shipped.for_each(|rec| _ = page.append(rec));
+        let peer = probe.cluster.replica(SiteId(1));
+        let frontier = (0..2).map(|p| (p, peer.knowledge.get(p as usize)));
+        let msg = Msg::CatchupRep {
+            page,
+            records_wire: 0,
+            next: None,
+            frontier: frontier.collect(),
+        };
+        let (from, at) = (probe.pid(1), now + SimDuration::from_millis(1));
+        probe.cluster.sim_mut().inject(from, pid, msg, at);
+    }
     probe.cluster.run_for(SimDuration::from_secs(2));
     let r = probe.replica();
     assert!(
@@ -1079,8 +1131,20 @@ fn rebuilt(spec: ProtocolSpec, own: &[LogRecord], peer: &[LogRecord], txs: &[TxI
         let [decided, committed] = r.decided_outcomes.get(tx);
         [r.done.contains(tx), decided, committed]
     });
-    let resubmitted = r.stats.resubmissions;
-    (keys, outcomes.collect(), r.knowledge.clone(), resubmitted)
+    let resubmitted = probe.trace.events().into_iter().filter_map(|e| match e {
+        ObsEvent::Point {
+            actor, label, tx, ..
+        } if actor == pid && label == labels::RECOVERY_RESUBMIT => Some(tx),
+        _ => None,
+    });
+    let rebuilt = (
+        keys,
+        outcomes.collect(),
+        r.knowledge.clone(),
+        resubmitted.collect(),
+    );
+    let stats = [0, 1].map(|s| probe.cluster.replica(SiteId(s)).stats);
+    (rebuilt, stats)
 }
 
 /// Restart and catch-up are one path: a replica restarted from its own log
@@ -1092,24 +1156,128 @@ fn rebuilt(spec: ProtocolSpec, own: &[LogRecord], peer: &[LogRecord], txs: &[TxI
 /// both resubmit it; the comparison is after it decided.
 #[test]
 fn a_restart_and_a_catch_up_from_the_same_log_agree() {
-    let p_store_2pc_like = ProtocolSpec {
-        name: "p-store-2pc-like",
-        commitment: CommitmentKind::TwoPhaseCommit,
-        ..p_store_like()
-    };
-    for spec in [walter_like(), p_store_2pc_like] {
+    for spec in [walter_like(), p_store_2pc_like()] {
         let probe = Probe::with(spec.clone(), Placement::disaster_tolerant(2), |_| {});
         let client = probe.cluster.client_pids()[0];
         for seed in 0..4 {
-            let (log, txs) = replay_log(&spec, client, seed);
+            let (log, txs) = replay_log(&spec, client, seed, 150);
             let mid = log.last().expect("the mid-commit submit");
-            let restarted = rebuilt(spec.clone(), &log, &[], &txs);
-            let caught_up = rebuilt(spec.clone(), std::slice::from_ref(mid), &log, &txs);
+            let (restarted, _) = rebuilt(spec.clone(), &log, Peer::Serves(&[]), &txs);
+            let own = std::slice::from_ref(mid);
+            let (caught_up, _) = rebuilt(spec.clone(), own, Peer::Serves(&log), &txs);
             let what = format!("{} seed {seed}", spec.name);
             assert_eq!(restarted, caught_up, "{what}");
-            assert_eq!(restarted.3, 1, "{what}: the mid-commit submit resumed");
+            assert_eq!(
+                restarted.3.len(),
+                1,
+                "{what}: the mid-commit submit resumed"
+            );
             assert!(restarted.0.iter().flatten().any(|v| v.seq > 1), "{what}");
             assert!(restarted.2.iter().any(|s| s > 0) || spec.versioning == Mechanism::Ts);
+        }
+    }
+}
+
+/// A TS assembly that commits by 2PC: P-Store's sets, certification and
+/// scalar stamps under a coordinator.
+fn p_store_2pc_like() -> ProtocolSpec {
+    ProtocolSpec {
+        name: "p-store-2pc-like",
+        commitment: CommitmentKind::TwoPhaseCommit,
+        ..p_store_like()
+    }
+}
+
+/// Site 0's own log, holding what `log` holds in another interleaving and
+/// with holes, as a replica that crashed behind its peer: one in twenty
+/// installs and decisions dropped before a random point, two in three
+/// after it, and neighbours swapped at random. Every `Submit` stays where
+/// it was, so each still precedes its `Decision`, as at a live coordinator.
+fn holed_interleaving(log: &[LogRecord], seed: u64) -> Vec<LogRecord> {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+    let submit = |rec: &LogRecord| matches!(rec, LogRecord::Submit { .. });
+    let behind = rng.gen_range(log.len() / 3..log.len() * 2 / 3);
+    let mut own: Vec<LogRecord> = log
+        .iter()
+        .enumerate()
+        .filter(|(i, rec)| submit(rec) || rng.gen_bool(if *i < behind { 0.95 } else { 1.0 / 3.0 }))
+        .map(|(_, rec)| rec.clone())
+        .collect();
+    for i in 1..own.len() {
+        if !submit(&own[i - 1]) && !submit(&own[i]) && rng.gen_bool(0.2) {
+            own.swap(i - 1, i);
+        }
+    }
+    own
+}
+
+/// The records of `log` whose replay changes a replica that replayed
+/// `own`: installs above the sequence `own`'s replay leaves its key at,
+/// and decisions `own` does not hold.
+fn lacked(own: &[LogRecord], log: &[LogRecord]) -> u64 {
+    let (mut latest, mut decided) = (BTreeMap::<Key, u64>::new(), BTreeSet::new());
+    for rec in own {
+        match rec {
+            LogRecord::Install { key, seq, .. } => {
+                let at = latest.entry(*key).or_insert(0);
+                if *seq == *at + 1 {
+                    *at = *seq;
+                }
+            }
+            LogRecord::Decision { tx, .. } => _ = decided.insert(*tx),
+            LogRecord::Submit { .. } => {}
+        }
+    }
+    let lacks = |rec: &&LogRecord| match rec {
+        LogRecord::Install { key, seq, .. } => *seq > latest.get(key).copied().unwrap_or(0),
+        LogRecord::Decision { tx, .. } => !decided.contains(tx),
+        LogRecord::Submit { .. } => false,
+    };
+    log.iter().filter(lacks).count() as u64
+}
+
+/// The catch-up lemma (DESIGN.md §3.7): a page filtered through the
+/// requester's summary differs from the whole log only by records whose
+/// replay at the requester is a no-op. A replica whose own log holds the
+/// peer's records in another interleaving, with holes, ends caught up
+/// through its summary exactly as caught up from the peer's whole log —
+/// per-key latest versions, terminated set, decided outcomes, frontier,
+/// and the coordinator entries left to resubmit — and the peer ships
+/// exactly the records the replica lacked, every one of which changes it.
+#[test]
+fn a_filtered_page_replays_to_the_same_replica_as_the_whole_log() {
+    for spec in [walter_like(), p_store_2pc_like()] {
+        let probe = Probe::with(spec.clone(), Placement::disaster_tolerant(2), |_| {});
+        let client = probe.cluster.client_pids()[0];
+        for seed in 0..4 {
+            let what = format!("{} seed {seed}", spec.name);
+            let (log, txs) = replay_log(&spec, client, seed, 600);
+            let own = holed_interleaving(&log, seed);
+            assert!(own.len() < log.len(), "{what}: the own log has holes");
+            let (whole, _) = rebuilt(spec.clone(), &own, Peer::Whole(&log), &txs);
+            let (filtered, [requester, peer]) =
+                rebuilt(spec.clone(), &own, Peer::Serves(&log), &txs);
+            assert_eq!(filtered, whole, "{what}");
+            let lacked = lacked(&own, &log);
+            let shippable = log
+                .iter()
+                .filter(|r| !matches!(r, LogRecord::Submit { .. }));
+            assert!(lacked > 0 && lacked < shippable.count() as u64, "{what}");
+            assert_eq!(peer.catchup_records_shipped, lacked, "{what}");
+            assert_eq!(requester.catchup_records_unchanged, 0, "{what}");
+            assert!(peer.catchup_pages > 1, "{what}: pages end and resume");
+            // Entries the own replay rebuilt and only the peer's decisions
+            // close: all but the mid-commit one, which is resubmitted.
+            let rebuilt_open = own.iter().filter(|rec| match rec {
+                LogRecord::Submit { tx, .. } => !own
+                    .iter()
+                    .any(|r| matches!(r, LogRecord::Decision { tx: t, .. } if t == tx)),
+                _ => false,
+            });
+            assert!(rebuilt_open.count() > 1, "{what}");
+            assert_eq!(whole.3.len(), 1, "{what}: the mid-commit submit resumed");
         }
     }
 }

@@ -266,8 +266,18 @@ pub struct ChaosReport {
     pub resubmissions: u64,
     /// Install records adopted via catch-up, summed over replicas.
     pub catchup_installs: u64,
-    /// Log records decoded to serve catch-up pages, summed over replicas.
+    /// Log records examined to serve catch-up pages, summed over replicas.
     pub catchup_records_decoded: u64,
+    /// Log records shipped on catch-up pages, summed over replicas.
+    pub catchup_records_shipped: u64,
+    /// Catch-up pages served, summed over replicas.
+    pub catchup_pages: u64,
+    /// Shipped catch-up records whose replay changed nothing at the
+    /// requester, summed over replicas.
+    pub catchup_records_unchanged: u64,
+    /// Longest virtual time from a replica's restart to its
+    /// `recovery.complete`.
+    pub recovery: SimDuration,
     /// Length of each site's replica log at the end of the run.
     pub wal_records: Vec<u64>,
     /// Completed catch-up transfers (`recovery.complete` trace events).
@@ -301,13 +311,16 @@ impl ChaosReport {
     /// recovery-event counts below are structural.
     pub fn golden_line(&self) -> String {
         format!(
-            "{}: crashes={} restarts={} replays={} resubmissions={} completes={} converged={} violation={}",
+            "{}: crashes={} restarts={} replays={} resubmissions={} completes={} pages={} \
+             recovery_ms={:.3} converged={} violation={}",
             self.label,
             self.crashes,
             self.restarts,
             self.replays,
             self.resubmissions,
             self.recovery_completes,
+            self.catchup_pages,
+            self.recovery.as_nanos() as f64 / 1e6,
             self.converged,
             match &self.violation {
                 Some(v) => v.as_str(),
@@ -315,6 +328,28 @@ impl ChaosReport {
             }
         )
     }
+}
+
+/// The longest time from a replica's `kernel.restart` to its next
+/// `recovery.complete`.
+fn longest_recovery(events: &[ObsEvent]) -> SimDuration {
+    let mut restarted = std::collections::BTreeMap::new();
+    let mut longest = SimDuration::ZERO;
+    for ev in events {
+        if let ObsEvent::Point {
+            at, actor, label, ..
+        } = *ev
+        {
+            if label == labels::KERNEL_RESTART {
+                restarted.insert(actor, at);
+            } else if label == labels::RECOVERY_COMPLETE {
+                if let Some(since) = restarted.remove(&actor) {
+                    longest = longest.max(at.saturating_since(since));
+                }
+            }
+        }
+    }
+    longest
 }
 
 fn count_label(events: &[ObsEvent], label: &str) -> u64 {
@@ -471,6 +506,10 @@ pub fn run_chaos(dep: &Deployment) -> (ChaosReport, Vec<ObsEvent>) {
         resubmissions: stats.resubmissions,
         catchup_installs: stats.catchup_installs,
         catchup_records_decoded: stats.catchup_records_decoded,
+        catchup_records_shipped: stats.catchup_records_shipped,
+        catchup_pages: stats.catchup_pages,
+        catchup_records_unchanged: stats.catchup_records_unchanged,
+        recovery: longest_recovery(&events),
         wal_records: (0..dep.sites as u16)
             .map(|s| cluster.replica(SiteId(s)).wal().map_or(0, |w| w.len()))
             .collect(),

@@ -62,6 +62,11 @@ pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
     }
 }
 
+/// Bytes [`put_varint`] writes for `v`.
+pub fn varint_len(v: u64) -> usize {
+    (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
+}
+
 /// Reads a LEB128 varint. An unterminated one, or one longer than ten
 /// bytes, is [`DecodeError::Truncated`] and consumes nothing.
 #[inline]
@@ -242,10 +247,11 @@ mod tests {
         for (v, len) in [(0, 1), (127, 1), (128, 2), (1 << 14, 3), (1 << 35, 6)] {
             out.clear();
             put_varint(&mut out, v);
-            assert_eq!(out.len(), len, "{v}");
+            assert_eq!((out.len(), varint_len(v)), (len, len), "{v}");
         }
         out.clear();
         put_varint(&mut out, u64::MAX);
+        assert_eq!(varint_len(u64::MAX), 10);
         assert_eq!(
             out,
             [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]

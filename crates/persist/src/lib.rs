@@ -36,4 +36,4 @@ pub mod codec;
 mod wal;
 
 pub use codec::DecodeError;
-pub use wal::{recover, LogRecord, Wal};
+pub use wal::{recover, LogRecord, RecordHead, Wal};

@@ -16,7 +16,7 @@
 //! torn or corrupt one (a crash during a write), and hands each intact
 //! record to the caller in log order.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use gdur_store::{Key, MultiVersionStore, TxId, Value};
 use gdur_versioning::{Stamp, VersionVec};
@@ -122,7 +122,79 @@ fn get_tx(buf: &mut impl Source) -> Result<TxId, DecodeError> {
         .ok_or(DecodeError::TxIdOutOfRange { coord, seq })
 }
 
+/// What a record's leading fields say: enough to choose the record without
+/// decoding it. [`LogRecord::peek`] reads it and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordHead {
+    /// An [`LogRecord::Install`].
+    Install {
+        /// Key written.
+        key: Key,
+        /// Per-key sequence installed.
+        seq: u64,
+        /// The stamp's `Stamp::wire_size`, read from its shape.
+        stamp_wire: usize,
+        /// Length of the value in bytes.
+        value_len: usize,
+    },
+    /// A [`LogRecord::Decision`].
+    Decision {
+        /// The decided transaction.
+        tx: TxId,
+    },
+    /// A [`LogRecord::Submit`].
+    Submit,
+}
+
+/// Steps over an encoded stamp; returns its `Stamp::wire_size`.
+fn skip_stamp(buf: &mut &[u8]) -> Result<usize, DecodeError> {
+    if buf.is_empty() {
+        return Err(DecodeError::Truncated);
+    }
+    match buf.get_u8() {
+        0 => codec::get_varint(buf).map(|_| 8),
+        1 => {
+            codec::get_varint(buf)?;
+            let dim = codec::get_varint(buf)?;
+            for _ in 0..dim {
+                codec::get_varint(buf)?;
+            }
+            Ok(4 + 8 * dim as usize)
+        }
+        t => Err(DecodeError::UnknownTag(t)),
+    }
+}
+
 impl LogRecord {
+    /// Reads the head of a record body produced by [`LogRecord::encode`]:
+    /// its kind and, for an install, its key, sequence and sizes; for a
+    /// decision, its transaction. Nothing is copied.
+    pub fn peek(mut body: &[u8]) -> Result<RecordHead, DecodeError> {
+        if body.is_empty() {
+            return Err(DecodeError::Truncated);
+        }
+        match body.get_u8() {
+            TAG_INSTALL => {
+                let key = Key(codec::get_varint(&mut body)?);
+                let seq = codec::get_varint(&mut body)?;
+                let stamp_wire = skip_stamp(&mut body)?;
+                get_tx(&mut body)?;
+                let value_len = codec::get_varint(&mut body)? as usize;
+                Ok(RecordHead::Install {
+                    key,
+                    seq,
+                    stamp_wire,
+                    value_len,
+                })
+            }
+            TAG_DECISION => Ok(RecordHead::Decision {
+                tx: get_tx(&mut body)?,
+            }),
+            TAG_SUBMIT => Ok(RecordHead::Submit),
+            t => Err(DecodeError::UnknownTag(t)),
+        }
+    }
+
     /// Serializes the record body (unframed).
     pub fn encode(&self) -> BytesMut {
         let mut buf = BytesMut::new();
@@ -262,6 +334,16 @@ impl Wal {
         self.len() - 1
     }
 
+    /// Appends one frame copied as it lies from another log (see
+    /// [`Wal::frames_from`]); returns its log sequence number. The frame
+    /// is not re-checked: it came from a log, which holds only intact
+    /// ones, and a reader re-opening the image checks every frame.
+    pub fn append_frame(&mut self, frame: &[u8]) -> u64 {
+        self.offsets.push(self.data.len());
+        self.data.extend_from_slice(frame);
+        self.len() - 1
+    }
+
     /// Number of appended records.
     pub fn len(&self) -> u64 {
         self.offsets.len() as u64
@@ -328,6 +410,20 @@ impl Wal {
                     codec::unframe(&mut chunk).and_then(LogRecord::decode).ok()
                 })
             })
+    }
+
+    /// The frames from log sequence number `lsn` on, each as its record's
+    /// head and its framed bytes where they lie in the log — what a reader
+    /// that picks records without using them needs: nothing is decoded
+    /// past the head, and nothing is copied. Empty at and past the end.
+    pub fn frames_from(&self, lsn: u64) -> impl Iterator<Item = (RecordHead, &[u8])> + '_ {
+        let start = self.offsets.get(lsn as usize).copied();
+        let mut rest: &[u8] = start.map_or(&[], |at| &self.data[at..]);
+        std::iter::from_fn(move || {
+            let frame = rest;
+            let head = codec::unframe(&mut rest).and_then(LogRecord::peek).ok()?;
+            Some((head, &frame[..frame.len() - rest.len()]))
+        })
     }
 }
 
@@ -653,6 +749,54 @@ mod tests {
             let (reopened, replayed) = reopen(&img);
             assert_eq!(replayed, [install(1, 0, 10)]);
             assert_eq!(reopened.len(), 1);
+        }
+    }
+
+    /// A page picked from the log by head and built of frames copied as
+    /// they lie is the page built by re-encoding the decoded records it
+    /// picks, byte for byte, and every head says what its record holds.
+    #[test]
+    fn a_page_of_copied_frames_is_the_re_encoded_page() {
+        let (wal, recs, _) = fuzz_log();
+        for from in 0..=recs.len() + 1 {
+            let (mut copied, mut encoded) = (Wal::new(), Wal::new());
+            let frames = wal.frames_from(from as u64);
+            let decoded = wal.scan_from(from as u64);
+            let mut n = 0;
+            for ((head, frame), rec) in frames.zip(decoded) {
+                n += 1;
+                match (&head, &rec) {
+                    (
+                        RecordHead::Install {
+                            key,
+                            seq,
+                            stamp_wire,
+                            value_len,
+                        },
+                        LogRecord::Install {
+                            key: k,
+                            seq: s,
+                            stamp,
+                            value,
+                            ..
+                        },
+                    ) => {
+                        assert_eq!((key, seq), (k, s));
+                        assert_eq!(*stamp_wire, stamp.wire_size());
+                        assert_eq!(*value_len, value.len());
+                    }
+                    (RecordHead::Decision { tx }, LogRecord::Decision { tx: t, .. }) => {
+                        assert_eq!(tx, t);
+                    }
+                    (RecordHead::Submit, LogRecord::Submit { .. }) => continue,
+                    _ => panic!("head {head:?} of {rec:?}"),
+                }
+                copied.append_frame(frame);
+                encoded.append(&rec);
+            }
+            assert_eq!(n, recs.len().saturating_sub(from), "from {from}");
+            assert_eq!(copied.len(), encoded.len());
+            assert_eq!(copied.into_image(), encoded.into_image(), "from {from}");
         }
     }
 

@@ -413,6 +413,18 @@ impl MultiVersionStore {
             .chain(seeded.filter(|k| self.image.record(*k).is_none()))
     }
 
+    /// The keys written since the initial load, each with the sequence of
+    /// its latest version, in the order they were first written (or
+    /// explicitly seeded).
+    pub fn written(&self) -> impl Iterator<Item = (Key, u64)> + '_ {
+        let latest = self.slots.iter().map(|v| v.last().map_or(0, |r| r.seq));
+        self.keys
+            .iter()
+            .copied()
+            .zip(latest)
+            .filter(|(_, seq)| *seq > 0)
+    }
+
     /// Number of retained versions of `key`.
     pub fn version_count(&self, key: Key) -> usize {
         self.versions(key).map_or(0, |v| v.len())
@@ -511,6 +523,19 @@ mod tests {
             s.versions(Key(1)).unwrap().get(1).unwrap().value.as_u64(),
             Some(1)
         );
+    }
+
+    #[test]
+    fn written_names_each_key_above_its_load_with_its_latest_sequence() {
+        let mut s = MultiVersionStore::new().with_max_versions(2);
+        for k in [1, 2, 3] {
+            s.seed(Key(k), Value::from_u64(0), ts(0));
+        }
+        for (k, n) in [(3, 1), (1, 2), (3, 3), (3, 4)] {
+            s.install(Key(k), Value::from_u64(n), ts(n), tx(n));
+        }
+        let written: Vec<(Key, u64)> = s.written().collect();
+        assert_eq!(written, [(Key(1), 1), (Key(3), 3)]);
     }
 
     #[test]

@@ -202,12 +202,37 @@ fn a_group_communication_replica_refuses_to_restart() {
     cluster.run_until_idle();
 }
 
-/// Serving catch-up costs the host what it ships, not pages × log: a page
+/// Catch-up ships what the restarted replica lacks: on the library
+/// schedule, every assembly that restarts ships only records whose replay
+/// changes the requester, but for at most one page of records that its
+/// summary, fixed when the transfer started, could not rule out — a
+/// decision both peers ship, or one that arrived live meanwhile (41, 52
+/// and 97 records). Shipping each peer's log whole from record 0 let 891,
+/// 589 and 576 through.
+#[test]
+fn catchup_ships_at_most_one_page_of_records_the_replica_held() {
+    for mut cfg in chaos_library() {
+        (cfg.clients_per_site, cfg.txns_per_client) = (16, 200);
+        let report = run_and_check(cfg);
+        assert_eq!(report.recovery_completes, 1, "{}", report.label);
+        assert!(report.catchup_pages > 0, "{}", report.label);
+        assert!(
+            report.catchup_records_unchanged <= 256,
+            "{}: {} of {} shipped records changed nothing",
+            report.label,
+            report.catchup_records_unchanged,
+            report.catchup_records_shipped
+        );
+    }
+}
+
+/// Serving catch-up costs the host what it reads, not pages × log: a page
 /// reads the peer's log from its start record and stops when full. The
 /// library's crash → partition → heal → restart schedule, moved late enough
 /// that the peers' logs are many pages long when the transfer starts,
-/// decodes each peer record about once — 11 375 records against peer logs
-/// of 7 566 + 7 598. Before `Wal::scan_from` every one of the 32 pages
+/// examines each peer record at most once — 11 278 records against peer
+/// logs of 7 592 + 7 627, for 2 pages of what the replica lacked. Before
+/// `Wal::scan_from` every one of the 32 pages, each log shipped whole,
 /// decoded its peer's whole log: 181 191.
 #[test]
 fn catchup_decodes_a_linear_number_of_log_records() {
