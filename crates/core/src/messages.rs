@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use gdur_gc::GcMsg;
+use gdur_net::SiteId;
 use gdur_obs::AbortCause;
 use gdur_sim::{ProcessId, WireSize};
 use gdur_store::{Key, TxId, Value};
@@ -272,19 +273,26 @@ pub enum Msg {
         /// commit-vector entries all installs of this transaction carry.
         clocks: Vec<(u32, u64)>,
     },
-    /// Paxos Commit: coordinator asks acceptors to persist the decision.
+    /// Paxos Commit's phase 2a (Gray & Lamport): a voter asks an acceptor
+    /// to accept its vote, sent beside the vote when the voter's and the
+    /// coordinator's acceptors are not a majority.
     PaxosAccept {
-        /// Decided transaction.
+        /// Transaction voted on.
         tx: TxId,
-        /// The decision being replicated.
-        commit: bool,
+        /// The vote to accept.
+        yes: bool,
+        /// The coordinator, to which the acceptor answers.
+        coord: ProcessId,
     },
-    /// Paxos Commit: acceptor acknowledgment.
+    /// Paxos Commit's phase 2b: an acceptor tells the coordinator that it
+    /// accepted `voter`'s vote.
     PaxosAccepted {
-        /// Decided transaction.
+        /// Transaction voted on.
         tx: TxId,
-        /// The acknowledged decision.
-        commit: bool,
+        /// The site whose vote was accepted.
+        voter: SiteId,
+        /// The accepted vote.
+        yes: bool,
     },
     /// Background stamp propagation (`post_commit` of Walter/S-DUR): the
     /// primary of partition `partition` advanced to `seq`.

@@ -422,17 +422,13 @@ struct CoordTxn {
     /// The termination payload, retransmitted by 2PC and Paxos Commit
     /// retries and by a restarted coordinator.
     payload: TermPayload,
-    /// Paxos Commit acknowledgments received.
-    paxos_acks: u32,
-    /// The pending Paxos decision, if in the accept round.
-    paxos_decision: Option<bool>,
     /// True once the payload went out again (a retry, a resubmission after
     /// a restart): a participant answers every copy with its vote.
     resent: bool,
 }
 
 // One per submitted, undecided transaction at its coordinator.
-const _: () = assert!(std::mem::size_of::<CoordTxn>() <= 24);
+const _: () = assert!(std::mem::size_of::<CoordTxn>() <= 16);
 
 impl CoordTxn {
     /// A transaction just submitted with `payload`.
@@ -440,8 +436,6 @@ impl CoordTxn {
         CoordTxn {
             client,
             payload,
-            paxos_acks: 0,
-            paxos_decision: None,
             resent: false,
         }
     }
@@ -493,12 +487,15 @@ impl PartTxn {
 }
 
 /// Votes observed for a transaction (participants and coordinators share
-/// this view; in GC mode every `vote_recv` replica decides from it).
+/// this view; in GC mode every `vote_recv` replica decides from it). A vote
+/// counts once it arrives; under Paxos Commit once it is chosen
+/// ([`Acceptances`]).
 #[derive(Debug, Default)]
 struct VoteState {
-    /// Sites that voted yes, bit `s` for site `s`: a placement has at most
-    /// 64 sites (`Placement::new` asserts it).
+    /// Sites whose yes vote counts, bit `s` for site `s`: a placement has at
+    /// most 64 sites (`Placement::new` asserts it).
     yes_sites: u64,
+    /// True once a no vote counts.
     any_no: bool,
     /// Per-partition commit-clock reservations carried by yes votes,
     /// merged by maximum.
@@ -506,15 +503,37 @@ struct VoteState {
 }
 
 impl VoteState {
-    /// Records a yes vote of `site`.
-    fn add_yes(&mut self, site: SiteId) {
-        self.yes_sites |= 1 << site.0;
+    /// Counts a vote of `site`.
+    fn count(&mut self, site: SiteId, yes: bool) {
+        if yes {
+            self.yes_sites |= 1 << site.0;
+        } else {
+            self.any_no = true;
+        }
     }
 
     /// True if `site` voted yes.
     fn voted_yes(&self, site: SiteId) -> bool {
         self.yes_sites & (1 << site.0) != 0
     }
+}
+
+// One per transaction with a vote in: under overload, one per queued entry.
+const _: () = assert!(std::mem::size_of::<VoteState>() <= 40);
+
+/// Paxos Commit, at the coordinator: the acceptances of one voter's vote
+/// that is not chosen yet, beyond the voter's own acceptor. At three sites
+/// no vote leaves one: a remote vote is chosen where it arrives, the
+/// coordinator's own by its first phase 2b.
+#[derive(Debug, Clone, Copy)]
+struct Acceptances {
+    /// The vote accepted.
+    yes: bool,
+    /// True once the vote itself reached the coordinator, whose acceptor
+    /// accepted it; the coordinator's own vote is held from its casting.
+    held: bool,
+    /// Phase-2b messages received for it.
+    phase2b: u32,
 }
 
 /// A read parked until the local visibility frontier catches up with the
@@ -571,6 +590,9 @@ pub struct Replica {
     coord: IdMap<TxId, CoordTxn>,
     part: IdMap<TxId, PartTxn>,
     votes: IdMap<TxId, VoteState>,
+    /// Paxos Commit: acceptances of the votes not yet chosen, at four or
+    /// more sites.
+    accepts: BTreeMap<(TxId, SiteId), Acceptances>,
     /// Delivery queue `Q` of Algorithm 2 with its `commute` conflict index
     /// and deferred-vote wait graph.
     certifier: Certifier,
@@ -737,6 +759,7 @@ impl Replica {
             coord: IdMap::new(),
             part: IdMap::new(),
             votes: IdMap::new(),
+            accepts: BTreeMap::new(),
             certifier: Certifier::new(commute, gc_mode),
             spare_waiters: Vec::new(),
             early_decide: IdMap::new(),
@@ -913,15 +936,14 @@ impl Replica {
                     self.log_decision(ctx, tx, commit);
                 }
             }
-            Msg::PaxosAccept { tx, commit } => {
-                ctx.send(from, Msg::PaxosAccepted { tx, commit });
+            Msg::PaxosAccept { tx, yes, coord } => {
+                // An acceptor keeps no state: it answers the coordinator.
+                let voter = self
+                    .try_site_of_pid(from)
+                    .expect("phase 2a from a non-replica process");
+                ctx.send(coord, Msg::PaxosAccepted { tx, voter, yes });
             }
-            Msg::PaxosAccepted { tx, .. } => {
-                if let Some(t) = self.coord.get_mut(&tx) {
-                    t.paxos_acks += 1;
-                }
-                self.check_paxos_majority(ctx, tx);
-            }
+            Msg::PaxosAccepted { tx, voter, yes } => self.on_phase2b(ctx, tx, voter, yes),
             Msg::Propagate { partition, seq } => {
                 let p = partition as usize;
                 if self.knowledge.get(p) < seq {

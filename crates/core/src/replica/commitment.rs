@@ -2,6 +2,14 @@
 //! by group communication with distributed voting (Algorithm 3), two-phase
 //! commit (Algorithm 4) and Paxos Commit (§5), Serrano's vote-free
 //! `LocalDecide`, and the decision at coordinator and participant.
+//!
+//! Paxos Commit is Gray and Lamport's (*Consensus on Transaction Commit*,
+//! TODS 2006): each vote, not the decision, is chosen by a majority of
+//! acceptors, one per site. The voter's acceptor accepts the vote as it is
+//! cast and the coordinator's as it arrives; where those two are no
+//! majority the voter sends phase 2a to the other acceptors beside the vote,
+//! and each answers the coordinator with phase 2b. The coordinator counts a
+//! vote once it is chosen, so the acceptance overlaps the vote's own trip.
 
 use super::*;
 
@@ -74,7 +82,8 @@ impl Replica {
     /// be larger in certain cases", Figure 2-a): every participant receives
     /// every vote and decides locally, which also lets participants
     /// terminate transactions whose coordinator crashed. 2PC and Paxos
-    /// Commit participants wait for the coordinator's decision instead.
+    /// Commit participants wait for the coordinator's decision instead; a
+    /// Paxos Commit vote takes its phase 2a along.
     fn send_vote(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -100,8 +109,12 @@ impl Replica {
                     .map(|s| self.pid_of_site(*s))
                     .collect()
             }
-            CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
+            CommitmentKind::TwoPhaseCommit => {
                 return self.vote_to(ctx, payload.coord, tx, yes, clocks);
+            }
+            CommitmentKind::PaxosCommit => {
+                self.vote_to(ctx, payload.coord, tx, yes, clocks);
+                return self.send_phase2a(ctx, payload.coord, tx, yes);
             }
         };
         targets.push(payload.coord);
@@ -137,6 +150,104 @@ impl Replica {
         }
     }
 
+    /// Paxos Commit's phase 2a: this replica's vote on `tx` to every
+    /// acceptor but its own and the coordinator's, when those two are no
+    /// majority. Sent as the vote is cast and with every re-sent vote;
+    /// nothing under the other commitment algorithms.
+    pub(super) fn send_phase2a(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        coord: ProcessId,
+        tx: TxId,
+        yes: bool,
+    ) {
+        if self.cfg.spec.commitment != CommitmentKind::PaxosCommit {
+            return;
+        }
+        let coord_site = self
+            .try_site_of_pid(coord)
+            .expect("a coordinator is a replica");
+        if self.phase2b_needed(self.cfg.site, coord_site) == 0 {
+            return;
+        }
+        for s in self.cfg.placement.all_sites() {
+            let pid = self.pid_of_site(s);
+            if pid != self.me && pid != coord {
+                ctx.send(pid, Msg::PaxosAccept { tx, yes, coord });
+            }
+        }
+    }
+
+    /// Paxos Commit: the phase-2b messages `voter`'s vote needs to be chosen
+    /// once it has reached the coordinator at `coord`. A majority of the
+    /// acceptors, one per site, must accept it: the voter's did when it cast
+    /// the vote, the coordinator's did when the vote arrived.
+    fn phase2b_needed(&self, voter: SiteId, coord: SiteId) -> u32 {
+        let majority = self.cfg.placement.sites() / 2 + 1;
+        let on_arrival = if voter == coord { 1 } else { 2 };
+        majority.saturating_sub(on_arrival) as u32
+    }
+
+    /// Paxos Commit at the coordinator: one more acceptance of `voter`'s
+    /// vote `yes` — the vote itself reaching this replica, or a phase 2b
+    /// naming it. True once the vote is chosen: held here, its clocks
+    /// merged, and accepted by a majority. Until then `accepts` keeps what
+    /// the voter's and the coordinator's acceptors do not imply.
+    fn accept(&mut self, tx: TxId, voter: SiteId, yes: bool, phase2b: bool) -> bool {
+        let own = voter == self.cfg.site;
+        let fresh = Acceptances {
+            yes,
+            held: own,
+            phase2b: 0,
+        };
+        // Acceptances of the other vote were of the voter's vote before it
+        // restarted.
+        let mut a = self
+            .accepts
+            .remove(&(tx, voter))
+            .filter(|a| a.yes == yes)
+            .unwrap_or(fresh);
+        if phase2b {
+            a.phase2b += 1;
+        } else {
+            a.held = true;
+        }
+        if a.held && a.phase2b >= self.phase2b_needed(voter, self.cfg.site) {
+            return true;
+        }
+        if a.phase2b > 0 || !own {
+            self.accepts.insert((tx, voter), a);
+        }
+        false
+    }
+
+    /// Paxos Commit's phase 2b at the coordinator: one more acceptor holds
+    /// `voter`'s vote. Ignored for a transaction decided or unknown here,
+    /// for a vote that counts already, and for an own vote this replica has
+    /// not cast since it last started (a 2b from before its crash).
+    pub(super) fn on_phase2b(
+        &mut self,
+        ctx: &mut Context<'_, Msg>,
+        tx: TxId,
+        voter: SiteId,
+        yes: bool,
+    ) {
+        if !self.coord.contains_key(&tx) || self.votes.get(&tx).is_some_and(|v| v.voted_yes(voter))
+        {
+            return;
+        }
+        let own = voter == self.cfg.site;
+        if own && self.part.get(&tx).and_then(|p| p.my_vote) != Some(yes) {
+            return;
+        }
+        if self.accept(tx, voter, yes, true) {
+            self.votes
+                .get_or_insert_with(tx, VoteState::default)
+                .count(voter, yes);
+            self.check_coord_outcome(ctx, tx);
+        }
+    }
+
     /// Serrano's vote-free decision: certify at delivery, in total order,
     /// against the replicated version table; every replica reaches the same
     /// verdict.
@@ -157,7 +268,8 @@ impl Replica {
     }
 
     /// Accumulates a vote; both coordinator-side and participant-side
-    /// decisions key off this shared state.
+    /// decisions key off this shared state. Under Paxos Commit the vote
+    /// counts once it is chosen; its clocks are merged on arrival.
     pub(super) fn record_vote(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -169,18 +281,18 @@ impl Replica {
         if self.done.contains(&tx) && !self.coord.contains_key(&tx) {
             return;
         }
+        let counts = self.cfg.spec.commitment != CommitmentKind::PaxosCommit
+            || (self.coord.contains_key(&tx) && self.accept(tx, site, yes, false));
         {
             let v = self.votes.get_or_insert_with(tx, VoteState::default);
-            if yes {
-                v.add_yes(site);
-                for (p, s) in clocks {
-                    match v.clocks.iter_mut().find(|(q, _)| *q == p) {
-                        Some(e) => e.1 = e.1.max(s),
-                        None => v.clocks.push((p, s)),
-                    }
+            for (p, s) in clocks {
+                match v.clocks.iter_mut().find(|(q, _)| *q == p) {
+                    Some(e) => e.1 = e.1.max(s),
+                    None => v.clocks.push((p, s)),
                 }
-            } else {
-                v.any_no = true;
+            }
+            if counts {
+                v.count(site, yes);
             }
         }
         self.check_coord_outcome(ctx, tx);
@@ -217,46 +329,12 @@ impl Replica {
         })
     }
 
-    /// Coordinator side of `outcome(T)`: decide — through a Paxos round
-    /// under Paxos Commit — as soon as the votes allow.
+    /// Coordinator side of `outcome(T)`: decide as soon as the votes that
+    /// count allow.
     fn check_coord_outcome(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
         let Some(t) = self.coord.get(&tx) else { return };
         let Some(v) = self.votes.get(&tx) else { return };
-        let Some(commit) = self.outcome(v, self.certifying_of(&t.payload)) else {
-            return;
-        };
-        if self.cfg.spec.commitment == CommitmentKind::PaxosCommit {
-            self.start_paxos_round(ctx, tx, commit);
-        } else {
-            self.decide_and_announce(ctx, tx, commit, None);
-        }
-    }
-
-    /// Paxos Commit: replicate the decision on a majority of acceptors
-    /// before announcing it.
-    fn start_paxos_round(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, commit: bool) {
-        let t = self.coord.get_mut(&tx).expect("present");
-        if t.paxos_decision.is_some() {
-            return;
-        }
-        t.paxos_decision = Some(commit);
-        t.paxos_acks = 1; // the coordinator accepts its own decision
-        for s in self.cfg.placement.all_sites() {
-            let pid = self.pid_of_site(s);
-            if pid != self.me {
-                ctx.send(pid, Msg::PaxosAccept { tx, commit });
-            }
-        }
-        self.check_paxos_majority(ctx, tx);
-    }
-
-    pub(super) fn check_paxos_majority(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId) {
-        let n = self.cfg.placement.sites();
-        let Some(t) = self.coord.get(&tx) else { return };
-        let Some(commit) = t.paxos_decision else {
-            return;
-        };
-        if t.paxos_acks as usize > n / 2 {
+        if let Some(commit) = self.outcome(v, self.certifying_of(&t.payload)) {
             self.decide_and_announce(ctx, tx, commit, None);
         }
     }
@@ -365,6 +443,10 @@ impl Replica {
             return;
         };
         self.votes.remove(&tx);
+        if !self.accepts.is_empty() {
+            let of_tx = (tx, SiteId(0))..=(tx, SiteId(u16::MAX));
+            self.accepts.extract_if(of_tx, |_, _| true).for_each(drop);
+        }
         self.stats.coordinated += 1;
         let cause = (!commit).then_some(cause.unwrap_or(AbortCause::CertificationConflict));
         if commit {

@@ -65,6 +65,7 @@ impl Replica {
         self.coord.clear();
         self.part.clear();
         self.votes.clear();
+        self.accepts.clear();
         self.certifier.clear();
         self.early_decide.clear();
         self.timers.clear();

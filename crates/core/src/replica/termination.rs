@@ -155,6 +155,8 @@ impl Replica {
                     let clocks = p.reserved().to_vec();
                     ctx.send(payload.coord, Msg::Vote { tx, yes, clocks });
                 }
+                // The acceptors too: the coordinator may have restarted.
+                self.send_phase2a(ctx, payload.coord, tx, yes);
             }
             return;
         }

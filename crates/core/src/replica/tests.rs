@@ -29,6 +29,15 @@ pub(crate) fn walter_like() -> ProtocolSpec {
     }
 }
 
+/// Walter's assembly with Paxos Commit in place of 2PC.
+fn paxos_like() -> ProtocolSpec {
+    ProtocolSpec {
+        name: "paxos-like",
+        commitment: CommitmentKind::PaxosCommit,
+        ..walter_like()
+    }
+}
+
 /// P-Store's assembly: commitment by group communication (Algorithm 3).
 fn p_store_like() -> ProtocolSpec {
     ProtocolSpec {
@@ -125,6 +134,26 @@ impl Probe {
         self.inject(self.pid(site), Msg::Vote { tx, yes, clocks });
     }
 
+    /// Submits a transaction at site 0 that writes `key`.
+    fn submit_update(&mut self, key: u64) -> TxId {
+        let tx = self.begin();
+        self.update(tx, key);
+        self.client(tx, ClientOp::Commit);
+        tx
+    }
+
+    /// Delivers a phase 2b from site `acceptor`: it accepted `voter`'s vote.
+    fn phase2b(&mut self, acceptor: usize, tx: TxId, voter: usize, yes: bool) {
+        let voter = SiteId(voter as u16);
+        self.inject(self.pid(acceptor), Msg::PaxosAccepted { tx, voter, yes });
+    }
+
+    /// (committed, aborted) at site 0.
+    fn decided(&self) -> (u64, u64) {
+        let stats = self.replica().stats;
+        (stats.committed, stats.aborted)
+    }
+
     fn crash(&mut self, site: usize) {
         let (pid, now) = (self.pid(site), self.cluster.now());
         self.cluster.sim_mut().schedule_crash(pid, now);
@@ -148,15 +177,21 @@ impl Probe {
     /// Destinations of the termination payloads site 0 sent from `since`
     /// on, in sending order.
     fn transmitted(&self, since: SimTime) -> Vec<ProcessId> {
+        self.sent("gc.reliable", since)
+    }
+
+    /// Destinations of the messages labelled `wanted` that site 0 sent from
+    /// `since` on, in sending order.
+    fn sent(&self, wanted: &str, since: SimTime) -> Vec<ProcessId> {
         let me = self.pid(0);
         let sent = self.trace.events().into_iter().filter_map(|e| match e {
             ObsEvent::Send {
                 at,
                 from,
                 to,
-                label: "gc.reliable",
+                label,
                 ..
-            } if from == me && at >= since => Some(to),
+            } if from == me && at >= since && label == wanted => Some(to),
             _ => None,
         });
         sent.collect()
@@ -463,25 +498,181 @@ fn outcome_in_gc_mode_is_one_yes_per_object_or_any_no() {
 #[test]
 fn outcome_under_2pc_waits_for_every_replica_of_every_object() {
     let mut probe = outcome_probe(walter_like());
-    let submit = |probe: &mut Probe, key: u64| {
-        let tx = probe.begin();
-        probe.update(tx, key);
-        probe.client(tx, ClientOp::Commit);
-        tx
-    };
     // Key 0 lives at sites 0 and 1. The coordinator's own yes — a commit in
     // GC mode — decides nothing; the second replica's does.
-    let tx = submit(&mut probe, 0);
+    let tx = probe.submit_update(0);
     assert_eq!(probe.replica().part[&tx].my_vote, Some(true));
     assert!(probe.replica().coord.contains_key(&tx));
     probe.vote(1, tx, true);
     assert!(!probe.replica().coord.contains_key(&tx));
     assert_eq!(probe.replica().stats.committed, 1);
 
-    let tx = submit(&mut probe, 3);
+    let tx = probe.submit_update(3);
     probe.vote(1, tx, false);
     assert!(!probe.replica().coord.contains_key(&tx));
     assert_eq!(probe.replica().stats.aborted_cert_conflict, 1);
+}
+
+/// Paxos Commit at `sites` sites, disaster tolerant, coordinated at site 0:
+/// key `k` lives at sites `k % sites` and one further. The peers are down;
+/// their votes and phase-2b messages are injected.
+fn paxos_probe(sites: usize) -> Probe {
+    let mut probe = Probe::with(paxos_like(), Placement::disaster_tolerant(sites), |_| {});
+    for site in 1..sites {
+        probe.crash(site);
+    }
+    probe
+}
+
+/// At three sites a remote vote is chosen where it arrives: its voter's
+/// acceptor and the coordinator's are a majority. The coordinator's own vote
+/// is held by its own acceptor only, so it sends phase 2a to the two others
+/// and counts once one phase 2b is back; the commit waits for both, in
+/// either order.
+#[test]
+fn paxos_commit_at_three_sites_commits_once_the_own_vote_holds_one_2b() {
+    let mut probe = paxos_probe(3);
+    // Key 0 lives at sites 0 and 1.
+    let submitted = probe.cluster.now();
+    let tx = probe.submit_update(0);
+    assert_eq!(probe.replica().part[&tx].my_vote, Some(true));
+    assert_eq!(
+        probe.sent("paxos_accept", submitted),
+        [probe.pid(1), probe.pid(2)]
+    );
+    probe.vote(1, tx, true);
+    assert!(probe.replica().coord.contains_key(&tx));
+    assert_eq!(probe.decided(), (0, 0));
+    probe.phase2b(2, tx, 0, true);
+    assert!(!probe.replica().coord.contains_key(&tx));
+    assert_eq!(probe.decided(), (1, 0));
+
+    // The 2b first: the remote yes decides on arrival.
+    let tx = probe.submit_update(3);
+    probe.phase2b(1, tx, 0, true);
+    assert!(probe.replica().coord.contains_key(&tx));
+    probe.vote(1, tx, true);
+    assert_eq!(probe.decided(), (2, 0));
+    assert!(probe.replica().accepts.is_empty());
+}
+
+/// A no from another site is chosen on arrival and aborts at once, the
+/// coordinator's own yes still waiting for its 2b.
+#[test]
+fn paxos_commit_aborts_on_a_remote_no_at_once() {
+    let mut probe = paxos_probe(3);
+    let tx = probe.submit_update(0);
+    probe.vote(1, tx, false);
+    assert!(!probe.replica().coord.contains_key(&tx));
+    assert_eq!(probe.decided(), (0, 1));
+    assert_eq!(probe.replica().stats.aborted_cert_conflict, 1);
+}
+
+/// The coordinator's own no is held by its own acceptor only: the abort
+/// waits for one phase 2b, whatever the other votes say.
+#[test]
+fn paxos_commit_aborts_on_the_own_no_once_it_holds_a_2b() {
+    let mut probe = paxos_probe(3);
+    // The first writer of key 0 stays undecided, so the second's own vote
+    // is a preemptive no (Algorithm 4, line 3).
+    probe.submit_update(0);
+    let tx = probe.submit_update(0);
+    assert_eq!(probe.replica().part[&tx].my_vote, Some(false));
+    probe.vote(1, tx, true);
+    assert!(probe.replica().coord.contains_key(&tx));
+    // A 2b of the other vote is not this vote's.
+    probe.phase2b(2, tx, 0, true);
+    assert!(probe.replica().coord.contains_key(&tx));
+    probe.phase2b(2, tx, 0, false);
+    assert!(!probe.replica().coord.contains_key(&tx));
+    assert_eq!(probe.decided(), (0, 1));
+}
+
+/// A phase 2b for a transaction the coordinator decided, or never knew,
+/// changes nothing and leaves nothing behind.
+#[test]
+fn paxos_commit_ignores_a_2b_for_a_decided_or_unknown_transaction() {
+    let mut probe = paxos_probe(3);
+    let tx = probe.submit_update(0);
+    probe.vote(1, tx, false);
+    let unknown = probe.next_tx();
+    let (decided, since) = (probe.replica().stats, probe.cluster.now());
+    for t in [tx, unknown] {
+        for voter in [0, 1] {
+            probe.phase2b(2, t, voter, true);
+        }
+    }
+    let r = probe.replica();
+    assert_eq!(r.stats, decided);
+    assert!(r.votes.is_empty() && r.accepts.is_empty());
+    for label in ["decide", "reply", "paxos_accept"] {
+        assert_eq!(probe.sent(label, since), [], "{label}");
+    }
+}
+
+/// At four sites a majority is three acceptors. A remote vote needs one
+/// phase 2b naming its voter, received before or after the vote itself;
+/// the coordinator's own needs two.
+#[test]
+fn paxos_commit_at_four_sites_chooses_a_remote_vote_with_one_2b() {
+    let mut probe = paxos_probe(4);
+    // Key 0 lives at sites 0 and 1.
+    let submitted = probe.cluster.now();
+    let tx = probe.submit_update(0);
+    assert_eq!(
+        probe.sent("paxos_accept", submitted),
+        [probe.pid(1), probe.pid(2), probe.pid(3)]
+    );
+    probe.phase2b(2, tx, 0, true);
+    probe.phase2b(3, tx, 0, true);
+    probe.vote(1, tx, true);
+    assert!(probe.replica().coord.contains_key(&tx));
+    // A 2b naming another voter does not choose this one.
+    probe.phase2b(3, tx, 0, true);
+    assert!(probe.replica().coord.contains_key(&tx));
+    probe.phase2b(2, tx, 1, true);
+    assert_eq!(probe.decided(), (1, 0));
+
+    // The remote vote's 2b before the vote; one own 2b is not enough.
+    let tx = probe.submit_update(4);
+    probe.phase2b(3, tx, 1, true);
+    probe.phase2b(2, tx, 0, true);
+    probe.vote(1, tx, true);
+    assert!(probe.replica().coord.contains_key(&tx));
+    probe.phase2b(3, tx, 0, true);
+    assert_eq!(probe.decided(), (2, 0));
+    assert!(probe.replica().accepts.is_empty());
+}
+
+/// A participant sends phase 2a beside its vote only where the voter's and
+/// the coordinator's acceptors are no majority: never at three sites, to the
+/// acceptors of the two other sites at four.
+#[test]
+fn a_remote_voter_sends_phase_2a_only_where_a_majority_is_missing() {
+    for (sites, expected) in [(3, vec![]), (4, vec![2, 3])] {
+        let mut probe = paxos_probe(sites);
+        let tx = TxId::new(99, 1);
+        let ws = vec![WriteEntry {
+            key: Key(0),
+            value: Value::of_size(8),
+            base_seq: 0,
+        }];
+        let dep = VersionVec::zero(0);
+        let payload = TermPayload::new(tx, probe.pid(1), false, Vec::new(), ws, dep);
+        let delivered = probe.cluster.now();
+        probe.inject(probe.pid(1), Msg::Gc(GcMsg::Reliable { payload }));
+        assert_eq!(
+            probe.sent("vote", delivered),
+            [probe.pid(1)],
+            "{sites} sites"
+        );
+        let expected: Vec<ProcessId> = expected.into_iter().map(|s| probe.pid(s)).collect();
+        assert_eq!(
+            probe.sent("paxos_accept", delivered),
+            expected,
+            "{sites} sites"
+        );
+    }
 }
 
 #[test]
@@ -604,12 +795,13 @@ fn no_early_decision_outlives_a_drained_run() {
 /// the coordinator.
 #[test]
 fn no_vote_outlives_a_drained_run() {
-    for spec in [p_store_like(), walter_like()] {
+    for spec in [p_store_like(), walter_like(), paxos_like()] {
         let placement = Placement::disaster_tolerant(3);
         let (name, cluster) = (spec.name, drained_run(spec, placement));
         for site in cluster.placement().all_sites() {
-            let votes = cluster.replica(site).votes.len();
-            assert_eq!(votes, 0, "{name}: vote ledgers left at {site}");
+            let r = cluster.replica(site);
+            assert_eq!(r.votes.len(), 0, "{name}: vote ledgers left at {site}");
+            assert!(r.accepts.is_empty(), "{name}: acceptances left at {site}");
         }
     }
 }
@@ -841,7 +1033,7 @@ fn the_yes_mask_matches_sorted_site_membership() {
         let (mut mask, mut sorted) = (VoteState::default(), Vec::<SiteId>::new());
         for _ in 0..rng.gen_range(0..2 * sites) {
             let site = SiteId(rng.gen_range(0..sites));
-            mask.add_yes(site);
+            mask.count(site, true);
             if let Err(i) = sorted.binary_search(&site) {
                 sorted.insert(i, site);
             }

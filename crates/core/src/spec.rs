@@ -121,10 +121,11 @@ pub enum CommitmentKind {
     /// Algorithm 4: plain multicast, votes to the coordinator, preemptive
     /// abort of transactions that do not commute with a queued one.
     TwoPhaseCommit,
-    /// Paxos Commit (§5, third realization): like 2PC but the coordinator
-    /// replicates its decision on a majority of acceptors before
-    /// announcing it, buying non-blocking termination for one extra round
-    /// trip.
+    /// Paxos Commit (§5, third realization; Gray and Lamport): like 2PC,
+    /// but the coordinator counts a vote once a majority of acceptors, one
+    /// per site, has accepted it. The voter's and the coordinator's
+    /// acceptors accept it on its way; where they are no majority the voter
+    /// sends phase 2a to the others beside its vote.
     PaxosCommit,
 }
 

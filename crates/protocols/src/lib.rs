@@ -262,8 +262,11 @@ pub fn p_store_ab() -> ProtocolSpec {
 }
 
 /// SER + Paxos Commit — the third commitment realization of §5, elided in
-/// the paper for space: 2PC whose decision is made durable on a majority
-/// of acceptors before being announced.
+/// the paper for space: Gray and Lamport's algorithm, 2PC in which each
+/// vote is chosen by a majority of acceptors, one per site, before the
+/// coordinator counts it. The voter's and the coordinator's acceptors
+/// accept a vote on its way, so at three sites only the coordinator's own
+/// vote waits for a phase 2b, and an update terminates at 2PC's latency.
 pub fn p_store_paxos() -> ProtocolSpec {
     ProtocolSpec {
         name: "P-Store-Paxos",

@@ -16,8 +16,8 @@
 use gdur_core::{CommitmentKind, ProtocolSpec};
 use gdur_harness::{max_throughput, run_sweep, Experiment, PlacementKind, Scale, WorkloadKind};
 
-/// Walter with non-blocking commitment: a protocol the paper never names,
-/// assembled in four lines.
+/// Walter with Paxos Commit, each vote chosen by a majority of acceptors: a
+/// protocol the paper never names, assembled in four lines.
 fn walter_paxos() -> ProtocolSpec {
     ProtocolSpec {
         name: "Walter-Paxos",
@@ -44,6 +44,7 @@ fn main() {
         "{:<14} {:>22} {:>16} {:>12}",
         "protocol", "max throughput (tps)", "upd latency (ms)", "genuine?"
     );
+    let mut latency_ms = Vec::new();
     for (spec, locality) in variants {
         let mut exp = Experiment::new(spec, WorkloadKind::A, 0.9, 4, PlacementKind::Dp);
         exp.local_query_ratio = locality;
@@ -56,11 +57,18 @@ fn main() {
             last.term_latency_update_ms,
             exp.spec.is_genuine()
         );
+        latency_ms.push((exp.spec.name, last.term_latency_update_ms));
     }
+    let latency = |name: &str| {
+        let found = latency_ms.iter().find(|(n, _)| *n == name);
+        found.expect("swept").1
+    };
     println!(
         "\nP-Store-la turns local queries wait-free (throughput up at high \
          locality);\nSER+2PC trades a-priori ordering for two message delays \
-         (latency down);\nWalter-Paxos pays one extra round trip for \
-         non-blocking commitment."
+         (latency down);\nWalter-Paxos has every vote chosen by a majority of \
+         acceptors for {:+.1} ms per update\nat 4 sites, where a remote vote waits \
+         for one phase 2b from a third acceptor.",
+        latency("Walter-Paxos") - latency("Walter")
     );
 }
