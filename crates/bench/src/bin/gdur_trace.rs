@@ -4,20 +4,21 @@
 //! Usage:
 //!
 //! ```text
-//! gdur-trace tree --tx COORD:SEQ [PROTOCOL] [--clients N]
+//! gdur-trace tree --tx POOL:CLIENT:SEQ [PROTOCOL] [--clients N]
 //! gdur-trace attribute [PROTOCOL...] [--clients N]
 //! gdur-trace export --chrome PATH [PROTOCOL] [--clients N]
-//! gdur-trace dump [PROTOCOL] [--tx COORD:SEQ] [--actor PID] [--clients N]
+//! gdur-trace dump [PROTOCOL] [--tx POOL:CLIENT:SEQ] [--actor PID] [--clients N]
 //! ```
 //!
 //! All subcommands run one causally-traced sweep point of the standard
 //! 3-site deployment (workload C, 70% read-only, disaster-prone placement,
 //! seed 7) and analyse its trace:
 //!
-//! * `tree` prints the span tree of one transaction (`COORD:SEQ` as shown
-//!   in span labels and the `tx` field of JSONL traces) plus its
-//!   critical-path blame table; exits non-zero if the transaction does not
-//!   exist in the trace.
+//! * `tree` prints the span tree of one transaction plus its critical-path
+//!   blame table; exits non-zero if the transaction does not exist in the
+//!   trace. A transaction is named by its pool's process id, the client's
+//!   index in the pool and its local sequence (`3:1:2`, printed `p3.c1.2`),
+//!   or by the coordinator and packed sequence of its `TxId` (`3:1048578`).
 //! * `attribute` prints per-protocol critical-path attribution tables over
 //!   every committed transaction of the measurement window (default
 //!   protocols: P-Store, S-DUR, Walter).
@@ -36,10 +37,11 @@
 use std::io::Write as _;
 use std::process::exit;
 
+use gdur_core::PooledTx;
 use gdur_harness::{run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind};
 use gdur_obs::{
     critical_path, export_chrome, jsonl, render_attribution_text, tx_span_tree, Attribution,
-    CausalIndex, ObsEvent, TraceHandle,
+    CausalIndex, ObsEvent, TraceHandle, MAX_POOL_CLIENTS, MAX_POOL_LOCAL_SEQ,
 };
 use gdur_sim::SimDuration;
 use gdur_store::TxId;
@@ -86,17 +88,27 @@ fn number_flag<T: std::str::FromStr>(args: &[String], flag: &str, what: &str) ->
     })
 }
 
+/// `POOL:CLIENT:SEQ` or `COORD:SEQ` as a transaction code.
 fn parse_tx(s: &str) -> Option<u64> {
     let (c, q) = s.split_once(':')?;
-    TxId::try_new(c.parse().ok()?, q.parse().ok()?).map(TxId::code)
+    let seq = match q.split_once(':') {
+        Some((client, local)) => {
+            let client: u32 = client.parse().ok()?;
+            let local: u64 = local.parse().ok()?;
+            let fits = client < MAX_POOL_CLIENTS && (1..=MAX_POOL_LOCAL_SEQ).contains(&local);
+            fits.then(|| gdur_obs::pool_seq(client, local))?
+        }
+        None => q.parse().ok()?,
+    };
+    TxId::try_new(c.parse().ok()?, seq).map(TxId::code)
 }
 
-/// The `--tx COORD:SEQ` flag as a transaction code, with its spelling;
-/// exits 2 on a malformed value.
+/// The `--tx` flag as a transaction code, with its spelling; exits 2 on a
+/// malformed value.
 fn tx_flag(args: &[String]) -> Option<(u64, &str)> {
     let arg = flag_value(args, "--tx")?;
     let Some(tx) = parse_tx(arg) else {
-        eprintln!("gdur-trace: --tx expects COORD:SEQ, got {arg:?}");
+        eprintln!("gdur-trace: --tx expects POOL:CLIENT:SEQ or COORD:SEQ, got {arg:?}");
         exit(2);
     };
     Some((tx, arg))
@@ -136,10 +148,10 @@ fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: gdur-trace tree --tx COORD:SEQ [PROTOCOL] [--clients N]\n\
+        "usage: gdur-trace tree --tx POOL:CLIENT:SEQ [PROTOCOL] [--clients N]\n\
          \x20      gdur-trace attribute [PROTOCOL...] [--clients N]\n\
          \x20      gdur-trace export --chrome PATH [PROTOCOL] [--clients N]\n\
-         \x20      gdur-trace dump [PROTOCOL] [--tx COORD:SEQ] [--actor PID] [--clients N]"
+         \x20      gdur-trace dump [PROTOCOL] [--tx POOL:CLIENT:SEQ] [--actor PID] [--clients N]"
     );
     exit(2);
 }
@@ -171,8 +183,7 @@ fn main() {
                 );
                 exit(1);
             };
-            let id = TxId::from_code(tx);
-            tree.label = format!("txn {}:{}", id.coord(), id.seq());
+            tree.label = format!("txn {}", PooledTx(TxId::from_code(tx)));
             print!("{}", tree.render(tree.start));
             if let Some(cp) = critical_path(&run.events, &ix, &run.clients, tx) {
                 println!("\ncritical path ({} ns total):", cp.latency_ns);
@@ -278,5 +289,15 @@ mod tests {
         assert_eq!(positionals(&ok), Ok(vec!["S-DUR", "Walter"]));
         let e = positionals(&args(&["P-Store", "--csv"])).expect_err("unknown flag");
         assert!(e.contains("--csv"), "{e}");
+    }
+
+    #[test]
+    fn a_transaction_is_named_by_pool_client_and_sequence_or_packed() {
+        let packed = TxId::new(3, 1_048_578).code();
+        assert_eq!(parse_tx("3:1:2"), Some(packed));
+        assert_eq!(parse_tx("3:1048578"), Some(packed));
+        for bad in ["3", "3:x", "3:1:0", "3:1048576:1", "3:0:1048576", "3:1:2:4"] {
+            assert_eq!(parse_tx(bad), None, "{bad}");
+        }
     }
 }

@@ -30,7 +30,7 @@
 //! decidable from these records alone and are documented as out of scope
 //! in DESIGN.md.
 
-use gdur_core::{Cluster, InstallEvent, OutcomeLog, Reads, Writes};
+use gdur_core::{Cluster, InstallEvent, OutcomeLog, PooledTx, Reads, Writes};
 use gdur_net::SiteId;
 use gdur_store::{Key, TxId};
 
@@ -204,7 +204,7 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Violation::DirtyRead { tx, key, seq } => {
-                write!(f, "{tx} read uninstalled version {key}@{seq}")
+                write!(f, "{} read uninstalled version {key}@{seq}", PooledTx(*tx))
             }
             Violation::FracturedRead {
                 reader,
@@ -213,7 +213,9 @@ impl std::fmt::Display for Violation {
                 missed_key,
             } => write!(
                 f,
-                "{reader} saw {writer}'s write on {seen_key} but not on {missed_key}"
+                "{} saw {}'s write on {seen_key} but not on {missed_key}",
+                PooledTx(*reader),
+                PooledTx(*writer)
             ),
             Violation::LostUpdate { key, seq } => {
                 write!(f, "version {key}@{seq} doubly superseded or gapped")
@@ -230,18 +232,26 @@ impl std::fmt::Display for Violation {
                     write!(
                         f,
                         " {} ({role} @ {}) —{kind} {}@{}→",
-                        hop.from, hop.site, hop.key, hop.seq
+                        PooledTx(hop.from),
+                        hop.site,
+                        hop.key,
+                        hop.seq
                     )?;
                 }
                 match cycle.first() {
-                    Some(first) => write!(f, " {}", first.from),
+                    Some(first) => write!(f, " {}", PooledTx(first.from)),
                     None => Ok(()),
                 }
             }
             Violation::ReplicaDivergence(d) => write!(
                 f,
                 "replicas diverge on {}@{}: {} installed {}'s write, {} installed {}'s",
-                d.key, d.seq, d.first.0, d.first.1, d.second.0, d.second.1
+                d.key,
+                d.seq,
+                d.first.0,
+                PooledTx(d.first.1),
+                d.second.0,
+                PooledTx(d.second.1)
             ),
         }
     }

@@ -242,7 +242,7 @@ fn a_divergence_names_both_replicas_and_both_writers() {
     );
     assert_eq!(
         v.to_string(),
-        "replicas diverge on k1@1: site0 installed t1.1's write, site1 installed t1.2's"
+        "replicas diverge on k1@1: site0 installed p1.c0.1's write, site1 installed p1.c0.2's"
     );
     // The divergence is not a version: k1@1 stays t1.1's, and the per-key
     // sequences, k2's included, are still contiguous.
@@ -276,8 +276,8 @@ fn a_cycle_is_reported_without_its_lead_in_path() {
     );
     assert_eq!(
         v.to_string(),
-        "serialization cycle through 2 txns: t1.2 (update @ site0) —rw k2@0→ \
-         t1.3 (update @ site1) —rw k3@0→ t1.2"
+        "serialization cycle through 2 txns: p1.c0.2 (update @ site0) —rw k2@0→ \
+         p1.c0.3 (update @ site1) —rw k3@0→ p1.c0.2"
     );
 }
 

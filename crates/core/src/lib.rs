@@ -37,7 +37,7 @@ pub use gdur_obs::AbortCause;
 pub use lint::{Diagnostic, Severity};
 pub use messages::{CatchupSummary, ClientOp, ClientReply, Msg, PayloadBody, TermPayload};
 pub use node::Node;
-pub use pool::{ClientPool, PoolCounts};
+pub use pool::{ClientPool, PoolCounts, PooledTx};
 pub use replica::{
     InstallEvent, LoggedSet, OutcomeLog, Reads, Replica, ReplicaConfig, ReplicaStats, TxnOutcome,
     Writes,

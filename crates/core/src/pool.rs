@@ -24,7 +24,8 @@
 //! bits so ids order client-major. Both bounds are checked with explicit
 //! panics ([`gdur_obs::MAX_POOL_CLIENTS`] clients per pool,
 //! [`gdur_obs::MAX_POOL_LOCAL_SEQ`] transactions per client); nothing
-//! truncates silently.
+//! truncates silently. Texts name a transaction by the three parts,
+//! [`PooledTx`]: `p3.c1.2` is pool p3's client 1, local sequence 2.
 //!
 //! ## Determinism
 //!
@@ -36,11 +37,23 @@
 
 use gdur_obs::{pool_seq_parts, AbortCause, MAX_POOL_CLIENTS};
 use gdur_sim::{Context, ProcessId, SimDuration, SimTime, TimerWheel};
-use gdur_store::Value;
+use gdur_store::{TxId, Value};
 
 use crate::client::{ClientSlot, TxnRecord};
 use crate::messages::{ClientOp, ClientReply, Msg};
 use crate::txn::TxSource;
+
+/// A transaction id spelled as the pool, client and local sequence that
+/// issued it: `p3.c1.2` for the id whose packed form is `t3.1048578`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PooledTx(pub TxId);
+
+impl std::fmt::Display for PooledTx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (client, seq) = pool_seq_parts(self.0.seq());
+        write!(f, "p{}.c{client}.{seq}", self.0.coord())
+    }
+}
 
 /// Aggregate outcome counters of a pool, kept even when per-transaction
 /// records are disabled (mega-scale sweeps cannot afford a `TxnRecord`
@@ -421,9 +434,17 @@ impl ClientPool {
 
 #[cfg(test)]
 mod tests {
-    use gdur_store::TxId;
+    use gdur_obs::pool_seq;
 
     use super::*;
+
+    #[test]
+    fn a_pooled_id_names_its_pool_client_and_local_sequence() {
+        let tx = TxId::new(3, pool_seq(1, 2));
+        assert_eq!(tx.to_string(), "t3.1048578");
+        assert_eq!(PooledTx(tx).to_string(), "p3.c1.2");
+        assert_eq!(PooledTx(TxId::new(5, 7)).to_string(), "p5.c0.7");
+    }
 
     /// The pool's record arena against the layout it replaced, a
     /// `Vec<TxnRecord>`: every field at its extremes, every cause, a

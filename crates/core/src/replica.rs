@@ -571,7 +571,8 @@ pub struct Replica {
     /// commitment with vector mechanisms this is the *visibility frontier*:
     /// it advances only over contiguously resolved reservations, so no
     /// snapshot built from it can admit a commit whose install is still in
-    /// flight somewhere.
+    /// flight somewhere. Empty under TS, where no snapshot, vote or read
+    /// consults a frontier.
     knowledge: VersionVec,
     /// Highest commit-clock slot handed out per local partition at vote
     /// time; always ≥ the corresponding `knowledge` entry.
@@ -726,6 +727,7 @@ impl Replica {
     pub fn new(me: ProcessId, cfg: ReplicaConfig, total_keys: u64, seed_value: &Value) -> Self {
         let partitions = cfg.placement.partitions();
         let dim = cfg.spec.versioning.dim(cfg.replica_pids.len(), partitions);
+        let clocks = if dim == 0 { 0 } else { dim.max(partitions) };
         let image = SeedImage::new(
             &cfg.placement,
             cfg.site,
@@ -749,8 +751,8 @@ impl Replica {
             cfg.spec.commute
         };
         Replica {
-            knowledge: VersionVec::zero(dim.max(partitions)),
-            reserved: VersionVec::zero(dim.max(partitions)),
+            knowledge: VersionVec::zero(clocks),
+            reserved: VersionVec::zero(clocks),
             resolved_ahead: BTreeMap::new(),
             parked: ParkedReads::default(),
             meta: BTreeMap::new(),
@@ -946,7 +948,7 @@ impl Replica {
             Msg::PaxosAccepted { tx, voter, yes } => self.on_phase2b(ctx, tx, voter, yes),
             Msg::Propagate { partition, seq } => {
                 let p = partition as usize;
-                if self.knowledge.get(p) < seq {
+                if p < self.knowledge.dim() && self.knowledge.get(p) < seq {
                     self.advance_frontier(p, seq);
                 }
             }

@@ -43,7 +43,10 @@ impl Replica {
                 .latest(key)
                 .unwrap_or_else(|| panic!("read of unhosted key {key} at {}", self.me)),
             ChooseRule::Consistent => {
-                snap.pin(p, self.knowledge.get(p));
+                // Under TS (Serrano) the snapshot and the frontier are empty.
+                if p < self.knowledge.dim() {
+                    snap.pin(p, self.knowledge.get(p));
+                }
                 let rec = self
                     .store
                     .versions(key)

@@ -19,6 +19,26 @@ enum Replayed {
     Nothing,
 }
 
+/// The share, out of `n`, that a restart's replay or a served catch-up
+/// page charges a record to: an install by its key, a decision or a
+/// submission by its transaction (`id` is the key, or the transaction's
+/// code). Records of different shares touch disjoint keys or transactions,
+/// so each share is a core's independent part of the scan (SiloR's
+/// key-sharded replay). The id is hashed first: neither the round-robin
+/// partition map nor a coordinator's sequence range may land on one share.
+pub(super) fn replay_share(id: u64, n: usize) -> usize {
+    ((id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % n as u64) as usize
+}
+
+/// [`replay_share`] of a decoded record.
+pub(super) fn share_of(rec: &LogRecord, n: usize) -> usize {
+    let id = match rec {
+        LogRecord::Install { key, .. } => key.0,
+        LogRecord::Decision { tx, .. } | LogRecord::Submit { tx, .. } => tx.code(),
+    };
+    replay_share(id, n)
+}
+
 impl Replica {
     /// Install records per catch-up reply page.
     const CATCHUP_PAGE: u32 = 256;
@@ -42,6 +62,11 @@ impl Replica {
     /// the peer catch-up transfer. Retransmission of the rebuilt
     /// terminations waits for `finish_catchup`, so the self-delivered vote
     /// certifies against a current store.
+    ///
+    /// The records are applied in log order, but their `per_log_append`
+    /// charge is forked across the replica's cores by [`share_of`]
+    /// ([`Context::consume_parallel`]): the catch-up requests leave when the
+    /// longest share ends.
     ///
     /// # Panics
     ///
@@ -82,12 +107,17 @@ impl Replica {
         // depend on the in-memory `Wal` value that died with the process.
         // The dead log's buffer is the image, read where it lies.
         let mut installed: u64 = 0;
+        let cores = ctx.cores();
+        let mut shares = vec![SimDuration::ZERO; cores];
         let wal = Wal::from_image(wal.into_image(), |rec| {
-            ctx.consume(self.cfg.costs.per_log_append);
+            shares[share_of(&rec, cores)] += self.cfg.costs.per_log_append;
             installed += u64::from(self.replay(ctx, rec, false) == Replayed::Installed);
         });
+        let replayed = ctx.consume_parallel(&shares);
         self.reserved = self.knowledge.clone();
         ctx.trace(labels::RECOVERY_REPLAY, 0, installed);
+        let replay_ns = replayed.saturating_since(ctx.now()).as_nanos();
+        ctx.trace(labels::RECOVERY_REPLAYED, 0, replay_ns);
         self.wal = Some(wal);
         self.start_catchup(ctx);
         self.serve_woken_reads(ctx);
@@ -283,7 +313,8 @@ impl Replica {
     /// the requester's summary `held` does not already hold, their frames
     /// copied as they lie. Reads the log from `start` and stops when the
     /// page is full, so a page costs its own records, not the log's; a
-    /// skipped record costs no virtual time.
+    /// skipped record costs no virtual time, and a shipped one is charged
+    /// to its [`replay_share`] of the replica's cores, as a restart's replay.
     pub(super) fn on_catchup_req(
         &mut self,
         ctx: &mut Context<'_, Msg>,
@@ -294,6 +325,8 @@ impl Replica {
         held: &CatchupSummary,
     ) {
         let mut page = Wal::new();
+        let cores = ctx.cores();
+        let mut shares = vec![SimDuration::ZERO; cores];
         let mut records_wire = 0;
         let mut idx = start;
         let mut frames = self.wal.iter().flat_map(|wal| wal.frames_from(start));
@@ -303,7 +336,7 @@ impl Replica {
             };
             self.stats.catchup_records_decoded += 1;
             idx += 1;
-            records_wire += match head {
+            let (wire, id) = match head {
                 RecordHead::Install {
                     key,
                     seq,
@@ -312,22 +345,25 @@ impl Replica {
                 } if partitions.contains(&self.cfg.placement.partition_of(key).0)
                     && held.lacks_install(key, seq) =>
                 {
-                    24 + stamp_wire + value_len
+                    (24 + stamp_wire + value_len, key.0)
                 }
-                RecordHead::Decision { tx } if held.lacks_decision(tx) => 17,
+                RecordHead::Decision { tx } if held.lacks_decision(tx) => (17, tx.code()),
                 _ => continue,
             };
+            records_wire += wire;
+            shares[replay_share(id, cores)] += self.cfg.costs.per_log_append;
             page.append_frame(frame);
         }
         self.stats.catchup_pages += 1;
         self.stats.catchup_records_shipped += page.len();
-        ctx.consume(self.cfg.costs.per_log_append.saturating_mul(page.len()));
+        ctx.consume_parallel(&shares);
         // A live log holds only intact frames, so a record remains after
         // the page iff the page stopped short of the log's length.
         let next = (idx < self.wal.as_ref().map_or(0, |wal| wal.len())).then_some(idx);
         let frontier = if next.is_none() {
             partitions
                 .iter()
+                .filter(|p| (**p as usize) < self.knowledge.dim())
                 .map(|p| (*p, self.knowledge.get(*p as usize)))
                 .collect()
         } else {

@@ -376,10 +376,12 @@ impl Replica {
         let mut bumped: Vec<(usize, u64)> = Vec::new();
         // First pass: fix the partition clock entry once per locally
         // written partition — the vote-time reservation when the decision
-        // carries one, a fresh bump otherwise (legacy clocks).
+        // carries one, a fresh bump otherwise (legacy clocks). TS keeps no
+        // partition clocks: its stamps are per-key sequences.
+        let clocked = self.knowledge.dim() > 0;
         for w in payload.ws.iter() {
             let p = self.cfg.placement.partition_of(w.key).index();
-            if !self.is_local(w.key) || bumped.iter().any(|(q, _)| *q == p) {
+            if !clocked || !self.is_local(w.key) || bumped.iter().any(|(q, _)| *q == p) {
                 continue;
             }
             let s = match decided_clocks.iter().find(|(q, _)| *q as usize == p) {

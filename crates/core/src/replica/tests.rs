@@ -1302,7 +1302,7 @@ fn rebuilt(
             .filter(|rec| !matches!(rec, LogRecord::Submit { .. }));
         shipped.for_each(|rec| _ = page.append(rec));
         let peer = probe.cluster.replica(SiteId(1));
-        let frontier = (0..2).map(|p| (p, peer.knowledge.get(p as usize)));
+        let frontier = (0..peer.knowledge.dim()).map(|p| (p as u32, peer.knowledge.get(p)));
         let msg = Msg::CatchupRep {
             page,
             records_wire: 0,
@@ -1367,6 +1367,84 @@ fn a_restart_and_a_catch_up_from_the_same_log_agree() {
             assert!(restarted.0.iter().flatten().any(|v| v.seq > 1), "{what}");
             assert!(restarted.2.iter().any(|s| s > 0) || spec.versioning == Mechanism::Ts);
         }
+    }
+}
+
+/// A restart's replay is forked across the replica's cores: its catch-up
+/// requests leave at the restart plus the longest share of the log's
+/// `per_log_append` charge, not plus the sum, and nothing is voted or read
+/// before that instant (a read arriving meanwhile waits for the transfer).
+/// On one core the shares run in turn: the restart takes today's sum.
+#[test]
+fn a_restart_completes_at_its_longest_replay_share() {
+    let spec = p_store_2pc_like();
+    for cores in [4, 1] {
+        let mut probe = Probe::with(spec.clone(), Placement::disaster_tolerant(2), |cfg| {
+            cfg.persistence = true;
+            cfg.cores_per_replica = cores;
+        });
+        let client = probe.cluster.client_pids()[0];
+        let (log, _) = replay_log(&spec, client, 7, 150);
+        let per_record = probe.replica().cfg.costs.per_log_append;
+        let mut shares = vec![SimDuration::ZERO; usize::from(cores)];
+        for rec in &log {
+            shares[super::recovery::share_of(rec, usize::from(cores))] += per_record;
+        }
+        let longest = shares.iter().copied().max().expect("a share per core");
+        let sum = per_record.saturating_mul(log.len() as u64);
+        probe.cluster.sim_mut().run_until(SimTime::ZERO); // start the actors
+        let wal = probe
+            .replica_mut()
+            .wal
+            .as_mut()
+            .expect("persistence attached");
+        log.iter().for_each(|rec| _ = wal.append(rec));
+        let (pid, restart) = (probe.pid(0), probe.cluster.now());
+        probe.cluster.sim_mut().schedule_crash(pid, restart);
+        probe.cluster.sim_mut().schedule_restart(pid, restart);
+        let read = Msg::ReadReq {
+            tx: probe.next_tx(),
+            key: Key(2),
+            snap: Snapshot::unconstrained(),
+        };
+        let early = restart + SimDuration::from_millis(1);
+        let peer = probe.pid(1);
+        probe.cluster.sim_mut().inject(peer, pid, read, early);
+        probe.cluster.run_for(SimDuration::from_secs(2));
+        let join = restart + if cores == 1 { sum } else { longest };
+        assert!(
+            cores == 1 || longest < sum,
+            "the log spreads over the shares"
+        );
+        assert_eq!(probe.sent("catchup_req", restart).len(), 1);
+        assert!(probe
+            .sent("catchup_req", join + SimDuration::from_nanos(1))
+            .is_empty());
+        let points = |wanted: &str| -> Vec<(SimTime, u64)> {
+            let events = probe.trace.events().into_iter();
+            let points = events.filter_map(|e| match e {
+                ObsEvent::Point {
+                    at,
+                    actor,
+                    label,
+                    value,
+                    ..
+                } if actor == pid && at >= restart && label == wanted => Some((at, value)),
+                _ => None,
+            });
+            points.collect()
+        };
+        let replayed = points(labels::RECOVERY_REPLAYED);
+        assert_eq!(
+            replayed,
+            [(restart, join.saturating_since(restart).as_nanos())]
+        );
+        // The mid-commit submission's own vote, and the read's answer.
+        let votes = points(labels::TXN_VOTE);
+        assert!(!votes.is_empty() && votes.iter().all(|(at, _)| *at > join));
+        let answers = probe.sent("read_rep", join).len();
+        assert!(answers > 0, "{cores} cores: the read is served");
+        assert_eq!(probe.sent("read_rep", restart).len(), answers);
     }
 }
 

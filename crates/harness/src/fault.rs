@@ -275,6 +275,10 @@ pub struct ChaosReport {
     /// Shipped catch-up records whose replay changed nothing at the
     /// requester, summed over replicas.
     pub catchup_records_unchanged: u64,
+    /// Longest virtual time from a replica's restart to the end of its log
+    /// replay's last share (`recovery.replayed`): the first half of
+    /// [`ChaosReport::recovery`], the catch-up transfer being the second.
+    pub replay: SimDuration,
     /// Longest virtual time from a replica's restart to its
     /// `recovery.complete`.
     pub recovery: SimDuration,
@@ -312,7 +316,7 @@ impl ChaosReport {
     pub fn golden_line(&self) -> String {
         format!(
             "{}: crashes={} restarts={} replays={} resubmissions={} completes={} pages={} \
-             recovery_ms={:.3} converged={} violation={}",
+             replay_ms={:.3} recovery_ms={:.3} converged={} violation={}",
             self.label,
             self.crashes,
             self.restarts,
@@ -320,6 +324,7 @@ impl ChaosReport {
             self.resubmissions,
             self.recovery_completes,
             self.catchup_pages,
+            self.replay.as_nanos() as f64 / 1e6,
             self.recovery.as_nanos() as f64 / 1e6,
             self.converged,
             match &self.violation {
@@ -350,6 +355,15 @@ fn longest_recovery(events: &[ObsEvent]) -> SimDuration {
         }
     }
     longest
+}
+
+/// The longest log replay: the greatest `recovery.replayed` value.
+fn longest_replay(events: &[ObsEvent]) -> SimDuration {
+    let replays = events.iter().filter_map(|ev| match *ev {
+        ObsEvent::Point { label, value, .. } if label == labels::RECOVERY_REPLAYED => Some(value),
+        _ => None,
+    });
+    SimDuration::from_nanos(replays.max().unwrap_or(0))
 }
 
 fn count_label(events: &[ObsEvent], label: &str) -> u64 {
@@ -509,6 +523,7 @@ pub fn run_chaos(dep: &Deployment) -> (ChaosReport, Vec<ObsEvent>) {
         catchup_records_shipped: stats.catchup_records_shipped,
         catchup_pages: stats.catchup_pages,
         catchup_records_unchanged: stats.catchup_records_unchanged,
+        replay: longest_replay(&events),
         recovery: longest_recovery(&events),
         wal_records: (0..dep.sites as u16)
             .map(|s| cluster.replica(SiteId(s)).wal().map_or(0, |w| w.len()))

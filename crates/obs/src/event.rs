@@ -45,6 +45,10 @@ pub mod labels {
     /// A restarted replica finished rebuilding from its write-ahead log
     /// (value: number of install records replayed).
     pub const RECOVERY_REPLAY: &str = "recovery.replay";
+    /// The replay's charge, forked across the replica's cores, ends (value:
+    /// virtual nanoseconds from the restart to the end of its last share —
+    /// when the catch-up requests leave).
+    pub const RECOVERY_REPLAYED: &str = "recovery.replayed";
     /// A restarted replica resumed §5.3 termination retransmission for a
     /// transaction that was mid-commit at the crash (value: certifying keys).
     pub const RECOVERY_RESUBMIT: &str = "recovery.resubmit";

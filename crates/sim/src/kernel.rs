@@ -10,6 +10,13 @@
 //! take effect at service *end*. Message arrival at the destination is
 //! service end plus the network delay returned by the [`LatencyModel`].
 //!
+//! A handler whose work splits into independent parts forks them across
+//! the actor's cores with [`Context::consume_parallel`]: the first share
+//! runs on the job's own core, each further share on whichever core is
+//! free earliest from the job's start (list scheduling), and service ends
+//! — the outputs leave — when the last share does. The fork is bookkeeping
+//! on the actor's core-free instants: no event, timer or choice point.
+//!
 //! This single model yields the phenomena the G-DUR paper measures:
 //! saturation knees (latency rises when offered load exceeds core capacity),
 //! convoy effects (certification of one transaction delaying another), and
@@ -103,6 +110,12 @@ pub struct Context<'a, M> {
     now: SimTime,
     self_id: ProcessId,
     consumed: SimDuration,
+    /// Free instants of the actor's cores (empty when `Cores::Unlimited`).
+    cores: &'a mut [SimTime],
+    /// The job's own core in `cores`; `None` on an unlimited actor.
+    own: Option<usize>,
+    /// The latest end of a share forked onto another core; `now` if none.
+    join: SimTime,
     rng: &'a mut SmallRng,
     outputs: &'a mut Vec<Output<M>>,
     next_timer: &'a mut u64,
@@ -143,9 +156,51 @@ impl<'a, M> Context<'a, M> {
         self.consumed += d;
     }
 
-    /// Total CPU time charged so far in this handler.
+    /// Total CPU time charged so far on this handler's own core.
     pub fn consumed(&self) -> SimDuration {
         self.consumed
+    }
+
+    /// Number of cores of this actor: what [`Context::consume_parallel`]
+    /// can spread shares over. An unlimited actor models no CPU to split
+    /// and reports 1.
+    pub fn cores(&self) -> usize {
+        self.cores.len().max(1)
+    }
+
+    /// Charges independent `shares` of CPU time, forked across the actor's
+    /// cores; returns the join: the instant the job's work charged so far,
+    /// forked shares included, ends.
+    ///
+    /// The first share runs on the job's own core, after what it consumed
+    /// so far. Each further share, in order, goes to whichever core is free
+    /// earliest counting from the job's start — the own core included,
+    /// free once its consumed time elapses — and holds that core until it
+    /// ends (list scheduling). The job's outputs leave at the join. On a
+    /// 1-core actor the shares run one after another, exactly as
+    /// [`Context::consume`] of their sum; on an unlimited actor each starts
+    /// at the job's start.
+    pub fn consume_parallel(&mut self, shares: &[SimDuration]) -> SimTime {
+        if let Some((first, rest)) = shares.split_first() {
+            self.consumed += *first;
+            for &d in rest {
+                let own_free = self.now + self.consumed;
+                let other = (self.cores.iter().enumerate())
+                    .filter(|(i, _)| Some(*i) != self.own)
+                    .map(|(i, t)| (i, (*t).max(self.now)))
+                    .min_by_key(|(_, t)| *t)
+                    .filter(|(_, t)| *t < own_free);
+                match other {
+                    _ if self.own.is_none() => self.join = self.join.max(self.now + d),
+                    Some((i, free)) => {
+                        self.cores[i] = free + d;
+                        self.join = self.join.max(free + d);
+                    }
+                    None => self.consumed += d,
+                }
+            }
+        }
+        (self.now + self.consumed).max(self.join)
     }
 
     /// Sends `msg` to `to`; it arrives after this handler's service time plus
@@ -769,29 +824,39 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
             }
         }
         let mut outputs = std::mem::take(&mut self.scratch);
-        let consumed;
+        let (consumed, join);
         {
-            let slot = &mut self.actors[id.index()];
+            let ActorSlot {
+                actor,
+                core_free,
+                next_timer,
+                ..
+            } = &mut self.actors[id.index()];
             let mut ctx = Context {
                 now: start,
                 self_id: id,
                 consumed: SimDuration::ZERO,
+                cores: core_free,
+                own: core,
+                join: start,
                 rng: &mut self.rng,
                 outputs: &mut outputs,
-                next_timer: &mut slot.next_timer,
+                next_timer,
                 obs: self.obs.as_deref_mut(),
             };
             match job {
-                Job::Start => slot.actor.on_start(&mut ctx),
-                Job::Message { from, msg } => slot.actor.on_message(&mut ctx, from, *msg),
-                Job::Timer { tag, .. } => slot.actor.on_timer(&mut ctx, tag),
-                Job::Restart => slot.actor.on_restart(&mut ctx),
+                Job::Start => actor.on_start(&mut ctx),
+                Job::Message { from, msg } => actor.on_message(&mut ctx, from, *msg),
+                Job::Timer { tag, .. } => actor.on_timer(&mut ctx, tag),
+                Job::Restart => actor.on_restart(&mut ctx),
             }
-            consumed = ctx.consumed;
+            (consumed, join) = (ctx.consumed, ctx.join);
         }
-        let end = start + consumed;
+        // The own core frees when its share of the work does; the outputs
+        // wait for the last forked share too.
+        let end = (start + consumed).max(join);
         if let Some(core_idx) = core {
-            self.actors[id.index()].core_free[core_idx] = end;
+            self.actors[id.index()].core_free[core_idx] = start + consumed;
         }
         for out in outputs.drain(..) {
             match out {
@@ -1488,6 +1553,129 @@ mod tests {
         sim.schedule_restart(p, SimTime::from_nanos(3_000_000));
         sim.run_until_idle();
         assert_eq!(sim.actor(p).restarts.len(), 1);
+    }
+
+    /// A test actor for [`Context::consume_parallel`]: `Ping(0)` forks
+    /// `shares`, then sends itself `Ping(100)` and arms a 1 ms timer;
+    /// `Ping(1)` consumes `busy`. Records each message's service start, the
+    /// joins returned and the timer firings.
+    struct Forker {
+        shares: Vec<SimDuration>,
+        busy: SimDuration,
+        starts: Vec<(SimTime, u32)>,
+        joins: Vec<SimTime>,
+        timers: Vec<SimTime>,
+    }
+
+    impl Actor for Forker {
+        type Msg = Ping;
+        fn on_message(&mut self, ctx: &mut Context<'_, Ping>, _: ProcessId, msg: Ping) {
+            self.starts.push((ctx.now(), msg.0));
+            match msg.0 {
+                0 => {
+                    let join = ctx.consume_parallel(&self.shares);
+                    self.joins.push(join);
+                    ctx.send(ctx.self_id(), Ping(100));
+                    ctx.set_timer(SimDuration::from_millis(1), 0);
+                }
+                1 => ctx.consume(self.busy),
+                _ => {}
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Ping>, _: u64) {
+            self.timers.push(ctx.now());
+        }
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_nanos(n * 1_000_000)
+    }
+
+    /// A forker of `shares_ms` on `cores`, run to idle: a `Ping(1)` of
+    /// `busy_ms` is injected at 0 ahead of `Ping(0)` if `busy_first`, and
+    /// one at each of `later_ms`.
+    fn fork(
+        cores: Cores,
+        shares_ms: &[u64],
+        busy_ms: u64,
+        busy_first: bool,
+        later_ms: &[u64],
+    ) -> Simulation<Forker, ZeroLatency> {
+        let mut sim = Simulation::new(ZeroLatency, 1);
+        let forker = Forker {
+            shares: shares_ms
+                .iter()
+                .map(|n| SimDuration::from_millis(*n))
+                .collect(),
+            busy: SimDuration::from_millis(busy_ms),
+            starts: vec![],
+            joins: vec![],
+            timers: vec![],
+        };
+        let f = sim.spawn(forker, cores);
+        let env = ProcessId(99);
+        if busy_first {
+            sim.inject(env, f, Ping(1), SimTime::ZERO);
+        }
+        sim.inject(env, f, Ping(0), SimTime::ZERO);
+        for n in later_ms {
+            sim.inject(env, f, Ping(1), ms(*n));
+        }
+        sim.run_until_idle();
+        sim
+    }
+
+    /// When the forker's message to itself was served.
+    fn output_served(sim: &Simulation<Forker, ZeroLatency>) -> SimTime {
+        let f = sim.actor(ProcessId(0));
+        let served = f.starts.iter().find(|(_, m)| *m == 100);
+        served.expect("the output arrived").0
+    }
+
+    #[test]
+    fn shares_on_idle_cores_end_at_the_longest() {
+        for cores in [Cores::Fixed(4), Cores::Unlimited] {
+            let sim = fork(cores, &[3, 5, 2, 4], 0, false, &[]);
+            assert_eq!(sim.actor(ProcessId(0)).joins, vec![ms(5)], "{cores:?}");
+            assert_eq!(output_served(&sim), ms(5), "{cores:?}");
+        }
+    }
+
+    #[test]
+    fn a_busy_core_delays_its_share() {
+        // Core 0 runs a 3 ms job from 0; the fork's own core 1 is free at
+        // 4 ms after the first share, so the second goes to core 0 at 3 ms
+        // and ends at 6 ms, not the 4 ms of an idle core.
+        let sim = fork(Cores::Fixed(2), &[4, 3], 3, true, &[]);
+        assert_eq!(sim.actor(ProcessId(0)).joins, vec![ms(6)]);
+        assert_eq!(output_served(&sim), ms(6));
+        // Core 0 busy until 9 ms: the own core, free at 1 ms, takes it.
+        let sim = fork(Cores::Fixed(2), &[1, 3], 9, true, &[]);
+        assert_eq!(sim.actor(ProcessId(0)).joins, vec![ms(4)]);
+    }
+
+    #[test]
+    fn a_one_core_actor_runs_the_shares_in_turn() {
+        let forked = fork(Cores::Fixed(1), &[3, 5, 2], 0, false, &[]);
+        assert_eq!(forked.actor(ProcessId(0)).joins, vec![ms(10)]);
+        assert_eq!(output_served(&forked), ms(10));
+        // The same schedule as one share of the sum: no event, timer or
+        // dispatch more.
+        let summed = fork(Cores::Fixed(1), &[10], 0, false, &[]);
+        assert_eq!(output_served(&summed), ms(10));
+        assert_eq!(forked.queue_stats(), summed.queue_stats());
+        assert_eq!(forked.stats(), summed.stats());
+    }
+
+    #[test]
+    fn outputs_leave_at_the_join_and_the_own_core_frees_with_its_share() {
+        // Own core 0 holds the 1 ms share, core 1 the 5 ms one. The send
+        // leaves at 5 ms, the 1 ms timer counts from there, and a message
+        // arriving at 2 ms runs at once on the freed own core.
+        let sim = fork(Cores::Fixed(2), &[1, 5], 1, false, &[2]);
+        let f = sim.actor(ProcessId(0));
+        assert_eq!(f.starts, vec![(SimTime::ZERO, 0), (ms(2), 1), (ms(5), 100)]);
+        assert_eq!(f.timers, vec![ms(6)]);
     }
 
     #[test]
