@@ -127,7 +127,8 @@ refs_check() {
 }
 
 # tools_check: the profilers under tools/hostprof (not run by CI) still
-# compile warning-free and symbolize.py still parses and answers --help.
+# compile warning-free and symbolize.py still parses and answers --help,
+# also into a pipe its reader closes early (exit 0, nothing on stderr).
 # `ast.parse` rather than `py_compile`, which would leave a __pycache__
 # behind (running the script writes none); without gcc the C half is
 # skipped with a note.
@@ -140,7 +141,14 @@ tools_check() {
         echo "    gcc not found: tools/hostprof/*.c not compiled (skipped)"
     fi
     python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/symbolize.py &&
-        python3 tools/hostprof/symbolize.py --help >/dev/null
+        python3 tools/hostprof/symbolize.py --help >/dev/null || return 1
+    # Its stderr and exit status, while its stdout goes to `| true`.
+    _got=$({ { python3 tools/hostprof/symbolize.py --help 2>&3; echo "exit $?" >&3; } | true; } 3>&1)
+    [ "$_got" = "exit 0" ] || {
+        echo "    symbolize.py --help | true:"
+        echo "$_got" | sed 's/^/    /'
+        return 1
+    }
 }
 
 TOTAL0=$(date +%s)

@@ -123,15 +123,18 @@ fn main() -> ExitCode {
         Some("list") => {
             for cfg in configs() {
                 let d = &cfg.deployment;
+                let horizon = match d.horizon.txns_per_client() {
+                    Some(txns) => format!("txns_per_client={txns}"),
+                    None => format!("horizon={:?}", d.horizon),
+                };
                 println!(
-                    "{}: protocol={} sites={} clients_per_site={} txns_per_client={} window={}ns{}",
+                    "{}: protocol={} sites={} clients_per_site={} {horizon} window={}ns{}",
                     d.label,
                     d.spec.name,
                     d.sites,
                     d.clients_per_site,
-                    d.txns_per_client,
                     cfg.window.as_nanos(),
-                    if cfg.reintroduce_psi_bug {
+                    if d.reintroduce_psi_bug {
                         " [psi-bug re-introduced]"
                     } else {
                         ""
@@ -164,11 +167,13 @@ fn main() -> ExitCode {
             };
             report(&result);
             if let Some(cx) = &result.counterexample {
-                if let Some(path) = opts.out {
-                    std::fs::write(&path, cx.to_text()).expect("write counterexample");
-                    println!("  counterexample written to {path}");
-                } else {
-                    print!("{}", cx.to_text());
+                match (cx.to_text(), opts.out) {
+                    (Err(e), _) => eprintln!("gdur-mc: {e}"),
+                    (Ok(text), Some(path)) => {
+                        std::fs::write(&path, text).expect("write counterexample");
+                        println!("  counterexample written to {path}");
+                    }
+                    (Ok(text), None) => print!("{text}"),
                 }
                 return ExitCode::FAILURE;
             }
@@ -196,9 +201,9 @@ fn main() -> ExitCode {
                 "{}: replayed {} decisions, {} trace events",
                 cx.config.deployment.label,
                 cx.decisions.len(),
-                out.trace.len()
+                out.run.events.len()
             );
-            let jsonl = gdur_obs::jsonl::export(&out.trace);
+            let jsonl = gdur_obs::jsonl::export(&out.run.events);
             if let Some(out) = flag("--trace") {
                 std::fs::write(out, jsonl).expect("write trace");
                 println!("trace written to {out}");
@@ -208,15 +213,16 @@ fn main() -> ExitCode {
                 // deterministic, so it reproduces the identical run with
                 // handler brackets and message ids added.
                 let causal = replay(&cx, TraceHandle::causal());
-                let ix = gdur_obs::CausalIndex::build(&causal.trace);
-                let chrome = gdur_obs::export_chrome(&causal.trace, &ix, &causal.actor_names);
+                let (events, names) = (&causal.run.events, causal.run.cluster.actor_names());
+                let ix = gdur_obs::CausalIndex::build(events);
+                let chrome = gdur_obs::export_chrome(events, &ix, &names);
                 std::fs::write(out, chrome).expect("write chrome trace");
                 println!(
                     "chrome trace written to {out} \
                      (load in chrome://tracing or https://ui.perfetto.dev)"
                 );
             }
-            match out.violations.first() {
+            match out.run.violations.first() {
                 Some(v) => {
                     println!("reproduced: {v}");
                     ExitCode::SUCCESS

@@ -30,21 +30,21 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use gdur_core::{ClusterConfig, ProtocolSpec};
-use gdur_harness::{run_checked, Deployment, FaultSchedule};
+use gdur_core::ProtocolSpec;
+use gdur_harness::{run_checked, CheckedRun, Deployment, FaultSchedule, Horizon};
 use gdur_obs::TraceHandle;
-use gdur_sim::{Candidate, CandidateKind, ObsEvent, Scheduler, SimDuration, SimTime};
+use gdur_sim::{Candidate, CandidateKind, Scheduler, SimDuration, SimTime};
 use gdur_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A small, bounded deployment for schedule exploration.
+/// A small, bounded deployment for schedule exploration, and its window.
 ///
 /// Its [`Deployment`] has an empty fault schedule, so it is disaster-prone
 /// (one replica per partition: most transactions need *remote* reads — the
 /// cross-replica snapshot races schedule exploration is after), crash-free
 /// and timeout-free: every abort must come from certification, which keeps
-/// the invariant verdicts crisp. Clients are bounded so runs terminate.
+/// the invariant verdicts crisp. Clients are bounded so runs drain.
 /// The workload is YCSB-B (2-read-2-write updates) — multi-key writers are
 /// what make fractured-read violations expressible at all.
 #[derive(Debug, Clone)]
@@ -54,10 +54,6 @@ pub struct McConfig {
     pub deployment: Deployment,
     /// Co-enabled window offered to the scheduler (delay bound).
     pub window: SimDuration,
-    /// Re-introduce the pre-fix Walter PSI fractured-read bug (see
-    /// `ClusterConfig::bug_unreserved_commit_clocks`). Regression-suite
-    /// use only.
-    pub reintroduce_psi_bug: bool,
 }
 
 impl McConfig {
@@ -69,21 +65,12 @@ impl McConfig {
                 workload: WorkloadSpec::b(),
                 sites: 2,
                 clients_per_site: 2,
-                txns_per_client: 6,
                 keys_per_partition: 8,
                 seed: 11,
+                horizon: Horizon::Drain(6),
                 ..Deployment::new(spec, FaultSchedule::new())
             },
             window: SimDuration::from_micros(2000),
-            reintroduce_psi_bug: false,
-        }
-    }
-
-    /// The deployment's cluster, with the PSI regression knob applied.
-    pub fn cluster_config(&self) -> ClusterConfig {
-        ClusterConfig {
-            bug_unreserved_commit_clocks: self.reintroduce_psi_bug,
-            ..self.deployment.cluster_config()
         }
     }
 }
@@ -107,7 +94,7 @@ pub fn mc_library() -> Vec<McConfig> {
 /// "caught by luck" gap `gdur-mc` exists to close.
 pub fn walter_psi_bug_config() -> McConfig {
     let mut cfg = McConfig::small("walter-psi-bug", gdur_protocols::walter());
-    cfg.reintroduce_psi_bug = true;
+    cfg.deployment.reintroduce_psi_bug = true;
     cfg.deployment.seed = 2;
     cfg
 }
@@ -212,17 +199,12 @@ impl Scheduler for McScheduler {
 }
 
 /// Everything one schedule run yields.
-#[derive(Debug)]
 pub struct ScheduleOutcome {
     /// What the scheduler recorded.
     pub log: McLog,
-    /// Violated invariants, empty when the schedule is clean.
-    pub violations: Vec<String>,
-    /// The observability trace (only when requested).
-    pub trace: Vec<ObsEvent>,
-    /// Display name per actor, indexed by process id
-    /// ([`gdur_core::Cluster::actor_names`]), for trace tooling.
-    pub actor_names: Vec<String>,
+    /// The run: its verdicts, its trace (only when requested) and the
+    /// drained cluster.
+    pub run: CheckedRun,
 }
 
 fn run_with_policy(cfg: &McConfig, policy: Policy, trace: Option<TraceHandle>) -> ScheduleOutcome {
@@ -232,19 +214,9 @@ fn run_with_policy(cfg: &McConfig, policy: Policy, trace: Option<TraceHandle>) -
         policy,
         log: Arc::clone(&log),
     };
-    let run = run_checked(
-        &cfg.deployment,
-        cfg.cluster_config(),
-        Some(Box::new(scheduler)),
-        trace,
-    );
+    let run = run_checked(&cfg.deployment, Some(Box::new(scheduler)), trace);
     let log = std::mem::take(&mut *log.lock().expect("mc log poisoned"));
-    ScheduleOutcome {
-        log,
-        violations: run.violations,
-        trace: run.events,
-        actor_names: run.cluster.actor_names(),
-    }
+    ScheduleOutcome { log, run }
 }
 
 /// Runs one schedule under the prescribed decision vector (`[]` = the
@@ -299,20 +271,23 @@ impl PartialEq for Counterexample {
 impl Eq for Counterexample {}
 
 impl Counterexample {
-    /// Serializes to the `gdur-mc counterexample v1` text format.
-    pub fn to_text(&self) -> String {
+    /// Serializes to the `gdur-mc counterexample v1` text format, which
+    /// records a drained run only: a windowed deployment is an error.
+    pub fn to_text(&self) -> Result<String, String> {
         let d = &self.config.deployment;
+        let txns = d.horizon.txns_per_client();
+        let txns = txns.ok_or("a counterexample records a drained run, not a window")?;
         let decisions: Vec<String> = self.decisions.iter().map(u32::to_string).collect();
         let values = [
             d.label.clone(),
             d.spec.name.to_string(),
             d.sites.to_string(),
             d.clients_per_site.to_string(),
-            d.txns_per_client.to_string(),
+            txns.to_string(),
             d.keys_per_partition.to_string(),
             d.seed.to_string(),
             self.config.window.as_nanos().to_string(),
-            u8::from(self.config.reintroduce_psi_bug).to_string(),
+            u8::from(d.reintroduce_psi_bug).to_string(),
             self.violation.clone(),
             decisions.join(","),
         ];
@@ -320,7 +295,7 @@ impl Counterexample {
         for (key, value) in KEYS.iter().zip(values) {
             text += &format!("{key} {value}\n");
         }
-        text
+        Ok(text)
     }
 
     /// Parses the text format back; tolerates trailing whitespace. Every
@@ -364,11 +339,11 @@ impl Counterexample {
         let d = &mut config.deployment;
         d.sites = size("sites")? as usize;
         d.clients_per_site = size("clients_per_site")? as usize;
-        d.txns_per_client = size("txns_per_client")?;
+        d.horizon = Horizon::Drain(size("txns_per_client")?);
         d.keys_per_partition = size("keys_per_partition")?;
         d.seed = number("seed")?;
+        d.reintroduce_psi_bug = number("psi_bug")? != 0;
         config.window = SimDuration::from_nanos(number("window_ns")?);
-        config.reintroduce_psi_bug = number("psi_bug")? != 0;
         let decisions = match fields["decisions"].trim() {
             "" => Vec::new(),
             list => list
@@ -401,7 +376,7 @@ pub fn minimize(cfg: &McConfig, decisions: &[u32]) -> (Vec<u32>, u64) {
     let mut runs = 0u64;
     let mut violates = |plan: &[u32]| -> bool {
         runs += 1;
-        !run_schedule(cfg, plan, None).violations.is_empty()
+        !run_schedule(cfg, plan, None).run.violations.is_empty()
     };
     let trim = |mut v: Vec<u32>| -> Vec<u32> {
         while v.last() == Some(&0) {
@@ -469,7 +444,7 @@ impl ExploreResult {
         self.choice_points += out.log.arities.len() as u64;
         self.naive_branches += out.log.naive_branches;
         self.explored_branches += out.log.explored_branches;
-        let Some(violation) = out.violations.first() else {
+        let Some(violation) = out.run.violations.first() else {
             return false;
         };
         let (decisions, runs) = minimize(cfg, &out.log.decisions);
@@ -573,10 +548,10 @@ mod tests {
         );
         // Replay reproduces the exact violation from the decision vector.
         let out = replay(cx, TraceHandle::new());
-        assert_eq!(out.violations.first(), Some(&cx.violation));
-        assert!(!out.trace.is_empty(), "replay exports an obs trace");
+        assert_eq!(out.run.violations.first(), Some(&cx.violation));
+        assert!(!out.run.events.is_empty(), "replay exports an obs trace");
         // And the text format round-trips losslessly.
-        let reparsed = Counterexample::parse(&cx.to_text()).expect("parse own output");
+        let reparsed = Counterexample::parse(&cx.to_text().unwrap()).expect("parse own output");
         assert_eq!(&reparsed, cx);
     }
 
@@ -603,7 +578,7 @@ mod tests {
     fn fixed_walter_is_clean_where_the_bug_was_found() {
         let mut cfg = walter_psi_bug_config();
         cfg.deployment.label = "walter-fixed".to_string();
-        cfg.reintroduce_psi_bug = false;
+        cfg.deployment.reintroduce_psi_bug = false;
         let result = explore(&cfg, 20);
         assert!(
             result.counterexample.is_none(),
@@ -635,7 +610,7 @@ mod tests {
     #[test]
     fn empty_plan_matches_unscheduled_run() {
         let cfg = McConfig::small("walter", gdur_protocols::walter());
-        let plain = run_checked(&cfg.deployment, cfg.cluster_config(), None, None);
+        let plain = run_checked(&cfg.deployment, None, None);
         let scheduler = McScheduler {
             window: cfg.window,
             policy: Policy::Guided {
@@ -644,12 +619,7 @@ mod tests {
             },
             log: Arc::new(Mutex::new(McLog::default())),
         };
-        let scheduled = run_checked(
-            &cfg.deployment,
-            cfg.cluster_config(),
-            Some(Box::new(scheduler)),
-            None,
-        );
+        let scheduled = run_checked(&cfg.deployment, Some(Box::new(scheduler)), None);
         assert!(scheduled.violations.is_empty());
         assert_eq!(plain.cluster.records(), scheduled.cluster.records());
     }
@@ -664,20 +634,24 @@ mod tests {
             .counterexample
             .expect("random walks should stumble into the PSI bug within 30 walks");
         let out = replay(&cx, TraceHandle::new());
-        assert_eq!(out.violations.first(), Some(&cx.violation));
+        assert_eq!(out.run.violations.first(), Some(&cx.violation));
     }
 
     /// `gdur-mc replay` trusts no file: every key is required exactly
-    /// once, and a deployment size of 0 is refused, each by name.
+    /// once, and a deployment size of 0 is refused, each by name. The
+    /// format holds a drained run only: a windowed one has no text.
     #[test]
     fn counterexample_parse_requires_every_key_once() {
-        let cx = Counterexample {
+        let mut cx = Counterexample {
             config: walter_psi_bug_config(),
             violation: "history: example".to_string(),
             decisions: vec![0, 2, 1],
         };
-        let text = cx.to_text();
-        assert_eq!(Counterexample::parse(&text), Ok(cx));
+        let text = cx.to_text().unwrap();
+        assert_eq!(Counterexample::parse(&text), Ok(cx.clone()));
+        let (warmup, measure) = (SimDuration::ZERO, SimDuration::from_millis(1));
+        cx.config.deployment.horizon = Horizon::Window { warmup, measure };
+        assert!(cx.to_text().unwrap_err().contains("drained"));
         let lines: Vec<&str> = text.lines().collect();
         for (i, line) in lines.iter().enumerate().skip(1) {
             let key = line.split(' ').next().expect("key");
@@ -710,7 +684,7 @@ mod tests {
         let chaos = gdur_harness::chaos_library().into_iter().chain([gc]);
         let chaos = chaos.map(|d| (d.cluster_config(), d));
         let explored = mc_library().into_iter();
-        let explored = explored.map(|c| (c.cluster_config(), c.deployment));
+        let explored = explored.map(|c| (c.deployment.cluster_config(), c.deployment));
         for (c, dep) in chaos.chain(explored) {
             let (label, faulty) = (&dep.label, !dep.schedule.events().is_empty());
             let tolerant = c.placement.replicas(gdur_store::PartitionId(0)).len() > 1;

@@ -12,13 +12,13 @@
 
 use std::process::exit;
 
-use gdur_harness::{chaos_library, run_chaos};
+use gdur_harness::{chaos_library, run_chaos, Horizon};
 
 fn main() {
     let mut lines = Vec::new();
 
     for mut cfg in chaos_library() {
-        (cfg.clients_per_site, cfg.txns_per_client) = (16, 200);
+        (cfg.clients_per_site, cfg.horizon) = (16, Horizon::Drain(200));
         let (report, events) = run_chaos(&cfg);
         println!(
             "{}: {} committed / {} aborted, {} post-restart commits, \

@@ -38,7 +38,7 @@ use std::io::Write as _;
 use std::process::exit;
 
 use gdur_core::PooledTx;
-use gdur_harness::{run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind};
+use gdur_harness::{run_checked, CheckedRun, Experiment, PlacementKind, Scale, WorkloadKind};
 use gdur_obs::{
     critical_path, export_chrome, jsonl, render_attribution_text, tx_span_tree, Attribution,
     CausalIndex, ObsEvent, TraceHandle, MAX_POOL_CLIENTS, MAX_POOL_LOCAL_SEQ,
@@ -54,11 +54,10 @@ fn scale(clients: usize) -> Scale {
         measure: SimDuration::from_secs(1),
         client_sweep: vec![clients],
         seed: 7,
-        ..Scale::quick()
     }
 }
 
-fn run(name: &str, clients: usize) -> PointRun {
+fn run(name: &str, clients: usize) -> CheckedRun {
     let Some(spec) = gdur_protocols::by_name(name) else {
         eprintln!("gdur-trace: unknown protocol {name:?}; known protocols:");
         for p in gdur_protocols::all_protocols() {
@@ -67,7 +66,8 @@ fn run(name: &str, clients: usize) -> PointRun {
         exit(1);
     };
     let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
-    run_point_with(&exp, &scale(clients), clients, Some(TraceHandle::causal()))
+    let dep = exp.deployment(&scale(clients), clients);
+    run_checked(&dep, None, Some(TraceHandle::causal())).expect_clean(name)
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -185,7 +185,7 @@ fn main() {
             };
             tree.label = format!("txn {}", PooledTx(TxId::from_code(tx)));
             print!("{}", tree.render(tree.start));
-            if let Some(cp) = critical_path(&run.events, &ix, &run.clients, tx) {
+            if let Some(cp) = critical_path(&run.events, &ix, &run.clients(), tx) {
                 println!("\ncritical path ({} ns total):", cp.latency_ns);
                 for s in &cp.segments {
                     println!(
@@ -211,7 +211,7 @@ fn main() {
             for name in names {
                 let run = run(name, clients);
                 let ix = CausalIndex::build(&run.events);
-                let a = Attribution::collect(&run.events, &ix, &run.clients, run.warm_end);
+                let a = Attribution::collect(&run.events, &ix, &run.clients(), run.window_start);
                 rows.push((name.to_string(), a));
             }
             print!("{}", render_attribution_text(&rows));
@@ -222,7 +222,7 @@ fn main() {
             };
             let run = run(name, clients);
             let ix = CausalIndex::build(&run.events);
-            let out = export_chrome(&run.events, &ix, &run.actor_names);
+            let out = export_chrome(&run.events, &ix, &run.cluster.actor_names());
             if let Some(dir) = std::path::Path::new(path).parent() {
                 if !dir.as_os_str().is_empty() {
                     std::fs::create_dir_all(dir).expect("create output dir");
@@ -239,12 +239,10 @@ fn main() {
         "dump" => {
             let tx_filter = tx_flag(args);
             let actor_filter: Option<u32> = number_flag(args, "--actor", "a process id");
-            let PointRun {
-                point,
-                breakdown,
-                mut events,
-                ..
-            } = run(name, clients);
+            let mut run = run(name, clients);
+            let point = run.point();
+            let breakdown = run.breakdown();
+            let events = &mut run.events;
             if let Some((tx, tx_arg)) = tx_filter {
                 events.retain(|e| matches!(*e, ObsEvent::Point { tx: t, .. } if t == tx));
                 if events.is_empty() {
@@ -255,7 +253,7 @@ fn main() {
             if let Some(pid) = actor_filter {
                 events.retain(|e| involves(e, pid));
             }
-            let trace = jsonl::export(&events);
+            let trace = jsonl::export(events);
             // A reader that stops early (`| head`) is not a failure.
             if let Err(e) = std::io::stdout().write_all(trace.as_bytes()) {
                 if e.kind() != std::io::ErrorKind::BrokenPipe {

@@ -47,7 +47,7 @@ fn main() {
                 "mc_smoke: {}: library config violated an invariant: {}\n{}",
                 r.label,
                 cx.violation,
-                cx.to_text()
+                cx.to_text().unwrap_or_else(|e| e)
             );
             exit(1);
         }
@@ -120,11 +120,11 @@ fn main() {
         exit(1);
     }
     let out = replay(cx, TraceHandle::new());
-    if out.violations.first() != Some(&cx.violation) {
+    if out.run.violations.first() != Some(&cx.violation) {
         eprintln!(
             "mc_smoke: {label}: replay did not reproduce the recorded violation \
              (got {:?})",
-            out.violations
+            out.run.violations
         );
         exit(1);
     }
@@ -132,7 +132,7 @@ fn main() {
         "{label} found_after={} minimized={} trace_events={} violation={}",
         r.schedules,
         cx.decisions.len(),
-        out.trace.len(),
+        out.run.events.len(),
         cx.violation
     ));
 

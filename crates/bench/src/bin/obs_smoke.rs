@@ -16,7 +16,7 @@
 //! (`--bless` regenerates the golden file).
 
 use gdur_harness::{
-    render_breakdown_text, run_point_with, BreakdownRow, Experiment, PlacementKind, Scale,
+    render_breakdown_text, run_checked, BreakdownRow, Experiment, PlacementKind, Scale,
     WorkloadKind,
 };
 use gdur_obs::{render_attribution_text, Attribution, CausalIndex, TraceHandle};
@@ -32,7 +32,6 @@ fn smoke_scale() -> Scale {
         measure: SimDuration::from_secs(1),
         client_sweep: vec![2, 24],
         seed: 7,
-        ..Scale::quick()
     }
 }
 
@@ -50,11 +49,12 @@ fn main() {
     for spec in [gdur_protocols::p_store(), gdur_protocols::s_dur()] {
         let exp = experiment(spec);
         for &cps in &scale.client_sweep {
-            let run = run_point_with(&exp, &scale, cps, Some(TraceHandle::new()));
+            let dep = exp.deployment(&scale, cps);
+            let run = run_checked(&dep, None, Some(TraceHandle::new())).expect_clean(&dep.label);
             rows.push(BreakdownRow {
                 label: exp.spec.name.to_string(),
                 clients: cps * exp.sites,
-                breakdown: run.breakdown,
+                breakdown: run.breakdown(),
             });
         }
     }
@@ -66,14 +66,10 @@ fn main() {
         gdur_protocols::walter(),
     ] {
         let exp = experiment(spec);
-        let run = run_point_with(
-            &exp,
-            &scale,
-            ATTRIBUTION_CLIENTS,
-            Some(TraceHandle::causal()),
-        );
+        let dep = exp.deployment(&scale, ATTRIBUTION_CLIENTS);
+        let run = run_checked(&dep, None, Some(TraceHandle::causal())).expect_clean(&dep.label);
         let ix = CausalIndex::build(&run.events);
-        let a = Attribution::collect(&run.events, &ix, &run.clients, run.warm_end);
+        let a = Attribution::collect(&run.events, &ix, &run.clients(), run.window_start);
         attributions.push((exp.spec.name.to_string(), a));
     }
 

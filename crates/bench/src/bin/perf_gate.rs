@@ -36,7 +36,7 @@ use std::process::exit;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-use gdur_harness::{build_point, run_point_with, Experiment, PlacementKind, Scale, WorkloadKind};
+use gdur_harness::{run_checked, Experiment, PlacementKind, Scale, WorkloadKind};
 use gdur_sim::SimDuration;
 
 /// Resident-set budget right after building a paper-keyspace deployment.
@@ -142,12 +142,14 @@ fn run_sweep_counted() -> String {
         let start = Instant::now();
         let before = allocated();
         let live_before = reset_peak();
-        let run = run_point_with(&exp, &scale, cps, None);
+        let dep = exp.deployment(&scale, cps);
+        let run = run_checked(&dep, None, None).expect_clean(&dep.label);
+        let point = run.point();
         let after = allocated();
         let (allocs, alloc_bytes) = (after.0 - before.0, after.1 - before.1);
         let peak_live_bytes = PEAK_LIVE_BYTES.load(Relaxed) - live_before;
         let wall_s = start.elapsed().as_secs_f64();
-        let events = run.stats.events_processed;
+        let events = run.cluster.sim().stats().events_processed;
         total_events += events;
         println!(
             "perf_gate: {cps:>4} clients/site: {events:>9} events in {wall_s:.3}s \
@@ -156,12 +158,13 @@ fn run_sweep_counted() -> String {
         );
         table.push_str(&format!(
             "clients_per_site={cps} events={events} tps={:.1}",
-            run.point.throughput_tps
+            point.throughput_tps
         ));
+        let queue = run.cluster.sim().queue_stats();
         for (name, c) in [
-            ("dispatch", run.queue.dispatch),
-            ("message", run.queue.message),
-            ("timer", run.queue.timer),
+            ("dispatch", queue.dispatch),
+            ("message", queue.message),
+            ("timer", queue.timer),
         ] {
             table.push_str(&format!(" {name}={}/{}/{}", c.pushed, c.popped, c.peak_len));
         }
@@ -203,7 +206,7 @@ fn paper_build() -> f64 {
         reason = "host time of one build, printed and never compared; read outside the simulation"
     )]
     let start = Instant::now();
-    let cluster = build_point(&exp, &Scale::paper(), 192);
+    let cluster = exp.deployment(&Scale::paper(), 192).build();
     let build_s = start.elapsed().as_secs_f64();
     let rss_mib = resident_kib() as f64 / 1024.0;
     drop(cluster);

@@ -290,14 +290,8 @@ pub struct ReplicaStats {
     pub applies: u64,
     /// Background propagation messages sent.
     pub propagates_sent: u64,
-    /// Coordinated aborts caused by a negative certification vote.
-    pub aborted_cert_conflict: u64,
-    /// Coordinated aborts caused by the vote timeout expiring.
-    pub aborted_vote_timeout: u64,
-    /// Coordinated aborts caused by an unserveable read.
-    pub aborted_read_impossible: u64,
-    /// Coordinated aborts caused by a crash (coordinator-side).
-    pub aborted_crash: u64,
+    /// Coordinated aborts partitioned by [`AbortCause::code`].
+    pub aborted_by_cause: [u64; AbortCause::ALL.len()],
     /// Crash–restart recoveries performed (§5.3 WAL replay).
     pub recoveries: u64,
     /// In-flight terminations resumed from `Submit` log records at restart.
@@ -339,10 +333,9 @@ impl ReplicaStats {
             remote_reads_served: self.remote_reads_served + other.remote_reads_served,
             applies: self.applies + other.applies,
             propagates_sent: self.propagates_sent + other.propagates_sent,
-            aborted_cert_conflict: self.aborted_cert_conflict + other.aborted_cert_conflict,
-            aborted_vote_timeout: self.aborted_vote_timeout + other.aborted_vote_timeout,
-            aborted_read_impossible: self.aborted_read_impossible + other.aborted_read_impossible,
-            aborted_crash: self.aborted_crash + other.aborted_crash,
+            aborted_by_cause: std::array::from_fn(|c| {
+                self.aborted_by_cause[c] + other.aborted_by_cause[c]
+            }),
             recoveries: self.recoveries + other.recoveries,
             resubmissions: self.resubmissions + other.resubmissions,
             catchup_installs: self.catchup_installs + other.catchup_installs,

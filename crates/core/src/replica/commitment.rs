@@ -453,12 +453,7 @@ impl Replica {
             self.stats.committed += 1;
         } else {
             self.stats.aborted += 1;
-            match cause.expect("set on abort") {
-                AbortCause::CertificationConflict => self.stats.aborted_cert_conflict += 1,
-                AbortCause::VoteTimeout => self.stats.aborted_vote_timeout += 1,
-                AbortCause::ReadImpossible => self.stats.aborted_read_impossible += 1,
-                AbortCause::Crash => self.stats.aborted_crash += 1,
-            }
+            self.stats.aborted_by_cause[cause.expect("set on abort").code() as usize] += 1;
         }
         let code = tx.code();
         ctx.trace(labels::TXN_DECIDE, code, commit as u64);

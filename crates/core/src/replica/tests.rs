@@ -304,7 +304,10 @@ fn a_read_that_outlived_its_snapshot_is_read_impossible() {
     assert_eq!(probe.replica().store.latest_seq(Key(0)), Some(9));
     probe.client(reader, ClientOp::Read { key: Key(0) });
     assert!(!probe.replica().executing.contains_key(&reader));
-    assert_eq!(probe.replica().stats.aborted_read_impossible, 1);
+    assert_eq!(
+        probe.replica().stats.aborted_by_cause[AbortCause::ReadImpossible.code() as usize],
+        1
+    );
 
     let replies = |probe: &Probe| {
         let sent = probe.trace.events().into_iter();
@@ -510,7 +513,10 @@ fn outcome_under_2pc_waits_for_every_replica_of_every_object() {
     let tx = probe.submit_update(3);
     probe.vote(1, tx, false);
     assert!(!probe.replica().coord.contains_key(&tx));
-    assert_eq!(probe.replica().stats.aborted_cert_conflict, 1);
+    assert_eq!(
+        probe.replica().stats.aborted_by_cause[AbortCause::CertificationConflict.code() as usize],
+        1
+    );
 }
 
 /// Paxos Commit at `sites` sites, disaster tolerant, coordinated at site 0:
@@ -565,7 +571,10 @@ fn paxos_commit_aborts_on_a_remote_no_at_once() {
     probe.vote(1, tx, false);
     assert!(!probe.replica().coord.contains_key(&tx));
     assert_eq!(probe.decided(), (0, 1));
-    assert_eq!(probe.replica().stats.aborted_cert_conflict, 1);
+    assert_eq!(
+        probe.replica().stats.aborted_by_cause[AbortCause::CertificationConflict.code() as usize],
+        1
+    );
 }
 
 /// The coordinator's own no is held by its own acceptor only: the abort
@@ -910,7 +919,10 @@ fn the_outcome_log_takes_the_sets_from_either_phase() {
     probe.cluster.run_for(SimDuration::from_millis(300));
     let r = probe.replica();
     assert!(r.executing.is_empty() && r.coord.is_empty());
-    assert_eq!(r.stats.aborted_read_impossible, 1);
+    assert_eq!(
+        r.stats.aborted_by_cause[AbortCause::ReadImpossible.code() as usize],
+        1
+    );
 
     assert_eq!(
         decoded(r.outcomes()),

@@ -1,14 +1,11 @@
 //! Experiment definitions and single-point runs.
 
-use std::collections::BTreeSet;
-
-use gdur_consistency::{CriterionCheck, History};
-use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
-use gdur_net::Topology;
-use gdur_obs::{ObsEvent, PhaseBreakdown, TraceHandle};
-use gdur_sim::{ProcessId, SimDuration, SimTime};
+use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
+use gdur_sim::SimDuration;
 use gdur_store::Placement;
 use gdur_workload::{WorkloadSpec, YcsbSource};
+
+use crate::fault::{run_checked, Deployment, FaultSchedule, Horizon};
 
 /// Which Table 3 workload an experiment drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +86,32 @@ impl Experiment {
             placement,
         }
     }
+
+    /// The deployment of one sweep point at `clients_per_site`: the
+    /// scale's keyspace and payload, warmed up and measured, seeded
+    /// `scale.seed ^ clients_per_site << 32`.
+    pub fn deployment(&self, scale: &Scale, clients_per_site: usize) -> Deployment {
+        let partitions = self.placement.placement(self.sites).partitions() as u64;
+        Deployment {
+            label: self.label.clone(),
+            spec: self.spec.clone(),
+            workload: self.workload.spec(scale.keys_per_partition * partitions),
+            read_only_ratio: self.read_only_ratio,
+            local_query_ratio: self.local_query_ratio,
+            sites: self.sites,
+            placement: self.placement,
+            clients_per_site,
+            keys_per_partition: scale.keys_per_partition,
+            value_size: scale.value_size,
+            seed: scale.seed ^ (clients_per_site as u64) << 32,
+            horizon: Horizon::Window {
+                warmup: scale.warmup,
+                measure: scale.measure,
+            },
+            schedule: FaultSchedule::new(),
+            reintroduce_psi_bug: false,
+        }
+    }
 }
 
 /// Scale parameters of a run: the paper-faithful setting and a quick one
@@ -105,8 +128,6 @@ pub struct Scale {
     pub measure: SimDuration,
     /// Client threads per site, one sweep point per entry.
     pub client_sweep: Vec<usize>,
-    /// Replica cores (paper: 4-core machines).
-    pub cores: u16,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -120,7 +141,6 @@ impl Scale {
             warmup: SimDuration::from_secs(1),
             measure: SimDuration::from_secs(4),
             client_sweep: vec![8, 64, 256, 512, 1024, 1536],
-            cores: 4,
             seed: 1,
         }
     }
@@ -133,7 +153,6 @@ impl Scale {
             warmup: SimDuration::from_millis(500),
             measure: SimDuration::from_secs(2),
             client_sweep: vec![4, 16, 48],
-            cores: 4,
             seed: 1,
         }
     }
@@ -160,71 +179,21 @@ pub struct PointResult {
     pub aborted: u64,
 }
 
-fn summarize(records: &[TxnRecord], window: SimDuration, clients_total: usize) -> PointResult {
-    let committed: Vec<&TxnRecord> = records.iter().filter(|r| r.committed).collect();
-    let aborted = records.len() as u64 - committed.len() as u64;
-    let committed_updates: Vec<&&TxnRecord> = committed.iter().filter(|r| !r.read_only).collect();
-    let mean_ms = |it: &[&&TxnRecord], f: &dyn Fn(&TxnRecord) -> f64| -> f64 {
-        if it.is_empty() {
-            0.0
-        } else {
-            it.iter().map(|r| f(r)).sum::<f64>() / it.len() as f64
-        }
-    };
-    let term_latency_update_ms = mean_ms(&committed_updates, &|r| {
-        r.termination_latency().as_millis_f64()
-    });
-    let all_refs: Vec<&&TxnRecord> = committed.iter().collect();
-    let avg_latency_ms = mean_ms(&all_refs, &|r| r.total_latency().as_millis_f64());
-    PointResult {
-        clients_total,
-        throughput_tps: committed.len() as f64 / window.as_secs_f64(),
-        term_latency_update_ms,
-        avg_latency_ms,
-        abort_ratio: if records.is_empty() {
-            0.0
-        } else {
-            aborted as f64 / records.len() as f64
-        },
-        committed: committed.len() as u64,
-        aborted,
-    }
-}
-
-/// Runs one sweep point: a full deployment at `clients_per_site`, with a
-/// warm-up excluded from the reported window.
+/// Runs one sweep point: the deployment of `exp` at `clients_per_site`
+/// ([`Experiment::deployment`]), with a warm-up excluded from the reported
+/// window.
+///
+/// # Panics
+///
+/// On any verdict of [`crate::check_invariants`]: no reported number comes
+/// from a run that violates its claimed criterion.
 pub fn run_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> PointResult {
-    run_point_with(exp, scale, clients_per_site, None).point
-}
-
-/// Everything one sweep point produced, for the callers that want more
-/// than the [`PointResult`].
-#[derive(Debug, Clone)]
-pub struct PointRun {
-    /// The point measurements — bit-identical with and without a trace:
-    /// tracing never consumes virtual time or randomness.
-    pub point: PointResult,
-    /// The kernel's counters for the whole run (warm-up included). With the
-    /// queue counters they are a pure function of the seed, which makes
-    /// them a cheap bit-identity check across optimisation work.
-    pub stats: gdur_sim::SimStats,
-    /// Per-class traffic of the kernel's event queue, whole run.
-    pub queue: gdur_sim::QueueStats,
-    /// End of warm-up = start of the measurement window.
-    pub warm_end: SimTime,
-    /// Phase breakdown of `events` over the measurement window.
-    pub breakdown: PhaseBreakdown,
-    /// The full event trace (warm-up included); empty without a trace. A
-    /// [`TraceHandle::causal`] trace also carries message ids, `Deliver`
-    /// records and handler service brackets, so it feeds
-    /// [`gdur_obs::CausalIndex`] directly.
-    pub events: Vec<ObsEvent>,
-    /// The client actors (service time on them is client think time).
-    pub clients: BTreeSet<ProcessId>,
-    /// Display name per actor, indexed by process id.
-    pub actor_names: Vec<String>,
-    /// The deployment's site topology.
-    pub topology: Topology,
+    let run = run_checked(&exp.deployment(scale, clients_per_site), None, None);
+    let what = format_args!(
+        "experiment '{}' ({clients_per_site} clients/site)",
+        exp.label
+    );
+    run.expect_clean(what).point()
 }
 
 /// Builds the deployment of `cfg` with one YCSB source per client:
@@ -244,73 +213,6 @@ pub fn build_ycsb(
         let src = YcsbSource::new(workload.clone(), total_keys, partitions, home, read_only);
         Box::new(src.with_local_query_ratio(local_queries))
     })
-}
-
-/// Builds the deployment of one sweep point without running it: the
-/// cluster [`run_point`] drives, at `clients_per_site`.
-pub fn build_point(exp: &Experiment, scale: &Scale, clients_per_site: usize) -> Cluster {
-    // History recording stays at the base's "on": every experiment's
-    // history is fed to the consistency oracle, so no reported number can
-    // come from a corrupt run.
-    let cfg = ClusterConfig {
-        keys_per_partition: scale.keys_per_partition,
-        value_size: scale.value_size,
-        clients_per_site,
-        cores_per_replica: scale.cores,
-        seed: scale.seed ^ (clients_per_site as u64) << 32,
-        ..ClusterConfig::new(exp.spec.clone(), exp.placement.placement(exp.sites))
-    };
-    let total_keys = cfg.keys_per_partition * cfg.placement.partitions() as u64;
-    let workload = exp.workload.spec(total_keys);
-    build_ycsb(cfg, &workload, exp.read_only_ratio, exp.local_query_ratio)
-}
-
-/// Like [`run_point`], with everything else the run produced and, given a
-/// `trace`, its sink attached for the whole run.
-pub fn run_point_with(
-    exp: &Experiment,
-    scale: &Scale,
-    clients_per_site: usize,
-    trace: Option<TraceHandle>,
-) -> PointRun {
-    let mut cluster = build_point(exp, scale, clients_per_site);
-    if let Some(t) = &trace {
-        cluster.attach_obs(t.sink());
-    }
-    cluster.run_for(scale.warmup);
-    let warm_end = cluster.now();
-    cluster.run_for(scale.measure);
-    // Always-on history verification: check the full run (warm-up
-    // included) against the criterion the spec claims, and refuse to
-    // report measurements from a violating execution.
-    let history = History::from_cluster(&cluster);
-    if let Err(v) = exp.spec.criterion.check(&history) {
-        panic!(
-            "experiment '{}' ({} clients/site) violated its claimed criterion {:?}: {v}",
-            exp.label, clients_per_site, exp.spec.criterion
-        );
-    }
-    let records: Vec<TxnRecord> = cluster
-        .records()
-        .into_iter()
-        .filter(|r| r.decided_at >= warm_end)
-        .collect();
-    let clients_total = clients_per_site * exp.sites;
-    let point = summarize(&records, cluster.now() - warm_end, clients_total);
-    let events = trace.map(|t| t.take()).unwrap_or_default();
-    let topology = cluster.topology().clone();
-    let clients: BTreeSet<ProcessId> = cluster.client_pids().iter().copied().collect();
-    PointRun {
-        point,
-        stats: cluster.sim().stats(),
-        queue: cluster.sim().queue_stats(),
-        warm_end,
-        breakdown: PhaseBreakdown::from_events(&events, &topology, warm_end),
-        events,
-        clients,
-        actor_names: cluster.actor_names(),
-        topology,
-    }
 }
 
 /// Runs the whole client sweep of an experiment, one OS thread per point.

@@ -1,13 +1,14 @@
-//! Declarative fault schedules, the one deployment type of a checked run,
-//! and its one runner (§5.3).
+//! Declarative fault schedules, the one description of a checked run, and
+//! its one runner (§5.3).
 //!
 //! A [`FaultSchedule`] lists scheduled crashes, restarts, link partitions,
-//! and heals in virtual time. A [`Deployment`] is a small bounded
-//! deployment plus its schedule; [`run_checked`] runs it — under the
+//! and heals in virtual time. A [`Deployment`] is a deployment, its
+//! [`Horizon`] and its schedule; [`run_checked`] runs it — under the
 //! kernel's own order, or under a `gdur_sim::Scheduler` when `gdur-mc`
-//! explores schedules — and judges it with [`check_invariants`]: history
-//! verification, store convergence, and the abort-cause partition.
-//! [`run_chaos`] adds the recovery counts of a [`ChaosReport`].
+//! explores schedules — and judges it with [`check_invariants`]. A figure
+//! point, a chaos run, a `gdur-mc` schedule and a criterion test are each
+//! a [`Deployment`]. [`run_chaos`] adds the recovery counts of a
+//! [`ChaosReport`].
 //!
 //! A schedule that restarts a replica is a claim that the assembly
 //! recovers. [`run_checked`] refuses it for an assembly that does not
@@ -18,14 +19,16 @@
 //! reproduce the same trace byte for byte (`tests/tests/determinism.rs`
 //! reruns the library to check it; `chaos_smoke`'s golden relies on it).
 
-use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
+use std::collections::BTreeSet;
+
+use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
 use gdur_net::SiteId;
-use gdur_obs::{labels, ObsEvent, TraceHandle};
-use gdur_sim::{Scheduler, SimDuration, SimTime};
-use gdur_store::{PartitionId, Placement};
+use gdur_obs::{labels, ObsEvent, PhaseBreakdown, TraceHandle};
+use gdur_sim::{ProcessId, Scheduler, SimDuration, SimTime};
+use gdur_store::PartitionId;
 use gdur_workload::WorkloadSpec;
 
-use crate::experiment::build_ycsb;
+use crate::experiment::{build_ycsb, PlacementKind, PointResult};
 use crate::invariants::{check_invariants, DIVERGED};
 
 /// One scheduled fault of a chaos run.
@@ -166,10 +169,34 @@ impl FaultSchedule {
     }
 }
 
-/// One deployment of a checked run: the protocol, the workload and its
-/// size, the seed, and the faults it suffers. Chaos runs and schedule
-/// exploration (`gdur-mc` in `gdur-analysis`) both describe what they run
-/// with it, and [`run_checked`] runs it.
+/// How long a checked run lasts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Horizon {
+    /// Every client issues this many transactions and the run drains to
+    /// idle.
+    Drain(u64),
+    /// Unbounded clients; the run stops at `warmup + measure` of virtual
+    /// time, and its window is what was decided from `warmup` on.
+    Window {
+        /// Warm-up excluded from the window.
+        warmup: SimDuration,
+        /// Length of the window.
+        measure: SimDuration,
+    },
+}
+
+impl Horizon {
+    /// The transactions per client of a drained run.
+    pub fn txns_per_client(self) -> Option<u64> {
+        match self {
+            Horizon::Drain(txns) => Some(txns),
+            Horizon::Window { .. } => None,
+        }
+    }
+}
+
+/// One checked run: the protocol, the workload and its size, the seed, how
+/// long it lasts and the faults it suffers. [`run_checked`] runs it.
 ///
 /// The fault-tolerant half of the cluster is not an option: it follows
 /// from the schedule ([`Deployment::cluster_config`]).
@@ -179,37 +206,55 @@ pub struct Deployment {
     pub label: String,
     /// The protocol under test.
     pub spec: ProtocolSpec,
-    /// The YCSB workload, at 50 % read-only transactions.
+    /// The YCSB workload.
     pub workload: WorkloadSpec,
-    /// Number of sites (= partitions).
+    /// Fraction of read-only transactions.
+    pub read_only_ratio: f64,
+    /// Fraction of queries kept on the coordinator's partition (Figure 5).
+    pub local_query_ratio: f64,
+    /// Number of sites.
     pub sites: usize,
+    /// Placement of a fault-free run; a run with faults is disaster
+    /// tolerant.
+    pub placement: PlacementKind,
     /// Closed-loop clients per site.
     pub clients_per_site: usize,
-    /// Transactions per client (bounded so the run drains to idle).
-    pub txns_per_client: u64,
     /// Keys per partition.
     pub keys_per_partition: u64,
+    /// Payload size in bytes.
+    pub value_size: usize,
     /// Deployment seed.
     pub seed: u64,
+    /// When the run stops.
+    pub horizon: Horizon,
     /// The fault schedule.
     pub schedule: FaultSchedule,
+    /// Re-introduce the pre-fix Walter PSI fractured-read bug
+    /// (`ClusterConfig::bug_unreserved_commit_clocks`). Regression-suite
+    /// use only.
+    pub reintroduce_psi_bug: bool,
 }
 
 impl Deployment {
     /// The CI-sized chaos deployment of `spec` under `schedule`: 3 sites,
-    /// 2 clients per site x 30 transactions of workload A over 200 keys
-    /// per partition, seed 7.
+    /// 2 clients per site x 30 transactions of workload A at 50 % read-only
+    /// over 200 keys of 64 bytes per partition, seed 7.
     pub fn new(spec: ProtocolSpec, schedule: FaultSchedule) -> Self {
         Deployment {
             label: spec.name.to_string(),
             spec,
             workload: WorkloadSpec::a(),
+            read_only_ratio: 0.5,
+            local_query_ratio: 0.0,
             sites: 3,
+            placement: PlacementKind::Dp,
             clients_per_site: 2,
-            txns_per_client: 30,
             keys_per_partition: 200,
+            value_size: 64,
             seed: 7,
+            horizon: Horizon::Drain(30),
             schedule,
+            reintroduce_psi_bug: false,
         }
     }
 
@@ -218,28 +263,36 @@ impl Deployment {
     /// needs a second replica), the write-ahead log, a 500 ms vote timeout
     /// where the coordinator owns the decision, bounded read failover and a
     /// 2 s client operation timeout. An empty schedule gets a crash- and
-    /// timeout-free disaster-prone deployment.
+    /// timeout-free deployment in [`Deployment::placement`].
     pub fn cluster_config(&self) -> ClusterConfig {
         let faulty = !self.schedule.events().is_empty();
         let placement = if faulty {
-            Placement::disaster_tolerant(self.sites)
+            PlacementKind::Dt
         } else {
-            Placement::disaster_prone(self.sites)
+            self.placement
         };
         // Only a coordinator that owns the decision may abort it on a timer.
         let coordinated = self.spec.group_communication().is_none();
         ClusterConfig {
             keys_per_partition: self.keys_per_partition,
-            value_size: 64,
+            value_size: self.value_size,
             clients_per_site: self.clients_per_site,
-            max_txns_per_client: Some(self.txns_per_client),
+            max_txns_per_client: self.horizon.txns_per_client(),
             persistence: faulty,
             vote_timeout: (faulty && coordinated).then(|| SimDuration::from_millis(500)),
             max_read_attempts: faulty.then_some(6),
             client_op_timeout: faulty.then(|| SimDuration::from_secs(2)),
             seed: self.seed,
-            ..ClusterConfig::new(self.spec.clone(), placement)
+            bug_unreserved_commit_clocks: self.reintroduce_psi_bug,
+            ..ClusterConfig::new(self.spec.clone(), placement.placement(self.sites))
         }
+    }
+
+    /// The cluster of [`Deployment::cluster_config`], built with one YCSB
+    /// source per client and not yet run.
+    pub fn build(&self) -> Cluster {
+        let (ro, local) = (self.read_only_ratio, self.local_query_ratio);
+        build_ycsb(self.cluster_config(), &self.workload, ro, local)
     }
 }
 
@@ -403,19 +456,76 @@ pub fn stores_converged(cluster: &Cluster) -> bool {
 
 /// What a checked run leaves behind.
 pub struct CheckedRun {
-    /// The deployment, drained to idle.
+    /// The deployment, at its horizon.
     pub cluster: Cluster,
     /// The verdicts of [`check_invariants`], empty when the run is clean.
     pub violations: Vec<String>,
     /// The trace, empty when the run was not traced.
     pub events: Vec<ObsEvent>,
+    /// Start of the measurement window: the end of a windowed run's
+    /// warm-up, [`SimTime::ZERO`] for a drained run.
+    pub window_start: SimTime,
 }
 
-/// Builds `ccfg` (normally [`Deployment::cluster_config`]) with the
-/// deployment's workload, applies its fault schedule, drains the run to
-/// idle under `scheduler` (the kernel's own order when `None`), and judges
-/// it with [`check_invariants`]. The only runner of both chaos runs and
-/// schedule exploration.
+impl CheckedRun {
+    /// The run, after a panic naming `what` on any verdict.
+    pub fn expect_clean(self, what: impl std::fmt::Display) -> Self {
+        assert!(self.violations.is_empty(), "{what}: {:?}", self.violations);
+        self
+    }
+
+    /// The measurements of the run's window: the transactions decided from
+    /// [`CheckedRun::window_start`] on. With or without a trace they are
+    /// bit-identical: tracing never consumes virtual time or randomness.
+    pub fn point(&self) -> PointResult {
+        let mut records = self.cluster.records();
+        records.retain(|r| r.decided_at >= self.window_start);
+        let committed: Vec<&TxnRecord> = records.iter().filter(|r| r.committed).collect();
+        let mean_ms = |ms: Vec<f64>| match ms.len() {
+            0 => 0.0,
+            n => ms.iter().sum::<f64>() / n as f64,
+        };
+        let updates = committed.iter().filter(|r| !r.read_only);
+        let (decided, n) = (records.len() as u64, committed.len() as u64);
+        let sites = self.cluster.placement().all_sites();
+        PointResult {
+            clients_total: sites.map(|s| self.cluster.pool(s).clients()).sum(),
+            throughput_tps: n as f64 / (self.cluster.now() - self.window_start).as_secs_f64(),
+            term_latency_update_ms: mean_ms(
+                updates
+                    .map(|r| r.termination_latency().as_millis_f64())
+                    .collect(),
+            ),
+            avg_latency_ms: mean_ms(
+                committed
+                    .iter()
+                    .map(|r| r.total_latency().as_millis_f64())
+                    .collect(),
+            ),
+            abort_ratio: match decided {
+                0 => 0.0,
+                _ => (decided - n) as f64 / decided as f64,
+            },
+            committed: n,
+            aborted: decided - n,
+        }
+    }
+
+    /// The phase breakdown of the run's window, from its trace.
+    pub fn breakdown(&self) -> PhaseBreakdown {
+        PhaseBreakdown::from_events(&self.events, self.cluster.topology(), self.window_start)
+    }
+
+    /// The client actors (service time on them is client think time).
+    pub fn clients(&self) -> BTreeSet<ProcessId> {
+        self.cluster.client_pids().iter().copied().collect()
+    }
+}
+
+/// Builds the deployment, applies its fault schedule, runs it to its
+/// [`Horizon`] under `scheduler` (the kernel's own order when `None`) with
+/// `trace` attached, and judges it with [`check_invariants`]. The only
+/// runner of a checked run.
 ///
 /// Crashes and restarts are pre-registered with the simulation kernel —
 /// the one fault model there is — and the run is sliced at every partition
@@ -427,7 +537,6 @@ pub struct CheckedRun {
 /// schedule restarts a replica of an assembly that has no recovery.
 pub fn run_checked(
     dep: &Deployment,
-    ccfg: ClusterConfig,
     scheduler: Option<Box<dyn Scheduler>>,
     trace: Option<TraceHandle>,
 ) -> CheckedRun {
@@ -436,7 +545,7 @@ pub fn run_checked(
             panic!("{}: the schedule restarts a replica: {refusal}", dep.label);
         }
     }
-    let mut cluster = build_ycsb(ccfg, &dep.workload, 0.5, 0.0);
+    let mut cluster = dep.build();
     if let Some(scheduler) = scheduler {
         cluster.sim_mut().attach_scheduler(scheduler);
     }
@@ -457,14 +566,25 @@ pub fn run_checked(
             FaultEvent::Partition { .. } | FaultEvent::Heal { .. } => {}
         }
     }
+    // A drained run ends when idle, a windowed one at `warmup + measure`.
+    let (window_start, end) = match dep.horizon {
+        Horizon::Drain(_) => (SimTime::ZERO, SimTime::MAX),
+        Horizon::Window { warmup, measure } => {
+            (SimTime::ZERO + warmup, SimTime::ZERO + warmup + measure)
+        }
+    };
     // Link state is latency-model state, not a kernel event: slice the run
-    // at every partition boundary and flip the cut between slices.
+    // at every partition boundary before the end and flip the cut between
+    // slices.
     for ev in dep.schedule.chronological() {
         let (a, b, at, cut) = match ev {
             FaultEvent::Partition { a, b, at } => (a, b, at, true),
             FaultEvent::Heal { a, b, at } => (a, b, at, false),
             FaultEvent::Crash { .. } | FaultEvent::Restart { .. } => continue,
         };
+        if at > end {
+            break;
+        }
         cluster.sim_mut().run_until(at);
         if cut {
             pc.cut(a, b);
@@ -472,17 +592,17 @@ pub fn run_checked(
             pc.heal(a, b);
         }
     }
-    cluster.run_until_idle();
+    cluster.sim_mut().run_until(end);
     CheckedRun {
-        violations: check_invariants(&dep.spec, &cluster),
+        violations: check_invariants(dep, &cluster),
         events: trace.map(|t| t.take()).unwrap_or_default(),
         cluster,
+        window_start,
     }
 }
 
-/// Runs the deployment traced ([`run_checked`] on its own
-/// [`Deployment::cluster_config`]) and returns the report plus the full
-/// deterministic event trace.
+/// Runs the deployment traced ([`run_checked`]) and returns the report
+/// plus the full deterministic event trace.
 ///
 /// # Panics
 ///
@@ -492,7 +612,8 @@ pub fn run_chaos(dep: &Deployment) -> (ChaosReport, Vec<ObsEvent>) {
         cluster,
         violations,
         events,
-    } = run_checked(dep, dep.cluster_config(), None, Some(TraceHandle::new()));
+        ..
+    } = run_checked(dep, None, Some(TraceHandle::new()));
     let records = cluster.records();
     let committed = records.iter().filter(|r| r.committed).count() as u64;
     // Transaction ids carry the *client-side* pid as their coordinator

@@ -1,48 +1,44 @@
-//! The per-run invariant bundle of a checked run.
-//!
-//! Every experiment's history is verified against the spec's claimed
-//! criterion ([`crate::experiment::run_point`] panics on violation). A
-//! checked run ([`crate::fault::run_checked`]: a chaos run, or one schedule
-//! of the model checker `gdur-mc` in `gdur-analysis`) needs that verdict
-//! and two more as a value rather than a panic: this module bundles them
-//! into one call returning human-readable violation strings, empty when
-//! the run is clean.
+//! The invariant bundle: the one verdict on every checked run
+//! ([`crate::fault::run_checked`]) — a figure point, a chaos run, one
+//! schedule of the model checker `gdur-mc` in `gdur-analysis`, or a
+//! criterion test. It returns human-readable violation strings, empty when
+//! the run is clean; a figure point panics on any of them
+//! ([`crate::experiment::run_point`]).
 
 use gdur_consistency::{CriterionCheck, History};
-use gdur_core::{Cluster, ProtocolSpec};
+use gdur_core::Cluster;
 
-use crate::fault::stores_converged;
+use crate::fault::{stores_converged, Deployment};
 
 /// The convergence violation of [`check_invariants`].
 pub(crate) const DIVERGED: &str = "convergence: replica stores diverged";
 
-/// Runs the invariant bundle against a finished (run-to-idle) cluster:
+/// Runs the invariant bundle against `cluster`, the run of `dep` at its
+/// horizon:
 ///
 /// 1. **History verification** — the committed history satisfies
-///    `spec.criterion` (the paper's "analyzing" pillar);
-/// 2. **Convergence** — all replicas of each partition hold the same
-///    per-key latest version, for assemblies whose certification orders
-///    conflicting writes ([`ProtocolSpec::orders_write_conflicts`]);
+///    `dep.spec.criterion` (the paper's "analyzing" pillar);
+/// 2. **Convergence**, on a drained run only (a run stopped at its window
+///    still has installs in flight) — all replicas of each partition hold
+///    the same per-key latest version, for assemblies whose certification
+///    orders conflicting writes ([`gdur_core::ProtocolSpec::orders_write_conflicts`]);
 /// 3. **Abort-cause partition** — summed across replicas, coordinated
 ///    aborts equal the sum of the per-cause counters (no abort is
 ///    unaccounted for or double-counted).
 ///
 /// Returns one string per violated invariant; an empty vector means the
-/// schedule is clean.
-pub fn check_invariants(spec: &ProtocolSpec, cluster: &Cluster) -> Vec<String> {
+/// run is clean.
+pub fn check_invariants(dep: &Deployment, cluster: &Cluster) -> Vec<String> {
     let mut out = Vec::new();
-    let history = History::from_cluster(cluster);
-    if let Err(v) = spec.criterion.check(&history) {
+    if let Err(v) = dep.spec.criterion.check(&History::from_cluster(cluster)) {
         out.push(format!("history: {v}"));
     }
-    if spec.orders_write_conflicts() && !stores_converged(cluster) {
+    let drained = dep.horizon.txns_per_client().is_some();
+    if drained && dep.spec.orders_write_conflicts() && !stores_converged(cluster) {
         out.push(DIVERGED.to_string());
     }
     let st = cluster.replica_stats();
-    let causes = st.aborted_cert_conflict
-        + st.aborted_vote_timeout
-        + st.aborted_read_impossible
-        + st.aborted_crash;
+    let causes = st.aborted_by_cause.iter().sum::<u64>();
     if causes != st.aborted {
         out.push(format!(
             "abort-partition: {} coordinated aborts but causes sum to {causes}",

@@ -23,13 +23,13 @@ pub mod report;
 
 pub use fault::{
     chaos_library, run_chaos, run_checked, stores_converged, ChaosReport, CheckedRun, Deployment,
-    FaultEvent, FaultSchedule,
+    FaultEvent, FaultSchedule, Horizon,
 };
 pub use invariants::check_invariants;
 
 pub use experiment::{
-    build_point, build_ycsb, max_throughput, run_point, run_point_with, run_sweep, Experiment,
-    PlacementKind, PointResult, PointRun, Scale, WorkloadKind,
+    build_ycsb, max_throughput, run_point, run_sweep, Experiment, PlacementKind, PointResult,
+    Scale, WorkloadKind,
 };
 pub use figures::{
     all_figures, fig3a, fig3b, fig4, fig5, fig6a, fig6b, Figure, FigurePanel, Metric,

@@ -3,8 +3,8 @@
 //! §6 convoy effect that produces the saturation knee), and the abort-cause
 //! partition is exact in every traced window.
 
-use gdur_harness::{run_point_with, Experiment, PlacementKind, Scale, WorkloadKind};
-use gdur_obs::{Phase, TraceHandle};
+use gdur_harness::{run_checked, Experiment, PlacementKind, PointResult, Scale, WorkloadKind};
+use gdur_obs::{Phase, PhaseBreakdown, TraceHandle};
 use gdur_sim::SimDuration;
 
 fn scale() -> Scale {
@@ -15,17 +15,20 @@ fn scale() -> Scale {
         measure: SimDuration::from_secs(1),
         client_sweep: vec![2, 24],
         seed: 7,
-        ..Scale::quick()
     }
+}
+
+/// The point and the phase breakdown of a traced run at `clients_per_site`.
+fn traced(exp: &Experiment, clients_per_site: usize) -> (PointResult, PhaseBreakdown) {
+    let dep = exp.deployment(&scale(), clients_per_site);
+    let run = run_checked(&dep, None, Some(TraceHandle::new())).expect_clean(&dep.label);
+    (run.point(), run.breakdown())
 }
 
 fn knee_check(spec: gdur_core::ProtocolSpec) {
     let name = spec.name;
     let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
-    let scale = scale();
-    let lo = run_point_with(&exp, &scale, 2, Some(TraceHandle::new()));
-    let hi = run_point_with(&exp, &scale, 24, Some(TraceHandle::new()));
-    let (lo_point, lo, hi_point, hi) = (lo.point, lo.breakdown, hi.point, hi.breakdown);
+    let ((lo_point, lo), (hi_point, hi)) = (traced(&exp, 2), traced(&exp, 24));
 
     for (label, point, bd) in [("low", &lo_point, &lo), ("high", &hi_point, &hi)] {
         assert!(bd.committed > 0, "{name}/{label}: no commits in window");

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use gdur_harness::{
-    run_point, run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind,
+    run_checked, run_point, CheckedRun, Experiment, PlacementKind, Scale, WorkloadKind,
 };
 use gdur_obs::{jsonl, ObsEvent, TraceHandle};
 use gdur_sim::SimDuration;
@@ -19,7 +19,6 @@ fn tiny_scale() -> Scale {
         measure: SimDuration::from_millis(800),
         client_sweep: vec![2],
         seed: 11,
-        ..Scale::quick()
     }
 }
 
@@ -33,8 +32,9 @@ fn exp() -> Experiment {
     )
 }
 
-fn traced(exp: &Experiment, scale: &Scale) -> PointRun {
-    run_point_with(exp, scale, 2, Some(TraceHandle::new()))
+fn traced(exp: &Experiment, scale: &Scale) -> CheckedRun {
+    let dep = exp.deployment(scale, 2);
+    run_checked(&dep, None, Some(TraceHandle::new())).expect_clean(&dep.label)
 }
 
 #[test]
@@ -42,14 +42,15 @@ fn same_seed_traces_and_metrics_are_byte_identical() {
     let (exp, scale) = (exp(), tiny_scale());
     let r1 = traced(&exp, &scale);
     let r2 = traced(&exp, &scale);
-    assert_eq!(r1.point, r2.point, "same-seed point results must match");
+    assert_eq!(r1.point(), r2.point(), "same-seed point results must match");
 
     assert!(!r1.events.is_empty(), "traced run produced no events");
     let (t1, t2) = (jsonl::export(&r1.events), jsonl::export(&r2.events));
     assert_eq!(t1, t2, "same-seed trace streams must be byte-identical");
 
     assert_eq!(
-        r1.breakdown, r2.breakdown,
+        r1.breakdown(),
+        r2.breakdown(),
         "same-seed phase breakdowns must be equal"
     );
 }
@@ -60,11 +61,12 @@ fn tracing_does_not_perturb_the_measurement() {
     let plain = run_point(&exp, &scale, 2);
     let traced = traced(&exp, &scale);
     assert_eq!(
-        plain, traced.point,
+        plain,
+        traced.point(),
         "attaching an obs sink must not change a single measured bit"
     );
     assert!(
-        traced.breakdown.committed > 0,
+        traced.breakdown().committed > 0,
         "traced window saw no commits"
     );
 }

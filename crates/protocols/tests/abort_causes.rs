@@ -14,10 +14,7 @@ fn assert_partition(cluster: &Cluster) {
     let s = cluster.replica_stats();
     assert_eq!(
         s.aborted,
-        s.aborted_cert_conflict
-            + s.aborted_vote_timeout
-            + s.aborted_read_impossible
-            + s.aborted_crash,
+        s.aborted_by_cause.iter().sum::<u64>(),
         "abort causes must partition `aborted`: {s:?}"
     );
     for r in cluster.records() {
@@ -58,7 +55,8 @@ fn forced_cert_conflicts_surface_certification_conflict() {
         let s = cluster.replica_stats();
         // Crash-free run with unbounded reads: conflicts are the only cause.
         assert_eq!(
-            s.aborted_vote_timeout + s.aborted_read_impossible + s.aborted_crash,
+            s.aborted_by_cause.iter().sum::<u64>()
+                - s.aborted_by_cause[AbortCause::CertificationConflict.code() as usize],
             0,
             "{name}: crash-free contention must only yield cert conflicts: {s:?}"
         );
@@ -84,7 +82,7 @@ fn contended_2pc_actually_aborts() {
     let cluster = run_contended(gdur_protocols::jessy_2pc());
     let s = cluster.replica_stats();
     assert!(
-        s.aborted_cert_conflict > 0,
+        s.aborted_by_cause[AbortCause::CertificationConflict.code() as usize] > 0,
         "six clients RMW-ing one key under 2PC must conflict: {s:?}"
     );
 }
@@ -118,7 +116,7 @@ fn crashed_participant_surfaces_vote_timeout() {
 
     let s = cluster.replica_stats();
     assert!(
-        s.aborted_vote_timeout > 0,
+        s.aborted_by_cause[AbortCause::VoteTimeout.code() as usize] > 0,
         "expected vote-timeout aborts: {s:?}"
     );
     assert!(
@@ -159,7 +157,7 @@ fn exhausted_read_failover_surfaces_read_impossible() {
 
     let s = cluster.replica_stats();
     assert!(
-        s.aborted_read_impossible > 0,
+        s.aborted_by_cause[AbortCause::ReadImpossible.code() as usize] > 0,
         "expected read-impossible aborts: {s:?}"
     );
     assert!(

@@ -1,53 +1,39 @@
 //! Every protocol of the library, run on a contended geo-replicated
 //! deployment, must uphold the consistency criterion the paper assigns it
-//! (§6) — in both the disaster-prone and disaster-tolerant placements.
+//! (§6) — in both the disaster-prone and disaster-tolerant placements —
+//! and the rest of the invariant bundle: converged stores and the
+//! abort-cause partition.
 
-use gdur_consistency::{check_first_committer_wins, Criterion, CriterionCheck, History, Violation};
-use gdur_core::{Cluster, ClusterConfig, ProtocolSpec};
-use gdur_store::Placement;
-use gdur_workload::{WorkloadSpec, YcsbSource};
+use gdur_consistency::{check_first_committer_wins, Criterion, History, Violation};
+use gdur_core::ProtocolSpec;
+use gdur_harness::{run_checked, CheckedRun, Deployment, FaultSchedule, Horizon, PlacementKind};
 
 /// Three sites, three clients each, 30 transactions per client on a small
-/// keyspace — real contention, so aborts exercise certification — run to
-/// idle.
-fn run_contended(spec: ProtocolSpec, dt: bool, seed: u64) -> Cluster {
-    let sites = 3;
-    let mut cfg = ClusterConfig::small(spec, sites);
-    if dt {
-        cfg.placement = Placement::disaster_tolerant(sites);
+/// keyspace — real contention, so aborts exercise certification — drained.
+fn contended(spec: ProtocolSpec, placement: PlacementKind, seed: u64) -> Deployment {
+    Deployment {
+        placement,
+        clients_per_site: 3,
+        keys_per_partition: 40,
+        seed,
+        ..Deployment::new(spec, FaultSchedule::new())
     }
-    cfg.keys_per_partition = 40;
-    cfg.clients_per_site = 3;
-    cfg.max_txns_per_client = Some(30);
-    cfg.record_history = true;
-    cfg.seed = seed;
-    let total_keys = cfg.keys_per_partition * sites as u64;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            total_keys,
-            sites as u64,
-            site.0 as u64 % sites as u64,
-            0.5,
-        ))
-    });
-    cluster.run_until_idle();
-    cluster
 }
 
-fn run_checked(spec: ProtocolSpec, criterion: Criterion, dt: bool, seed: u64) {
+/// Runs `dep` and asserts a clean verdict.
+fn run_clean(dep: &Deployment) -> CheckedRun {
+    run_checked(dep, None, None).expect_clean(&dep.label)
+}
+
+fn run_contended(spec: ProtocolSpec, criterion: Criterion, placement: PlacementKind, seed: u64) {
     let name = spec.name;
-    let cluster = run_contended(spec, dt, seed);
-    let records = cluster.records();
+    assert_eq!(spec.criterion, criterion, "{name} claims another criterion");
+    let run = run_clean(&contended(spec, placement, seed));
     assert_eq!(
-        records.len(),
+        run.cluster.records().len(),
         3 * 3 * 30,
-        "{name}: liveness violated (dt={dt})"
+        "{name}: liveness violated ({placement:?})"
     );
-    let history = History::from_cluster(&cluster);
-    if let Err(v) = criterion.check(&history) {
-        panic!("{name} violated {criterion:?} (dt={dt}): {v}");
-    }
 }
 
 macro_rules! criterion_tests {
@@ -58,12 +44,12 @@ macro_rules! criterion_tests {
 
                 #[test]
                 fn disaster_prone() {
-                    run_checked(gdur_protocols::$proto(), Criterion::$crit, false, 7);
+                    run_contended(gdur_protocols::$proto(), Criterion::$crit, PlacementKind::Dp, 7);
                 }
 
                 #[test]
                 fn disaster_tolerant() {
-                    run_checked(gdur_protocols::$proto(), Criterion::$crit, true, 11);
+                    run_contended(gdur_protocols::$proto(), Criterion::$crit, PlacementKind::Dt, 11);
                 }
             }
         )+
@@ -93,7 +79,7 @@ criterion_tests! {
 fn the_history_holds_every_coordinated_transaction() {
     for spec in gdur_protocols::all_protocols() {
         let name = spec.name;
-        let cluster = run_contended(spec, false, 7);
+        let cluster = run_clean(&contended(spec, PlacementKind::Dp, 7)).cluster;
         let history = History::from_cluster(&cluster);
         let stats = cluster.replica_stats();
         let committed = history.committed().count() as u64;
@@ -104,24 +90,16 @@ fn the_history_holds_every_coordinated_transaction() {
 }
 
 /// The brutal-contention scenario: 12 keys, 4 clients on each of 3 sites,
-/// 25 transactions each, run to idle.
-fn run_brutal(spec: ProtocolSpec) -> Cluster {
-    let mut cfg = ClusterConfig::small(spec, 3);
-    cfg.keys_per_partition = 4; // 12 keys total: brutal contention
-    cfg.clients_per_site = 4;
-    cfg.max_txns_per_client = Some(25);
-    cfg.record_history = true;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            12,
-            3,
-            site.0 as u64 % 3,
-            0.2,
-        ))
-    });
-    cluster.run_until_idle();
-    cluster
+/// 25 transactions each at 20 % read-only, drained.
+fn brutal(spec: ProtocolSpec) -> Deployment {
+    Deployment {
+        read_only_ratio: 0.2,
+        clients_per_site: 4,
+        keys_per_partition: 4, // 12 keys total: brutal contention
+        seed: 42,
+        horizon: Horizon::Drain(25),
+        ..Deployment::new(spec, FaultSchedule::new())
+    }
 }
 
 /// The SI-family protocols must also prevent lost updates under heavy
@@ -134,7 +112,7 @@ fn si_family_prevents_lost_updates_under_heavy_contention() {
         gdur_protocols::serrano(),
     ] {
         let name = spec.name;
-        let cluster = run_brutal(spec);
+        let cluster = run_clean(&brutal(spec)).cluster;
         let history = History::from_cluster(&cluster);
         check_first_committer_wins(&history)
             .unwrap_or_else(|v| panic!("{name} lost an update: {v}"));
@@ -150,7 +128,7 @@ fn si_family_prevents_lost_updates_under_heavy_contention() {
 /// scenario two of its writers supersede one version, and the check says so.
 #[test]
 fn read_committed_loses_updates_under_heavy_contention() {
-    let cluster = run_brutal(gdur_protocols::read_committed());
+    let cluster = run_clean(&brutal(gdur_protocols::read_committed())).cluster;
     let verdict = check_first_committer_wins(&History::from_cluster(&cluster));
     assert!(
         matches!(verdict, Err(Violation::LostUpdate { .. })),

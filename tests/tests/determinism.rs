@@ -6,32 +6,22 @@
 
 use std::fmt::Debug;
 
-use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
+use gdur_core::{ProtocolSpec, TxnRecord};
+use gdur_harness::{run_checked, Deployment, FaultSchedule, Horizon};
 use gdur_obs::{jsonl, TraceHandle};
-use gdur_workload::{WorkloadSpec, YcsbSource};
 
 /// One small contended run: its records and its JSONL trace.
 fn run_traced(spec: ProtocolSpec, seed: u64) -> (Vec<TxnRecord>, String) {
-    let mut cfg = ClusterConfig::small(spec, 3);
-    cfg.keys_per_partition = 200;
-    cfg.clients_per_site = 2;
-    cfg.max_txns_per_client = Some(25);
-    cfg.seed = seed;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            600,
-            3,
-            site.0 as u64 % 3,
-            0.8,
-        ))
-    });
-    let trace = TraceHandle::new();
-    cluster.attach_obs(trace.sink());
-    cluster.run_until_idle();
-    let mut records = cluster.records();
+    let dep = Deployment {
+        read_only_ratio: 0.8,
+        seed,
+        horizon: Horizon::Drain(25),
+        ..Deployment::new(spec, FaultSchedule::new())
+    };
+    let run = run_checked(&dep, None, Some(TraceHandle::new())).expect_clean(&dep.label);
+    let mut records = run.cluster.records();
     records.sort_by_key(|r| (r.tx, r.decided_at));
-    (records, jsonl::export(&trace.take()))
+    (records, jsonl::export(&run.events))
 }
 
 /// Fails naming `what` and the first position at which two same-seed runs

@@ -3,10 +3,11 @@
 //! from its log.
 
 use gdur_core::{Cluster, ClusterConfig};
+use gdur_harness::build_ycsb;
 use gdur_net::SiteId;
 use gdur_persist::LogRecord;
 use gdur_store::{Key, VersionRecord};
-use gdur_workload::{WorkloadSpec, YcsbSource};
+use gdur_workload::WorkloadSpec;
 
 #[test]
 fn wal_replay_reproduces_every_replica_store() {
@@ -16,15 +17,7 @@ fn wal_replay_reproduces_every_replica_store() {
     cfg.clients_per_site = 2;
     cfg.max_txns_per_client = Some(40);
     let total = cfg.keys_per_partition * 3;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            total,
-            3,
-            site.0 as u64 % 3,
-            0.3,
-        ))
-    });
+    let mut cluster = build_ycsb(cfg, &WorkloadSpec::a(), 0.3, 0.0);
     cluster.run_until_idle();
 
     // Every hosted key of every replica: its latest version, stamp and
@@ -70,15 +63,7 @@ fn persistence_costs_cpu_but_preserves_results() {
         cfg.persistence = persistence;
         cfg.keys_per_partition = 200;
         cfg.max_txns_per_client = Some(30);
-        let mut cluster = Cluster::build(cfg, move |_, site| {
-            Box::new(YcsbSource::new(
-                WorkloadSpec::a(),
-                400,
-                2,
-                site.0 as u64 % 2,
-                0.5,
-            ))
-        });
+        let mut cluster = build_ycsb(cfg, &WorkloadSpec::a(), 0.5, 0.0);
         cluster.run_until_idle();
         cluster
     };

@@ -7,10 +7,11 @@
 
 use gdur_consistency::{CriterionCheck, History};
 use gdur_core::{AbortCause, Cluster, ClusterConfig, ProtocolSpec, ScriptSource, TxnPlan};
+use gdur_harness::build_ycsb;
 use gdur_obs::pool_seq_parts;
 use gdur_sim::{SimDuration, SimTime};
 use gdur_store::Key;
-use gdur_workload::{WorkloadSpec, YcsbSource};
+use gdur_workload::WorkloadSpec;
 
 const SITES: usize = 3;
 const CPS: usize = 3;
@@ -30,16 +31,7 @@ fn contended_config(spec: ProtocolSpec, client_pooling: bool, seed: u64) -> Clus
 
 fn build_contended(spec: ProtocolSpec, client_pooling: bool, seed: u64) -> Cluster {
     let cfg = contended_config(spec, client_pooling, seed);
-    let total_keys = cfg.keys_per_partition * SITES as u64;
-    Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadSpec::a(),
-            total_keys,
-            SITES as u64,
-            site.0 as u64 % SITES as u64,
-            0.5,
-        ))
-    })
+    build_ycsb(cfg, &WorkloadSpec::a(), 0.5, 0.0)
 }
 
 fn run_contended(spec: ProtocolSpec, client_pooling: bool, seed: u64) -> Cluster {

@@ -3,11 +3,9 @@
 //! protocol's claimed criterion, and the read path's snapshot predicate is
 //! monotone.
 
-use gdur_consistency::{CriterionCheck, History};
-use gdur_core::{Cluster, ClusterConfig, Snapshot};
-use gdur_store::Placement;
+use gdur_core::Snapshot;
+use gdur_harness::{run_checked, Deployment, FaultSchedule, Horizon, PlacementKind};
 use gdur_versioning::{Stamp, VersionVec};
-use gdur_workload::{WorkloadSpec, YcsbSource};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,41 +21,27 @@ fn any_protocol_any_small_world_is_live_and_correct() {
         let ro_pct = gen.gen_range(0u32..11) as u8;
         let seed = gen.gen_range(0u64..10_000);
 
-        let spec = all[proto_idx].clone();
-        let name = spec.name;
-        let criterion = spec.criterion;
-        let mut cfg = ClusterConfig::small(spec, sites);
-        if dt {
-            cfg.placement = Placement::disaster_tolerant(sites);
-        }
-        cfg.keys_per_partition = keys_per_partition;
-        cfg.clients_per_site = 2;
-        cfg.max_txns_per_client = Some(15);
-        cfg.record_history = true;
-        cfg.seed = seed;
-        let total = keys_per_partition * sites as u64;
-        let s = sites as u64;
-        let ro = f64::from(ro_pct) / 10.0;
-        let mut cluster = Cluster::build(cfg, move |_, site| {
-            Box::new(YcsbSource::new(
-                WorkloadSpec::a(),
-                total,
-                s,
-                site.0 as u64 % s,
-                ro,
-            ))
-        });
-        cluster.run_until_idle();
-        let records = cluster.records();
+        let dep = Deployment {
+            read_only_ratio: f64::from(ro_pct) / 10.0,
+            sites,
+            placement: if dt {
+                PlacementKind::Dt
+            } else {
+                PlacementKind::Dp
+            },
+            keys_per_partition,
+            seed,
+            horizon: Horizon::Drain(15),
+            ..Deployment::new(all[proto_idx].clone(), FaultSchedule::new())
+        };
+        let name = &dep.label;
+        let run = run_checked(&dep, None, None);
         assert_eq!(
-            records.len(),
+            run.cluster.records().len(),
             sites * 2 * 15,
             "case {case}: {name} (sites={sites}, dt={dt}, seed={seed}): some transactions never decided",
         );
-        let history = History::from_cluster(&cluster);
-        if let Err(v) = criterion.check(&history) {
-            panic!("{name} violated {criterion:?} (sites={sites}, dt={dt}, seed={seed}): {v}");
-        }
+        run.expect_clean(format_args!("{name} (sites={sites}, dt={dt}, seed={seed})"));
     }
 }
 

@@ -6,15 +6,11 @@
 //! `parked_read_checks` the times one was looked at again, and at idle
 //! nothing is left parked.
 
-use gdur_consistency::{CriterionCheck, History};
-use gdur_core::{Cluster, ClusterConfig};
 use gdur_harness::{
-    build_point, run_chaos, Deployment, Experiment, FaultSchedule, PlacementKind, Scale,
+    run_chaos, run_checked, Deployment, Experiment, FaultSchedule, Horizon, PlacementKind, Scale,
     WorkloadKind,
 };
 use gdur_sim::SimDuration;
-use gdur_store::Placement;
-use gdur_workload::YcsbSource;
 
 /// Reads that reach site 1 during its catch-up wait for
 /// `recovery.complete` and are each looked at exactly once more, however
@@ -29,8 +25,7 @@ fn a_recovery_wakes_its_parked_reads_once() {
         // catch-up (at the CI default of 2 clients the transfer ends
         // before one does).
         let mut cfg = Deployment::new(gdur_protocols::p_store_2pc(), schedule);
-        cfg.clients_per_site = 32;
-        cfg.txns_per_client = 200;
+        (cfg.clients_per_site, cfg.horizon) = (32, Horizon::Drain(200));
         let (report, _events) = run_chaos(&cfg);
         assert!(report.ok(&cfg.spec), "{}", report.golden_line());
         assert_eq!(report.recovery_completes, 1);
@@ -55,7 +50,7 @@ fn a_fault_free_p_store_run_never_parks_a_read() {
         3,
         PlacementKind::Dp,
     );
-    let mut cluster = build_point(&exp, &Scale::quick(), 4);
+    let mut cluster = exp.deployment(&Scale::quick(), 4).build();
     cluster.run_for(SimDuration::from_millis(500));
     let stats = cluster.replica_stats();
     assert!(stats.committed > 0);
@@ -70,30 +65,15 @@ fn a_fault_free_p_store_run_never_parks_a_read() {
 /// read-only / 4 sites DT at 128 clients per site, bounded so it drains.
 #[test]
 fn a_read_behind_the_frontier_waits_for_the_advance() {
-    let sites = 4;
-    let clients_per_site = 128;
-    let spec = gdur_protocols::gmu();
-    let criterion = spec.criterion;
-    let mut cfg = ClusterConfig::small(spec, sites);
-    cfg.placement = Placement::disaster_tolerant(sites);
-    cfg.keys_per_partition = 2_000;
-    cfg.value_size = 128;
-    cfg.clients_per_site = clients_per_site;
-    cfg.max_txns_per_client = Some(20);
-    cfg.seed = 1 ^ (clients_per_site as u64) << 32;
-    let partitions = cfg.placement.partitions() as u64;
-    let total_keys = cfg.keys_per_partition * partitions;
-    let mut cluster = Cluster::build(cfg, move |_, site| {
-        Box::new(YcsbSource::new(
-            WorkloadKind::B.spec(total_keys),
-            total_keys,
-            partitions,
-            site.0 as u64 % partitions,
-            0.7,
-        ))
-    });
-    cluster.run_until_idle();
-    assert_eq!(cluster.records().len(), sites * clients_per_site * 20);
+    let gmu = gdur_protocols::gmu();
+    let exp = Experiment::new(gmu, WorkloadKind::B, 0.7, 4, PlacementKind::Dt);
+    let dep = Deployment {
+        horizon: Horizon::Drain(20),
+        ..exp.deployment(&Scale::quick(), 128)
+    };
+    let run = run_checked(&dep, None, None).expect_clean(&dep.label);
+    let cluster = &run.cluster;
+    assert_eq!(cluster.records().len(), 4 * 128 * 20);
     let stats = cluster.replica_stats();
     assert!(
         stats.reads_parked >= 1,
@@ -101,8 +81,4 @@ fn a_read_behind_the_frontier_waits_for_the_advance() {
     );
     assert!(stats.parked_read_checks >= stats.reads_parked);
     assert_eq!(cluster.parked_reads(), 0);
-    let history = History::from_cluster(&cluster);
-    if let Err(v) = criterion.check(&history) {
-        panic!("GMU violated {criterion:?}: {v}");
-    }
 }

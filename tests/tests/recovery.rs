@@ -9,14 +9,15 @@
 //! assembly of the library either recovers, at the size where recovery
 //! bugs show, or is refused.
 
-use gdur_harness::{chaos_library, run_chaos, Deployment, FaultSchedule};
+use gdur_harness::{chaos_library, run_chaos, Deployment, FaultSchedule, Horizon};
 use gdur_protocols::{all_protocols, p_store_2pc, p_store_ab, p_store_paxos};
 
 /// Expected client-visible record count: every closed-loop transaction
 /// must reach *some* decision (commit, certification abort, or a
 /// crash-timeout abort) — a shortfall means a transaction is stuck.
 fn expected_records(cfg: &Deployment) -> u64 {
-    (cfg.sites * cfg.clients_per_site) as u64 * cfg.txns_per_client
+    let txns = cfg.horizon.txns_per_client().expect("a chaos run drains");
+    (cfg.sites * cfg.clients_per_site) as u64 * txns
 }
 
 fn run_and_check(cfg: Deployment) -> gdur_harness::ChaosReport {
@@ -132,7 +133,7 @@ fn the_library_survives_a_crash_and_a_partition() {
     for spec in all_protocols() {
         let run = |schedule: &FaultSchedule| {
             let mut cfg = Deployment::new(spec.clone(), schedule.clone());
-            (cfg.clients_per_site, cfg.txns_per_client) = (16, 200);
+            (cfg.clients_per_site, cfg.horizon) = (16, Horizon::Drain(200));
             run_and_check(cfg)
         };
         // The dead replica's store is stale by definition: only safety and
@@ -164,7 +165,8 @@ fn recovery_support_matrix() {
         }
         for (clients, txns) in [(2, 30), (16, 200)] {
             for seed in [7, 11] {
-                (cfg.clients_per_site, cfg.txns_per_client, cfg.seed) = (clients, txns, seed);
+                (cfg.clients_per_site, cfg.seed) = (clients, seed);
+                cfg.horizon = Horizon::Drain(txns);
                 let report = run_and_check(cfg.clone());
                 assert!(
                     report.ok(&cfg.spec) && report.recovery_completes == 1,
@@ -212,7 +214,7 @@ fn a_group_communication_replica_refuses_to_restart() {
 #[test]
 fn catchup_ships_at_most_one_page_of_records_the_replica_held() {
     for mut cfg in chaos_library() {
-        (cfg.clients_per_site, cfg.txns_per_client) = (16, 200);
+        (cfg.clients_per_site, cfg.horizon) = (16, Horizon::Drain(200));
         let report = run_and_check(cfg);
         assert_eq!(report.recovery_completes, 1, "{}", report.label);
         assert!(report.catchup_pages > 0, "{}", report.label);
@@ -242,8 +244,7 @@ fn catchup_decodes_a_linear_number_of_log_records() {
         .heal(0, 2, 6_000)
         .restart(1, 8_000);
     let mut cfg = Deployment::new(p_store_paxos(), schedule);
-    cfg.clients_per_site = 16;
-    cfg.txns_per_client = 100;
+    (cfg.clients_per_site, cfg.horizon) = (16, Horizon::Drain(100));
     let report = run_and_check(cfg);
     assert_eq!(report.recovery_completes, 1);
     assert!(report.converged, "stores diverged after recovery");

@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 
 use gdur_core::Cluster;
-use gdur_harness::{build_point, Experiment, PlacementKind, Scale, WorkloadKind};
+use gdur_harness::{Experiment, PlacementKind, Scale, WorkloadKind};
 use gdur_sim::SimDuration;
 use gdur_store::Key;
 
@@ -20,7 +20,7 @@ fn paper_keyspace_cluster() -> Cluster {
         4,
         PlacementKind::Dt,
     );
-    build_point(&exp, &Scale::paper(), 8)
+    exp.deployment(&Scale::paper(), 8).build()
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use gdur_harness::{
-    run_point, run_point_with, Experiment, PlacementKind, PointRun, Scale, WorkloadKind,
+    run_checked, run_point, CheckedRun, Experiment, PlacementKind, Scale, WorkloadKind,
 };
 use gdur_obs::{
     critical_path, jsonl, labels, render_attribution_text, tx_span_tree, Attribution, CausalIndex,
@@ -23,23 +23,23 @@ fn scale() -> Scale {
         measure: SimDuration::from_millis(500),
         client_sweep: vec![2],
         seed: 11,
-        ..Scale::quick()
     }
 }
 
-fn causal(spec: gdur_core::ProtocolSpec) -> PointRun {
+fn causal(spec: gdur_core::ProtocolSpec) -> CheckedRun {
     let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
-    run_point_with(&exp, &scale(), 2, Some(TraceHandle::causal()))
+    let dep = exp.deployment(&scale(), 2);
+    run_checked(&dep, None, Some(TraceHandle::causal())).expect_clean(&dep.label)
 }
 
 /// The committed-in-window transactions of a causal run.
-fn committed(run: &PointRun, ix: &CausalIndex) -> Vec<u64> {
+fn committed(run: &CheckedRun, ix: &CausalIndex) -> Vec<u64> {
     ix.tx_points
         .iter()
         .filter(|(_, pts)| {
             pts.iter().any(|&pi| {
                 matches!(run.events[pi], ObsEvent::Point { at, label, value, .. }
-                    if label == labels::TXN_DECIDE && value == 1 && at >= run.warm_end)
+                    if label == labels::TXN_DECIDE && value == 1 && at >= run.window_start)
             })
         })
         .map(|(&tx, _)| tx)
@@ -60,7 +60,7 @@ fn span_trees_are_well_formed_across_the_protocol_library() {
         let txs = committed(&run, &ix);
         assert!(!txs.is_empty(), "{name}: no committed txns in the window");
         // The attribution table aggregates exactly these transactions.
-        let a = Attribution::collect(&run.events, &ix, &run.clients, run.warm_end);
+        let a = Attribution::collect(&run.events, &ix, &run.clients(), run.window_start);
         assert_eq!(a.txns, txs.len() as u64, "{name}: attribution window");
         for tx in txs {
             // Exactly one root per committed transaction, acyclic by
@@ -71,7 +71,7 @@ fn span_trees_are_well_formed_across_the_protocol_library() {
                 .unwrap_or_else(|e| panic!("{name}: tx {tx}: {e}"));
             assert!(tree.count() >= 2, "{name}: tx {tx}: root has no children");
             // And its critical path attributes the whole latency, exactly.
-            let cp = critical_path(&run.events, &ix, &run.clients, tx)
+            let cp = critical_path(&run.events, &ix, &run.clients(), tx)
                 .unwrap_or_else(|| panic!("{name}: committed tx {tx} has no critical path"));
             assert_eq!(
                 cp.attributed_ns(),
@@ -179,7 +179,7 @@ fn same_seed_attribution_tables_are_byte_identical() {
     let render = || {
         let run = causal(gdur_protocols::s_dur());
         let ix = CausalIndex::build(&run.events);
-        let a = Attribution::collect(&run.events, &ix, &run.clients, run.warm_end);
+        let a = Attribution::collect(&run.events, &ix, &run.clients(), run.window_start);
         render_attribution_text(&[("S-DUR".to_string(), a)])
     };
     assert_eq!(render(), render());
@@ -190,8 +190,12 @@ fn causal_tracing_does_not_perturb_the_measured_point() {
     let spec = gdur_protocols::walter();
     let exp = Experiment::new(spec, WorkloadKind::C, 0.7, 3, PlacementKind::Dp);
     let untraced = run_point(&exp, &scale(), 2);
-    let traced = run_point_with(&exp, &scale(), 2, Some(TraceHandle::causal()));
-    assert_eq!(traced.point, untraced);
+    let traced = run_checked(
+        &exp.deployment(&scale(), 2),
+        None,
+        Some(TraceHandle::causal()),
+    );
+    assert_eq!(traced.point(), untraced);
     // The causal trace really is causal: handler brackets are present and
     // were recorded without drawing any virtual time.
     let ix = CausalIndex::build(&traced.events);

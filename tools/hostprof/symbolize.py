@@ -33,6 +33,14 @@ the usage line and exits 2.
 """
 import bisect, collections, functools, os, re, subprocess, sys
 
+def closed_stdout(kind, value, tb):
+    # A reader that stops early (`| head`) is not a failure: exit 0 quietly.
+    if issubclass(kind, BrokenPipeError):
+        os._exit(0)
+    sys.__excepthook__(kind, value, tb)
+
+sys.excepthook = closed_stdout
+
 def fail(why):
     # The usage line and exit 2, as the workspace's Rust CLIs do.
     print(f"symbolize.py: {why}\n{__doc__.splitlines()[2]}", file=sys.stderr)
@@ -41,7 +49,7 @@ def fail(why):
 # --help first; then each option with its value; the rest are files.
 args, opts, texts = sys.argv[1:], {}, []
 if "--help" in args or "-h" in args:
-    print(__doc__)
+    print(__doc__, flush=True)
     sys.exit(0)
 while args:
     arg = args.pop(0)
@@ -175,3 +183,4 @@ for title, counts in tables:
     print(f"\n{title:>9}  samples  {column}")
     for name, n in counts.most_common(top):
         print(f"{100 * n / max(total, 1):8.1f}%  {n:7d}  {name}")
+sys.stdout.flush()
