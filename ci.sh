@@ -45,8 +45,30 @@ step() {
 # a miss is printed as `file:line:text`. A path is read up to its first
 # character outside [A-Za-z0-9_./-], so globs and `:line` suffixes check
 # their directory or file; a `path/to/file.rs::name` reference also needs
-# `fn name` in that file. Then `refs_check`.
+# `fn name` in that file. Every `-p PACKAGE` names a workspace package, and
+# a `-p PACKAGE … --bin NAME` on one line a binary of it. Then `refs_check`.
 DOCS="README.md DESIGN.md EXPERIMENTS.md ROADMAP.md tools/hostprof/README.md"
+
+# pkg_dir NAME: the directory of the workspace package NAME (none if no
+# member's first `name = ` line says NAME).
+pkg_dir() {
+    for _toml in crates/*/Cargo.toml examples/Cargo.toml tests/Cargo.toml vendor/*/Cargo.toml; do
+        if [ "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$_toml" | head -n 1)" = "$1" ]; then
+            dirname "$_toml"
+        fi
+    done
+}
+
+# pkg_bins DIR: the binaries of the package in DIR: its `[[bin]]` names,
+# its `src/bin/*.rs` and, with a `src/main.rs`, the package itself.
+pkg_bins() {
+    sed -n '/^\[\[bin\]\]/,/^name/s/^name = "\(.*\)"$/\1/p' "$1/Cargo.toml"
+    for _rs in "$1"/src/bin/*.rs; do
+        [ -e "$_rs" ] && basename "$_rs" .rs
+    done
+    [ -e "$1/src/main.rs" ] && sed -n 's/^name = "\(.*\)"$/\1/p' "$1/Cargo.toml" | head -n 1
+    return 0
+}
 
 docs_check() {
     _missing=0
@@ -69,6 +91,20 @@ docs_check() {
             grep -nE -- "--(bin|bench) $_name([^A-Za-z0-9_-]|\$)" "$_doc" | sed "s|^|$_doc:|"
             _missing=1
         done
+        grep -nE -- '(^|[^A-Za-z0-9_-])-p [A-Za-z0-9_-]+' "$_doc" | {
+            _bad=0
+            while IFS= read -r _hit; do
+                _pkg=$(echo "$_hit" | sed -E 's/.*(^|[^A-Za-z0-9_-])-p ([A-Za-z0-9_-]+).*/\2/')
+                _bin=$(echo "$_hit" | sed -nE 's/.*-p [A-Za-z0-9_-]+ .*--bin ([A-Za-z0-9_-]+).*/\1/p')
+                _dir=$(pkg_dir "$_pkg")
+                if [ -n "$_dir" ] && { [ -z "$_bin" ] || pkg_bins "$_dir" | grep -qFx "$_bin"; }; then
+                    continue
+                fi
+                echo "$_doc:$_hit"
+                _bad=1
+            done
+            exit $_bad
+        } || _missing=1
     done
     refs_check || _missing=1
     return $_missing

@@ -4,7 +4,7 @@
 //! (snapshot freshness/consistency).
 //!
 //! ```text
-//! cargo run --release -p gdur-bench --bin ablation_versioning [--quick]
+//! cargo run --release -p gdur-bench --bin ablation_versioning [--quick] [--seed N]
 //! ```
 
 use gdur_core::{ChooseRule, Criterion, ProtocolSpec};
@@ -28,7 +28,8 @@ fn variant(name: &'static str, versioning: Mechanism, choose: ChooseRule) -> Pro
 }
 
 fn main() {
-    let mut scale = gdur_bench::scale_from_args(&[]);
+    let args = gdur_bench::Args::of("ablation_versioning", &["--quick", "--seed N"], &[]);
+    let mut scale = args.scale();
     scale.client_sweep = vec![256];
     let clients = 256;
 

@@ -8,32 +8,24 @@
 //! `figures_paper.txt` (`--bless` rewrites it). With either flag it prints
 //! and compares nothing.
 
-use std::process::exit;
+use gdur_bench::Args;
 
 fn main() {
-    let scale = gdur_bench::scale_from_args(&["--only", "--bless"]);
-    let args: Vec<String> = std::env::args().collect();
-    let only: Option<Vec<&str>> =
-        args.iter()
-            .position(|a| a == "--only")
-            .map(|i| match args.get(i + 1) {
-                Some(ids) if !ids.starts_with("--") => ids.split(',').collect(),
-                other => {
-                    eprintln!(
-                        "all_figures: --only expects figure ids (fig3a,fig5,…), got {other:?}"
-                    );
-                    exit(2);
-                }
-            });
+    let args = Args::of(
+        "all_figures",
+        &["--quick", "--seed N", "--only IDS", "--bless"],
+        &[],
+    );
+    let scale = args.scale();
+    let only: Option<Vec<&str>> = args.value("--only").map(|ids| ids.split(',').collect());
     let mut figures = gdur_harness::all_figures();
     if let Some(only) = &only {
         let valid: Vec<&str> = figures.iter().map(|f| f.id).collect();
         if let Some(bad) = only.iter().find(|id| !valid.contains(id)) {
-            eprintln!(
-                "all_figures: unknown figure id {bad:?} (valid: {})",
+            args.refuse(&format!(
+                "unknown figure id {bad:?} (valid: {})",
                 valid.join(", ")
-            );
-            exit(2);
+            ));
         }
         figures.retain(|f| only.contains(&f.id));
     }
@@ -53,12 +45,12 @@ fn main() {
         return;
     }
     emit(gdur_protocols::table2::render());
-    if !args.iter().any(|a| a == "--seed") {
-        let gate = if args.iter().any(|a| a == "--quick") {
+    if args.value("--seed").is_none() {
+        let gate = if args.has("--quick") {
             "figures_quick"
         } else {
             "figures_paper"
         };
-        gdur_bench::golden::check(gate, "figures", &printed);
+        gdur_bench::golden::check(&args, gate, "figures", &printed);
     }
 }

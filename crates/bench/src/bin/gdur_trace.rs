@@ -31,12 +31,13 @@
 //!   it is not in the trace), `--actor` only the events involving one
 //!   process id; the filters compose.
 //!
-//! A flag other than `--tx`, `--clients`, `--chrome` and `--actor` exits 2,
-//! naming it.
+//! A flag other than `--tx`, `--clients`, `--chrome` and `--actor`, or one
+//! without its value, exits 2 naming it ([`Args`]).
 
 use std::io::Write as _;
 use std::process::exit;
 
+use gdur_bench::Args;
 use gdur_core::PooledTx;
 use gdur_harness::{run_checked, CheckedRun, Experiment, PlacementKind, Scale, WorkloadKind};
 use gdur_obs::{
@@ -70,24 +71,6 @@ fn run(name: &str, clients: usize) -> CheckedRun {
     run_checked(&dep, None, Some(TraceHandle::causal())).expect_clean(name)
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// The numeric value of `flag`, if given; exits 2 naming the flag and the
-/// value when it does not parse (`what` says what was expected).
-fn number_flag<T: std::str::FromStr>(args: &[String], flag: &str, what: &str) -> Option<T> {
-    flag_value(args, flag).map(|s| {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("gdur-trace: {flag} expects {what}, got {s:?}");
-            exit(2);
-        })
-    })
-}
-
 /// `POOL:CLIENT:SEQ` or `COORD:SEQ` as a transaction code.
 fn parse_tx(s: &str) -> Option<u64> {
     let (c, q) = s.split_once(':')?;
@@ -103,17 +86,6 @@ fn parse_tx(s: &str) -> Option<u64> {
     TxId::try_new(c.parse().ok()?, seq).map(TxId::code)
 }
 
-/// The `--tx` flag as a transaction code, with its spelling; exits 2 on a
-/// malformed value.
-fn tx_flag(args: &[String]) -> Option<(u64, &str)> {
-    let arg = flag_value(args, "--tx")?;
-    let Some(tx) = parse_tx(arg) else {
-        eprintln!("gdur-trace: --tx expects POOL:CLIENT:SEQ or COORD:SEQ, got {arg:?}");
-        exit(2);
-    };
-    Some((tx, arg))
-}
-
 /// True when the event involves `pid` (as emitter, sender, or destination).
 fn involves(ev: &ObsEvent, pid: u32) -> bool {
     match *ev {
@@ -123,27 +95,6 @@ fn involves(ev: &ObsEvent, pid: u32) -> bool {
         ObsEvent::Send { from, to, .. } => from.0 == pid || to.0 == pid,
         ObsEvent::Deliver { to, .. } => to.0 == pid,
     }
-}
-
-/// Positional (non-flag) arguments, skipping the values of the flags (all
-/// of which take one); an unknown flag is an error naming it.
-fn positionals(args: &[String]) -> Result<Vec<&str>, String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-        } else if matches!(a.as_str(), "--tx" | "--clients" | "--chrome" | "--actor") {
-            skip = true;
-        } else if a.starts_with("--") {
-            return Err(format!(
-                "unknown flag {a} (supported: --tx, --clients, --chrome, --actor)"
-            ));
-        } else {
-            out.push(a.as_str());
-        }
-    }
-    Ok(out)
 }
 
 fn usage() -> ! {
@@ -157,20 +108,29 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().map(String::as_str) else {
+    let args = Args::of(
+        "gdur-trace",
+        &[
+            "--tx POOL:CLIENT:SEQ",
+            "--clients N",
+            "--chrome PATH",
+            "--actor PID",
+        ],
+        &["COMMAND", "PROTOCOL..."],
+    );
+    let Some((cmd, positionals)) = args.positionals().split_first() else {
         usage();
     };
-    let args = &argv[1..];
-    let positionals = positionals(args).unwrap_or_else(|e| {
-        eprintln!("gdur-trace: {e}");
-        exit(2);
-    });
-    let name = positionals.first().copied().unwrap_or("P-Store");
-    let clients: usize = number_flag(args, "--clients", "a client count per site").unwrap_or(4);
-    match cmd {
+    let name = positionals.first().map_or("P-Store", String::as_str);
+    let clients: usize = args
+        .number("--clients", "a client count per site")
+        .unwrap_or(4);
+    let tx = args.read("--tx", "POOL:CLIENT:SEQ or COORD:SEQ", parse_tx);
+    let tx = tx.zip(args.value("--tx"));
+    let actor_filter: Option<u32> = args.number("--actor", "a process id");
+    match cmd.as_str() {
         "tree" => {
-            let Some((tx, tx_arg)) = tx_flag(args) else {
+            let Some((tx, tx_arg)) = tx else {
                 usage();
             };
             let run = run(name, clients);
@@ -205,7 +165,7 @@ fn main() {
             let names = if positionals.is_empty() {
                 vec!["P-Store", "S-DUR", "Walter"]
             } else {
-                positionals
+                positionals.iter().map(String::as_str).collect()
             };
             let mut rows: Vec<(String, Attribution)> = Vec::new();
             for name in names {
@@ -217,7 +177,7 @@ fn main() {
             print!("{}", render_attribution_text(&rows));
         }
         "export" => {
-            let Some(path) = flag_value(args, "--chrome") else {
+            let Some(path) = args.value("--chrome") else {
                 usage();
             };
             let run = run(name, clients);
@@ -237,13 +197,11 @@ fn main() {
             );
         }
         "dump" => {
-            let tx_filter = tx_flag(args);
-            let actor_filter: Option<u32> = number_flag(args, "--actor", "a process id");
             let mut run = run(name, clients);
             let point = run.point();
             let breakdown = run.breakdown();
             let events = &mut run.events;
-            if let Some((tx, tx_arg)) = tx_filter {
+            if let Some((tx, tx_arg)) = tx {
                 events.retain(|e| matches!(*e, ObsEvent::Point { tx: t, .. } if t == tx));
                 if events.is_empty() {
                     eprintln!("gdur-trace: transaction {tx_arg} not found in the {name} trace");
@@ -276,18 +234,6 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(a: &[&str]) -> Vec<String> {
-        a.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn positionals_skip_flag_values_and_refuse_unknown_flags() {
-        let ok = args(&["S-DUR", "--clients", "8", "--tx", "3:2", "Walter"]);
-        assert_eq!(positionals(&ok), Ok(vec!["S-DUR", "Walter"]));
-        let e = positionals(&args(&["P-Store", "--csv"])).expect_err("unknown flag");
-        assert!(e.contains("--csv"), "{e}");
-    }
 
     #[test]
     fn a_transaction_is_named_by_pool_client_and_sequence_or_packed() {

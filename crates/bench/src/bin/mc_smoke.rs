@@ -16,7 +16,7 @@
 
 use std::process::exit;
 
-use gdur_analysis::mc::{explore, mc_library, replay, walter_psi_bug_config};
+use gdur_bench::mc::{explore, mc_library, replay, walter_psi_bug_config};
 use gdur_obs::TraceHandle;
 
 /// Acceptance floor for distinct schedules per library config.
@@ -27,6 +27,7 @@ const BUDGET: u64 = 1200;
 const BUG_BUDGET: u64 = 50;
 
 fn main() {
+    let args = gdur_bench::Args::of("mc_smoke", &["--bless"], &[]);
     let mut lines = Vec::new();
     let (mut naive_total, mut explored_total) = (0u64, 0u64);
 
@@ -137,5 +138,5 @@ fn main() {
     ));
 
     let table = format!("{}\n", lines.join("\n"));
-    gdur_bench::golden::check("mc_smoke", "exploration counts", &table);
+    gdur_bench::golden::check(&args, "mc_smoke", "exploration counts", &table);
 }

@@ -61,14 +61,11 @@ fn pooled_point(label: &str, spec: ProtocolSpec, clients_per_site: usize) -> Str
 
 fn main() {
     let p_store_at = |cps| pooled_point(&format!("P-Store@{cps}"), gdur_protocols::p_store(), cps);
-    let rungs: Vec<usize> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--bless")
+    let args = gdur_bench::Args::of("mega_smoke", &["--bless"], &["CLIENTS_PER_SITE..."]);
+    let rungs: Vec<usize> = (args.positionals().iter())
         .map(|a| {
-            a.parse().unwrap_or_else(|_| {
-                eprintln!("mega_smoke: not a client count per site: {a:?}");
-                std::process::exit(2)
-            })
+            a.parse()
+                .unwrap_or_else(|_| args.refuse(&format!("not a client count per site: {a:?}")))
         })
         .collect();
     if !rungs.is_empty() {
@@ -83,5 +80,5 @@ fn main() {
     }
     out.push_str(&p_store_at(100_000));
     print!("{out}");
-    gdur_bench::golden::check("mega_smoke", "pooled counters", &out);
+    gdur_bench::golden::check(&args, "mega_smoke", "pooled counters", &out);
 }

@@ -43,6 +43,7 @@ fn experiment(spec: gdur_core::ProtocolSpec) -> Experiment {
 }
 
 fn main() {
+    let args = gdur_bench::Args::of("obs_smoke", &["--bless"], &[]);
     let scale = smoke_scale();
 
     let mut rows: Vec<BreakdownRow> = Vec::new();
@@ -79,5 +80,10 @@ fn main() {
         render_attribution_text(&attributions)
     );
     print!("{tables}");
-    gdur_bench::golden::check("obs_smoke", "breakdown and attribution tables", &tables);
+    gdur_bench::golden::check(
+        &args,
+        "obs_smoke",
+        "breakdown and attribution tables",
+        &tables,
+    );
 }

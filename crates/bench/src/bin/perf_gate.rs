@@ -218,6 +218,7 @@ fn paper_build() -> f64 {
 }
 
 fn main() {
+    let args = gdur_bench::Args::of("perf_gate", &["--bless"], &[]);
     let build_rss_mib = paper_build();
     if build_rss_mib > BUILD_RSS_BUDGET_MIB {
         eprintln!(
@@ -229,5 +230,10 @@ fn main() {
     }
     let table = run_sweep_counted();
     print!("{table}");
-    gdur_bench::golden::check("perf_gate", "event, queue and allocation counters", &table);
+    gdur_bench::golden::check(
+        &args,
+        "perf_gate",
+        "event, queue and allocation counters",
+        &table,
+    );
 }

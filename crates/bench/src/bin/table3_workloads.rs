@@ -4,6 +4,7 @@
 use gdur_workload::{KeyDist, WorkloadSpec};
 
 fn main() {
+    gdur_bench::Args::of("table3_workloads", &[], &[]);
     println!("Table 3: experimental settings");
     println!(
         "{:<9} {:<10} {:<22} {:<24}",

@@ -1,19 +1,21 @@
 //! The golden-file gate shared by the `*_smoke` binaries: a gate renders
-//! its table and hands it to [`check`], which owns `--bless`, the file
-//! under `crates/bench/golden/` and the line diff.
+//! its table and hands it to [`check`], which owns the file under
+//! `crates/bench/golden/` and the line diff.
 
 use std::path::Path;
 use std::process::exit;
 
+use crate::Args;
+
 /// Compares `table` byte-for-byte against `golden/<gate>.txt`, or rewrites
-/// that file when the process was started with `--bless`. `what` names the
+/// that file when `args` hold `--bless`. `what` names the
 /// table in the messages ("recovery counts", "breakdown table"). Returns on
 /// a match or a bless; prints the differing lines and exits 1 otherwise.
-pub fn check(gate: &str, what: &str, table: &str) {
+pub fn check(args: &Args, gate: &str, what: &str, table: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("golden")
         .join(format!("{gate}.txt"));
-    if std::env::args().any(|a| a == "--bless") {
+    if args.has("--bless") {
         std::fs::create_dir_all(path.parent().expect("has parent")).expect("create golden dir");
         std::fs::write(&path, table).expect("write golden");
         println!("blessed {}", path.display());

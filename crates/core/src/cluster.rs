@@ -216,7 +216,6 @@ impl Cluster {
                 replica_pids: replica_pids.clone(),
                 read_target,
                 costs: cfg.costs,
-                read_timeout: SimDuration::from_millis(250),
                 vote_timeout: cfg.vote_timeout,
                 max_read_attempts: cfg.max_read_attempts,
                 persistence: cfg.persistence,

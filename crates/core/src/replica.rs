@@ -51,10 +51,6 @@ pub struct ReplicaConfig {
     pub read_target: Vec<SiteId>,
     /// CPU service-time model.
     pub costs: CostModel,
-    /// Remote reads unanswered for this long are re-iterated to another
-    /// replica (Algorithm 1's failover, "not covered" in the paper's
-    /// pseudo-code but described in §4).
-    pub read_timeout: SimDuration,
     /// Abort a submitted transaction whose votes have not produced a
     /// decision within this bound (`None` = wait forever, the paper's
     /// crash-free behaviour).
@@ -73,7 +69,7 @@ pub struct ReplicaConfig {
     /// protocols, re-introducing the Walter PSI fractured-read bug (one
     /// transaction's installs stamped independently per site) that the
     /// vote-time clock-reservation fix removed. `gdur-mc` uses it to prove
-    /// the explorer finds that bug; see `gdur-analysis`.
+    /// the explorer finds that bug; see `gdur_bench::mc`.
     #[doc(hidden)]
     pub bug_unreserved_commit_clocks: bool,
 }
@@ -713,6 +709,12 @@ impl TerminatedSet {
 }
 
 impl Replica {
+    /// Remote reads unanswered for this long are re-iterated to another
+    /// replica (Algorithm 1's failover, "not covered" in the paper's
+    /// pseudo-code but described in §4); a termination or catch-up request
+    /// is retried after four times as long.
+    pub const READ_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+
     /// Creates a replica; `me` must match the process id it will be spawned
     /// at. The initial load is keys `0..total_keys`, each holding
     /// `seed_value`; the replica stores the ones of locally hosted

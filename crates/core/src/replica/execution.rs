@@ -204,7 +204,7 @@ impl Replica {
         let snap = t.snapshot.clone();
         ctx.consume(self.stamp_cost(snap.meta_entries()));
         ctx.send(target, Msg::ReadReq { tx, key, snap });
-        let timer = self.arm(ctx, self.cfg.read_timeout, Timer::Read(tx));
+        let timer = self.arm(ctx, Self::READ_TIMEOUT, Timer::Read(tx));
         if let Some(t) = self.executing.get_mut(&tx) {
             t.read_timer = Some(timer);
         }

@@ -271,7 +271,7 @@ impl Replica {
         else {
             return;
         };
-        let after = self.cfg.read_timeout.saturating_mul(4);
+        let after = Self::READ_TIMEOUT.saturating_mul(4);
         let timer = self.arm(ctx, after, Timer::Catchup(peer));
         if let Some(p) = self
             .catchup

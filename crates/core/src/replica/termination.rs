@@ -78,7 +78,7 @@ impl Replica {
         let xcast = match self.cfg.spec.commitment {
             CommitmentKind::GroupCommunication { xcast } => xcast,
             CommitmentKind::TwoPhaseCommit | CommitmentKind::PaxosCommit => {
-                let after = self.cfg.read_timeout.saturating_mul(4);
+                let after = Self::READ_TIMEOUT.saturating_mul(4);
                 self.arm(ctx, after, Timer::TermRetry(tx));
                 XcastKind::Multicast
             }

@@ -7,8 +7,8 @@
 //! kernel's own order, or under a `gdur_sim::Scheduler` when `gdur-mc`
 //! explores schedules — and judges it with [`check_invariants`]. A figure
 //! point, a chaos run, a `gdur-mc` schedule and a criterion test are each
-//! a [`Deployment`]. [`run_chaos`] adds the recovery counts of a
-//! [`ChaosReport`].
+//! a [`Deployment`], and each leaves a [`CheckedRun`]: a chaos run reads its
+//! counters off the cluster and its [`Recoveries`] off the trace.
 //!
 //! A schedule that restarts a replica is a claim that the assembly
 //! recovers. [`run_checked`] refuses it for an assembly that does not
@@ -19,7 +19,7 @@
 //! reproduce the same trace byte for byte (`tests/tests/determinism.rs`
 //! reruns the library to check it; `chaos_smoke`'s golden relies on it).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use gdur_core::{Cluster, ClusterConfig, ProtocolSpec, TxnRecord};
 use gdur_net::SiteId;
@@ -29,7 +29,7 @@ use gdur_store::PartitionId;
 use gdur_workload::WorkloadSpec;
 
 use crate::experiment::{build_ycsb, PlacementKind, PointResult};
-use crate::invariants::{check_invariants, DIVERGED};
+use crate::invariants::check_invariants;
 
 /// One scheduled fault of a chaos run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,12 +160,23 @@ impl FaultSchedule {
         evs
     }
 
-    /// The restarts, as `(site, instant)`, in declaration order.
-    fn restarts(&self) -> impl Iterator<Item = (SiteId, SimTime)> + '_ {
-        self.events.iter().filter_map(|e| match *e {
-            FaultEvent::Restart { site, at } => Some((site, at)),
-            _ => None,
-        })
+    /// True if the schedule restarts a replica.
+    fn restarts(&self) -> bool {
+        (self.events.iter()).any(|e| matches!(e, FaultEvent::Restart { .. }))
+    }
+
+    /// True if every crashed replica is restarted later: a drained run of
+    /// the schedule ends with every replica up, so its stores must agree.
+    pub fn restores_every_crash(&self) -> bool {
+        let mut down = BTreeSet::new();
+        for ev in self.chronological() {
+            match ev {
+                FaultEvent::Crash { site, .. } => down.insert(site),
+                FaultEvent::Restart { site, .. } => down.remove(&site),
+                FaultEvent::Partition { .. } | FaultEvent::Heal { .. } => false,
+            };
+        }
+        down.is_empty()
     }
 }
 
@@ -296,136 +307,6 @@ impl Deployment {
     }
 }
 
-/// The outcome of one chaos run, summarizing client-visible results,
-/// recovery activity, and the safety verdicts.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Report label.
-    pub label: String,
-    /// Committed transactions.
-    pub committed: u64,
-    /// Aborted (or abandoned) transactions.
-    pub aborted: u64,
-    /// Transactions committed by a restarted coordinator after its latest
-    /// restart — the "recovered replica does useful work again" signal.
-    pub post_restart_commits: u64,
-    /// Kernel crash events that took effect.
-    pub crashes: u64,
-    /// Kernel restart events that took effect.
-    pub restarts: u64,
-    /// WAL replays performed (`recovery.replay` trace events).
-    pub replays: u64,
-    /// Resumed §5.3 retransmissions (`recovery.resubmit` trace events).
-    pub resubmissions: u64,
-    /// Install records adopted via catch-up, summed over replicas.
-    pub catchup_installs: u64,
-    /// Log records examined to serve catch-up pages, summed over replicas.
-    pub catchup_records_decoded: u64,
-    /// Log records shipped on catch-up pages, summed over replicas.
-    pub catchup_records_shipped: u64,
-    /// Catch-up pages served, summed over replicas.
-    pub catchup_pages: u64,
-    /// Shipped catch-up records whose replay changed nothing at the
-    /// requester, summed over replicas.
-    pub catchup_records_unchanged: u64,
-    /// Longest virtual time from a replica's restart to the end of its log
-    /// replay's last share (`recovery.replayed`): the first half of
-    /// [`ChaosReport::recovery`], the catch-up transfer being the second.
-    pub replay: SimDuration,
-    /// Longest virtual time from a replica's restart to its
-    /// `recovery.complete`.
-    pub recovery: SimDuration,
-    /// Length of each site's replica log at the end of the run.
-    pub wal_records: Vec<u64>,
-    /// Completed catch-up transfers (`recovery.complete` trace events).
-    pub recovery_completes: u64,
-    /// Reads that could not be served on arrival (behind the visibility
-    /// frontier, or during a recovery), each counted once, summed over
-    /// replicas.
-    pub reads_parked: u64,
-    /// Times a parked read was taken up again, summed over replicas.
-    pub parked_read_checks: u64,
-    /// Reads still parked when the run went idle, summed over replicas.
-    pub parked_at_idle: u64,
-    /// True if every partition's replicas ended with identical stores.
-    pub converged: bool,
-    /// First violation of [`check_invariants`] other than divergence:
-    /// of the criterion, or of the abort-cause partition.
-    pub violation: Option<String>,
-}
-
-impl ChaosReport {
-    /// True if the run of `spec` passed every safety verdict: no
-    /// violation, and converged stores where the assembly promises them
-    /// ([`ProtocolSpec::orders_write_conflicts`]).
-    pub fn ok(&self, spec: &ProtocolSpec) -> bool {
-        (self.converged || !spec.orders_write_conflicts()) && self.violation.is_none()
-    }
-
-    /// One stable line for golden-file diffs. Client-visible commit/abort
-    /// counts are excluded on purpose: they depend on virtual-time races
-    /// that legitimately shift when cost models are tuned, while the
-    /// recovery-event counts below are structural.
-    pub fn golden_line(&self) -> String {
-        format!(
-            "{}: crashes={} restarts={} replays={} resubmissions={} completes={} pages={} \
-             replay_ms={:.3} recovery_ms={:.3} converged={} violation={}",
-            self.label,
-            self.crashes,
-            self.restarts,
-            self.replays,
-            self.resubmissions,
-            self.recovery_completes,
-            self.catchup_pages,
-            self.replay.as_nanos() as f64 / 1e6,
-            self.recovery.as_nanos() as f64 / 1e6,
-            self.converged,
-            match &self.violation {
-                Some(v) => v.as_str(),
-                None => "none",
-            }
-        )
-    }
-}
-
-/// The longest time from a replica's `kernel.restart` to its next
-/// `recovery.complete`.
-fn longest_recovery(events: &[ObsEvent]) -> SimDuration {
-    let mut restarted = std::collections::BTreeMap::new();
-    let mut longest = SimDuration::ZERO;
-    for ev in events {
-        if let ObsEvent::Point {
-            at, actor, label, ..
-        } = *ev
-        {
-            if label == labels::KERNEL_RESTART {
-                restarted.insert(actor, at);
-            } else if label == labels::RECOVERY_COMPLETE {
-                if let Some(since) = restarted.remove(&actor) {
-                    longest = longest.max(at.saturating_since(since));
-                }
-            }
-        }
-    }
-    longest
-}
-
-/// The longest log replay: the greatest `recovery.replayed` value.
-fn longest_replay(events: &[ObsEvent]) -> SimDuration {
-    let replays = events.iter().filter_map(|ev| match *ev {
-        ObsEvent::Point { label, value, .. } if label == labels::RECOVERY_REPLAYED => Some(value),
-        _ => None,
-    });
-    SimDuration::from_nanos(replays.max().unwrap_or(0))
-}
-
-fn count_label(events: &[ObsEvent], label: &str) -> u64 {
-    events
-        .iter()
-        .filter(|e| matches!(e, ObsEvent::Point { label: l, .. } if *l == label))
-        .count() as u64
-}
-
 /// True if, for every partition, all of its replicas hold the same per-key
 /// latest sequence and writer.
 pub fn stores_converged(cluster: &Cluster) -> bool {
@@ -454,7 +335,7 @@ pub fn stores_converged(cluster: &Cluster) -> bool {
     true
 }
 
-/// What a checked run leaves behind.
+/// The one result of a checked run: what [`run_checked`] leaves behind.
 pub struct CheckedRun {
     /// The deployment, at its horizon.
     pub cluster: Cluster,
@@ -520,6 +401,84 @@ impl CheckedRun {
     pub fn clients(&self) -> BTreeSet<ProcessId> {
         self.cluster.client_pids().iter().copied().collect()
     }
+
+    /// The crash–recovery activity of the run, from its trace: all zero
+    /// when the run was not traced.
+    pub fn recoveries(&self) -> Recoveries {
+        let mut r = Recoveries::default();
+        // Restarted replicas, and since when each awaits its catch-up.
+        let (mut restarted, mut awaiting) = (BTreeSet::new(), BTreeMap::new());
+        let mut last_restart = None;
+        for ev in &self.events {
+            let ObsEvent::Point {
+                at,
+                actor,
+                label,
+                value,
+                ..
+            } = *ev
+            else {
+                continue;
+            };
+            match label {
+                labels::KERNEL_CRASH => r.crashes += 1,
+                labels::KERNEL_RESTART => {
+                    r.restarts += 1;
+                    restarted.insert(actor);
+                    awaiting.insert(actor, at);
+                    last_restart = Some(at);
+                }
+                labels::RECOVERY_COMPLETE => {
+                    r.completes += 1;
+                    if let Some(since) = awaiting.remove(&actor) {
+                        r.recovery = r.recovery.max(at.saturating_since(since));
+                    }
+                }
+                labels::RECOVERY_REPLAYED => {
+                    r.replay = r.replay.max(SimDuration::from_nanos(value))
+                }
+                _ => {}
+            }
+        }
+        // Transaction ids carry the *client-side* pid as their coordinator
+        // field: the clients of a restarted site are its colocated pool.
+        let (replicas, clients) = (self.cluster.replica_pids(), self.cluster.client_pids());
+        let coords: Vec<u32> = (replicas.iter().zip(clients))
+            .filter(|(replica, _)| restarted.contains(*replica))
+            .map(|(_, pool)| pool.0)
+            .collect();
+        r.post_restart_commits = (self.cluster.records().iter())
+            .filter(|t| t.committed && last_restart.is_some_and(|at| t.decided_at >= at))
+            .filter(|t| coords.contains(&t.tx.coord()))
+            .count() as u64;
+        r
+    }
+}
+
+/// The crash–recovery activity of a traced run that only its trace holds
+/// ([`CheckedRun::recoveries`]). What a replica counts is read off the
+/// cluster: `Cluster::replica_stats` (`recoveries` counts the log replays,
+/// `resubmissions` the resumed terminations, `catchup_*` the transfers),
+/// `Replica::wal` and `Cluster::parked_reads`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Recoveries {
+    /// Crashes that took effect (`kernel.crash`).
+    pub crashes: u64,
+    /// Restarts that took effect (`kernel.restart`).
+    pub restarts: u64,
+    /// Completed catch-up transfers (`recovery.complete`).
+    pub completes: u64,
+    /// Longest log replay, from a replica's restart to the end of its
+    /// replay's last share (`recovery.replayed`): the first half of
+    /// [`Recoveries::recovery`], the catch-up transfer being the second.
+    pub replay: SimDuration,
+    /// Longest virtual time from a replica's restart to its next
+    /// `recovery.complete`.
+    pub recovery: SimDuration,
+    /// Transactions committed by a restarted replica's clients from the
+    /// last restart on — the "recovered replica does useful work again"
+    /// signal.
+    pub post_restart_commits: u64,
 }
 
 /// Builds the deployment, applies its fault schedule, runs it to its
@@ -540,7 +499,7 @@ pub fn run_checked(
     scheduler: Option<Box<dyn Scheduler>>,
     trace: Option<TraceHandle>,
 ) -> CheckedRun {
-    if dep.schedule.restarts().next().is_some() {
+    if dep.schedule.restarts() {
         if let Err(refusal) = dep.spec.recovery_support() {
             panic!("{}: the schedule restarts a replica: {refusal}", dep.label);
         }
@@ -599,66 +558,6 @@ pub fn run_checked(
         cluster,
         window_start,
     }
-}
-
-/// Runs the deployment traced ([`run_checked`]) and returns the report
-/// plus the full deterministic event trace.
-///
-/// # Panics
-///
-/// As [`run_checked`].
-pub fn run_chaos(dep: &Deployment) -> (ChaosReport, Vec<ObsEvent>) {
-    let CheckedRun {
-        cluster,
-        violations,
-        events,
-        ..
-    } = run_checked(dep, None, Some(TraceHandle::new()));
-    let records = cluster.records();
-    let committed = records.iter().filter(|r| r.committed).count() as u64;
-    // Transaction ids carry the *client-side* pid as their coordinator
-    // field: the clients of a restarted site are its colocated pool.
-    let restarted: Vec<u32> = dep
-        .schedule
-        .restarts()
-        .map(|(site, _)| cluster.client_pids()[site.index()].0)
-        .collect();
-    let last_restart = dep.schedule.restarts().map(|(_, at)| at).max();
-    let post_restart_commits = records
-        .iter()
-        .filter(|r| r.committed && last_restart.is_some_and(|at| r.decided_at >= at))
-        .filter(|r| restarted.contains(&r.tx.coord()))
-        .count() as u64;
-    let stats = cluster.replica_stats();
-    let report = ChaosReport {
-        label: dep.label.clone(),
-        committed,
-        aborted: records.len() as u64 - committed,
-        post_restart_commits,
-        crashes: count_label(&events, labels::KERNEL_CRASH),
-        restarts: count_label(&events, labels::KERNEL_RESTART),
-        replays: count_label(&events, labels::RECOVERY_REPLAY),
-        resubmissions: stats.resubmissions,
-        catchup_installs: stats.catchup_installs,
-        catchup_records_decoded: stats.catchup_records_decoded,
-        catchup_records_shipped: stats.catchup_records_shipped,
-        catchup_pages: stats.catchup_pages,
-        catchup_records_unchanged: stats.catchup_records_unchanged,
-        replay: longest_replay(&events),
-        recovery: longest_recovery(&events),
-        wal_records: (0..dep.sites as u16)
-            .map(|s| cluster.replica(SiteId(s)).wal().map_or(0, |w| w.len()))
-            .collect(),
-        recovery_completes: count_label(&events, labels::RECOVERY_COMPLETE),
-        reads_parked: stats.reads_parked,
-        parked_read_checks: stats.parked_read_checks,
-        parked_at_idle: cluster.parked_reads() as u64,
-        converged: stores_converged(&cluster),
-        // A replica that stays down cannot converge: divergence is the
-        // `converged` verdict's, weighed by [`ChaosReport::ok`].
-        violation: violations.into_iter().find(|v| v != DIVERGED),
-    };
-    (report, events)
 }
 
 /// The seeded schedule library of the chaos sweep: one deterministic

@@ -1,6 +1,6 @@
 //! The invariant bundle: the one verdict on every checked run
 //! ([`crate::fault::run_checked`]) — a figure point, a chaos run, one
-//! schedule of the model checker `gdur-mc` in `gdur-analysis`, or a
+//! schedule of the model checker `gdur-mc` (in `gdur-bench`), or a
 //! criterion test. It returns human-readable violation strings, empty when
 //! the run is clean; a figure point panics on any of them
 //! ([`crate::experiment::run_point`]).
@@ -10,18 +10,17 @@ use gdur_core::Cluster;
 
 use crate::fault::{stores_converged, Deployment};
 
-/// The convergence violation of [`check_invariants`].
-pub(crate) const DIVERGED: &str = "convergence: replica stores diverged";
-
 /// Runs the invariant bundle against `cluster`, the run of `dep` at its
 /// horizon:
 ///
 /// 1. **History verification** — the committed history satisfies
 ///    `dep.spec.criterion` (the paper's "analyzing" pillar);
-/// 2. **Convergence**, on a drained run only (a run stopped at its window
-///    still has installs in flight) — all replicas of each partition hold
-///    the same per-key latest version, for assemblies whose certification
-///    orders conflicting writes ([`gdur_core::ProtocolSpec::orders_write_conflicts`]);
+/// 2. **Convergence**, on a drained run whose schedule restarts every
+///    crashed replica (a run stopped at its window still has installs in
+///    flight, and a replica that stays down is stale by definition) — all
+///    replicas of each partition hold the same per-key latest version, for
+///    assemblies whose certification orders conflicting writes
+///    ([`gdur_core::ProtocolSpec::orders_write_conflicts`]);
 /// 3. **Abort-cause partition** — summed across replicas, coordinated
 ///    aborts equal the sum of the per-cause counters (no abort is
 ///    unaccounted for or double-counted).
@@ -34,8 +33,9 @@ pub fn check_invariants(dep: &Deployment, cluster: &Cluster) -> Vec<String> {
         out.push(format!("history: {v}"));
     }
     let drained = dep.horizon.txns_per_client().is_some();
-    if drained && dep.spec.orders_write_conflicts() && !stores_converged(cluster) {
-        out.push(DIVERGED.to_string());
+    let settled = drained && dep.schedule.restores_every_crash();
+    if settled && dep.spec.orders_write_conflicts() && !stores_converged(cluster) {
+        out.push("convergence: replica stores diverged".to_string());
     }
     let st = cluster.replica_stats();
     let causes = st.aborted_by_cause.iter().sum::<u64>();

@@ -22,8 +22,8 @@ pub mod invariants;
 pub mod report;
 
 pub use fault::{
-    chaos_library, run_chaos, run_checked, stores_converged, ChaosReport, CheckedRun, Deployment,
-    FaultEvent, FaultSchedule, Horizon,
+    chaos_library, run_checked, stores_converged, CheckedRun, Deployment, FaultEvent,
+    FaultSchedule, Horizon, Recoveries,
 };
 pub use invariants::check_invariants;
 

@@ -1,6 +1,7 @@
 //! The horizon rule of a checked run: a windowed run stops at
 //! `warmup + measure`, and store convergence is judged on a drained run
-//! only — a run stopped at its window still has installs in flight, so
+//! whose crashed replicas all restart — a run stopped at its window still
+//! has installs in flight, and a replica that stays down is stale, so
 //! replicas that differ there are not a violation.
 
 use gdur_harness::{run_checked, stores_converged, Deployment, FaultSchedule, Horizon};
@@ -39,6 +40,23 @@ fn convergence_is_judged_on_a_drained_run_only() {
     let drained = run_checked(&dep, None, None);
     assert!(stores_converged(&drained.cluster));
     assert_eq!(drained.violations, Vec::<String>::new());
+}
+
+/// A replica that crashes for good misses what its peers install after
+/// the crash: the drained run's stores differ, and that is no verdict.
+#[test]
+fn a_replica_down_for_good_gets_no_convergence_verdict() {
+    let crash = FaultSchedule::new().crash(1, 100);
+    let mut dep = Deployment::new(gdur_protocols::p_store_2pc(), crash);
+    assert!(dep.spec.orders_write_conflicts());
+    let run = run_checked(&dep, None, None);
+    assert!(
+        !stores_converged(&run.cluster),
+        "the dead replica must be stale for this test to pin anything"
+    );
+    assert_eq!(run.violations, Vec::<String>::new());
+    dep.schedule = dep.schedule.restart(1, 600);
+    assert!(stores_converged(&run_checked(&dep, None, None).cluster));
 }
 
 /// A link event past the horizon never happens, and nothing is decided

@@ -608,7 +608,8 @@ impl<A: Actor, L: LatencyModel> Simulation<A, L> {
                 break;
             };
             if head.time() > until {
-                self.time = until;
+                // An earlier-than-now horizon leaves the clock where it is.
+                self.time = self.time.max(until);
                 return self.time;
             }
             if self.sched.is_some()
@@ -1676,6 +1677,19 @@ mod tests {
         let f = sim.actor(ProcessId(0));
         assert_eq!(f.starts, vec![(SimTime::ZERO, 0), (ms(2), 1), (ms(5), 100)]);
         assert_eq!(f.timers, vec![ms(6)]);
+    }
+
+    #[test]
+    fn an_earlier_horizon_never_moves_the_clock_back_past_a_pending_event() {
+        let ms = |n: u64| SimTime::from_nanos(n * 1_000_000);
+        let mut sim = Simulation::new(UniformLatency(SimDuration::from_millis(10)), 1);
+        let a = sim.spawn(Echo::new(), Cores::Fixed(1));
+        sim.inject(ProcessId(99), a, Ping(5), ms(150));
+        assert_eq!(sim.run_until(ms(100)), ms(100));
+        assert_eq!(sim.run_until(ms(50)), ms(100));
+        assert_eq!(sim.now(), ms(100));
+        sim.run_until_idle();
+        assert_eq!(sim.actor(a).log, vec![(ms(150), ProcessId(99), 5)]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! The hook is dormant when no scheduler is attached: the dispatch loop
 //! takes the historical path untouched, so default runs stay bit-identical.
 //! Model-checking policy (DPOR pruning, decision vectors, random walks)
-//! lives in `gdur-analysis`, outside the kernel.
+//! lives in `gdur_bench::mc`, outside the kernel.
 
 use crate::actor::ProcessId;
 use crate::time::{SimDuration, SimTime};

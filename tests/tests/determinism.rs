@@ -58,15 +58,15 @@ fn identical_seeds_identical_histories() {
 /// stay inside the same deterministic envelope.
 #[test]
 fn chaos_library_replays_identically() {
-    for cfg in gdur_harness::chaos_library() {
-        let who = format!("{} (seed {})", cfg.label, cfg.seed);
-        let (report_a, events_a) = gdur_harness::run_chaos(&cfg);
-        let (report_b, events_b) = gdur_harness::run_chaos(&cfg);
-        assert_same_trace(&who, &jsonl::export(&events_a), &jsonl::export(&events_b));
+    for dep in gdur_harness::chaos_library() {
+        let who = format!("{} (seed {})", dep.label, dep.seed);
+        let run = || run_checked(&dep, None, Some(TraceHandle::new())).expect_clean(&who);
+        let (a, b) = (run(), run());
+        assert_same_trace(&who, &jsonl::export(&a.events), &jsonl::export(&b.events));
         assert_eq!(
-            report_a.golden_line(),
-            report_b.golden_line(),
-            "{who}: recovery reports differ between same-seed runs"
+            (a.recoveries(), a.cluster.replica_stats()),
+            (b.recoveries(), b.cluster.replica_stats()),
+            "{who}: recovery counts differ between same-seed runs"
         );
     }
 }

@@ -7,9 +7,9 @@
 //! nothing is left parked.
 
 use gdur_harness::{
-    run_chaos, run_checked, Deployment, Experiment, FaultSchedule, Horizon, PlacementKind, Scale,
-    WorkloadKind,
+    run_checked, Deployment, Experiment, FaultSchedule, Horizon, PlacementKind, Scale, WorkloadKind,
 };
+use gdur_obs::TraceHandle;
 use gdur_sim::SimDuration;
 
 /// Reads that reach site 1 during its catch-up wait for
@@ -24,20 +24,20 @@ fn a_recovery_wakes_its_parked_reads_once() {
         // Enough closed-loop load that reads reach site 1 during its
         // catch-up (at the CI default of 2 clients the transfer ends
         // before one does).
-        let mut cfg = Deployment::new(gdur_protocols::p_store_2pc(), schedule);
-        (cfg.clients_per_site, cfg.horizon) = (32, Horizon::Drain(200));
-        let (report, _events) = run_chaos(&cfg);
-        assert!(report.ok(&cfg.spec), "{}", report.golden_line());
-        assert_eq!(report.recovery_completes, 1);
+        let mut dep = Deployment::new(gdur_protocols::p_store_2pc(), schedule);
+        (dep.clients_per_site, dep.horizon) = (32, Horizon::Drain(200));
+        let run = run_checked(&dep, None, Some(TraceHandle::new())).expect_clean(&dep.label);
+        assert_eq!(run.recoveries().completes, 1);
+        let stats = run.cluster.replica_stats();
         assert!(
-            report.reads_parked > 0,
+            stats.reads_parked > 0,
             "no read was parked while site 1 caught up"
         );
         assert_eq!(
-            report.parked_read_checks, report.reads_parked,
+            stats.parked_read_checks, stats.reads_parked,
             "a parked read was looked at more (or less) than once"
         );
-        assert_eq!(report.parked_at_idle, 0);
+        assert_eq!(run.cluster.parked_reads(), 0);
     }
 }
 

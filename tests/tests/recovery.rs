@@ -2,39 +2,41 @@
 //! transactions and a verifiable history no matter where in the protocol
 //! the crash lands.
 //!
-//! Every scenario runs through [`gdur_harness::run_chaos`], which keeps
+//! Every scenario runs through [`gdur_harness::run_checked`], which keeps
 //! the invariant bundle in the loop: history verification, cross-replica
-//! store convergence, and the abort-cause partition.
+//! store convergence once every crashed replica is back, and the
+//! abort-cause partition.
 //! `recovery_support_matrix` is the contract of DESIGN.md §3.7: every
 //! assembly of the library either recovers, at the size where recovery
 //! bugs show, or is refused.
 
-use gdur_harness::{chaos_library, run_chaos, Deployment, FaultSchedule, Horizon};
+use gdur_core::ReplicaStats;
+use gdur_harness::{chaos_library, run_checked, CheckedRun, Deployment, FaultSchedule, Horizon};
+use gdur_net::SiteId;
+use gdur_obs::TraceHandle;
 use gdur_protocols::{all_protocols, p_store_2pc, p_store_ab, p_store_paxos};
 
-/// Expected client-visible record count: every closed-loop transaction
-/// must reach *some* decision (commit, certification abort, or a
-/// crash-timeout abort) — a shortfall means a transaction is stuck.
-fn expected_records(cfg: &Deployment) -> u64 {
-    let txns = cfg.horizon.txns_per_client().expect("a chaos run drains");
-    (cfg.sites * cfg.clients_per_site) as u64 * txns
-}
-
-fn run_and_check(cfg: Deployment) -> gdur_harness::ChaosReport {
-    let (report, _events) = run_chaos(&cfg);
+/// Runs `dep` traced and asserts its verdict is clean and that every
+/// closed-loop transaction reached *some* decision (commit, certification
+/// abort, or a crash-timeout abort) — a shortfall means a transaction is
+/// stuck. Returns the run and its summed replica counters.
+fn run_and_check(dep: &Deployment) -> (CheckedRun, ReplicaStats) {
+    let run = run_checked(dep, None, Some(TraceHandle::new()));
+    let txns = dep.horizon.txns_per_client().expect("a chaos run drains");
     assert_eq!(
-        report.committed + report.aborted,
-        expected_records(&cfg),
+        run.cluster.records().len() as u64,
+        (dep.sites * dep.clients_per_site) as u64 * txns,
         "{}: stuck transactions (some clients never finished)",
-        report.label
+        dep.label
     );
     assert!(
-        report.violation.is_none(),
-        "{}: history violation: {:?}",
-        report.label,
-        report.violation
+        run.violations.is_empty(),
+        "{}: {:?}",
+        dep.label,
+        run.violations
     );
-    report
+    let stats = run.cluster.replica_stats();
+    (run, stats)
 }
 
 /// A crash in the middle of a busy workload lands between WAL appends and
@@ -44,17 +46,17 @@ fn run_and_check(cfg: Deployment) -> gdur_harness::ChaosReport {
 #[test]
 fn crash_between_wal_append_and_termination_send() {
     let schedule = FaultSchedule::new().crash(1, 350).restart(1, 900);
-    let report = run_and_check(Deployment::new(p_store_2pc(), schedule));
-    assert_eq!(report.crashes, 1);
-    assert_eq!(report.replays, 1, "restart must replay the WAL");
+    let (run, stats) = run_and_check(&Deployment::new(p_store_2pc(), schedule));
+    let r = run.recoveries();
+    assert_eq!(r.crashes, 1);
+    assert_eq!(stats.recoveries, 1, "restart must replay the WAL");
     assert!(
-        report.resubmissions > 0,
+        stats.resubmissions > 0,
         "no undecided termination was resubmitted; the schedule missed the \
          append-to-send window"
     );
-    assert!(report.converged, "stores diverged after recovery");
     assert!(
-        report.post_restart_commits > 0,
+        r.post_restart_commits > 0,
         "the recovered replica never committed again"
     );
 }
@@ -69,14 +71,10 @@ fn restart_during_active_partition() {
         .partition(0, 1, 500)
         .restart(1, 700)
         .heal(0, 1, 1_500);
-    let report = run_and_check(Deployment::new(p_store_paxos(), schedule));
-    assert_eq!(report.crashes, 1);
-    assert_eq!(report.replays, 1);
-    assert_eq!(
-        report.recovery_completes, 1,
-        "catch-up never completed despite the heal"
-    );
-    assert!(report.converged, "stores diverged after recovery");
+    let (run, stats) = run_and_check(&Deployment::new(p_store_paxos(), schedule));
+    let r = run.recoveries();
+    assert_eq!((r.crashes, stats.recoveries), (1, 1));
+    assert_eq!(r.completes, 1, "catch-up never completed despite the heal");
 }
 
 /// The same replica crashes twice; each restart replays the WAL laid down
@@ -89,16 +87,12 @@ fn double_crash_of_same_replica() {
         .restart(1, 600)
         .crash(1, 900)
         .restart(1, 1_300);
-    let report = run_and_check(Deployment::new(p_store_2pc(), schedule));
-    assert_eq!(report.crashes, 2);
-    assert_eq!(report.restarts, 2);
-    assert_eq!(report.replays, 2, "each restart must replay the WAL");
-    assert_eq!(report.recovery_completes, 2);
-    assert!(
-        report.converged,
-        "stores diverged after the second recovery"
-    );
-    assert!(report.post_restart_commits > 0);
+    let (run, stats) = run_and_check(&Deployment::new(p_store_2pc(), schedule));
+    let r = run.recoveries();
+    assert_eq!((r.crashes, r.restarts), (2, 2));
+    assert_eq!(stats.recoveries, 2, "each restart must replay the WAL");
+    assert_eq!(r.completes, 2);
+    assert!(r.post_restart_commits > 0);
 }
 
 /// A coordinator crashing mid-vote (GC distributed voting, where the
@@ -107,14 +101,15 @@ fn double_crash_of_same_replica() {
 /// hanging, and the peers terminate every transaction via coverage.
 #[test]
 fn coordinator_crash_mid_vote() {
-    let cfg = Deployment::new(p_store_ab(), FaultSchedule::new().crash(1, 400));
-    let report = run_and_check(cfg);
-    assert_eq!((report.crashes, report.restarts), (1, 0));
+    let dep = Deployment::new(p_store_ab(), FaultSchedule::new().crash(1, 400));
+    let (run, _) = run_and_check(&dep);
+    let r = run.recoveries();
+    assert_eq!((r.crashes, r.restarts), (1, 0));
     // The crash-timeout path must actually have fired for the dead
     // coordinator's clients: that is what "no stuck transactions" means
     // while the replica is down.
     assert!(
-        report.aborted > 0,
+        run.cluster.records().iter().any(|t| !t.committed),
         "no client observed the coordinator crash"
     );
 }
@@ -131,16 +126,13 @@ fn the_library_survives_a_crash_and_a_partition() {
     let crash = FaultSchedule::new().crash(1, 400);
     let cut = FaultSchedule::new().partition(0, 2, 600).heal(0, 2, 900);
     for spec in all_protocols() {
-        let run = |schedule: &FaultSchedule| {
-            let mut cfg = Deployment::new(spec.clone(), schedule.clone());
-            (cfg.clients_per_site, cfg.horizon) = (16, Horizon::Drain(200));
-            run_and_check(cfg)
-        };
-        // The dead replica's store is stale by definition: only safety and
-        // termination are at stake.
-        run(&crash);
-        let report = run(&cut);
-        assert!(report.ok(&spec), "{}", report.golden_line());
+        for schedule in [&crash, &cut] {
+            let mut dep = Deployment::new(spec.clone(), schedule.clone());
+            (dep.clients_per_site, dep.horizon) = (16, Horizon::Drain(200));
+            // The dead replica's store is stale by definition: its verdict
+            // holds the history and the abort causes, not convergence.
+            run_and_check(&dep);
+        }
     }
 }
 
@@ -148,31 +140,27 @@ fn the_library_survives_a_crash_and_a_partition() {
 /// — the library schedule at the CI size and at 16 × 200, where the bugs
 /// live (ROADMAP item 10), leaves no transaction undecided, no criterion
 /// violation and, where certification orders writes, converged stores — or
-/// `run_chaos` refuses the schedule with the diagnostic of
+/// `run_checked` refuses the schedule with the diagnostic of
 /// `recovery_support`. There is no third state.
 #[test]
 fn recovery_support_matrix() {
     let schedule = chaos_library()[0].schedule.clone();
     for spec in all_protocols() {
-        let mut cfg = Deployment::new(spec, schedule.clone());
-        if let Err(refusal) = cfg.spec.recovery_support() {
+        let mut dep = Deployment::new(spec, schedule.clone());
+        if let Err(refusal) = dep.spec.recovery_support() {
             assert_eq!(refusal.code, "E-RECOVERY-GC");
-            let panic = std::panic::catch_unwind(|| run_chaos(&cfg))
+            let panic = std::panic::catch_unwind(|| run_checked(&dep, None, None).violations)
                 .expect_err("a refused assembly must not run a restart");
             let msg = panic.downcast_ref::<String>().expect("string payload");
-            assert!(msg.contains(refusal.code), "{}: {msg}", cfg.label);
+            assert!(msg.contains(refusal.code), "{}: {msg}", dep.label);
             continue;
         }
         for (clients, txns) in [(2, 30), (16, 200)] {
             for seed in [7, 11] {
-                (cfg.clients_per_site, cfg.seed) = (clients, seed);
-                cfg.horizon = Horizon::Drain(txns);
-                let report = run_and_check(cfg.clone());
-                assert!(
-                    report.ok(&cfg.spec) && report.recovery_completes == 1,
-                    "{clients} x {txns}, seed {seed}: {}",
-                    report.golden_line()
-                );
+                (dep.clients_per_site, dep.seed) = (clients, seed);
+                dep.horizon = Horizon::Drain(txns);
+                let completes = run_and_check(&dep).0.recoveries().completes;
+                assert_eq!(completes, 1, "{clients} x {txns}, seed {seed}");
             }
         }
     }
@@ -213,17 +201,17 @@ fn a_group_communication_replica_refuses_to_restart() {
 /// 589 and 576 through.
 #[test]
 fn catchup_ships_at_most_one_page_of_records_the_replica_held() {
-    for mut cfg in chaos_library() {
-        (cfg.clients_per_site, cfg.horizon) = (16, Horizon::Drain(200));
-        let report = run_and_check(cfg);
-        assert_eq!(report.recovery_completes, 1, "{}", report.label);
-        assert!(report.catchup_pages > 0, "{}", report.label);
+    for mut dep in chaos_library() {
+        (dep.clients_per_site, dep.horizon) = (16, Horizon::Drain(200));
+        let (run, stats) = run_and_check(&dep);
+        assert_eq!(run.recoveries().completes, 1, "{}", dep.label);
+        assert!(stats.catchup_pages > 0, "{}", dep.label);
         assert!(
-            report.catchup_records_unchanged <= 256,
+            stats.catchup_records_unchanged <= 256,
             "{}: {} of {} shipped records changed nothing",
-            report.label,
-            report.catchup_records_unchanged,
-            report.catchup_records_shipped
+            dep.label,
+            stats.catchup_records_unchanged,
+            stats.catchup_records_shipped
         );
     }
 }
@@ -243,17 +231,22 @@ fn catchup_decodes_a_linear_number_of_log_records() {
         .partition(0, 2, 5_500)
         .heal(0, 2, 6_000)
         .restart(1, 8_000);
-    let mut cfg = Deployment::new(p_store_paxos(), schedule);
-    (cfg.clients_per_site, cfg.horizon) = (16, Horizon::Drain(100));
-    let report = run_and_check(cfg);
-    assert_eq!(report.recovery_completes, 1);
-    assert!(report.converged, "stores diverged after recovery");
-    assert!(report.catchup_installs > 0);
+    let mut dep = Deployment::new(p_store_paxos(), schedule);
+    (dep.clients_per_site, dep.horizon) = (16, Horizon::Drain(100));
+    let (run, stats) = run_and_check(&dep);
+    assert_eq!(run.recoveries().completes, 1);
+    assert!(stats.catchup_installs > 0);
     // Site 1 crashed; sites 0 and 2 served it.
-    let peers: u64 = report.wal_records[0] + report.wal_records[2];
+    let wal = |site| {
+        run.cluster
+            .replica(SiteId(site))
+            .wal()
+            .map_or(0, |w| w.len())
+    };
+    let peers = wal(0) + wal(2);
     assert!(
-        report.catchup_records_decoded <= 2 * peers,
+        stats.catchup_records_decoded <= 2 * peers,
         "catch-up decoded {} records to serve from logs of {peers}",
-        report.catchup_records_decoded
+        stats.catchup_records_decoded
     );
 }
