@@ -6,7 +6,8 @@
 #
 # Tiers:
 #   ./ci.sh --fast   formatting, clippy, debug tests, doc references, the
-#                    profilers compile, the benchmark crate type-checks —
+#                    profilers compile, bench_pairs.sh parses, the
+#                    benchmark crate type-checks —
 #                    the edit-loop tier
 #   ./ci.sh          the full gate: fast tier + release build, the six
 #                    examples run, release tests, then the seven gates
@@ -164,7 +165,8 @@ refs_check() {
 
 # tools_check: the profilers under tools/hostprof (not run by CI) still
 # compile warning-free and symbolize.py still parses and answers --help,
-# also into a pipe its reader closes early (exit 0, nothing on stderr).
+# also into a pipe its reader closes early (exit 0, nothing on stderr);
+# tools/bench_pairs.sh parses.
 # `ast.parse` rather than `py_compile`, which would leave a __pycache__
 # behind (running the script writes none); without gcc the C half is
 # skipped with a note.
@@ -176,6 +178,7 @@ tools_check() {
     else
         echo "    gcc not found: tools/hostprof/*.c not compiled (skipped)"
     fi
+    bash -n tools/bench_pairs.sh || return 1
     python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' tools/hostprof/symbolize.py &&
         python3 tools/hostprof/symbolize.py --help >/dev/null || return 1
     # Its stderr and exit status, while its stdout goes to `| true`.

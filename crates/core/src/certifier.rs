@@ -1,26 +1,20 @@
 //! The certification queue: Algorithm 2's `Q`, the `commute` conflict index
-//! over it, and — under group-communication commitment — the wait counts
-//! that defer a vote until every conflicting predecessor has left `Q`
-//! (Algorithm 3, line 3: the convoy effect).
+//! over it, and — under group-communication commitment — the votes deferred
+//! until every conflicting predecessor has left `Q` (Algorithm 3, line 3: the
+//! convoy effect). DESIGN.md §3.2 has the design.
 //!
 //! Everything is addressed by dense **delivery tickets**: each delivered
 //! transaction takes the next `u32`. Queue entries live in one `VecDeque`
-//! indexed by `ticket - head`, and each key bucket keeps its reader and
-//! writer tickets in ascending order. No wait edge is stored: a slot counts
-//! its distinct blockers, and a leaving head recomputes its waiters from
-//! the buckets of its keys, scanning the deques `enqueue` would have
-//! scanned from the other side. That is exact because `Q` is left in
-//! delivery order: every ticket still registered when the head leaves is
-//! later than it and was enqueued while it was queued, so it counted the
-//! head iff it appears there. Certifier memory grows with the queue, not
-//! with its conflict edges, and no conflict edge costs a map lookup.
-//!
-//! Two shapes share the index. With `fifo` (group communication)
-//! transactions leave in delivery order and waiters are woken; without it
-//! (2PC, Paxos Commit) they leave in any order, nobody waits, and a
-//! conflict only turns the vote negative, so just the buckets are kept.
+//! indexed by `ticket - head`; a key's bucket holds its reader and writer
+//! counts and latest tickets. With `fifo` (group communication) `Q` is left
+//! in delivery order, so a transaction is free exactly when its latest
+//! blocker leaves: it waits on that one slot's list, and no call walks
+//! another transaction's tickets. Without it (2PC, Paxos Commit) transactions
+//! leave in any order, nobody waits, and a conflict — a relevant count above
+//! zero — only turns the vote negative.
 
 use std::collections::VecDeque;
+use std::mem::{needs_drop, size_of};
 
 use gdur_sim::IdMap;
 use gdur_store::{Key, TxId};
@@ -33,25 +27,46 @@ use crate::spec::CommuteRule;
 /// panics past that.
 pub(crate) type Ticket = u32;
 
+/// No ticket: the last value of a `u32` is never handed out.
+const NONE: Ticket = Ticket::MAX;
+
 /// A queued transaction (`fifo` only).
 #[derive(Debug)]
 struct Slot {
     tx: TxId,
-    /// Conflicting predecessors still queued.
-    blocked_by: u32,
-    /// Ticket of the last enqueue that counted this slot as a blocker:
-    /// a slot reached through several keys is counted once.
-    mark: Ticket,
+    /// First entry of the list of slots whose latest blocker this is, latest
+    /// first.
+    waiters: Ticket,
+    /// The entry after this one on its blocker's list.
+    next: Ticket,
 }
 
 // One per queued transaction: under overload, the queue is deep.
-const _: () = assert!(std::mem::size_of::<Slot>() <= 16);
+const _: () = assert!(size_of::<Slot>() <= 16);
 
-/// Queued accessors of one key, ascending by ticket.
+/// Registered accessors of one key. With `fifo`, a latest ticket is still
+/// queued while its count is above zero, because `Q` is left oldest first.
 #[derive(Debug, Default)]
 struct Bucket {
-    readers: VecDeque<Ticket>,
-    writers: VecDeque<Ticket>,
+    readers: u32,
+    writers: u32,
+    last_reader: Ticket,
+    last_writer: Ticket,
+}
+
+// One per key with a registered accessor, and nothing on the heap.
+const _: () = assert!(size_of::<Bucket>() <= 16 && !needs_drop::<Bucket>());
+
+/// A wake loop in progress: the waiters of one leaving transaction.
+#[derive(Debug, Default)]
+struct WakeLoop {
+    /// The leaving transaction's footprint (see `Certifier::footprint`).
+    footprint: Vec<(Key, bool, bool)>,
+    /// The waiters not reached yet, its wait list and those deferred into it
+    /// by nested loops, descending: the next is the last.
+    waiters: Vec<Ticket>,
+    /// The waiter reached last (the leaving ticket before the first).
+    at: Ticket,
 }
 
 /// What [`Certifier::enqueue`] found.
@@ -77,6 +92,10 @@ pub(crate) struct Certifier {
     /// Scratch for the footprint of the payload at hand: (key, read, wrote),
     /// one entry per key, only the accesses `commute` looks at.
     footprint: Vec<(Key, bool, bool)>,
+    /// The active wake loops, innermost last, are `loops[..depth]`; the rest
+    /// keep their buffers for the next.
+    loops: Vec<WakeLoop>,
+    depth: usize,
 }
 
 impl Certifier {
@@ -91,26 +110,14 @@ impl Certifier {
             slots: VecDeque::new(),
             buckets: IdMap::new(),
             footprint: Vec::new(),
+            loops: Vec::new(),
+            depth: 0,
         }
-    }
-
-    /// An empty queue whose first delivery takes `ticket`.
-    #[cfg(test)]
-    fn starting_at(commute: CommuteRule, fifo: bool, ticket: Ticket) -> Self {
-        let mut c = Self::new(commute, fifo);
-        (c.head, c.next) = (ticket, ticket);
-        c
     }
 
     /// Number of queued transactions (always 0 without `fifo`).
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The queued transactions, in delivery order.
-    #[cfg(test)]
-    pub(crate) fn queued(&self) -> impl Iterator<Item = TxId> + '_ {
-        self.slots.iter().map(|s| s.tx)
     }
 
     /// The head of `Q`.
@@ -125,36 +132,28 @@ impl Certifier {
         self.head = self.next;
     }
 
-    /// Fills `self.footprint` from `payload`.
+    /// Fills `self.footprint` from `payload`: reads first, then writes.
     fn load_footprint(&mut self, payload: &TermPayload) {
-        let fp = &mut self.footprint;
-        fp.clear();
-        match self.commute {
-            CommuteRule::Always => {}
-            CommuteRule::WriteWriteDisjoint => {
-                for w in payload.ws.iter() {
-                    if !fp.iter().any(|(k, _, _)| *k == w.key) {
-                        fp.push((w.key, false, true));
-                    }
-                }
+        let reads = payload.rs.iter().map(|r| (r.key, true));
+        let writes = payload.ws.iter().map(|w| (w.key, false));
+        self.footprint.clear();
+        for (key, read) in reads.chain(writes) {
+            let looked_at = match self.commute {
+                CommuteRule::Always => false,
+                CommuteRule::WriteWriteDisjoint => !read,
+                CommuteRule::ReadWriteDisjoint => true,
+            };
+            if !looked_at {
+                continue;
             }
-            CommuteRule::ReadWriteDisjoint => {
-                for r in payload.rs.iter() {
-                    if !fp.iter().any(|(k, _, _)| *k == r.key) {
-                        fp.push((r.key, true, false));
-                    }
-                }
-                for w in payload.ws.iter() {
-                    match fp.iter_mut().find(|(k, _, _)| *k == w.key) {
-                        Some(e) => e.2 = true,
-                        None => fp.push((w.key, false, true)),
-                    }
-                }
+            match self.footprint.iter_mut().find(|e| e.0 == key) {
+                Some(e) => (e.1, e.2) = (e.1 | read, e.2 | !read),
+                None => self.footprint.push((key, read, !read)),
             }
         }
     }
 
-    /// Which of a key's deques an access must not overlap: (readers,
+    /// Which accessors of a key an access must not overlap: (readers,
     /// writers).
     fn scans(commute: CommuteRule, read: bool, wrote: bool) -> (bool, bool) {
         match commute {
@@ -164,118 +163,78 @@ impl Certifier {
         }
     }
 
-    /// Delivers `payload`: takes the next ticket, finds the queued
-    /// transactions it does not commute with, and registers it. With `fifo`
-    /// it is appended to `Q` with the number of distinct blockers.
+    /// Delivers `payload`: takes the next ticket, finds whether a registered
+    /// transaction does not commute with it, and registers it. With `fifo` it
+    /// is appended to `Q` and linked onto the wait list of its latest
+    /// blocker.
     pub(crate) fn enqueue(&mut self, payload: &TermPayload) -> Enqueued {
         let ticket = self.next;
         self.next = ticket.checked_add(1).unwrap_or_else(|| {
             panic!("delivery ticket {ticket} is the last a u32 holds: too many deliveries")
         });
         self.load_footprint(payload);
-        let mut blocked_by = 0;
-        let mut conflict = false;
+        let mut blocker = None;
         for &(key, read, wrote) in &self.footprint {
-            let bucket = self.buckets.get_or_insert_with(key, Bucket::default);
+            let b = self.buckets.get_or_insert_with(key, Bucket::default);
             let (scan_readers, scan_writers) = Self::scans(self.commute, read, wrote);
-            let scanned = [
-                scan_readers.then_some(&bucket.readers),
-                scan_writers.then_some(&bucket.writers),
-            ];
-            for deque in scanned.into_iter().flatten() {
-                if !self.fifo {
-                    // Not registered yet, so any entry is somebody else's.
-                    conflict |= !deque.is_empty();
-                    continue;
-                }
-                for &other in deque {
-                    let slot = &mut self.slots[(other - self.head) as usize];
-                    if slot.mark != ticket {
-                        slot.mark = ticket;
-                        blocked_by += 1;
-                    }
-                }
+            if scan_readers && b.readers > 0 {
+                blocker = blocker.max(Some(b.last_reader));
+            }
+            if scan_writers && b.writers > 0 {
+                blocker = blocker.max(Some(b.last_writer));
             }
             if read {
-                bucket.readers.push_back(ticket);
+                (b.readers, b.last_reader) = (b.readers + 1, ticket);
             }
             if wrote {
-                bucket.writers.push_back(ticket);
+                (b.writers, b.last_writer) = (b.writers + 1, ticket);
             }
         }
         if self.fifo {
+            let next = match blocker {
+                Some(b) => {
+                    std::mem::replace(&mut self.slots[(b - self.head) as usize].waiters, ticket)
+                }
+                None => NONE,
+            };
+            let tx = payload.tx;
             self.slots.push_back(Slot {
-                tx: payload.tx,
-                blocked_by,
-                mark: ticket,
+                tx,
+                waiters: NONE,
+                next,
             });
-            conflict = blocked_by > 0;
         }
+        let conflict = blocker.is_some();
         Enqueued { ticket, conflict }
     }
 
-    /// True if a registered transaction other than `ticket` (whose payload
-    /// this is) does not commute with it. Stops at the first one found.
-    pub(crate) fn has_conflict(&mut self, ticket: Ticket, payload: &TermPayload) -> bool {
+    /// True if a registered transaction other than the one whose payload
+    /// this is (registered itself) does not commute with it.
+    pub(crate) fn has_conflict(&mut self, payload: &TermPayload) -> bool {
         self.load_footprint(payload);
         self.footprint.iter().any(|&(key, read, wrote)| {
-            let Some(bucket) = self.buckets.get(&key) else {
-                return false;
-            };
+            let b = &self.buckets[&key];
             let (scan_readers, scan_writers) = Self::scans(self.commute, read, wrote);
-            (scan_readers && bucket.readers.iter().any(|&t| t != ticket))
-                || (scan_writers && bucket.writers.iter().any(|&t| t != ticket))
+            (scan_readers && b.readers > u32::from(read))
+                || (scan_writers && b.writers > u32::from(wrote))
         })
     }
 
-    /// True while `ticket` is queued behind a transaction it does not
-    /// commute with.
-    #[cfg(test)]
-    pub(crate) fn is_blocked(&self, ticket: Ticket) -> bool {
-        ticket
-            .checked_sub(self.head)
-            .and_then(|i| self.slots.get(i as usize))
-            .is_some_and(|s| s.blocked_by > 0)
-    }
-
     /// `ticket` (whose payload this is) terminated: drops it from the index
-    /// and, with `fifo`, from the head of `Q`. Replaces the contents of
-    /// `waiters` with its waiters — the registered tickets it does not
-    /// commute with, all later than it — in delivery order; the caller
-    /// passes each to [`Certifier::unblock`] and casts the vote of a
-    /// transaction that returns *before* unblocking the next, because that
-    /// vote may terminate — and so remove — further queue entries. The
-    /// caller owns the buffer, so a nested `leave` needs one of its own.
-    pub(crate) fn leave(
-        &mut self,
-        ticket: Ticket,
-        payload: &TermPayload,
-        waiters: &mut Vec<Ticket>,
-    ) {
+    /// and, with `fifo`, from the head of `Q`, and starts the wake loop of its
+    /// wait list. Call [`Certifier::next_vote`] until it returns `None`,
+    /// casting each vote it returns before asking for the next: that vote may
+    /// terminate further queue entries, each with a nested loop of its own.
+    pub(crate) fn leave(&mut self, ticket: Ticket, payload: &TermPayload) {
         self.load_footprint(payload);
-        waiters.clear();
         for &(key, read, wrote) in &self.footprint {
-            let bucket = self
+            let b = self
                 .buckets
                 .get_mut(&key)
                 .expect("a registered transaction is in the bucket of each key it accessed");
-            if read {
-                Self::remove(&mut bucket.readers, ticket);
-            }
-            if wrote {
-                Self::remove(&mut bucket.writers, ticket);
-            }
-            if self.fifo {
-                // The mirror image of `enqueue`'s scan.
-                let (scan_readers, scan_writers) = Self::scans(self.commute, read, wrote);
-                if scan_readers {
-                    waiters.extend(&bucket.readers);
-                }
-                if scan_writers {
-                    waiters.extend(&bucket.writers);
-                }
-            }
-            if bucket.readers.is_empty() && bucket.writers.is_empty() {
+            b.readers -= u32::from(read);
+            b.writers -= u32::from(wrote);
+            if b.readers == 0 && b.writers == 0 {
                 self.buckets.remove(&key);
             }
         }
@@ -283,36 +242,72 @@ impl Certifier {
             return;
         }
         assert_eq!(ticket, self.head, "Q is left in delivery order");
-        self.slots.pop_front().expect("the head is queued");
+        let mut w = self.slots.pop_front().expect("the head is queued").waiters;
         self.head += 1;
-        // Ascending runs, one per scanned deque; a waiter met through
-        // several keys or both deques of one is woken once.
-        waiters.sort();
-        waiters.dedup();
-    }
-
-    /// Removes `ticket` from an ascending deque. In delivery-order leaving
-    /// it is the front.
-    fn remove(deque: &mut VecDeque<Ticket>, ticket: Ticket) {
-        if deque.front() == Some(&ticket) {
-            deque.pop_front();
-        } else {
-            let i = deque
-                .binary_search(&ticket)
-                .expect("a registered ticket is in its deques");
-            deque.remove(i);
+        if self.depth == self.loops.len() {
+            self.loops.push(WakeLoop::default());
+        }
+        let l = &mut self.loops[self.depth];
+        self.depth += 1;
+        l.at = ticket;
+        l.waiters.clear();
+        l.footprint.clone_from(&self.footprint);
+        while w != NONE {
+            l.waiters.push(w);
+            w = self.slots[(w - self.head) as usize].next;
         }
     }
 
-    /// One blocker of `waiter` left `Q`. Returns the waiter's transaction
-    /// if that was its last one, so its vote can be cast now. A waiter that
-    /// itself left `Q` in the meantime is skipped.
-    pub(crate) fn unblock(&mut self, waiter: Ticket) -> Option<TxId> {
-        let slot = self
-            .slots
-            .get_mut(waiter.checked_sub(self.head)? as usize)?;
-        slot.blocked_by -= 1;
-        (slot.blocked_by == 0).then_some(slot.tx)
+    /// The next vote of the innermost wake loop, or `None` once that loop is
+    /// done (it is then gone); waiters that left `Q` meanwhile are skipped.
+    /// The order is a count's: a waiter that an enclosing loop still below it
+    /// does not commute with is deferred into the outermost such loop, where
+    /// its last decrement would have come from. That is exact because no
+    /// delivery happens inside a wake loop, so the waiter was on the count
+    /// list of every enclosing loop it does not commute with. `payload` maps
+    /// a queued transaction to its payload.
+    pub(crate) fn next_vote<'p>(
+        &mut self,
+        payload: impl Fn(TxId) -> &'p TermPayload,
+    ) -> Option<TxId> {
+        loop {
+            let top = self.depth.checked_sub(1)?;
+            let l = &mut self.loops[top];
+            let Some(x) = l.waiters.pop() else {
+                self.depth = top;
+                return None;
+            };
+            l.at = x;
+            let Some(tx) = x
+                .checked_sub(self.head)
+                .and_then(|i| self.slots.get(i as usize))
+                .map(|s| s.tx)
+            else {
+                continue;
+            };
+            if self.loops[..top].iter().any(|e| e.at < x) {
+                self.load_footprint(payload(tx));
+                let (commute, fp) = (self.commute, &self.footprint);
+                let outer = self.loops[..top]
+                    .iter_mut()
+                    .find(|e| e.at < x && Self::overlap(commute, &e.footprint, fp));
+                if let Some(e) = outer {
+                    let i = e.waiters.partition_point(|&w| w > x);
+                    e.waiters.insert(i, x);
+                    continue;
+                }
+            }
+            return Some(tx);
+        }
+    }
+
+    /// True if two footprints do not commute.
+    fn overlap(commute: CommuteRule, a: &[(Key, bool, bool)], b: &[(Key, bool, bool)]) -> bool {
+        a.iter().any(|&(key, read, wrote)| {
+            let (scan_readers, scan_writers) = Self::scans(commute, read, wrote);
+            b.iter()
+                .any(|&(k, r, w)| k == key && ((scan_readers && r) || (scan_writers && w)))
+        })
     }
 }
 
@@ -355,11 +350,16 @@ mod tests {
         )
     }
 
-    /// `Certifier::leave` into a fresh buffer.
-    fn leave(c: &mut Certifier, ticket: Ticket, payload: &TermPayload) -> Vec<Ticket> {
-        let mut waiters = Vec::new();
-        c.leave(ticket, payload, &mut waiters);
-        waiters
+    /// `Certifier::leave`, then the votes of a wake loop that no vote nests
+    /// in.
+    fn leave(c: &mut Certifier, ticket: Ticket, payload: &TermPayload) -> Vec<TxId> {
+        c.leave(ticket, payload);
+        std::iter::from_fn(|| c.next_vote(|_| unreachable!("no loop encloses this one"))).collect()
+    }
+
+    /// `Certifier::next_vote` over the queued `payloads`.
+    fn next_vote(c: &mut Certifier, payloads: &[&TermPayload]) -> Option<TxId> {
+        c.next_vote(|tx| payloads.iter().find(|p| p.tx == tx).expect("queued"))
     }
 
     /// A random footprint over a few hot keys: repeated reads, blind writes
@@ -525,14 +525,10 @@ mod tests {
     }
 
     /// The same over the certifier, shaped like `Replica::process_queue`.
-    /// Every `leave`, nested ones included, must return the reference's
-    /// wait edges of the leaving transaction (`waiters`, as they stood
-    /// before the reference drained) as tickets, in delivery order.
     fn drain_certifier(
         c: &mut Certifier,
         payloads: &BTreeMap<TxId, TermPayload>,
         tickets: &BTreeMap<TxId, Ticket>,
-        waiters: &BTreeMap<TxId, Vec<TxId>>,
         decided: &mut BTreeSet<TxId>,
         wakes: &mut Vec<TxId>,
     ) {
@@ -540,23 +536,19 @@ mod tests {
             if !decided.contains(&head) {
                 break;
             }
-            let left = leave(c, tickets[&head], &payloads[&head]);
-            let expected: Vec<Ticket> = waiters
-                .get(&head)
-                .map_or(Vec::new(), |ws| ws.iter().map(|w| tickets[w]).collect());
-            assert_eq!(left, expected, "waiters of {head}");
-            for w in left {
-                if let Some(tx) = c.unblock(w) {
-                    wakes.push(tx);
-                    if decides_on_vote(tx) {
-                        decided.insert(tx);
-                        drain_certifier(c, payloads, tickets, waiters, decided, wakes);
-                    }
+            c.leave(tickets[&head], &payloads[&head]);
+            while let Some(tx) = c.next_vote(|tx| &payloads[&tx]) {
+                wakes.push(tx);
+                if decides_on_vote(tx) {
+                    decided.insert(tx);
+                    drain_certifier(c, payloads, tickets, decided, wakes);
                 }
             }
         }
     }
 
+    /// The votes cast, in order, nested wake loops included, are the
+    /// reference's: one wait edge per transaction replays the count.
     #[test]
     fn fifo_matches_the_all_pairs_reference() {
         for commute in RULES {
@@ -579,7 +571,6 @@ mod tests {
                         let expected = reference.deliver(&p);
                         let got = certifier.enqueue(&p);
                         assert_eq!(got.conflict, !expected.is_empty());
-                        assert_eq!(certifier.is_blocked(got.ticket), !expected.is_empty());
                         tickets.insert(p.tx, got.ticket);
                         undecided.push(p.tx);
                         payloads.insert(p.tx, p);
@@ -589,30 +580,30 @@ mod tests {
                         decided_r.insert(tx);
                         decided_c.insert(tx);
                     }
-                    let waiters = reference.waiters.clone();
                     drain_reference(&mut reference, &payloads, &mut decided_r, &mut wakes_r);
                     drain_certifier(
                         &mut certifier,
                         &payloads,
                         &tickets,
-                        &waiters,
                         &mut decided_c,
                         &mut wakes_c,
                     );
                     assert_eq!(wakes_c, wakes_r, "{commute:?} seed {seed} step {step}");
-                    assert!(certifier.queued().eq(reference.q.iter().copied()));
+                    assert!(certifier
+                        .slots
+                        .iter()
+                        .map(|s| s.tx)
+                        .eq(reference.q.iter().copied()));
                 }
                 for tx in undecided {
                     decided_r.insert(tx);
                     decided_c.insert(tx);
                 }
-                let waiters = reference.waiters.clone();
                 drain_reference(&mut reference, &payloads, &mut decided_r, &mut wakes_r);
                 drain_certifier(
                     &mut certifier,
                     &payloads,
                     &tickets,
-                    &waiters,
                     &mut decided_c,
                     &mut wakes_c,
                 );
@@ -620,6 +611,7 @@ mod tests {
                 assert!(reference.key_index.is_empty());
                 assert_eq!(certifier.len(), 0);
                 assert!(certifier.buckets.is_empty());
+                assert_eq!(certifier.depth, 0);
             }
         }
     }
@@ -646,12 +638,11 @@ mod tests {
                         assert!(leave(&mut certifier, ticket, &p).is_empty());
                     }
                     // The deferred-vote question, asked of registered entries.
-                    for (ticket, p) in &live {
+                    for (_, p) in &live {
                         assert_eq!(
-                            certifier.has_conflict(*ticket, p),
+                            certifier.has_conflict(p),
                             !reference.conflicting_queued(p).is_empty()
                         );
-                        assert!(!certifier.is_blocked(*ticket));
                     }
                     assert_eq!(certifier.len(), 0);
                 }
@@ -665,6 +656,29 @@ mod tests {
         }
     }
 
+    /// `t0 ← {t1, t2}`, `t1 ← {t2, t3}`; `t1` is `t2`'s and `t3`'s latest
+    /// blocker. Voting `t1` decides it, and its nested pop leaves before
+    /// `t0`'s loop reaches `t2`: `t0` still owes `t2` a decrement, so `t2`
+    /// votes in `t0`'s loop. `t0` commutes with `t3`, which votes at once.
+    #[test]
+    fn a_waiter_freed_inside_an_outer_loop_votes_there() {
+        let mut c = Certifier::new(CommuteRule::ReadWriteDisjoint, true);
+        let p0 = payload(0, &[], &[1]);
+        let p1 = payload(1, &[1], &[2]);
+        let p2 = payload(2, &[1, 2], &[]);
+        let p3 = payload(3, &[2], &[]);
+        let all = [&p0, &p1, &p2, &p3];
+        let t: Vec<Ticket> = all.iter().map(|p| c.enqueue(p).ticket).collect();
+        c.leave(t[0], &p0);
+        assert_eq!(next_vote(&mut c, &all), Some(p1.tx));
+        c.leave(t[1], &p1);
+        assert_eq!(next_vote(&mut c, &all), Some(p3.tx));
+        assert_eq!(next_vote(&mut c, &all), None);
+        assert_eq!(next_vote(&mut c, &all), Some(p2.tx));
+        assert_eq!(next_vote(&mut c, &all), None);
+        assert_eq!(c.depth, 0);
+    }
+
     /// `t0 ← {t1, t2}` and `t1 ← t2`. Waking `t1` decides it, and the nested
     /// pop takes `t1` and then `t2` (decided by its peers' votes) out of `Q`
     /// before the outer loop reaches `t2`.
@@ -674,26 +688,22 @@ mod tests {
         let p0 = payload(0, &[], &[1]);
         let p1 = payload(1, &[1], &[2]);
         let p2 = payload(2, &[1, 2], &[]);
-        let t0 = c.enqueue(&p0).ticket;
-        let t1 = c.enqueue(&p1).ticket;
-        let t2 = c.enqueue(&p2).ticket;
-        let outer = leave(&mut c, t0, &p0);
-        assert_eq!(outer, vec![t1, t2]);
-        assert_eq!(c.unblock(t1), Some(p1.tx));
-        // Nested: t1 leaves, t2 loses one of its two blockers and leaves
-        // while still blocked.
-        let nested = leave(&mut c, t1, &p1);
-        assert_eq!(nested, vec![t2]);
-        assert_eq!(c.unblock(t2), None);
-        assert!(leave(&mut c, t2, &p2).is_empty());
+        let all = [&p0, &p1, &p2];
+        let t: Vec<Ticket> = all.iter().map(|p| c.enqueue(p).ticket).collect();
+        c.leave(t[0], &p0);
+        assert_eq!(next_vote(&mut c, &all), Some(p1.tx));
+        // Nested: t1 leaves; t2, deferred into the outer loop, leaves
+        // unvoted.
+        c.leave(t[1], &p1);
+        assert_eq!(next_vote(&mut c, &all), None);
+        assert!(leave(&mut c, t[2], &p2).is_empty());
         // Back in the outer loop, t2's ticket is below the head.
-        assert_eq!(c.unblock(t2), None);
+        assert_eq!(next_vote(&mut c, &all), None);
         // A later arrival reusing slot index 0 is not mistaken for it.
         let p3 = payload(3, &[], &[9]);
-        let t3 = c.enqueue(&p3).ticket;
-        assert_eq!(c.unblock(t2), None);
-        assert!(!c.is_blocked(t3));
-        leave(&mut c, t3, &p3);
+        let t3 = c.enqueue(&p3);
+        assert!(!t3.conflict);
+        assert!(leave(&mut c, t3.ticket, &p3).is_empty());
         assert!(c.buckets.is_empty());
     }
 
@@ -703,22 +713,19 @@ mod tests {
         let p0 = payload(0, &[], &[1]);
         let p1 = payload(1, &[1], &[]);
         c.enqueue(&p0);
-        let old = c.enqueue(&p1).ticket;
-        assert!(c.is_blocked(old));
+        let old = c.enqueue(&p1);
+        assert!(old.conflict);
         c.clear();
         assert_eq!(c.len(), 0);
         assert_eq!(c.front(), None);
-        // Redelivered after the restart: nothing queued conflicts, the
-        // tickets are new, and the old ones address nothing.
+        // Redelivered after the restart: nothing queued conflicts, and the
+        // tickets are new.
         let again = c.enqueue(&p1);
-        assert!(again.ticket > old);
+        assert!(again.ticket > old.ticket);
         assert!(!again.conflict);
-        assert!(!c.is_blocked(old));
-        assert_eq!(c.unblock(old), None);
         let w = c.enqueue(&p0);
         assert!(w.conflict);
-        assert_eq!(leave(&mut c, again.ticket, &p1), vec![w.ticket]);
-        assert_eq!(c.unblock(w.ticket), Some(p0.tx));
+        assert_eq!(leave(&mut c, again.ticket, &p1), vec![p0.tx]);
     }
 
     #[test]
@@ -726,33 +733,31 @@ mod tests {
         let mut c = Certifier::new(CommuteRule::ReadWriteDisjoint, true);
         let rmw = payload(0, &[7], &[7]);
         let t0 = c.enqueue(&rmw).ticket;
-        let bucket = &c.buckets[&Key(7)];
-        assert_eq!(bucket.readers, [t0]);
-        assert_eq!(bucket.writers, [t0]);
-        // Another read-modify-write of the key meets t0 in both deques.
+        let b = &c.buckets[&Key(7)];
+        assert_eq!(
+            (b.readers, b.writers, b.last_reader, b.last_writer),
+            (1, 1, t0, t0)
+        );
+        // Another read-modify-write of the key meets t0 as reader and as
+        // writer, and is linked onto its wait list once.
         let other = payload(1, &[7], &[7]);
         let t1 = c.enqueue(&other).ticket;
-        assert_eq!(c.slots[1].blocked_by, 1);
-        // Recomputed from both deques at leave, t1 is still listed once.
-        assert_eq!(leave(&mut c, t0, &rmw), vec![t1]);
-        assert_eq!(c.unblock(t1), Some(other.tx));
+        assert_eq!((c.slots[0].waiters, c.slots[1].next), (t1, NONE));
+        assert_eq!(leave(&mut c, t0, &rmw), vec![other.tx]);
     }
 
-    /// The waiters replace what the caller's buffer held, so a buffer can
-    /// be lent again without being cleared.
+    /// A finished wake loop's buffers serve the next one, which starts with
+    /// its own waiters only.
     #[test]
-    fn leave_overwrites_a_lent_buffer() {
+    fn a_finished_wake_loop_leaves_nothing_behind() {
         let mut c = Certifier::new(CommuteRule::ReadWriteDisjoint, true);
         let p0 = payload(0, &[], &[1]);
         let p1 = payload(1, &[1], &[]);
         let t0 = c.enqueue(&p0).ticket;
         let t1 = c.enqueue(&p1).ticket;
-        let mut buffer = vec![7, 7, 7];
-        c.leave(t0, &p0, &mut buffer);
-        assert_eq!(buffer, [t1]);
-        c.unblock(t1);
-        c.leave(t1, &p1, &mut buffer);
-        assert!(buffer.is_empty());
+        assert_eq!(leave(&mut c, t0, &p0), [p1.tx]);
+        assert!(leave(&mut c, t1, &p1).is_empty());
+        assert_eq!((c.loops.len(), c.depth), (1, 0));
     }
 
     /// The last tickets a `u32` holds work like any other; the delivery
@@ -760,15 +765,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "delivery ticket 4294967295")]
     fn a_delivery_past_the_last_ticket_panics() {
-        let mut c = Certifier::starting_at(CommuteRule::ReadWriteDisjoint, true, u32::MAX - 2);
+        let mut c = Certifier::new(CommuteRule::ReadWriteDisjoint, true);
+        (c.head, c.next) = (u32::MAX - 2, u32::MAX - 2);
         let p0 = payload(0, &[], &[1]);
         let p1 = payload(1, &[1], &[]);
         let t0 = c.enqueue(&p0).ticket;
         let t1 = c.enqueue(&p1);
         assert_eq!((t0, t1.ticket), (u32::MAX - 2, u32::MAX - 1));
         assert!(t1.conflict);
-        assert_eq!(leave(&mut c, t0, &p0), vec![t1.ticket]);
-        assert_eq!(c.unblock(t1.ticket), Some(p1.tx));
+        assert_eq!(leave(&mut c, t0, &p0), vec![p1.tx]);
         c.enqueue(&payload(2, &[], &[2]));
     }
 
@@ -787,12 +792,8 @@ mod tests {
                 (got.ticket, p)
             })
             .collect();
-        let waiters = leave(&mut c, w, &writer);
-        assert!(waiters.iter().eq(readers.iter().map(|(t, _)| t)));
-        for (t, p) in &readers {
-            assert_eq!(c.unblock(*t), Some(p.tx));
-            assert!(!c.is_blocked(*t));
-        }
+        let votes = leave(&mut c, w, &writer);
+        assert!(votes.iter().eq(readers.iter().map(|(_, p)| &p.tx)));
         for (t, p) in &readers {
             assert!(leave(&mut c, *t, p).is_empty());
         }

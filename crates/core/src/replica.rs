@@ -584,12 +584,8 @@ pub struct Replica {
     /// more sites.
     accepts: BTreeMap<(TxId, SiteId), Acceptances>,
     /// Delivery queue `Q` of Algorithm 2 with its `commute` conflict index
-    /// and deferred-vote wait graph.
+    /// and the votes deferred behind it.
     certifier: Certifier,
-    /// Emptied waiter buffers for [`Certifier::leave`], lent by
-    /// `terminate` and given back by `wake`: one per termination nested in
-    /// a wake loop.
-    spare_waiters: Vec<Vec<Ticket>>,
     /// Decisions that raced ahead of the ordered delivery of their
     /// transaction (a coordinator can abort on the first negative vote
     /// before slower replicas deliver the payload). Only a destination of
@@ -758,7 +754,6 @@ impl Replica {
             votes: IdMap::new(),
             accepts: BTreeMap::new(),
             certifier: Certifier::new(commute, gc_mode),
-            spare_waiters: Vec::new(),
             early_decide: IdMap::new(),
             done: TerminatedSet::default(),
             timers: IdMap::new(),

@@ -537,8 +537,8 @@ impl Replica {
             // entry parks (outcome recorded above) until the
             // `finish_catchup` sweep. Nobody waits on a 2PC/Paxos
             // participation: the waiters are none.
-            let waiters = self.terminate(ctx, tx, commit);
-            self.wake(ctx, waiters);
+            self.terminate(ctx, tx, commit);
+            self.wake(ctx);
         }
     }
 }

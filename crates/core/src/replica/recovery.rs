@@ -478,7 +478,7 @@ impl Replica {
             let Some(p) = self.part.get(&tx) else {
                 continue;
             };
-            let preempt = self.certifier.has_conflict(p.ticket, &p.payload);
+            let preempt = self.certifier.has_conflict(&p.payload);
             self.cast_vote(ctx, tx, preempt);
         }
         let parked: Vec<(TxId, bool)> = self
@@ -488,8 +488,8 @@ impl Replica {
             .filter_map(|tx| Some((tx, self.part[&tx].outcome?)))
             .collect();
         for (tx, commit) in parked {
-            let waiters = self.terminate(ctx, tx, commit);
-            self.wake(ctx, waiters);
+            self.terminate(ctx, tx, commit);
+            self.wake(ctx);
         }
     }
 }

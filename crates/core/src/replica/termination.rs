@@ -197,30 +197,19 @@ impl Replica {
         }
     }
 
-    /// A transaction left the certifier: its waiters lose a blocker each,
-    /// in delivery order, and one whose last blocker this was casts its
-    /// deferred vote before the next is looked at. The buffer goes back to
-    /// `spare_waiters`.
-    pub(super) fn wake(&mut self, ctx: &mut Context<'_, Msg>, waiters: Vec<Ticket>) {
-        for &w in &waiters {
-            if let Some(tx) = self.certifier.unblock(w) {
-                self.cast_vote(ctx, tx, false);
-            }
+    /// A transaction left the certifier: runs its wake loop, casting each
+    /// deferred vote before the next is looked at (`Certifier::next_vote`).
+    pub(super) fn wake(&mut self, ctx: &mut Context<'_, Msg>) {
+        while let Some(tx) = self.certifier.next_vote(|tx| &self.part[&tx].payload) {
+            self.cast_vote(ctx, tx, false);
         }
-        self.spare_waiters.push(waiters);
     }
 
     /// Terminates this replica's participation in `tx`: applies the commit
     /// (or resolves the reservations of an abort), takes the transaction
-    /// out of the certifier and forgets its votes. Returns the tickets whose
-    /// deferred vote waited for it, in a buffer lent from `spare_waiters`:
-    /// hand it to `wake`.
-    pub(super) fn terminate(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        tx: TxId,
-        commit: bool,
-    ) -> Vec<Ticket> {
+    /// out of the certifier and forgets its votes. Call `wake` next: it
+    /// casts the votes deferred behind `tx`.
+    pub(super) fn terminate(&mut self, ctx: &mut Context<'_, Msg>, tx: TxId, commit: bool) {
         let p = self.part.remove(&tx).expect("present");
         if commit {
             self.apply(ctx, &p.payload, p.decided_clocks(), p.reserved());
@@ -231,9 +220,7 @@ impl Replica {
         }
         self.votes.remove(&tx);
         self.done.insert(tx);
-        let mut waiters = self.spare_waiters.pop().unwrap_or_default();
-        self.certifier.leave(p.ticket, &p.payload, &mut waiters);
-        waiters
+        self.certifier.leave(p.ticket, &p.payload);
     }
 
     /// Pops every decided transaction at the head of `Q`, applying commits
@@ -269,13 +256,13 @@ impl Replica {
             // The entry is gone before anyone is woken: neither the votes
             // nor the nested pops the wake-up triggers look at a
             // transaction that has left Q.
-            let waiters = self.terminate(ctx, head, commit);
+            self.terminate(ctx, head, commit);
             ctx.trace(
                 labels::CERT_DEQUEUE,
                 head.code(),
                 self.certifier.len() as u64,
             );
-            self.wake(ctx, waiters);
+            self.wake(ctx);
         }
     }
 
